@@ -12,18 +12,13 @@ import argparse
 import csv
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import engine
-from .codec import (
-    DeterministicEncoder,
-    FloatEncoder,
-    PoissonEncoder,
-    StochasticEncoder,
-    make_rng,
-)
+from .codec import PoissonEncoder, make_rng, signed_encoder
 from .graph import (
     SnnGraph,
     calibrate,
@@ -52,6 +47,7 @@ from .oracles import (
     reference_nonlinearity,
 )
 from .schedules import (
+    SubgradCoefficients,
     parse_schedule,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
@@ -90,16 +86,10 @@ def _n_workers():
 
 def cmd_encode(args):
     schedule = parse_schedule(args.schedule)
-    if args.encoder == "float":
-        enc = FloatEncoder(args.x, schedule)
-    elif args.encoder == "det":
-        enc = DeterministicEncoder(args.x, schedule)
-    elif args.encoder == "stoch":
-        enc = StochasticEncoder(args.x, schedule, c=args.c, seed=args.seed)
-    elif args.encoder == "poisson":
+    if args.encoder == "poisson":
         enc = PoissonEncoder(args.x, seed=args.seed)
     else:
-        raise SystemExit(f"unknown encoder {args.encoder!r}")
+        enc = signed_encoder(args.encoder, args.x, schedule, args.c, args.seed)
     rows = [(t, enc.step()) for t in range(1, args.T + 1)]
     _write_csv(args.out, ["t", "s"], rows)
     print(f"wrote {args.T} steps to {args.out}")
@@ -123,49 +113,33 @@ def _signgd_check_inputs(schedule, steps, arity, rng):
 def cmd_oracle_check(args):
     schedule = parse_schedule(args.schedule)
     rng = make_rng(args.seed)
-    steps = args.steps
     name = args.neuron
 
+    # per kind: neuron, oracle, one step's input draw, decode in oracle coordinates
     if name == "if":
-        params = IfLifParams(theta_th=1.0, R=1.0, u0=0.0)
-        neuron = IfNeuron(params, n=1)
+        neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
         oracle = IfRateOracle(theta=1.0, R=1.0, u0=0.0, n=1)
-        deviation = 0.0
-        for t in range(1, steps + 1):
-            I = rng.uniform(0.0, 1.2, 1)
-            s_n, s_o = neuron.step(I), oracle.step(I)
-            deviation = max(deviation, float(np.abs(s_n - s_o).max()))
-            f_n = if_transform(neuron.decoded, t, u0=0.0, theta=1.0)
-            deviation = max(deviation, float(np.abs(f_n - oracle.f).max()))
+        draw = lambda: rng.uniform(0.0, 1.2, 1)
+        decoded = lambda t: if_transform(neuron.decoded, t, u0=0.0, theta=1.0)
     elif name == "lif":
         tau = 10.0
         neuron = LifNeuron(IfLifParams(theta_th=1.0, R=1.0, tau_m=tau, u_rest=0.0), n=1)
         oracle = LifEmaOracle(theta=1.0, R=1.0, tau=tau, u_rest=0.0, u0=0.0, n=1)
-        deviation = 0.0
-        for t in range(1, steps + 1):
-            I = rng.uniform(0.0, 12.0, 1)
-            s_n, s_o = neuron.step(I), oracle.step(I)
-            deviation = max(deviation, float(np.abs(s_n - s_o).max()))
-            f_n = lif_transform(neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
-            deviation = max(deviation, float(np.abs(f_n - oracle.f).max()))
+        draw = lambda: rng.uniform(0.0, 12.0, 1)
+        decoded = lambda t: lif_transform(
+            neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
     elif name == "subgrad":
         coeffs = solve_subgrad_coefficients(schedule)
         if args.corrupt_alpha != 1.0:
             base = coeffs.alpha
-            from .schedules import SubgradCoefficients
-
             coeffs = SubgradCoefficients(
                 alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha,
                 beta=coeffs.beta, gamma=coeffs.gamma, schedule=schedule,
             )
         neuron = SubgradNeuron(coeffs, n=1, validate=False)
         oracle = SubgradOracle(schedule, n=1)
-        deviation = 0.0
-        for _ in range(steps):
-            I = rng.uniform(0.0, 1.0, 1)
-            s_n, s_o = neuron.step(I), oracle.step(I)
-            deviation = max(deviation, float(np.abs(s_n - s_o).max()))
-            deviation = max(deviation, float(np.abs(neuron.decoded - oracle.f).max()))
+        draw = lambda: rng.uniform(0.0, 1.0, 1)
+        decoded = lambda t: neuron.decoded
     elif name.startswith("signgd"):
         mech = parse_mechanism(name)
         coeffs = solve_signgd_coefficients(schedule, args.parameterization)
@@ -174,21 +148,23 @@ def cmd_oracle_check(args):
             coeffs = coeffs.replace(
                 beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
-        W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
+        W, b = _signgd_check_inputs(schedule, args.steps, mech.arity, rng)
         neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
-        kind = mech.kind
-        oracle = SignGdOracle(SqErrObjective(kind, mech.delta), schedule, W=W, b=b, n=1)
-        deviation = 0.0
-        for _ in range(steps):
-            I = b + W * rng.integers(0, 2, (mech.arity, 1))
-            s_n, s_o = neuron.step(I), oracle.step(I)
-            deviation = max(deviation, float(np.abs(s_n - s_o).max()))
-            deviation = max(deviation, float(np.abs(neuron.decoded - oracle.f).max()))
+        oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
+        draw = lambda: b + W * rng.integers(0, 2, (mech.arity, 1))
+        decoded = lambda t: neuron.decoded
     else:
         raise SystemExit(f"unknown neuron kind {name!r}")
 
+    deviation = 0.0
+    for t in range(1, args.steps + 1):
+        I = draw()
+        s_n, s_o = neuron.step(I), oracle.step(I)
+        deviation = max(deviation, float(np.abs(s_n - s_o).max()),
+                        float(np.abs(decoded(t) - oracle.f).max()))
+
     ok = deviation <= DEVIATION_LIMIT
-    print(f"neuron={name} schedule={schedule} steps={steps} "
+    print(f"neuron={name} schedule={schedule} steps={args.steps} "
           f"max-deviation={deviation:.3e} -> {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -221,13 +197,8 @@ def cmd_neuron_sweep(args):
     coeffs = solve_signgd_coefficients(schedule, args.parameterization)
     neuron = SignGdNeuron(mech, coeffs, schedule,
                           W=np.ones((mech.arity, n)), b=np.zeros((mech.arity, n)), n=n)
-    if args.encoder == "float":
-        encs = [FloatEncoder(ops[k], schedule) for k in range(mech.arity)]
-    elif args.encoder == "det":
-        encs = [DeterministicEncoder(ops[k], schedule) for k in range(mech.arity)]
-    else:
-        encs = [StochasticEncoder(ops[k], schedule, c=args.c, seed=args.seed + k)
-                for k in range(mech.arity)]
+    encs = [signed_encoder(args.encoder, ops[k], schedule, args.c, args.seed + k)
+            for k in range(mech.arity)]
     target = reference_nonlinearity(mech.kind, ops if mech.arity == 2 else ops[0], mech.delta)
     marks = set(_checkpoints(args.T))
     rows = []
@@ -278,10 +249,6 @@ def cmd_convert(args):
 # ---------------------------------------------------------------------------
 
 
-def _load_snn(path) -> SnnGraph:
-    return SnnGraph.load(path)
-
-
 def _dataset(args):
     data = load_tensor(args.data)
     if data.ndim == 1:
@@ -289,8 +256,24 @@ def _dataset(args):
     return data
 
 
+def _run_items(snn, data, args):
+    """(readout history, total spikes) of engine.run per item, in item order,
+    seeded args.seed + 1000 i; each worker thread reuses one SnnInstance."""
+    local = threading.local()
+
+    def one(i):
+        if not hasattr(local, "inst"):
+            local.inst = engine.SnnInstance(snn)
+        hist = engine.run(snn, data[i], args.T, encoder=args.encoder, stoch_c=args.c,
+                          seed=args.seed + 1000 * i, instance=local.inst)
+        return hist, local.inst.total_spikes
+
+    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
+        return list(pool.map(one, range(data.shape[0])))
+
+
 def cmd_infer(args):
-    snn = _load_snn(args.snn)
+    snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None and labels.shape[0] != data.shape[0]:
@@ -298,23 +281,10 @@ def cmd_infer(args):
             f"label count {labels.shape[0]} != item count {data.shape[0]}"
         )
     marks = _checkpoints(args.T, args.checkpoints or ())
-    seeds = [args.seed + 1000 * i for i in range(data.shape[0])]
-
-    def one(i):
-        hist = engine.run(snn, data[i], args.T, encoder=args.encoder,
-                          stoch_c=args.c, seed=seeds[i])
-        return hist
-
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        hists = list(pool.map(one, range(data.shape[0])))
+    hists = [hist for hist, _ in _run_items(snn, data, args)]
     preds = np.asarray([[int(np.argmax(h[m - 1])) for m in marks] for h in hists])
-    rows = []
-    for j, m in enumerate(marks):
-        if labels is not None:
-            acc = float(np.mean(preds[:, j] == labels))
-        else:
-            acc = float("nan")
-        rows.append((m, acc))
+    rows = [(m, float(np.mean(preds[:, j] == labels)) if labels is not None else float("nan"))
+            for j, m in enumerate(marks)]
     _write_csv(args.report, ["T", "acc"], rows)
     if args.run_trace:
         h = hists[args.index]
@@ -331,7 +301,7 @@ def cmd_infer(args):
 
 
 def cmd_probe(args):
-    snn = _load_snn(args.snn)
+    snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     x = data[args.index]
     rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed)
@@ -346,21 +316,11 @@ def cmd_probe(args):
 
 
 def cmd_energy(args):
-    snn = _load_snn(args.snn)
+    snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     kind = "signgd" if snn.family == "signgd" else "if"
-    seeds = [args.seed + 1000 * i for i in range(data.shape[0])]
-
-    def one(i):
-        inst = engine.SnnInstance(snn)
-        engine.run(snn, data[i], args.T, encoder=args.encoder,
-                   stoch_c=args.c, seed=seeds[i], instance=inst)
-        return inst.total_spikes, inst.total_neurons
-
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        results = list(pool.map(one, range(data.shape[0])))
-    spikes = sum(r[0] for r in results)
-    neurons = results[0][1]
+    spikes = sum(n for _, n in _run_items(snn, data, args))
+    neurons = sum(node.params["count"] for node in snn.neuron_nodes())
     rep = engine.estimate_energy(spikes, args.T * data.shape[0], neurons, kind)
     _write_csv(
         args.out,

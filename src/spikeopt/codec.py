@@ -34,6 +34,7 @@ __all__ = [
     "ConstantEncoder",
     "RateDeterministicEncoder",
     "EmaDeterministicEncoder",
+    "signed_encoder",
     "encode_float",
     "encode_deterministic",
     "encode_stochastic",
@@ -108,16 +109,6 @@ class SignedDecoder:
         return self.y
 
 
-def make_decoder(scheme: str, schedule: Schedule | None = None, tau: float | None = None, n=None):
-    if scheme == "rate":
-        return RateDecoder(n)
-    if scheme == "ema":
-        return EmaDecoder(tau, n)
-    if scheme == "signed":
-        return SignedDecoder(schedule, n)
-    raise ValueError(f"unknown decoding scheme {scheme!r}")
-
-
 # ---------------------------------------------------------------------------
 # Encoders for signed schedule coding. Each keeps the internal estimate f that
 # a signed-schedule decoder of the emitted train reproduces exactly.
@@ -178,6 +169,17 @@ class StochasticEncoder:
             s = float(s)
         self.f = self.f - self.schedule(self.t) * (2.0 * np.asarray(s) - 1.0)
         return s
+
+
+def signed_encoder(kind: str, x, schedule: Schedule, c: float = 0.5, seed: int = 0):
+    """Signed-schedule encoder by name: float, det or stoch (steepness c)."""
+    if kind == "float":
+        return FloatEncoder(x, schedule)
+    if kind == "det":
+        return DeterministicEncoder(x, schedule)
+    if kind == "stoch":
+        return StochasticEncoder(x, schedule, c=c, seed=seed)
+    raise ValueError(f"unknown encoder {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Time-stepped execution of converted networks.
 
-One global step encodes the next input frame, pushes it through the node
-order (linear nodes map the instantaneous frame, neuron layers integrate,
-fire and reset), and folds the output node's current into the readout:
+An SnnInstance compiles its network once into a step plan (`graph.plan`)
+and tabulates the per-step schedule and coefficient scalars in one StepTable
+shared by every neuron layer and the readout. One global step encodes the
+next input frame, runs the plan (linear ops map the instantaneous frame,
+neuron layers integrate, fire and reset), and folds the output node's
+current into the readout:
 
   sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
                    r(0) = b_out (the calibrated output bias image)
@@ -12,28 +15,30 @@ Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes. Classification
 reads argmax r(T).
 
-An instance is single-writer; independent instances (e.g. dataset items)
-share the immutable SnnGraph and run fully in parallel.
+An instance is single-writer and is reused across inputs via `reset`;
+instances share the immutable SnnGraph and run fully in parallel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .codec import (
-    ConstantEncoder,
-    DeterministicEncoder,
-    FloatEncoder,
-    PoissonEncoder,
-    RateDeterministicEncoder,
-    StochasticEncoder,
-)
-from .graph.model import Graph, infer_shapes, node_forward, run_forward
+from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, signed_encoder
+from .graph.model import Graph, run_forward
+from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
+from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
 from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
-from .schedules import solve_signgd_coefficients, solve_subgrad_coefficients
+from .schedules import (
+    StepTable,
+    signgd_step_factors,
+    solve_signgd_coefficients,
+    solve_subgrad_coefficients,
+    subgrad_step_factors,
+)
 
 __all__ = [
     "ann_forward",
@@ -61,86 +66,70 @@ class SnnInstance:
         if not snn.calibrated:
             raise ConversionError("calibrate the network before executing it")
         self.snn = snn
-        self.graph = snn.graph
-        self.schedule = snn.schedule
-        self.shapes = infer_shapes(snn.graph)
-        self.input_shape = tuple(self.graph.nodes[self.graph.input_id].params["shape"])
-        out = self.graph.nodes[self.graph.output_id]
+        out = snn.graph.nodes[snn.graph.output_id]
         self.readout_w = out.tensor("cal_w")
         self.readout_b = out.tensor("cal_b")
+        self._tables: dict[str, tuple] = {}
         self.layers: dict[str, object] = {}
         for node in snn.neuron_nodes():
             n = node.params["count"]
             if node.params["mech"] == "subgrad":
-                coeffs = solve_subgrad_coefficients(snn.schedule)
-                self.layers[node.id] = SubgradNeuron(coeffs, n=n)
+                coeffs, table = self._table("subgrad")
+                self.layers[node.id] = SubgradNeuron(coeffs, n=n, table=table)
             else:
-                mech = parse_mechanism(node.params["mech"])
-                coeffs = solve_signgd_coefficients(snn.schedule, snn.parameterization)
+                coeffs, table = self._table("signgd")
                 self.layers[node.id] = SignGdNeuron(
-                    mech, coeffs, snn.schedule,
-                    W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n,
+                    parse_mechanism(node.params["mech"]), coeffs, snn.schedule,
+                    W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n, table=table,
                 )
-        self.t = 0
-        self.r = self._initial_readout()
-        self.spike_counts = {nid: 0 for nid in self.layers}
+        self.plan = Plan(snn.graph, self.layers)
+        if snn.family == "signgd":  # the readout steps by the layers' eta(t)
+            self._eta = self._table("signgd")[1]
+        self.reset()
 
-    def _initial_readout(self) -> np.ndarray:
-        if self.snn.family == "signgd":
-            return self.readout_b.copy()
-        return np.zeros_like(self.readout_b)
+    def _table(self, family: str) -> tuple:
+        """(coefficients, shared StepTable) of one neuron family, solved once."""
+        if family not in self._tables:
+            s = self.snn.schedule
+            if family == "subgrad":
+                c = solve_subgrad_coefficients(s)
+                self._tables[family] = c, StepTable(partial(subgrad_step_factors, c))
+            else:
+                c = solve_signgd_coefficients(s, self.snn.parameterization)
+                self._tables[family] = c, StepTable(partial(signgd_step_factors, c, s))
+        return self._tables[family]
 
     def reset(self):
         for layer in self.layers.values():
             layer.reset()
         self.t = 0
-        self.r = self._initial_readout()
-        self.spike_counts = {nid: 0 for nid in self.layers}
+        if self.snn.family == "signgd":
+            self.r = self.readout_b.copy()
+        else:
+            self.r = np.zeros_like(self.readout_b)
 
     def step(self, input_frame) -> np.ndarray:
         """Propagate one spike/current frame; returns the readout snapshot."""
-        x = np.asarray(input_frame, dtype=np.float64).reshape(self.input_shape)
         self.t += 1
-        frames: dict[str, np.ndarray] = {}
-        out_current = None
-        for nid in self.graph.topo_order:
-            node = self.graph.nodes[nid]
-            if node.kind == "input":
-                frames[nid] = x
-                continue
-            inputs = [frames[s] for s, _ in self.graph.predecessors(nid)]
-            if node.kind == "neuron":
-                layer = self.layers[nid]
-                n = node.params["count"]
-                if node.params["arity"] == 1:
-                    currents = inputs[0].reshape(1, -1)
-                else:
-                    currents = np.stack([
-                        np.broadcast_to(p.reshape(-1), (n,)) if p.size != n else p.reshape(-1)
-                        for p in inputs
-                    ])
-                spikes = layer.step(currents)
-                self.spike_counts[nid] += int(np.sum(spikes))
-                frames[nid] = spikes.reshape(tuple(node.params["shape"]))
-            elif node.kind == "output":
-                out_current = inputs[0].reshape(-1)
-                frames[nid] = inputs[0]
-            else:
-                frames[nid] = node_forward(node, inputs)
+        out_current = self.plan.step(input_frame)
         if self.snn.family == "signgd":
-            eta_t = float(self.schedule(self.t))
+            eta_t = self._eta[self.t][0]
             self.r = self.r - eta_t * (2.0 * (out_current - self.readout_b) - self.readout_w)
         else:
             self.r = self.r * (self.t - 1) / self.t + out_current / self.t
         return self.r.copy()
 
     @property
+    def spike_counts(self) -> dict[str, int]:
+        return {nid: layer.spike_count for nid, layer in self.layers.items()}
+
+    @property
     def total_spikes(self) -> int:
-        return sum(self.spike_counts.values())
+        return sum(layer.spike_count for layer in self.layers.values())
 
     @property
     def total_neurons(self) -> int:
-        return sum(node.params["count"] for node in self.snn.neuron_nodes())
+        return sum(layer.n for layer in self.layers.values())
 
     def layer_decoded(self) -> dict[str, np.ndarray]:
         return {nid: np.asarray(layer.decoded).copy() for nid, layer in self.layers.items()}
@@ -156,19 +145,13 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
     """
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
     if snn.family == "signgd":
-        if encoder == "float":
-            return FloatEncoder(flat, snn.schedule)
-        if encoder == "det":
-            return DeterministicEncoder(flat, snn.schedule)
-        if encoder == "stoch":
-            return StochasticEncoder(flat, snn.schedule, c=stoch_c, seed=seed)
-    else:
-        if encoder == "float":
-            return ConstantEncoder(flat)
-        if encoder == "det":
-            return RateDeterministicEncoder(flat)
-        if encoder == "stoch":
-            return PoissonEncoder(flat, seed=seed)
+        return signed_encoder(encoder, flat, snn.schedule, stoch_c, seed)
+    if encoder == "float":
+        return ConstantEncoder(flat)
+    if encoder == "det":
+        return RateDeterministicEncoder(flat)
+    if encoder == "stoch":
+        return PoissonEncoder(flat, seed=seed)
     raise ValueError(f"unknown encoder {encoder!r}")
 
 

@@ -31,10 +31,9 @@ __all__ = [
     "ShapeMismatchError",
     "UnknownOperatorError",
     "node_forward",
+    "conv2d",
     "infer_shapes",
     "run_forward",
-    "LINEAR_KINDS",
-    "NONLINEAR_KINDS",
 ]
 
 
@@ -59,18 +58,6 @@ KINDS = {
     "batchnorm", "layernorm", "relu", "leaky_relu", "gelu", "add",
     "flatten", "transpose", "reshape", "affine", "gather", "concat",
     "max2", "square", "mul_inv_sqrt", "neuron",
-}
-
-# kinds whose per-step map is linear in the incoming frame (calibration
-# propagates through these algebraically)
-LINEAR_KINDS = {
-    "input", "output", "dense", "conv2d", "avgpool2d", "affine",
-    "gather", "concat", "add", "flatten", "transpose", "reshape",
-}
-
-NONLINEAR_KINDS = {
-    "relu", "leaky_relu", "gelu", "max2", "square", "mul_inv_sqrt",
-    "maxpool2d", "batchnorm", "layernorm",
 }
 
 # model parameters are float32 storage; calibration records (cal_w, cal_b)
@@ -199,7 +186,13 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
         w, b = node.tensor("weight"), node.tensor("bias")
         return w @ inputs[0].reshape(-1) + b
     if k == "conv2d":
-        return _conv2d(node, inputs[0])
+        w, x = node.tensor("weight"), inputs[0]
+        if x.ndim != 3 or x.shape[0] != w.shape[1]:
+            raise ShapeMismatchError(
+                f"conv2d {node.id!r}: expected ({w.shape[1]}, H, W) input, got {x.shape}"
+            )
+        return conv2d(x, w, node.tensor("bias"), p.get("stride", (1, 1)),
+                      p.get("padding", (0, 0)))
     if k == "avgpool2d":
         return _pool(node, inputs[0], np.mean)
     if k == "maxpool2d":
@@ -253,47 +246,40 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     raise UnknownOperatorError(f"no forward rule for kind {k!r}")
 
 
+# firing mechanism -> the source kind whose forward rule is its ANN semantics
+_MECH_SOURCE = {"relu": "relu", "leaky": "leaky_relu", "gelu": "gelu", "square": "square",
+                "max2": "max2", "misr": "mul_inv_sqrt"}
+
+
 def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """ANN semantics of a converted neuron layer (its target nonlinearity)."""
     mech = node.params["mech"]
-    kind = mech.split(":")[1] if mech.startswith("signgd:") else "relu"
-    x1 = inputs[0].reshape(-1)
-    if kind == "leaky":
-        delta = float(mech.split(":")[2])
-        out = np.where(x1 >= 0, x1, delta * x1)
-    elif kind in ("max2", "misr"):
-        x2 = np.broadcast_to(inputs[1].reshape(-1), x1.shape)
-        out = np.maximum(x1, x2) if kind == "max2" else x1 / np.sqrt(x2)
-    elif kind == "relu":
-        out = np.maximum(x1, 0.0)
-    elif kind == "gelu":
-        out = gelu_sigmoid(x1)
-    elif kind == "square":
-        out = x1**2
-    else:
+    parts = mech.split(":") if mech.startswith("signgd:") else ["", "relu"]
+    if parts[1] not in _MECH_SOURCE:
         raise UnknownOperatorError(f"no reference semantics for mechanism {mech!r}")
-    return out.reshape(tuple(node.params["shape"]))
+    params = {"delta": float(parts[2])} if parts[1] == "leaky" else {}
+    source = Node(node.id, _MECH_SOURCE[parts[1]], params)
+    return node_forward(source, [x.reshape(-1) for x in inputs]).reshape(node.params["shape"])
 
 
-def _conv2d(node: Node, x: np.ndarray) -> np.ndarray:
-    w = node.tensor("weight")  # (O, C, kh, kw)
-    b = node.tensor("bias")
-    sh, sw = node.params.get("stride", (1, 1))
-    ph, pw = node.params.get("padding", (0, 0))
-    if x.ndim != 3 or x.shape[0] != w.shape[1]:
-        raise ShapeMismatchError(
-            f"conv2d {node.id!r}: expected ({w.shape[1]}, H, W) input, got {x.shape}"
-        )
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
+           padding=(0, 0)) -> np.ndarray:
+    """Cross-correlate a (C, H, W) input with (O, C, kh, kw) weights, plus bias.
+
+    Taps accumulate in dy, dx order; each is the matrix product that
+    np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes.
+    """
+    (sh, sw), (ph, pw) = stride, padding
     if ph or pw:
         x = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    o, _, kh, kw = w.shape
+    o, c, kh, kw = w.shape
     _, ho, wo = _pool_geometry(x.shape, (kh, kw), (sh, sw))
-    out = np.zeros((o, ho, wo))
+    out = np.zeros((o, ho * wo))
     for dy in range(kh):
         for dx in range(kw):
             patch = x[:, dy : dy + ho * sh : sh, dx : dx + wo * sw : sw]
-            out += np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0))
-    return out + b[:, None, None]
+            out += np.dot(w[:, :, dy, dx], patch.reshape(c, ho * wo))
+    return (out + b[:, None]).reshape(o, ho, wo)
 
 
 def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:

@@ -16,14 +16,8 @@ import numpy as np
 
 from ..schedules import Schedule, parse_schedule
 from . import io as gio
-from .model import (
-    Graph,
-    GraphError,
-    Node,
-    infer_shapes,
-    node_forward,
-    run_forward,
-)
+from .model import Graph, GraphError, Node, infer_shapes, run_forward
+from .plan import Plan
 
 __all__ = [
     "ConversionError",
@@ -39,10 +33,6 @@ __all__ = [
 
 class ConversionError(GraphError):
     """A node cannot be converted or transformed as requested."""
-
-
-def _rebuild(g: Graph, nodes: list[Node], edges: list) -> Graph:
-    return Graph(nodes, edges)
 
 
 def fold_batchnorm(g: Graph) -> Graph:
@@ -78,7 +68,7 @@ def fold_batchnorm(g: Graph) -> Graph:
         edges = [
             (prev.id, d, p) if s == bn.id else (s, d, p) for s, d, p in edges
         ]
-    return _rebuild(g, nodes, edges)
+    return Graph(nodes, edges)
 
 
 def normalize_relu(g: Graph, calib_inputs) -> Graph:
@@ -158,93 +148,47 @@ def decompose_maxpool(g: Graph) -> Graph:
         sh, sw = mp.params.get("stride", mp.params["kernel"])
         ho = (h - kh) // sh + 1
         wo = (w - kw) // sw + 1
-
-        # positions[window][dy][dx] = flat index into the current stage tensor
-        windows = [(ci, i, j) for ci in range(c) for i in range(ho) for j in range(wo)]
-        pos = {
-            win: [
-                [win[0] * h * w + (win[1] * sh + dy) * w + (win[2] * sw + dx) for dx in range(kw)]
-                for dy in range(kh)
-            ]
-            for win in windows
-        }
-
+        # pos[window, k, l] = flat index into the current stage tensor of the
+        # window element being reduced along l; windows in (C, Ho, Wo) order,
+        # and k = dx while the rows (l = dy) reduce in lockstep over dx
+        ci, i, j, dy, dx = np.ix_(range(c), range(ho), range(wo), range(kh), range(kw))
+        pos = (ci * h * w + (i * sh + dy) * w + (j * sw + dx)).reshape(-1, kh, kw)
+        pos = pos.transpose(0, 2, 1)
         new_nodes: list[Node] = []
         new_edges: list = []
         prev_id = src
         stage = 0
+        for _ in ("rows", "columns"):
+            for a, b, bye in _tournament_rounds(pos.shape[2]):
+                base, stage_in = f"{mp.id}.s{stage}", prev_id
 
-        def add_stage(pair_a, pair_b, byes, prev_id, stage):
-            base = f"{mp.id}.s{stage}"
-            ga = Node(f"{base}.a", "gather", {"indices": pair_a})
-            gb = Node(f"{base}.b", "gather", {"indices": pair_b})
-            mx = Node(f"{base}.max", "max2", {})
-            new_nodes.extend([ga, gb, mx])
-            new_edges.extend(
-                [(prev_id, ga.id, 0), (prev_id, gb.id, 0), (ga.id, mx.id, 0), (gb.id, mx.id, 1)]
-            )
-            if byes:
-                gc = Node(f"{base}.bye", "gather", {"indices": byes})
-                cat = Node(f"{base}.cat", "concat", {})
-                new_nodes.extend([gc, cat])
-                new_edges.extend([(prev_id, gc.id, 0), (mx.id, cat.id, 0), (gc.id, cat.id, 1)])
-                return cat.id
-            return mx.id
+                def select(suffix, cols):
+                    sel = Node(f"{base}.{suffix}", "gather",
+                               {"indices": pos[:, :, cols].reshape(-1).tolist()})
+                    new_nodes.append(sel)
+                    new_edges.append((stage_in, sel.id, 0))
+                    return sel.id
 
-        # row stage: reduce the dy dimension of every window in lockstep
-        for a_rows, b_rows, bye_rows in _tournament_rounds(kh):
-            pair_a, pair_b, byes = [], [], []
-            for win in windows:
-                for dx in range(kw):
-                    for ra, rb in zip(a_rows, b_rows):
-                        pair_a.append(pos[win][ra][dx])
-                        pair_b.append(pos[win][rb][dx])
-                    for rb_ in bye_rows:
-                        byes.append(pos[win][rb_][dx])
-            prev_id = add_stage(pair_a, pair_b, byes, prev_id, stage)
-            stage += 1
-            # recompute positions in the stage output: pairs first, then byes
-            cursor_pair, cursor_bye = 0, len(pair_a)
-            for win in windows:
-                merged = []
-                for dx in range(kw):
-                    col = []
-                    for _ in zip(a_rows, b_rows):
-                        col.append(cursor_pair)
-                        cursor_pair += 1
-                    for _ in bye_rows:
-                        col.append(cursor_bye)
-                        cursor_bye += 1
-                    merged.append(col)
-                # merged is per-dx lists of new row positions
-                rows_now = len(merged[0])
-                pos[win] = [[merged[dx][r] for dx in range(kw)] for r in range(rows_now)]
-
-        # column stage: each window now holds a single row of kw entries
-        for a_cols, b_cols, bye_cols in _tournament_rounds(kw):
-            pair_a, pair_b, byes = [], [], []
-            for win in windows:
-                row = pos[win][0]
-                for ca, cb in zip(a_cols, b_cols):
-                    pair_a.append(row[ca])
-                    pair_b.append(row[cb])
-                for cb_ in bye_cols:
-                    byes.append(row[cb_])
-            prev_id = add_stage(pair_a, pair_b, byes, prev_id, stage)
-            stage += 1
-            cursor_pair, cursor_bye = 0, len(pair_a)
-            for win in windows:
-                row = []
-                for _ in zip(a_cols, b_cols):
-                    row.append(cursor_pair)
-                    cursor_pair += 1
-                for _ in bye_cols:
-                    row.append(cursor_bye)
-                    cursor_bye += 1
-                pos[win] = [row]
-
+                ga, gb = select("a", a), select("b", b)
+                mx = Node(f"{base}.max", "max2", {})
+                new_nodes.append(mx)
+                new_edges.extend([(ga, mx.id, 0), (gb, mx.id, 1)])
+                prev_id = mx.id
+                if bye:
+                    gc = select("bye", bye)
+                    cat = Node(f"{base}.cat", "concat", {})
+                    new_nodes.append(cat)
+                    new_edges.extend([(mx.id, cat.id, 0), (gc, cat.id, 1)])
+                    prev_id = cat.id
+                # positions in the stage output: every pair, then every bye
+                n_win, k = pos.shape[:2]
+                pairs = np.arange(n_win * k * len(a)).reshape(n_win, k, len(a))
+                byes = pairs.size + np.arange(n_win * k * len(bye)).reshape(n_win, k, len(bye))
+                pos = np.concatenate([pairs, byes], axis=2)
+                stage += 1
+            pos = pos.transpose(0, 2, 1)  # each window now holds one row of kw
         # reorder the surviving elements into (C, Ho, Wo) and keep the id
-        order = Node(f"{mp.id}.order", "gather", {"indices": [pos[w][0][0] for w in windows]})
+        order = Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1).tolist()})
         final = Node(mp.id, "reshape", {"shape": [c, ho, wo]})
         new_nodes.extend([order, final])
         new_edges.extend([(prev_id, order.id, 0), (order.id, final.id, 0)])
@@ -252,7 +196,7 @@ def decompose_maxpool(g: Graph) -> Graph:
         nodes = [n for n in nodes if n.id != mp.id] + new_nodes
         edges = [(s, d, p) for s, d, p in edges if d != mp.id and s != mp.id] + new_edges
         edges += [(final.id, d, p) for s, d, p in g.edges if s == mp.id]
-    return _rebuild(g, nodes, edges)
+    return Graph(nodes, edges)
 
 
 def decompose_layernorm(g: Graph) -> Graph:
@@ -297,7 +241,7 @@ def decompose_layernorm(g: Graph) -> Graph:
         ]
         nodes = [x for x in nodes if x.id != ln.id] + [center, sq, var, norm, out]
         edges = [(s, d, p) for s, d, p in edges if d != ln.id] + new_edges
-    return _rebuild(g, nodes, edges)
+    return Graph(nodes, edges)
 
 
 _SIGNGD_MAP = {
@@ -321,11 +265,8 @@ class SnnGraph:
 
     @property
     def calibrated(self) -> bool:
-        return all(
-            n.params.get("cal_w") is not None
-            for n in self.graph.nodes.values()
-            if n.kind == "neuron"
-        ) and self.graph.nodes[self.graph.output_id].params.get("cal_w") is not None
+        out = self.graph.nodes[self.graph.output_id]
+        return all(n.params.get("cal_w") is not None for n in [*self.neuron_nodes(), out])
 
     def neuron_nodes(self) -> list[Node]:
         return [self.graph.nodes[i] for i in self.graph.topo_order
@@ -366,20 +307,14 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
         raise ConversionError(f"unknown neuron family {neuron_family!r}")
     if any(n.kind == "batchnorm" for n in g.nodes.values()):
         g = fold_batchnorm(g)
-    if any(n.kind == "maxpool2d" for n in g.nodes.values()):
+    for kind, decompose in (("maxpool2d", decompose_maxpool), ("layernorm", decompose_layernorm)):
+        node = next((n for n in g.nodes.values() if n.kind == kind), None)
+        if node is None:
+            continue
         if neuron_family == "subgrad":
-            bad = next(n for n in g.nodes.values() if n.kind == "maxpool2d")
             raise ConversionError(
-                f"node {bad.id!r} (maxpool2d) is not supported by the subgrad family"
-            )
-        g = decompose_maxpool(g)
-    if any(n.kind == "layernorm" for n in g.nodes.values()):
-        if neuron_family == "subgrad":
-            bad = next(n for n in g.nodes.values() if n.kind == "layernorm")
-            raise ConversionError(
-                f"node {bad.id!r} (layernorm) is not supported by the subgrad family"
-            )
-        g = decompose_layernorm(g)
+                f"node {node.id!r} ({kind}) is not supported by the subgrad family")
+        g = decompose(g)
     g = g.copy()
     shapes = infer_shapes(g)
 
@@ -426,55 +361,35 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
     return SnnGraph(snn_graph, neuron_family, schedule, parameterization)
 
 
-def _forced_pass(snn: SnnGraph, emission: float):
-    """Propagate a constant emission through the linear plumbing.
+class _Forced:
+    """Calibration stand-in for a neuron layer: records its currents, emits `spikes`."""
 
-    Every neuron layer and the input node are forced to emit `emission`;
-    recorded are the per-port influx currents of each neuron layer and of
-    the output node.
-    """
-    g = snn.graph
-    frames: dict[str, np.ndarray] = {}
-    currents: dict[str, list[np.ndarray]] = {}
-    out_current = None
-    for nid in g.topo_order:
-        node = g.nodes[nid]
-        if node.kind == "input":
-            frames[nid] = np.full(tuple(node.params["shape"]), emission)
-            continue
-        inputs = [frames[s] for s, _ in g.predecessors(nid)]
-        if node.kind == "neuron":
-            currents[nid] = [x.reshape(-1) for x in inputs]
-            frames[nid] = np.full(tuple(node.params["shape"]), emission)
-        elif node.kind == "output":
-            out_current = inputs[0].reshape(-1)
-            frames[nid] = inputs[0]
-        else:
-            frames[nid] = node_forward(node, inputs)
-    return currents, out_current
+    def step(self, currents):
+        self.currents = currents
+        return self.spikes
 
 
 def calibrate(snn: SnnGraph) -> SnnGraph:
     """Populate the spike-to-sign calibration by stimulate/depress passes.
 
-    Two algebraic forward passes over the linear segments: all-ones emission
-    records the stimulated currents, all-zeros the idle currents; each neuron
-    operand stores W = I+ - I- and b = I-, and the output node stores the
-    readout calibration the same way.
+    Two passes of the network's step plan with every neuron layer and the
+    input forced to a constant emission: all-ones records the stimulated
+    currents, all-zeros the idle currents; each neuron operand stores
+    W = I+ - I- and b = I-, and the output node stores the readout
+    calibration the same way.
     """
-    hi, out_hi = _forced_pass(snn, 1.0)
-    lo, out_lo = _forced_pass(snn, 0.0)
+    g = snn.graph
+    layers = {node.id: _Forced() for node in snn.neuron_nodes()}
+    plan = Plan(g, layers)
+    currents, out = [], []
+    for emission in (1.0, 0.0):
+        for node in snn.neuron_nodes():
+            layers[node.id].spikes = np.full(node.params["count"], emission)
+        out.append(plan.step(np.full(plan.input_size, emission)))
+        currents.append({nid: layer.currents for nid, layer in layers.items()})
+    (hi, lo), (out_hi, out_lo) = currents, out
     for node in snn.neuron_nodes():
-        n = node.params["count"]
-        arity = node.params["arity"]
-        w = np.zeros((arity, n))
-        b = np.zeros((arity, n))
-        for port in range(arity):
-            w[port] = np.broadcast_to(hi[node.id][port] - lo[node.id][port], (n,))
-            b[port] = np.broadcast_to(lo[node.id][port], (n,))
-        node.params["cal_w"] = w
-        node.params["cal_b"] = b
-    out_node = snn.graph.nodes[snn.graph.output_id]
-    out_node.params["cal_w"] = out_hi - out_lo
-    out_node.params["cal_b"] = out_lo
+        node.params["cal_w"] = hi[node.id] - lo[node.id]
+        node.params["cal_b"] = lo[node.id].copy()
+    g.nodes[g.output_id].params.update(cal_w=out_hi - out_lo, cal_b=out_lo.copy())
     return snn

@@ -27,7 +27,8 @@ and folds b once into v's initial condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,10 @@ from .codec import EmaDecoder, RateDecoder, heaviside
 from .schedules import (
     Schedule,
     SignGdCoefficients,
+    StepTable,
     SubgradCoefficients,
+    signgd_step_factors,
+    subgrad_step_factors,
     validate_signgd_coefficients,
     validate_subgrad_coefficients,
 )
@@ -77,14 +81,15 @@ class IfNeuron:
         self.p = params
         self.n = n
         self.u = np.full(n, float(params.u0))
-        self.t = 0
-        self.decoder = RateDecoder(n)
-        self.spike_count = 0
+        self.reset()
+
+    def _decoder(self):
+        return RateDecoder(self.n)
 
     def reset(self):
         self.u[:] = self.p.u0
         self.t = 0
-        self.decoder = RateDecoder(self.n)
+        self.decoder = self._decoder()
         self.spike_count = 0
 
     def step(self, I) -> np.ndarray:
@@ -101,25 +106,17 @@ class IfNeuron:
         return self.decoder.y
 
 
-class LifNeuron:
+class LifNeuron(IfNeuron):
     """LIF dynamics: u_pre = u - (u - u_rest)/tau + (R/tau)*I, same firing and
     reset as IF. Output decoded by EMA with base tau."""
 
     def __init__(self, params: IfLifParams, n: int = 1):
         if params.tau_m <= 1:
             raise ValueError(f"LIF needs tau_m > 1, got {params.tau_m}")
-        self.p = params
-        self.n = n
-        self.u = np.full(n, float(params.u0))
-        self.t = 0
-        self.decoder = EmaDecoder(params.tau_m, n)
-        self.spike_count = 0
+        super().__init__(params, n)
 
-    def reset(self):
-        self.u[:] = self.p.u0
-        self.t = 0
-        self.decoder = EmaDecoder(self.p.tau_m, self.n)
-        self.spike_count = 0
+    def _decoder(self):
+        return EmaDecoder(self.p.tau_m, self.n)
 
     def step(self, I) -> np.ndarray:
         p = self.p
@@ -131,10 +128,6 @@ class LifNeuron:
         self.spike_count += int(np.sum(s))
         return s
 
-    @property
-    def decoded(self):
-        return self.decoder.y
-
 
 class SubgradNeuron:
     """Generalized subgradient-based neuron.
@@ -144,14 +137,17 @@ class SubgradNeuron:
         u(t)     = u_pre(t) - beta(t) s(t)
 
     The schedule decode of the emitted spikes tracks the subgradient method on
-    the clipped-ReLU objective; `decoded` maintains that decode.
+    the clipped-ReLU objective; `decoded` maintains that decode. `table`
+    shares the `subgrad_step_factors` rows between the layers of one network.
     """
 
     def __init__(self, coeffs: SubgradCoefficients, n: int = 1, u_pre0: float = 0.0,
-                 validate: bool = True):
+                 validate: bool = True, table: StepTable | None = None):
         if validate and not validate_subgrad_coefficients(coeffs, coeffs.schedule, t_max=32):
             raise ValueError("subgradient coefficients violate their constraint equations")
         self.c = coeffs
+        self._factors = (table.__getitem__ if table is not None
+                         else partial(subgrad_step_factors, coeffs))
         self.n = n
         self.u_pre0 = float(u_pre0)
         self.u = np.full(n, float(u_pre0))
@@ -168,14 +164,12 @@ class SubgradNeuron:
         self.spike_count = 0
 
     def step(self, I) -> np.ndarray:
-        c = self.c
         self.t += 1
-        t = self.t
-        self.alpha_prod *= float(c.alpha(t - 1))
-        u_pre = c.alpha(t - 1) * self.u + c.gamma(t) * np.asarray(I, dtype=np.float64)
+        alpha, gamma, beta, eta_t = self._factors(self.t)
+        self.alpha_prod *= alpha
+        u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64)
         s = heaviside(u_pre - self.u_pre0 * self.alpha_prod)
-        self.u = u_pre - c.beta(t) * s
-        eta_t = c.schedule(t)
+        self.u = u_pre - beta * s
         self.y = (1.0 - eta_t) * self.y + eta_t * s
         self.spike_count += int(np.sum(s))
         return s
@@ -203,7 +197,6 @@ class FiringMechanism:
 
     kind: str
     delta: float = 0.1
-    degeneracies: list = field(default_factory=lambda: [0], compare=False)
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -231,12 +224,9 @@ class FiringMechanism:
             sel = v[0] >= v[1]
             return heaviside(u - np.where(sel, v[0], v[1]))
         # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
-        # the output toward zero and count the degeneracy.
+        # the output toward zero (SignGdNeuron counts these degeneracies).
         v1, v2 = v[0], v[1]
         ok = v2 > 0
-        n_bad = int(np.sum(~ok)) if np.ndim(ok) else int(not ok)
-        if n_bad:
-            self.degeneracies[0] += n_bad
         pos_u = u >= 0
         pos_v1 = v1 >= 0
         with np.errstate(invalid="ignore", over="ignore"):
@@ -275,10 +265,15 @@ class SignGdNeuron:
     W and b are the calibrated per-operand weight sums and idle currents,
     shape (arity, n). `step` takes the raw influx currents I of shape
     (arity, n) and returns the spike vector of shape (n,).
+
+    A step reads its scalars once, as the `signgd_step_factors` row `f`;
+    `table` shares those rows between the layers of one network.
+    `degeneracies` counts misr evaluations with a non-positive denominator.
     """
 
     def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients,
-                 schedule: Schedule, W, b, n: int = 1, validate: bool = True):
+                 schedule: Schedule, W, b, n: int = 1, validate: bool = True,
+                 table: StepTable | None = None):
         W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
         b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
         if validate and not validate_signgd_coefficients(coeffs, schedule, t_max=64, tol=1e-9):
@@ -289,10 +284,10 @@ class SignGdNeuron:
         self.W = W
         self.b = b
         self.n = n
+        self._factors = (table.__getitem__ if table is not None
+                         else partial(signgd_step_factors, coeffs, schedule))
         self.u = np.zeros(n)
-        self.v = self._v0()
-        self.t = 0
-        self.spike_count = 0
+        self.reset()
 
     def _v0(self) -> np.ndarray:
         scale = float(self.c.alpha2(0)) / float(self.schedule(0))
@@ -303,32 +298,31 @@ class SignGdNeuron:
         self.v = self._v0()
         self.t = 0
         self.spike_count = 0
-        self.mech.degeneracies[0] = 0
+        self.degeneracies = 0
+        self.f = self._factors(1)
 
-    # -- the three stages; step() runs them in order ------------------------
+    # -- the three stages of step t + 1 (factors f); step() runs them in order
 
     def integrate(self, I) -> np.ndarray:
         """Advance v with the raw currents of the step being processed."""
-        t = self.t + 1
+        _, a1, a2, _, _, _, _ = self.f
         I = np.asarray(I, dtype=np.float64).reshape(self.mech.arity, self.n)
-        self.v = float(self.c.alpha1(t - 1)) * self.v - float(self.c.alpha2(t)) * (
-            2.0 * (I - self.b) - self.W
-        )
+        self.v = a1 * self.v - a2 * (2.0 * (I - self.b) - self.W)
         return self.v
 
     def fire(self) -> np.ndarray:
-        t = self.t + 1
-        u_scale = float(self.schedule(t - 1)) / float(self.c.beta2(t - 1))
-        v_scale = float(self.schedule(t)) / float(self.c.alpha2(t))
-        return self.mech.spike(u_scale * self.u, v_scale * self.v)
+        _, _, _, u_scale, v_scale, _, _ = self.f
+        v = v_scale * self.v
+        if self.mech.kind == "misr":
+            self.degeneracies += int(np.sum(~(v[1] > 0)))
+        return self.mech.spike(u_scale * self.u, v)
 
     def reset_potential(self, s) -> np.ndarray:
-        t = self.t + 1
-        self.u = self.u / float(self.c.beta1(t)) - float(self.c.beta2(t)) * (
-            2.0 * np.asarray(s) - 1.0
-        )
-        self.t = t
+        _, _, _, _, _, b1, b2 = self.f
+        self.u = self.u / b1 - b2 * (2.0 * np.asarray(s) - 1.0)
+        self.t += 1
         self.spike_count += int(np.sum(s))
+        self.f = self._factors(self.t + 1)
         return self.u
 
     def step(self, I) -> np.ndarray:
@@ -342,8 +336,7 @@ class SignGdNeuron:
         """Signed-schedule decode of the emitted train after the last step."""
         if self.t == 0:
             return np.zeros(self.n)
-        scale = float(self.schedule(self.t)) / float(self.c.beta2(self.t))
-        return scale * self.u
+        return self.f[3] * self.u  # eta(t)/beta2(t): the u scale of the next step
 
     @property
     def decoded_input(self) -> np.ndarray:

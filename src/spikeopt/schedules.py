@@ -21,12 +21,13 @@ Both constraint systems define families; we pin two named solutions
 ("canonical" and "unit-current") and expose replay validators so any custom
 coefficient set can be checked numerically.
 
-Everything here is pure, stateless evaluation: safe to share across threads.
+Everything here but `StepTable` (a per-instance memo) is pure, stateless
+evaluation: safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,9 @@ __all__ = [
     "validate_signgd_coefficients",
     "solve_subgrad_coefficients",
     "validate_subgrad_coefficients",
+    "signgd_step_factors",
+    "subgrad_step_factors",
+    "StepTable",
 ]
 
 
@@ -158,12 +162,7 @@ class SignGdCoefficients:
 
     def replace(self, **kwargs) -> "SignGdCoefficients":
         """Return a copy with some callables swapped (used by debug corruption)."""
-        fields = dict(
-            alpha1=self.alpha1, alpha2=self.alpha2, beta1=self.beta1,
-            beta2=self.beta2, parameterization="custom",
-        )
-        fields.update(kwargs)
-        return SignGdCoefficients(**fields)
+        return replace(self, **{"parameterization": "custom", **kwargs})
 
 
 def solve_signgd_coefficients(s: Schedule, parameterization: str = "canonical") -> SignGdCoefficients:
@@ -277,3 +276,31 @@ def validate_subgrad_coefficients(
         + (cum_la[t_idx - 1] - cum_la[i_idx - 1])
     )
     return bool(np.all(np.abs(lhs_log - rhs_log) <= tol))
+
+
+def signgd_step_factors(c: SignGdCoefficients, s: Schedule, t: int) -> tuple:
+    """Scalars of sign-dynamics step t as floats: (eta(t), alpha1(t-1),
+    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t))."""
+    eta, a2, b2_prev = float(s(t)), float(c.alpha2(t)), float(c.beta2(t - 1))
+    return (eta, float(c.alpha1(t - 1)), a2, float(s(t - 1)) / b2_prev, eta / a2,
+            float(c.beta1(t)), float(c.beta2(t)))
+
+
+def subgrad_step_factors(c: SubgradCoefficients, t: int) -> tuple:
+    """Scalars of subgradient step t: (alpha(t-1), gamma(t), beta(t), eta(t))."""
+    return (float(c.alpha(t - 1)), float(c.gamma(t)), float(c.beta(t)),
+            float(c.schedule(t)))
+
+
+class StepTable(dict):
+    """t -> row(t), each row evaluated on first use. The layers and readout
+    of one network instance share a table instead of re-evaluating the
+    schedule and coefficient callables in every layer."""
+
+    def __init__(self, row: Callable[[int], tuple]):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, t: int) -> tuple:
+        self[t] = row = self.row(t)
+        return row

@@ -181,7 +181,19 @@ class TestMechanisms:
         m = FiringMechanism("misr")
         s = m.spike(np.array([0.5, -0.5]), np.array([[1.0, 1.0], [-1.0, 0.0]]))
         np.testing.assert_array_equal(s, [1.0, 0.0])  # H(u)
-        assert m.degeneracies[0] == 2
+        # the neuron layer counts them: with W = b = 0, the scaled v is -I
+        neuron = misr_layer(m)
+        neuron.step(np.array([[-1.0, -1.0], [1.0, 0.0]]))
+        assert neuron.degeneracies == 2
+
+    def test_misr_layers_of_one_mechanism_count_independently(self):
+        m = FiringMechanism("misr")
+        a, b = misr_layer(m), misr_layer(m)
+        a.step(np.array([[-1.0, -1.0], [1.0, 0.0]]))  # v2 = [-1, 0]: both degenerate
+        b.step(np.array([[-1.0, -1.0], [-1.0, -2.0]]))  # v2 = [1, 2]: healthy
+        assert (a.degeneracies, b.degeneracies) == (2, 0)
+        b.reset()
+        assert a.degeneracies == 2
 
     def test_grad_sign_against_reference(self):
         # exclusive-branch forms equal sign(u - f(v)) on random data
@@ -203,6 +215,12 @@ class TestMechanisms:
         np.testing.assert_array_equal(
             m.spike(u, v), heaviside(u - v[0] / np.sqrt(v[1]))
         )
+
+
+def misr_layer(mech):
+    """Two-neuron misr layer with W = b = 0 under inv:1 (scaled v(1) = -I)."""
+    s = Schedule.inverse(1.0)
+    return SignGdNeuron(mech, solve_signgd_coefficients(s), s, W=0.0, b=0.0, n=2)
 
 
 def make_neuron_oracle_pair(kind, schedule, parameterization, n, W, b, delta=0.1):
