@@ -2,18 +2,14 @@
 
 Subcommands: encode, oracle-check, neuron-sweep, convert, infer, probe,
 energy. Every subcommand is deterministic under fixed flags and seeds; CSVs
-are UTF-8 with LF line endings and a header row. `SNN_THREADS` caps
-parallelism across dataset items (0 = one worker per CPU).
+are UTF-8 with LF line endings and a header row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,12 +67,6 @@ def _checkpoints(T, extra=()):
         p *= 2
     pts.add(T)
     return sorted(pts)
-
-
-def _n_workers():
-    raw = os.environ.get("SNN_THREADS", "1")
-    n = int(raw) if raw.strip() else 1
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +248,14 @@ def _dataset(args):
 
 def _run_items(snn, data, args):
     """(readout history, total spikes) of engine.run per item, in item order,
-    seeded args.seed + 1000 i; each worker thread reuses one SnnInstance."""
-    local = threading.local()
-
-    def one(i):
-        if not hasattr(local, "inst"):
-            local.inst = engine.SnnInstance(snn)
+    seeded args.seed + 1000 i, all on one reused SnnInstance."""
+    inst = engine.SnnInstance(snn)
+    items = []
+    for i in range(data.shape[0]):
         hist = engine.run(snn, data[i], args.T, encoder=args.encoder, stoch_c=args.c,
-                          seed=args.seed + 1000 * i, instance=local.inst)
-        return hist, local.inst.total_spikes
-
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-        return list(pool.map(one, range(data.shape[0])))
+                          seed=args.seed + 1000 * i, instance=inst)
+        items.append((hist, inst.total_spikes))
+    return items
 
 
 def cmd_infer(args):

@@ -15,13 +15,12 @@ Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes. Classification
 reads argmax r(T).
 
-An instance is single-writer and is reused across inputs via `reset`;
-instances share the immutable SnnGraph and run fully in parallel.
+An instance is single-writer and is reused across inputs via `reset`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -69,51 +68,39 @@ class SnnInstance:
         out = snn.graph.nodes[snn.graph.output_id]
         self.readout_w = out.tensor("cal_w")
         self.readout_b = out.tensor("cal_b")
-        self._tables: dict[str, tuple] = {}
+        # one family per network: one coefficient set and one StepTable shared
+        # by every layer and, in the sign family, the readout's eta(t)
+        s = snn.schedule
+        signgd = snn.family == "signgd"
+        if signgd:
+            c = solve_signgd_coefficients(s, snn.parameterization)
+            self._table = StepTable(partial(signgd_step_factors, c, s))
+        else:
+            c = solve_subgrad_coefficients(s)
+            self._table = StepTable(partial(subgrad_step_factors, c))
         self.layers: dict[str, object] = {}
         for node in snn.neuron_nodes():
             n = node.params["count"]
-            if node.params["mech"] == "subgrad":
-                coeffs, table = self._table("subgrad")
-                self.layers[node.id] = SubgradNeuron(coeffs, n=n, table=table)
-            else:
-                coeffs, table = self._table("signgd")
-                self.layers[node.id] = SignGdNeuron(
-                    parse_mechanism(node.params["mech"]), coeffs, snn.schedule,
-                    W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n, table=table,
-                )
+            self.layers[node.id] = SignGdNeuron(
+                parse_mechanism(node.params["mech"]), c, s,
+                W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n, table=self._table,
+            ) if signgd else SubgradNeuron(c, n=n, table=self._table)
+        self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.plan = Plan(snn.graph, self.layers)
-        if snn.family == "signgd":  # the readout steps by the layers' eta(t)
-            self._eta = self._table("signgd")[1]
         self.reset()
-
-    def _table(self, family: str) -> tuple:
-        """(coefficients, shared StepTable) of one neuron family, solved once."""
-        if family not in self._tables:
-            s = self.snn.schedule
-            if family == "subgrad":
-                c = solve_subgrad_coefficients(s)
-                self._tables[family] = c, StepTable(partial(subgrad_step_factors, c))
-            else:
-                c = solve_signgd_coefficients(s, self.snn.parameterization)
-                self._tables[family] = c, StepTable(partial(signgd_step_factors, c, s))
-        return self._tables[family]
 
     def reset(self):
         for layer in self.layers.values():
             layer.reset()
         self.t = 0
-        if self.snn.family == "signgd":
-            self.r = self.readout_b.copy()
-        else:
-            self.r = np.zeros_like(self.readout_b)
+        self.r = self._r0.copy()
 
     def step(self, input_frame) -> np.ndarray:
         """Propagate one spike/current frame; returns the readout snapshot."""
         self.t += 1
         out_current = self.plan.step(input_frame)
         if self.snn.family == "signgd":
-            eta_t = self._eta[self.t][0]
+            eta_t = self._table[self.t][0]
             self.r = self.r - eta_t * (2.0 * (out_current - self.readout_b) - self.readout_w)
         else:
             self.r = self.r * (self.t - 1) / self.t + out_current / self.t
@@ -171,14 +158,12 @@ def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
 
 @dataclass
 class TraceRecord:
-    """Per-layer decode-vs-reference errors plus spike counts for one run."""
+    """Per-layer decode-vs-reference errors (max abs) for one run."""
 
     layer_ids: list[str]
     times: np.ndarray
-    errors: dict[str, np.ndarray]          # layer id -> (T,) error norms
+    errors: dict[str, np.ndarray]          # layer id -> (T,) max abs errors
     readout_error: np.ndarray              # (T,)
-    spike_counts: dict[str, int] = field(default_factory=dict)
-    norm: str = "maxabs"
 
     def rows(self):
         """CSV rows (layer, t, err), readout listed as layer 'readout'."""
@@ -190,18 +175,13 @@ class TraceRecord:
 
 
 def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
-          seed: int = 0, norm: str = "maxabs") -> TraceRecord:
+          seed: int = 0) -> TraceRecord:
     """Compare per-layer decoded activations against the reference forward."""
     inst = SnnInstance(snn)
     enc = make_input_encoder(snn, x, encoder, stoch_c, seed)
     acts = ann_forward(snn.graph, x)
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}
     ref_out = acts[snn.graph.output_id].reshape(-1)
-
-    def reduce(err):
-        if norm == "l2":
-            return float(np.linalg.norm(err))
-        return float(np.max(np.abs(err)))
 
     layer_ids = list(inst.layers)
     errors = {nid: np.empty(T) for nid in layer_ids}
@@ -210,16 +190,10 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
         r = inst.step(enc.step())
         decoded = inst.layer_decoded()
         for nid in layer_ids:
-            errors[nid][t] = reduce(decoded[nid] - ref[nid])
-        readout_error[t] = reduce(r - ref_out)
-    return TraceRecord(
-        layer_ids=layer_ids,
-        times=np.arange(1, T + 1),
-        errors=errors,
-        readout_error=readout_error,
-        spike_counts=dict(inst.spike_counts),
-        norm=norm,
-    )
+            errors[nid][t] = np.max(np.abs(decoded[nid] - ref[nid]))
+        readout_error[t] = np.max(np.abs(r - ref_out))
+    return TraceRecord(layer_ids=layer_ids, times=np.arange(1, T + 1), errors=errors,
+                       readout_error=readout_error)
 
 
 @dataclass(frozen=True)

@@ -111,18 +111,24 @@ def load_model(path) -> tuple[Graph, dict]:
         try:
             entry = manifest["tensors"][name]
         except KeyError:
-            raise ModelFormatError(f"tensor entry {name!r} missing from manifest") from None
+            raise ModelFormatError(f"{jpath}: tensor entry {name!r} missing") from None
         shape = tuple(entry["shape"])
         size = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
         off = entry["offset"]
+        if not isinstance(off, int) or off < 0:
+            raise ModelFormatError(f"{jpath}: tensor {name!r} has invalid offset {off!r}")
         if off + size > len(data):
             raise TruncatedBlobError(
-                f"tensor {name!r} needs bytes [{off}, {off + size}) but blob has {len(data)}"
+                f"{bpath}: tensor {name!r} needs bytes [{off}, {off + size}) "
+                f"but blob has {len(data)}"
             )
         return np.frombuffer(data, dtype="<f4", count=size // 4, offset=off).reshape(shape).copy()
 
     nodes = []
-    for spec in manifest["nodes"]:
+    for i, spec in enumerate(manifest["nodes"]):
+        missing = [key for key in ("id", "kind", "params") if key not in spec]
+        if missing:
+            raise ModelFormatError(f"{jpath}: node entry {i} lacks {', '.join(missing)}")
         params = dict(spec["params"])
         for key, name in spec.get("tensors", {}).items():
             params[key] = read_tensor(name)
@@ -144,9 +150,11 @@ def load_tensor(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != TENSOR_MAGIC:
         raise ModelFormatError(f"{path}: missing STEN magic")
-    rank = struct.unpack_from("<I", raw, 4)[0]
-    dims = struct.unpack_from(f"<{rank}I", raw, 8)
+    rank = struct.unpack_from("<I", raw, 4)[0] if len(raw) >= 8 else 0
     start = 8 + 4 * rank
+    if len(raw) < start:
+        raise TruncatedBlobError(f"{path}: shorter than its rank/dims header")
+    dims = struct.unpack_from(f"<{rank}I", raw, 8)
     count = int(np.prod(dims, dtype=np.int64))
     if len(raw) - start < count * 4:
         raise TruncatedBlobError(f"{path}: payload shorter than {dims}")

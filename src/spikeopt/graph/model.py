@@ -83,6 +83,19 @@ class Node:
         return np.asarray(self.params[key], dtype=np.float64)
 
 
+def _n_ports(node: Node, n_edges: int) -> int:
+    """Input ports a node takes: 0..n-1, given its number of input edges."""
+    if node.kind == "input":
+        return 0
+    if node.kind in ("add", "concat"):
+        return n_edges
+    if node.kind in ("max2", "mul_inv_sqrt"):
+        return 2
+    if node.kind == "neuron":
+        return node.params.get("arity", 1)
+    return 1
+
+
 class Graph:
     """Ordered node list plus (src, dst, port) edges."""
 
@@ -106,6 +119,17 @@ class Graph:
         self.input_id = inputs[0].id
         self.output_id = outputs[0].id
         self._topo = self._topo_sort()
+        ports: dict[str, list[int]] = {i: [] for i in self.nodes}
+        for _, d, p in self.edges:
+            ports[d].append(p)
+        for nid, node in self.nodes.items():
+            got = sorted(ports[nid])
+            if not got and node.kind != "input":
+                raise GraphError(f"node {nid!r} ({node.kind}) has no inputs")
+            want = list(range(_n_ports(node, len(got))))
+            if got != want:
+                raise GraphError(
+                    f"node {nid!r} ({node.kind}) takes input ports {want}, got {got}")
 
     def _topo_sort(self) -> list[str]:
         indeg = {i: 0 for i in self.nodes}
@@ -296,27 +320,11 @@ def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:
 
 
 def infer_shapes(g: Graph) -> dict[str, tuple]:
-    """Propagate shapes from the input node through the graph."""
-    shapes: dict[str, tuple] = {}
-    for nid in g.topo_order:
-        node = g.nodes[nid]
-        if node.kind == "input":
-            shapes[nid] = tuple(node.params["shape"])
-            continue
-        preds = g.predecessors(nid)
-        if not preds:
-            raise GraphError(f"node {nid!r} has no inputs")
-        # probe with a positive ramp so norms and sqrt domains stay defined
-        probe_inputs = [
-            np.arange(1.0, np.prod(shapes[s], dtype=int) + 1.0).reshape(shapes[s])
-            for s, _ in preds
-        ]
-        if node.kind == "neuron":
-            shapes[nid] = tuple(node.params["shape"])
-            continue
-        out = node_forward(node, probe_inputs)
-        shapes[nid] = tuple(out.shape) if out is not None else shapes[preds[0][0]]
-    return shapes
+    """Every node's output shape: the shapes of `run_forward` on a ones input
+    (values are not read, so numeric warnings are silenced)."""
+    x = np.ones(tuple(g.nodes[g.input_id].params["shape"]))
+    with np.errstate(all="ignore"):
+        return {nid: np.shape(a) for nid, a in run_forward(g, x).items()}
 
 
 def run_forward(g: Graph, x: np.ndarray) -> dict[str, np.ndarray]:

@@ -232,19 +232,18 @@ class TestConvertInferProbeEnergy:
                   "--report", str(tmp / name)])
         assert (tmp / "r1.csv").read_bytes() == (tmp / "r2.csv").read_bytes()
 
-    def test_threads_write_identical_csvs(self, pipeline, monkeypatch):
+    def test_repeat_runs_write_identical_csvs(self, pipeline):
         tmp, _ = pipeline
         main(["convert", str(tmp / "ann.json"), "--family", "signgd",
               "--out", str(tmp / "s3")])
         flags = ["--data", str(tmp / "data.sten"), "--T", "32",
                  "--encoder", "stoch", "--seed", "3"]
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SNN_THREADS", threads)
+        for run in ("1", "2"):
             assert main(["infer", str(tmp / "s3.json"), *flags,
                          "--labels", str(tmp / "labels.slbl"),
-                         "--report", str(tmp / f"acc{threads}.csv"),
-                         "--run-trace", str(tmp / f"trace{threads}.csv"), "--index", "5"]) == 0
+                         "--report", str(tmp / f"acc{run}.csv"),
+                         "--run-trace", str(tmp / f"trace{run}.csv"), "--index", "5"]) == 0
             assert main(["energy", str(tmp / "s3.json"), *flags,
-                         "--out", str(tmp / f"energy{threads}.csv")]) == 0
+                         "--out", str(tmp / f"energy{run}.csv")]) == 0
         for stem in ("acc", "trace", "energy"):
             assert (tmp / f"{stem}1.csv").read_bytes() == (tmp / f"{stem}2.csv").read_bytes()

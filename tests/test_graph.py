@@ -11,6 +11,8 @@ from spikeopt.graph import (
     ConversionError,
     DagViolationError,
     Graph,
+    GraphError,
+    ModelFormatError,
     Node,
     SnnGraph,
     TruncatedBlobError,
@@ -81,6 +83,32 @@ class TestModelIo:
         with pytest.raises(DagViolationError):
             Graph(nodes, edges)
 
+    def test_tensor_header_truncated(self, tmp_path):
+        save_tensor(np.zeros((3, 5, 2), dtype=np.float32), tmp_path / "x.sten")
+        path = tmp_path / "x.sten"
+        path.write_bytes(path.read_bytes()[:14])  # magic, rank 3, half the dims
+        with pytest.raises(TruncatedBlobError, match="x.sten"):
+            load_tensor(path)
+
+    def test_negative_tensor_offset(self, tmp_path):
+        g = build_mlp(seed=3, dims=(4, 2))
+        save_model(g, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["tensors"]["fc0.bias"]["offset"] = -8
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError, match="m.json.*fc0.bias"):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("key", ["kind", "id"])
+    def test_node_entry_without_key(self, tmp_path, key):
+        g = build_mlp(seed=3, dims=(4, 2))
+        save_model(g, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        del manifest["nodes"][1][key]
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError, match=f"m.json.*lacks {key}"):
+            load_model(tmp_path / "m")
+
     def test_tensor_file_roundtrip(self, tmp_path, rng):
         arr = rng.normal(0, 1, (3, 5, 2)).astype(np.float32)
         save_tensor(arr, tmp_path / "x.sten")
@@ -91,6 +119,46 @@ class TestModelIo:
 
         save_labels([3, 1, 2], tmp_path / "y.slbl")
         np.testing.assert_array_equal(load_labels(tmp_path / "y.slbl"), [3, 1, 2])
+
+
+def port_graph(kind, ports, params=None):
+    """input -> relu "a" -> node "x" of `kind` on `ports` (all fed by "a") -> output."""
+    nodes = [Node("in", "input", {"shape": [2]}), Node("a", "relu", {}),
+             Node("x", kind, dict(params or {})), Node("out", "output", {})]
+    edges = [("in", "a", 0), ("x", "out", 0)] + [("a", "x", p) for p in ports]
+    return Graph(nodes, edges)
+
+
+class TestGraphValidation:
+    def test_node_without_inputs(self):
+        nodes = [Node("in", "input", {"shape": [2]}), Node("a", "relu", {}),
+                 Node("orphan", "relu", {}), Node("out", "output", {})]
+        edges = [("in", "a", 0), ("a", "out", 0)]
+        with pytest.raises(GraphError, match="'orphan'.*no inputs"):
+            Graph(nodes, edges)
+
+    @pytest.mark.parametrize("kind,ports,params", [
+        ("max2", [0], None),
+        ("max2", [0, 2], None),
+        ("mul_inv_sqrt", [1], None),
+        ("relu", [1], None),
+        ("relu", [0, 1], None),
+        ("dense", [0, 0], {"weight": np.eye(2), "bias": np.zeros(2)}),
+        ("add", [1, 2], None),
+        ("concat", [0, 0], None),
+        ("neuron", [0], {"mech": "signgd:max2", "count": 2, "arity": 2, "shape": [2]}),
+        ("neuron", [0, 1], {"mech": "signgd:relu", "count": 2, "arity": 1, "shape": [2]}),
+    ])
+    def test_ports_checked_per_kind(self, kind, ports, params):
+        with pytest.raises(GraphError, match=rf"'x' \({kind}\).*ports"):
+            port_graph(kind, ports, params)
+
+    @pytest.mark.parametrize("kind,ports", [
+        ("max2", [0, 1]), ("add", [0]), ("add", [0, 1, 2]), ("concat", [1, 0]),
+    ])
+    def test_valid_ports_accepted(self, kind, ports):
+        g = port_graph(kind, ports)
+        assert infer_shapes(g)["out"] == ((2 * len(ports),) if kind == "concat" else (2,))
 
 
 def bn_graph(seed, mean, var, gamma, beta, eps):
