@@ -304,10 +304,9 @@ def cmd_probe(args):
 def cmd_energy(args):
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
-    kind = "signgd" if snn.family == "signgd" else "if"
     spikes = sum(n for _, n in _run_items(snn, data, args))
     neurons = sum(node.params["count"] for node in snn.neuron_nodes())
-    rep = engine.estimate_energy(spikes, args.T * data.shape[0], neurons, kind)
+    rep = engine.estimate_energy(spikes, args.T * data.shape[0], neurons, snn.family)
     _write_csv(
         args.out,
         ["neurons", "spikes", "fr", "n_sop", "energy_pj"],

@@ -131,6 +131,8 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
     or Bernoulli(ReLU1(x)) spikes (stoch).
     """
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError("input holds NaN or inf values")
     if snn.family == "signgd":
         return signed_encoder(encoder, flat, snn.schedule, stoch_c, seed)
     if encoder == "float":

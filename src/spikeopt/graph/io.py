@@ -13,6 +13,7 @@ Labels: magic `SLBL`, u32 sequence to end of file. All integers little-endian.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -100,8 +101,8 @@ def load_model(path) -> tuple[Graph, dict]:
         manifest = json.loads(jpath.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"manifest {jpath} is not valid JSON: {exc}") from None
-    if manifest.get("format") != "SGM1":
-        raise ModelFormatError(f"manifest {jpath} has wrong format tag {manifest.get('format')!r}")
+    if not isinstance(manifest, dict) or manifest.get("format") != "SGM1":
+        raise ModelFormatError(f"manifest {jpath} lacks the SGM1 format tag")
     raw = bpath.read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ModelFormatError(f"blob {bpath} lacks the SGM1 magic")
@@ -112,8 +113,10 @@ def load_model(path) -> tuple[Graph, dict]:
             entry = manifest["tensors"][name]
         except KeyError:
             raise ModelFormatError(f"{jpath}: tensor entry {name!r} missing") from None
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise ModelFormatError(f"{jpath}: tensor {name!r} has invalid shape {shape!r}")
+        size = math.prod(shape) * 4
         off = entry["offset"]
         if not isinstance(off, int) or off < 0:
             raise ModelFormatError(f"{jpath}: tensor {name!r} has invalid offset {off!r}")
@@ -124,17 +127,23 @@ def load_model(path) -> tuple[Graph, dict]:
             )
         return np.frombuffer(data, dtype="<f4", count=size // 4, offset=off).reshape(shape).copy()
 
-    nodes = []
-    for i, spec in enumerate(manifest["nodes"]):
-        missing = [key for key in ("id", "kind", "params") if key not in spec]
-        if missing:
-            raise ModelFormatError(f"{jpath}: node entry {i} lacks {', '.join(missing)}")
-        params = dict(spec["params"])
-        for key, name in spec.get("tensors", {}).items():
-            params[key] = read_tensor(name)
-        nodes.append(Node(spec["id"], spec["kind"], params))
-    edges = [(s, d, p) for s, d, p in manifest["edges"]]
-    return Graph(nodes, edges), manifest.get("meta", {})
+    try:
+        nodes = []
+        for i, spec in enumerate(manifest["nodes"]):
+            missing = [key for key in ("id", "kind", "params") if key not in spec]
+            if missing:
+                raise ModelFormatError(f"{jpath}: node entry {i} lacks {', '.join(missing)}")
+            params = dict(spec["params"])
+            for key, name in spec.get("tensors", {}).items():
+                params[key] = read_tensor(name)
+            nodes.append(Node(spec["id"], spec["kind"], params))
+        edges = [(s, d, p) for s, d, p in manifest["edges"]]
+        return Graph(nodes, edges), manifest.get("meta", {})
+    except GraphError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a field of the wrong type or shape, e.g. null nodes or a list as an id
+        raise ModelFormatError(f"manifest {jpath} is malformed: {exc!r}") from None
 
 
 def save_tensor(arr, path) -> None:
@@ -155,10 +164,13 @@ def load_tensor(path) -> np.ndarray:
     if len(raw) < start:
         raise TruncatedBlobError(f"{path}: shorter than its rank/dims header")
     dims = struct.unpack_from(f"<{rank}I", raw, 8)
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # Python ints: no int64 wrap-around
     if len(raw) - start < count * 4:
         raise TruncatedBlobError(f"{path}: payload shorter than {dims}")
-    return np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(dims).copy()
+    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=start).reshape(dims).copy()
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"{path}: tensor holds NaN or inf values")
+    return arr
 
 
 def save_labels(labels, path) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..neurons import MECHANISMS, parse_mechanism
 from ..oracles import gelu_sigmoid
 
 __all__ = [
@@ -92,8 +93,20 @@ def _n_ports(node: Node, n_edges: int) -> int:
     if node.kind in ("max2", "mul_inv_sqrt"):
         return 2
     if node.kind == "neuron":
-        return node.params.get("arity", 1)
+        return _mechanism(node)[0]
     return 1
+
+
+def _mechanism(node: Node) -> tuple[int, Node]:
+    """A neuron node's operand count and the source node whose forward rule is
+    its ANN semantics, both from its `mech` (a subgrad layer computes ReLU)."""
+    mech = node.params.get("mech")
+    try:
+        m = parse_mechanism("relu" if mech == "subgrad" else mech)
+    except (AttributeError, ValueError):
+        raise UnknownOperatorError(f"node {node.id!r} has unknown mechanism {mech!r}") from None
+    arity, kind = MECHANISMS[m.kind]
+    return arity, Node(node.id, kind, {"delta": m.delta})
 
 
 class Graph:
@@ -130,6 +143,10 @@ class Graph:
             if got != want:
                 raise GraphError(
                     f"node {nid!r} ({node.kind}) takes input ports {want}, got {got}")
+            count, shape = node.params.get("count"), node.params.get("shape")
+            if node.kind == "neuron" and not (
+                    isinstance(count, (int, np.integer)) and count == np.prod(shape)):
+                raise GraphError(f"node {nid!r} (neuron) has count {count!r} but shape {shape!r}")
 
     def _topo_sort(self) -> list[str]:
         indeg = {i: 0 for i in self.nodes}
@@ -270,19 +287,9 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     raise UnknownOperatorError(f"no forward rule for kind {k!r}")
 
 
-# firing mechanism -> the source kind whose forward rule is its ANN semantics
-_MECH_SOURCE = {"relu": "relu", "leaky": "leaky_relu", "gelu": "gelu", "square": "square",
-                "max2": "max2", "misr": "mul_inv_sqrt"}
-
-
 def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """ANN semantics of a converted neuron layer (its target nonlinearity)."""
-    mech = node.params["mech"]
-    parts = mech.split(":") if mech.startswith("signgd:") else ["", "relu"]
-    if parts[1] not in _MECH_SOURCE:
-        raise UnknownOperatorError(f"no reference semantics for mechanism {mech!r}")
-    params = {"delta": float(parts[2])} if parts[1] == "leaky" else {}
-    source = Node(node.id, _MECH_SOURCE[parts[1]], params)
+    source = _mechanism(node)[1]
     return node_forward(source, [x.reshape(-1) for x in inputs]).reshape(node.params["shape"])
 
 

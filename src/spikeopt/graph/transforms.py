@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..neurons import MECHANISMS, FiringMechanism
 from ..schedules import Schedule, parse_schedule
 from . import io as gio
 from .model import Graph, GraphError, Node, infer_shapes, run_forward
@@ -244,13 +245,8 @@ def decompose_layernorm(g: Graph) -> Graph:
     return Graph(nodes, edges)
 
 
-_SIGNGD_MAP = {
-    "relu": "signgd:relu",
-    "gelu": "signgd:gelu",
-    "max2": "signgd:max2",
-    "square": "signgd:square",
-    "mul_inv_sqrt": "signgd:misr",
-}
+# ANN operator kind -> the firing mechanism that replaces it
+_MECHANISM_OF = {kind: mech for mech, (_, kind) in MECHANISMS.items()}
 
 
 @dataclass
@@ -262,6 +258,14 @@ class SnnGraph:
     schedule: Schedule
     parameterization: str = "canonical"
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.family not in ("subgrad", "signgd"):
+            raise ConversionError(f"unknown neuron family {self.family!r}")
+        for node in self.neuron_nodes():
+            if (node.params["mech"] == "subgrad") != (self.family == "subgrad"):
+                raise ConversionError(f"node {node.id!r} ({node.params['mech']}) is not "
+                                      f"supported by the {self.family} family")
 
     @property
     def calibrated(self) -> bool:
@@ -303,8 +307,6 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
     each nonlinearity with its neuron layer. The subgradient family supports
     ReLU-only graphs; the sign family covers every decomposed nonlinearity.
     """
-    if neuron_family not in ("subgrad", "signgd"):
-        raise ConversionError(f"unknown neuron family {neuron_family!r}")
     if any(n.kind == "batchnorm" for n in g.nodes.values()):
         g = fold_batchnorm(g)
     for kind, decompose in (("maxpool2d", decompose_maxpool), ("layernorm", decompose_layernorm)):
@@ -334,24 +336,15 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
                 "stride": [sh, sw], "padding": [0, 0],
             }
             continue
-        if node.kind in ("relu", "leaky_relu", "gelu", "max2", "square", "mul_inv_sqrt"):
-            if neuron_family == "subgrad":
-                if node.kind != "relu":
-                    raise ConversionError(
-                        f"node {nid!r} ({node.kind}) is not supported by the subgrad family"
-                    )
-                mech = "subgrad"
-            elif node.kind == "leaky_relu":
-                mech = f"signgd:leaky:{node.params['delta']:g}"
-            else:
-                mech = _SIGNGD_MAP[node.kind]
+        if node.kind in _MECHANISM_OF:
+            mech = FiringMechanism(_MECHANISM_OF[node.kind], node.params.get("delta", 0.1)).name
+            if neuron_family == "subgrad" and node.kind == "relu":
+                mech = "subgrad"  # SnnGraph rejects any other kind in this family
             in_shape = shapes[g.predecessors(nid)[0][0]]
-            count = int(np.prod(in_shape))
-            arity = 2 if node.kind in ("max2", "mul_inv_sqrt") else 1
             m_f = node.params.get("m_f")
             node.kind = "neuron"
             node.params = {
-                "mech": mech, "count": count, "arity": arity,
+                "mech": mech, "count": int(np.prod(in_shape)),
                 "shape": list(in_shape), "cal_w": None, "cal_b": None,
             }
             if m_f is not None:

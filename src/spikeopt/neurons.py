@@ -183,8 +183,11 @@ class SubgradNeuron:
 # Sign-based neuron.
 # ---------------------------------------------------------------------------
 
-_ARITY = {"relu": 1, "leaky": 1, "gelu": 1, "square": 1, "max2": 2, "misr": 2}
-MECHANISMS = tuple(_ARITY)
+# firing mechanism -> (operand count, the ANN operator kind it replaces)
+MECHANISMS = {
+    "relu": (1, "relu"), "leaky": (1, "leaky_relu"), "gelu": (1, "gelu"),
+    "square": (1, "square"), "max2": (2, "max2"), "misr": (2, "mul_inv_sqrt"),
+}
 
 
 @dataclass(frozen=True)
@@ -199,12 +202,12 @@ class FiringMechanism:
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in MECHANISMS:
             raise ValueError(f"unknown firing mechanism {self.kind!r}")
 
     @property
     def arity(self) -> int:
-        return _ARITY[self.kind]
+        return MECHANISMS[self.kind][0]
 
     def spike(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """u: shape (n,); v: shape (arity, n), both already scale-corrected."""
@@ -249,7 +252,7 @@ def parse_mechanism(text: str) -> FiringMechanism:
     parts = text.split(":")
     if parts[0] == "signgd":
         parts = parts[1:]
-    if not parts or parts[0] not in _ARITY:
+    if not parts or parts[0] not in MECHANISMS:
         raise ValueError(f"unknown mechanism name {text!r}")
     if parts[0] == "leaky":
         delta = float(parts[1]) if len(parts) > 1 else 0.1

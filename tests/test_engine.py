@@ -9,6 +9,7 @@ from spikeopt.engine import (
     ann_forward,
     classify,
     estimate_energy,
+    make_input_encoder,
     probe,
     run,
 )
@@ -185,6 +186,16 @@ class TestRunFidelity:
         snn = snn_of(g)
         hist = run(snn, rng.normal(0, 1, 8), T=1)
         assert hist.shape == (1, 4)
+
+    @pytest.mark.parametrize("family", ["signgd", "subgrad"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, family, bad):
+        # heaviside(NaN) = 0 would turn the element into silent spike decisions
+        snn = snn_of(build_mlp(seed=8, dims=(8, 16, 4)), family=family)
+        x = rng.normal(0, 1, 8)
+        x[3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            make_input_encoder(snn, x, "float")
 
 
 class TestProbe:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,30 @@ from spikeopt.schedules import Schedule
 
 def forward_out(g, x):
     return run_forward(g, x)[g.output_id]
+
+
+def _set(path, value):
+    """Manifest mutation: set the field at `path` (keys and indices) to `value`."""
+    def mutate(manifest):
+        obj = manifest
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return mutate
+
+
+# malformed fields of the manifest of build_mlp(dims=(4, 2)): wrong types, a negative dim
+MANIFEST_MUTATIONS = {
+    "nodes-null": _set(["nodes"], None),
+    "edges-null": _set(["edges"], None),
+    "params-null": _set(["nodes", 1, "params"], None),
+    "edge-two-elements": _set(["edges", 0], ["in", "fc0"]),
+    "id-list": _set(["nodes", 1, "id"], ["fc0"]),
+    "node-tensors-list": _set(["nodes", 1, "tensors"], ["fc0.bias"]),
+    "tensors-list": _set(["tensors"], []),
+    "shape-null": _set(["tensors", "fc0.bias", "shape"], None),
+    "shape-negative": _set(["tensors", "fc0.bias", "shape"], [-1]),
+}
 
 
 class TestModelIo:
@@ -109,6 +134,31 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match=f"m.json.*lacks {key}"):
             load_model(tmp_path / "m")
 
+    def test_tensor_dims_counted_without_wrap(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 elements wrap to 0 in int64
+        path = tmp_path / "x.sten"
+        path.write_bytes(b"STEN" + struct.pack("<4I", 3, 2**21, 2**21, 2**22))
+        with pytest.raises(TruncatedBlobError, match="x.sten"):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        arr = np.zeros((2, 3), dtype=np.float32)
+        arr[1, 2] = bad
+        save_tensor(arr, tmp_path / "x.sten")
+        with pytest.raises(ModelFormatError, match="x.sten.*NaN or inf"):
+            load_tensor(tmp_path / "x.sten")
+
+    @pytest.mark.parametrize("mutate", MANIFEST_MUTATIONS.values(), ids=list(MANIFEST_MUTATIONS))
+    def test_malformed_manifest_field(self, tmp_path, mutate):
+        g = build_mlp(seed=3, dims=(4, 2))
+        save_model(g, tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        mutate(manifest)
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError, match="m.json"):
+            load_model(tmp_path / "m")
+
     def test_tensor_file_roundtrip(self, tmp_path, rng):
         arr = rng.normal(0, 1, (3, 5, 2)).astype(np.float32)
         save_tensor(arr, tmp_path / "x.sten")
@@ -119,6 +169,58 @@ class TestModelIo:
 
         save_labels([3, 1, 2], tmp_path / "y.slbl")
         np.testing.assert_array_equal(load_labels(tmp_path / "y.slbl"), [3, 1, 2])
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(
+        ["", "in", "fc0", "relu", "fc0.bias", "neuron"])
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.sampled_from(["id", "shape", "offset"]), inner,
+                                          max_size=2), max_leaves=5)
+
+
+def _paths(obj, prefix=()):
+    """Every (keys and indices) path into a JSON value."""
+    yield list(prefix)
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(
+        obj, list) else ()
+    for key, val in items:
+        yield from _paths(val, (*prefix, key))
+
+
+class TestLoaderFuzz:
+    """Corrupted files raise ModelFormatError or GraphError, nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(magic=st.sampled_from([b"STEN", b"SLBL"]), body=st.binary(max_size=64))
+    def test_tensor_and_label_bytes(self, tmp_path_factory, magic, body):
+        from spikeopt.graph import load_labels
+
+        path = tmp_path_factory.mktemp("fuzz") / "f"
+        path.write_bytes(magic + body)
+        try:
+            (load_tensor if magic == b"STEN" else load_labels)(path)
+        except GraphError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_fields(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        save_model(build_mlp(seed=3, dims=(4, 3, 2)), tmp / "m")
+        manifest = json.loads((tmp / "m.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_paths(manifest))))
+            value = data.draw(_json_values())
+            if path:
+                _set(path, value)(manifest)
+            else:
+                manifest = value
+        (tmp / "m.json").write_text(json.dumps(manifest))
+        try:
+            load_model(tmp / "m")
+        except GraphError:
+            pass
 
 
 def port_graph(kind, ports, params=None):
@@ -148,10 +250,27 @@ class TestGraphValidation:
         ("concat", [0, 0], None),
         ("neuron", [0], {"mech": "signgd:max2", "count": 2, "arity": 2, "shape": [2]}),
         ("neuron", [0, 1], {"mech": "signgd:relu", "count": 2, "arity": 1, "shape": [2]}),
+        # the operand count comes from the mechanism, not from a stored arity
+        ("neuron", [0], {"mech": "signgd:max2", "count": 2, "arity": 1, "shape": [2]}),
+        ("neuron", [0, 1], {"mech": "subgrad", "count": 2, "shape": [2]}),
     ])
     def test_ports_checked_per_kind(self, kind, ports, params):
         with pytest.raises(GraphError, match=rf"'x' \({kind}\).*ports"):
             port_graph(kind, ports, params)
+
+    @pytest.mark.parametrize("params", [
+        {"mech": "signgd:relu", "count": 3, "shape": [2]},
+        {"mech": "subgrad", "count": 2, "shape": [3]},
+        {"mech": "signgd:relu", "shape": [2]},
+    ])
+    def test_neuron_count_must_match_shape(self, params):
+        with pytest.raises(GraphError, match=r"'x' \(neuron\).*count"):
+            port_graph("neuron", [0], params)
+
+    @pytest.mark.parametrize("mech", ["signgd:foo", "gelu:2", "signgd:leaky:x", None, 3])
+    def test_unknown_mechanism(self, mech):
+        with pytest.raises(UnknownOperatorError, match="'x'.*mechanism"):
+            port_graph("neuron", [0], {"mech": mech, "count": 2, "shape": [2]})
 
     @pytest.mark.parametrize("kind,ports", [
         ("max2", [0, 1]), ("add", [0]), ("add", [0, 1, 2]), ("concat", [1, 0]),
@@ -413,6 +532,61 @@ class TestConvert:
         np.testing.assert_allclose(
             node.params["cal_w"], snn.graph.nodes["act0"].params["cal_w"], rtol=1e-6
         )
+
+
+def saved_snn(tmp_path, family):
+    """A calibrated 8-16-4 MLP saved as `net`; returns its parsed manifest."""
+    g = build_mlp(seed=29, dims=(8, 16, 4))
+    calibrate(convert(g, family, Schedule.inverse(1.0))).save(tmp_path / "net")
+    return json.loads((tmp_path / "net.json").read_text())
+
+
+def act0(manifest):
+    return next(n for n in manifest["nodes"] if n["id"] == "act0")["params"]
+
+
+def edit_act0(**edit):
+    return lambda manifest: act0(manifest).update(edit)
+
+
+class TestSnnLoad:
+    """Bad neuron files fail in SnnGraph.load, naming the node or the family."""
+
+    @pytest.mark.parametrize("family,mutate,error,match", [
+        ("signgd", edit_act0(mech="signgd:max2", arity=1), GraphError,
+         r"'act0' \(neuron\).*ports"),
+        ("signgd", edit_act0(mech="signgd:foo"), UnknownOperatorError, "'act0'.*signgd:foo"),
+        ("signgd", edit_act0(mech="subgrad"), ConversionError, "'act0'.*signgd family"),
+        ("subgrad", edit_act0(mech="signgd:gelu"), ConversionError, "'act0'.*subgrad family"),
+        ("subgrad", _set(["meta", "family"], "sgd"), ConversionError, "family 'sgd'"),
+        ("signgd", edit_act0(count=15), GraphError, "'act0'.*count 15"),
+        ("subgrad", edit_act0(count=15), GraphError, "'act0'.*count 15"),
+    ], ids=["max2-one-port", "unknown-mech", "subgrad-in-signgd", "gelu-in-subgrad",
+            "unknown-family", "count-signgd", "count-subgrad"])
+    def test_bad_neuron_file(self, tmp_path, family, mutate, error, match):
+        manifest = saved_snn(tmp_path, family)
+        mutate(manifest)
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+        with pytest.raises(error, match=match):
+            SnnGraph.load(tmp_path / "net")
+
+    @pytest.mark.parametrize("family", ["signgd", "subgrad"])
+    def test_stored_arity_is_ignored(self, tmp_path, family):
+        from spikeopt.engine import run
+
+        manifest = saved_snn(tmp_path, family)
+        assert "arity" not in act0(manifest)
+        act0(manifest)["arity"] = 1  # as earlier versions wrote it
+        (tmp_path / "old.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (tmp_path / "old.bin").write_bytes((tmp_path / "net.bin").read_bytes())
+        new, old = SnnGraph.load(tmp_path / "net"), SnnGraph.load(tmp_path / "old")
+        x = make_rng(4).normal(0, 1, 8)
+        np.testing.assert_array_equal(run(old, x, 32), run(new, x, 32))
+        for name in ("net", "old"):
+            SnnGraph.load(tmp_path / name).save(tmp_path / "again")
+            for suffix in (".json", ".bin"):
+                assert ((tmp_path / "again").with_suffix(suffix).read_bytes()
+                        == (tmp_path / name).with_suffix(suffix).read_bytes())
 
 
 class TestCalibrate:

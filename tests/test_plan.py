@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
 from spikeopt.codec import make_rng
 from spikeopt.engine import SnnInstance, make_input_encoder, run
-from spikeopt.graph import Graph, Node, calibrate, convert, node_forward
+from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
 from spikeopt.neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
 from spikeopt.schedules import (
@@ -68,15 +68,36 @@ def build_padded_bye_cnn(seed=0):
     return Graph(nodes, chain_edges(["in", "conv", "act", "pool", "flat", "fc", "out"]))
 
 
+def build_bn_mlp(seed=0):
+    """in -> fc0 -> batchnorm -> relu -> fc1 -> out; convert folds the batch norm."""
+    rng = make_rng(seed)
+    nodes = [
+        Node("in", "input", {"shape": [8]}),
+        dense_node(rng, "fc0", 8, 12),
+        Node("bn", "batchnorm", {
+            "gamma": rng.uniform(0.5, 1.5, 12), "beta": rng.normal(0, 0.2, 12),
+            "mean": rng.normal(0, 0.2, 12), "var": rng.uniform(0.5, 2, 12), "eps": 1e-5,
+        }),
+        Node("act", "relu", {}),
+        dense_node(rng, "fc1", 12, 4),
+        Node("out", "output", {}),
+    ]
+    return Graph(nodes, chain_edges(["in", "fc0", "bn", "act", "fc1", "out"]))
+
+
 MODELS = {
     "mlp": lambda: build_mlp(seed=5, dims=(8, 16, 4)),
+    "leaky": lambda: build_mlp(seed=10, dims=(8, 16, 4), act="leaky_relu",
+                               act_params={"delta": 0.2}),
+    "bn_mlp": lambda: build_bn_mlp(seed=11),
     "cnn": lambda: build_cnn(seed=6),
     "layernorm": lambda: build_layernorm_block(seed=7, n=10),
     "add_concat": lambda: build_add_concat(seed=8),
     "bye_cnn": lambda: build_padded_bye_cnn(seed=9),
 }
 # (model, family) pairs; the subgrad family converts ReLU-only graphs
-CONFIGS = [(m, "signgd") for m in MODELS] + [("mlp", "subgrad"), ("add_concat", "subgrad")]
+CONFIGS = [(m, "signgd") for m in MODELS] + [
+    ("mlp", "subgrad"), ("add_concat", "subgrad"), ("bn_mlp", "subgrad")]
 SCHEDULES = ["inv:1", "exp:0.5:0.99"]
 
 
@@ -98,7 +119,7 @@ def walk(g, frame, fire):
         inputs = [frames[s] for s, _ in g.predecessors(nid)]
         if node.kind == "neuron":
             n = node.params["count"]
-            if node.params["arity"] == 1:
+            if len(inputs) == 1:  # one operand per input edge
                 currents = inputs[0].reshape(1, -1)
             else:
                 currents = np.stack([
@@ -173,6 +194,25 @@ def test_plan_matches_reference_walk(config, schedule, unit_current, encoder, T,
     assert decoded.keys() == want_decoded.keys()
     for nid, want in want_decoded.items():
         np.testing.assert_array_equal(decoded[nid], want)
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+def test_converted_forward_matches_source(model, family):
+    """Conversion (bn folding, decompositions, neuron substitution) keeps the
+    real-arithmetic forward within the 1e-6 transform bound."""
+    g = MODELS[model]()
+    snn = converted(model, family, "inv:1", "canonical")
+    rng = make_rng(12)
+    for _ in range(20):
+        x = rng.normal(0, 1, tuple(g.nodes[g.input_id].params["shape"]))
+        np.testing.assert_allclose(run_forward(snn.graph, x)[snn.graph.output_id],
+                                   run_forward(g, x)[g.output_id], atol=1e-6)
+
+
+def test_leaky_mechanism_name_and_batchnorm_folded():
+    snn = converted("leaky", "signgd", "inv:1", "canonical")
+    assert [n.params["mech"] for n in snn.neuron_nodes()] == ["signgd:leaky:0.2"]
+    assert "bn" not in converted("bn_mlp", "signgd", "inv:1", "canonical").graph.nodes
 
 
 @pytest.mark.parametrize("model,family", CONFIGS)
