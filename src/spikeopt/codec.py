@@ -61,6 +61,22 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class _ItemGenerators:
+    """One generator per item of a batch: `random((B, ...))` stacks each
+    item's own draws, so row i is what item i alone would draw."""
+
+    def __init__(self, seeds):
+        self.rngs = [make_rng(s) for s in seeds]
+
+    def random(self, shape):
+        return np.stack([g.random(shape[1:]) for g in self.rngs])
+
+
+def _generator(seed):
+    """A generator for an int seed; for a sequence of seeds, one per item."""
+    return make_rng(seed) if np.ndim(seed) == 0 else _ItemGenerators(seed)
+
+
 # ---------------------------------------------------------------------------
 # Decoders. Value objects: one writer per instance, no shared state.
 # ---------------------------------------------------------------------------
@@ -149,7 +165,11 @@ class DeterministicEncoder:
 
 
 class StochasticEncoder:
-    """Sigmoidal stochastic encoder: s ~ Bernoulli(sigmoid(c * (f - x)))."""
+    """Sigmoidal stochastic encoder: s ~ Bernoulli(sigmoid(c * (f - x))).
+
+    With a sequence of seeds, x is a batch (one row per seed) and each row
+    draws from its own generator.
+    """
 
     def __init__(self, x, schedule: Schedule, c: float, seed: int):
         if not 0.0 <= c <= 1.0:
@@ -157,7 +177,7 @@ class StochasticEncoder:
         self.x = np.asarray(x, dtype=np.float64)
         self.schedule = schedule
         self.c = float(c)
-        self.rng = make_rng(seed)
+        self.rng = _generator(seed)
         self.f = np.zeros_like(self.x)
         self.t = 0
 
@@ -200,11 +220,12 @@ class ConstantEncoder:
 
 
 class PoissonEncoder:
-    """i.i.d. Bernoulli(ReLU1(x)) spikes; rate-decodes toward ReLU1(x)."""
+    """i.i.d. Bernoulli(ReLU1(x)) spikes; rate-decodes toward ReLU1(x).
+    A sequence of seeds draws each row of a batch x from its own generator."""
 
     def __init__(self, x, seed: int):
         self.p = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-        self.rng = make_rng(seed)
+        self.rng = _generator(seed)
         self.t = 0
 
     def step(self):

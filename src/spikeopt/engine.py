@@ -2,14 +2,19 @@
 
 An SnnInstance compiles its network once into a step plan (`graph.plan`)
 and tabulates the per-step schedule and coefficient scalars in one StepTable
-shared by every neuron layer and the readout. One global step encodes the
-next input frame, runs the plan (linear ops map the instantaneous frame,
-neuron layers integrate, fire and reset), and folds the output node's
-current into the readout:
+shared by every neuron layer and the readout. It steps a batch of B items in
+lockstep: every layer holds (B, n) state, and one global step encodes each
+item's next input frame, runs the plan once for all of them (linear ops map
+the instantaneous frames, neuron layers integrate, fire and reset), and
+folds the output node's currents into the readouts:
 
   sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
                    r(0) = b_out (the calibrated output bias image)
   subgradient/rate readout r(t) = running mean of output currents
+
+Every op works row by row with the arithmetic of a one-item step, so each
+item's readouts and spike counts are bit-identical to running it alone;
+`run` is `run_batch` on one item.
 
 Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes. Classification
@@ -44,6 +49,7 @@ __all__ = [
     "SnnInstance",
     "make_input_encoder",
     "run",
+    "run_batch",
     "probe",
     "TraceRecord",
     "EnergyModel",
@@ -59,7 +65,8 @@ def ann_forward(g: Graph, x) -> dict[str, np.ndarray]:
 
 
 class SnnInstance:
-    """Executable state for one converted network (single input stream)."""
+    """Executable state for one converted network: a batch of items stepped in
+    lockstep (one item until `reset` says otherwise)."""
 
     def __init__(self, snn: SnnGraph):
         if not snn.calibrated:
@@ -78,27 +85,31 @@ class SnnInstance:
         else:
             c = solve_subgrad_coefficients(s)
             self._table = StepTable(partial(subgrad_step_factors, c))
-        self.layers: dict[str, object] = {}
-        for node in snn.neuron_nodes():
+
+        def layer(node):
             n = node.params["count"]
-            self.layers[node.id] = SignGdNeuron(
+            return SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, s,
                 W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n, table=self._table,
             ) if signgd else SubgradNeuron(c, n=n, table=self._table)
+
         self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
-        self.plan = Plan(snn.graph, self.layers)
+        self.plan = Plan(snn.graph, layer)
+        self.layers: dict[str, object] = self.plan.layers
         self.reset()
 
-    def reset(self):
+    def reset(self, batch: int = 1):
+        """Clear the state for a batch of `batch` items."""
         for layer in self.layers.values():
-            layer.reset()
+            layer.reset(batch)
         self.t = 0
-        self.r = self._r0.copy()
+        self.r = np.tile(self._r0, (batch, 1))
 
-    def step(self, input_frame) -> np.ndarray:
-        """Propagate one spike/current frame; returns the readout snapshot."""
+    def step(self, input_frames) -> np.ndarray:
+        """Propagate one spike/current frame per item, shape (B, ...) (one
+        item's frame may drop the B axis); returns the readouts, (B, n_out)."""
         self.t += 1
-        out_current = self.plan.step(input_frame)
+        out_current = self.plan.step(input_frames)
         if self.snn.family == "signgd":
             eta_t = self._table[self.t][0]
             self.r = self.r - eta_t * (2.0 * (out_current - self.readout_b) - self.readout_w)
@@ -107,30 +118,37 @@ class SnnInstance:
         return self.r.copy()
 
     @property
-    def spike_counts(self) -> dict[str, int]:
+    def spike_counts(self) -> dict[str, np.ndarray]:
+        """Spikes each layer has fired since reset, per item: (B,) ints."""
         return {nid: layer.spike_count for nid, layer in self.layers.items()}
 
     @property
     def total_spikes(self) -> int:
-        return sum(layer.spike_count for layer in self.layers.values())
+        """Spikes fired since reset by every layer, over all items."""
+        return int(sum(count.sum() for count in self.spike_counts.values()))
 
     @property
     def total_neurons(self) -> int:
         return sum(layer.n for layer in self.layers.values())
 
     def layer_decoded(self) -> dict[str, np.ndarray]:
+        """Each layer's decoded activations, per item: (B, n)."""
         return {nid: np.asarray(layer.decoded).copy() for nid, layer in self.layers.items()}
 
 
 def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
-                       stoch_c: float = 0.5, seed: int = 0):
+                       stoch_c: float = 0.5, seed=0):
     """Per-element input encoder matched to the network's coding family.
 
     sign family: the signed-schedule codecs (float / det / stoch).
     subgradient family: constant current (float), greedy rate spikes (det),
     or Bernoulli(ReLU1(x)) spikes (stoch).
+
+    With a list of seeds, x is a batch of one item per seed: the encoder
+    emits (B, size) frames, and item i draws from its own generator, seed[i].
     """
-    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1) if np.ndim(seed) == 0 else x.reshape(len(seed), -1)
     if not np.isfinite(flat).all():
         raise ValueError("input holds NaN or inf values")
     if snn.family == "signgd":
@@ -144,18 +162,28 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
     raise ValueError(f"unknown encoder {encoder!r}")
 
 
-def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
-        seed: int = 0, instance: SnnInstance | None = None) -> np.ndarray:
-    """Drive T steps; returns the readout history of shape (T, n_out)."""
+def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float = 0.5,
+              seed: int = 0, instance: SnnInstance | None = None):
+    """Drive the items X[0..B-1] in lockstep for T steps, item i seeded
+    seed + 1000 i. Returns the readout history, (T, B, n_out), and each
+    item's total spikes, (B,) ints; both are what running each item alone
+    gives, bit for bit."""
     if T < 1:
         raise ValueError("T must be >= 1")
     inst = instance or SnnInstance(snn)
-    inst.reset()
-    enc = make_input_encoder(snn, x, encoder, stoch_c, seed)
-    history = np.empty((T, inst.readout_b.size))
+    B = len(X)
+    inst.reset(B)
+    enc = make_input_encoder(snn, X, encoder, stoch_c, [seed + 1000 * i for i in range(B)])
+    history = np.empty((T, B, inst.readout_b.size))
     for t in range(T):
         history[t] = inst.step(enc.step())
-    return history
+    return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
+
+
+def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
+        seed: int = 0, instance: SnnInstance | None = None) -> np.ndarray:
+    """Drive T steps of one item; returns the readout history of shape (T, n_out)."""
+    return run_batch(snn, np.asarray(x)[None], T, encoder, stoch_c, seed, instance)[0][:, 0]
 
 
 @dataclass
@@ -189,10 +217,10 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     errors = {nid: np.empty(T) for nid in layer_ids}
     readout_error = np.empty(T)
     for t in range(T):
-        r = inst.step(enc.step())
+        r = inst.step(enc.step())[0]
         decoded = inst.layer_decoded()
         for nid in layer_ids:
-            errors[nid][t] = np.max(np.abs(decoded[nid] - ref[nid]))
+            errors[nid][t] = np.max(np.abs(decoded[nid][0] - ref[nid]))
         readout_error[t] = np.max(np.abs(r - ref_out))
     return TraceRecord(layer_ids=layer_ids, times=np.arange(1, T + 1), errors=errors,
                        readout_error=readout_error)

@@ -232,8 +232,8 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
             raise ShapeMismatchError(
                 f"conv2d {node.id!r}: expected ({w.shape[1]}, H, W) input, got {x.shape}"
             )
-        return conv2d(x, w, node.tensor("bias"), p.get("stride", (1, 1)),
-                      p.get("padding", (0, 0)))
+        return conv2d(x[None], w, node.tensor("bias"), p.get("stride", (1, 1)),
+                      p.get("padding", (0, 0)))[0]
     if k == "avgpool2d":
         return _pool(node, inputs[0], np.mean)
     if k == "maxpool2d":
@@ -295,22 +295,25 @@ def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
            padding=(0, 0)) -> np.ndarray:
-    """Cross-correlate a (C, H, W) input with (O, C, kh, kw) weights, plus bias.
+    """Cross-correlate (B, C, H, W) inputs with (O, C, kh, kw) weights, plus bias.
 
-    Taps accumulate in dy, dx order; each is the matrix product that
-    np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes.
+    Taps accumulate in dy, dx order; each is, item by item, the matrix product
+    that np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes. One
+    product over all items' patches side by side is faster but not bitwise
+    equal: BLAS may sum over C in another order for a wider matrix.
     """
     (sh, sw), (ph, pw) = stride, padding
     if ph or pw:
-        x = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     o, c, kh, kw = w.shape
-    _, ho, wo = _pool_geometry(x.shape, (kh, kw), (sh, sw))
-    out = np.zeros((o, ho * wo))
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = x[:, dy : dy + ho * sh : sh, dx : dx + wo * sw : sw]
-            out += np.dot(w[:, :, dy, dx], patch.reshape(c, ho * wo))
-    return (out + b[:, None]).reshape(o, ho, wo)
+    _, ho, wo = _pool_geometry(x.shape[1:], (kh, kw), (sh, sw))
+    out = np.zeros((len(x), o, ho * wo))
+    for item, acc in zip(x, out):
+        for dy in range(kh):
+            for dx in range(kw):
+                patch = item[:, dy : dy + ho * sh : sh, dx : dx + wo * sw : sw]
+                acc += np.dot(w[:, :, dy, dx], patch.reshape(c, ho * wo))
+    return (out + b[:, None]).reshape(len(x), o, ho, wo)
 
 
 def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:

@@ -2,20 +2,25 @@
 
 Clock-driven execution runs the same linear plumbing every step, so the
 graph is compiled once (as Brian 2 compiles a clock-driven model into
-per-step kernels): inputs resolve to integer slots of flat float64 vectors,
-float64 weights are hoisted, and element moves (gather, reshape, flatten,
-transpose, concat within one source) compose into one index selection; a
-two-port neuron layer with operands from one slot reads one (2, n) selection.
+per-step kernels): inputs resolve to integer slots, float64 weights are
+hoisted, and element moves (gather, reshape, flatten, transpose, concat
+within one source) compose into one index selection; a neuron layer with
+operands from one slot reads them with one selection.
 
-Each op computes what `node_forward` computes for its node, from the same
-operands in the same order, so a plan is bit-identical to a node-by-node walk.
+A plan steps a batch of items in lockstep: every slot holds a (B, size)
+array, one row per item. Each op computes, row by row, what `node_forward`
+computes for its node, from the same operands in the same order with the
+same BLAS call shapes, so a batched step is bit-identical both to a
+node-by-node walk and to stepping each item on its own.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import Graph, conv2d, node_forward
+from .model import Graph, GraphError, conv2d, node_forward
 
 __all__ = ["Plan"]
 
@@ -37,15 +42,18 @@ class _Value:
 
 
 class Plan:
-    """The per-step ops of one graph. `layers` maps each neuron node id to an
-    object whose `step(currents)` takes the (arity, n) influx currents and
-    returns the n spikes; `step(x)` returns the output node's influx current.
+    """The per-step ops of one graph. `layer(node)` builds the object that
+    steps neuron node `node`: its `step(currents)` takes the (arity, B, n)
+    influx currents and returns the (B, n) spikes; `layers` maps each neuron
+    node id to it. `step(x)` takes the (B, ...) input frames and returns the
+    output node's (B, n_out) influx currents.
     """
 
-    def __init__(self, graph: Graph, layers: dict):
+    def __init__(self, graph: Graph, layer):
         self.input_size = int(np.prod(graph.nodes[graph.input_id].params["shape"]))
         self.ops: list = []
-        self.n_slots = 1  # slot 0 holds the input frame
+        self.layers: dict = {}
+        self.n_slots = 1  # slot 0 holds the input frames
         values: dict[str, _Value] = {}
         for nid in graph.topo_order:
             node = graph.nodes[nid]
@@ -53,7 +61,7 @@ class Plan:
             if node.kind == "input":
                 values[nid] = _Value(0, None, node.params["shape"])
             elif node.kind == "neuron":
-                values[nid] = self._neuron(node, ins, layers[nid])
+                values[nid] = self._neuron(node, ins, layer)
             elif node.kind in _MOVES and len({v.slot for v in ins}) == 1:
                 # run the move on the inputs' source indices: one composed selection
                 sel = node_forward(node, [v.indices() for v in ins])
@@ -66,7 +74,7 @@ class Plan:
 
     def step(self, x) -> np.ndarray:
         s = self.slots
-        s[0] = np.asarray(x, dtype=np.float64).reshape(self.input_size)
+        s[0] = np.asarray(x, dtype=np.float64).reshape(-1, self.input_size)
         for op in self.ops:
             op(s)
         return s[self.out_slot]
@@ -81,7 +89,7 @@ class Plan:
             src, idx, out = v.slot, v.idx, self._slot()
 
             def take(s):
-                s[out] = s[src][idx]
+                s[out] = s[src].take(idx, axis=1)
 
             self.ops.append(take)
             v.slot, v.idx = out, None
@@ -97,37 +105,66 @@ class Plan:
             w, b = node.tensor("weight"), node.tensor("bias")
 
             def op(s):
-                s[out] = w @ s[a] + b
+                # stacked matrix-vector products: row i is the gemv of w @ x_i
+                s[out] = np.matmul(w, s[a][:, :, None])[:, :, 0] + b
         elif node.kind == "conv2d":
             w, b = node.tensor("weight"), node.tensor("bias")
             stride, padding = p.get("stride", (1, 1)), p.get("padding", (0, 0))
 
             def op(s):
-                s[out] = conv2d(s[a].reshape(in_shape), w, b, stride, padding).reshape(-1)
+                x = s[a]
+                s[out] = conv2d(x.reshape(len(x), *in_shape), w, b, stride,
+                                padding).reshape(len(x), -1)
         else:
             def op(s):
-                s[out] = node_forward(node, [s[i].reshape(sh) for i, sh in srcs]).reshape(-1)
+                s[out] = np.stack([
+                    node_forward(node, [s[i][k].reshape(sh) for i, sh in srcs]).reshape(-1)
+                    for k in range(len(s[a]))
+                ])
 
         self.ops.append(op)
         return _Value(out, None, shape)
 
     def _neuron(self, node, ins: list[_Value], layer) -> _Value:
         n, out = node.params["count"], self._slot()
-        if len({v.slot for v in ins}) == 1:
-            # operands from one slot: one (arity, n) selection (None adds the arity axis)
+        sizes = [math.prod(v.shape) for v in ins]
+        if any(size not in (n, 1) for size in sizes):
+            raise GraphError(f"node {node.id!r} (neuron) has count {n} but operands "
+                             f"of sizes {sizes}")
+        for key in ("cal_w", "cal_b"):
+            cal = node.params.get(key)
+            try:
+                if cal is not None:
+                    np.broadcast_to(cal, (len(ins), n))
+            except ValueError:
+                raise GraphError(f"node {node.id!r} (neuron) has {key} of shape "
+                                 f"{np.shape(cal)}, not ({len(ins)}, {n})") from None
+        neuron = self.layers[node.id] = layer(node)
+        if len({v.slot for v in ins}) > 1:
+            srcs = [(self._flat(v), size != n) for v, size in zip(ins, sizes)]
+
+            def op(s):
+                B = len(s[0])
+                s[out] = neuron.step(np.stack([
+                    np.broadcast_to(s[a], (B, n)) if bcast else s[a] for a, bcast in srcs
+                ]))
+        elif len(ins) == 1 and ins[0].idx is None and sizes[0] == n:
             src = ins[0].slot
-            sel = None if len(ins) == 1 and ins[0].idx is None else np.stack(
-                [np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
 
             def op(s):
-                s[out] = layer.step(s[src][sel]).reshape(-1)
+                s[out] = neuron.step(s[src][None])
         else:
-            srcs = [(self._flat(v), int(np.prod(v.shape)) != n) for v in ins]
+            # operands from one slot: one flat take into a contiguous (arity, B, n) block
+            src = ins[0].slot
+            sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
+            takes: dict[int, np.ndarray] = {}  # batch size -> flat indices of the block
 
             def op(s):
-                s[out] = layer.step(np.stack([
-                    np.broadcast_to(s[a], (n,)) if bcast else s[a] for a, bcast in srcs
-                ])).reshape(-1)
+                x = s[src]
+                idx = takes.get(len(x))
+                if idx is None:
+                    idx = takes[len(x)] = sel[:, None] + x.shape[1] * np.arange(len(x))[:, None]
+                s[out] = neuron.step(x.take(idx))
 
         self.ops.append(op)
         return _Value(out, None, node.params["shape"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..neurons import MECHANISMS, FiringMechanism
-from ..schedules import Schedule, parse_schedule
+from ..schedules import Schedule, ScheduleError, parse_schedule
 from . import io as gio
 from .model import Graph, GraphError, Node, infer_shapes, run_forward
 from .plan import Plan
@@ -289,10 +289,17 @@ class SnnGraph:
     @classmethod
     def load(cls, path) -> "SnnGraph":
         graph, meta = gio.load_model(path)
+        if not isinstance(meta, dict):
+            raise gio.ModelFormatError(f"{path}: meta is not an object")
         if meta.get("kind") != "snn":
             raise ConversionError(f"{path} is not a converted SNN model")
-        family = meta.pop("family")
-        schedule = parse_schedule(meta.pop("schedule"))
+        try:
+            family = meta.pop("family")
+            schedule = parse_schedule(meta.pop("schedule"))
+        except KeyError as exc:
+            raise gio.ModelFormatError(f"{path}: meta lacks {exc}") from None
+        except (AttributeError, ScheduleError) as exc:
+            raise gio.ModelFormatError(f"{path}: bad meta schedule: {exc}") from None
         parameterization = meta.pop("parameterization", "canonical")
         meta.pop("kind", None)
         return cls(graph, family, schedule, parameterization, meta)
@@ -355,7 +362,11 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
 
 
 class _Forced:
-    """Calibration stand-in for a neuron layer: records its currents, emits `spikes`."""
+    """Calibration stand-in for a layer of n neurons: records its currents;
+    item 0 emits 1 and item 1 emits 0."""
+
+    def __init__(self, n: int):
+        self.spikes = np.repeat([[1.0], [0.0]], n, axis=1)
 
     def step(self, currents):
         self.currents = currents
@@ -363,26 +374,19 @@ class _Forced:
 
 
 def calibrate(snn: SnnGraph) -> SnnGraph:
-    """Populate the spike-to-sign calibration by stimulate/depress passes.
+    """Populate the spike-to-sign calibration by stimulate/depress.
 
-    Two passes of the network's step plan with every neuron layer and the
-    input forced to a constant emission: all-ones records the stimulated
-    currents, all-zeros the idle currents; each neuron operand stores
-    W = I+ - I- and b = I-, and the output node stores the readout
-    calibration the same way.
+    One step of the network's step plan on a batch of two items, with every
+    neuron layer and the input forced to a constant emission: all-ones in
+    item 0 records the stimulated currents, all-zeros in item 1 the idle
+    currents; each neuron operand stores W = I+ - I- and b = I-, and the
+    output node stores the readout calibration the same way.
     """
     g = snn.graph
-    layers = {node.id: _Forced() for node in snn.neuron_nodes()}
-    plan = Plan(g, layers)
-    currents, out = [], []
-    for emission in (1.0, 0.0):
-        for node in snn.neuron_nodes():
-            layers[node.id].spikes = np.full(node.params["count"], emission)
-        out.append(plan.step(np.full(plan.input_size, emission)))
-        currents.append({nid: layer.currents for nid, layer in layers.items()})
-    (hi, lo), (out_hi, out_lo) = currents, out
-    for node in snn.neuron_nodes():
-        node.params["cal_w"] = hi[node.id] - lo[node.id]
-        node.params["cal_b"] = lo[node.id].copy()
+    plan = Plan(g, lambda node: _Forced(node.params["count"]))
+    out_hi, out_lo = plan.step(np.repeat([[1.0], [0.0]], plan.input_size, axis=1))
+    for nid, layer in plan.layers.items():
+        hi, lo = layer.currents[:, 0], layer.currents[:, 1]
+        g.nodes[nid].params.update(cal_w=hi - lo, cal_b=lo.copy())
     g.nodes[g.output_id].params.update(cal_w=out_hi - out_lo, cal_b=out_lo.copy())
     return snn

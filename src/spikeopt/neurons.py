@@ -139,6 +139,7 @@ class SubgradNeuron:
     The schedule decode of the emitted spikes tracks the subgradient method on
     the clipped-ReLU objective; `decoded` maintains that decode. `table`
     shares the `subgrad_step_factors` rows between the layers of one network.
+    `reset(batch)` gives the state a leading axis of `batch` items.
     """
 
     def __init__(self, coeffs: SubgradCoefficients, n: int = 1, u_pre0: float = 0.0,
@@ -150,28 +151,25 @@ class SubgradNeuron:
                          else partial(subgrad_step_factors, coeffs))
         self.n = n
         self.u_pre0 = float(u_pre0)
-        self.u = np.full(n, float(u_pre0))
-        self.alpha_prod = 1.0
-        self.t = 0
-        self.y = np.zeros(n)
-        self.spike_count = 0
+        self.reset()
 
-    def reset(self):
-        self.u[:] = self.u_pre0
+    def reset(self, batch: int | None = None):
+        shape = (self.n,) if batch is None else (batch, self.n)
+        self.u = np.full(shape, self.u_pre0)
         self.alpha_prod = 1.0
         self.t = 0
-        self.y[:] = 0.0
-        self.spike_count = 0
+        self.y = np.zeros(shape)
+        self.spike_count = 0 if batch is None else np.zeros(batch, dtype=np.int64)
 
     def step(self, I) -> np.ndarray:
         self.t += 1
         alpha, gamma, beta, eta_t = self._factors(self.t)
         self.alpha_prod *= alpha
-        u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64)
+        u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64).reshape(self.u.shape)
         s = heaviside(u_pre - self.u_pre0 * self.alpha_prod)
         self.u = u_pre - beta * s
         self.y = (1.0 - eta_t) * self.y + eta_t * s
-        self.spike_count += int(np.sum(s))
+        self.spike_count += s.sum(-1).astype(np.int64)
         return s
 
     @property
@@ -267,7 +265,9 @@ class SignGdNeuron:
 
     W and b are the calibrated per-operand weight sums and idle currents,
     shape (arity, n). `step` takes the raw influx currents I of shape
-    (arity, n) and returns the spike vector of shape (n,).
+    (arity, n) and returns the spike vector of shape (n,). `reset(batch)`
+    gives the state a leading item axis: the currents are then
+    (arity, batch, n), the spikes (batch, n), and W and b broadcast over it.
 
     A step reads its scalars once, as the `signgd_step_factors` row `f`;
     `table` shares those rows between the layers of one network.
@@ -289,18 +289,17 @@ class SignGdNeuron:
         self.n = n
         self._factors = (table.__getitem__ if table is not None
                          else partial(signgd_step_factors, coeffs, schedule))
-        self.u = np.zeros(n)
         self.reset()
 
-    def _v0(self) -> np.ndarray:
+    def reset(self, batch: int | None = None):
+        shape = (self.n,) if batch is None else (batch, self.n)
+        # W and b as they broadcast against v, shape (arity, *shape)
+        self._W, self._b = (self.W, self.b) if batch is None else (self.W[:, None], self.b[:, None])
+        self.u = np.zeros(shape)
         scale = float(self.c.alpha2(0)) / float(self.schedule(0))
-        return scale * self.b
-
-    def reset(self):
-        self.u[:] = 0.0
-        self.v = self._v0()
+        self.v = np.broadcast_to(scale * self._b, (self.mech.arity, *shape)).copy()
         self.t = 0
-        self.spike_count = 0
+        self.spike_count = 0 if batch is None else np.zeros(batch, dtype=np.int64)
         self.degeneracies = 0
         self.f = self._factors(1)
 
@@ -309,8 +308,8 @@ class SignGdNeuron:
     def integrate(self, I) -> np.ndarray:
         """Advance v with the raw currents of the step being processed."""
         _, a1, a2, _, _, _, _ = self.f
-        I = np.asarray(I, dtype=np.float64).reshape(self.mech.arity, self.n)
-        self.v = a1 * self.v - a2 * (2.0 * (I - self.b) - self.W)
+        I = np.asarray(I, dtype=np.float64).reshape(self.v.shape)
+        self.v = a1 * self.v - a2 * (2.0 * (I - self._b) - self._W)
         return self.v
 
     def fire(self) -> np.ndarray:
@@ -322,9 +321,10 @@ class SignGdNeuron:
 
     def reset_potential(self, s) -> np.ndarray:
         _, _, _, _, _, b1, b2 = self.f
-        self.u = self.u / b1 - b2 * (2.0 * np.asarray(s) - 1.0)
+        s = np.asarray(s)
+        self.u = self.u / b1 - b2 * (2.0 * s - 1.0)
         self.t += 1
-        self.spike_count += int(np.sum(s))
+        self.spike_count += s.sum(-1).astype(np.int64)
         self.f = self._factors(self.t + 1)
         return self.u
 
@@ -338,11 +338,12 @@ class SignGdNeuron:
     def decoded(self) -> np.ndarray:
         """Signed-schedule decode of the emitted train after the last step."""
         if self.t == 0:
-            return np.zeros(self.n)
+            return np.zeros_like(self.u)
         return self.f[3] * self.u  # eta(t)/beta2(t): the u scale of the next step
 
     @property
     def decoded_input(self) -> np.ndarray:
-        """Reconstruction of the decoded input activations, shape (arity, n)."""
+        """Reconstruction of the decoded input activations, shaped like v:
+        (arity, n), or (arity, batch, n)."""
         scale = float(self.schedule(self.t)) / float(self.c.alpha2(self.t))
         return scale * self.v

@@ -247,3 +247,29 @@ class TestConvertInferProbeEnergy:
                          "--out", str(tmp / f"energy{run}.csv")]) == 0
         for stem in ("acc", "trace", "energy"):
             assert (tmp / f"{stem}1.csv").read_bytes() == (tmp / f"{stem}2.csv").read_bytes()
+
+    @pytest.mark.parametrize("family", ["signgd", "subgrad"])
+    def test_chunked_runs_match_items_run_alone(self, pipeline, monkeypatch, family):
+        """6 items in lockstep chunks of 4 (the last one partial), set by CHUNK
+        or by the CHUNK_NEURONS budget of the 16-neuron net, write the CSVs
+        of running each item alone."""
+        from spikeopt import cli
+
+        tmp, _ = pipeline
+        main(["convert", str(tmp / "ann.json"), "--family", family, "--out", str(tmp / "s")])
+        flags = ["--data", str(tmp / "data.sten"), "--T", "32", "--encoder", "stoch",
+                 "--seed", "3"]
+        for name, chunk, budget in (("alone", 1, 10**6), ("chunk", 4, 10**6),
+                                    ("budget", 16, 4 * 16)):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            monkeypatch.setattr(cli, "CHUNK_NEURONS", budget)
+            assert main(["infer", str(tmp / "s.json"), *flags,
+                         "--labels", str(tmp / "labels.slbl"),
+                         "--report", str(tmp / f"acc_{name}.csv"),
+                         "--run-trace", str(tmp / f"trace_{name}.csv"), "--index", "5"]) == 0
+            assert main(["energy", str(tmp / "s.json"), *flags,
+                         "--out", str(tmp / f"energy_{name}.csv")]) == 0
+        for stem in ("acc", "trace", "energy"):
+            want = (tmp / f"{stem}_alone.csv").read_bytes()
+            for name in ("chunk", "budget"):
+                assert (tmp / f"{stem}_{name}.csv").read_bytes() == want, (stem, name)

@@ -106,7 +106,8 @@ class TestInstance:
         for _ in range(500):
             inst.step(enc_engine.step())
             unit.step(enc_unit.step()[None, :])
-            np.testing.assert_array_equal(inst.layers["act"].decoded, unit.decoded)
+            # the instance steps a batch of one item: its state has a leading item axis
+            np.testing.assert_array_equal(inst.layers["act"].decoded[0], unit.decoded)
 
     def test_determinism(self, rng):
         g = build_mlp(seed=4, dims=(6, 12, 3))
@@ -141,7 +142,7 @@ class TestInstance:
             @ w1.astype(np.float32).astype(np.float64)
         )
         for t in range(1, 101):
-            r = inst.step(enc.step())
+            r = inst.step(enc.step())[0]  # readouts of a batch of one item
             residual = enc.f - x  # encoder's remaining input error
             if t in (1, 10, 100):
                 np.testing.assert_allclose(r - ref, m @ residual, atol=1e-9)

@@ -570,6 +570,37 @@ class TestSnnLoad:
         with pytest.raises(error, match=match):
             SnnGraph.load(tmp_path / "net")
 
+    @pytest.mark.parametrize("mutate,match", [
+        (_set(["meta"], ["signgd"]), "meta is not an object"),
+        (lambda m: m["meta"].pop("family"), "meta lacks 'family'"),
+        (_set(["meta", "schedule"], "inv:x"), "bad meta schedule.*inv:x"),
+        (_set(["meta", "schedule"], 1), "bad meta schedule"),
+    ], ids=["meta-list", "no-family", "bad-schedule", "number-schedule"])
+    def test_bad_meta(self, tmp_path, mutate, match):
+        manifest = saved_snn(tmp_path, "signgd")
+        mutate(manifest)
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError, match=f"net.*{match}"):
+            SnnGraph.load(tmp_path / "net")
+
+    @pytest.mark.parametrize("family", ["signgd", "subgrad"])
+    @pytest.mark.parametrize("mutate,match", [
+        (edit_act0(count=15, shape=[15]), r"count 15 but operands of sizes \[16\]"),
+        (_set(["tensors", "act0.cal_w", "shape"], [1, 15]), r"cal_w of shape \(1, 15\)"),
+        (_set(["tensors", "act0.cal_b", "shape"], [2, 8]), r"cal_b of shape \(2, 8\)"),
+    ], ids=["count", "cal_w", "cal_b"])
+    def test_neuron_sizes_checked_when_plan_is_built(self, tmp_path, family, mutate, match):
+        """The file loads (count matches shape), but the layer cannot take its
+        16-wide operand or calibration: building the step plan names the node."""
+        from spikeopt.engine import SnnInstance
+
+        manifest = saved_snn(tmp_path, family)
+        mutate(manifest)
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+        snn = SnnGraph.load(tmp_path / "net")
+        with pytest.raises(GraphError, match=rf"'act0' \(neuron\) has {match}"):
+            SnnInstance(snn)
+
     @pytest.mark.parametrize("family", ["signgd", "subgrad"])
     def test_stored_arity_is_ignored(self, tmp_path, family):
         from spikeopt.engine import run

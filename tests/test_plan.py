@@ -5,7 +5,8 @@ compiled plans: every node in topological order with its predecessors looked
 up per step, linear nodes through `node_forward`, and neuron layers built
 from the neuron classes with callable coefficients. The plan must reproduce
 it bit for bit: readout history, per-layer spike counts, layer decodes and
-the calibration records.
+the calibration records. A batch of items stepped in lockstep must give
+each item what running it alone gives, bit for bit.
 """
 
 from functools import lru_cache
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
 from spikeopt.codec import make_rng
-from spikeopt.engine import SnnInstance, make_input_encoder, run
+from spikeopt.engine import SnnInstance, make_input_encoder, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
 from spikeopt.neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
@@ -165,35 +166,63 @@ def reference_run(snn, x, T, encoder, seed):
     return history, spikes, decoded
 
 
-def input_for(snn, seed):
+def input_for(snn, seed, items=None):
     g = snn.graph
-    return make_rng(seed).normal(0, 1, tuple(g.nodes[g.input_id].params["shape"]))
+    shape = tuple(g.nodes[g.input_id].params["shape"])
+    return make_rng(seed).normal(0, 1, shape if items is None else (items, *shape))
+
+
+configs = st.tuples(
+    st.sampled_from(CONFIGS), st.sampled_from(SCHEDULES), st.booleans(),
+).map(lambda c: (*c[0], c[1], "unit-current" if c[2] and c[0][1] == "signgd"
+                 and c[1].startswith("exp") else "canonical"))
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    config=st.sampled_from(CONFIGS),
-    schedule=st.sampled_from(SCHEDULES),
-    unit_current=st.booleans(),
+    config=configs,
     encoder=st.sampled_from(["float", "det", "stoch"]),
     T=st.integers(1, 64),
     seed=st.integers(0, 2**16),
 )
-def test_plan_matches_reference_walk(config, schedule, unit_current, encoder, T, seed):
-    model, family = config
-    param = ("unit-current" if unit_current and family == "signgd"
-             and schedule.startswith("exp") else "canonical")
-    snn = converted(model, family, schedule, param)
+def test_plan_matches_reference_walk(config, encoder, T, seed):
+    snn = converted(*config)
     x = input_for(snn, seed)
     want_hist, want_spikes, want_decoded = reference_run(snn, x, T, encoder, seed)
     inst = SnnInstance(snn)
     hist = run(snn, x, T, encoder=encoder, seed=seed, instance=inst)
     np.testing.assert_array_equal(hist, want_hist)
-    assert inst.spike_counts == want_spikes
+    assert {nid: int(c[0]) for nid, c in inst.spike_counts.items()} == want_spikes
     decoded = inst.layer_decoded()
     assert decoded.keys() == want_decoded.keys()
     for nid, want in want_decoded.items():
-        np.testing.assert_array_equal(decoded[nid], want)
+        np.testing.assert_array_equal(decoded[nid][0], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=configs,
+    encoder=st.sampled_from(["float", "det", "stoch"]),
+    items=st.integers(1, 5),
+    T=st.integers(1, 32),
+    seed=st.integers(0, 2**16),
+)
+def test_batch_matches_items_run_alone(config, encoder, items, T, seed):
+    snn = converted(*config)
+    X = input_for(snn, seed, items)
+    batch = SnnInstance(snn)
+    hist, spikes = run_batch(snn, X, T, encoder=encoder, seed=seed, instance=batch)
+    assert hist.shape == (T, items, batch.readout_b.size) and spikes.shape == (items,)
+    counts, decoded = batch.spike_counts, batch.layer_decoded()
+    alone = SnnInstance(snn)
+    for i in range(items):
+        want = run(snn, X[i], T, encoder=encoder, seed=seed + 1000 * i, instance=alone)
+        np.testing.assert_array_equal(hist[:, i], want)
+        assert spikes[i] == alone.total_spikes
+        for nid, count in alone.spike_counts.items():
+            np.testing.assert_array_equal(counts[nid][i], count[0])
+        for nid, want_decoded in alone.layer_decoded().items():
+            np.testing.assert_array_equal(decoded[nid][i], want_decoded[0])
 
 
 @pytest.mark.parametrize("model,family", CONFIGS)
@@ -226,20 +255,24 @@ def test_reused_instance_matches_fresh_runs(model, family):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**16), stride=st.integers(1, 2), pad=st.integers(0, 1))
-def test_conv2d_is_the_tensordot_accumulation(seed, stride, pad):
-    """Tap for tap in dy, dx order, bit for bit."""
+@given(seed=st.integers(0, 2**16), stride=st.integers(1, 2), pad=st.integers(0, 1),
+       items=st.integers(1, 4), channels=st.sampled_from([2, 8, 16]))
+def test_conv2d_is_the_tensordot_accumulation(seed, stride, pad, items, channels):
+    """Item by item, tap for tap in dy, dx order, bit for bit; with 8 or 16
+    input channels one product over all items' patches would differ."""
     rng = make_rng(seed)
-    x, w, b = rng.normal(size=(2, 7, 6)), rng.normal(size=(3, 2, 3, 2)), rng.normal(size=3)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    ho, wo = (xp.shape[1] - 3) // stride + 1, (xp.shape[2] - 2) // stride + 1
-    want = np.zeros((3, ho, wo))
-    for dy in range(3):
-        for dx in range(2):
-            patch = xp[:, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
-            want += np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0))
+    x = rng.normal(size=(items, channels, 7, 6))
+    w, b = rng.normal(size=(3, channels, 3, 2)), rng.normal(size=3)
     got = conv2d(x, w, b, (stride, stride), (pad, pad))
-    np.testing.assert_array_equal(got, want + b[:, None, None])
+    for item in range(items):
+        xp = np.pad(x[item], ((0, 0), (pad, pad), (pad, pad)))
+        ho, wo = (xp.shape[1] - 3) // stride + 1, (xp.shape[2] - 2) // stride + 1
+        want = np.zeros((3, ho, wo))
+        for dy in range(3):
+            for dx in range(2):
+                patch = xp[:, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+                want += np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0))
+        np.testing.assert_array_equal(got[item], want + b[:, None, None])
 
 
 @pytest.mark.parametrize("model,family", CONFIGS)
