@@ -18,6 +18,7 @@ import numpy as np
 from . import engine
 from .codec import PoissonEncoder, make_rng, signed_encoder
 from .graph import (
+    GraphError,
     SnnGraph,
     calibrate,
     convert,
@@ -433,8 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad model or graph and a missing file end it
+    with one line on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GraphError as exc:
+        print(f"spikeopt {args.command}: error: {exc}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(f"spikeopt {args.command}: error: no such file: {exc.filename}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

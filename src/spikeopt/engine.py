@@ -35,7 +35,13 @@ from .graph.model import Graph, run_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
-from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
+from .neurons import (
+    SignGdNeuron,
+    SubgradNeuron,
+    check_signgd_coefficients,
+    check_subgrad_coefficients,
+    parse_mechanism,
+)
 from .schedules import (
     StepTable,
     signgd_step_factors,
@@ -75,23 +81,26 @@ class SnnInstance:
         out = snn.graph.nodes[snn.graph.output_id]
         self.readout_w = out.tensor("cal_w")
         self.readout_b = out.tensor("cal_b")
-        # one family per network: one coefficient set and one StepTable shared
-        # by every layer and, in the sign family, the readout's eta(t)
+        # one family per network: one coefficient set, checked once, and one
+        # StepTable shared by every layer and, in the sign family, the
+        # readout's eta(t)
         s = snn.schedule
         signgd = snn.family == "signgd"
         if signgd:
             c = solve_signgd_coefficients(s, snn.parameterization)
+            check_signgd_coefficients(c, s)
             self._table = StepTable(partial(signgd_step_factors, c, s))
         else:
             c = solve_subgrad_coefficients(s)
+            check_subgrad_coefficients(c)
             self._table = StepTable(partial(subgrad_step_factors, c))
 
         def layer(node):
             n = node.params["count"]
             return SignGdNeuron(
-                parse_mechanism(node.params["mech"]), c, s,
-                W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n, table=self._table,
-            ) if signgd else SubgradNeuron(c, n=n, table=self._table)
+                parse_mechanism(node.params["mech"]), c, s, W=node.tensor("cal_w"),
+                b=node.tensor("cal_b"), n=n, validate=False, table=self._table,
+            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self._table)
 
         self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.plan = Plan(snn.graph, layer)

@@ -208,8 +208,9 @@ def _pool_geometry(shape, kernel, stride):
 def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """Reference real-arithmetic semantics of one node.
 
-    `inputs` are float64 arrays ordered by port. Linear kinds double as the
-    per-step frame map during SNN execution.
+    `inputs` are float64 arrays ordered by port. The step plan runs the
+    element moves on index arrays to compose its selections, and each of
+    its batched ops computes, item by item, what this rule computes.
     """
     k = node.kind
     p = node.params

@@ -1,11 +1,12 @@
 """Step plans: a converted network compiled once into a flat list of ops.
 
-Clock-driven execution runs the same linear plumbing every step, so the
-graph is compiled once (as Brian 2 compiles a clock-driven model into
-per-step kernels): inputs resolve to integer slots, float64 weights are
-hoisted, and element moves (gather, reshape, flatten, transpose, concat
-within one source) compose into one index selection; a neuron layer with
-operands from one slot reads them with one selection.
+A spiking network holds only the kinds in `STEPPABLE`, each with one
+batched rule: element moves (output, reshape, flatten, gather, transpose,
+concat within one slot) compose into one index selection; dense/affine,
+conv2d, add and concat across slots fill a new slot; a neuron layer reads
+one whole slot, or takes its operands from one slot with one (arity, n)
+index table (operands in several slots are joined by the concat rule first).
+Inputs resolve to integer slots and float64 weights are hoisted once.
 
 A plan steps a batch of items in lockstep: every slot holds a (B, size)
 array, one row per item. Each op computes, row by row, what `node_forward`
@@ -20,13 +21,15 @@ import math
 
 import numpy as np
 
-from .model import Graph, GraphError, conv2d, node_forward
+from .model import Graph, GraphError, Node, conv2d, node_forward
 
-__all__ = ["Plan"]
+__all__ = ["Plan", "STEPPABLE"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
 _MOVES = _VIEWS | {"gather", "transpose", "concat"}
+# every kind a spiking network can hold
+STEPPABLE = frozenset(_MOVES | {"input", "dense", "affine", "conv2d", "add", "neuron"})
 
 
 class _Value:
@@ -37,17 +40,16 @@ class _Value:
 
     def indices(self) -> np.ndarray:
         """Flat source indices of the frame, in its shape."""
-        flat = np.arange(int(np.prod(self.shape))) if self.idx is None else self.idx
+        flat = np.arange(math.prod(self.shape)) if self.idx is None else self.idx
         return flat.reshape(self.shape)
 
 
 class Plan:
-    """The per-step ops of one graph. `layer(node)` builds the object that
-    steps neuron node `node`: its `step(currents)` takes the (arity, B, n)
-    influx currents and returns the (B, n) spikes; `layers` maps each neuron
-    node id to it. `step(x)` takes the (B, ...) input frames and returns the
-    output node's (B, n_out) influx currents.
-    """
+    """The per-step ops of one graph of `STEPPABLE` kinds. `layer(node)` builds
+    the object that steps neuron node `node`: its `step(currents)` takes the
+    (arity, B, n) influx currents and returns the (B, n) spikes; `layers` maps
+    each neuron node id to it. `step(x)` takes the (B, ...) input frames and
+    returns the output node's (B, n_out) influx currents."""
 
     def __init__(self, graph: Graph, layer):
         self.input_size = int(np.prod(graph.nodes[graph.input_id].params["shape"]))
@@ -58,6 +60,8 @@ class Plan:
         for nid in graph.topo_order:
             node = graph.nodes[nid]
             ins = [values[s] for s, _ in graph.predecessors(nid)]
+            if node.kind not in STEPPABLE:
+                raise GraphError(f"node {nid!r} ({node.kind}) has no step rule")
             if node.kind == "input":
                 values[nid] = _Value(0, None, node.params["shape"])
             elif node.kind == "neuron":
@@ -115,12 +119,18 @@ class Plan:
                 x = s[a]
                 s[out] = conv2d(x.reshape(len(x), *in_shape), w, b, stride,
                                 padding).reshape(len(x), -1)
-        else:
+        elif node.kind == "concat":
             def op(s):
-                s[out] = np.stack([
-                    node_forward(node, [s[i][k].reshape(sh) for i, sh in srcs]).reshape(-1)
-                    for k in range(len(s[a]))
-                ])
+                s[out] = np.concatenate([s[i] for i, _ in srcs], axis=1)
+        else:  # add, in port order; each operand's rank padded as numpy pads it
+            shapes = [(1,) * (len(shape) - len(sh)) + sh for _, sh in srcs]
+
+            def op(s):
+                B = len(s[a])
+                acc = s[a].reshape(B, *shapes[0])
+                for (i, _), sh in zip(srcs[1:], shapes[1:]):
+                    acc = acc + s[i].reshape(B, *sh)
+                s[out] = acc.reshape(B, -1)
 
         self.ops.append(op)
         return _Value(out, None, shape)
@@ -140,31 +150,20 @@ class Plan:
                 raise GraphError(f"node {node.id!r} (neuron) has {key} of shape "
                                  f"{np.shape(cal)}, not ({len(ins)}, {n})") from None
         neuron = self.layers[node.id] = layer(node)
-        if len({v.slot for v in ins}) > 1:
-            srcs = [(self._flat(v), size != n) for v, size in zip(ins, sizes)]
-
-            def op(s):
-                B = len(s[0])
-                s[out] = neuron.step(np.stack([
-                    np.broadcast_to(s[a], (B, n)) if bcast else s[a] for a, bcast in srcs
-                ]))
-        elif len(ins) == 1 and ins[0].idx is None and sizes[0] == n:
-            src = ins[0].slot
-
+        if len({v.slot for v in ins}) > 1:  # join the operands into one slot
+            joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
+            ins = [_Value(joined, start + np.arange(k), (k,))
+                   for start, k in zip(np.cumsum([0, *sizes]), sizes)]
+        src = ins[0].slot
+        if len(ins) == 1 and ins[0].idx is None and sizes[0] == n:
             def op(s):
                 s[out] = neuron.step(s[src][None])
         else:
-            # operands from one slot: one flat take into a contiguous (arity, B, n) block
-            src = ins[0].slot
+            # one take of the (arity, n) index table gives the (B, arity, n) block
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
-            takes: dict[int, np.ndarray] = {}  # batch size -> flat indices of the block
 
             def op(s):
-                x = s[src]
-                idx = takes.get(len(x))
-                if idx is None:
-                    idx = takes[len(x)] = sel[:, None] + x.shape[1] * np.arange(len(x))[:, None]
-                s[out] = neuron.step(x.take(idx))
+                s[out] = neuron.step(s[src].take(sel, axis=1).transpose(1, 0, 2))
 
         self.ops.append(op)
         return _Value(out, None, node.params["shape"])

@@ -18,7 +18,7 @@ from ..neurons import MECHANISMS, FiringMechanism
 from ..schedules import Schedule, ScheduleError, parse_schedule
 from . import io as gio
 from .model import Graph, GraphError, Node, infer_shapes, run_forward
-from .plan import Plan
+from .plan import STEPPABLE, Plan
 
 __all__ = [
     "ConversionError",
@@ -251,7 +251,10 @@ _MECHANISM_OF = {kind: mech for mech, (_, kind) in MECHANISMS.items()}
 
 @dataclass
 class SnnGraph:
-    """Converted network: operator DAG with neuron layers, one shared schedule."""
+    """Converted network: operator DAG with neuron layers, one shared schedule.
+
+    Every node is of a kind the step plan can step (`plan.STEPPABLE`): linear
+    plumbing between neuron layers, never an ANN nonlinearity."""
 
     graph: Graph
     family: str
@@ -262,6 +265,10 @@ class SnnGraph:
     def __post_init__(self):
         if self.family not in ("subgrad", "signgd"):
             raise ConversionError(f"unknown neuron family {self.family!r}")
+        for node in self.graph.nodes.values():
+            if node.kind not in STEPPABLE:
+                raise ConversionError(f"node {node.id!r} ({node.kind}) cannot be stepped "
+                                      f"by a spiking network")
         for node in self.neuron_nodes():
             if (node.params["mech"] == "subgrad") != (self.family == "subgrad"):
                 raise ConversionError(f"node {node.id!r} ({node.params['mech']}) is not "

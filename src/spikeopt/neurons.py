@@ -49,6 +49,8 @@ __all__ = [
     "IfNeuron",
     "LifNeuron",
     "SubgradNeuron",
+    "check_subgrad_coefficients",
+    "check_signgd_coefficients",
     "FiringMechanism",
     "parse_mechanism",
     "SignGdNeuron",
@@ -129,11 +131,23 @@ class LifNeuron(IfNeuron):
         return s
 
 
+def check_subgrad_coefficients(coeffs: SubgradCoefficients) -> None:
+    """Raise ValueError unless the coefficients meet their constraints to t = 32."""
+    if not validate_subgrad_coefficients(coeffs, coeffs.schedule, t_max=32):
+        raise ValueError("subgradient coefficients violate their constraint equations")
+
+
+def check_signgd_coefficients(coeffs: SignGdCoefficients, schedule: Schedule) -> None:
+    """Raise ValueError unless the coefficients meet their constraints to t = 64."""
+    if not validate_signgd_coefficients(coeffs, schedule, t_max=64, tol=1e-9):
+        raise ValueError("sign-dynamics coefficients violate their constraint equations")
+
+
 class SubgradNeuron:
     """Generalized subgradient-based neuron.
 
-        u_pre(t) = alpha(t-1) u(t-1) + gamma(t) I(t)
-        s(t)     = H(u_pre(t) - u_pre(0) * prod_{j=0..t-1} alpha(j))
+        u_pre(t) = alpha(t-1) u(t-1) + gamma(t) I(t),   u(0) = 0
+        s(t)     = H(u_pre(t))
         u(t)     = u_pre(t) - beta(t) s(t)
 
     The schedule decode of the emitted spikes tracks the subgradient method on
@@ -142,21 +156,19 @@ class SubgradNeuron:
     `reset(batch)` gives the state a leading axis of `batch` items.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, u_pre0: float = 0.0,
-                 validate: bool = True, table: StepTable | None = None):
-        if validate and not validate_subgrad_coefficients(coeffs, coeffs.schedule, t_max=32):
-            raise ValueError("subgradient coefficients violate their constraint equations")
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True,
+                 table: StepTable | None = None):
+        if validate:
+            check_subgrad_coefficients(coeffs)
         self.c = coeffs
         self._factors = (table.__getitem__ if table is not None
                          else partial(subgrad_step_factors, coeffs))
         self.n = n
-        self.u_pre0 = float(u_pre0)
         self.reset()
 
     def reset(self, batch: int | None = None):
         shape = (self.n,) if batch is None else (batch, self.n)
-        self.u = np.full(shape, self.u_pre0)
-        self.alpha_prod = 1.0
+        self.u = np.zeros(shape)
         self.t = 0
         self.y = np.zeros(shape)
         self.spike_count = 0 if batch is None else np.zeros(batch, dtype=np.int64)
@@ -164,9 +176,8 @@ class SubgradNeuron:
     def step(self, I) -> np.ndarray:
         self.t += 1
         alpha, gamma, beta, eta_t = self._factors(self.t)
-        self.alpha_prod *= alpha
         u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64).reshape(self.u.shape)
-        s = heaviside(u_pre - self.u_pre0 * self.alpha_prod)
+        s = heaviside(u_pre)
         self.u = u_pre - beta * s
         self.y = (1.0 - eta_t) * self.y + eta_t * s
         self.spike_count += s.sum(-1).astype(np.int64)
@@ -279,8 +290,8 @@ class SignGdNeuron:
                  table: StepTable | None = None):
         W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
         b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
-        if validate and not validate_signgd_coefficients(coeffs, schedule, t_max=64, tol=1e-9):
-            raise ValueError("sign-dynamics coefficients violate their constraint equations")
+        if validate:
+            check_signgd_coefficients(coeffs, schedule)
         self.mech = mech
         self.c = coeffs
         self.schedule = schedule

@@ -202,14 +202,28 @@ class TestConvertInferProbeEnergy:
         assert set(vals) <= {0.0, 1.0}
         assert 0.5 <= np.mean(vals) <= 0.9
 
-    def test_subgrad_rejects_gelu_model(self, tmp_path):
+    def test_subgrad_rejects_gelu_model(self, tmp_path, capsys):
         g = build_layernorm_block(seed=5)
         save_model(g, tmp_path / "ln")
-        from spikeopt.graph import ConversionError
+        rc = main(["convert", str(tmp_path / "ln.json"), "--family", "subgrad",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("spikeopt convert: error: node 'ln' (layernorm)")
 
-        with pytest.raises(ConversionError):
-            main(["convert", str(tmp_path / "ln.json"), "--family", "subgrad",
-                  "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("missing", ["snn.json", "data.sten"])
+    def test_missing_input_file(self, pipeline, capsys, missing):
+        tmp, _ = pipeline
+        assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                     "--out", str(tmp / "snn")]) == 0
+        (tmp / missing).unlink()
+        capsys.readouterr()
+        rc = main(["infer", str(tmp / "snn.json"), "--data", str(tmp / "data.sten"),
+                   "--T", "4", "--report", str(tmp / "acc.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"spikeopt infer: error: no such file: {tmp / missing}\n")
 
     def test_signgd_layernorm_census(self, tmp_path, capsys):
         g = build_layernorm_block(seed=5)

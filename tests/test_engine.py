@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
+from spikeopt import neurons
 from spikeopt.codec import DeterministicEncoder, make_rng
 from spikeopt.engine import (
     EnergyModel,
@@ -150,6 +151,27 @@ class TestInstance:
     def test_classify(self):
         hist = np.array([[0.1, 0.9], [0.8, 0.2]])
         assert classify(hist) == 0
+
+    @pytest.mark.parametrize("family,validator,message", [
+        ("signgd", "validate_signgd_coefficients", "sign-dynamics coefficients"),
+        ("subgrad", "validate_subgrad_coefficients", "subgradient coefficients"),
+    ])
+    def test_coefficients_validated_once(self, monkeypatch, family, validator, message):
+        """One coefficient set per network, checked once, not once per layer."""
+        snn = snn_of(build_mlp(seed=3, dims=(8, 16, 16, 4)), family)
+        assert len(snn.neuron_nodes()) == 2
+        calls, check = [], getattr(neurons, validator)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(neurons, validator, counted)
+        SnnInstance(snn)
+        assert len(calls) == 1
+        monkeypatch.setattr(neurons, validator, lambda *args, **kwargs: False)
+        with pytest.raises(ValueError, match=f"{message} violate their constraint equations"):
+            SnnInstance(snn)
 
 
 class TestRunFidelity:

@@ -31,6 +31,8 @@ from spikeopt.graph import (
     save_model,
     save_tensor,
 )
+from spikeopt.graph.model import KINDS
+from spikeopt.graph.plan import STEPPABLE, Plan
 from spikeopt.schedules import Schedule
 
 
@@ -549,6 +551,47 @@ def edit_act0(**edit):
     return lambda manifest: act0(manifest).update(edit)
 
 
+# the source-model kinds that conversion replaces or folds away
+ANN_ONLY = ["avgpool2d", "batchnorm", "gelu", "layernorm", "leaky_relu", "max2",
+            "maxpool2d", "mul_inv_sqrt", "relu", "square"]
+# params of node "x" in one_node_graph for the kinds a spiking network steps
+STEP_PARAMS = {
+    "dense": {"weight": np.ones((3, 4)), "bias": np.zeros(3)},
+    "affine": {"weight": np.ones((3, 4)), "bias": np.zeros(3)},
+    "conv2d": {"weight": np.ones((2, 1, 1, 1)), "bias": np.zeros(2)},
+    "reshape": {"shape": [4]},
+    "transpose": {"perm": [0, 2, 1]},
+    "gather": {"indices": [3, 0]},
+    "neuron": {"mech": "signgd:max2", "count": 4, "shape": [1, 2, 2]},
+}
+
+
+def one_node_graph(kind):
+    """input (1, 2, 2) -> node "x" of `kind`, the input on each port -> output."""
+    ports = 2 if kind in ("add", "concat", "max2", "mul_inv_sqrt", "neuron") else 1
+    nodes = [Node("in", "input", {"shape": [1, 2, 2]}),
+             Node("x", kind, STEP_PARAMS.get(kind, {})), Node("out", "output", {})]
+    return Graph(nodes, [("x", "out", 0)] + [("in", "x", p) for p in range(ports)])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS - {"input", "output"}))
+def test_every_kind_is_steppable_or_rejected(kind):
+    """The plan steps every kind SnnGraph accepts; SnnGraph rejects the rest."""
+    assert set(ANN_ONLY).isdisjoint(STEPPABLE) and STEPPABLE <= KINDS
+    g = one_node_graph(kind)
+    if kind not in STEPPABLE:
+        with pytest.raises(GraphError, match=rf"'x' \({kind}\)"):
+            SnnGraph(g, "signgd", Schedule.inverse(1.0))
+        with pytest.raises(GraphError, match=rf"'x' \({kind}\) has no step rule"):
+            Plan(g, None)
+        return
+    from spikeopt.engine import run
+
+    snn = calibrate(SnnGraph(g, "signgd", Schedule.inverse(1.0)))
+    hist = run(snn, make_rng(2).normal(0, 1, (1, 2, 2)), 4)
+    assert hist.shape[0] == 4 and np.isfinite(hist).all()
+
+
 class TestSnnLoad:
     """Bad neuron files fail in SnnGraph.load, naming the node or the family."""
 
@@ -568,6 +611,18 @@ class TestSnnLoad:
         mutate(manifest)
         (tmp_path / "net.json").write_text(json.dumps(manifest))
         with pytest.raises(error, match=match):
+            SnnGraph.load(tmp_path / "net")
+
+    @pytest.mark.parametrize("kind", ANN_ONLY)
+    def test_ann_only_kind_rejected(self, tmp_path, kind):
+        """A converted net whose act0 is an ANN nonlinearity again would apply
+        it to spike currents: loading it names the node and its kind."""
+        manifest = saved_snn(tmp_path, "signgd")
+        next(n for n in manifest["nodes"] if n["id"] == "act0")["kind"] = kind
+        if kind in ("max2", "mul_inv_sqrt"):  # two-port kinds get a second operand
+            manifest["edges"].append(["fc0", "act0", 1])
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+        with pytest.raises(GraphError, match=rf"'act0' \({kind}\)"):
             SnnGraph.load(tmp_path / "net")
 
     @pytest.mark.parametrize("mutate,match", [

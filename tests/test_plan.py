@@ -21,6 +21,7 @@ from spikeopt.codec import make_rng
 from spikeopt.engine import SnnInstance, make_input_encoder, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
+from spikeopt.graph.plan import Plan
 from spikeopt.neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
 from spikeopt.schedules import (
     parse_schedule,
@@ -297,3 +298,28 @@ def test_calibration_matches_reference_walk(model, family, schedule):
     out = g.nodes[g.output_id]
     np.testing.assert_array_equal(out.params["cal_w"], out_hi - out_lo)
     np.testing.assert_array_equal(out.params["cal_b"], out_lo)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(6,), (6,), (6,)],
+    [(2, 3), (3,)],
+    [(3,), (2, 1, 3), (1, 3)],
+    [(4, 1), (1, 5), (5,)],
+], ids=["three-inputs", "row", "ranks-3-1-2", "outer"])
+def test_batched_add_is_the_per_item_add(shapes):
+    """The add op sums each item's operands in port order, their ranks padded
+    on the left as numpy pads them for one item, bit for bit."""
+    sizes = [int(np.prod(sh)) for sh in shapes]
+    starts = np.cumsum([0, *sizes])
+    nodes, edges = [Node("in", "input", {"shape": [int(starts[-1])]})], []
+    for k, sh in enumerate(shapes):
+        nodes += [Node(f"g{k}", "gather", {"indices": list(range(starts[k], starts[k + 1]))}),
+                  Node(f"r{k}", "reshape", {"shape": list(sh)})]
+        edges += [("in", f"g{k}", 0), (f"g{k}", f"r{k}", 0), (f"r{k}", "add", k)]
+    add = Node("add", "add", {})
+    g = Graph(nodes + [add, Node("out", "output", {})], edges + [("add", "out", 0)])
+    X = make_rng(3).normal(0, 1, (4, int(starts[-1])))
+    got = Plan(g, None).step(X)
+    for x, row in zip(X, got):
+        operands = [x[a:b].reshape(sh) for a, b, sh in zip(starts, starts[1:], shapes)]
+        np.testing.assert_array_equal(row, node_forward(add, operands).reshape(-1))
