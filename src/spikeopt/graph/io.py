@@ -125,7 +125,10 @@ def load_model(path) -> tuple[Graph, dict]:
                 f"{bpath}: tensor {name!r} needs bytes [{off}, {off + size}) "
                 f"but blob has {len(data)}"
             )
-        return np.frombuffer(data, dtype="<f4", count=size // 4, offset=off).reshape(shape).copy()
+        arr = np.frombuffer(data, dtype="<f4", count=size // 4, offset=off).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"{bpath}: tensor {name!r} holds NaN or inf values")
+        return arr
 
     try:
         nodes = []

@@ -203,8 +203,9 @@ MECHANISMS = {
 class FiringMechanism:
     """Heaviside condition over scaled (u, v) encoding a gradient sign.
 
-    The branch structure is exclusive so the output stays binary at ties
-    (H(0) = 1 everywhere; max2 lets the first operand win ties).
+    Every rule but misr is one comparison: u >= m(v) against the target
+    m(v) of its nonlinearity, or (1 + exp(-1.702 v0)) u >= v0 for gelu.
+    A tie fires, as H(0) = 1 does.
     """
 
     kind: str
@@ -219,22 +220,33 @@ class FiringMechanism:
         return MECHANISMS[self.kind][0]
 
     def spike(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u: shape (n,); v: shape (arity, n), both already scale-corrected."""
+        """u: shape (n,); v: shape (arity, n), both already scale-corrected.
+
+        Each comparison x >= y is the Heaviside H(x - y) of the rule as the
+        paper writes it, bit for bit: for finite x and y, under
+        round-to-nearest with gradual underflow, x - y rounds to zero only
+        when x == y and otherwise keeps the sign of the exact difference, and
+        an overflow to +-inf keeps it too. The inputs are finite because the
+        model and tensor loaders and the input encoder reject NaN and inf. A
+        target that overflows (v0 ** 2 for |v0| > 1.3e154, exp(-1.702 v0) for
+        v0 < -417) becomes inf, and the comparison gives the spike the
+        difference would; gelu's inf * 0 (u = 0) is NaN and does not fire.
+        """
         k = self.kind
         if k == "relu":
-            v0 = v[0]
-            return np.where(v0 >= 0, heaviside(u - v0), heaviside(u))
+            return (u >= np.maximum(v[0], 0.0)).astype(np.float64)
+        if k == "max2":
+            return (u >= np.maximum(v[0], v[1])).astype(np.float64)
         if k == "leaky":
             v0 = v[0]
-            return np.where(v0 >= 0, heaviside(u - v0), heaviside(u - self.delta * v0))
+            return (u >= np.where(v0 >= 0, v0, self.delta * v0)).astype(np.float64)
+        if k == "square":
+            with np.errstate(over="ignore"):
+                return (u >= v[0] ** 2).astype(np.float64)
         if k == "gelu":
             v0 = v[0]
-            return heaviside((1.0 + np.exp(-1.702 * v0)) * u - v0)
-        if k == "square":
-            return heaviside(u - v[0] ** 2)
-        if k == "max2":
-            sel = v[0] >= v[1]
-            return heaviside(u - np.where(sel, v[0], v[1]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return ((1.0 + np.exp(-1.702 * v0)) * u >= v0).astype(np.float64)
         # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
         # the output toward zero (SignGdNeuron counts these degeneracies).
         v1, v2 = v[0], v[1]
@@ -283,6 +295,8 @@ class SignGdNeuron:
     A step reads its scalars once, as the `signgd_step_factors` row `f`;
     `table` shares those rows between the layers of one network.
     `degeneracies` counts misr evaluations with a non-positive denominator.
+    The spikes a step returns are new arrays; u and v, which `integrate` and
+    `reset_potential` return, are updated in place by the next step.
     """
 
     def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients,
@@ -309,35 +323,64 @@ class SignGdNeuron:
         self.u = np.zeros(shape)
         scale = float(self.c.alpha2(0)) / float(self.schedule(0))
         self.v = np.broadcast_to(scale * self._b, (self.mech.arity, *shape)).copy()
+        # two scratch buffers shaped like v and two like u, and each neuron's
+        # spikes since reset (float counts are exact to 2**53)
+        self._vx, self._vy = np.empty_like(self.v), np.empty_like(self.v)
+        self._ux, self._uy = np.empty_like(self.u), np.empty_like(self.u)
+        self._fired = np.zeros(shape)
         self.t = 0
-        self.spike_count = 0 if batch is None else np.zeros(batch, dtype=np.int64)
         self.degeneracies = 0
         self.f = self._factors(1)
 
-    # -- the three stages of step t + 1 (factors f); step() runs them in order
+    @property
+    def spike_count(self):
+        """Spikes fired since reset: an int, or (batch,) ints."""
+        return self._fired.sum(-1).astype(np.int64)
+
+    # -- the three stages of step t + 1 (factors f); step() runs them in order.
+    # Each computes the expression in its comment with the same operations in
+    # the same order, so u and v keep every bit the expression gives them.
+    # Intermediates go to the scratch buffers and the last operation writes
+    # u or v, so none of them writes over its own operand (numpy copies such
+    # an operand first when it has one element, as in the standalone n = 1
+    # neuron). The spike tally is the one update in place.
 
     def integrate(self, I) -> np.ndarray:
         """Advance v with the raw currents of the step being processed."""
         _, a1, a2, _, _, _, _ = self.f
         I = np.asarray(I, dtype=np.float64).reshape(self.v.shape)
-        self.v = a1 * self.v - a2 * (2.0 * (I - self._b) - self._W)
-        return self.v
+        x, y, v = self._vx, self._vy, self.v
+        # v <- a1 v - a2 (2 (I - b) - W)
+        np.subtract(I, self._b, x)
+        np.multiply(x, 2.0, y)
+        np.subtract(y, self._W, x)
+        np.multiply(x, a2, y)
+        np.multiply(v, a1, x)
+        np.subtract(x, y, v)
+        return v
 
     def fire(self) -> np.ndarray:
         _, _, _, u_scale, v_scale, _, _ = self.f
-        v = v_scale * self.v
+        # spike(u_scale u, v_scale v)
+        v = np.multiply(self.v, v_scale, self._vx)
         if self.mech.kind == "misr":
             self.degeneracies += int(np.sum(~(v[1] > 0)))
-        return self.mech.spike(u_scale * self.u, v)
+        return self.mech.spike(np.multiply(self.u, u_scale, self._ux), v)
 
     def reset_potential(self, s) -> np.ndarray:
         _, _, _, _, _, b1, b2 = self.f
         s = np.asarray(s)
-        self.u = self.u / b1 - b2 * (2.0 * s - 1.0)
+        x, y, u = self._ux, self._uy, self.u
+        # u <- u / b1 - b2 (2 s - 1)
+        np.multiply(s, 2.0, x)
+        np.subtract(x, 1.0, y)
+        np.multiply(y, b2, x)
+        np.divide(u, b1, y)
+        np.subtract(y, x, u)
+        np.add(self._fired, s, self._fired)
         self.t += 1
-        self.spike_count += s.sum(-1).astype(np.int64)
         self.f = self._factors(self.t + 1)
-        return self.u
+        return u
 
     def step(self, I) -> np.ndarray:
         self.integrate(I)

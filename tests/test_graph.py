@@ -151,6 +151,18 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="x.sten.*NaN or inf"):
             load_tensor(tmp_path / "x.sten")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_model_tensor_rejected(self, tmp_path, bad):
+        g = build_mlp(seed=3, dims=(4, 2))
+        save_model(g, tmp_path / "m")
+        entry = json.loads((tmp_path / "m.json").read_text())["tensors"]["fc0.bias"]
+        blob = bytearray((tmp_path / "m.bin").read_bytes())
+        start = 4 + entry["offset"] + 4  # past the magic, at the second element
+        blob[start:start + 4] = np.float32(bad).tobytes()
+        (tmp_path / "m.bin").write_bytes(bytes(blob))
+        with pytest.raises(ModelFormatError, match="m.bin.*fc0.bias.*NaN or inf"):
+            load_model(tmp_path / "m")
+
     @pytest.mark.parametrize("mutate", MANIFEST_MUTATIONS.values(), ids=list(MANIFEST_MUTATIONS))
     def test_malformed_manifest_field(self, tmp_path, mutate):
         g = build_mlp(seed=3, dims=(4, 2))

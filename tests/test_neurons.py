@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference_neuron import reference_spike
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
     FiringMechanism,
@@ -159,6 +162,18 @@ class TestMechanisms:
         m = FiringMechanism("gelu")
         assert m.spike(np.array([1.0]), np.array([[0.0]]))[0] == 1.0
 
+    def test_gelu_overflowing_exp_fires_without_warning(self):
+        # exp(1702) overflows to inf: (1 + inf) * u >= v0 for u > 0
+        m = FiringMechanism("gelu")
+        assert m.spike(np.array([1.0]), np.array([[-1000.0]]))[0] == 1.0
+        assert m.spike(np.array([-1.0]), np.array([[-1000.0]]))[0] == 0.0
+
+    def test_square_overflowing_target_stays_silent_without_warning(self):
+        # 1e200 ** 2 overflows to inf, above every finite u
+        m = FiringMechanism("square")
+        s = m.spike(np.array([1e300, -1.0]), np.array([[1e200, -1e200]]))
+        np.testing.assert_array_equal(s, [0.0, 0.0])
+
     def test_max2_selector(self):
         m = FiringMechanism("max2")
         assert m.spike(np.array([2.0]), np.array([[3.0], [1.0]]))[0] == 0.0
@@ -215,6 +230,43 @@ class TestMechanisms:
         np.testing.assert_array_equal(
             m.spike(u, v), heaviside(u - v[0] / np.sqrt(v[1]))
         )
+
+
+RULES = [FiringMechanism(k) for k in ("relu", "gelu", "square", "max2", "misr")] + [
+    FiringMechanism("leaky", d) for d in (0.01, 0.1, 0.2, 0.5, 1.0)]
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
+         1e154, -1e154, 1e308, -1e308, 1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+
+
+def target(mech, v0, v1):
+    """The m(v) of `mech` as a float, where u == m(v) is a tie."""
+    with np.errstate(all="ignore"):
+        return float({
+            "relu": lambda: max(v0, 0.0),
+            "max2": lambda: max(v0, v1),
+            "leaky": lambda: v0 if v0 >= 0 else mech.delta * v0,
+            "square": lambda: np.float64(v0) ** 2,
+            "gelu": lambda: v0 / (1.0 + np.exp(np.float64(-1.702 * v0))),
+            "misr": lambda: v0 / np.sqrt(np.float64(v1)) if v1 > 0 else 0.0,
+        }[mech.kind]())
+
+
+@settings(max_examples=300, deadline=None)
+@given(mech=st.sampled_from(RULES),
+       rows=st.lists(st.tuples(finite, finite, finite, st.booleans()), min_size=1, max_size=8))
+@example(mech=FiringMechanism("gelu"), rows=[(0.0, -1000.0, 0.0, False)])
+@example(mech=FiringMechanism("square"), rows=[(1e300, 1e200, 0.0, False)])
+def test_spike_rules_equal_the_heaviside_forms(mech, rows):
+    """Each comparison rule gives, bit for bit, the Heaviside of the
+    difference it replaces, on every finite input and at exact ties."""
+    cols = []
+    for x, a, b, tie in rows:
+        m = target(mech, a, b)
+        cols.append((m if tie and np.isfinite(m) else x, a, b))
+    u, v0, v1 = map(np.array, zip(*cols))
+    v = np.stack([v0, v1][:mech.arity])
+    np.testing.assert_array_equal(mech.spike(u, v), reference_spike(mech, u, v))
 
 
 def misr_layer(mech):
@@ -294,6 +346,24 @@ class TestSignGdNeuronUnits:
             # scaled v(0) must reconstruct the bias exactly
             scale = s(0) / float(neuron.c.alpha2(0))
             assert scale * neuron.v[0, 0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kind", ["relu", "leaky", "gelu", "square", "max2", "misr"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_returned_spikes_survive_the_next_step(self, kind, batch):
+        # the stages reuse their buffers from step to step; the spikes they
+        # return are the caller's to keep
+        s = Schedule.inverse(1.0)
+        arity = FiringMechanism(kind).arity
+        neuron = SignGdNeuron(FiringMechanism(kind), solve_signgd_coefficients(s), s,
+                              W=1.0, b=np.linspace(-1.0, 1.0, 4), n=4)
+        neuron.reset(batch)
+        shape = (arity, 4) if batch is None else (arity, batch, 4)
+        rng = make_rng(4)
+        kept = [(spikes, spikes.copy()) for spikes in (
+            neuron.step(rng.uniform(-2.0, 2.0, shape)) for _ in range(20))]
+        assert len({sp.tobytes() for _, sp in kept}) > 1
+        for spikes, copy in kept:
+            np.testing.assert_array_equal(spikes, copy)
 
     def test_corrupted_coefficients_rejected(self):
         s = Schedule.inverse(1.0)

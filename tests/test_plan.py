@@ -2,11 +2,13 @@
 
 The walker steps a converted network the way the engine did before it
 compiled plans: every node in topological order with its predecessors looked
-up per step, linear nodes through `node_forward`, and neuron layers built
-from the neuron classes with callable coefficients. The plan must reproduce
-it bit for bit: readout history, per-layer spike counts, layer decodes and
-the calibration records. A batch of items stepped in lockstep must give
-each item what running it alone gives, bit for bit.
+up per step, linear nodes through `node_forward`, and neuron layers with
+callable coefficients: `SubgradNeuron`, and in the sign family the
+reference neuron of `reference_neuron.py`, whose spike rules and state
+updates are the paper's expressions. The plan must reproduce it bit for bit:
+readout history, per-layer spike counts, layer decodes, the sign layers' u
+and v, and the calibration records. A batch of items stepped in lockstep
+must give each item what running it alone gives, bit for bit.
 """
 
 from functools import lru_cache
@@ -17,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
+from reference_neuron import ReferenceSignGdNeuron
 from spikeopt.codec import make_rng
 from spikeopt.engine import SnnInstance, make_input_encoder, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
 from spikeopt.graph.plan import Plan
-from spikeopt.neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
+from spikeopt.neurons import SubgradNeuron, parse_mechanism
 from spikeopt.schedules import (
     parse_schedule,
     solve_signgd_coefficients,
@@ -146,7 +149,7 @@ def reference_run(snn, x, T, encoder, seed):
             layers[node.id] = SubgradNeuron(solve_subgrad_coefficients(snn.schedule), n=n)
         else:
             coeffs = solve_signgd_coefficients(snn.schedule, snn.parameterization)
-            layers[node.id] = SignGdNeuron(
+            layers[node.id] = ReferenceSignGdNeuron(
                 parse_mechanism(node.params["mech"]), coeffs, snn.schedule,
                 W=node.tensor("cal_w"), b=node.tensor("cal_b"), n=n,
             )
@@ -164,7 +167,9 @@ def reference_run(snn, x, T, encoder, seed):
         history[t - 1] = r
     spikes = {nid: layer.spike_count for nid, layer in layers.items()}
     decoded = {nid: np.asarray(layer.decoded).copy() for nid, layer in layers.items()}
-    return history, spikes, decoded
+    states = {nid: (layer.u, layer.v) for nid, layer in layers.items()
+              if isinstance(layer, ReferenceSignGdNeuron)}
+    return history, spikes, decoded, states
 
 
 def input_for(snn, seed, items=None):
@@ -189,7 +194,7 @@ configs = st.tuples(
 def test_plan_matches_reference_walk(config, encoder, T, seed):
     snn = converted(*config)
     x = input_for(snn, seed)
-    want_hist, want_spikes, want_decoded = reference_run(snn, x, T, encoder, seed)
+    want_hist, want_spikes, want_decoded, want_states = reference_run(snn, x, T, encoder, seed)
     inst = SnnInstance(snn)
     hist = run(snn, x, T, encoder=encoder, seed=seed, instance=inst)
     np.testing.assert_array_equal(hist, want_hist)
@@ -198,6 +203,9 @@ def test_plan_matches_reference_walk(config, encoder, T, seed):
     assert decoded.keys() == want_decoded.keys()
     for nid, want in want_decoded.items():
         np.testing.assert_array_equal(decoded[nid][0], want)
+    for nid, (u, v) in want_states.items():  # the sign layers' u and v, bit for bit
+        np.testing.assert_array_equal(inst.layers[nid].u[0], u)
+        np.testing.assert_array_equal(inst.layers[nid].v[:, 0], v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,6 +261,20 @@ def test_reused_instance_matches_fresh_runs(model, family):
         x = input_for(snn, seed)
         got = run(snn, x, 16, encoder="stoch", seed=seed, instance=inst)
         np.testing.assert_array_equal(got, run(snn, x, 16, encoder="stoch", seed=seed))
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+def test_reused_instance_across_batch_sizes(model, family):
+    """Each reset sizes the layers' buffers to its batch: one instance run
+    through chunks of 4, 3, 1 and 4 items gives what fresh instances give."""
+    snn = converted(model, family, "inv:1", "canonical")
+    inst = SnnInstance(snn)
+    for seed, items in enumerate((4, 3, 1, 4)):
+        X = input_for(snn, seed, items)
+        hist, spikes = run_batch(snn, X, 16, encoder="stoch", seed=seed, instance=inst)
+        want_hist, want_spikes = run_batch(snn, X, 16, encoder="stoch", seed=seed)
+        np.testing.assert_array_equal(hist, want_hist)
+        np.testing.assert_array_equal(spikes, want_spikes)
 
 
 @settings(max_examples=30, deadline=None)
