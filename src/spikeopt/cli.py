@@ -190,6 +190,11 @@ def cmd_neuron_sweep(args):
     schedule = parse_schedule(args.schedule)
     mech = parse_mechanism(args.mech)
     grid = np.linspace(args.xmin, args.xmax, args.points)
+    if mech.kind == "misr" and np.any(grid <= 0):
+        print(f"spikeopt neuron-sweep: error: misr sweeps its denominator, which must be "
+              f"> 0 on the whole grid; got --xmin {args.xmin:g} --xmax {args.xmax:g}",
+              file=sys.stderr)
+        return 2
     ops = _sweep_operands(mech.kind, grid, args.seed)
     n = grid.size
     coeffs = solve_signgd_coefficients(schedule, args.parameterization)
@@ -333,19 +338,13 @@ def cmd_energy(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="spikeopt",
-        description="Spiking neuronal dynamics as verifiable first-order optimizers",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _common_run_flags(q):
+    q.add_argument("--encoder", default="float", choices=["float", "det", "stoch"])
+    q.add_argument("--c", type=float, default=0.5, help="stochastic encoder steepness")
+    q.add_argument("--seed", type=int, default=0)
 
-    def common_run_flags(q):
-        q.add_argument("--encoder", default="float", choices=["float", "det", "stoch"])
-        q.add_argument("--c", type=float, default=0.5, help="stochastic encoder steepness")
-        q.add_argument("--seed", type=int, default=0)
 
-    q = sub.add_parser("encode", help="emit one encoded train as CSV (t,s)")
+def _encode_args(q):
     q.add_argument("--x", type=float, required=True)
     q.add_argument("--schedule", default="inv:1")
     q.add_argument("--T", type=int, default=64)
@@ -353,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--c", type=float, default=0.5)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_encode)
 
-    q = sub.add_parser("oracle-check", help="replay a neuron against its optimizer form")
+
+def _oracle_check_args(q):
     q.add_argument("--neuron", required=True,
                    help="if | lif | subgrad | signgd:relu | signgd:leaky:<d> | ...")
     q.add_argument("--schedule", default="inv:1")
@@ -367,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="debug: scale beta1 and bypass validation")
     q.add_argument("--corrupt-alpha", type=float, default=1.0,
                    help="debug: scale the subgrad alpha and bypass validation")
-    q.set_defaults(func=cmd_oracle_check)
 
-    q = sub.add_parser("neuron-sweep", help="single-neuron approximation error over a grid")
+
+def _neuron_sweep_args(q):
     q.add_argument("--mech", required=True)
     q.add_argument("--schedule", default="inv:1")
     q.add_argument("--xmin", type=float, default=-3.0)
@@ -378,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--T", type=int, default=1000)
     q.add_argument("--parameterization", default="canonical",
                    choices=["canonical", "unit-current"])
-    common_run_flags(q)
+    _common_run_flags(q)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_neuron_sweep)
 
-    q = sub.add_parser("convert", help="convert an ANN model file to a spiking network")
+
+def _convert_args(q):
     q.add_argument("model")
     q.add_argument("--family", required=True, choices=["subgrad", "signgd"])
     q.add_argument("--schedule", default="inv:1")
@@ -394,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="STEN tensor of calibration inputs (default: seeded Gaussians)")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_convert)
 
-    q = sub.add_parser("infer", help="accuracy vs time steps on a dataset")
+
+def _infer_args(q):
     q.add_argument("snn")
     q.add_argument("--data", required=True)
     q.add_argument("--labels", default=None)
@@ -407,36 +406,76 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also dump one item's readout (t,class,logit0..logitN)")
     q.add_argument("--index", type=int, default=0,
                    help="dataset item for --run-trace")
-    common_run_flags(q)
+    _common_run_flags(q)
     q.add_argument("--report", required=True)
-    q.set_defaults(func=cmd_infer)
 
-    q = sub.add_parser("probe", help="layer-wise decode error trace")
+
+def _probe_args(q):
     q.add_argument("snn")
     q.add_argument("--data", required=True)
     q.add_argument("--index", type=int, default=0)
     q.add_argument("--T", type=int, default=256)
     q.add_argument("--dense-trace", action="store_true",
                    help="emit every step instead of checkpoints")
-    common_run_flags(q)
+    _common_run_flags(q)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_probe)
 
-    q = sub.add_parser("energy", help="synaptic-operation energy report")
+
+def _energy_args(q):
     q.add_argument("snn")
     q.add_argument("--data", required=True)
     q.add_argument("--T", type=int, default=64)
-    common_run_flags(q)
+    _common_run_flags(q)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_energy)
 
+
+# subcommand -> (help line, function adding its arguments, handler), in the
+# order the top-level help lists them
+COMMANDS = {
+    "encode": ("emit one encoded train as CSV (t,s)", _encode_args, cmd_encode),
+    "oracle-check": ("replay a neuron against its optimizer form", _oracle_check_args,
+                     cmd_oracle_check),
+    "neuron-sweep": ("single-neuron approximation error over a grid", _neuron_sweep_args,
+                     cmd_neuron_sweep),
+    "convert": ("convert an ANN model file to a spiking network", _convert_args,
+                cmd_convert),
+    "infer": ("accuracy vs time steps on a dataset", _infer_args, cmd_infer),
+    "probe": ("layer-wise decode error trace", _probe_args, cmd_probe),
+    "energy": ("synaptic-operation energy report", _energy_args, cmd_energy),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with `command`, it holds only that subcommand.
+
+    argparse builds a formatter for every argument it adds, so the full
+    parser costs ~2 ms. A subcommand's help, usage and argument errors depend
+    only on its own parser, so parsing one invocation needs only that one.
+    """
+    p = argparse.ArgumentParser(
+        prog="spikeopt",
+        description="Spiking neuronal dynamics as verifiable first-order optimizers",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args, handler) in COMMANDS.items():
+        if command in (None, name):
+            q = sub.add_parser(name, help=help_line)
+            add_args(q)
+            q.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
     """Run one subcommand; a bad model or graph and a missing file end it
     with one line on stderr and exit status 2."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's parser; help, a missing or unknown command
+    # and leftover arguments go to the full parser, whose usage line lists
+    # every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphError as exc:

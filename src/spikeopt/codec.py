@@ -62,14 +62,33 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class _ItemGenerators:
-    """One generator per item of a batch: `random((B, ...))` stacks each
-    item's own draws, so row i is what item i alone would draw."""
+    """One generator per item of a batch: `random((B, ...))` gives each
+    item's own draws, so row i is what item i alone would draw.
+
+    A PCG64 generator emits its doubles in sequence, so `g.random((k, *shape))`
+    is k calls of `g.random(shape)`, bit for bit. Each item therefore draws k
+    frames at a time, as many as fit in BLOCK doubles, and a call returns the
+    next frame of every item: a view into the block, which the draw k calls
+    later overwrites. Every call must ask for the same shape.
+    """
+
+    BLOCK = 4096
 
     def __init__(self, seeds):
         self.rngs = [make_rng(s) for s in seeds]
+        self.block = None
+        self.next = 0
 
     def random(self, shape):
-        return np.stack([g.random(shape[1:]) for g in self.rngs])
+        if self.block is None or self.next == self.block.shape[1]:
+            k = max(1, self.BLOCK // max(1, int(np.prod(shape[1:]))))
+            if self.block is None:
+                self.block = np.empty((len(self.rngs), k, *shape[1:]))
+            for g, rows in zip(self.rngs, self.block):
+                g.random(out=rows)
+            self.next = 0
+        self.next += 1
+        return self.block[:, self.next - 1]
 
 
 def _generator(seed):

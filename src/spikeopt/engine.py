@@ -113,18 +113,31 @@ class SnnInstance:
             layer.reset(batch)
         self.t = 0
         self.r = np.tile(self._r0, (batch, 1))
+        self._rx, self._ry = np.empty_like(self.r), np.empty_like(self.r)
 
     def step(self, input_frames) -> np.ndarray:
         """Propagate one spike/current frame per item, shape (B, ...) (one
-        item's frame may drop the B axis); returns the readouts, (B, n_out)."""
+        item's frame may drop the B axis); returns the readouts, (B, n_out),
+        as a new array."""
         self.t += 1
         out_current = self.plan.step(input_frames)
+        # the readout expression in each comment, operation for operation,
+        # through two scratch buffers
+        x, y, r, t = self._rx, self._ry, self.r, self.t
         if self.snn.family == "signgd":
-            eta_t = self._table[self.t][0]
-            self.r = self.r - eta_t * (2.0 * (out_current - self.readout_b) - self.readout_w)
+            # r <- r - eta(t) (2 (I_out - b_out) - W_out)
+            np.subtract(out_current, self.readout_b, x)
+            np.multiply(x, 2.0, y)
+            np.subtract(y, self.readout_w, x)
+            np.multiply(x, self._table[t][0], y)
+            np.subtract(r, y, r)
         else:
-            self.r = self.r * (self.t - 1) / self.t + out_current / self.t
-        return self.r.copy()
+            # r <- r (t - 1) / t + I_out / t
+            np.multiply(r, t - 1, x)
+            np.divide(x, t, y)
+            np.divide(out_current, t, x)
+            np.add(y, x, r)
+        return r.copy()
 
     @property
     def spike_counts(self) -> dict[str, np.ndarray]:
@@ -225,11 +238,13 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     layer_ids = list(inst.layers)
     errors = {nid: np.empty(T) for nid in layer_ids}
     readout_error = np.empty(T)
+    # max |decoded - reference| of each layer, through one buffer per layer
+    diffs = {nid: np.empty_like(ref[nid]) for nid in layer_ids}
     for t in range(T):
         r = inst.step(enc.step())[0]
-        decoded = inst.layer_decoded()
-        for nid in layer_ids:
-            errors[nid][t] = np.max(np.abs(decoded[nid][0] - ref[nid]))
+        for nid, layer in inst.layers.items():
+            d = np.subtract(layer.decoded[0], ref[nid], diffs[nid])
+            errors[nid][t] = np.abs(d, d).max()
         readout_error[t] = np.max(np.abs(r - ref_out))
     return TraceRecord(layer_ids=layer_ids, times=np.arange(1, T + 1), errors=errors,
                        readout_error=readout_error)

@@ -143,7 +143,17 @@ def check_signgd_coefficients(coeffs: SignGdCoefficients, schedule: Schedule) ->
         raise ValueError("sign-dynamics coefficients violate their constraint equations")
 
 
-class SubgradNeuron:
+class _SpikeTally:
+    """Each neuron's spikes since reset, kept as a float tally `_fired` with
+    one add per step (float counts are exact to 2**53)."""
+
+    @property
+    def spike_count(self):
+        """Spikes fired since reset: an int, or (batch,) ints."""
+        return self._fired.sum(-1).astype(np.int64)
+
+
+class SubgradNeuron(_SpikeTally):
     """Generalized subgradient-based neuron.
 
         u_pre(t) = alpha(t-1) u(t-1) + gamma(t) I(t),   u(0) = 0
@@ -154,6 +164,10 @@ class SubgradNeuron:
     the clipped-ReLU objective; `decoded` maintains that decode. `table`
     shares the `subgrad_step_factors` rows between the layers of one network.
     `reset(batch)` gives the state a leading axis of `batch` items.
+
+    A step computes each expression in its comment with the same operations
+    in the same order, into three scratch buffers, and writes u and the
+    decode y last, in place; the spikes it returns are new arrays.
     """
 
     def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True,
@@ -171,16 +185,28 @@ class SubgradNeuron:
         self.u = np.zeros(shape)
         self.t = 0
         self.y = np.zeros(shape)
-        self.spike_count = 0 if batch is None else np.zeros(batch, dtype=np.int64)
+        self._x, self._y, self._z = np.empty(shape), np.empty(shape), np.empty(shape)
+        self._fired = np.zeros(shape)
 
     def step(self, I) -> np.ndarray:
         self.t += 1
         alpha, gamma, beta, eta_t = self._factors(self.t)
-        u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64).reshape(self.u.shape)
-        s = heaviside(u_pre)
-        self.u = u_pre - beta * s
-        self.y = (1.0 - eta_t) * self.y + eta_t * s
-        self.spike_count += s.sum(-1).astype(np.int64)
+        I = np.asarray(I, dtype=np.float64).reshape(self.u.shape)
+        x, y, z = self._x, self._y, self._z
+        # u_pre = alpha u + gamma I
+        np.multiply(self.u, alpha, x)
+        np.multiply(I, gamma, y)
+        np.add(x, y, z)
+        # s = H(u_pre)
+        s = (z >= 0).astype(np.float64)
+        # u <- u_pre - beta s
+        np.multiply(s, beta, x)
+        np.subtract(z, x, self.u)
+        # y <- (1 - eta) y + eta s
+        np.multiply(self.y, 1.0 - eta_t, x)
+        np.multiply(s, eta_t, z)
+        np.add(x, z, self.y)
+        np.add(self._fired, s, self._fired)
         return s
 
     @property
@@ -249,17 +275,14 @@ class FiringMechanism:
                 return ((1.0 + np.exp(-1.702 * v0)) * u >= v0).astype(np.float64)
         # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
         # the output toward zero (SignGdNeuron counts these degeneracies).
+        # With u and v1 of one sign the rule is H(+-lead), lead = v2 u^2 - v1^2;
+        # with mixed signs it is H(u) H(-v1), which is H(u) then.
         v1, v2 = v[0], v[1]
-        ok = v2 > 0
-        pos_u = u >= 0
-        pos_v1 = v1 >= 0
+        pu, pv = u >= 0, v1 >= 0
         with np.errstate(invalid="ignore", over="ignore"):
             lead = v2 * u * u - v1 * v1
-        s = np.where(
-            pos_u & pos_v1, heaviside(lead),
-            np.where(~pos_u & ~pos_v1, heaviside(-lead), heaviside(u) * heaviside(-v1)),
-        )
-        return np.where(ok, s, heaviside(u))
+        s = np.where(pu & pv, lead >= 0, np.where(pu | pv, pu, lead <= 0))
+        return np.where(v2 > 0, s, pu).astype(np.float64)
 
     @property
     def name(self) -> str:
@@ -283,7 +306,7 @@ def parse_mechanism(text: str) -> FiringMechanism:
     return FiringMechanism(parts[0])
 
 
-class SignGdNeuron:
+class SignGdNeuron(_SpikeTally):
     """Sign-based neuron layer: n neurons of one mechanism sharing a schedule.
 
     W and b are the calibrated per-operand weight sums and idle currents,
@@ -323,19 +346,13 @@ class SignGdNeuron:
         self.u = np.zeros(shape)
         scale = float(self.c.alpha2(0)) / float(self.schedule(0))
         self.v = np.broadcast_to(scale * self._b, (self.mech.arity, *shape)).copy()
-        # two scratch buffers shaped like v and two like u, and each neuron's
-        # spikes since reset (float counts are exact to 2**53)
+        # two scratch buffers shaped like v and two like u
         self._vx, self._vy = np.empty_like(self.v), np.empty_like(self.v)
         self._ux, self._uy = np.empty_like(self.u), np.empty_like(self.u)
         self._fired = np.zeros(shape)
         self.t = 0
         self.degeneracies = 0
         self.f = self._factors(1)
-
-    @property
-    def spike_count(self):
-        """Spikes fired since reset: an int, or (batch,) ints."""
-        return self._fired.sum(-1).astype(np.int64)
 
     # -- the three stages of step t + 1 (factors f); step() runs them in order.
     # Each computes the expression in its comment with the same operations in
@@ -364,7 +381,7 @@ class SignGdNeuron:
         # spike(u_scale u, v_scale v)
         v = np.multiply(self.v, v_scale, self._vx)
         if self.mech.kind == "misr":
-            self.degeneracies += int(np.sum(~(v[1] > 0)))
+            self.degeneracies += v[1].size - np.count_nonzero(v[1] > 0)
         return self.mech.spike(np.multiply(self.u, u_scale, self._ux), v)
 
     def reset_potential(self, s) -> np.ndarray:

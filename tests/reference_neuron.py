@@ -1,4 +1,5 @@
-"""The sign-based neuron written as the paper writes it, for tests only.
+"""The sign-based and subgradient neurons written as the paper writes them,
+for tests only.
 
 Each spike rule is the Heaviside of a difference, and each stage of a step
 is one expression that allocates its result. `spikeopt.neurons` computes the
@@ -71,3 +72,31 @@ class ReferenceSignGdNeuron:
     @property
     def decoded(self):
         return np.zeros_like(self.u) if self.t == 0 else self._factors()[3] * self.u
+
+
+class ReferenceSubgradNeuron:
+    """n subgradient neurons, one item, with callable coefficients: the
+    arithmetic `SubgradNeuron` must reproduce."""
+
+    def __init__(self, coeffs, n):
+        self.c = coeffs
+        self.u = np.zeros(n)
+        self.y = np.zeros(n)
+        self.t = 0
+        self.spike_count = 0
+
+    def step(self, I):
+        self.t += 1
+        c, t = self.c, self.t
+        alpha, gamma, beta, eta_t = (float(c.alpha(t - 1)), float(c.gamma(t)),
+                                     float(c.beta(t)), float(c.schedule(t)))
+        u_pre = alpha * self.u + gamma * np.asarray(I, dtype=np.float64).reshape(self.u.shape)
+        s = heaviside(u_pre)
+        self.u = u_pre - beta * s
+        self.y = (1.0 - eta_t) * self.y + eta_t * s
+        self.spike_count += int(s.sum())
+        return s
+
+    @property
+    def decoded(self):
+        return self.y

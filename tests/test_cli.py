@@ -1,9 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikeopt
 from conftest import build_layernorm_block, build_mlp
+from spikeopt import cli
 from spikeopt.cli import main
 from spikeopt.codec import make_rng
 from spikeopt.engine import ann_forward
@@ -88,6 +94,16 @@ class TestNeuronSweep:
         with pytest.raises(ValueError):
             main(["neuron-sweep", "--mech", "signgd:softmax",
                   "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize("grid", [[], ["--xmin", "0"], ["--xmin", "1", "--xmax", "-1"]])
+    def test_misr_grid_must_keep_the_denominator_positive(self, tmp_path, capsys, grid):
+        out = tmp_path / "m.csv"
+        rc = main(["neuron-sweep", "--mech", "signgd:misr", *grid, "--T", "4",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("spikeopt neuron-sweep: error: ")
+        assert "--xmin" in err
 
     def test_misr_denominator_degradation(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -287,3 +303,68 @@ class TestConvertInferProbeEnergy:
             want = (tmp / f"{stem}_alone.csv").read_bytes()
             for name in ("chunk", "budget"):
                 assert (tmp / f"{stem}_{name}.csv").read_bytes() == want, (stem, name)
+
+
+# one valid argument list per subcommand; the files need not exist, since
+# these tests stop at parsing
+VALID_ARGS = {
+    "encode": ["--x", "0.3", "--out", "t.csv"],
+    "oracle-check": ["--neuron", "if"],
+    "neuron-sweep": ["--mech", "signgd:relu", "--out", "s.csv"],
+    "convert": ["ann.json", "--family", "signgd", "--out", "snn"],
+    "infer": ["snn.json", "--data", "d.sten", "--report", "acc.csv"],
+    "probe": ["snn.json", "--data", "d.sten", "--out", "p.csv"],
+    "energy": ["snn.json", "--data", "d.sten", "--out", "e.csv"],
+}
+
+
+def _exit(parse, argv, capsys):
+    """(exit status, stdout, stderr) of a parse that ends the program."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParser:
+    """main() builds only the invoked subcommand's parser; what it prints and
+    how it exits must be what the fully built parser gives."""
+
+    @pytest.mark.parametrize("command", list(VALID_ARGS))
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--T", "abc"], ["--bogus"]],
+                             ids=["help", "missing", "bad-value", "unrecognized"])
+    def test_subcommand_help_and_errors_match_the_full_parser(self, command, tail, capsys):
+        argv = [command, *(VALID_ARGS[command] if tail == ["--bogus"] else []), *tail]
+        full = _exit(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert _exit(main, argv, capsys) == full
+        assert full[0] == (0 if tail == ["--help"] else 2)
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["-h", "infer"], ["--x", "1"]],
+                             ids=["help", "no-command", "unknown", "help-first", "option-first"])
+    def test_top_level_help_and_errors_match_the_full_parser(self, argv, capsys):
+        full = _exit(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert _exit(main, argv, capsys) == full
+
+    def test_main_builds_only_the_invoked_subcommand(self, monkeypatch, tmp_path):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build(command))
+        assert main(["encode", "--x", "0.3", "--T", "4", "--out", str(tmp_path / "t.csv")]) == 0
+        assert built == ["encode"]
+
+    def test_module_entry_point_reads_sys_argv(self, tmp_path):
+        src = str(Path(spikeopt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / "t.csv"
+        run = subprocess.run([sys.executable, "-m", "spikeopt.cli", "encode", "--x", "0.3",
+                              "--T", "4", "--out", str(out)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"wrote 4 steps to {out}\n"
+        assert len(read_csv(out)) == 5
+        run = subprocess.run([sys.executable, "-m", "spikeopt.cli", "encode"],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2
+        assert "the following arguments are required: --x, --out" in run.stderr

@@ -7,6 +7,7 @@ from spikeopt.codec import (
     DeterministicEncoder,
     EmaDecoder,
     FloatEncoder,
+    PoissonEncoder,
     RateDecoder,
     RateDeterministicEncoder,
     SignedDecoder,
@@ -15,7 +16,9 @@ from spikeopt.codec import (
     encode_float,
     encode_poisson,
     encode_stochastic,
+    _ItemGenerators,
     heaviside,
+    make_rng,
 )
 from spikeopt.schedules import Schedule
 
@@ -195,3 +198,36 @@ def test_encoder_replay_property(x, kind, c):
     for _ in range(40):
         dec.step(enc.step())
     assert dec.y == pytest.approx(enc.f, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    items=st.integers(1, 4),
+    shape=st.lists(st.integers(3, 12), min_size=1, max_size=3).map(tuple),
+    blocks=st.floats(0.0, 3.5),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["poisson", "stoch"]),
+)
+def test_block_draws_are_the_per_step_stream(items, shape, blocks, seed, kind):
+    """A batch draws each item's randoms several frames at a time. Over T
+    steps crossing several block boundaries, its frames are each item run
+    alone, whose generator draws one frame per step."""
+    T = max(1, int(blocks * (_ItemGenerators.BLOCK // int(np.prod(shape)))))
+    X = make_rng(seed).uniform(-0.5, 1.5, (items, *shape))
+    seeds = [seed + 1000 * i for i in range(items)]
+
+    def encoder(x, seed):
+        if kind == "poisson":
+            return PoissonEncoder(x, seed=seed)
+        return StochasticEncoder(x, Schedule.inverse(1.0), c=0.7, seed=seed)
+
+    batch = encoder(X, seeds)
+    got = np.stack([batch.step() for _ in range(T)])
+    assert got.shape == (T, items, *shape)
+    for i, s in enumerate(seeds):
+        alone = encoder(X[i], s)
+        np.testing.assert_array_equal(got[:, i], [alone.step() for _ in range(T)])
+        if kind == "poisson":
+            g, p = make_rng(s), np.clip(X[i], 0.0, 1.0)
+            stream = [(g.random(shape) < p).astype(np.float64) for _ in range(T)]
+            np.testing.assert_array_equal(got[:, i], stream)

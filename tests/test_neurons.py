@@ -126,6 +126,23 @@ class TestSubgradNeuron:
             np.testing.assert_array_equal(n.step(I), oracle.step(I))
         np.testing.assert_allclose(n.decoded, oracle.f, atol=1e-9)
 
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_buffers_keep_returned_spikes_and_counts(self, batch):
+        # u and y are updated in place; the spikes a step returns are the
+        # caller's to keep, and spike_count sums them
+        neuron = SubgradNeuron(solve_subgrad_coefficients(Schedule.inverse(1.0)), n=4)
+        neuron.reset(batch)
+        rng = make_rng(8)
+        shape = (4,) if batch is None else (batch, 4)
+        kept = [(s, s.copy()) for s in (neuron.step(rng.uniform(0.0, 1.0, shape))
+                                        for _ in range(20))]
+        assert len({s.tobytes() for _, s in kept}) > 1
+        for spikes, copy in kept:
+            np.testing.assert_array_equal(spikes, copy)
+        count = neuron.spike_count
+        assert count.dtype == np.int64 and count.shape == shape[:-1]
+        np.testing.assert_array_equal(count, sum(copy for _, copy in kept).sum(-1))
+
     def test_matches_if_neuron_spikes(self):
         # IF neuron started at u0 = theta is the exact specialization
         s = Schedule.inverse(1.0)

@@ -3,12 +3,12 @@
 The walker steps a converted network the way the engine did before it
 compiled plans: every node in topological order with its predecessors looked
 up per step, linear nodes through `node_forward`, and neuron layers with
-callable coefficients: `SubgradNeuron`, and in the sign family the
-reference neuron of `reference_neuron.py`, whose spike rules and state
-updates are the paper's expressions. The plan must reproduce it bit for bit:
-readout history, per-layer spike counts, layer decodes, the sign layers' u
-and v, and the calibration records. A batch of items stepped in lockstep
-must give each item what running it alone gives, bit for bit.
+callable coefficients: the reference neurons of `reference_neuron.py`,
+whose spike rules and state updates are the paper's expressions. The plan
+must reproduce it bit for bit: readout history, per-layer spike counts,
+layer decodes, each layer's state (u and v of a sign layer, u and y of a
+subgradient layer), and the calibration records. A batch of items stepped
+in lockstep must give each item what running it alone gives, bit for bit.
 """
 
 from functools import lru_cache
@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
-from reference_neuron import ReferenceSignGdNeuron
+from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
 from spikeopt.codec import make_rng
 from spikeopt.engine import SnnInstance, make_input_encoder, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
 from spikeopt.graph.plan import Plan
-from spikeopt.neurons import SubgradNeuron, parse_mechanism
+from spikeopt.neurons import parse_mechanism
 from spikeopt.schedules import (
     parse_schedule,
     solve_signgd_coefficients,
@@ -146,7 +146,7 @@ def reference_run(snn, x, T, encoder, seed):
     for node in snn.neuron_nodes():
         n = node.params["count"]
         if node.params["mech"] == "subgrad":
-            layers[node.id] = SubgradNeuron(solve_subgrad_coefficients(snn.schedule), n=n)
+            layers[node.id] = ReferenceSubgradNeuron(solve_subgrad_coefficients(snn.schedule), n)
         else:
             coeffs = solve_signgd_coefficients(snn.schedule, snn.parameterization)
             layers[node.id] = ReferenceSignGdNeuron(
@@ -167,8 +167,9 @@ def reference_run(snn, x, T, encoder, seed):
         history[t - 1] = r
     spikes = {nid: layer.spike_count for nid, layer in layers.items()}
     decoded = {nid: np.asarray(layer.decoded).copy() for nid, layer in layers.items()}
-    states = {nid: (layer.u, layer.v) for nid, layer in layers.items()
-              if isinstance(layer, ReferenceSignGdNeuron)}
+    # u and v of a sign layer, u and y of a subgradient layer
+    states = {nid: {k: getattr(layer, k) for k in ("u", "v", "y") if hasattr(layer, k)}
+              for nid, layer in layers.items()}
     return history, spikes, decoded, states
 
 
@@ -203,9 +204,42 @@ def test_plan_matches_reference_walk(config, encoder, T, seed):
     assert decoded.keys() == want_decoded.keys()
     for nid, want in want_decoded.items():
         np.testing.assert_array_equal(decoded[nid][0], want)
-    for nid, (u, v) in want_states.items():  # the sign layers' u and v, bit for bit
-        np.testing.assert_array_equal(inst.layers[nid].u[0], u)
-        np.testing.assert_array_equal(inst.layers[nid].v[:, 0], v)
+    for nid, state in want_states.items():  # each layer's state, bit for bit
+        for name, want in state.items():
+            got = getattr(inst.layers[nid], name)
+            np.testing.assert_array_equal(got[:, 0] if name == "v" else got[0], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["signgd", "subgrad"]),
+    schedule=st.sampled_from(SCHEDULES),
+    items=st.integers(1, 4),
+    T=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_readout_is_the_allocating_formula(family, schedule, items, T, seed):
+    """The readout update, fed arbitrary output currents, equals its formula
+    bit for bit, and each step returns an array later steps leave alone."""
+    snn = converted("mlp", family, schedule, "canonical")
+    inst = SnnInstance(snn)
+    inst.reset(items)
+    w_out, b_out = inst.readout_w, inst.readout_b
+    currents = make_rng(seed).normal(0, 2, (T, items, b_out.size))
+    frames = iter(currents)
+    inst.plan.step = lambda x: next(frames)  # the output currents of each step
+    r = np.tile(b_out if family == "signgd" else np.zeros_like(b_out), (items, 1))
+    kept = []
+    for t in range(1, T + 1):
+        got = inst.step(None)
+        if family == "signgd":
+            r = r - float(snn.schedule(t)) * (2.0 * (currents[t - 1] - b_out) - w_out)
+        else:
+            r = r * (t - 1) / t + currents[t - 1] / t
+        np.testing.assert_array_equal(got, r)
+        kept.append((got, r))
+    for got, want in kept:
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
