@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +47,13 @@ from .oracles import (
     reference_nonlinearity,
 )
 from .schedules import (
+    StepTable,
     SubgradCoefficients,
     parse_schedule,
+    signgd_step_factors,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
+    subgrad_step_factors,
 )
 
 DEVIATION_LIMIT = 1e-9
@@ -58,6 +62,22 @@ DEVIATION_LIMIT = 1e-9
 # by ~55 bytes per neuron of each item in the chunk, so this keeps it ~1 MiB
 CHUNK = 16
 CHUNK_NEURONS = 20000
+
+
+class RangeError(ValueError):
+    """A flag's value outside the range its command accepts; `main` prints
+    it as one stderr line, which names the flag, and exits with status 2."""
+
+
+def _at_least_one(flag, value):
+    if value < 1:
+        raise RangeError(f"{flag} must be >= 1, got {value}")
+
+
+def _check_index(index, items):
+    """--index counts the dataset's items from 0 and must name one."""
+    if not 0 <= index < items:
+        raise RangeError(f"--index {index} is out of range for {items} items")
 
 
 def _write_csv(path, header, rows):
@@ -108,22 +128,23 @@ def _signgd_check_inputs(schedule, steps, arity, rng):
     return W, b
 
 
-def cmd_oracle_check(args):
-    schedule = parse_schedule(args.schedule)
-    rng = make_rng(args.seed)
-    name = args.neuron
-
-    # per kind: neuron, oracle, one step's input draw, decode in oracle coordinates
+def _oracle_pair(args, schedule, rng):
+    """The neuron under check, its oracle, all `args.steps` inputs drawn in
+    one call (step t reads row t - 1; PCG64 emits its stream in order, so the
+    rows are the per-step draws) and decoded(t), the neuron's decode after
+    step t in oracle coordinates. The subgradient and sign neurons read their
+    step scalars from a StepTable, as a network's layers do."""
+    name, steps = args.neuron, args.steps
     if name == "if":
         neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
         oracle = IfRateOracle(theta=1.0, R=1.0, u0=0.0, n=1)
-        draw = lambda: rng.uniform(0.0, 1.2, 1)
+        inputs = rng.uniform(0.0, 1.2, (steps, 1))
         decoded = lambda t: if_transform(neuron.decoded, t, u0=0.0, theta=1.0)
     elif name == "lif":
         tau = 10.0
         neuron = LifNeuron(IfLifParams(theta_th=1.0, R=1.0, tau_m=tau, u_rest=0.0), n=1)
         oracle = LifEmaOracle(theta=1.0, R=1.0, tau=tau, u_rest=0.0, u0=0.0, n=1)
-        draw = lambda: rng.uniform(0.0, 12.0, 1)
+        inputs = rng.uniform(0.0, 12.0, (steps, 1))
         decoded = lambda t: lif_transform(
             neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
     elif name == "subgrad":
@@ -134,9 +155,10 @@ def cmd_oracle_check(args):
                 alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha,
                 beta=coeffs.beta, gamma=coeffs.gamma, schedule=schedule,
             )
-        neuron = SubgradNeuron(coeffs, n=1, validate=False)
+        table = StepTable(partial(subgrad_step_factors, coeffs))
+        neuron = SubgradNeuron(coeffs, n=1, validate=False, table=table)
         oracle = SubgradOracle(schedule, n=1)
-        draw = lambda: rng.uniform(0.0, 1.0, 1)
+        inputs = rng.uniform(0.0, 1.0, (steps, 1))
         decoded = lambda t: neuron.decoded
     elif name.startswith("signgd"):
         mech = parse_mechanism(name)
@@ -146,23 +168,36 @@ def cmd_oracle_check(args):
             coeffs = coeffs.replace(
                 beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
-        W, b = _signgd_check_inputs(schedule, args.steps, mech.arity, rng)
-        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
+        W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
+        table = StepTable(partial(signgd_step_factors, coeffs, schedule))
+        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False,
+                              table=table)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
-        draw = lambda: b + W * rng.integers(0, 2, (mech.arity, 1))
+        inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
         decoded = lambda t: neuron.decoded
     else:
         raise SystemExit(f"unknown neuron kind {name!r}")
+    return neuron, oracle, inputs, decoded
 
-    deviation = 0.0
-    for t in range(1, args.steps + 1):
-        I = draw()
-        s_n, s_o = neuron.step(I), oracle.step(I)
-        deviation = max(deviation, float(np.abs(s_n - s_o).max()),
-                        float(np.abs(decoded(t) - oracle.f).max()))
+
+def cmd_oracle_check(args):
+    _at_least_one("--steps", args.steps)
+    schedule = parse_schedule(args.schedule)
+    neuron, oracle, inputs, decoded = _oracle_pair(args, schedule, make_rng(args.seed))
+
+    # per step: the neuron's and the oracle's spikes, then decoded(t) and the
+    # oracle's iterate f(t); the deviation is one max over the whole trace,
+    # and a NaN anywhere makes it NaN, which fails
+    trace = np.empty((args.steps, 4, 1))
+    for t, (I, row) in enumerate(zip(inputs, trace), 1):
+        row[0] = neuron.step(I)
+        row[1] = oracle.step(I)
+        row[2] = decoded(t)
+        row[3] = oracle.f
+    deviation = np.abs(trace[:, 0::2] - trace[:, 1::2]).max()
 
     ok = deviation <= DEVIATION_LIMIT
-    print(f"neuron={name} schedule={schedule} steps={args.steps} "
+    print(f"neuron={args.neuron} schedule={schedule} steps={args.steps} "
           f"max-deviation={deviation:.3e} -> {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -189,12 +224,12 @@ def _sweep_operands(kind, grid, seed):
 def cmd_neuron_sweep(args):
     schedule = parse_schedule(args.schedule)
     mech = parse_mechanism(args.mech)
+    _at_least_one("--points", args.points)
+    _at_least_one("--T", args.T)
     grid = np.linspace(args.xmin, args.xmax, args.points)
     if mech.kind == "misr" and np.any(grid <= 0):
-        print(f"spikeopt neuron-sweep: error: misr sweeps its denominator, which must be "
-              f"> 0 on the whole grid; got --xmin {args.xmin:g} --xmax {args.xmax:g}",
-              file=sys.stderr)
-        return 2
+        raise RangeError(f"misr sweeps its denominator, which must be > 0 on the whole "
+                         f"grid; got --xmin {args.xmin:g} --xmax {args.xmax:g}")
     ops = _sweep_operands(mech.kind, grid, args.seed)
     n = grid.size
     coeffs = solve_signgd_coefficients(schedule, args.parameterization)
@@ -274,6 +309,10 @@ def _run_items(snn, data, args):
 
 
 def cmd_infer(args):
+    _at_least_one("--T", args.T)
+    for m in args.checkpoints or ():
+        if not 1 <= m <= args.T:
+            raise RangeError(f"--checkpoints {m} is outside 1..{args.T}, the steps --T runs")
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     labels = load_labels(args.labels) if args.labels else None
@@ -281,6 +320,8 @@ def cmd_infer(args):
         raise SystemExit(
             f"label count {labels.shape[0]} != item count {data.shape[0]}"
         )
+    if args.run_trace:
+        _check_index(args.index, data.shape[0])
     marks = _checkpoints(args.T, args.checkpoints or ())
     hists = [hist for hist, _ in _run_items(snn, data, args)]
     preds = np.asarray([[int(np.argmax(h[m - 1])) for m in marks] for h in hists])
@@ -302,8 +343,10 @@ def cmd_infer(args):
 
 
 def cmd_probe(args):
+    _at_least_one("--T", args.T)
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
+    _check_index(args.index, data.shape[0])
     x = data[args.index]
     rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed)
     marks = set(range(1, args.T + 1)) if args.dense_trace else set(_checkpoints(args.T))
@@ -317,6 +360,7 @@ def cmd_probe(args):
 
 
 def cmd_energy(args):
+    _at_least_one("--T", args.T)
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     spikes = sum(n for _, n in _run_items(snn, data, args))
@@ -466,8 +510,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad model or graph and a missing file end it
-    with one line on stderr and exit status 2."""
+    """Run one subcommand; a bad model or graph, a missing file and a flag
+    out of range end it with one line on stderr and exit status 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named command's parser; help, a missing or unknown command
     # and leftover arguments go to the full parser, whose usage line lists
@@ -478,7 +522,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, RangeError) as exc:
         print(f"spikeopt {args.command}: error: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(f"spikeopt {args.command}: error: no such file: {exc.filename}", file=sys.stderr)

@@ -411,6 +411,13 @@ class SignGdOracle:
         I = np.asarray(I, dtype=np.float64).reshape(self.arity, self.n)
         self.x_tilde = self.x_tilde - eta_t * (2.0 * (I - self.b) - self.W)
         x = self.x_tilde if self.arity == 2 else self.x_tilde[0]
-        sgn = gradient_sign(self.f, x, self.obj)
-        self.f = self.f - eta_t * sgn
-        return heaviside(sgn)  # sign +1 <-> spike 1
+        # s = H(g), g = f - target(x), the gradient of |f - target(x)|^2 / 2;
+        # f <- f - eta (2 s - 1), as sign(g) = 2 H(g) - 1 with sign(0) = +1.
+        # misr takes its sign from gradient_sign, which falls back to sign(f)
+        # where the target is undefined.
+        if self.obj.kind == "misr":
+            s = heaviside(gradient_sign(self.f, x, self.obj))
+        else:
+            s = heaviside(self.f - self.obj.target(x))
+        self.f = self.f - eta_t * (2.0 * s - 1.0)
+        return s

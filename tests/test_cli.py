@@ -6,14 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spikeopt
 from conftest import build_layernorm_block, build_mlp
+from reference_oracle import reference_oracle_check, reference_setup
 from spikeopt import cli
 from spikeopt.cli import main
 from spikeopt.codec import make_rng
 from spikeopt.engine import ann_forward
 from spikeopt.graph import save_labels, save_model, save_tensor
+from spikeopt.schedules import parse_schedule
 
 
 def read_csv(path):
@@ -37,6 +41,16 @@ class TestEncode:
         main(["encode", "--x", "0.0", "--T", "4", "--out", str(out)])
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
+
+
+ORACLE_MECHS = ("relu", "leaky:0.1", "gelu", "square", "max2", "misr")
+# the oracle-check configurations the benchmark's oracle-replay workload runs
+ORACLE_BENCH = [
+    ("if", "inv:1", "canonical"), ("lif", "inv:1", "canonical"),
+    ("subgrad", "inv:1", "canonical"),
+    *((f"signgd:{m}", "inv:1", "canonical") for m in ORACLE_MECHS),
+    *((f"signgd:{m}", "exp:1:0.999", "unit-current") for m in ORACLE_MECHS),
+]
 
 
 class TestOracleCheck:
@@ -72,6 +86,65 @@ class TestOracleCheck:
         rc = main(["oracle-check", "--neuron", "subgrad", "--steps", "500",
                    "--corrupt-alpha", "1.01"])
         assert rc == 1
+
+    @pytest.mark.parametrize("neuron", ["signgd:relu", "signgd:misr"])
+    def test_nan_deviation_fails(self, capsys, neuron):
+        """--corrupt-beta1 0 divides u by zero, so the decode is NaN from
+        step 1 on; a NaN deviation is not within the limit."""
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            rc = main(["oracle-check", "--neuron", neuron, "--steps", "50",
+                       "--corrupt-beta1", "0"])
+        assert rc == 1
+        assert capsys.readouterr().out.endswith(" max-deviation=nan -> FAIL\n")
+
+    @pytest.mark.parametrize("neuron,steps", [("signgd:relu", "0"), ("if", "-3")])
+    def test_steps_must_be_at_least_one(self, capsys, neuron, steps):
+        rc = main(["oracle-check", "--neuron", neuron, "--steps", steps])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"spikeopt oracle-check: error: --steps must be >= 1, got {steps}\n"
+
+    @pytest.mark.parametrize("seed", [0, 5, 1412])
+    @pytest.mark.parametrize("neuron,schedule,param", ORACLE_BENCH)
+    def test_prints_the_per_step_reference_line(self, capsys, neuron, schedule, param, seed):
+        """The whole-trace check prints what the per-step loop printed, for
+        the benchmark's configurations and their corrupted controls."""
+        corrupt = ([["--corrupt-beta1", "1.001"], ["--corrupt-beta1", "-1"]]
+                   if neuron.startswith("signgd") else
+                   [["--corrupt-alpha", "1.01"], ["--corrupt-alpha", "1e308"]]
+                   if neuron == "subgrad" else [])
+        for steps, extra in [("1", []), ("2", []), ("3", []), ("257", []),
+                             *(("257", c) for c in corrupt)]:
+            argv = ["oracle-check", "--neuron", neuron, "--schedule", schedule,
+                    "--parameterization", param, "--steps", steps, "--seed", str(seed), *extra]
+            with np.errstate(over="ignore"):  # --corrupt-alpha 1e308 overflows u
+                want = reference_oracle_check(cli.build_parser().parse_args(argv))
+                capsys.readouterr()
+                rc = main(argv)
+            assert (rc, capsys.readouterr().out) == (want[0], want[1] + "\n")
+            assert rc == (1 if extra else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    neuron=st.sampled_from(["if", "lif", "subgrad", "signgd:relu", "signgd:max2"]),
+    schedule=st.sampled_from(["inv:1", "exp:1:0.999"]),
+    steps=st.integers(1, 65),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_call_draws_are_the_per_step_draws(neuron, schedule, steps, seed):
+    """oracle-check draws all inputs of a check in one generator call; row
+    t - 1 is the input the per-step loop drew at step t, for odd counts (the
+    generator keeps half of a 64-bit output for the next integer draw) and
+    after the sign check's weight draws, for one and two operands."""
+    args = cli.build_parser().parse_args(
+        ["oracle-check", "--neuron", neuron, "--steps", str(steps), "--seed", str(seed)])
+    sched = parse_schedule(schedule)
+    _, _, inputs, _ = cli._oracle_pair(args, sched, make_rng(args.seed))
+    _, _, draw, _ = reference_setup(args, sched, make_rng(args.seed))
+    assert inputs.shape[0] == steps
+    np.testing.assert_array_equal(inputs, np.stack([draw() for _ in range(steps)]))
 
 
 class TestNeuronSweep:
@@ -303,6 +376,48 @@ class TestConvertInferProbeEnergy:
             want = (tmp / f"{stem}_alone.csv").read_bytes()
             for name in ("chunk", "budget"):
                 assert (tmp / f"{stem}_{name}.csv").read_bytes() == want, (stem, name)
+
+
+# a flag out of range, the command it is given to and the flag the error names
+RANGE_ERRORS = {
+    "infer-T": (["infer", "--T", "0"], "--T"),
+    "energy-T": (["energy", "--T", "0"], "--T"),
+    "probe-T": (["probe", "--T", "0"], "--T"),
+    "probe-index-past-end": (["probe", "--index", "99"], "--index"),
+    "probe-index-negative": (["probe", "--index", "-1"], "--index"),
+    "infer-trace-index": (["infer", "--run-trace", "TRACE", "--index", "99"], "--index"),
+    "infer-checkpoint-zero": (["infer", "--checkpoints", "0"], "--checkpoints"),
+    "infer-checkpoint-past-T": (["infer", "--T", "8", "--checkpoints", "4,9"], "--checkpoints"),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGE_ERRORS))
+def test_flag_out_of_range_exits_2(pipeline, capsys, case):
+    """A flag out of range ends the command before it writes anything, with
+    exit status 2 and one stderr line naming the flag."""
+    tmp, _ = pipeline
+    assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp / "snn")]) == 0
+    (command, *flags), flag = RANGE_ERRORS[case]
+    flags = [str(tmp / "trace.csv") if f == "TRACE" else f for f in flags]
+    out_flag = "--report" if command == "infer" else "--out"
+    capsys.readouterr()
+    rc = main([command, str(tmp / "snn.json"), "--data", str(tmp / "data.sten"), *flags,
+               out_flag, str(tmp / "out.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"spikeopt {command}: error: {flag} ")
+    assert not (tmp / "out.csv").exists() and not (tmp / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])
+def test_sweep_points_and_steps_must_be_at_least_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "s.csv"
+    rc = main(["neuron-sweep", "--mech", "signgd:relu", "--points", "5", "--T", "4", flag, value,
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"spikeopt neuron-sweep: error: {flag} must be >= 1, got {value}\n")
 
 
 # one valid argument list per subcommand; the files need not exist, since

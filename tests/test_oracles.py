@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_oracle import ReferenceSignGdOracle
 from spikeopt.codec import (
     ConstantEncoder,
     EmaDeterministicEncoder,
     RateDeterministicEncoder,
     make_rng,
 )
-from spikeopt.neurons import IfLifParams, IfNeuron, LifNeuron
+from spikeopt.neurons import IfLifParams, IfNeuron, LifNeuron, parse_mechanism
 from spikeopt.oracles import (
     BoundChecker,
     IfObjective,
     IfRateOracle,
     LifEmaOracle,
     LifObjective,
+    SignGdOracle,
     SqErrObjective,
     convergence_bound,
     if_transform,
@@ -24,6 +26,7 @@ from spikeopt.oracles import (
     signgd_oracle_step,
     subgradient_step,
 )
+from spikeopt.schedules import parse_schedule
 
 
 class TestReferenceNonlinearity:
@@ -74,6 +77,32 @@ class TestSignGdStep:
         obj = SqErrObjective("misr")
         assert signgd_oracle_step(0.4, (1.0, -2.0), obj, 0.1) == pytest.approx(0.3)
         assert signgd_oracle_step(-0.4, (1.0, 0.0), obj, 0.1) == pytest.approx(-0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mech=st.sampled_from(["relu", "leaky:0.1", "leaky:0.3", "gelu", "square", "max2", "misr"]),
+    schedule=st.sampled_from(["inv:1", "exp:1:0.999", "const:0.05"]),
+    n=st.integers(1, 5),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_signgd_oracle_step_is_the_gradient_sign_form(mech, schedule, n, steps, seed):
+    """SignGdOracle's one-Heaviside step gives the spikes, f and x_tilde of
+    f - eta sign(g) with the sign from gradient_sign, bit for bit. The raw
+    currents move the decoded input across zero, where relu's target ties
+    f = 0, and misr's denominator to values <= 0, where its sign falls back
+    to that of f."""
+    m = parse_mechanism(mech)
+    rng = make_rng(seed)
+    W = rng.uniform(0.5, 1.5, (m.arity, n)) * rng.choice([-1.0, 1.0], (m.arity, n))
+    b = rng.normal(0.0, 1.0, (m.arity, n))
+    obj, sched = SqErrObjective(m.kind, m.delta), parse_schedule(schedule)
+    got, want = SignGdOracle(obj, sched, W, b, n), ReferenceSignGdOracle(obj, sched, W, b, n)
+    for I in b + W * rng.normal(0.5, 2.0, (steps, m.arity, n)):
+        np.testing.assert_array_equal(got.step(I), want.step(I))
+        np.testing.assert_array_equal(got.f, want.f)
+        np.testing.assert_array_equal(got.x_tilde, want.x_tilde)
 
 
 class TestTransforms:
