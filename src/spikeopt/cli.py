@@ -65,13 +65,28 @@ CHUNK_NEURONS = 20000
 
 
 class RangeError(ValueError):
-    """A flag's value outside the range its command accepts; `main` prints
-    it as one stderr line, which names the flag, and exits with status 2."""
+    """A flag's value outside the values its command accepts, a name it does
+    not know included; `main` prints it as one stderr line, which names the
+    flag, and exits with status 2."""
 
 
 def _at_least_one(flag, value):
     if value < 1:
         raise RangeError(f"{flag} must be >= 1, got {value}")
+
+
+def _parsed(flag, parse, text):
+    """parse(text); a value it rejects is a RangeError naming `flag`."""
+    try:
+        return parse(text)
+    except ValueError as exc:  # ScheduleError is a ValueError
+        raise RangeError(f"{flag}: {exc}") from None
+
+
+def _check_c(args):
+    """The stochastic encoder draws with probability sigmoid(c (f - x)), c in [0, 1]."""
+    if args.encoder == "stoch" and not 0.0 <= args.c <= 1.0:
+        raise RangeError(f"--c {args.c:g} is outside [0, 1], the stochastic encoder's range")
 
 
 def _check_index(index, items):
@@ -103,7 +118,9 @@ def _checkpoints(T, extra=()):
 
 
 def cmd_encode(args):
-    schedule = parse_schedule(args.schedule)
+    _at_least_one("--T", args.T)
+    _check_c(args)
+    schedule = _parsed("--schedule", parse_schedule, args.schedule)
     if args.encoder == "poisson":
         enc = PoissonEncoder(args.x, seed=args.seed)
     else:
@@ -161,7 +178,7 @@ def _oracle_pair(args, schedule, rng):
         inputs = rng.uniform(0.0, 1.0, (steps, 1))
         decoded = lambda t: neuron.decoded
     elif name.startswith("signgd"):
-        mech = parse_mechanism(name)
+        mech = _parsed("--neuron", parse_mechanism, name)
         coeffs = solve_signgd_coefficients(schedule, args.parameterization)
         if args.corrupt_beta1 != 1.0:
             base = coeffs.beta1
@@ -176,13 +193,14 @@ def _oracle_pair(args, schedule, rng):
         inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
         decoded = lambda t: neuron.decoded
     else:
-        raise SystemExit(f"unknown neuron kind {name!r}")
+        raise RangeError(f"--neuron: unknown neuron kind {name!r}; "
+                         f"expected if, lif, subgrad or signgd:<mechanism>")
     return neuron, oracle, inputs, decoded
 
 
 def cmd_oracle_check(args):
     _at_least_one("--steps", args.steps)
-    schedule = parse_schedule(args.schedule)
+    schedule = _parsed("--schedule", parse_schedule, args.schedule)
     neuron, oracle, inputs, decoded = _oracle_pair(args, schedule, make_rng(args.seed))
 
     # per step: the neuron's and the oracle's spikes, then decoded(t) and the
@@ -222,10 +240,11 @@ def _sweep_operands(kind, grid, seed):
 
 
 def cmd_neuron_sweep(args):
-    schedule = parse_schedule(args.schedule)
-    mech = parse_mechanism(args.mech)
+    schedule = _parsed("--schedule", parse_schedule, args.schedule)
+    mech = _parsed("--mech", parse_mechanism, args.mech)
     _at_least_one("--points", args.points)
     _at_least_one("--T", args.T)
+    _check_c(args)
     grid = np.linspace(args.xmin, args.xmax, args.points)
     if mech.kind == "misr" and np.any(grid <= 0):
         raise RangeError(f"misr sweeps its denominator, which must be > 0 on the whole "
@@ -259,8 +278,8 @@ def cmd_neuron_sweep(args):
 
 
 def cmd_convert(args):
+    schedule = _parsed("--schedule", parse_schedule, args.schedule)
     g, _ = load_model(args.model)
-    schedule = parse_schedule(args.schedule)
     if args.normalize_relu:
         if args.calib_data:
             batch = load_tensor(args.calib_data)
@@ -310,6 +329,7 @@ def _run_items(snn, data, args):
 
 def cmd_infer(args):
     _at_least_one("--T", args.T)
+    _check_c(args)
     for m in args.checkpoints or ():
         if not 1 <= m <= args.T:
             raise RangeError(f"--checkpoints {m} is outside 1..{args.T}, the steps --T runs")
@@ -317,9 +337,8 @@ def cmd_infer(args):
     data = _dataset(args)
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None and labels.shape[0] != data.shape[0]:
-        raise SystemExit(
-            f"label count {labels.shape[0]} != item count {data.shape[0]}"
-        )
+        raise RangeError(f"--labels {args.labels} holds {labels.shape[0]} labels but "
+                         f"--data {args.data} holds {data.shape[0]} items")
     if args.run_trace:
         _check_index(args.index, data.shape[0])
     marks = _checkpoints(args.T, args.checkpoints or ())
@@ -344,6 +363,7 @@ def cmd_infer(args):
 
 def cmd_probe(args):
     _at_least_one("--T", args.T)
+    _check_c(args)
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     _check_index(args.index, data.shape[0])
@@ -361,6 +381,7 @@ def cmd_probe(args):
 
 def cmd_energy(args):
     _at_least_one("--T", args.T)
+    _check_c(args)
     snn = SnnGraph.load(args.snn)
     data = _dataset(args)
     spikes = sum(n for _, n in _run_items(snn, data, args))

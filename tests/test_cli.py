@@ -163,10 +163,12 @@ class TestNeuronSweep:
         ts = sorted({int(r[1]) for r in rows[1:]})
         assert ts == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]
 
-    def test_unknown_mechanism(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["neuron-sweep", "--mech", "signgd:softmax",
-                  "--out", str(tmp_path / "x.csv")])
+    def test_unknown_mechanism(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["neuron-sweep", "--mech", "signgd:softmax", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "spikeopt neuron-sweep: error: --mech: unknown mechanism name 'signgd:softmax'\n")
 
     @pytest.mark.parametrize("grid", [[], ["--xmin", "0"], ["--xmin", "1", "--xmax", "-1"]])
     def test_misr_grid_must_keep_the_denominator_positive(self, tmp_path, capsys, grid):
@@ -388,6 +390,11 @@ RANGE_ERRORS = {
     "infer-trace-index": (["infer", "--run-trace", "TRACE", "--index", "99"], "--index"),
     "infer-checkpoint-zero": (["infer", "--checkpoints", "0"], "--checkpoints"),
     "infer-checkpoint-past-T": (["infer", "--T", "8", "--checkpoints", "4,9"], "--checkpoints"),
+    "infer-c-stoch": (["infer", "--encoder", "stoch", "--c", "2"], "--c"),
+    "probe-c-stoch": (["probe", "--encoder", "stoch", "--c", "-0.5"], "--c"),
+    "infer-labels-count": (["infer", "--labels", "SHORT"], "--labels"),
+    "encode-c-stoch": (["encode", "--encoder", "stoch", "--c", "2"], "--c"),
+    "encode-T": (["encode", "--T", "0"], "--T"),
 }
 
 
@@ -398,16 +405,54 @@ def test_flag_out_of_range_exits_2(pipeline, capsys, case):
     tmp, _ = pipeline
     assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
                  "--out", str(tmp / "snn")]) == 0
+    save_labels([0, 1, 2], tmp / "short.slbl")  # the dataset holds 6 items
     (command, *flags), flag = RANGE_ERRORS[case]
-    flags = [str(tmp / "trace.csv") if f == "TRACE" else f for f in flags]
+    flags = [{"TRACE": str(tmp / "trace.csv"), "SHORT": str(tmp / "short.slbl")}.get(f, f)
+             for f in flags]
+    inputs = (["--x", "0.3"] if command == "encode"
+              else [str(tmp / "snn.json"), "--data", str(tmp / "data.sten")])
     out_flag = "--report" if command == "infer" else "--out"
     capsys.readouterr()
-    rc = main([command, str(tmp / "snn.json"), "--data", str(tmp / "data.sten"), *flags,
-               out_flag, str(tmp / "out.csv")])
+    rc = main([command, *inputs, *flags, out_flag, str(tmp / "out.csv")])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"spikeopt {command}: error: {flag} ")
+    if flag == "--labels":
+        assert "short.slbl" in err and "data.sten" in err
     assert not (tmp / "out.csv").exists() and not (tmp / "trace.csv").exists()
+
+
+# a name or literal a command does not know: the command, its arguments and
+# the flag the error names
+BAD_NAMES = {
+    "oracle-neuron-mech": (["oracle-check", "--neuron", "signgd:bogus"], "--neuron"),
+    "oracle-neuron-kind": (["oracle-check", "--neuron", "bogus"], "--neuron"),
+    "oracle-neuron-delta": (["oracle-check", "--neuron", "signgd:leaky:x"], "--neuron"),
+    "oracle-schedule": (["oracle-check", "--neuron", "if", "--schedule", "bogus:1"],
+                        "--schedule"),
+    "oracle-schedule-range": (["oracle-check", "--neuron", "if", "--schedule", "exp:1:2"],
+                              "--schedule"),
+    "sweep-mech": (["neuron-sweep", "--mech", "bogus", "--out", "OUT"], "--mech"),
+    "sweep-schedule": (["neuron-sweep", "--mech", "signgd:relu", "--schedule", "inv",
+                        "--out", "OUT"], "--schedule"),
+    "encode-schedule": (["encode", "--x", "0.3", "--schedule", "bogus:1", "--out", "OUT"],
+                        "--schedule"),
+    "convert-schedule": (["convert", "ANN", "--family", "signgd", "--schedule", "bogus:1",
+                          "--out", "OUT"], "--schedule"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NAMES))
+def test_bad_name_exits_2(pipeline, capsys, case):
+    """An unknown neuron, mechanism or schedule ends the command with exit
+    status 2 and one stderr line naming the flag, not a traceback."""
+    tmp, _ = pipeline
+    (command, *args), flag = BAD_NAMES[case]
+    args = [{"ANN": str(tmp / "ann.json"), "OUT": str(tmp / "out")}.get(a, a) for a in args]
+    rc = main([command, *args])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and not list(tmp.glob("out*"))
+    assert err.count("\n") == 1 and err.startswith(f"spikeopt {command}: error: {flag}: ")
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])

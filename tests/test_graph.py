@@ -1,12 +1,24 @@
 import json
+import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
+import spikeopt.graph.io as gio
+from conftest import (
+    CONFIGS,
+    MODELS,
+    build_cnn,
+    build_layernorm_block,
+    build_mlp,
+    chain_edges,
+    dense_node,
+)
+from reference_io import reference_save_model
 from spikeopt.codec import make_rng
 from spikeopt.graph import (
     ConversionError,
@@ -64,6 +76,56 @@ MANIFEST_MUTATIONS = {
 }
 
 
+def _put(index, value):
+    """Blob fault: element `index` of fc0.bias (after the magic) set to `value`."""
+    def mutate(manifest, blob):
+        start = 4 + manifest["tensors"]["fc0.bias"]["offset"] + 4 * index
+        blob[start:start + 4] = np.float32(value).tobytes()
+    return mutate
+
+
+def _offset(value):
+    def mutate(manifest, blob):
+        manifest["tensors"]["fc0.bias"]["offset"] = value
+    return mutate
+
+
+# faults of the files of build_mlp(dims=(4, 2)), whose blob holds fc0.bias
+# (2 values) and then fc0.weight (8): (mutation of the manifest and blob,
+# error load_model raises, what its message names)
+BLOB_FAULTS = {
+    "nan": (_put(1, np.nan), ModelFormatError, "m.bin.*fc0.bias.*NaN or inf"),
+    "inf": (_put(1, np.inf), ModelFormatError, "m.bin.*fc0.bias.*NaN or inf"),
+    "-inf": (_put(1, -np.inf), ModelFormatError, "m.bin.*fc0.bias.*NaN or inf"),
+    "truncated": (lambda m, blob: blob.__delitem__(slice(-8, None)), TruncatedBlobError,
+                  r"m.bin.*fc0.weight.*needs bytes \[8, 40\) but blob has 32"),
+    "offset-negative": (_offset(-8), ModelFormatError, "m.json.*fc0.bias.*invalid offset"),
+    "offset-past-end": (_offset(36), TruncatedBlobError, "m.bin.*fc0.bias.*needs bytes"),
+    "no-magic": (lambda m, blob: blob.__setitem__(slice(0, 4), b"STEN"), ModelFormatError,
+                 "m.bin.*SGM1 magic"),
+}
+
+
+def _last(value):
+    """STEN fault: the last element of the payload set to `value`."""
+    def mutate(raw):
+        raw[-4:] = np.float32(value).tobytes()
+    return mutate
+
+
+# faults of a (2, 3) STEN file of zeros: (mutation of its bytes, error
+# load_tensor raises, what its message names)
+STEN_FAULTS = {
+    "nan": (_last(np.nan), ModelFormatError, "x.sten.*NaN or inf"),
+    "inf": (_last(np.inf), ModelFormatError, "x.sten.*NaN or inf"),
+    "-inf": (_last(-np.inf), ModelFormatError, "x.sten.*NaN or inf"),
+    "truncated": (lambda raw: raw.__delitem__(slice(-4, None)), TruncatedBlobError,
+                  r"x.sten: payload shorter than \(2, 3\)"),
+    "no-magic": (lambda raw: raw.__setitem__(slice(0, 4), b"SGM1"), ModelFormatError,
+                 "x.sten: missing STEN magic"),
+}
+
+
 class TestModelIo:
     def test_minimal_roundtrip(self, tmp_path, rng):
         g = build_mlp(seed=3, dims=(4, 2))
@@ -81,14 +143,6 @@ class TestModelIo:
         save_model(g2, tmp_path / "b")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
-
-    def test_truncated_blob(self, tmp_path):
-        g = build_mlp(seed=3, dims=(4, 2))
-        save_model(g, tmp_path / "m")
-        raw = (tmp_path / "m.bin").read_bytes()
-        (tmp_path / "m.bin").write_bytes(raw[: len(raw) - 8])
-        with pytest.raises(TruncatedBlobError):
-            load_model(tmp_path / "m")
 
     def test_unknown_kind(self, tmp_path):
         g = build_mlp(seed=3, dims=(4, 2))
@@ -117,15 +171,6 @@ class TestModelIo:
         with pytest.raises(TruncatedBlobError, match="x.sten"):
             load_tensor(path)
 
-    def test_negative_tensor_offset(self, tmp_path):
-        g = build_mlp(seed=3, dims=(4, 2))
-        save_model(g, tmp_path / "m")
-        manifest = json.loads((tmp_path / "m.json").read_text())
-        manifest["tensors"]["fc0.bias"]["offset"] = -8
-        (tmp_path / "m.json").write_text(json.dumps(manifest))
-        with pytest.raises(ModelFormatError, match="m.json.*fc0.bias"):
-            load_model(tmp_path / "m")
-
     @pytest.mark.parametrize("key", ["kind", "id"])
     def test_node_entry_without_key(self, tmp_path, key):
         g = build_mlp(seed=3, dims=(4, 2))
@@ -143,25 +188,42 @@ class TestModelIo:
         with pytest.raises(TruncatedBlobError, match="x.sten"):
             load_tensor(path)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_tensor_rejected(self, tmp_path, bad):
-        arr = np.zeros((2, 3), dtype=np.float32)
-        arr[1, 2] = bad
-        save_tensor(arr, tmp_path / "x.sten")
-        with pytest.raises(ModelFormatError, match="x.sten.*NaN or inf"):
+    @pytest.mark.parametrize("fault", STEN_FAULTS.values(), ids=list(STEN_FAULTS))
+    def test_bad_tensor_file_rejected(self, tmp_path, fault):
+        mutate, error, match = fault
+        save_tensor(np.zeros((2, 3), dtype=np.float32), tmp_path / "x.sten")
+        raw = bytearray((tmp_path / "x.sten").read_bytes())
+        mutate(raw)
+        (tmp_path / "x.sten").write_bytes(bytes(raw))
+        with pytest.raises(error, match=match):
             load_tensor(tmp_path / "x.sten")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_model_tensor_rejected(self, tmp_path, bad):
-        g = build_mlp(seed=3, dims=(4, 2))
-        save_model(g, tmp_path / "m")
-        entry = json.loads((tmp_path / "m.json").read_text())["tensors"]["fc0.bias"]
+    @pytest.mark.parametrize("fault", BLOB_FAULTS.values(), ids=list(BLOB_FAULTS))
+    def test_bad_blob_rejected(self, tmp_path, fault):
+        """Each fault is caught on the one-copy read and named
+        with the file that holds it."""
+        mutate, error, match = fault
+        save_model(build_mlp(seed=3, dims=(4, 2)), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
         blob = bytearray((tmp_path / "m.bin").read_bytes())
-        start = 4 + entry["offset"] + 4  # past the magic, at the second element
-        blob[start:start + 4] = np.float32(bad).tobytes()
+        mutate(manifest, blob)
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
         (tmp_path / "m.bin").write_bytes(bytes(blob))
-        with pytest.raises(ModelFormatError, match="m.bin.*fc0.bias.*NaN or inf"):
+        with pytest.raises(error, match=match):
             load_model(tmp_path / "m")
+
+    def test_loaded_tensors_are_writable_float32(self, tmp_path):
+        g = build_layernorm_block(seed=2)
+        save_model(g, tmp_path / "m")
+        g2, _ = load_model(tmp_path / "m")
+        loaded = [val for node in g2.nodes.values() for key, val in node.params.items()
+                  if key in gio._TENSOR_KEYS]
+        assert len(loaded) == 6
+        for arr in loaded:
+            assert arr.dtype == np.float32 and arr.flags.writeable
+        arr = loaded[0]
+        arr[...] = 7.0  # a loaded tensor belongs to its graph: writing it reaches no other
+        assert all((other != 7.0).all() for other in loaded[1:])
 
     @pytest.mark.parametrize("mutate", MANIFEST_MUTATIONS.values(), ids=list(MANIFEST_MUTATIONS))
     def test_malformed_manifest_field(self, tmp_path, mutate):
@@ -173,16 +235,57 @@ class TestModelIo:
         with pytest.raises(ModelFormatError, match="m.json"):
             load_model(tmp_path / "m")
 
-    def test_tensor_file_roundtrip(self, tmp_path, rng):
-        arr = rng.normal(0, 1, (3, 5, 2)).astype(np.float32)
+    @pytest.mark.parametrize("shape", [(3, 5, 2), (), (0, 4)])
+    def test_tensor_file_roundtrip(self, tmp_path, rng, shape):
+        arr = rng.normal(0, 1, shape).astype(np.float32)
         save_tensor(arr, tmp_path / "x.sten")
-        np.testing.assert_array_equal(load_tensor(tmp_path / "x.sten"), arr)
+        loaded = load_tensor(tmp_path / "x.sten")
+        np.testing.assert_array_equal(loaded, arr)
+        assert loaded.shape == shape and loaded.dtype == np.float32 and loaded.flags.writeable
 
     def test_labels_roundtrip(self, tmp_path):
         from spikeopt.graph import load_labels, save_labels
 
         save_labels([3, 1, 2], tmp_path / "y.slbl")
         np.testing.assert_array_equal(load_labels(tmp_path / "y.slbl"), [3, 1, 2])
+
+
+def _json_trees():
+    """JSON trees with the values where an indented writer can slip: empty
+    containers, lists of lists, dicts in lists, tuples, strings holding the
+    separators, quotes or non-ASCII, ints past 2**53 and edge floats."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**53, 2**70)
+               | st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf,
+                                                math.nan])
+               | st.text() | st.sampled_from([", ", '"', "\\", ": ", "\n  ", "fc0.bias",
+                                              "\u00e9t\u00e9", "\u2028", "\U0001f600"]))
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans(), inner, max_size=3)
+    ), max_leaves=30)
+
+
+class TestManifestWriter:
+    """The manifest is exactly json.dumps(..., indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("c_encoder", [gio.c_make_encoder, None], ids=["c", "no-c"])
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_json_trees())
+    def test_writer_is_the_stdlib_indented_text(self, c_encoder, tree):
+        with mock.patch.object(gio, "c_make_encoder", c_encoder):
+            assert gio._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("model,family", CONFIGS)
+    def test_converted_files_are_the_reference_writers(self, tmp_path, monkeypatch, model,
+                                                       family):
+        snn = calibrate(convert(MODELS[model](), family, Schedule.inverse(1.0)))
+        snn.save(tmp_path / "new")
+        monkeypatch.setattr(gio, "save_model", reference_save_model)
+        snn.save(tmp_path / "ref")
+        for suffix in (".json", ".bin"):
+            assert ((tmp_path / "new").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "ref").with_suffix(suffix).read_bytes()), suffix
 
 
 def _json_values():
