@@ -34,6 +34,8 @@ from .neurons import (
     LifNeuron,
     SignGdNeuron,
     SubgradNeuron,
+    check_signgd_coefficients,
+    check_subgrad_coefficients,
     parse_mechanism,
 )
 from .oracles import (
@@ -83,6 +85,22 @@ def _parsed(flag, parse, text):
         raise RangeError(f"{flag}: {exc}") from None
 
 
+def _schedule(args, family=None):
+    """--schedule, with the coefficient set of `family` (signgd or subgrad)
+    solved under --parameterization and checked; a schedule either step
+    rejects is a RangeError naming --schedule."""
+    def parse(text):
+        s = parse_schedule(text)
+        with np.errstate(all="ignore"):  # a check on overflowing values fails quietly
+            if family == "signgd":
+                check_signgd_coefficients(solve_signgd_coefficients(s, args.parameterization), s)
+            elif family == "subgrad":
+                check_subgrad_coefficients(solve_subgrad_coefficients(s))
+        return s
+
+    return _parsed("--schedule", parse, args.schedule)
+
+
 def _check_c(args):
     """The stochastic encoder draws with probability sigmoid(c (f - x)), c in [0, 1]."""
     if args.encoder == "stoch" and not 0.0 <= args.c <= 1.0:
@@ -120,7 +138,7 @@ def _checkpoints(T, extra=()):
 def cmd_encode(args):
     _at_least_one("--T", args.T)
     _check_c(args)
-    schedule = _parsed("--schedule", parse_schedule, args.schedule)
+    schedule = _schedule(args)
     if args.encoder == "poisson":
         enc = PoissonEncoder(args.x, seed=args.seed)
     else:
@@ -200,7 +218,9 @@ def _oracle_pair(args, schedule, rng):
 
 def cmd_oracle_check(args):
     _at_least_one("--steps", args.steps)
-    schedule = _parsed("--schedule", parse_schedule, args.schedule)
+    family = ("subgrad" if args.neuron == "subgrad"
+              else "signgd" if args.neuron.startswith("signgd") else None)
+    schedule = _schedule(args, family)
     neuron, oracle, inputs, decoded = _oracle_pair(args, schedule, make_rng(args.seed))
 
     # per step: the neuron's and the oracle's spikes, then decoded(t) and the
@@ -240,7 +260,7 @@ def _sweep_operands(kind, grid, seed):
 
 
 def cmd_neuron_sweep(args):
-    schedule = _parsed("--schedule", parse_schedule, args.schedule)
+    schedule = _schedule(args, "signgd")
     mech = _parsed("--mech", parse_mechanism, args.mech)
     _at_least_one("--points", args.points)
     _at_least_one("--T", args.T)
@@ -252,8 +272,8 @@ def cmd_neuron_sweep(args):
     ops = _sweep_operands(mech.kind, grid, args.seed)
     n = grid.size
     coeffs = solve_signgd_coefficients(schedule, args.parameterization)
-    neuron = SignGdNeuron(mech, coeffs, schedule,
-                          W=np.ones((mech.arity, n)), b=np.zeros((mech.arity, n)), n=n)
+    neuron = SignGdNeuron(mech, coeffs, schedule, W=np.ones((mech.arity, n)),
+                          b=np.zeros((mech.arity, n)), n=n, validate=False)
     encs = [signed_encoder(args.encoder, ops[k], schedule, args.c, args.seed + k)
             for k in range(mech.arity)]
     target = reference_nonlinearity(mech.kind, ops if mech.arity == 2 else ops[0], mech.delta)
@@ -278,7 +298,7 @@ def cmd_neuron_sweep(args):
 
 
 def cmd_convert(args):
-    schedule = _parsed("--schedule", parse_schedule, args.schedule)
+    schedule = _schedule(args, args.family)
     g, _ = load_model(args.model)
     if args.normalize_relu:
         if args.calib_data:

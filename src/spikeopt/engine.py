@@ -3,18 +3,20 @@
 An SnnInstance compiles its network once into a step plan (`graph.plan`)
 and tabulates the per-step schedule and coefficient scalars in one StepTable
 shared by every neuron layer and the readout. It steps a batch of B items in
-lockstep: every layer holds (B, n) state, and one global step encodes each
-item's next input frame, runs the plan once for all of them (linear ops map
-the instantaneous frames, neuron layers integrate, fire and reset), and
-folds the output node's currents into the readouts:
+lockstep, K steps at a time: the items' next K input frames go through the
+plan as one block (linear ops map all K B frames at once, each neuron layer
+integrates, fires and resets over its K steps in turn), and the K output
+currents fold into the readouts one step at a time:
 
   sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
                    r(0) = b_out (the calibrated output bias image)
   subgradient/rate readout r(t) = running mean of output currents
 
-Every op works row by row with the arithmetic of a one-item step, so each
-item's readouts and spike counts are bit-identical to running it alone;
-`run` is `run_batch` on one item.
+Every op works row by row with the arithmetic of a one-item step, and a
+dense product does not depend on the rows computed with it (see
+`graph.plan`), so each item's readouts and spike counts are bit-identical
+to running it alone, one step at a time; `run` is `run_batch` on one item.
+K is the most steps whose slot rows fit `plan.BLOCK_BYTES`.
 
 Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes. Classification
@@ -107,37 +109,53 @@ class SnnInstance:
         self.layers: dict[str, object] = self.plan.layers
         self.reset()
 
-    def reset(self, batch: int = 1):
-        """Clear the state for a batch of `batch` items."""
+    def reset(self, batch: int = 1, steps: int = 1):
+        """Clear the state for a batch of `batch` items, stepped up to `steps`
+        steps per call."""
+        self.plan.reset(batch, steps)
         for layer in self.layers.values():
             layer.reset(batch)
         self.t = 0
         self.r = np.tile(self._r0, (batch, 1))
-        self._rx, self._ry = np.empty_like(self.r), np.empty_like(self.r)
+        self._rx, self._ry = np.empty((2, steps, *self.r.shape))
 
-    def step(self, input_frames) -> np.ndarray:
+    def step(self, frames, steps: int | None = None, observer=None) -> np.ndarray:
         """Propagate one spike/current frame per item, shape (B, ...) (one
-        item's frame may drop the B axis); returns the readouts, (B, n_out),
-        as a new array."""
-        self.t += 1
-        out_current = self.plan.step(input_frames)
+        item's frame may drop the B axis), and return the readouts, (B, n_out),
+        as a new array. With `steps`, propagate a block of that many steps,
+        frames (steps, B, ...), and return the readout after each, (steps, B,
+        n_out); `observer` sees the plan's ops (`Plan.step`)."""
+        out_current = self.plan.step(frames, observer)
+        r, B = self.r, len(self.r)
+        K = len(out_current) // B
+        I = out_current.reshape(K, B, -1)
+        x, y = self._rx[:K], self._ry[:K]
+        readouts = np.empty_like(I)
         # the readout expression in each comment, operation for operation,
         # through two scratch buffers
-        x, y, r, t = self._rx, self._ry, self.r, self.t
         if self.snn.family == "signgd":
-            # r <- r - eta(t) (2 (I_out - b_out) - W_out)
-            np.subtract(out_current, self.readout_b, x)
+            # r <- r - eta(t) (2 (I_out - b_out) - W_out); the bracket of every
+            # step of the block at once
+            np.subtract(I, self.readout_b, x)
             np.multiply(x, 2.0, y)
             np.subtract(y, self.readout_w, x)
-            np.multiply(x, self._table[t][0], y)
-            np.subtract(r, y, r)
+            for k in range(K):
+                self.t += 1
+                np.multiply(x[k], self._table[self.t][0], y[k])
+                np.subtract(r, y[k], readouts[k])
+                r = readouts[k]
         else:
-            # r <- r (t - 1) / t + I_out / t
-            np.multiply(r, t - 1, x)
-            np.divide(x, t, y)
-            np.divide(out_current, t, x)
-            np.add(y, x, r)
-        return r.copy()
+            for k in range(K):
+                self.t += 1
+                t = self.t
+                # r <- r (t - 1) / t + I_out / t
+                np.multiply(r, t - 1, x[k])
+                np.divide(x[k], t, y[k])
+                np.divide(I[k], t, x[k])
+                np.add(y[k], x[k], readouts[k])
+                r = readouts[k]
+        self.r[...] = r
+        return readouts if steps is not None else readouts[0]
 
     @property
     def spike_counts(self) -> dict[str, np.ndarray]:
@@ -194,12 +212,24 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
         raise ValueError("T must be >= 1")
     inst = instance or SnnInstance(snn)
     B = len(X)
-    inst.reset(B)
+    K = inst.plan.block_steps(B, T)
+    inst.reset(B, K)
     enc = make_input_encoder(snn, X, encoder, stoch_c, [seed + 1000 * i for i in range(B)])
     history = np.empty((T, B, inst.readout_b.size))
-    for t in range(T):
-        history[t] = inst.step(enc.step())
+    for t, frames in _blocks(inst, enc, T, K):
+        history[t : t + len(frames)] = inst.step(frames, steps=len(frames))
     return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
+
+
+def _blocks(inst: SnnInstance, enc, T: int, K: int):
+    """(t, frames) per block of up to K steps over T: the encoder's next
+    frames, written into the plan's input buffer."""
+    frames = inst.plan.frames
+    for t in range(0, T, K):
+        k = min(K, T - t)
+        for row in frames[:k]:
+            row[...] = enc.step()
+        yield t, frames[:k]
 
 
 def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
@@ -238,14 +268,21 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     layer_ids = list(inst.layers)
     errors = {nid: np.empty(T) for nid in layer_ids}
     readout_error = np.empty(T)
-    # max |decoded - reference| of each layer, through one buffer per layer
+    # max |decoded - reference| of each layer, through one buffer per layer,
+    # read after each of the layer's steps in a block
     diffs = {nid: np.empty_like(ref[nid]) for nid in layer_ids}
-    for t in range(T):
-        r = inst.step(enc.step())[0]
-        for nid, layer in inst.layers.items():
-            d = np.subtract(layer.decoded[0], ref[nid], diffs[nid])
-            errors[nid][t] = np.abs(d, d).max()
-        readout_error[t] = np.max(np.abs(r - ref_out))
+    t = 0
+
+    def observe(nid, kind, k):
+        if kind == "neuron":
+            d = np.subtract(inst.layers[nid].decoded[0], ref[nid], diffs[nid])
+            errors[nid][t + k] = np.abs(d, d).max()
+
+    K = inst.plan.block_steps(1, T)
+    inst.reset(1, K)
+    for t, frames in _blocks(inst, enc, T, K):
+        r = inst.step(frames, steps=len(frames), observer=observe)[:, 0]
+        readout_error[t : t + len(r)] = np.abs(r - ref_out).max(axis=1)
     return TraceRecord(layer_ids=layer_ids, times=np.arange(1, T + 1), errors=errors,
                        readout_error=readout_error)
 

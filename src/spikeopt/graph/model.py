@@ -17,6 +17,7 @@ and `neuron` layers inside converted graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "node_forward",
     "conv2d",
     "infer_shapes",
+    "linear_shape",
     "run_forward",
 ]
 
@@ -295,8 +297,9 @@ def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
-           padding=(0, 0)) -> np.ndarray:
-    """Cross-correlate (B, C, H, W) inputs with (O, C, kh, kw) weights, plus bias.
+           padding=(0, 0), out=None) -> np.ndarray:
+    """Cross-correlate (B, C, H, W) inputs with (O, C, kh, kw) weights, plus bias,
+    into `out` (any array of B O Ho Wo doubles in C order) if given.
 
     Taps accumulate in dy, dx order; each is, item by item, the matrix product
     that np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes. One
@@ -308,13 +311,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     o, c, kh, kw = w.shape
     _, ho, wo = _pool_geometry(x.shape[1:], (kh, kw), (sh, sw))
-    out = np.zeros((len(x), o, ho * wo))
+    if out is None:
+        out = np.zeros((len(x), o, ho * wo))
+    else:
+        out = out.reshape(len(x), o, ho * wo)
+        out[...] = 0.0
     for item, acc in zip(x, out):
         for dy in range(kh):
             for dx in range(kw):
                 patch = item[:, dy : dy + ho * sh : sh, dx : dx + wo * sw : sw]
                 acc += np.dot(w[:, :, dy, dx], patch.reshape(c, ho * wo))
-    return (out + b[:, None]).reshape(len(x), o, ho, wo)
+    return np.add(out, b[:, None], out=out).reshape(len(x), o, ho, wo)
 
 
 def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:
@@ -330,12 +337,50 @@ def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:
     return out
 
 
+def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
+    """The shape `node_forward` gives a dense, affine, conv2d, concat or add
+    node fed frames of `shapes`, by shape arithmetic alone."""
+    k, p = node.kind, node.params
+    if k in ("dense", "affine"):
+        w, b = np.shape(p["weight"]), np.shape(p["bias"])
+        if len(w) != 2 or math.prod(shapes[0]) != w[1]:
+            raise ShapeMismatchError(f"{k} {node.id!r}: weight of shape {w} expects "
+                                     f"{w[-1]} inputs, got {math.prod(shapes[0])}")
+        shapes = [(w[0],), b]  # the product's and the bias's
+    elif k == "conv2d":
+        o, c, kh, kw = np.shape(p["weight"])
+        (ph, pw), x = p.get("padding", (0, 0)), shapes[0]
+        if len(x) != 3 or x[0] != c:
+            raise ShapeMismatchError(f"conv2d {node.id!r}: expected ({c}, H, W) input, "
+                                     f"got {x}")
+        _, ho, wo = _pool_geometry((c, x[1] + 2 * ph, x[2] + 2 * pw), (kh, kw),
+                                   p.get("stride", (1, 1)))
+        return (o, ho, wo)
+    elif k == "concat":
+        return (sum(math.prod(sh) for sh in shapes),)
+    try:  # numpy broadcasts the terms of a sum
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ShapeMismatchError(f"{k} {node.id!r} cannot take shapes "
+                                 f"{[tuple(sh) for sh in shapes]}") from None
+
+
 def infer_shapes(g: Graph) -> dict[str, tuple]:
-    """Every node's output shape: the shapes of `run_forward` on a ones input
-    (values are not read, so numeric warnings are silenced)."""
-    x = np.ones(tuple(g.nodes[g.input_id].params["shape"]))
+    """Every node's output shape: the shapes of `run_forward` on a ones input,
+    those of the `linear_shape` kinds by shape arithmetic (values are not
+    read, so numeric warnings are silenced)."""
+    acts: dict[str, np.ndarray] = {}
     with np.errstate(all="ignore"):
-        return {nid: np.shape(a) for nid, a in run_forward(g, x).items()}
+        for nid in g.topo_order:
+            node = g.nodes[nid]
+            inputs = [acts[s] for s, _ in g.predecessors(nid)]
+            if node.kind == "input":
+                acts[nid] = np.ones(tuple(node.params["shape"]))
+            elif node.kind in ("dense", "affine", "conv2d"):
+                acts[nid] = np.ones(linear_shape(node, [x.shape for x in inputs]))
+            else:
+                acts[nid] = node_forward(node, inputs)
+    return {nid: a.shape for nid, a in acts.items()}
 
 
 def run_forward(g: Graph, x: np.ndarray) -> dict[str, np.ndarray]:

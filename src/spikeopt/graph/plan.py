@@ -6,24 +6,43 @@ concat within one slot) compose into one index selection; dense/affine,
 conv2d, add and concat across slots fill a new slot; a neuron layer reads
 one whole slot, or takes its operands from one slot with one (arity, n)
 index table (operands in several slots are joined by the concat rule first).
-Inputs resolve to integer slots and float64 weights are hoisted once.
+Inputs resolve to integer slots, output shapes come from shape arithmetic,
+and each weight is converted to float64 once.
 
-A plan steps a batch of items in lockstep: every slot holds a (B, size)
-array, one row per item. Each op computes, row by row, what `node_forward`
-computes for its node, from the same operands in the same order with the
-same BLAS call shapes, so a batched step is bit-identical both to a
-node-by-node walk and to stepping each item on its own.
+A plan steps a block of K steps of B items: every slot holds (K B, width)
+rows, row k B + b being step k of item b. Each move, take, add, concat and
+conv2d op runs once per block, row by row with the arithmetic `node_forward`
+uses for one frame (conv2d keeps its per-frame taps); each neuron layer then
+loops over its K steps on row slices. In a feed-forward network a layer's
+state at step t depends only on its inputs up to t, so a block gives every
+step what stepping it alone gives, bit for bit.
+
+Dense and affine nodes have their own rule, `DenseRule`: row j of x W^T + b
+is row j of one GEMM over a tile of exactly R = 16 rows, against the
+transposed weight with its output rows zero-padded to a multiple of 8, plus
+the bias. With OpenBLAS, calls of one fixed row count against such a weight
+give every row the bits that row gets alone, whatever its position and
+neighbours (`tests/test_plan.py` checks it on every dense shape in use), so
+a product does not depend on the block it is computed in. It differs from
+the matrix-vector product of `node_forward`, the ANN reference, by ~1e-13.
+
+The slot buffers of one plan share stores where slot lifetimes do not
+overlap, and a plan that is resized or gone leaves its stores to the next
+plan of the process: freed, they would let the allocator hand the heap's top
+back to the system, and the next network would fault its pages in again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 
 import numpy as np
 
-from .model import Graph, GraphError, Node, conv2d, node_forward
+from .model import Graph, GraphError, Node, conv2d, linear_shape, node_forward
 
-__all__ = ["Plan", "STEPPABLE"]
+__all__ = ["Plan", "DenseRule", "STEPPABLE", "R", "BLOCK_BYTES"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
@@ -31,12 +50,83 @@ _MOVES = _VIEWS | {"gather", "transpose", "concat"}
 # every kind a spiking network can hold
 STEPPABLE = frozenset(_MOVES | {"input", "dense", "affine", "conv2d", "add", "neuron"})
 
+R = 16  # rows of every dense product: one GEMM tile
+BLOCK_BYTES = 1 << 20  # budget for the slot rows of one block
+
+
+# stores left by plans that are resized or gone, newest last, for the next
+# plan to take (at most _SPARE_COUNT of them and 2 BLOCK_BYTES in all)
+_spares: list = []
+_spares_lock = threading.Lock()
+_SPARE_COUNT = 8
+
+
+def _take_store(size: int) -> np.ndarray:
+    with _spares_lock:
+        for i, store in enumerate(_spares):
+            if store.size == size:
+                return _spares.pop(i)
+    return np.empty(size)
+
+
+def _give_stores(stores: list):
+    with _spares_lock:
+        _spares.extend(stores)
+        while (len(_spares) > _SPARE_COUNT
+               or sum(store.nbytes for store in _spares) > 2 * BLOCK_BYTES):
+            _spares.pop(0)
+
+
+class DenseRule:
+    """The product of one dense or affine node: x W^T + b for (N, fan_in)
+    rows x. Row j is row j of np.matmul(tile, wt), the bias added after:
+    `tile` is R rows of x, zero-padded at the end, and `wt` the float64
+    weight with its output rows zero-padded to a multiple of 8, transposed
+    once (a view of the padded weight). Full tiles are read in place; the
+    padded tile and the product of a padded width go to buffers kept for
+    the next call."""
+
+    def __init__(self, w, b):
+        self.n_out, fan_in = np.shape(w)
+        padded = np.empty((-(-self.n_out // 8) * 8, fan_in))
+        padded[: self.n_out] = w  # float32 storage widens exactly
+        padded[self.n_out :] = 0.0
+        self.wt = padded.T
+        self.b = np.asarray(b, dtype=np.float64)
+        self._tile = self._prod = None
+
+    @classmethod
+    def of(cls, node: Node) -> "DenseRule":
+        return cls(node.params["weight"], node.tensor("bias"))
+
+    def __call__(self, x, out=None):
+        """The (N, n_out) product of the (N, fan_in) rows x, into `out` if given."""
+        n, fan_in = x.shape
+        tiles = -(-n // R)
+        if n % R or not x.flags.c_contiguous:
+            if self._tile is None or len(self._tile) < tiles * R:
+                self._tile = np.empty((tiles * R, fan_in))
+            tile = self._tile[: tiles * R]
+            tile[:n] = x
+            tile[n:] = 0.0
+            x = tile
+        width = self.wt.shape[1]
+        if out is not None and n % R == 0 and width == self.n_out and out.flags.c_contiguous:
+            np.matmul(x.reshape(tiles, R, fan_in), self.wt, out=out.reshape(tiles, R, width))
+            return np.add(out, self.b, out=out)
+        if self._prod is None or len(self._prod) < tiles * R:
+            self._prod = np.empty((tiles * R, width))
+        prod = self._prod[: tiles * R]
+        np.matmul(x.reshape(tiles, R, fan_in), self.wt, out=prod.reshape(tiles, R, width))
+        return np.add(prod[:n, : self.n_out], self.b, out=out)
+
 
 class _Value:
-    """A node's frame at compile time: `slots[slot]`, selected by `idx` if set."""
+    """A node's frame at compile time: `slots[slot]`, selected by `idx` if set;
+    `node` names the node that produced it."""
 
-    def __init__(self, slot: int, idx, shape: tuple):
-        self.slot, self.idx, self.shape = slot, idx, tuple(shape)
+    def __init__(self, slot: int, idx, shape: tuple, node: str):
+        self.slot, self.idx, self.shape, self.node = slot, idx, tuple(shape), node
 
     def indices(self) -> np.ndarray:
         """Flat source indices of the frame, in its shape."""
@@ -45,17 +135,28 @@ class _Value:
 
 
 class Plan:
-    """The per-step ops of one graph of `STEPPABLE` kinds. `layer(node)` builds
-    the object that steps neuron node `node`: its `step(currents)` takes the
-    (arity, B, n) influx currents and returns the (B, n) spikes; `layers` maps
-    each neuron node id to it. `step(x)` takes the (B, ...) input frames and
-    returns the output node's (B, n_out) influx currents."""
+    """The ops of one graph of `STEPPABLE` kinds. `layer(node)` builds the
+    object that steps neuron node `node`: its `step(currents)` takes the
+    (arity, B, n) influx currents and returns the (B, n) spikes; `layers`
+    maps each neuron node id to it.
+
+    `reset(batch, steps)` sizes the slot buffers for blocks of up to `steps`
+    steps of `batch` items; `step(x)` takes a block's input frames, k B rows
+    for k <= steps, and returns the output node's (k B, n_out) influx
+    currents, a view that the next block overwrites. `ops` holds one
+    (node id, kind, op) per op; with an observer, `step` calls
+    `observer(node id, kind, k)` after step k of each neuron layer and
+    `observer(node id, kind, None)` after every other op."""
 
     def __init__(self, graph: Graph, layer):
-        self.input_size = int(np.prod(graph.nodes[graph.input_id].params["shape"]))
+        self.input_size = math.prod(graph.nodes[graph.input_id].params["shape"])
         self.ops: list = []
         self.layers: dict = {}
-        self.n_slots = 1  # slot 0 holds the input frames
+        self.widths = [self.input_size]  # slot 0 holds the input frames
+        self._blocks = [True]  # whether each slot holds a block's rows or one step's
+        self._io: list = []  # per op: the slots it reads, the block slot it writes
+        self.batch = self.rows = 0  # set by reset
+        self._release = None
         values: dict[str, _Value] = {}
         for nid in graph.topo_order:
             node = graph.nodes[nid]
@@ -63,80 +164,139 @@ class Plan:
             if node.kind not in STEPPABLE:
                 raise GraphError(f"node {nid!r} ({node.kind}) has no step rule")
             if node.kind == "input":
-                values[nid] = _Value(0, None, node.params["shape"])
+                values[nid] = _Value(0, None, node.params["shape"], nid)
             elif node.kind == "neuron":
                 values[nid] = self._neuron(node, ins, layer)
             elif node.kind in _MOVES and len({v.slot for v in ins}) == 1:
                 # run the move on the inputs' source indices: one composed selection
                 sel = node_forward(node, [v.indices() for v in ins])
                 view = node.kind in _VIEWS and ins[0].idx is None
-                values[nid] = _Value(ins[0].slot, None if view else sel.reshape(-1), sel.shape)
+                values[nid] = _Value(ins[0].slot, None if view else sel.reshape(-1),
+                                     sel.shape, nid)
             else:
                 values[nid] = self._linear(node, ins)
         self.out_slot = self._flat(values[graph.output_id])
-        self.slots: list = [None] * self.n_slots
+        # doubles per row of the slots that hold a block's rows
+        self.block_width = sum(w for w, block in zip(self.widths, self._blocks) if block)
+        self._share()
 
-    def step(self, x) -> np.ndarray:
-        s = self.slots
-        s[0] = np.asarray(x, dtype=np.float64).reshape(-1, self.input_size)
-        for op in self.ops:
-            op(s)
+    def block_steps(self, batch: int, T: int) -> int:
+        """Steps per block for `batch` items over T steps: the most whose slot
+        rows fit in BLOCK_BYTES, rounded down to make whole R-row tiles where
+        the budget allows, and at most T."""
+        k = max(1, BLOCK_BYTES // (8 * batch * self.block_width))
+        whole = R // math.gcd(batch, R)  # steps per whole number of tiles
+        if k >= whole:
+            k -= k % whole
+        return min(k, T)
+
+    def reset(self, batch: int, steps: int = 1):
+        """Size the slot buffers for blocks of up to `steps` steps of `batch`
+        items; the buffers of the last (batch, steps) are kept. `frames`, the
+        (steps, batch, input size) buffer of slot 0, may hold a block's input."""
+        rows = batch * steps
+        if (batch, rows) != (self.batch, self.rows):
+            self.batch, self.rows = batch, rows
+            if self._release is not None:
+                self._release()
+            store = [_take_store(rows * cap) for cap in self._caps]
+            self._release = weakref.finalize(self, _give_stores, store)
+            self._buffers = [store[b][: rows * w].reshape(rows, w) if block
+                             else np.empty((batch, w)) for w, block, b
+                             in zip(self.widths, self._blocks, self._store_of)]
+            self.frames = self._buffers[0].reshape(steps, batch, -1)
+
+    def step(self, x, observer=None) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_size)
+        n = len(x)
+        if not 0 < n <= self.rows or n % self.batch:
+            raise ValueError(f"{n} input rows are not whole steps of the {self.batch} "
+                             f"items and at most {self.rows} rows that reset sized")
+        s, B = [x] + [buf[:n] for buf in self._buffers[1:]], self.batch
+        if observer is None:
+            for _, _, op in self.ops:
+                op(s, B, None)
+        else:
+            for nid, kind, op in self.ops:
+                op(s, B, observer)
+                if kind != "neuron":
+                    observer(nid, kind, None)
         return s[self.out_slot]
 
-    def _slot(self) -> int:
-        self.n_slots += 1
-        return self.n_slots - 1
+    def _share(self):
+        """Give each block slot a store: the store of a slot whose last reader
+        has run, grown to fit, or a new one. `_caps` holds each store's
+        doubles per row and `_store_of` each slot's store."""
+        last = {self.out_slot: len(self._io)}
+        for i, (reads, _) in enumerate(self._io):
+            last.update(dict.fromkeys(reads, i))
+        self._caps, self._store_of, holder = [], [None] * len(self.widths), []
+        for i, slot in [(-1, 0)] + [(i, out) for i, (_, out) in enumerate(self._io)]:
+            free = [b for b, h in enumerate(holder) if last.get(h, -2) < i]
+            b = max(free, key=self._caps.__getitem__) if free else len(holder)
+            if b == len(holder):
+                holder.append(slot)
+                self._caps.append(0)
+            holder[b], self._store_of[slot] = slot, b
+            self._caps[b] = max(self._caps[b], self.widths[slot])
+
+    def _op(self, node: str, kind: str, op, reads, out: int):
+        self.ops.append((node, kind, op))
+        self._io.append((tuple(reads), out))
+
+    def _slot(self, width: int, block: bool = True) -> int:
+        """A new slot of `width` doubles per row: a block's rows, or one step's."""
+        self.widths.append(int(width))
+        self._blocks.append(block)
+        return len(self.widths) - 1
 
     def _flat(self, v: _Value) -> int:
         """Slot holding v's frame, adding its selection op on first use."""
         if v.idx is not None:
-            src, idx, out = v.slot, v.idx, self._slot()
+            src, idx, out = v.slot, v.idx, self._slot(v.idx.size)
 
-            def take(s):
-                s[out] = s[src].take(idx, axis=1)
+            def take(s, B, observe):
+                np.take(s[src], idx, axis=1, out=s[out], mode="clip")
 
-            self.ops.append(take)
+            self._op(v.node, "take", take, [src], out)
             v.slot, v.idx = out, None
         return v.slot
 
     def _linear(self, node, ins: list[_Value]) -> _Value:
         srcs = [(self._flat(v), v.shape) for v in ins]
-        # one reference evaluation checks the input shapes and gives the output's
-        shape = node_forward(node, [np.ones(sh) for _, sh in srcs]).shape
-        out = self._slot()
+        shape = linear_shape(node, [sh for _, sh in srcs])
+        out = self._slot(math.prod(shape))
         (a, in_shape), p = srcs[0], node.params
         if node.kind in ("dense", "affine"):
-            w, b = node.tensor("weight"), node.tensor("bias")
+            rule = DenseRule.of(node)
 
-            def op(s):
-                # stacked matrix-vector products: row i is the gemv of w @ x_i
-                s[out] = np.matmul(w, s[a][:, :, None])[:, :, 0] + b
+            def op(s, B, observe):
+                rule(s[a], s[out])
         elif node.kind == "conv2d":
             w, b = node.tensor("weight"), node.tensor("bias")
             stride, padding = p.get("stride", (1, 1)), p.get("padding", (0, 0))
 
-            def op(s):
+            def op(s, B, observe):
                 x = s[a]
-                s[out] = conv2d(x.reshape(len(x), *in_shape), w, b, stride,
-                                padding).reshape(len(x), -1)
+                conv2d(x.reshape(len(x), *in_shape), w, b, stride, padding, out=s[out])
         elif node.kind == "concat":
-            def op(s):
-                s[out] = np.concatenate([s[i] for i, _ in srcs], axis=1)
+            def op(s, B, observe):
+                np.concatenate([s[i] for i, _ in srcs], axis=1, out=s[out])
         else:  # add, in port order; each operand's rank padded as numpy pads it
             shapes = [(1,) * (len(shape) - len(sh)) + sh for _, sh in srcs]
 
-            def op(s):
-                B = len(s[a])
-                acc = s[a].reshape(B, *shapes[0])
+            def op(s, B, observe):
+                n = len(s[out])
+                acc = s[out].reshape(n, *shape)
+                np.copyto(acc, s[a].reshape(n, *shapes[0]))
                 for (i, _), sh in zip(srcs[1:], shapes[1:]):
-                    acc = acc + s[i].reshape(B, *sh)
-                s[out] = acc.reshape(B, -1)
+                    np.add(acc, s[i].reshape(n, *sh), out=acc)
 
-        self.ops.append(op)
-        return _Value(out, None, shape)
+        self._op(node.id, node.kind, op, [i for i, _ in srcs], out)
+        return _Value(out, None, shape, node.id)
 
     def _neuron(self, node, ins: list[_Value], layer) -> _Value:
-        n, out = node.params["count"], self._slot()
+        n = node.params["count"]
         sizes = [math.prod(v.shape) for v in ins]
         if any(size not in (n, 1) for size in sizes):
             raise GraphError(f"node {node.id!r} (neuron) has count {n} but operands "
@@ -152,18 +312,25 @@ class Plan:
         neuron = self.layers[node.id] = layer(node)
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
-            ins = [_Value(joined, start + np.arange(k), (k,))
+            ins = [_Value(joined, start + np.arange(k), (k,), node.id)
                    for start, k in zip(np.cumsum([0, *sizes]), sizes)]
-        src = ins[0].slot
-        if len(ins) == 1 and ins[0].idx is None and sizes[0] == n:
-            def op(s):
-                s[out] = neuron.step(s[src][None])
-        else:
-            # one take of the (arity, n) index table gives the (B, arity, n) block
+        nid, arity, src, sel = node.id, len(ins), ins[0].slot, None
+        if arity > 1 or ins[0].idx is not None or sizes[0] != n:
+            # per step, one take of the (arity, n) index table into a (B, arity n) slot
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
+            sel, taken = sel.reshape(-1), self._slot(sel.size, block=False)
+        out = self._slot(n)
 
-            def op(s):
-                s[out] = neuron.step(s[src].take(sel, axis=1).transpose(1, 0, 2))
+        def op(s, B, observe):
+            x, y = s[src], s[out]
+            for k, r in enumerate(range(0, len(y), B)):
+                I = x[r : r + B]
+                if sel is not None:
+                    I = np.take(I, sel, axis=1, out=s[taken], mode="clip")
+                # step k's (arity, B, n) currents
+                y[r : r + B] = neuron.step(I.reshape(B, arity, n).transpose(1, 0, 2))
+                if observe is not None:
+                    observe(nid, "neuron", k)
 
-        self.ops.append(op)
-        return _Value(out, None, node.params["shape"])
+        self._op(nid, "neuron", op, [src], out)
+        return _Value(out, None, node.params["shape"], nid)

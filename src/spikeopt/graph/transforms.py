@@ -376,7 +376,7 @@ class _Forced:
         self.spikes = np.repeat([[1.0], [0.0]], n, axis=1)
 
     def step(self, currents):
-        self.currents = currents
+        self.currents = currents.copy()  # the plan reuses its buffers
         return self.spikes
 
 
@@ -391,6 +391,7 @@ def calibrate(snn: SnnGraph) -> SnnGraph:
     """
     g = snn.graph
     plan = Plan(g, lambda node: _Forced(node.params["count"]))
+    plan.reset(2)
     out_hi, out_lo = plan.step(np.repeat([[1.0], [0.0]], plan.input_size, axis=1))
     for nid, layer in plan.layers.items():
         hi, lo = layer.currents[:, 0], layer.currents[:, 1]

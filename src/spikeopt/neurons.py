@@ -230,8 +230,8 @@ class FiringMechanism:
     """Heaviside condition over scaled (u, v) encoding a gradient sign.
 
     Every rule but misr is one comparison: u >= m(v) against the target
-    m(v) of its nonlinearity, or (1 + exp(-1.702 v0)) u >= v0 for gelu.
-    A tie fires, as H(0) = 1 does.
+    m(v) of its nonlinearity, or (1 + exp(-1.702 v0)) u >= v0 for gelu,
+    which at u = 0 is v0 <= 0. A tie fires, as H(0) = 1 does.
     """
 
     kind: str
@@ -256,7 +256,9 @@ class FiringMechanism:
         model and tensor loaders and the input encoder reject NaN and inf. A
         target that overflows (v0 ** 2 for |v0| > 1.3e154, exp(-1.702 v0) for
         v0 < -417) becomes inf, and the comparison gives the spike the
-        difference would; gelu's inf * 0 (u = 0) is NaN and does not fire.
+        difference would. At u = 0 gelu's rule is H(-v0); the overflowed
+        inf * 0 is NaN, so gelu fires there on (u == 0) & (v0 <= 0), which
+        repeats its comparison wherever exp is finite.
         """
         k = self.kind
         if k == "relu":
@@ -272,7 +274,8 @@ class FiringMechanism:
         if k == "gelu":
             v0 = v[0]
             with np.errstate(over="ignore", invalid="ignore"):
-                return ((1.0 + np.exp(-1.702 * v0)) * u >= v0).astype(np.float64)
+                fire = (1.0 + np.exp(-1.702 * v0)) * u >= v0
+            return (fire | ((u == 0) & (v0 <= 0))).astype(np.float64)
         # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
         # the output toward zero (SignGdNeuron counts these degeneracies).
         # With u and v1 of one sign the rule is H(+-lead), lead = v2 u^2 - v1^2;

@@ -27,6 +27,7 @@ evaluation: safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -78,6 +79,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("inverse", "exponential", "constant"):
             raise ScheduleError(f"unknown schedule kind: {self.kind!r}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ScheduleError(f"schedule parameters must be finite: {self.params}")
         if any(p <= 0 for p in self.params):
             raise ScheduleError(f"schedule parameters must be positive: {self.params}")
         if self.kind == "exponential":

@@ -25,7 +25,9 @@ def reference_spike(mech, u, v):
             return np.where(v0 >= 0, heaviside(u - v0), heaviside(u - mech.delta * v0))
         if k == "gelu":
             v0 = v[0]
-            return heaviside((1.0 + np.exp(-1.702 * v0)) * u - v0)
+            # at u = 0 the difference is -v0, also where exp overflows (inf * 0)
+            return np.where(u == 0, heaviside(-v0),
+                            heaviside((1.0 + np.exp(-1.702 * v0)) * u - v0))
         if k == "square":
             return heaviside(u - v[0] ** 2)
         if k == "max2":

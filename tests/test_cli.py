@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -453,6 +455,70 @@ def test_bad_name_exits_2(pipeline, capsys, case):
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and not list(tmp.glob("out*"))
     assert err.count("\n") == 1 and err.startswith(f"spikeopt {command}: error: {flag}: ")
+
+
+# every command that takes --schedule, with the family and parameterization
+# whose coefficient set it solves; ANN and OUT stand for a model file and an
+# output path
+SCHEDULE_COMMANDS = [
+    ["encode", "--x", "0.3", "--T", "8", "--out", "OUT"],
+    ["oracle-check", "--neuron", "if", "--steps", "20"],
+    ["oracle-check", "--neuron", "subgrad", "--steps", "20"],
+    *(["oracle-check", "--neuron", "signgd:relu", "--steps", "20", "--parameterization", p]
+      for p in ("canonical", "unit-current")),
+    *(["neuron-sweep", "--mech", "signgd:gelu", "--points", "5", "--T", "8",
+       "--parameterization", p, "--out", "OUT"] for p in ("canonical", "unit-current")),
+    ["convert", "ANN", "--family", "subgrad", "--out", "OUT"],
+    *(["convert", "ANN", "--family", "signgd", "--parameterization", p, "--out", "OUT"]
+      for p in ("canonical", "unit-current")),
+]
+SCHEDULE_VALUES = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "0.25",
+                                   "0.5", "0.9", "0.999", "1", "1.5", "3"])
+
+
+@pytest.fixture(scope="module")
+def ann_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ann") / "ann"
+    save_model(build_mlp(seed=41, dims=(8, 16, 4)), path)
+    return path.with_suffix(".json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(SCHEDULE_COMMANDS),
+       kind=st.sampled_from(["inv", "exp", "const"]), a=SCHEDULE_VALUES, g=SCHEDULE_VALUES)
+def test_schedule_is_rejected_when_parsed_or_runs(ann_file, tmp_path_factory,
+                                                  command, kind, a, g):
+    """A --schedule literal either ends the command with exit status 2 and one
+    stderr line naming --schedule, or the command runs and exits 0: a schedule
+    its coefficient set cannot use is rejected where the flag is parsed."""
+    out = tmp_path_factory.mktemp("out") / "out"
+    schedule = f"{kind}:{a}:{g}" if kind == "exp" else f"{kind}:{a}"
+    argv = [{"ANN": str(ann_file), "OUT": str(out)}.get(x, x) for x in command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--schedule", schedule])
+    err = err.getvalue()
+    if rc == 2:
+        assert err.count("\n") == 1
+        assert err.startswith(f"spikeopt {command[0]}: error: --schedule: ")
+        assert not list(out.parent.iterdir())
+    else:
+        assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--x", "0.3", "--schedule", "inv:nan"],
+    ["encode", "--x", "0.3", "--schedule", "exp:inf:0.5"],
+    ["oracle-check", "--neuron", "subgrad", "--schedule", "const:1"],
+    ["oracle-check", "--neuron", "signgd:relu", "--schedule", "const:1",
+     "--parameterization", "unit-current"],
+], ids=["encode-nan", "encode-inf", "oracle-subgrad-const", "oracle-unit-current-const"])
+def test_schedule_the_coefficients_cannot_use_exits_2(tmp_path, capfd, argv):
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "encode" else []
+    assert main([*argv, *out]) == 2
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "--schedule" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])

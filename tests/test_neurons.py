@@ -185,6 +185,14 @@ class TestMechanisms:
         assert m.spike(np.array([1.0]), np.array([[-1000.0]]))[0] == 1.0
         assert m.spike(np.array([-1.0]), np.array([[-1000.0]]))[0] == 0.0
 
+    @pytest.mark.parametrize("v0", [-417.5, -500.0, -1e308])
+    def test_gelu_fires_at_zero_u_where_exp_overflows(self, v0):
+        # gelu(v0) ~ -0 <= u = 0, though (1 + inf) * 0 is NaN
+        m = FiringMechanism("gelu")
+        u, v = np.array([0.0, -0.0]), np.array([[v0, v0]])
+        np.testing.assert_array_equal(m.spike(u, v), [1.0, 1.0])
+        np.testing.assert_array_equal(reference_spike(m, u, v), [1.0, 1.0])
+
     def test_square_overflowing_target_stays_silent_without_warning(self):
         # 1e200 ** 2 overflows to inf, above every finite u
         m = FiringMechanism("square")

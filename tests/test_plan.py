@@ -1,9 +1,10 @@
 """Compiled step plans against a node-by-node reference walk.
 
 The walker steps a converted network the way the engine did before it
-compiled plans: every node in topological order with its predecessors looked
-up per step, linear nodes through `node_forward`, and neuron layers with
-callable coefficients: the reference neurons of `reference_neuron.py`,
+compiled plans: one step at a time, every node in topological order with its
+predecessors looked up per step, linear nodes through `node_forward` (dense
+and affine nodes through the plan's `DenseRule`, one row per product), and
+neuron layers with callable coefficients: the reference neurons of `reference_neuron.py`,
 whose spike rules and state updates are the paper's expressions. The plan
 must reproduce it bit for bit: readout history, per-layer spike counts,
 layer decodes, each layer's state (u and v of a sign layer, u and y of a
@@ -12,19 +13,21 @@ in lockstep must give each item what running it alone gives, bit for bit.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, MODELS
+from conftest import CONFIGS, MODELS, build_cnn, build_layernorm_block, build_mlp
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
 from spikeopt.codec import make_rng
-from spikeopt.engine import SnnInstance, make_input_encoder, run, run_batch
+from spikeopt.engine import SnnInstance, ann_forward, make_input_encoder, probe, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d
-from spikeopt.graph.plan import Plan
+from spikeopt.graph import plan as plan_module
+from spikeopt.graph.plan import DenseRule, Plan
 from spikeopt.neurons import parse_mechanism
 from spikeopt.schedules import (
     parse_schedule,
@@ -45,7 +48,7 @@ def converted(model, family, schedule, parameterization):
 def walk(g, frame, fire):
     """One reference step: returns the output current; `fire(node, currents)`
     returns a neuron layer's spikes for its (arity, n) currents."""
-    frames, current = {}, None
+    frames, current, rules = {}, None, dense_rules(g)
     for nid in g.topo_order:
         node = g.nodes[nid]
         if node.kind == "input":
@@ -65,9 +68,22 @@ def walk(g, frame, fire):
         elif node.kind == "output":
             current = inputs[0].reshape(-1)
             frames[nid] = inputs[0]
+        elif node.kind in ("dense", "affine"):
+            frames[nid] = rules[nid](inputs[0].reshape(1, -1))[0]
         else:
             frames[nid] = node_forward(node, inputs)
     return current
+
+
+_RULES = {}
+
+
+def dense_rules(g):
+    """The `DenseRule` of each dense and affine node of g, built once per graph."""
+    if id(g) not in _RULES:
+        _RULES[id(g)] = (g, {nid: DenseRule.of(node) for nid, node in g.nodes.items()
+                             if node.kind in ("dense", "affine")})
+    return _RULES[id(g)][1]
 
 
 def reference_run(snn, x, T, encoder, seed):
@@ -157,7 +173,7 @@ def test_readout_is_the_allocating_formula(family, schedule, items, T, seed):
     w_out, b_out = inst.readout_w, inst.readout_b
     currents = make_rng(seed).normal(0, 2, (T, items, b_out.size))
     frames = iter(currents)
-    inst.plan.step = lambda x: next(frames)  # the output currents of each step
+    inst.plan.step = lambda x, observer: next(frames)  # the output currents of each step
     r = np.tile(b_out if family == "signgd" else np.zeros_like(b_out), (items, 1))
     kept = []
     for t in range(1, T + 1):
@@ -305,7 +321,154 @@ def test_batched_add_is_the_per_item_add(shapes):
     add = Node("add", "add", {})
     g = Graph(nodes + [add, Node("out", "output", {})], edges + [("add", "out", 0)])
     X = make_rng(3).normal(0, 1, (4, int(starts[-1])))
-    got = Plan(g, None).step(X)
+    plan = Plan(g, None)
+    plan.reset(len(X))
+    got = plan.step(X)
     for x, row in zip(X, got):
         operands = [x[a:b].reshape(sh) for a, b, sh in zip(starts, starts[1:], shapes)]
         np.testing.assert_array_equal(row, node_forward(add, operands).reshape(-1))
+
+
+# (fan_in, n_out) of every dense and affine node in the benchmark's networks
+# at full and smoke sizes, beyond MODELS, and two widths above 192 that are
+# not multiples of 8
+BENCH_DENSE = [(784, 256), (256, 256), (256, 10), (1352, 10), (32, 16), (16, 16), (16, 10),
+               (18, 10), (8, 16), (16, 4), (10, 10), (10, 1), (10, 4)]
+WIDE = [(64, 193), (37, 300)]
+
+
+def dense_shapes():
+    shapes = set(BENCH_DENSE + WIDE)
+    for model, family in CONFIGS:
+        for node in converted(model, family, "inv:1", "canonical").graph.nodes.values():
+            if node.kind in ("dense", "affine"):
+                shapes.add(tuple(np.shape(node.params["weight"]))[::-1])
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("fan_in,n_out", dense_shapes())
+@pytest.mark.parametrize("rows", [64, 37])
+@pytest.mark.parametrize("spikes", [False, True], ids=["random", "spikes"])
+def test_dense_row_is_the_row_alone(fan_in, n_out, rows, spikes):
+    """Each row of a block's product, at every position of its tile and next
+    to random or 0/1 rows, has the bits of that row computed alone: the
+    rule that lets the plan, calibration and the walker agree exactly."""
+    rng = make_rng(fan_in * 1000 + n_out)
+    rule = DenseRule(rng.normal(0, 1, (n_out, fan_in)).astype(np.float32),
+                     rng.normal(0, 1, n_out))
+    x = (rng.random((rows, fan_in)) < 0.5).astype(np.float64) if spikes \
+        else rng.normal(0, 1, (rows, fan_in))
+    block = rule(x).copy()
+    for j in range(rows):
+        np.testing.assert_array_equal(block[j], rule(x[j : j + 1])[0])
+    out = np.empty((rows, n_out))
+    np.testing.assert_array_equal(rule(x, out), block)
+
+
+def one_step_run(snn, X, T, encoder, seed):
+    """run_batch one SnnInstance.step per step: history, spikes, states."""
+    inst = SnnInstance(snn)
+    inst.reset(len(X))
+    enc = make_input_encoder(snn, X, encoder, seed=[seed + 1000 * i for i in range(len(X))])
+    history = np.stack([inst.step(enc.step()) for _ in range(T)])
+    return history, inst
+
+
+def assert_same_state(got, want):
+    """Spike counts, decodes and u, v, y of every layer, bit for bit."""
+    for nid, layer in want.layers.items():
+        np.testing.assert_array_equal(got.spike_counts[nid], want.spike_counts[nid])
+        np.testing.assert_array_equal(got.layer_decoded()[nid], want.layer_decoded()[nid])
+        for name in ("u", "v", "y"):
+            if hasattr(layer, name):
+                np.testing.assert_array_equal(getattr(got.layers[nid], name),
+                                              getattr(layer, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=configs,
+    encoder=st.sampled_from(["float", "det", "stoch"]),
+    items=st.integers(1, 16),
+    T=st.integers(1, 24),
+    block=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+)
+def test_blocks_match_single_steps(config, encoder, items, T, block, seed):
+    """Blocks of any length K, the last one short where K does not divide T,
+    and run_batch with its own K, give what one step per call gives."""
+    snn = converted(*config)
+    X = input_for(snn, seed, items)
+    want, alone = one_step_run(snn, X, T, encoder, seed)
+    K = min(block, T)
+    inst = SnnInstance(snn)
+    inst.reset(items, K)
+    enc = make_input_encoder(snn, X, encoder, seed=[seed + 1000 * i for i in range(items)])
+    got = []
+    for t in range(0, T, K):
+        frames = np.stack([enc.step() for _ in range(min(K, T - t))])
+        got.extend(inst.step(frames, steps=len(frames)))
+    np.testing.assert_array_equal(np.stack(got), want)
+    assert_same_state(inst, alone)
+    # run_batch with a budget that makes K = block, often not dividing T
+    with mock.patch.object(plan_module, "BLOCK_BYTES", block * 8 * items * inst.plan.block_width):
+        assert inst.plan.block_steps(items, T) <= K
+        hist, spikes = run_batch(snn, X, T, encoder=encoder, seed=seed, instance=inst)
+    np.testing.assert_array_equal(hist, want)
+    np.testing.assert_array_equal(spikes, sum(alone.spike_counts.values()))
+    assert_same_state(inst, alone)
+
+
+def step_by_step_probe(snn, x, T, encoder, seed):
+    """The errors `probe` reports, read after each one-step call."""
+    acts = ann_forward(snn.graph, x)
+    inst = SnnInstance(snn)
+    enc = make_input_encoder(snn, x, encoder, seed=seed)
+    errors = {nid: np.empty(T) for nid in inst.layers}
+    readout = np.empty(T)
+    for t in range(T):
+        r = inst.step(enc.step())[0]
+        for nid, layer in inst.layers.items():
+            errors[nid][t] = np.max(np.abs(layer.decoded[0] - acts[nid].reshape(-1)))
+        readout[t] = np.max(np.abs(r - acts[snn.graph.output_id].reshape(-1)))
+    return errors, readout
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=configs, encoder=st.sampled_from(["float", "det", "stoch"]),
+       T=st.integers(1, 80), seed=st.integers(0, 2**16))
+def test_probe_observer_is_the_step_by_step_probe(config, encoder, T, seed):
+    """probe reads each layer inside its block's K-loop, through the plan's
+    observer: the errors of reading it after every one-step call."""
+    snn = converted(*config)
+    x = input_for(snn, seed)
+    errors, readout = step_by_step_probe(snn, x, T, encoder, seed)
+    rec = probe(snn, x, T, encoder=encoder, seed=seed)
+    assert rec.layer_ids == list(errors)
+    for nid, want in errors.items():
+        np.testing.assert_array_equal(rec.errors[nid], want)
+    np.testing.assert_array_equal(rec.readout_error, readout)
+
+
+# the benchmark's networks: mlp-wide, cnn-pool and small-nets' layer-norm block
+BENCH_NETS = {
+    "mlp-wide": lambda: build_mlp(seed=1, dims=(784, 256, 256, 10)),
+    "cnn-pool": lambda: build_cnn(seed=1, in_shape=(1, 28, 28), channels=8, n_out=10),
+    "ln_block": lambda: build_layernorm_block(seed=1, n=10),
+}
+
+
+@pytest.mark.parametrize("net,width,batch,T,steps", [
+    ("mlp-wide", 1818, 8, 64, 8),    # infer and energy: 64 rows, four tiles
+    ("mlp-wide", 1818, 1, 64, 64),   # probe
+    ("cnn-pool", 17018, 2, 64, 3),   # no whole tile fits the budget
+    ("ln_block", 86, 16, 64, 64),    # K = T
+    ("ln_block", 86, 16, 8, 8),      # capped at T
+])
+def test_block_steps(net, width, batch, T, steps):
+    """K is the most steps whose block slot rows fit 1 MiB, rounded down to
+    whole R-row tiles where the budget allows, and at most T."""
+    plan = Plan(calibrate(convert(BENCH_NETS[net](), "signgd", parse_schedule("inv:1"))).graph,
+                lambda node: None)
+    assert plan.block_width == width
+    assert plan.block_steps(batch, T) == steps
