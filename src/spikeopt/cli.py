@@ -28,6 +28,7 @@ from .graph import (
     load_tensor,
     normalize_relu,
 )
+from .graph.plan import BLOCK_BYTES
 from .neurons import (
     IfLifParams,
     IfNeuron,
@@ -168,7 +169,8 @@ def _oracle_pair(args, schedule, rng):
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
     rows are the per-step draws) and decoded(t), the neuron's decode after
     step t in oracle coordinates. The subgradient and sign neurons read their
-    step scalars from a StepTable, as a network's layers do."""
+    step scalars from a StepTable and step the whole trace as one block, as
+    a network's layers step theirs."""
     name, steps = args.neuron, args.steps
     if name == "if":
         neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
@@ -227,10 +229,19 @@ def cmd_oracle_check(args):
     # oracle's iterate f(t); the deviation is one max over the whole trace,
     # and a NaN anywhere makes it NaN, which fails
     trace = np.empty((args.steps, 4, 1))
-    for t, (I, row) in enumerate(zip(inputs, trace), 1):
-        row[0] = neuron.step(I)
+    if isinstance(neuron, (SignGdNeuron, SubgradNeuron)):
+        # the whole trace as one block, decoded(t) read after each step
+        def record(k):
+            trace[k, 2] = decoded(k + 1)
+
+        trace[:, 0] = neuron.step(inputs.reshape(args.steps, -1), steps=args.steps,
+                                  observer=record)
+    else:
+        for t, (I, row) in enumerate(zip(inputs, trace), 1):
+            row[0] = neuron.step(I)
+            row[2] = decoded(t)
+    for I, row in zip(inputs, trace):
         row[1] = oracle.step(I)
-        row[2] = decoded(t)
         row[3] = oracle.f
     deviation = np.abs(trace[:, 0::2] - trace[:, 1::2]).max()
 
@@ -279,12 +290,21 @@ def cmd_neuron_sweep(args):
     target = reference_nonlinearity(mech.kind, ops if mech.arity == 2 else ops[0], mech.delta)
     marks = set(_checkpoints(args.T))
     rows = []
-    for t in range(1, args.T + 1):
-        frame = np.stack([e.step() for e in encs])
-        neuron.step(frame)
-        if t in marks:
+
+    def record(k):  # after step t0 + k + 1 of the block starting at t0
+        if t0 + k + 1 in marks:
             err = np.abs(neuron.decoded - target)
-            rows.extend((float(x), t, float(e)) for x, e in zip(grid, err))
+            rows.extend((float(x), t0 + k + 1, float(e)) for x, e in zip(grid, err))
+
+    # blocks of K steps whose frames fit BLOCK_BYTES, each encoded, then stepped
+    K = min(args.T, max(1, BLOCK_BYTES // (8 * ops.size)))
+    frames = np.empty((K, *ops.shape))
+    for t0 in range(0, args.T, K):
+        block = frames[: min(K, args.T - t0)]
+        for frame in block:
+            for operand, enc in zip(frame, encs):
+                operand[...] = enc.step()
+        neuron.step(block, steps=len(block), observer=record)
     _write_csv(args.out, ["x", "t", "err"], rows)
     final = np.abs(neuron.decoded - target)
     print(f"mech={mech.name} T={args.T} max|err|={final.max():.4f} "

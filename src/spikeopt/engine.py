@@ -5,8 +5,9 @@ and tabulates the per-step schedule and coefficient scalars in one StepTable
 shared by every neuron layer and the readout. It steps a batch of B items in
 lockstep, K steps at a time: the items' next K input frames go through the
 plan as one block (linear ops map all K B frames at once, each neuron layer
-integrates, fires and resets over its K steps in turn), and the K output
-currents fold into the readouts one step at a time:
+forms the state-free part of its K steps at once and runs only its state
+recurrence step by step), and the K output currents fold into the readouts,
+the terms without r once per block and r's recurrence one step at a time:
 
   sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
                    r(0) = b_out (the calibrated output bias image)
@@ -131,28 +132,26 @@ class SnnInstance:
         I = out_current.reshape(K, B, -1)
         x, y = self._rx[:K], self._ry[:K]
         readouts = np.empty_like(I)
+        ts = range(self.t + 1, self.t + K + 1)
+        self.t += K
         # the readout expression in each comment, operation for operation,
-        # through two scratch buffers
+        # through two scratch buffers; the terms without r for the whole block
         if self.snn.family == "signgd":
-            # r <- r - eta(t) (2 (I_out - b_out) - W_out); the bracket of every
-            # step of the block at once
+            # r <- r - eta(t) (2 (I_out - b_out) - W_out)
             np.subtract(I, self.readout_b, x)
             np.multiply(x, 2.0, y)
             np.subtract(y, self.readout_w, x)
+            np.multiply(x, np.array([self._table[t][0] for t in ts])[:, None, None], y)
             for k in range(K):
-                self.t += 1
-                np.multiply(x[k], self._table[self.t][0], y[k])
                 np.subtract(r, y[k], readouts[k])
                 r = readouts[k]
         else:
-            for k in range(K):
-                self.t += 1
-                t = self.t
-                # r <- r (t - 1) / t + I_out / t
+            # r <- r (t - 1) / t + I_out / t
+            np.divide(I, np.array(ts, dtype=np.float64)[:, None, None], y)
+            for k, t in enumerate(ts):
                 np.multiply(r, t - 1, x[k])
-                np.divide(x[k], t, y[k])
-                np.divide(I[k], t, x[k])
-                np.add(y[k], x[k], readouts[k])
+                np.divide(x[k], t, x[k])
+                np.add(x[k], y[k], readouts[k])
                 r = readouts[k]
         self.r[...] = r
         return readouts if steps is not None else readouts[0]

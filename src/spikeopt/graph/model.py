@@ -18,6 +18,7 @@ and `neuron` layers inside converted graphs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,10 @@ def _mechanism(node: Node) -> tuple[int, Node]:
     mech = node.params.get("mech")
     try:
         m = parse_mechanism("relu" if mech == "subgrad" else mech)
-    except (AttributeError, ValueError):
+    except AttributeError:
         raise UnknownOperatorError(f"node {node.id!r} has unknown mechanism {mech!r}") from None
+    except ValueError as exc:
+        raise UnknownOperatorError(f"node {node.id!r} has mechanism {mech!r}: {exc}") from None
     arity, kind = MECHANISMS[m.kind]
     return arity, Node(node.id, kind, {"delta": m.delta})
 
@@ -149,6 +152,10 @@ class Graph:
             if node.kind == "neuron" and not (
                     isinstance(count, (int, np.integer)) and count == np.prod(shape)):
                 raise GraphError(f"node {nid!r} (neuron) has count {count!r} but shape {shape!r}")
+            delta = node.params.get("delta", 0.1)
+            if node.kind == "leaky_relu" and not (
+                    isinstance(delta, numbers.Real) and math.isfinite(delta)):
+                raise GraphError(f"node {nid!r} (leaky_relu) has slope {delta!r}, not a finite number")
 
     def _topo_sort(self) -> list[str]:
         indeg = {i: 0 for i in self.nodes}

@@ -12,10 +12,13 @@ and each weight is converted to float64 once.
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
 conv2d op runs once per block, row by row with the arithmetic `node_forward`
-uses for one frame (conv2d keeps its per-frame taps); each neuron layer then
-loops over its K steps on row slices. In a feed-forward network a layer's
-state at step t depends only on its inputs up to t, so a block gives every
-step what stepping it alone gives, bit for bit.
+uses for one frame (conv2d keeps its per-frame taps). Each neuron layer
+takes the block too, in one call of its `step`: after one take of its
+operands where it has one, it forms the state-free part of its dynamics for
+all K steps in its scratch slot, runs only its state recurrence step by
+step, and writes its K B spike rows into its output slot. In a feed-forward
+network a layer's state at step t depends only on its inputs up to t, so a
+block gives every step what stepping it alone gives, bit for bit.
 
 Dense and affine nodes have their own rule, `DenseRule`: row j of x W^T + b
 is row j of one GEMM over a tile of exactly R = 16 rows, against the
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from functools import partial
 
 import numpy as np
 
@@ -136,9 +140,12 @@ class _Value:
 
 class Plan:
     """The ops of one graph of `STEPPABLE` kinds. `layer(node)` builds the
-    object that steps neuron node `node`: its `step(currents)` takes the
-    (arity, B, n) influx currents and returns the (B, n) spikes; `layers`
-    maps each neuron node id to it.
+    object that steps neuron node `node`, and `layers` maps each neuron node
+    id to it. Its `step(I, steps=K, out=, scratch=, observer=)` takes the
+    K B rows of arity n influx currents of a block, row k B + b holding step
+    k of item b operand by operand, writes the K B rows of n spikes into
+    `out` and calls `observer(k)`, if given, after step k; `scratch` is a
+    slot shaped like I, which I may be, for the layer to overwrite.
 
     `reset(batch, steps)` sizes the slot buffers for blocks of up to `steps`
     steps of `batch` items; `step(x)` takes a block's input frames, k B rows
@@ -153,8 +160,8 @@ class Plan:
         self.ops: list = []
         self.layers: dict = {}
         self.widths = [self.input_size]  # slot 0 holds the input frames
-        self._blocks = [True]  # whether each slot holds a block's rows or one step's
-        self._io: list = []  # per op: the slots it reads, the block slot it writes
+        self._budgeted = [True]  # whether each slot counts in BLOCK_BYTES
+        self._io: list = []  # per op: the slots it reads, the slots it writes
         self.batch = self.rows = 0  # set by reset
         self._release = None
         values: dict[str, _Value] = {}
@@ -176,8 +183,8 @@ class Plan:
             else:
                 values[nid] = self._linear(node, ins)
         self.out_slot = self._flat(values[graph.output_id])
-        # doubles per row of the slots that hold a block's rows
-        self.block_width = sum(w for w, block in zip(self.widths, self._blocks) if block)
+        # doubles per row of the slots the budget counts
+        self.block_width = sum(w for w, counted in zip(self.widths, self._budgeted) if counted)
         self._share()
 
     def block_steps(self, batch: int, T: int) -> int:
@@ -201,9 +208,8 @@ class Plan:
                 self._release()
             store = [_take_store(rows * cap) for cap in self._caps]
             self._release = weakref.finalize(self, _give_stores, store)
-            self._buffers = [store[b][: rows * w].reshape(rows, w) if block
-                             else np.empty((batch, w)) for w, block, b
-                             in zip(self.widths, self._blocks, self._store_of)]
+            self._buffers = [store[b][: rows * w].reshape(rows, w)
+                             for w, b in zip(self.widths, self._store_of)]
             self.frames = self._buffers[0].reshape(steps, batch, -1)
 
     def step(self, x, observer=None) -> np.ndarray:
@@ -224,14 +230,15 @@ class Plan:
         return s[self.out_slot]
 
     def _share(self):
-        """Give each block slot a store: the store of a slot whose last reader
-        has run, grown to fit, or a new one. `_caps` holds each store's
-        doubles per row and `_store_of` each slot's store."""
+        """Give each slot a store: the store of a slot whose last reader has
+        run, grown to fit, or a new one. `_caps` holds each store's doubles
+        per row and `_store_of` each slot's store."""
         last = {self.out_slot: len(self._io)}
         for i, (reads, _) in enumerate(self._io):
             last.update(dict.fromkeys(reads, i))
         self._caps, self._store_of, holder = [], [None] * len(self.widths), []
-        for i, slot in [(-1, 0)] + [(i, out) for i, (_, out) in enumerate(self._io)]:
+        writes = [(i, slot) for i, (_, slots) in enumerate(self._io) for slot in slots]
+        for i, slot in [(-1, 0)] + writes:
             free = [b for b, h in enumerate(holder) if last.get(h, -2) < i]
             b = max(free, key=self._caps.__getitem__) if free else len(holder)
             if b == len(holder):
@@ -240,14 +247,14 @@ class Plan:
             holder[b], self._store_of[slot] = slot, b
             self._caps[b] = max(self._caps[b], self.widths[slot])
 
-    def _op(self, node: str, kind: str, op, reads, out: int):
+    def _op(self, node: str, kind: str, op, reads, *writes: int):
         self.ops.append((node, kind, op))
-        self._io.append((tuple(reads), out))
+        self._io.append((tuple(reads), writes))
 
-    def _slot(self, width: int, block: bool = True) -> int:
-        """A new slot of `width` doubles per row: a block's rows, or one step's."""
+    def _slot(self, width: int, budgeted: bool = True) -> int:
+        """A new slot of `width` doubles per row, counted in BLOCK_BYTES or not."""
         self.widths.append(int(width))
-        self._blocks.append(block)
+        self._budgeted.append(budgeted)
         return len(self.widths) - 1
 
     def _flat(self, v: _Value) -> int:
@@ -314,23 +321,22 @@ class Plan:
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)
                    for start, k in zip(np.cumsum([0, *sizes]), sizes)]
-        nid, arity, src, sel = node.id, len(ins), ins[0].slot, None
-        if arity > 1 or ins[0].idx is not None or sizes[0] != n:
-            # per step, one take of the (arity, n) index table into a (B, arity n) slot
+        nid, src, sel = node.id, ins[0].slot, None
+        if len(ins) > 1 or ins[0].idx is not None or sizes[0] != n:
+            # one take of the (arity, n) index table per block
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
-            sel, taken = sel.reshape(-1), self._slot(sel.size, block=False)
+            sel = sel.reshape(-1)
+        # the layer's scratch: its taken currents, then the state-free part
+        # of its steps; outside the budget, as the layer's own buffers are
+        scratch = self._slot(len(ins) * n, budgeted=False)
         out = self._slot(n)
 
         def op(s, B, observe):
-            x, y = s[src], s[out]
-            for k, r in enumerate(range(0, len(y), B)):
-                I = x[r : r + B]
-                if sel is not None:
-                    I = np.take(I, sel, axis=1, out=s[taken], mode="clip")
-                # step k's (arity, B, n) currents
-                y[r : r + B] = neuron.step(I.reshape(B, arity, n).transpose(1, 0, 2))
-                if observe is not None:
-                    observe(nid, "neuron", k)
+            I = s[src]
+            if sel is not None:
+                I = np.take(I, sel, axis=1, out=s[scratch], mode="clip")
+            neuron.step(I, steps=len(I) // B, out=s[out], scratch=s[scratch],
+                        observer=None if observe is None else partial(observe, nid, "neuron"))
 
-        self._op(nid, "neuron", op, [src], out)
+        self._op(nid, "neuron", op, [src, scratch], scratch, out)
         return _Value(out, None, node.params["shape"], nid)

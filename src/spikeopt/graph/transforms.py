@@ -373,11 +373,14 @@ class _Forced:
     item 0 emits 1 and item 1 emits 0."""
 
     def __init__(self, n: int):
-        self.spikes = np.repeat([[1.0], [0.0]], n, axis=1)
+        self.n = n
 
-    def step(self, currents):
-        self.currents = currents.copy()  # the plan reuses its buffers
-        return self.spikes
+    def step(self, currents, steps, out, scratch=None, observer=None):
+        """A block of one step of the two items: keeps the (arity, 2, n)
+        currents (the plan reuses its buffers) and writes the spikes."""
+        self.currents = currents.reshape(2, -1, self.n).transpose(1, 0, 2).copy()
+        out[0], out[1] = 1.0, 0.0
+        return out
 
 
 def calibrate(snn: SnnGraph) -> SnnGraph:

@@ -3,8 +3,22 @@ generalized subgradient-based neuron, and the sign-based neuron with pluggable
 firing mechanisms.
 
 All neuron classes hold vectorized state: `n` independent neurons that share
-parameters and schedule advance in lockstep, one `step()` per global time
-step. Per-step order is integrate(I(t)) -> fire(s(t)) -> reset(u(t+1)).
+parameters and schedule advance in lockstep. Per-step order is
+integrate(I(t)) -> fire(s(t)) -> reset(u(t+1)).
+
+IF and LIF neurons take one step per `step()` call. The subgradient and
+sign-based neurons take one step per `step(I)` call, or a block of K steps
+per `step(I, steps=K, ...)` call, the form a network's layers and the
+oracle check use. A block call splits the dynamics in two. The part that
+never reads the state (the sign neuron's a2(t) (2 (I(t) - b) - W), the
+subgradient neuron's gamma(t) I(t)) is formed once for the whole block.
+The part that does (v's and u's recurrences, the firing comparison, the
+decode y) then runs step by step in preallocated buffers, each expression
+with the operations of the one-step form in the same order. A one-step call
+is a block of one step, so there is one copy of the arithmetic, and a block
+gives every step the bits that stepping it alone gives. An observer passed
+to a block call is called after each of its steps and sees the state after
+that step; the spike tally is added when the block ends.
 
 Sign-based dynamics (internal variables u and v, coefficients a1, a2, b1, b2
 with step sizes eta):
@@ -20,13 +34,14 @@ b2(t) eta(t-1) / (eta(t) b2(t-1)) = 1/b1(t). The canonical parameterization
 (b1 = 1) is unaffected; the unit-current one (b1 = gamma) decays u by
 1/gamma, mirroring the v side's a1 = 1/gamma.
 
-Raw influx currents carry the layer bias at every step, so integrate
+Raw influx currents carry the layer bias at every step, so integration
 subtracts the calibrated idle current b before the spike-to-sign translation
 and folds b once into v's initial condition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,6 +71,8 @@ __all__ = [
     "SignGdNeuron",
     "MECHANISMS",
 ]
+
+_HALF_MAX = np.finfo(np.float64).max / 2  # the largest x whose 2 x is finite
 
 
 @dataclass(frozen=True)
@@ -144,13 +161,25 @@ def check_signgd_coefficients(coeffs: SignGdCoefficients, schedule: Schedule) ->
 
 
 class _SpikeTally:
-    """Each neuron's spikes since reset, kept as a float tally `_fired` with
-    one add per step (float counts are exact to 2**53)."""
+    """Each neuron's spikes since reset, kept as a float tally `_fired` that a
+    block call adds its spikes to once (float counts are exact to 2**53)."""
 
     @property
     def spike_count(self):
         """Spikes fired since reset: an int, or (batch,) ints."""
         return self._fired.sum(-1).astype(np.int64)
+
+    def _tally(self, spikes):
+        """Add a block's (K, B, n) spikes to the tally."""
+        fired = self._fired.reshape(spikes.shape[1:])
+        np.add(fired, spikes.sum(0), fired)
+
+
+def _currents(I, steps, shape):
+    """(K, currents) of a step call: one step's currents in `shape`, or the
+    K B rows of a block of K = `steps` steps."""
+    I = np.asarray(I, dtype=np.float64)
+    return (1, I.reshape(shape)) if steps is None else (steps, I)
 
 
 class SubgradNeuron(_SpikeTally):
@@ -165,9 +194,16 @@ class SubgradNeuron(_SpikeTally):
     shares the `subgrad_step_factors` rows between the layers of one network.
     `reset(batch)` gives the state a leading axis of `batch` items.
 
-    A step computes each expression in its comment with the same operations
-    in the same order, into three scratch buffers, and writes u and the
-    decode y last, in place; the spikes it returns are new arrays.
+    `step(I)` takes one step's currents, shaped like u, and returns its
+    spikes as a new array. `step(I, steps=K, out=, scratch=, observer=)`
+    steps a block: I holds K B rows of n currents (row k B + b is step k of
+    item b), and the K B spike rows go to `out`. gamma(t) I(t) is formed
+    once for the whole block, into `scratch` if given (it may be I itself);
+    only the recurrence on u, the firing comparison and the decode y run per
+    step, in place, each expression in its comment with the same operations
+    in the same order. `observer(k)`, if given, is called after step k:
+    u, y, t and `decoded` are then those after step k, while `spike_count`
+    adds the block's spikes when the block ends.
     """
 
     def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True,
@@ -182,32 +218,43 @@ class SubgradNeuron(_SpikeTally):
 
     def reset(self, batch: int | None = None):
         shape = (self.n,) if batch is None else (batch, self.n)
-        self.u = np.zeros(shape)
-        self.t = 0
-        self.y = np.zeros(shape)
-        self._x, self._y, self._z = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.u, self.y = np.zeros(shape), np.zeros(shape)
+        self._x = np.empty(shape)
         self._fired = np.zeros(shape)
+        self.t = 0
 
-    def step(self, I) -> np.ndarray:
-        self.t += 1
-        alpha, gamma, beta, eta_t = self._factors(self.t)
-        I = np.asarray(I, dtype=np.float64).reshape(self.u.shape)
-        x, y, z = self._x, self._y, self._z
-        # u_pre = alpha u + gamma I
-        np.multiply(self.u, alpha, x)
-        np.multiply(I, gamma, y)
-        np.add(x, y, z)
-        # s = H(u_pre)
-        s = (z >= 0).astype(np.float64)
-        # u <- u_pre - beta s
-        np.multiply(s, beta, x)
-        np.subtract(z, x, self.u)
-        # y <- (1 - eta) y + eta s
-        np.multiply(self.y, 1.0 - eta_t, x)
-        np.multiply(s, eta_t, z)
-        np.add(x, z, self.y)
-        np.add(self._fired, s, self._fired)
-        return s
+    def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
+        shape = self.u.shape
+        K, I = _currents(I, steps, shape)
+        B = self.u.size // self.n
+        u, y, x = self.u.reshape(B, -1), self.y.reshape(B, -1), self._x.reshape(B, -1)
+        spikes = np.empty((K * B, self.n)) if out is None else out
+        s_k = spikes.reshape(K, B, -1)
+        t0 = self.t
+        rows = [self._factors(t) for t in range(t0 + 1, t0 + K + 1)]
+        # gamma(t) I(t), the state-free part, for the whole block
+        gI = np.multiply(I.reshape(K, B, -1), np.array([r[1] for r in rows])[:, None, None],
+                         None if scratch is None else scratch.reshape(K, B, -1))
+        for k, (alpha, _, beta, eta_t) in enumerate(rows):
+            s = s_k[k]
+            # u_pre = alpha u + gamma I
+            np.multiply(u, alpha, u)
+            np.add(u, gI[k], u)
+            # s = H(u_pre)
+            np.greater_equal(u, 0.0, s)
+            # u <- u_pre - beta s
+            np.multiply(s, beta, x)
+            np.subtract(u, x, u)
+            # y <- (1 - eta) y + eta s; eta s is beta s when eta == beta
+            np.multiply(y, 1.0 - eta_t, y)
+            if eta_t != beta:
+                np.multiply(s, eta_t, x)
+            np.add(y, x, y)
+            self.t = t0 + k + 1
+            if observer is not None:
+                observer(k)
+        self._tally(s_k)
+        return spikes if steps is not None else spikes.reshape(shape)
 
     @property
     def decoded(self):
@@ -231,7 +278,8 @@ class FiringMechanism:
 
     Every rule but misr is one comparison: u >= m(v) against the target
     m(v) of its nonlinearity, or (1 + exp(-1.702 v0)) u >= v0 for gelu,
-    which at u = 0 is v0 <= 0. A tie fires, as H(0) = 1 does.
+    which at u = 0 is v0 <= 0. A tie fires, as H(0) = 1 does. The leaky
+    slope `delta` must be finite.
     """
 
     kind: str
@@ -240,13 +288,17 @@ class FiringMechanism:
     def __post_init__(self):
         if self.kind not in MECHANISMS:
             raise ValueError(f"unknown firing mechanism {self.kind!r}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"leaky slope must be finite, got {self.delta!r}")
 
     @property
     def arity(self) -> int:
         return MECHANISMS[self.kind][0]
 
     def spike(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """u: shape (n,); v: shape (arity, n), both already scale-corrected.
+        """The spikes, as a new float array, of scale-corrected u and the
+        operands v, v[i] being operand i: u is (n,) or (B, n), and v is
+        (arity, n) or (arity, B, n).
 
         Each comparison x >= y is the Heaviside H(x - y) of the rule as the
         paper writes it, bit for bit: for finite x and y, under
@@ -260,32 +312,69 @@ class FiringMechanism:
         inf * 0 is NaN, so gelu fires there on (u == 0) & (v0 <= 0), which
         repeats its comparison wherever exp is finite.
         """
-        k = self.kind
+        u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+        shape = np.broadcast_shapes(u.shape, v.shape[1:])
+        out = np.empty(shape)
+        self.fire(u, v, out, self.scratch(shape))
+        return out
+
+    @staticmethod
+    def scratch(shape) -> tuple:
+        """The buffers `fire` needs for spikes of `shape`: two float, four bool."""
+        return ((np.empty(shape), np.empty(shape)),
+                tuple(np.empty(shape, dtype=bool) for _ in range(4)))
+
+    def fire(self, u, v, out, tmp) -> int:
+        """Write the spikes of `spike(u, v)` into `out` through the `scratch`
+        buffers `tmp`, and return how many evaluations fell back (misr with
+        v2 <= 0; 0 for every other rule). Each rule reaches its spikes as
+        booleans, which one copy turns into `out`'s 0.0/1.0. The rules whose
+        targets can overflow silence overflow and invalid-value warnings."""
+        (f0, f1), (b0, b1, b2, b3) = tmp
+        k, fallbacks = self.kind, 0
         if k == "relu":
-            return (u >= np.maximum(v[0], 0.0)).astype(np.float64)
-        if k == "max2":
-            return (u >= np.maximum(v[0], v[1])).astype(np.float64)
-        if k == "leaky":
+            np.greater_equal(u, np.maximum(v[0], 0.0, out=f0), b0)
+        elif k == "max2":
+            np.greater_equal(u, np.maximum(v[0], v[1], out=f0), b0)
+        elif k == "leaky":
+            # target where(v0 >= 0, v0, delta v0)
             v0 = v[0]
-            return (u >= np.where(v0 >= 0, v0, self.delta * v0)).astype(np.float64)
-        if k == "square":
+            np.multiply(v0, self.delta, f0)
+            np.copyto(f0, v0, where=np.greater_equal(v0, 0.0, b0))
+            np.greater_equal(u, f0, b0)
+        elif k == "square":
             with np.errstate(over="ignore"):
-                return (u >= v[0] ** 2).astype(np.float64)
-        if k == "gelu":
+                np.greater_equal(u, np.square(v[0], f0), b0)
+        elif k == "gelu":
             v0 = v[0]
+            # (1 + exp(-1.702 v0)) u >= v0, or u == 0 and v0 <= 0
             with np.errstate(over="ignore", invalid="ignore"):
-                fire = (1.0 + np.exp(-1.702 * v0)) * u >= v0
-            return (fire | ((u == 0) & (v0 <= 0))).astype(np.float64)
-        # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
-        # the output toward zero (SignGdNeuron counts these degeneracies).
-        # With u and v1 of one sign the rule is H(+-lead), lead = v2 u^2 - v1^2;
-        # with mixed signs it is H(u) H(-v1), which is H(u) then.
-        v1, v2 = v[0], v[1]
-        pu, pv = u >= 0, v1 >= 0
-        with np.errstate(invalid="ignore", over="ignore"):
-            lead = v2 * u * u - v1 * v1
-        s = np.where(pu & pv, lead >= 0, np.where(pu | pv, pu, lead <= 0))
-        return np.where(v2 > 0, s, pu).astype(np.float64)
+                np.multiply(v0, -1.702, f0)
+                np.exp(f0, f0)
+                np.add(f0, 1.0, f0)
+                np.multiply(f0, u, f0)
+                np.greater_equal(f0, v0, b0)
+            np.logical_and(np.equal(u, 0.0, b1), np.less_equal(v0, 0.0, b2), b1)
+            np.logical_or(b0, b1, b0)
+        else:
+            # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
+            # the output toward zero (SignGdNeuron counts these degeneracies).
+            # With u and v1 of one sign the rule is H(+-lead), lead = v2 u^2 - v1^2;
+            # with mixed signs it is H(u) H(-v1), which is H(u) then.
+            v1, v2 = v[0], v[1]
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.multiply(v2, u, f0)
+                np.multiply(f0, u, f0)
+                np.subtract(f0, np.multiply(v1, v1, f1), f0)  # lead
+            pu = np.greater_equal(u, 0.0, b0)
+            hit = np.less_equal(f0, 0.0, b1)  # H(-lead), and H(lead) where u >= 0
+            np.copyto(hit, np.greater_equal(f0, 0.0, b2), where=pu)
+            same = np.equal(pu, np.greater_equal(v1, 0.0, b2), b2)
+            ok = np.greater(v2, 0.0, b3)
+            np.copyto(pu, hit, where=np.logical_and(same, ok, same))
+            fallbacks = ok.size - np.count_nonzero(ok)
+        np.copyto(out, b0)
+        return fallbacks
 
     @property
     def name(self) -> str:
@@ -313,16 +402,28 @@ class SignGdNeuron(_SpikeTally):
     """Sign-based neuron layer: n neurons of one mechanism sharing a schedule.
 
     W and b are the calibrated per-operand weight sums and idle currents,
-    shape (arity, n). `step` takes the raw influx currents I of shape
-    (arity, n) and returns the spike vector of shape (n,). `reset(batch)`
-    gives the state a leading item axis: the currents are then
-    (arity, batch, n), the spikes (batch, n), and W and b broadcast over it.
+    shape (arity, n). `reset(batch)` gives the state a leading item axis:
+    u is (n,), or (batch, n), and v, like the currents of one step, is
+    (arity, n), or (arity, batch, n).
 
-    A step reads its scalars once, as the `signgd_step_factors` row `f`;
+    `step(I)` takes one step's raw influx currents and returns its spikes,
+    shaped like u, as a new array. `step(I, steps=K, out=, scratch=,
+    observer=)` steps a block: I holds K B rows of arity n currents (row
+    k B + b is step k of item b, operand by operand), and the K B spike rows
+    go to `out`. The part that does not read the state,
+    a2(t) (2 (I(t) - b) - W), is formed once for the whole block, into
+    `scratch` if given (it may be I itself). Only v's recurrence, the firing
+    comparison and u's reset run per step, in place, each expression in its
+    comment with the same operations in the same order, so u and v keep
+    every bit the expression gives them; a factor of 1.0 (a1, b1 and both
+    scales in the canonical parameterization) is skipped, as x 1.0 and
+    x / 1.0 are x. `observer(k)`, if given, is called after step k: u, v,
+    t, `degeneracies` and `decoded` are then those after step k, while
+    `spike_count` adds the block's spikes when the block ends.
+
+    A step reads its scalars as the `signgd_step_factors` row of its t;
     `table` shares those rows between the layers of one network.
     `degeneracies` counts misr evaluations with a non-positive denominator.
-    The spikes a step returns are new arrays; u and v, which `integrate` and
-    `reset_potential` return, are updated in place by the next step.
     """
 
     def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients,
@@ -343,77 +444,76 @@ class SignGdNeuron(_SpikeTally):
         self.reset()
 
     def reset(self, batch: int | None = None):
-        shape = (self.n,) if batch is None else (batch, self.n)
-        # W and b as they broadcast against v, shape (arity, *shape)
-        self._W, self._b = (self.W, self.b) if batch is None else (self.W[:, None], self.b[:, None])
-        self.u = np.zeros(shape)
+        B, arity = batch or 1, self.mech.arity
+        # the state item by item: u (B, n), v (B, arity, n) like a block row
+        self._u = np.zeros((B, self.n))
         scale = float(self.c.alpha2(0)) / float(self.schedule(0))
-        self.v = np.broadcast_to(scale * self._b, (self.mech.arity, *shape)).copy()
-        # two scratch buffers shaped like v and two like u
-        self._vx, self._vy = np.empty_like(self.v), np.empty_like(self.v)
-        self._ux, self._uy = np.empty_like(self.u), np.empty_like(self.u)
-        self._fired = np.zeros(shape)
+        self._v = np.broadcast_to(scale * self.b, (B, arity, self.n)).copy()
+        self.u = self._u[0] if batch is None else self._u
+        self.v = self._v[0] if batch is None else self._v.transpose(1, 0, 2)
+        # v and v_scale v with their operands first, as `fire` reads them;
+        # u_scale u; +-b2; the firing rule's buffers
+        self._vs = np.empty_like(self._v)
+        self._v_ops, self._vs_ops = self._v.transpose(1, 0, 2), self._vs.transpose(1, 0, 2)
+        self._us, self._pm = np.empty_like(self._u), np.empty_like(self._u)
+        self._tmp = self.mech.scratch(self._u.shape)
+        self._fired = np.zeros(self.u.shape)
         self.t = 0
         self.degeneracies = 0
-        self.f = self._factors(1)
 
-    # -- the three stages of step t + 1 (factors f); step() runs them in order.
-    # Each computes the expression in its comment with the same operations in
-    # the same order, so u and v keep every bit the expression gives them.
-    # Intermediates go to the scratch buffers and the last operation writes
-    # u or v, so none of them writes over its own operand (numpy copies such
-    # an operand first when it has one element, as in the standalone n = 1
-    # neuron). The spike tally is the one update in place.
-
-    def integrate(self, I) -> np.ndarray:
-        """Advance v with the raw currents of the step being processed."""
-        _, a1, a2, _, _, _, _ = self.f
-        I = np.asarray(I, dtype=np.float64).reshape(self.v.shape)
-        x, y, v = self._vx, self._vy, self.v
-        # v <- a1 v - a2 (2 (I - b) - W)
-        np.subtract(I, self._b, x)
-        np.multiply(x, 2.0, y)
-        np.subtract(y, self._W, x)
-        np.multiply(x, a2, y)
-        np.multiply(v, a1, x)
-        np.subtract(x, y, v)
-        return v
-
-    def fire(self) -> np.ndarray:
-        _, _, _, u_scale, v_scale, _, _ = self.f
-        # spike(u_scale u, v_scale v)
-        v = np.multiply(self.v, v_scale, self._vx)
-        if self.mech.kind == "misr":
-            self.degeneracies += v[1].size - np.count_nonzero(v[1] > 0)
-        return self.mech.spike(np.multiply(self.u, u_scale, self._ux), v)
-
-    def reset_potential(self, s) -> np.ndarray:
-        _, _, _, _, _, b1, b2 = self.f
-        s = np.asarray(s)
-        x, y, u = self._ux, self._uy, self.u
-        # u <- u / b1 - b2 (2 s - 1)
-        np.multiply(s, 2.0, x)
-        np.subtract(x, 1.0, y)
-        np.multiply(y, b2, x)
-        np.divide(u, b1, y)
-        np.subtract(y, x, u)
-        np.add(self._fired, s, self._fired)
-        self.t += 1
-        self.f = self._factors(self.t + 1)
-        return u
-
-    def step(self, I) -> np.ndarray:
-        self.integrate(I)
-        s = self.fire()
-        self.reset_potential(s)
-        return s
+    def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
+        u, v, pm = self._u, self._v, self._pm
+        B, arity, n = v.shape
+        K, I = _currents(I, steps, self.v.shape)
+        if steps is None:  # one step's (arity, [B,] n) currents, item by item
+            I = I.reshape(arity, B, n).transpose(1, 0, 2)
+        spikes = np.empty((K * B, n)) if out is None else out
+        s_k = spikes.reshape(K, B, n)
+        t0 = self.t
+        rows = [self._factors(t) for t in range(t0 + 1, t0 + K + 1)]
+        # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
+        d = np.subtract(I.reshape(K, B, arity, n), self.b,
+                        None if scratch is None else scratch.reshape(K, B, arity, n))
+        np.multiply(d, 2.0, d)
+        np.subtract(d, self.W, d)
+        np.multiply(d, np.array([r[2] for r in rows])[:, None, None, None], d)
+        fire, tmp = self.mech.fire, self._tmp
+        for k, (_, a1, _, u_scale, v_scale, b1, b2) in enumerate(rows):
+            s = s_k[k]
+            # v <- a1 v - a2 (2 (I - b) - W)
+            if a1 != 1.0:
+                np.multiply(v, a1, v)
+            np.subtract(v, d[k], v)
+            # s = spike(u_scale u, v_scale v)
+            us, vs = u, self._v_ops
+            if u_scale != 1.0:
+                us = np.multiply(u, u_scale, self._us)
+            if v_scale != 1.0:
+                np.multiply(v, v_scale, self._vs)
+                vs = self._vs_ops
+            self.degeneracies += fire(us, vs, s, tmp)
+            # u <- u / b1 - b2 (2 s - 1); b2 (2 s - 1) is +-b2, formed as
+            # 2 b2 s - b2 where 2 b2 is finite
+            if abs(b2) <= _HALF_MAX:
+                np.subtract(np.multiply(s, 2.0 * b2, pm), b2, pm)
+            else:
+                np.multiply(np.subtract(np.multiply(s, 2.0, pm), 1.0, pm), b2, pm)
+            if b1 != 1.0:
+                np.divide(u, b1, u)
+            np.subtract(u, pm, u)
+            self.t = t0 + k + 1
+            if observer is not None:
+                observer(k)
+        self._tally(s_k)
+        return spikes if steps is not None else spikes.reshape(self.u.shape)
 
     @property
     def decoded(self) -> np.ndarray:
         """Signed-schedule decode of the emitted train after the last step."""
         if self.t == 0:
             return np.zeros_like(self.u)
-        return self.f[3] * self.u  # eta(t)/beta2(t): the u scale of the next step
+        # eta(t)/beta2(t): the u scale of the next step
+        return self._factors(self.t + 1)[3] * self.u
 
     @property
     def decoded_input(self) -> np.ndarray:

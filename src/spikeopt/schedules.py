@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -254,31 +255,38 @@ def validate_subgrad_coefficients(
     alpha = np.asarray(c.alpha(t), dtype=np.float64)
     beta = np.asarray(c.beta(t), dtype=np.float64)
     gamma = np.asarray(c.gamma(t), dtype=np.float64)
-    if np.any(eta >= 1.0) or np.any(alpha <= 0) or np.any(beta <= 0) or np.any(gamma <= 0):
+    if (eta >= 1.0).any() or (alpha <= 0).any() or (beta <= 0).any() or (gamma <= 0).any():
         return False
 
     # Condition 1: (beta(t)/eta(t)) (1 - eta(t)) = (beta(t-1)/eta(t-1)) alpha(t-1)
     lhs = (beta[1:] / eta[1:]) * (1.0 - eta[1:])
     rhs = (beta[:-1] / eta[:-1]) * alpha[:-1]
-    if not np.all(np.abs(lhs - rhs) <= tol * np.maximum(1.0, np.abs(rhs))):
+    if not (np.abs(lhs - rhs) <= tol * np.maximum(1.0, np.abs(rhs))).all():
         return False
 
     # Condition 2 in logs: log eta(i) - log eta(t) + sum_{j=i+1..t} log(1-eta(j))
-    #                    = log gamma(i) - log beta(t) + sum_{j=i..t-1} log alpha(j)
+    #                    = log gamma(i) - log beta(t) + sum_{j=i..t-1} log alpha(j),
+    # each side a grid [i - 1, t - 1] of which the triangle i <= t is checked
     cum_lom = np.concatenate([[0.0], np.cumsum(np.log1p(-eta))])  # prefix over j=1..t
     cum_la = np.concatenate([[0.0], np.cumsum(np.log(alpha))])
-    ii, tt = np.meshgrid(np.arange(1, t_max + 1), np.arange(1, t_max + 1), indexing="ij")
-    mask = ii <= tt
-    i_idx, t_idx = ii[mask], tt[mask]
+    log_eta = np.log(eta)
     lhs_log = (
-        np.log(eta[i_idx - 1]) - np.log(eta[t_idx - 1])
-        + (cum_lom[t_idx] - cum_lom[i_idx])
+        log_eta[:, None] - log_eta
+        + (cum_lom[1:] - cum_lom[1:, None])
     )
     rhs_log = (
-        np.log(gamma[i_idx - 1]) - np.log(beta[t_idx - 1])
-        + (cum_la[t_idx - 1] - cum_la[i_idx - 1])
+        np.log(gamma)[:, None] - np.log(beta)
+        + (cum_la[:-1] - cum_la[:-1, None])
     )
-    return bool(np.all(np.abs(lhs_log - rhs_log) <= tol))
+    return bool(((np.abs(lhs_log - rhs_log) <= tol) | _below_diagonal(t_max)).all())
+
+
+@lru_cache(maxsize=None)
+def _below_diagonal(n: int) -> np.ndarray:
+    """(n, n) mask of the entries [i, t] with i > t."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def signgd_step_factors(c: SignGdCoefficients, s: Schedule, t: int) -> tuple:

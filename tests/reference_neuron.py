@@ -57,6 +57,7 @@ class ReferenceSignGdNeuron:
         self.v = float(coeffs.alpha2(0)) / float(schedule(0)) * self.b
         self.t = 0
         self.spike_count = 0
+        self.degeneracies = 0  # misr evaluations with a scaled v2 <= 0
 
     def _factors(self):
         return signgd_step_factors(self.c, self.schedule, self.t + 1)
@@ -65,7 +66,10 @@ class ReferenceSignGdNeuron:
         _, a1, a2, u_scale, v_scale, b1, b2 = self._factors()
         I = np.asarray(I, dtype=np.float64).reshape(self.v.shape)
         self.v = a1 * self.v - a2 * (2.0 * (I - self.b) - self.W)
-        s = reference_spike(self.mech, u_scale * self.u, v_scale * self.v)
+        v = v_scale * self.v
+        if self.mech.kind == "misr":
+            self.degeneracies += int(np.sum(~(v[1] > 0)))
+        s = reference_spike(self.mech, u_scale * self.u, v)
         self.u = self.u / b1 - b2 * (2.0 * s - 1.0)
         self.t += 1
         self.spike_count += int(s.sum())

@@ -430,6 +430,12 @@ BAD_NAMES = {
     "oracle-neuron-mech": (["oracle-check", "--neuron", "signgd:bogus"], "--neuron"),
     "oracle-neuron-kind": (["oracle-check", "--neuron", "bogus"], "--neuron"),
     "oracle-neuron-delta": (["oracle-check", "--neuron", "signgd:leaky:x"], "--neuron"),
+    **{f"oracle-neuron-delta-{d}": (["oracle-check", "--neuron", f"signgd:leaky:{d}",
+                                     "--schedule", "inv:1"], "--neuron")
+       for d in ("nan", "inf", "-inf")},
+    **{f"sweep-mech-delta-{d}": (["neuron-sweep", "--mech", f"signgd:leaky:{d}",
+                                  "--out", "OUT"], "--mech")
+       for d in ("nan", "inf", "-inf")},
     "oracle-schedule": (["oracle-check", "--neuron", "if", "--schedule", "bogus:1"],
                         "--schedule"),
     "oracle-schedule-range": (["oracle-check", "--neuron", "if", "--schedule", "exp:1:2"],

@@ -411,6 +411,32 @@ def bn_graph(seed, mean, var, gamma, beta, eps):
     return Graph(nodes, chain_edges(["in", "fc", "bn", "out"]))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("delta", NON_FINITE)
+def test_leaky_slope_must_be_finite(tmp_path, delta):
+    """A leaky_relu node with a NaN or infinite slope is rejected with a
+    GraphError naming the node, built in memory or loaded from a file, and
+    so is a leaky neuron whose mech carries such a slope."""
+    with pytest.raises(GraphError, match="'act0' \\(leaky_relu\\) has slope"):
+        build_mlp(seed=5, dims=(4, 6, 2), act="leaky_relu", act_params={"delta": delta})
+    g = build_mlp(seed=5, dims=(4, 6, 2), act="leaky_relu", act_params={"delta": 0.2})
+    save_model(g, tmp_path / "ann")
+    manifest = json.loads((tmp_path / "ann.json").read_text())
+    act0(manifest)["delta"] = delta  # json writes NaN, Infinity, -Infinity
+    (tmp_path / "ann.json").write_text(json.dumps(manifest))
+    with pytest.raises(GraphError, match="'act0' \\(leaky_relu\\) has slope"):
+        load_model(tmp_path / "ann")
+    calibrate(convert(g, "signgd", Schedule.inverse(1.0))).save(tmp_path / "snn")
+    manifest = json.loads((tmp_path / "snn.json").read_text())
+    assert act0(manifest)["mech"] == "signgd:leaky:0.2"
+    act0(manifest)["mech"] = f"signgd:leaky:{delta}"
+    (tmp_path / "snn.json").write_text(json.dumps(manifest))
+    with pytest.raises(GraphError, match="'act0'.*finite"):
+        SnnGraph.load(tmp_path / "snn")
+
+
 class TestFoldBatchnorm:
     def test_identity_bn(self, rng):
         g = bn_graph(7, mean=0.0, var=1.0, gamma=1.0, beta=0.0, eps=0.0)

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_neuron import reference_spike
+from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron, reference_spike
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
     FiringMechanism,
@@ -23,8 +25,12 @@ from spikeopt.oracles import (
 )
 from spikeopt.schedules import (
     Schedule,
+    StepTable,
+    parse_schedule,
+    signgd_step_factors,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
+    subgrad_step_factors,
 )
 
 
@@ -312,7 +318,7 @@ class TestSignGdNeuronUnits:
     def test_integrate_spec_example(self):
         s = Schedule.constant(0.5)
         neuron, _ = make_neuron_oracle_pair("relu", s, "canonical", 1, W=1.0, b=0.0)
-        neuron.integrate(np.array([[1.0]]))
+        neuron.step(np.array([[1.0]]))  # firing and reset leave v as integrated
         assert neuron.v[0, 0] == pytest.approx(-0.5)
 
     def test_zero_current_drifts_up(self):
@@ -327,10 +333,12 @@ class TestSignGdNeuronUnits:
     def test_reset_directions_canonical(self):
         s = Schedule.constant(0.5)
         neuron, _ = make_neuron_oracle_pair("relu", s, "canonical", 1, W=1.0, b=0.0)
-        neuron.reset_potential(np.array([1.0]))
+        # I = 1 drives v to -0.5: u = 0 meets the target 0 and fires
+        assert neuron.step(np.array([[1.0]]))[0] == 1.0
         assert neuron.u[0] == pytest.approx(-0.5)
         neuron2, _ = make_neuron_oracle_pair("relu", s, "canonical", 1, W=1.0, b=0.0)
-        neuron2.reset_potential(np.array([0.0]))
+        # I = 0 drives v to 0.5, above u = 0: no spike
+        assert neuron2.step(np.array([[0.0]]))[0] == 0.0
         assert neuron2.u[0] == pytest.approx(0.5)
 
     def test_reset_unit_current_decays_up(self):
@@ -339,7 +347,8 @@ class TestSignGdNeuronUnits:
         s = Schedule.exponential(0.5, g)
         neuron, _ = make_neuron_oracle_pair("relu", s, "unit-current", 1, W=1.0, b=0.0)
         neuron.u[0] = 1.0
-        neuron.reset_potential(np.array([1.0]))
+        # I = 1 drives v below 0, under the scaled u: a spike
+        assert neuron.step(np.array([[1.0]]))[0] == 1.0
         assert neuron.u[0] == pytest.approx(1.0 / g - 0.45)
 
     def test_v_reconstruction_matches_weighted_decode(self):
@@ -496,3 +505,132 @@ class TestUnaryApproximation:
         err = np.abs(neuron.decoded - reference_nonlinearity(kind, x, 0.1))
         assert err.max() <= 0.05
         assert np.median(err) <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# Block calls against the reference neurons
+# ---------------------------------------------------------------------------
+
+BLOCK_MECHS = [("relu", 0.1), ("gelu", 0.1), ("square", 0.1), ("max2", 0.1), ("misr", 0.1),
+               *(("leaky", d) for d in (0.1, 0.0, 1.0, 2.5, -0.3)), ("subgrad", None)]
+# exp:0.5:0.5 keeps every factor a power of two, so small integer currents
+# give dyadic u and v and exact ties u == target
+BLOCK_SCHEDULES = [("inv:1", "canonical"), ("exp:0.5:0.99", "canonical"),
+                   ("exp:0.5:0.99", "unit-current"), ("exp:0.5:0.5", "canonical"),
+                   ("exp:0.5:0.5", "unit-current")]
+
+
+def block_layer(kind, delta, schedule, parameterization, n, rng, scale, table):
+    """A layer under test, one reference neuron factory per item, and the
+    operand count; W, b and currents are integers times `scale`."""
+    s = parse_schedule(schedule)
+    if kind == "subgrad":
+        c = solve_subgrad_coefficients(s)
+        tab = StepTable(partial(subgrad_step_factors, c)) if table else None
+        return (SubgradNeuron(c, n=n, validate=False, table=tab),
+                lambda: ReferenceSubgradNeuron(c, n), 1, None, None)
+    mech = FiringMechanism(kind, delta)
+    c = solve_signgd_coefficients(s, parameterization)
+    # misr's idle denominators may be <= 0, so some evaluations fall back
+    W = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
+    b = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
+    tab = StepTable(partial(signgd_step_factors, c, s)) if table else None
+    return (SignGdNeuron(mech, c, s, W=W, b=b, n=n, validate=False, table=tab),
+            lambda: ReferenceSignGdNeuron(mech, c, s, W, b, n), mech.arity, W, b)
+
+
+def reference_state(refs, batched):
+    """The references' state after a step, shaped like the layer's."""
+    pick = (lambda x: np.stack(x)) if batched else (lambda x: x[0])
+    state = {"u": pick([r.u for r in refs]), "decoded": pick([r.decoded for r in refs]),
+             "t": refs[0].t}
+    if hasattr(refs[0], "v"):
+        state["v"] = np.stack([r.v for r in refs], axis=1) if batched else refs[0].v
+        state["degeneracies"] = sum(r.degeneracies for r in refs)
+    else:
+        state["y"] = pick([r.y for r in refs])
+    return state
+
+
+def layer_state(layer, names):
+    return {name: np.copy(getattr(layer, name)) for name in names}
+
+
+@pytest.mark.parametrize("mech", BLOCK_MECHS, ids=lambda m: ":".join(map(str, m)))
+@settings(max_examples=25, deadline=None)
+@given(sched=st.sampled_from(BLOCK_SCHEDULES),
+       B=st.integers(1, 16), T=st.integers(1, 40), K=st.integers(1, 40),
+       scale=st.sampled_from([1.0, 0.5, 1000.0]), scratch=st.sampled_from(["none", "own", "I"]),
+       table=st.booleans(), one_step=st.booleans(), seed=st.integers(0, 2**16))
+def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratch, table,
+                                              one_step, seed):
+    """Blocks of K steps of B items, K from 1 to T and not always dividing T,
+    give every step what the reference neurons give, bit for bit: spikes, u,
+    v or y, t, `decoded` and misr degeneracies after each step (read by the
+    observer), and `spike_count` after each block. Ties (dyadic currents
+    under exp:0.5:0.5), misr's fallback (idle denominators <= 0) and gelu
+    targets with exp overflowing (currents of 1000s) all occur. With
+    `one_step`, one `step(I)` call per step, without `steps`."""
+    (kind, delta), (schedule, parameterization) = mech, sched
+    rng = make_rng(seed)
+    n = 3
+    layer, make_ref, arity, W, b = block_layer(kind, delta, schedule, parameterization, n,
+                                               rng, scale, table)
+    batched = B > 1 or seed % 2  # one item also as the unbatched layer
+    layer.reset(B if batched else None)
+    refs = [make_ref() for _ in range(B)]
+    if W is None:
+        currents = rng.uniform(-0.5, 1.5, (T, B, arity, n))
+    else:  # the idle current plus spikes on the weights, and a little noise
+        currents = (b + W * rng.integers(0, 2, (T, B, arity, n))
+                    + scale * rng.integers(-1, 2, (T, B, arity, n)))
+    names = ["u", "decoded", "t"] + (["v", "degeneracies"] if W is not None else ["y"])
+    K = min(K, T)
+    for t0 in range(0, T, K):
+        k = min(K, T - t0)
+        want_spikes, want_states = [], []
+        for I in currents[t0 : t0 + k]:
+            want_spikes.append(np.stack([r.step(I[i]) for i, r in enumerate(refs)]))
+            want_states.append(reference_state(refs, batched))
+        if one_step:
+            got_states = []
+            for I, want in zip(currents[t0 : t0 + k], want_spikes):
+                # one step's currents, shaped like v (sign) or like u (subgrad)
+                I = I.transpose(1, 0, 2) if W is not None else I[:, 0]
+                spikes = layer.step(I.reshape(layer.v.shape if W is not None else layer.u.shape))
+                np.testing.assert_array_equal(spikes, want.reshape(layer.u.shape))
+                got_states.append(layer_state(layer, names))
+        else:
+            rows = currents[t0 : t0 + k].reshape(k * B, arity * n).copy()
+            buf = {"none": None, "own": np.empty_like(rows), "I": rows}[scratch]
+            out = np.empty((k * B, n))
+            got_states = []
+            spikes = layer.step(rows, steps=k, out=out, scratch=buf,
+                                observer=lambda j: got_states.append(layer_state(layer, names)))
+            assert spikes is out and len(got_states) == k
+            np.testing.assert_array_equal(out.reshape(k, B, n), np.stack(want_spikes))
+        for got, want in zip(got_states, want_states):
+            for name in names:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        np.testing.assert_array_equal(layer.spike_count,
+                                      np.array([r.spike_count for r in refs]) if batched
+                                      else refs[0].spike_count)
+
+
+def test_block_step_where_twice_b2_overflows():
+    """const:1.7e308 is a valid schedule whose b2 = 1.7e308 has 2 b2 = inf:
+    the reset still subtracts exactly +-b2, as the reference does. Inputs
+    that alternate keep v and u finite."""
+    s = parse_schedule("const:1.7e308")
+    c = solve_signgd_coefficients(s)
+    mech, W, b = FiringMechanism("relu"), np.ones((1, 4)), np.array([[0.0, 1.0, -1.0, 2.0]])
+    layer = SignGdNeuron(mech, c, s, W=W, b=b, n=4)
+    ref = ReferenceSignGdNeuron(mech, c, s, W, b, 4)
+    pattern = (np.arange(8)[:, None] + np.arange(4)) % 2
+    currents = (b + W * pattern[:, None]).astype(float)  # (8, 1, 4)
+    got = layer.step(currents.reshape(8, 4), steps=8)
+    want = np.stack([ref.step(I) for I in currents])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(layer.u, ref.u)
+    np.testing.assert_array_equal(layer.v, ref.v)
+    assert np.isfinite(ref.u).all() and np.isfinite(ref.v).all() and 0 < want.sum() < want.size

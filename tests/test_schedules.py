@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_schedules import reference_validate_subgrad_coefficients
 from spikeopt.codec import SignedDecoder
 from spikeopt.schedules import (
     Schedule,
@@ -146,6 +151,32 @@ class TestSubgradCoefficients:
             beta=c.beta, gamma=c.gamma, schedule=s,
         )
         assert not validate_subgrad_coefficients(bad, s, t_max=50)
+
+
+# schedules with eta(1) < 1, as the subgradient coefficients need
+subgrad_schedules = st.one_of(
+    st.floats(0.01, 1.99).map(Schedule.inverse),
+    st.tuples(st.floats(0.01, 0.99), st.floats(0.5, 1.0)).map(
+        lambda p: Schedule.exponential(*p)),
+    st.floats(0.01, 0.99).map(Schedule.constant),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=subgrad_schedules, t_max=st.integers(1, 64),
+       field=st.sampled_from(["alpha", "beta", "gamma"]),
+       factor=st.sampled_from([1.0, 1.01, 0.99, 1 + 1e-9, 1 - 1e-10, 1 + 3e-11]),
+       tol=st.sampled_from([1e-10, 1e-12]))
+def test_subgrad_check_matches_its_reference(s, t_max, field, factor, tol):
+    """The broadcast check gives the verdict of the pair-grid reference on
+    solved and corrupted coefficient sets (one coefficient scaled)."""
+    c = solve_subgrad_coefficients(s)
+    base = getattr(c, field)
+    c = dataclasses.replace(c, **{field: lambda t: np.asarray(base(t)) * factor})
+    with np.errstate(all="ignore"):
+        want = reference_validate_subgrad_coefficients(c, s, t_max, tol)
+        got = validate_subgrad_coefficients(c, s, t_max, tol)
+    assert got is want
 
 
 class TestReachableRange:
