@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .graph import (
     load_tensor,
     normalize_relu,
 )
-from .graph.plan import BLOCK_BYTES
+from .graph.plan import block_steps
 from .neurons import (
     IfLifParams,
     IfNeuron,
@@ -50,13 +50,10 @@ from .oracles import (
     reference_nonlinearity,
 )
 from .schedules import (
-    StepTable,
     SubgradCoefficients,
     parse_schedule,
-    signgd_step_factors,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
-    subgrad_step_factors,
 )
 
 DEVIATION_LIMIT = 1e-9
@@ -102,6 +99,11 @@ def _schedule(args, family=None):
     return _parsed("--schedule", parse, args.schedule)
 
 
+def _finite(flag, value):
+    if not math.isfinite(value):
+        raise RangeError(f"{flag} must be a finite number, got {value}")
+
+
 def _check_c(args):
     """The stochastic encoder draws with probability sigmoid(c (f - x)), c in [0, 1]."""
     if args.encoder == "stoch" and not 0.0 <= args.c <= 1.0:
@@ -138,6 +140,7 @@ def _checkpoints(T, extra=()):
 
 def cmd_encode(args):
     _at_least_one("--T", args.T)
+    _finite("--x", args.x)
     _check_c(args)
     schedule = _schedule(args)
     if args.encoder == "poisson":
@@ -168,9 +171,8 @@ def _oracle_pair(args, schedule, rng):
     """The neuron under check, its oracle, all `args.steps` inputs drawn in
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
     rows are the per-step draws) and decoded(t), the neuron's decode after
-    step t in oracle coordinates. The subgradient and sign neurons read their
-    step scalars from a StepTable and step the whole trace as one block, as
-    a network's layers step theirs."""
+    step t in oracle coordinates. The subgradient and sign neurons step the
+    whole trace as one block, as a network's layers step theirs."""
     name, steps = args.neuron, args.steps
     if name == "if":
         neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
@@ -192,8 +194,7 @@ def _oracle_pair(args, schedule, rng):
                 alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha,
                 beta=coeffs.beta, gamma=coeffs.gamma, schedule=schedule,
             )
-        table = StepTable(partial(subgrad_step_factors, coeffs))
-        neuron = SubgradNeuron(coeffs, n=1, validate=False, table=table)
+        neuron = SubgradNeuron(coeffs, n=1, validate=False)
         oracle = SubgradOracle(schedule, n=1)
         inputs = rng.uniform(0.0, 1.0, (steps, 1))
         decoded = lambda t: neuron.decoded
@@ -205,12 +206,14 @@ def _oracle_pair(args, schedule, rng):
             coeffs = coeffs.replace(
                 beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
-        W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
-        table = StepTable(partial(signgd_step_factors, coeffs, schedule))
-        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False,
-                              table=table)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
+            inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
+        if not np.isfinite(inputs).all():  # b + 0 W or b + W: a non-finite W or b shows
+            raise RangeError(f"--schedule {schedule}: its step sizes over {steps} steps "
+                             f"overflow the check's inputs")
+        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
-        inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
         decoded = lambda t: neuron.decoded
     else:
         raise RangeError(f"--neuron: unknown neuron kind {name!r}; "
@@ -276,6 +279,8 @@ def cmd_neuron_sweep(args):
     _at_least_one("--points", args.points)
     _at_least_one("--T", args.T)
     _check_c(args)
+    _finite("--xmin", args.xmin)
+    _finite("--xmax", args.xmax)
     grid = np.linspace(args.xmin, args.xmax, args.points)
     if mech.kind == "misr" and np.any(grid <= 0):
         raise RangeError(f"misr sweeps its denominator, which must be > 0 on the whole "
@@ -296,8 +301,8 @@ def cmd_neuron_sweep(args):
             err = np.abs(neuron.decoded - target)
             rows.extend((float(x), t0 + k + 1, float(e)) for x, e in zip(grid, err))
 
-    # blocks of K steps whose frames fit BLOCK_BYTES, each encoded, then stepped
-    K = min(args.T, max(1, BLOCK_BYTES // (8 * ops.size)))
+    # blocks of K steps of the ops.size-wide frames, each encoded, then stepped
+    K = block_steps(ops.size, 1, args.T)
     frames = np.empty((K, *ops.shape))
     for t0 in range(0, args.T, K):
         block = frames[: min(K, args.T - t0)]

@@ -16,11 +16,15 @@ the terms without r once per block and r's recurrence one step at a time:
 Every op works row by row with the arithmetic of a one-item step, and a
 dense product does not depend on the rows computed with it (see
 `graph.plan`), so each item's readouts and spike counts are bit-identical
-to running it alone, one step at a time; `run` is `run_batch` on one item.
-K is the most steps whose slot rows fit `plan.BLOCK_BYTES`.
+to running it alone, one step at a time. K is `Plan.block_steps`.
+
+`run_batch` is the one run loop: `run` is `run_batch` on one item, and
+`probe` is `run_batch` on one item with an observer that reads each layer
+after each of its steps, plus the ANN reference to compare it with.
 
 Inputs are encoded per element with the family's codec, so the first neuron
-layer sees encoder emissions exactly like upstream spikes. Classification
+layer sees encoder emissions exactly like upstream spikes; an item may have
+any shape that holds as many values as the network's input. Classification
 reads argmax r(T).
 
 An instance is single-writer and is reused across inputs via `reset`.
@@ -28,13 +32,14 @@ An instance is single-writer and is reused across inputs via `reset`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, signed_encoder
-from .graph.model import Graph, run_forward
+from .graph.model import Graph, ShapeMismatchError, run_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
@@ -79,7 +84,9 @@ class SnnInstance:
 
     def __init__(self, snn: SnnGraph):
         if not snn.calibrated:
-            raise ConversionError("calibrate the network before executing it")
+            node, key = snn.lacking_calibration()
+            raise ConversionError(f"node {node!r} has no {key}: calibrate the network "
+                                  f"before executing it")
         self.snn = snn
         out = snn.graph.nodes[snn.graph.output_id]
         self.readout_w = out.tensor("cal_w")
@@ -92,18 +99,18 @@ class SnnInstance:
         if signgd:
             c = solve_signgd_coefficients(s, snn.parameterization)
             check_signgd_coefficients(c, s)
-            self._table = StepTable(partial(signgd_step_factors, c, s))
+            self.table = StepTable(partial(signgd_step_factors, c, s))
         else:
             c = solve_subgrad_coefficients(s)
             check_subgrad_coefficients(c)
-            self._table = StepTable(partial(subgrad_step_factors, c))
+            self.table = StepTable(partial(subgrad_step_factors, c))
 
         def layer(node):
             n = node.params["count"]
             return SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, s, W=node.tensor("cal_w"),
-                b=node.tensor("cal_b"), n=n, validate=False, table=self._table,
-            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self._table)
+                b=node.tensor("cal_b"), n=n, validate=False, table=self.table,
+            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self.table)
 
         self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.plan = Plan(snn.graph, layer)
@@ -141,7 +148,7 @@ class SnnInstance:
             np.subtract(I, self.readout_b, x)
             np.multiply(x, 2.0, y)
             np.subtract(y, self.readout_w, x)
-            np.multiply(x, np.array([self._table[t][0] for t in ts])[:, None, None], y)
+            np.multiply(x, np.array([self.table[t][0] for t in ts])[:, None, None], y)
             for k in range(K):
                 np.subtract(r, y[k], readouts[k])
                 r = readouts[k]
@@ -185,9 +192,15 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
 
     With a list of seeds, x is a batch of one item per seed: the encoder
     emits (B, size) frames, and item i draws from its own generator, seed[i].
+    An item may have any shape that holds as many values as the network's
+    input.
     """
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1) if np.ndim(seed) == 0 else x.reshape(len(seed), -1)
+    size = math.prod(snn.graph.nodes[snn.graph.input_id].params["shape"])
+    if flat.shape[-1] != size:
+        raise ShapeMismatchError(f"an input item holds {flat.shape[-1]} values, but the "
+                                 f"network's input takes {size}")
     if not np.isfinite(flat).all():
         raise ValueError("input holds NaN or inf values")
     if snn.family == "signgd":
@@ -202,11 +215,12 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
 
 
 def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float = 0.5,
-              seed: int = 0, instance: SnnInstance | None = None):
+              seed: int = 0, instance: SnnInstance | None = None, observer=None):
     """Drive the items X[0..B-1] in lockstep for T steps, item i seeded
     seed + 1000 i. Returns the readout history, (T, B, n_out), and each
     item's total spikes, (B,) ints; both are what running each item alone
-    gives, bit for bit."""
+    gives, bit for bit. `observer`, if given, sees the plan's ops in every
+    block (`Plan.step`)."""
     if T < 1:
         raise ValueError("T must be >= 1")
     inst = instance or SnnInstance(snn)
@@ -215,20 +229,13 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
     inst.reset(B, K)
     enc = make_input_encoder(snn, X, encoder, stoch_c, [seed + 1000 * i for i in range(B)])
     history = np.empty((T, B, inst.readout_b.size))
-    for t, frames in _blocks(inst, enc, T, K):
-        history[t : t + len(frames)] = inst.step(frames, steps=len(frames))
-    return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
-
-
-def _blocks(inst: SnnInstance, enc, T: int, K: int):
-    """(t, frames) per block of up to K steps over T: the encoder's next
-    frames, written into the plan's input buffer."""
-    frames = inst.plan.frames
     for t in range(0, T, K):
-        k = min(K, T - t)
-        for row in frames[:k]:
+        # the encoder's next frames, written into the plan's input buffer
+        frames = inst.plan.frames[: min(K, T - t)]
+        for row in frames:
             row[...] = enc.step()
-        yield t, frames[:k]
+        history[t : t + len(frames)] = inst.step(frames, steps=len(frames), observer=observer)
+    return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
 
 
 def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
@@ -257,32 +264,26 @@ class TraceRecord:
 
 def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
           seed: int = 0) -> TraceRecord:
-    """Compare per-layer decoded activations against the reference forward."""
-    inst = SnnInstance(snn)
-    enc = make_input_encoder(snn, x, encoder, stoch_c, seed)
+    """Compare per-layer decoded activations against the reference forward:
+    `run_batch` on the one item, each layer read after each of its steps
+    through the plan's observer."""
     acts = ann_forward(snn.graph, x)
+    inst = SnnInstance(snn)
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}
-    ref_out = acts[snn.graph.output_id].reshape(-1)
-
-    layer_ids = list(inst.layers)
-    errors = {nid: np.empty(T) for nid in layer_ids}
-    readout_error = np.empty(T)
-    # max |decoded - reference| of each layer, through one buffer per layer,
-    # read after each of the layer's steps in a block
-    diffs = {nid: np.empty_like(ref[nid]) for nid in layer_ids}
-    t = 0
+    errors = {nid: np.empty(T) for nid in inst.layers}
+    # max |decoded - reference| of each layer, through one buffer per layer
+    diffs = {nid: np.empty_like(r) for nid, r in ref.items()}
 
     def observe(nid, kind, k):
         if kind == "neuron":
-            d = np.subtract(inst.layers[nid].decoded[0], ref[nid], diffs[nid])
-            errors[nid][t + k] = np.abs(d, d).max()
+            layer = inst.layers[nid]
+            d = np.subtract(layer.decoded[0], ref[nid], diffs[nid])
+            errors[nid][layer.t - 1] = np.abs(d, d).max()
 
-    K = inst.plan.block_steps(1, T)
-    inst.reset(1, K)
-    for t, frames in _blocks(inst, enc, T, K):
-        r = inst.step(frames, steps=len(frames), observer=observe)[:, 0]
-        readout_error[t : t + len(r)] = np.abs(r - ref_out).max(axis=1)
-    return TraceRecord(layer_ids=layer_ids, times=np.arange(1, T + 1), errors=errors,
+    history = run_batch(snn, np.asarray(x)[None], T, encoder, stoch_c, seed, inst,
+                        observer=observe)[0][:, 0]
+    readout_error = np.abs(history - acts[snn.graph.output_id].reshape(-1)).max(axis=1)
+    return TraceRecord(layer_ids=list(inst.layers), times=np.arange(1, T + 1), errors=errors,
                        readout_error=readout_error)
 
 

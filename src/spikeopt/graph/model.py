@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neurons import MECHANISMS, parse_mechanism
+from ..neurons import MECHANISMS, FiringMechanism, parse_mechanism
 from ..oracles import gelu_sigmoid
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "node_forward",
     "conv2d",
     "infer_shapes",
+    "leaky_slope",
     "linear_shape",
     "run_forward",
 ]
@@ -100,6 +101,23 @@ def _n_ports(node: Node, n_edges: int) -> int:
     return 1
 
 
+def _required(kind: str) -> tuple:
+    """The params the rules of an operator of `kind` read that have no default."""
+    return {
+        "input": ("shape",), "reshape": ("shape",), "gather": ("indices",),
+        "transpose": ("perm",), "maxpool2d": ("kernel",), "avgpool2d": ("kernel",),
+        "dense": ("weight", "bias"), "affine": ("weight", "bias"),
+        "conv2d": ("weight", "bias"), "layernorm": ("gamma", "beta", "eps"),
+        "batchnorm": ("gamma", "beta", "mean", "var", "eps"),
+    }.get(kind, ())
+
+
+def leaky_slope(node: Node) -> float:
+    """The negative slope of a leaky_relu node: its `delta` param, or the
+    default of `FiringMechanism`, the neuron that replaces it."""
+    return node.params.get("delta", FiringMechanism.delta)
+
+
 def _mechanism(node: Node) -> tuple[int, Node]:
     """A neuron node's operand count and the source node whose forward rule is
     its ANN semantics, both from its `mech` (a subgrad layer computes ReLU)."""
@@ -141,6 +159,9 @@ class Graph:
         for _, d, p in self.edges:
             ports[d].append(p)
         for nid, node in self.nodes.items():
+            for key in _required(node.kind):
+                if node.params.get(key) is None:
+                    raise GraphError(f"node {nid!r} ({node.kind}) lacks its {key!r} param")
             got = sorted(ports[nid])
             if not got and node.kind != "input":
                 raise GraphError(f"node {nid!r} ({node.kind}) has no inputs")
@@ -152,7 +173,7 @@ class Graph:
             if node.kind == "neuron" and not (
                     isinstance(count, (int, np.integer)) and count == np.prod(shape)):
                 raise GraphError(f"node {nid!r} (neuron) has count {count!r} but shape {shape!r}")
-            delta = node.params.get("delta", 0.1)
+            delta = leaky_slope(node)
             if node.kind == "leaky_relu" and not (
                     isinstance(delta, numbers.Real) and math.isfinite(delta)):
                 raise GraphError(f"node {nid!r} (leaky_relu) has slope {delta!r}, not a finite number")
@@ -180,6 +201,14 @@ class Graph:
     @property
     def topo_order(self) -> list[str]:
         return list(self._topo)
+
+    def walk(self, visit) -> dict:
+        """Each node's value, `visit(node, its inputs' values in port order)`,
+        visited in topological order."""
+        values: dict = {}
+        for nid in self._topo:
+            values[nid] = visit(self.nodes[nid], [values[s] for s, _ in self.predecessors(nid)])
+        return values
 
     def predecessors(self, node_id: str) -> list[tuple[str, int]]:
         """(producer, port) pairs sorted by port."""
@@ -266,7 +295,7 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
         return np.maximum(inputs[0], 0.0)
     if k == "leaky_relu":
         x = inputs[0]
-        return np.where(x >= 0, x, p["delta"] * x)
+        return np.where(x >= 0, x, leaky_slope(node) * x)
     if k == "gelu":
         return gelu_sigmoid(inputs[0])
     if k == "add":
@@ -376,17 +405,15 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
     """Every node's output shape: the shapes of `run_forward` on a ones input,
     those of the `linear_shape` kinds by shape arithmetic (values are not
     read, so numeric warnings are silenced)."""
-    acts: dict[str, np.ndarray] = {}
+    def visit(node, inputs):
+        if node.kind == "input":
+            return np.ones(tuple(node.params["shape"]))
+        if node.kind in ("dense", "affine", "conv2d"):
+            return np.ones(linear_shape(node, [x.shape for x in inputs]))
+        return node_forward(node, inputs)
+
     with np.errstate(all="ignore"):
-        for nid in g.topo_order:
-            node = g.nodes[nid]
-            inputs = [acts[s] for s, _ in g.predecessors(nid)]
-            if node.kind == "input":
-                acts[nid] = np.ones(tuple(node.params["shape"]))
-            elif node.kind in ("dense", "affine", "conv2d"):
-                acts[nid] = np.ones(linear_shape(node, [x.shape for x in inputs]))
-            else:
-                acts[nid] = node_forward(node, inputs)
+        acts = g.walk(visit)
     return {nid: a.shape for nid, a in acts.items()}
 
 
@@ -397,15 +424,13 @@ def run_forward(g: Graph, x: np.ndarray) -> dict[str, np.ndarray]:
     same driver scores source models, transformed models, and SNN graphs.
     """
     x = np.asarray(x, dtype=np.float64)
-    acts: dict[str, np.ndarray] = {}
-    for nid in g.topo_order:
-        node = g.nodes[nid]
-        if node.kind == "input":
-            want = tuple(node.params["shape"])
-            if x.shape != want:
-                raise ShapeMismatchError(f"input shape {x.shape} != declared {want}")
-            acts[nid] = x
-            continue
-        inputs = [acts[s] for s, _ in g.predecessors(nid)]
-        acts[nid] = node_forward(node, inputs)
-    return acts
+
+    def visit(node, inputs):
+        if node.kind != "input":
+            return node_forward(node, inputs)
+        want = tuple(node.params["shape"])
+        if x.shape != want:
+            raise ShapeMismatchError(f"input shape {x.shape} != declared {want}")
+        return x
+
+    return g.walk(visit)

@@ -6,8 +6,10 @@ concat within one slot) compose into one index selection; dense/affine,
 conv2d, add and concat across slots fill a new slot; a neuron layer reads
 one whole slot, or takes its operands from one slot with one (arity, n)
 index table (operands in several slots are joined by the concat rule first).
-Inputs resolve to integer slots, output shapes come from shape arithmetic,
-and each weight is converted to float64 once.
+The compiler is a visit of `Graph.walk`, the walk `run_forward` and
+`infer_shapes` make: it maps each node, given its inputs' compiled values,
+to its own. Inputs resolve to integer slots, output shapes come from shape
+arithmetic, and each weight is converted to float64 once.
 
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
@@ -18,7 +20,8 @@ operands where it has one, it forms the state-free part of its dynamics for
 all K steps in its scratch slot, runs only its state recurrence step by
 step, and writes its K B spike rows into its output slot. In a feed-forward
 network a layer's state at step t depends only on its inputs up to t, so a
-block gives every step what stepping it alone gives, bit for bit.
+block gives every step what stepping it alone gives, bit for bit. K comes
+from one rule, `block_steps`, which the plans and `neuron-sweep` share.
 
 Dense and affine nodes have their own rule, `DenseRule`: row j of x W^T + b
 is row j of one GEMM over a tile of exactly R = 16 rows, against the
@@ -46,7 +49,7 @@ import numpy as np
 
 from .model import Graph, GraphError, Node, conv2d, linear_shape, node_forward
 
-__all__ = ["Plan", "DenseRule", "STEPPABLE", "R", "BLOCK_BYTES"]
+__all__ = ["Plan", "DenseRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
@@ -79,6 +82,18 @@ def _give_stores(stores: list):
         while (len(_spares) > _SPARE_COUNT
                or sum(store.nbytes for store in _spares) > 2 * BLOCK_BYTES):
             _spares.pop(0)
+
+
+def block_steps(width: int, batch: int, T: int) -> int:
+    """Steps per block for `batch` items over T steps, each item's step
+    holding `width` doubles: the most steps whose rows fit in BLOCK_BYTES,
+    rounded down to make whole R-row tiles where the budget allows, and at
+    most T."""
+    k = max(1, BLOCK_BYTES // (8 * batch * width))
+    whole = R // math.gcd(batch, R)  # steps per whole number of tiles
+    if k >= whole:
+        k -= k % whole
+    return min(k, T)
 
 
 class DenseRule:
@@ -164,38 +179,29 @@ class Plan:
         self._io: list = []  # per op: the slots it reads, the slots it writes
         self.batch = self.rows = 0  # set by reset
         self._release = None
-        values: dict[str, _Value] = {}
-        for nid in graph.topo_order:
-            node = graph.nodes[nid]
-            ins = [values[s] for s, _ in graph.predecessors(nid)]
+
+        def visit(node, ins: list[_Value]) -> _Value:
             if node.kind not in STEPPABLE:
-                raise GraphError(f"node {nid!r} ({node.kind}) has no step rule")
+                raise GraphError(f"node {node.id!r} ({node.kind}) has no step rule")
             if node.kind == "input":
-                values[nid] = _Value(0, None, node.params["shape"], nid)
-            elif node.kind == "neuron":
-                values[nid] = self._neuron(node, ins, layer)
-            elif node.kind in _MOVES and len({v.slot for v in ins}) == 1:
+                return _Value(0, None, node.params["shape"], node.id)
+            if node.kind == "neuron":
+                return self._neuron(node, ins, layer)
+            if node.kind in _MOVES and len({v.slot for v in ins}) == 1:
                 # run the move on the inputs' source indices: one composed selection
                 sel = node_forward(node, [v.indices() for v in ins])
                 view = node.kind in _VIEWS and ins[0].idx is None
-                values[nid] = _Value(ins[0].slot, None if view else sel.reshape(-1),
-                                     sel.shape, nid)
-            else:
-                values[nid] = self._linear(node, ins)
-        self.out_slot = self._flat(values[graph.output_id])
+                return _Value(ins[0].slot, None if view else sel.reshape(-1), sel.shape, node.id)
+            return self._linear(node, ins)
+
+        self.out_slot = self._flat(graph.walk(visit)[graph.output_id])
         # doubles per row of the slots the budget counts
         self.block_width = sum(w for w, counted in zip(self.widths, self._budgeted) if counted)
         self._share()
 
     def block_steps(self, batch: int, T: int) -> int:
-        """Steps per block for `batch` items over T steps: the most whose slot
-        rows fit in BLOCK_BYTES, rounded down to make whole R-row tiles where
-        the budget allows, and at most T."""
-        k = max(1, BLOCK_BYTES // (8 * batch * self.block_width))
-        whole = R // math.gcd(batch, R)  # steps per whole number of tiles
-        if k >= whole:
-            k -= k % whole
-        return min(k, T)
+        """Steps per block for `batch` items over T steps (`block_steps`)."""
+        return block_steps(self.block_width, batch, T)
 
     def reset(self, batch: int, steps: int = 1):
         """Size the slot buffers for blocks of up to `steps` steps of `batch`

@@ -17,7 +17,7 @@ import numpy as np
 from ..neurons import MECHANISMS, FiringMechanism
 from ..schedules import Schedule, ScheduleError, parse_schedule
 from . import io as gio
-from .model import Graph, GraphError, Node, infer_shapes, run_forward
+from .model import Graph, GraphError, Node, infer_shapes, leaky_slope, run_forward
 from .plan import STEPPABLE, Plan
 
 __all__ = [
@@ -276,8 +276,14 @@ class SnnGraph:
 
     @property
     def calibrated(self) -> bool:
+        return self.lacking_calibration() is None
+
+    def lacking_calibration(self) -> tuple[str, str] | None:
+        """(node id, key) of the first `cal_w` or `cal_b` record that a neuron
+        node or the output node lacks; None once the network is calibrated."""
         out = self.graph.nodes[self.graph.output_id]
-        return all(n.params.get("cal_w") is not None for n in [*self.neuron_nodes(), out])
+        return next(((n.id, key) for n in [*self.neuron_nodes(), out]
+                     for key in ("cal_w", "cal_b") if n.params.get(key) is None), None)
 
     def neuron_nodes(self) -> list[Node]:
         return [self.graph.nodes[i] for i in self.graph.topo_order
@@ -351,7 +357,7 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
             }
             continue
         if node.kind in _MECHANISM_OF:
-            mech = FiringMechanism(_MECHANISM_OF[node.kind], node.params.get("delta", 0.1)).name
+            mech = FiringMechanism(_MECHANISM_OF[node.kind], leaky_slope(node)).name
             if neuron_family == "subgrad" and node.kind == "relu":
                 mech = "subgrad"  # SnnGraph rejects any other kind in this family
             in_shape = shapes[g.predecessors(nid)[0][0]]

@@ -191,7 +191,8 @@ class SubgradNeuron(_SpikeTally):
 
     The schedule decode of the emitted spikes tracks the subgradient method on
     the clipped-ReLU objective; `decoded` maintains that decode. `table`
-    shares the `subgrad_step_factors` rows between the layers of one network.
+    shares the `subgrad_step_factors` rows between the layers of one network;
+    a layer given none builds its own StepTable.
     `reset(batch)` gives the state a leading axis of `batch` items.
 
     `step(I)` takes one step's currents, shaped like u, and returns its
@@ -211,8 +212,8 @@ class SubgradNeuron(_SpikeTally):
         if validate:
             check_subgrad_coefficients(coeffs)
         self.c = coeffs
-        self._factors = (table.__getitem__ if table is not None
-                         else partial(subgrad_step_factors, coeffs))
+        # `is None`: a table no step has read yet is empty, and so falsy
+        self.table = StepTable(partial(subgrad_step_factors, coeffs)) if table is None else table
         self.n = n
         self.reset()
 
@@ -231,7 +232,7 @@ class SubgradNeuron(_SpikeTally):
         spikes = np.empty((K * B, self.n)) if out is None else out
         s_k = spikes.reshape(K, B, -1)
         t0 = self.t
-        rows = [self._factors(t) for t in range(t0 + 1, t0 + K + 1)]
+        rows = [self.table[t] for t in range(t0 + 1, t0 + K + 1)]
         # gamma(t) I(t), the state-free part, for the whole block
         gI = np.multiply(I.reshape(K, B, -1), np.array([r[1] for r in rows])[:, None, None],
                          None if scratch is None else scratch.reshape(K, B, -1))
@@ -390,9 +391,8 @@ def parse_mechanism(text: str) -> FiringMechanism:
         parts = parts[1:]
     if not parts or parts[0] not in MECHANISMS:
         raise ValueError(f"unknown mechanism name {text!r}")
-    if parts[0] == "leaky":
-        delta = float(parts[1]) if len(parts) > 1 else 0.1
-        return FiringMechanism("leaky", delta)
+    if parts[0] == "leaky" and len(parts) > 1:
+        return FiringMechanism("leaky", float(parts[1]))
     if len(parts) > 1:
         raise ValueError(f"mechanism {parts[0]!r} takes no parameter")
     return FiringMechanism(parts[0])
@@ -422,7 +422,8 @@ class SignGdNeuron(_SpikeTally):
     `spike_count` adds the block's spikes when the block ends.
 
     A step reads its scalars as the `signgd_step_factors` row of its t;
-    `table` shares those rows between the layers of one network.
+    `table` shares those rows between the layers of one network, and a layer
+    given none builds its own StepTable.
     `degeneracies` counts misr evaluations with a non-positive denominator.
     """
 
@@ -439,8 +440,8 @@ class SignGdNeuron(_SpikeTally):
         self.W = W
         self.b = b
         self.n = n
-        self._factors = (table.__getitem__ if table is not None
-                         else partial(signgd_step_factors, coeffs, schedule))
+        self.table = (StepTable(partial(signgd_step_factors, coeffs, schedule))
+                      if table is None else table)
         self.reset()
 
     def reset(self, batch: int | None = None):
@@ -470,7 +471,7 @@ class SignGdNeuron(_SpikeTally):
         spikes = np.empty((K * B, n)) if out is None else out
         s_k = spikes.reshape(K, B, n)
         t0 = self.t
-        rows = [self._factors(t) for t in range(t0 + 1, t0 + K + 1)]
+        rows = [self.table[t] for t in range(t0 + 1, t0 + K + 1)]
         # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
         d = np.subtract(I.reshape(K, B, arity, n), self.b,
                         None if scratch is None else scratch.reshape(K, B, arity, n))
@@ -513,7 +514,7 @@ class SignGdNeuron(_SpikeTally):
         if self.t == 0:
             return np.zeros_like(self.u)
         # eta(t)/beta2(t): the u scale of the next step
-        return self._factors(self.t + 1)[3] * self.u
+        return self.table[self.t + 1][3] * self.u
 
     @property
     def decoded_input(self) -> np.ndarray:

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import io
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikeopt
-from conftest import build_layernorm_block, build_mlp
+from conftest import CONFIGS, MODELS, build_layernorm_block, build_mlp
 from reference_oracle import reference_oracle_check, reference_setup
 from spikeopt import cli
 from spikeopt.cli import main
 from spikeopt.codec import make_rng
 from spikeopt.engine import ann_forward
-from spikeopt.graph import save_labels, save_model, save_tensor
+from spikeopt.graph import calibrate, convert, save_labels, save_model, save_tensor
 from spikeopt.schedules import parse_schedule
 
 
@@ -164,6 +166,24 @@ class TestNeuronSweep:
         # checkpoints are logarithmic: powers of two plus the final step
         ts = sorted({int(r[1]) for r in rows[1:]})
         assert ts == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]
+
+    @pytest.mark.parametrize("mech", ["signgd:relu", "signgd:max2"])
+    def test_sweep_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch, mech):
+        """The sweep steps in blocks of `plan.block_steps`; budgets that fit a
+        step or a few give the CSV and the summary of the default budget."""
+        from spikeopt.graph import plan
+
+        argv = ["neuron-sweep", "--mech", mech, "--points", "9", "--T", "40",
+                "--encoder", "stoch"]
+        outputs = []
+        for budget in (plan.BLOCK_BYTES, 8 * 9 * 2, 7 * 8 * 9 * 2):
+            monkeypatch.setattr(plan, "BLOCK_BYTES", budget)
+            out = tmp_path / f"sweep_{budget}.csv"
+            summary = io.StringIO()
+            with contextlib.redirect_stdout(summary):
+                assert main([*argv, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), summary.getvalue()))
+        assert outputs[1:] == outputs[:1] * 2
 
     def test_unknown_mechanism(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -397,7 +417,19 @@ RANGE_ERRORS = {
     "infer-labels-count": (["infer", "--labels", "SHORT"], "--labels"),
     "encode-c-stoch": (["encode", "--encoder", "stoch", "--c", "2"], "--c"),
     "encode-T": (["encode", "--T", "0"], "--T"),
+    "encode-x-nan": (["encode", "--x", "nan"], "--x"),
+    "encode-x-inf": (["encode", "--x", "inf"], "--x"),
+    "sweep-xmin-nan": (["neuron-sweep", "--xmin", "nan"], "--xmin"),
+    "sweep-xmax-inf": (["neuron-sweep", "--xmax", "inf"], "--xmax"),
+    "oracle-schedule-overflows": (["oracle-check", "--schedule", "const:1e200", "--steps", "20"],
+                                  "--schedule"),
+    "oracle-schedule-overflows-nan": (["oracle-check", "--schedule", "const:1e308",
+                                       "--steps", "20"], "--schedule"),
 }
+# the arguments a command of RANGE_ERRORS needs besides the flag under test
+# (the others read the converted network and the dataset)
+RANGE_INPUTS = {"encode": ["--x", "0.3"], "neuron-sweep": ["--mech", "signgd:relu"],
+                "oracle-check": ["--neuron", "signgd:relu"]}
 
 
 @pytest.mark.parametrize("case", list(RANGE_ERRORS))
@@ -411,17 +443,44 @@ def test_flag_out_of_range_exits_2(pipeline, capsys, case):
     (command, *flags), flag = RANGE_ERRORS[case]
     flags = [{"TRACE": str(tmp / "trace.csv"), "SHORT": str(tmp / "short.slbl")}.get(f, f)
              for f in flags]
-    inputs = (["--x", "0.3"] if command == "encode"
-              else [str(tmp / "snn.json"), "--data", str(tmp / "data.sten")])
-    out_flag = "--report" if command == "infer" else "--out"
+    inputs = RANGE_INPUTS.get(command, [str(tmp / "snn.json"), "--data", str(tmp / "data.sten")])
+    out = ([] if command == "oracle-check" else
+           ["--report" if command == "infer" else "--out", str(tmp / "out.csv")])
     capsys.readouterr()
-    rc = main([command, *inputs, *flags, out_flag, str(tmp / "out.csv")])
+    rc = main([command, *inputs, *flags, *out])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"spikeopt {command}: error: {flag} ")
     if flag == "--labels":
         assert "short.slbl" in err and "data.sten" in err
     assert not (tmp / "out.csv").exists() and not (tmp / "trace.csv").exists()
+
+
+def test_oracle_check_of_a_finite_draw_near_the_float_range_runs(capsys):
+    """The largest step sizes whose drawn inputs stay finite still check."""
+    assert main(["oracle-check", "--neuron", "signgd:relu", "--schedule", "const:1e150",
+                 "--steps", "20"]) == 0
+    assert capsys.readouterr().out.endswith("max-deviation=0.000e+00 -> OK\n")
+
+
+@pytest.mark.parametrize("command", ["infer", "energy", "probe"])
+def test_data_of_another_width_exits_2(pipeline, capsys, command):
+    """Items that hold more or fewer values than the network's input end the
+    command with exit status 2 and one stderr line naming both sizes."""
+    tmp, _ = pipeline
+    assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp / "snn")]) == 0
+    save_tensor(np.ones((3, 5), dtype=np.float32), tmp / "wide.sten")
+    capsys.readouterr()
+    out_flag = "--report" if command == "infer" else "--out"
+    rc = main([command, str(tmp / "snn.json"), "--data", str(tmp / "wide.sten"),
+               out_flag, str(tmp / "out.csv")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"spikeopt {command}: error: ")
+    assert "holds 5 values" in err or "(5,)" in err
+    assert "takes 8" in err or "(8,)" in err
+    assert not (tmp / "out.csv").exists()
 
 
 # a name or literal a command does not know: the command, its arguments and
@@ -525,6 +584,54 @@ def test_schedule_the_coefficients_cannot_use_exits_2(tmp_path, capfd, argv):
     err = capfd.readouterr().err
     assert err.count("\n") == 1 and "--schedule" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """Per (model, family) of CONFIGS: the saved ANN file, the saved converted
+    and calibrated SNN file and a two-item dataset, as (ann, snn, data) paths."""
+    root = tmp_path_factory.mktemp("models")
+    files = {}
+    for model, family in CONFIGS:
+        g, base = MODELS[model](), root / f"{model}_{family}"
+        save_model(g, f"{base}_ann")
+        calibrate(convert(g, family, parse_schedule("inv:1"))).save(f"{base}_snn")
+        shape = g.nodes[g.input_id].params["shape"]
+        save_tensor(make_rng(3).normal(0, 1, (2, *shape)), f"{base}_data.sten")
+        files[model, family] = (Path(f"{base}_ann.json"), Path(f"{base}_snn.json"),
+                                Path(f"{base}_data.sten"))
+    return files
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from(CONFIGS), snn_file=st.booleans(), data=st.data())
+def test_a_model_lacking_any_key_exits_cleanly(model_files, tmp_path_factory,
+                                               config, snn_file, data):
+    """Drop any one key from any node's params or tensors of a saved ANN or SNN
+    file: `convert` (ANN) or `infer` (SNN) exits 0, or exits 2 with one
+    stderr line; a missing parameter is never a traceback."""
+    ann, snn, dataset = model_files[config]
+    src = snn if snn_file else ann
+    manifest = json.loads(src.read_text())
+    keys = [(i, section, key) for i, node in enumerate(manifest["nodes"])
+            for section in ("params", "tensors") for key in node[section]]
+    i, section, key = data.draw(st.sampled_from(keys))
+    del manifest["nodes"][i][section][key]
+    tmp = tmp_path_factory.mktemp("dropped")
+    (tmp / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(src.with_suffix(".bin"), tmp / "m.bin")
+    argv = (["infer", str(tmp / "m.json"), "--data", str(dataset), "--T", "4",
+             "--report", str(tmp / "acc.csv")] if snn_file else
+            ["convert", str(tmp / "m.json"), "--family", config[1], "--out", str(tmp / "snn")])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert err.count("\n") == 1 and err.startswith(f"spikeopt {argv[0]}: error: ")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])

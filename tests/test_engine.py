@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import build_cnn, build_layernorm_block, build_mlp, chain_edges, dense_node
+from conftest import (
+    CONFIGS,
+    MODELS,
+    build_cnn,
+    build_layernorm_block,
+    build_mlp,
+    chain_edges,
+    dense_node,
+)
 from spikeopt import neurons
 from spikeopt.codec import DeterministicEncoder, make_rng
 from spikeopt.engine import (
@@ -14,7 +22,7 @@ from spikeopt.engine import (
     probe,
     run,
 )
-from spikeopt.graph import ConversionError, Graph, Node, calibrate, convert
+from spikeopt.graph import ConversionError, Graph, Node, ShapeMismatchError, calibrate, convert
 from spikeopt.neurons import FiringMechanism, SignGdNeuron
 from spikeopt.schedules import Schedule, solve_signgd_coefficients
 
@@ -245,6 +253,30 @@ class TestProbe:
         rows = list(rec.rows())
         assert rows[0][0] == "act0" and rows[0][1] == 1
         assert all(len(r) == 3 for r in rows)
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+def test_layers_and_readout_read_one_step_table(model, family):
+    """Every neuron layer of an instance reads the instance's StepTable, which
+    is empty, and so falsy, when the layers are built; over a run each row is
+    evaluated once, for the layers and the readout alike."""
+    inst = SnnInstance(snn_of(MODELS[model](), family))
+    assert inst.layers and all(layer.table is inst.table for layer in inst.layers.values())
+    evaluated, row = [], inst.table.row
+    inst.table.row = lambda t: evaluated.append(t) or row(t)
+    shape = inst.snn.graph.nodes[inst.snn.graph.input_id].params["shape"]
+    run(inst.snn, make_rng(3).normal(0, 1, shape), 20, instance=inst)
+    assert evaluated == list(range(1, 21))
+
+
+def test_input_of_another_size_names_both_sizes():
+    """An item must hold as many values as the network's input, in any shape."""
+    snn = snn_of(build_mlp(seed=8, dims=(4, 6, 2)))
+    for x, seed in ((np.ones(5), 0), (np.ones((3, 5)), [0, 1, 2])):
+        with pytest.raises(ShapeMismatchError, match="holds 5 values.*takes 4"):
+            make_input_encoder(snn, x, seed=seed)
+    x = make_rng(4).normal(0, 1, 4)
+    np.testing.assert_array_equal(run(snn, x.reshape(2, 2), 16), run(snn, x, 16))
 
 
 class TestEnergy:

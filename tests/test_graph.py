@@ -45,6 +45,7 @@ from spikeopt.graph import (
 )
 from spikeopt.graph.model import KINDS
 from spikeopt.graph.plan import STEPPABLE, Plan
+from spikeopt.neurons import FiringMechanism
 from spikeopt.schedules import Schedule
 
 
@@ -397,6 +398,78 @@ class TestGraphValidation:
         assert infer_shapes(g)["out"] == ((2 * len(ports),) if kind == "concat" else (2,))
 
 
+# a node of each kind whose rules read params with no default: kind, params
+# and the producer's shape; dropping any one key is a GraphError at Graph()
+REQUIRED_PARAMS = {
+    "input": ({"shape": [4]}, None),
+    "reshape": ({"shape": [2, 2]}, [4]),
+    "gather": ({"indices": [3, 0]}, [4]),
+    "transpose": ({"perm": [1, 0]}, [2, 2]),
+    "maxpool2d": ({"kernel": [2, 2]}, [1, 2, 2]),
+    "avgpool2d": ({"kernel": [2, 2]}, [1, 2, 2]),
+    "layernorm": ({"gamma": np.ones(4), "beta": np.zeros(4), "eps": 1e-5}, [4]),
+    "batchnorm": ({**{k: np.ones(4) for k in ("gamma", "beta", "mean", "var")},
+                   "eps": 1e-5}, [4]),
+    "dense": ({"weight": np.ones((2, 4)), "bias": np.zeros(2)}, [4]),
+    "affine": ({"weight": np.ones((2, 4)), "bias": np.zeros(2)}, [4]),
+    "conv2d": ({"weight": np.ones((2, 1, 1, 1)), "bias": np.zeros(2)}, [1, 2, 2]),
+}
+
+
+def required_param_graph(kind, params):
+    """input -> node "x" of `kind` -> output, or input "x" -> output."""
+    if kind == "input":
+        return Graph([Node("x", "input", params), Node("out", "output", {})], [("x", "out", 0)])
+    shape = REQUIRED_PARAMS[kind][1]
+    nodes = [Node("in", "input", {"shape": shape}), Node("x", kind, params),
+             Node("out", "output", {})]
+    return Graph(nodes, chain_edges(["in", "x", "out"]))
+
+
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind, (params, _) in
+                                      REQUIRED_PARAMS.items() for key in params])
+def test_a_missing_param_is_a_graph_error(kind, key):
+    """The whole node runs its forward rule; without any one of its params, or
+    with it None, Graph() raises a GraphError naming the node and the key."""
+    params = REQUIRED_PARAMS[kind][0]
+    g = required_param_graph(kind, dict(params))
+    run_forward(g, np.ones(g.nodes[g.input_id].params["shape"]))
+    for lacking in ({k: v for k, v in params.items() if k != key}, {**params, key: None}):
+        with pytest.raises(GraphError, match=rf"'x' \({kind}\) lacks its '{key}' param"):
+            required_param_graph(kind, lacking)
+
+
+def test_a_leaky_relu_without_a_slope_takes_the_default():
+    """Graph(), node_forward and convert read one default slope, the leaky
+    firing mechanism's."""
+    g = build_mlp(seed=5, dims=(4, 6, 2), act="leaky_relu")
+    assert "delta" not in g.nodes["act0"].params
+    with_default = build_mlp(seed=5, dims=(4, 6, 2), act="leaky_relu",
+                             act_params={"delta": FiringMechanism.delta})
+    x = make_rng(2).normal(0, 3, 4)
+    np.testing.assert_array_equal(run_forward(g, x)["out"], run_forward(with_default, x)["out"])
+    snn = convert(g, "signgd", Schedule.inverse(1.0))
+    assert snn.graph.nodes["act0"].params["mech"] == f"signgd:leaky:{FiringMechanism.delta:g}"
+
+
+@pytest.mark.parametrize("family", ["signgd", "subgrad"])
+@pytest.mark.parametrize("node,key", [("act0", "cal_w"), ("act0", "cal_b"),
+                                      ("out", "cal_w"), ("out", "cal_b")])
+def test_a_network_lacking_a_calibration_record_is_not_run(tmp_path, family, node, key):
+    """A file with only one of cal_w and cal_b on a neuron or on the output
+    node loads as uncalibrated, and building an instance names the node and
+    the key."""
+    from spikeopt.engine import SnnInstance
+
+    manifest = saved_snn(tmp_path, family)
+    del next(n for n in manifest["nodes"] if n["id"] == node)["tensors"][key]
+    (tmp_path / "net.json").write_text(json.dumps(manifest))
+    snn = SnnGraph.load(tmp_path / "net")
+    assert not snn.calibrated and snn.lacking_calibration() == (node, key)
+    with pytest.raises(ConversionError, match=f"'{node}' has no {key}"):
+        SnnInstance(snn)
+
+
 def bn_graph(seed, mean, var, gamma, beta, eps):
     rng = make_rng(seed)
     nodes = [
@@ -695,8 +768,13 @@ def edit_act0(**edit):
 # the source-model kinds that conversion replaces or folds away
 ANN_ONLY = ["avgpool2d", "batchnorm", "gelu", "layernorm", "leaky_relu", "max2",
             "maxpool2d", "mul_inv_sqrt", "relu", "square"]
-# params of node "x" in one_node_graph for the kinds a spiking network steps
+# params of node "x" in one_node_graph for the kinds a spiking network steps,
+# and for the pooling and norm kinds, whose rules read params with no default
 STEP_PARAMS = {
+    "avgpool2d": {"kernel": [1, 1]},
+    "maxpool2d": {"kernel": [1, 1]},
+    "batchnorm": {**{k: np.ones(1) for k in ("gamma", "beta", "mean", "var")}, "eps": 1e-5},
+    "layernorm": {"gamma": np.ones(2), "beta": np.zeros(2), "eps": 1e-5},
     "dense": {"weight": np.ones((3, 4)), "bias": np.zeros(3)},
     "affine": {"weight": np.ones((3, 4)), "bias": np.zeros(3)},
     "conv2d": {"weight": np.ones((2, 1, 1, 1)), "bias": np.zeros(2)},
