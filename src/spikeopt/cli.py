@@ -209,9 +209,11 @@ def _oracle_pair(args, schedule, rng):
         with np.errstate(over="ignore"):  # an overflow is rejected below
             W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
             inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
-        if not np.isfinite(inputs).all():  # b + 0 W or b + W: a non-finite W or b shows
+            # b + 0 W or b + W: a non-finite W or b shows, and the oracle squares them
+            finite = np.isfinite(np.square(inputs)).all()
+        if not finite:
             raise RangeError(f"--schedule {schedule}: its step sizes over {steps} steps "
-                             f"overflow the check's inputs")
+                             f"overflow the check's inputs or their squares")
         neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
         decoded = lambda t: neuron.decoded

@@ -52,7 +52,8 @@ def heaviside(x):
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0 and exp(x) below; never overflows
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

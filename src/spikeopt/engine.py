@@ -1,8 +1,11 @@
 """Time-stepped execution of converted networks.
 
-An SnnInstance compiles its network once into a step plan (`graph.plan`)
-and tabulates the per-step schedule and coefficient scalars in one StepTable
-shared by every neuron layer and the readout. It steps a batch of B items in
+An SnnInstance compiles its network once into a step plan (`graph.plan`),
+whose one forced step on stand-in layers gives the calibration
+(`graph.transforms.calibration`) before each neuron layer takes its place;
+so a re-loaded network runs as the in-memory one, and no stored `cal_*`
+record is read. One StepTable of the per-step schedule and coefficient
+scalars serves every neuron layer and the readout. It steps B items in
 lockstep, K steps at a time: the items' next K input frames go through the
 plan as one block (linear ops map all K B frames at once, each neuron layer
 forms the state-free part of its K steps at once and runs only its state
@@ -42,7 +45,7 @@ from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, si
 from .graph.model import Graph, ShapeMismatchError, run_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
-from .graph.transforms import ConversionError, SnnGraph
+from .graph.transforms import Forced, SnnGraph, calibration
 from .neurons import (
     SignGdNeuron,
     SubgradNeuron,
@@ -83,14 +86,7 @@ class SnnInstance:
     lockstep (one item until `reset` says otherwise)."""
 
     def __init__(self, snn: SnnGraph):
-        if not snn.calibrated:
-            node, key = snn.lacking_calibration()
-            raise ConversionError(f"node {node!r} has no {key}: calibrate the network "
-                                  f"before executing it")
         self.snn = snn
-        out = snn.graph.nodes[snn.graph.output_id]
-        self.readout_w = out.tensor("cal_w")
-        self.readout_b = out.tensor("cal_b")
         # one family per network: one coefficient set, checked once, and one
         # StepTable shared by every layer and, in the sign family, the
         # readout's eta(t)
@@ -104,17 +100,19 @@ class SnnInstance:
             c = solve_subgrad_coefficients(s)
             check_subgrad_coefficients(c)
             self.table = StepTable(partial(subgrad_step_factors, c))
-
-        def layer(node):
-            n = node.params["count"]
-            return SignGdNeuron(
-                parse_mechanism(node.params["mech"]), c, s, W=node.tensor("cal_w"),
-                b=node.tensor("cal_b"), n=n, validate=False, table=self.table,
-            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self.table)
-
-        self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
-        self.plan = Plan(snn.graph, layer)
+        # one plan: its forced step on stand-in layers gives each layer's and
+        # the readout's W and b, and then each layer takes its stand-in's place
+        self.plan = Plan(snn.graph, Forced)
+        cal, (self.readout_w, self.readout_b) = calibration(self.plan)
         self.layers: dict[str, object] = self.plan.layers
+        for nid, (W, b) in cal.items():
+            node = snn.graph.nodes[nid]
+            n = node.params["count"]
+            self.layers[nid] = SignGdNeuron(
+                parse_mechanism(node.params["mech"]), c, s, W=W, b=b, n=n, validate=False,
+                table=self.table,
+            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self.table)
+        self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.reset()
 
     def reset(self, batch: int = 1, steps: int = 1):
@@ -182,6 +180,21 @@ class SnnInstance:
         return {nid: np.asarray(layer.decoded).copy() for nid, layer in self.layers.items()}
 
 
+def _input_rows(snn: SnnGraph, x, items: int | None = None) -> np.ndarray:
+    """x as float64 values of one item, flat, or with `items`, as (items,
+    size) rows; an item may have any shape that holds as many values as the
+    network's input, and only finite values."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1) if items is None else x.reshape(items, -1)
+    size = math.prod(snn.graph.nodes[snn.graph.input_id].params["shape"])
+    if flat.shape[-1] != size:
+        raise ShapeMismatchError(f"an input item holds {flat.shape[-1]} values, but the "
+                                 f"network's input takes {size}")
+    if not np.isfinite(flat).all():
+        raise ValueError("input holds NaN or inf values")
+    return flat
+
+
 def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
                        stoch_c: float = 0.5, seed=0):
     """Per-element input encoder matched to the network's coding family.
@@ -195,14 +208,7 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
     An item may have any shape that holds as many values as the network's
     input.
     """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1) if np.ndim(seed) == 0 else x.reshape(len(seed), -1)
-    size = math.prod(snn.graph.nodes[snn.graph.input_id].params["shape"])
-    if flat.shape[-1] != size:
-        raise ShapeMismatchError(f"an input item holds {flat.shape[-1]} values, but the "
-                                 f"network's input takes {size}")
-    if not np.isfinite(flat).all():
-        raise ValueError("input holds NaN or inf values")
+    flat = _input_rows(snn, x, None if np.ndim(seed) == 0 else len(seed))
     if snn.family == "signgd":
         return signed_encoder(encoder, flat, snn.schedule, stoch_c, seed)
     if encoder == "float":
@@ -267,7 +273,8 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     """Compare per-layer decoded activations against the reference forward:
     `run_batch` on the one item, each layer read after each of its steps
     through the plan's observer."""
-    acts = ann_forward(snn.graph, x)
+    g = snn.graph
+    acts = ann_forward(g, _input_rows(snn, x).reshape(g.nodes[g.input_id].params["shape"]))
     inst = SnnInstance(snn)
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}
     errors = {nid: np.empty(T) for nid in inst.layers}
@@ -282,7 +289,7 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
 
     history = run_batch(snn, np.asarray(x)[None], T, encoder, stoch_c, seed, inst,
                         observer=observe)[0][:, 0]
-    readout_error = np.abs(history - acts[snn.graph.output_id].reshape(-1)).max(axis=1)
+    readout_error = np.abs(history - acts[g.output_id].reshape(-1)).max(axis=1)
     return TraceRecord(layer_ids=list(inst.layers), times=np.arange(1, T + 1), errors=errors,
                        readout_error=readout_error)
 

@@ -65,8 +65,9 @@ KINDS = {
     "max2", "square", "mul_inv_sqrt", "neuron",
 }
 
-# model parameters are float32 storage; calibration records (cal_w, cal_b)
-# stay float64 in memory so spike-to-sign translation adds no rounding
+# model parameters are float32 storage; the spike-to-sign calibration is
+# computed from them in float64 by every instance (`transforms.calibration`),
+# and the cal_w/cal_b records files carry are not read
 _TENSOR_PARAMS = {"weight", "bias", "gamma", "beta", "mean", "var"}
 
 

@@ -156,7 +156,9 @@ class _Value:
 class Plan:
     """The ops of one graph of `STEPPABLE` kinds. `layer(node)` builds the
     object that steps neuron node `node`, and `layers` maps each neuron node
-    id to it. Its `step(I, steps=K, out=, scratch=, observer=)` takes the
+    id to it; a neuron op steps the object `layers` holds when it runs, so
+    another put in its place steps from then on. Its
+    `step(I, steps=K, out=, scratch=, observer=)` takes the
     K B rows of arity n influx currents of a block, row k B + b holding step
     k of item b operand by operand, writes the K B rows of n spikes into
     `out` and calls `observer(k)`, if given, after step k; `scratch` is a
@@ -314,20 +316,12 @@ class Plan:
         if any(size not in (n, 1) for size in sizes):
             raise GraphError(f"node {node.id!r} (neuron) has count {n} but operands "
                              f"of sizes {sizes}")
-        for key in ("cal_w", "cal_b"):
-            cal = node.params.get(key)
-            try:
-                if cal is not None:
-                    np.broadcast_to(cal, (len(ins), n))
-            except ValueError:
-                raise GraphError(f"node {node.id!r} (neuron) has {key} of shape "
-                                 f"{np.shape(cal)}, not ({len(ins)}, {n})") from None
-        neuron = self.layers[node.id] = layer(node)
+        self.layers[node.id] = layer(node)
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)
                    for start, k in zip(np.cumsum([0, *sizes]), sizes)]
-        nid, src, sel = node.id, ins[0].slot, None
+        nid, src, sel, layers = node.id, ins[0].slot, None, self.layers
         if len(ins) > 1 or ins[0].idx is not None or sizes[0] != n:
             # one take of the (arity, n) index table per block
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
@@ -341,8 +335,8 @@ class Plan:
             I = s[src]
             if sel is not None:
                 I = np.take(I, sel, axis=1, out=s[scratch], mode="clip")
-            neuron.step(I, steps=len(I) // B, out=s[out], scratch=s[scratch],
-                        observer=None if observe is None else partial(observe, nid, "neuron"))
+            layers[nid].step(I, steps=len(I) // B, out=s[out], scratch=s[scratch],
+                             observer=None if observe is None else partial(observe, nid, "neuron"))
 
         self._op(nid, "neuron", op, [src, scratch], scratch, out)
         return _Value(out, None, node.params["shape"], nid)

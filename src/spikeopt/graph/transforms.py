@@ -1,6 +1,7 @@
 """Conversion transforms: batch-norm folding, ReLU range normalization,
 max-pool tree decomposition, layer-norm decomposition, neuron substitution,
-and the stimulate/depress calibration.
+and the stimulate/depress calibration, which every `SnnInstance` computes
+from the weights (`calibration`); `calibrate` only writes the records files carry.
 
 Every transform preserves the graph's real-arithmetic forward semantics; the
 decompositions rewrite one nonlinear tensor operator into linear plumbing plus
@@ -28,6 +29,7 @@ __all__ = [
     "decompose_maxpool",
     "decompose_layernorm",
     "convert",
+    "calibration",
     "calibrate",
 ]
 
@@ -276,14 +278,10 @@ class SnnGraph:
 
     @property
     def calibrated(self) -> bool:
-        return self.lacking_calibration() is None
-
-    def lacking_calibration(self) -> tuple[str, str] | None:
-        """(node id, key) of the first `cal_w` or `cal_b` record that a neuron
-        node or the output node lacks; None once the network is calibrated."""
-        out = self.graph.nodes[self.graph.output_id]
-        return next(((n.id, key) for n in [*self.neuron_nodes(), out]
-                     for key in ("cal_w", "cal_b") if n.params.get(key) is None), None)
+        """Whether the records `calibrate` writes are all present (unread)."""
+        return all(n.params.get(key) is not None
+                   for n in [*self.neuron_nodes(), self.graph.nodes[self.graph.output_id]]
+                   for key in ("cal_w", "cal_b"))
 
     def neuron_nodes(self) -> list[Node]:
         return [self.graph.nodes[i] for i in self.graph.topo_order
@@ -320,7 +318,7 @@ class SnnGraph:
 
 def convert(g: Graph, neuron_family: str, schedule: Schedule,
             parameterization: str = "canonical") -> SnnGraph:
-    """Convert an operator graph into a spiking network (uncalibrated).
+    """Convert an operator graph into a spiking network.
 
     Applies batch-norm folding and the max-pool / layer-norm decompositions,
     rewrites average pooling as fixed convolution weights, then substitutes
@@ -363,10 +361,7 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
             in_shape = shapes[g.predecessors(nid)[0][0]]
             m_f = node.params.get("m_f")
             node.kind = "neuron"
-            node.params = {
-                "mech": mech, "count": int(np.prod(in_shape)),
-                "shape": list(in_shape), "cal_w": None, "cal_b": None,
-            }
+            node.params = {"mech": mech, "count": int(np.prod(in_shape)), "shape": list(in_shape)}
             if m_f is not None:
                 node.params["m_f"] = m_f
 
@@ -374,12 +369,12 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
     return SnnGraph(snn_graph, neuron_family, schedule, parameterization)
 
 
-class _Forced:
-    """Calibration stand-in for a layer of n neurons: records its currents;
-    item 0 emits 1 and item 1 emits 0."""
+class Forced:
+    """Calibration stand-in for neuron node `node` (a `Plan` layer): records
+    its currents; item 0 emits 1 and item 1 emits 0."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, node: Node):
+        self.n = node.params["count"]
 
     def step(self, currents, steps, out, scratch=None, observer=None):
         """A block of one step of the two items: keeps the (arity, 2, n)
@@ -389,21 +384,26 @@ class _Forced:
         return out
 
 
-def calibrate(snn: SnnGraph) -> SnnGraph:
-    """Populate the spike-to-sign calibration by stimulate/depress.
-
-    One step of the network's step plan on a batch of two items, with every
-    neuron layer and the input forced to a constant emission: all-ones in
-    item 0 records the stimulated currents, all-zeros in item 1 the idle
-    currents; each neuron operand stores W = I+ - I- and b = I-, and the
-    output node stores the readout calibration the same way.
-    """
-    g = snn.graph
-    plan = Plan(g, lambda node: _Forced(node.params["count"]))
+def calibration(plan: Plan) -> tuple[dict, tuple]:
+    """Stimulate/depress on `plan`, compiled with `Forced` layers: one step of
+    two items, the input and every layer emitting all-ones in item 0 (the
+    stimulated currents I+) and all-zeros in item 1 (the idle currents I-).
+    Returns ({neuron node id: (W, b)}, (W_out, b_out)) in float64, W = I+ - I-
+    and b = I- per neuron operand, (arity, n), and for the output node."""
     plan.reset(2)
     out_hi, out_lo = plan.step(np.repeat([[1.0], [0.0]], plan.input_size, axis=1))
-    for nid, layer in plan.layers.items():
-        hi, lo = layer.currents[:, 0], layer.currents[:, 1]
-        g.nodes[nid].params.update(cal_w=hi - lo, cal_b=lo.copy())
-    g.nodes[g.output_id].params.update(cal_w=out_hi - out_lo, cal_b=out_lo.copy())
+    layers = {nid: (layer.currents[:, 0] - layer.currents[:, 1], layer.currents[:, 1].copy())
+              for nid, layer in plan.layers.items()}
+    return layers, (out_hi - out_lo, out_lo.copy())
+
+
+def calibrate(snn: SnnGraph) -> SnnGraph:
+    """Write the network's `calibration` into the `cal_w`/`cal_b` records of
+    its neuron nodes and output node, which model files carry. Nothing reads
+    the records: every `SnnInstance` computes its own calibration."""
+    g = snn.graph
+    layers, (w_out, b_out) = calibration(Plan(g, Forced))
+    for nid, (w, b) in layers.items():
+        g.nodes[nid].params.update(cal_w=w, cal_b=b)
+    g.nodes[g.output_id].params.update(cal_w=w_out, cal_b=b_out)
     return snn

@@ -82,7 +82,8 @@ def reference_nonlinearity(kind: str, x, delta: float = 0.1):
     if kind == "gelu":
         return gelu_sigmoid(x)
     if kind == "square":
-        return x**2
+        with np.errstate(over="ignore"):  # an overflowed target is inf, as the neuron's is
+            return x**2
     raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
 

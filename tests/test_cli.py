@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -463,6 +464,24 @@ def test_oracle_check_of_a_finite_draw_near_the_float_range_runs(capsys):
     assert capsys.readouterr().out.endswith("max-deviation=0.000e+00 -> OK\n")
 
 
+@pytest.mark.parametrize("steps", [20, 500])
+@pytest.mark.parametrize("value", ["1", "100", "1e100", "1e150", "1e152", "5e152", "1e153",
+                                   "2e153"])
+@pytest.mark.parametrize("mech", ORACLE_MECHS)
+def test_a_sign_check_near_the_float_range_is_ok_or_rejected(capfd, mech, value, steps):
+    """Up to the largest step sizes, a sign check warns of nothing and either
+    ends OK or exits 2 with one stderr line naming --schedule, never FAIL:
+    drawn inputs whose squares overflow are rejected. const:1e150 runs."""
+    rc = main(["oracle-check", "--neuron", f"signgd:{mech}", "--schedule", f"const:{value}",
+               "--steps", str(steps)])
+    out, err = capfd.readouterr()
+    if rc == 0:
+        assert out.endswith(" -> OK\n") and err == ""
+    else:
+        assert value != "1e150"
+        assert rc == 2 and out == "" and err.count("\n") == 1 and "--schedule" in err
+
+
 @pytest.mark.parametrize("command", ["infer", "energy", "probe"])
 def test_data_of_another_width_exits_2(pipeline, capsys, command):
     """Items that hold more or fewer values than the network's input end the
@@ -481,6 +500,23 @@ def test_data_of_another_width_exits_2(pipeline, capsys, command):
     assert "holds 5 values" in err or "(5,)" in err
     assert "takes 8" in err or "(8,)" in err
     assert not (tmp / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "energy", "probe"])
+def test_items_of_any_shape_that_holds_the_input_run(tmp_path, command):
+    """Items saved as (3, 2, 2) for a 4-input network give the outputs of the
+    same items saved as (3, 4)."""
+    save_model(build_mlp(seed=3, dims=(4, 6, 2)), tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 0
+    data = make_rng(5).normal(0, 1, (3, 4))
+    save_tensor(data, tmp_path / "flat.sten")
+    save_tensor(data.reshape(3, 2, 2), tmp_path / "square.sten")
+    out_flag = "--report" if command == "infer" else "--out"
+    for name in ("flat", "square"):
+        assert main([command, str(tmp_path / "snn.json"), "--data", str(tmp_path / f"{name}.sten"),
+                     "--T", "16", out_flag, str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "square.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
 
 
 # a name or literal a command does not know: the command, its arguments and
@@ -632,6 +668,64 @@ def test_a_model_lacking_any_key_exits_cleanly(model_files, tmp_path_factory,
         assert err.count("\n") == 1 and err.startswith(f"spikeopt {argv[0]}: error: ")
     else:
         assert err == ""
+
+
+def run_outputs(snn, dataset, tmp):
+    """What `infer` (report and run trace), `energy` and dense `probe` write
+    and print for the SNN file `snn` on `dataset`, as bytes per output."""
+    outputs = {}
+    for command, flags in (("infer", ["--report", "acc.csv", "--run-trace", "trace.csv"]),
+                           ("energy", ["--out", "energy.csv"]),
+                           ("probe", ["--dense-trace", "--out", "probe.csv"])):
+        files = [f for f in flags if f.endswith(".csv")]
+        flags = [str(tmp / f) if f in files else f for f in flags]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([command, str(snn), "--data", str(dataset), "--T", "8",
+                         "--encoder", "stoch", *flags]) == 0
+        outputs[command] = stdout.getvalue()
+        outputs.update((f, (tmp / f).read_bytes()) for f in files)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def intact_outputs(model_files, tmp_path_factory):
+    """`run_outputs` of each config's intact SNN file, computed once."""
+    cache = {}
+
+    def outputs(config):
+        if config not in cache:
+            _, snn, dataset = model_files[config]
+            cache[config] = run_outputs(snn, dataset, tmp_path_factory.mktemp("intact"))
+        return cache[config]
+    return outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(CONFIGS), data=st.data())
+def test_stored_calibration_records_are_never_read(model_files, intact_outputs,
+                                                   tmp_path_factory, config, data):
+    """The key-dropping property above, carried to outputs for the records
+    an instance computes itself: drop any of the cal_w and cal_b records of a
+    saved SNN file, or give any of them another shape of at most as many
+    values, and `infer`, `energy` and `probe` write and print, byte for byte,
+    what they do for the intact file."""
+    _, snn, dataset = model_files[config]
+    manifest = json.loads(snn.read_text())
+    records = [(node, key) for node in manifest["nodes"] for key in node["tensors"]
+               if key in ("cal_w", "cal_b")]
+    picked = data.draw(st.lists(st.sampled_from(records), min_size=1, unique_by=id))
+    for node, key in picked:
+        entry = manifest["tensors"][node["tensors"][key]]
+        if data.draw(st.booleans()):
+            del node["tensors"][key]
+        else:
+            k = data.draw(st.integers(0, math.prod(entry["shape"])))
+            entry["shape"] = data.draw(st.sampled_from([[k], [1, k], [k, 1], *([[]] * (k == 1))]))
+    tmp = tmp_path_factory.mktemp("edited")
+    (tmp / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(snn.with_suffix(".bin"), tmp / "m.bin")
+    assert run_outputs(tmp / "m.json", dataset, tmp) == intact_outputs(config)
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])

@@ -10,7 +10,7 @@ from conftest import (
     chain_edges,
     dense_node,
 )
-from spikeopt import neurons
+from spikeopt import engine, neurons
 from spikeopt.codec import DeterministicEncoder, make_rng
 from spikeopt.engine import (
     EnergyModel,
@@ -21,10 +21,12 @@ from spikeopt.engine import (
     make_input_encoder,
     probe,
     run,
+    run_batch,
 )
-from spikeopt.graph import ConversionError, Graph, Node, ShapeMismatchError, calibrate, convert
+from spikeopt.graph import Graph, Node, ShapeMismatchError, SnnGraph, calibrate, convert
+from spikeopt.graph.plan import Plan
 from spikeopt.neurons import FiringMechanism, SignGdNeuron
-from spikeopt.schedules import Schedule, solve_signgd_coefficients
+from spikeopt.schedules import Schedule, parse_schedule, solve_signgd_coefficients
 
 
 def snn_of(g, family="signgd", schedule=None, parameterization="canonical"):
@@ -59,11 +61,30 @@ class TestAnnForward:
 
 
 class TestInstance:
-    def test_requires_calibration(self):
-        g = build_mlp(seed=2, dims=(4, 4, 2))
-        snn = convert(g, "signgd", Schedule.inverse(1.0))
-        with pytest.raises(ConversionError):
-            SnnInstance(snn)
+    @pytest.mark.parametrize("model,family", CONFIGS)
+    def test_an_uncalibrated_network_runs_as_its_calibrated_twin(self, model, family):
+        """An instance computes its own calibration: `convert`'s output runs
+        without `calibrate`, bit for bit as the calibrated network does."""
+        bare, twin = (convert(MODELS[model](), family, Schedule.inverse(1.0)) for _ in range(2))
+        calibrate(twin)
+        assert not bare.calibrated and twin.calibrated
+        shape = bare.graph.nodes[bare.graph.input_id].params["shape"]
+        X = make_rng(3).normal(0, 1, (2, *shape))
+        for got, want in zip(run_batch(bare, X, 32), run_batch(twin, X, 32)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_an_instance_compiles_one_plan(self, monkeypatch):
+        """The plan that calibrates the network is the plan that runs it."""
+        compiled = []
+
+        def compile_plan(*args):
+            compiled.append(Plan(*args))
+            return compiled[-1]
+
+        monkeypatch.setattr(engine, "Plan", compile_plan)
+        inst = SnnInstance(snn_of(build_mlp(seed=2, dims=(4, 4, 2))))
+        assert compiled == [inst.plan]
+        assert all(isinstance(layer, SignGdNeuron) for layer in inst.plan.layers.values())
 
     def test_zero_weight_network_holds_bias(self, rng):
         nodes = [
@@ -401,3 +422,21 @@ class TestCnnPath:
         ref = ann_forward(snn.graph, x)["out"]
         hist = run(snn, x, T=1500)
         assert np.abs(hist[-1] - ref).max() <= 0.2
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+@pytest.mark.parametrize("schedule", ["inv:1", "exp:0.5:0.99"])
+def test_a_saved_and_reloaded_network_runs_as_the_in_memory_one(tmp_path, model, family,
+                                                                 schedule):
+    """Model files store float32 records; a re-loaded network still computes
+    the float64 calibration of the in-memory one, so its readouts and spike
+    counts are the same, bit for bit, under every encoder."""
+    snn = calibrate(convert(MODELS[model](), family, parse_schedule(schedule)))
+    snn.save(tmp_path / "net")
+    back = SnnGraph.load(tmp_path / "net")
+    shape = snn.graph.nodes[snn.graph.input_id].params["shape"]
+    X = make_rng(3).normal(0, 1, (3, *shape))
+    for encoder in ("float", "det", "stoch"):
+        for got, want in zip(run_batch(back, X, 96, encoder=encoder, seed=5),
+                             run_batch(snn, X, 96, encoder=encoder, seed=5)):
+            np.testing.assert_array_equal(got, want)

@@ -302,6 +302,23 @@ def test_calibration_matches_reference_walk(model, family, schedule):
     np.testing.assert_array_equal(out.params["cal_b"], out_lo)
 
 
+@pytest.mark.parametrize("model,family", CONFIGS)
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_instance_calibration_is_calibrates_records(model, family, schedule):
+    """Each instance computes the W and b that `calibrate` writes, bit for
+    bit: every sign layer's and the readout's."""
+    snn = converted(model, family, schedule, "canonical")
+    inst = SnnInstance(snn)
+    for node in snn.neuron_nodes():
+        layer = inst.layers[node.id]
+        if family == "signgd":
+            np.testing.assert_array_equal(layer.W, node.params["cal_w"])
+            np.testing.assert_array_equal(layer.b, node.params["cal_b"])
+    out = snn.graph.nodes[snn.graph.output_id]
+    np.testing.assert_array_equal(inst.readout_w, out.params["cal_w"])
+    np.testing.assert_array_equal(inst.readout_b, out.params["cal_b"])
+
+
 @pytest.mark.parametrize("shapes", [
     [(6,), (6,), (6,)],
     [(2, 3), (3,)],
