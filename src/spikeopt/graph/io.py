@@ -5,9 +5,11 @@ magic `SGM1` followed by little-endian float32 data; the manifest lists
 nodes, edges, and named tensor entries with byte offsets into the blob
 (relative to the end of the magic). Saving is canonical (sorted manifest
 keys, tensors in sorted name order), so save(load(p)) is byte-identical.
-The manifest text is exactly `json.dumps(manifest, indent=2, sort_keys=True)`
-plus a newline. The blob is streamed from the tensors to the file, and each
-tensor is read from the file straight into its own writable array.
+The manifest text is exactly `json.dumps(manifest, sort_keys=True)` plus a
+newline: compact, on one line. Indented manifests from earlier versions load
+unchanged and re-save in this form. The blob is streamed from the tensors to
+the file, and each tensor is read from the file straight into its own
+writable array.
 
 Dataset tensors: magic `STEN`, u32 rank, u32 dims..., float32 payload.
 Labels: magic `SLBL`, u32 sequence to end of file. All integers little-endian.
@@ -19,8 +21,6 @@ import json
 import math
 import os
 import struct
-from functools import cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -60,85 +60,6 @@ def _paths(path) -> tuple[Path, Path]:
     return p.with_suffix(".json"), p.with_suffix(".bin")
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_CONTAINERS = (dict, list, tuple)
-_INDENT = "  "
-_reject = json.JSONEncoder().default  # TypeError naming the type, as json.dumps raises
-
-
-def _dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, at C-encoder speed.
-
-    CPython's C encoder writes no indentation, so the stdlib falls back to its
-    pure-Python encoder, which spends a bytecode pass on every element. Here
-    a container that holds no container is one C-encoder call whose item
-    separator carries the newline and indent of its depth, and only the
-    containers around those are walked in Python.
-    """
-    if c_make_encoder is None:
-        return json.dumps(obj, indent=2, sort_keys=True)
-    out: list[str] = []
-    _write(obj, 0, out)
-    return "".join(out)
-
-
-@cache
-def _flat_encoder(depth: int):
-    """The C encoder for a container of scalars at `depth`: it separates the
-    items by a comma, a newline and the indent of depth + 1."""
-    return c_make_encoder(None, _reject, encode_basestring_ascii, None, ": ",
-                          ",\n" + _INDENT * (depth + 1), True, False, True)
-
-
-def _holds_container(values) -> bool:
-    # one C-level pass collects the element types; only the few distinct
-    # types are checked in Python, subclasses of dict, list and tuple included
-    types = set(map(type, values))
-    return not types <= _SCALARS and any(issubclass(t, _CONTAINERS) for t in types)
-
-
-def _key(key) -> str:
-    """A dict key as json.dumps writes it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _write(obj, depth: int, out: list) -> None:
-    """Append the indented text of `obj`, whose first line is at `depth`."""
-    if type(obj) is str:  # most scalars in a manifest are names
-        out.append(encode_basestring_ascii(obj))
-        return
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))):
-        out.append("".join(_flat_encoder(depth)(obj, 0)))
-        return
-    if not obj:
-        out.append("{}" if is_dict else "[]")
-        return
-    inner = "\n" + _INDENT * (depth + 1)
-    close = "\n" + _INDENT * depth + ("}" if is_dict else "]")
-    if not _holds_container(obj.values() if is_dict else obj):
-        text = "".join(_flat_encoder(depth)(obj, 0))
-        out += (text[0], inner, text[1:-1], close)  # "[a,<inner>b]" opened onto its own line
-        return
-    out.append("{" if is_dict else "[")
-    sep = inner
-    if is_dict:
-        for key, val in sorted(obj.items()):
-            out += (sep, encode_basestring_ascii(key if type(key) is str else _key(key)), ": ")
-            _write(val, depth + 1, out)
-            sep = "," + inner
-    else:
-        for val in obj:
-            out.append(sep)
-            _write(val, depth + 1, out)
-            sep = "," + inner
-    out.append(close)
-
-
 def save_model(g: Graph, path, meta: dict | None = None) -> None:
     """Write `<path>.json` + `<path>.bin` (path may carry either suffix)."""
     jpath, bpath = _paths(path)
@@ -173,7 +94,7 @@ def save_model(g: Graph, path, meta: dict | None = None) -> None:
         "tensors": entries,
         "meta": meta or {},
     }
-    jpath.write_text(_dumps(manifest) + "\n", encoding="utf-8")
+    jpath.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     with open(bpath, "wb") as fh:
         fh.write(MODEL_MAGIC)
         for name in sorted(tensors):

@@ -5,8 +5,8 @@ node. Edges are (producer, consumer, port) triples; multi-operand nodes (add,
 concat, max2, mul_inv_sqrt, two-port neuron layers) receive one edge per port.
 
 Tensor parameters are stored as float32 arrays (the storage format), all
-arithmetic runs in float64. Structural parameters (strides, index lists,
-shapes) are plain Python values.
+arithmetic runs in float64. A `gather`'s indices are held as a flat intp
+array; other structural parameters (strides, shapes) are plain Python values.
 
 Beyond the source-model kinds (dense, conv2d, pooling, norms, activations),
 the conversion transforms introduce structural kinds: `affine` (explicit
@@ -133,6 +133,24 @@ def _mechanism(node: Node) -> tuple[int, Node]:
     return arity, Node(node.id, kind, {"delta": m.delta})
 
 
+def _flat_indices(node: Node) -> np.ndarray:
+    """A gather node's indices as a flat intp array, or a GraphError naming
+    the node if they are not a flat sequence of integers (a bool is not one,
+    though numpy would read it as 0 or 1)."""
+    idx = node.params["indices"]
+    if isinstance(idx, np.ndarray):
+        ok = idx.ndim == 1 and idx.dtype.kind in "iu"
+    else:  # one C-level pass collects the element types
+        ok = isinstance(idx, (list, tuple)) and all(
+            issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, idx)))
+    if ok:
+        try:
+            return np.asarray(idx, dtype=np.intp)
+        except OverflowError:  # an int past the intp range
+            pass
+    raise GraphError(f"node {node.id!r} (gather) has indices that are not a flat list of integers")
+
+
 class Graph:
     """Ordered node list plus (src, dst, port) edges."""
 
@@ -178,6 +196,8 @@ class Graph:
             if node.kind == "leaky_relu" and not (
                     isinstance(delta, numbers.Real) and math.isfinite(delta)):
                 raise GraphError(f"node {nid!r} (leaky_relu) has slope {delta!r}, not a finite number")
+            if node.kind == "gather":  # converted once, so no reader converts the list again
+                node.params["indices"] = _flat_indices(node)
 
     def _topo_sort(self) -> list[str]:
         indeg = {i: 0 for i in self.nodes}
@@ -233,15 +253,27 @@ class Graph:
         return out
 
 
-def _pool_geometry(shape, kernel, stride):
+def _pool_geometry(shape, kernel, stride, name="pooling"):
+    """The (C, Ho, Wo) of a `kernel` window slid by `stride` over a (C, H, W)
+    frame of `shape`; errors begin with `name`."""
+    if len(shape) != 3:
+        raise ShapeMismatchError(f"{name}: expected a (C, H, W) input, got {tuple(shape)}")
     c, h, w = shape
     kh, kw = kernel
     sh, sw = stride
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
     if ho < 1 or wo < 1:
-        raise ShapeMismatchError(f"pooling window {kernel} too large for input {shape}")
+        raise ShapeMismatchError(f"{name}: window {tuple(kernel)} too large for input "
+                                 f"{tuple(shape)}")
     return c, ho, wo
+
+
+def _pool_shape(node: Node, shape) -> tuple:
+    """The shape a pooling node gives a frame of `shape`."""
+    kernel = node.params["kernel"]
+    return _pool_geometry(shape, kernel, node.params.get("stride", kernel),
+                          f"{node.kind} {node.id!r}")
 
 
 def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
@@ -306,12 +338,20 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
         return out
     if k == "flatten":
         return inputs[0].reshape(-1)
-    if k == "reshape":
-        return inputs[0].reshape(tuple(p["shape"]))
-    if k == "transpose":
-        return np.transpose(inputs[0], p["perm"])
+    if k in ("reshape", "transpose"):
+        x, key = inputs[0], "shape" if k == "reshape" else "perm"
+        try:
+            return x.reshape(tuple(p[key])) if k == "reshape" else np.transpose(x, p[key])
+        except (TypeError, ValueError):  # a size or axes that do not fit
+            raise ShapeMismatchError(f"{k} {node.id!r}: {key} {p[key]!r} does not fit its "
+                                     f"input of shape {x.shape}") from None
     if k == "gather":
-        return inputs[0].reshape(-1)[np.asarray(p["indices"], dtype=np.intp)]
+        x, idx = inputs[0].reshape(-1), np.asarray(p["indices"], dtype=np.intp)
+        outside = (idx < 0) | (idx >= x.size)
+        if outside.any():
+            raise ShapeMismatchError(f"gather {node.id!r}: index {idx[outside][0]} is outside "
+                                     f"its input of {x.size} values")
+        return x[idx]
     if k == "concat":
         return np.concatenate([x.reshape(-1) for x in inputs])
     if k == "max2":
@@ -362,9 +402,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
 
 
 def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:
+    c, ho, wo = _pool_shape(node, x.shape)
     kh, kw = node.params["kernel"]
     sh, sw = node.params.get("stride", node.params["kernel"])
-    c, ho, wo = _pool_geometry(x.shape, (kh, kw), (sh, sw))
     out = np.empty((c, ho, wo))
     for i in range(ho):
         for j in range(wo):
@@ -391,7 +431,7 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
             raise ShapeMismatchError(f"conv2d {node.id!r}: expected ({c}, H, W) input, "
                                      f"got {x}")
         _, ho, wo = _pool_geometry((c, x[1] + 2 * ph, x[2] + 2 * pw), (kh, kw),
-                                   p.get("stride", (1, 1)))
+                                   p.get("stride", (1, 1)), f"conv2d {node.id!r}")
         return (o, ho, wo)
     elif k == "concat":
         return (sum(math.prod(sh) for sh in shapes),)
@@ -404,13 +444,15 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
 
 def infer_shapes(g: Graph) -> dict[str, tuple]:
     """Every node's output shape: the shapes of `run_forward` on a ones input,
-    those of the `linear_shape` kinds by shape arithmetic (values are not
-    read, so numeric warnings are silenced)."""
+    those of the `linear_shape` kinds and of pooling by shape arithmetic
+    (values are not read, so numeric warnings are silenced)."""
     def visit(node, inputs):
         if node.kind == "input":
             return np.ones(tuple(node.params["shape"]))
         if node.kind in ("dense", "affine", "conv2d"):
             return np.ones(linear_shape(node, [x.shape for x in inputs]))
+        if node.kind in ("maxpool2d", "avgpool2d"):
+            return np.ones(_pool_shape(node, inputs[0].shape))
         return node_forward(node, inputs)
 
     with np.errstate(all="ignore"):

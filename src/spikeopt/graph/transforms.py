@@ -167,7 +167,7 @@ def decompose_maxpool(g: Graph) -> Graph:
 
                 def select(suffix, cols):
                     sel = Node(f"{base}.{suffix}", "gather",
-                               {"indices": pos[:, :, cols].reshape(-1).tolist()})
+                               {"indices": pos[:, :, cols].reshape(-1)})
                     new_nodes.append(sel)
                     new_edges.append((stage_in, sel.id, 0))
                     return sel.id
@@ -191,7 +191,7 @@ def decompose_maxpool(g: Graph) -> Graph:
                 stage += 1
             pos = pos.transpose(0, 2, 1)  # each window now holds one row of kw
         # reorder the surviving elements into (C, Ho, Wo) and keep the id
-        order = Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1).tolist()})
+        order = Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)})
         final = Node(mp.id, "reshape", {"shape": [c, ho, wo]})
         new_nodes.extend([order, final])
         new_edges.extend([(prev_id, order.id, 0), (order.id, final.id, 0)])

@@ -1,9 +1,9 @@
-"""`save_model` as it was written before the manifest writer and the blob
-stream, for tests only.
+"""`save_model` as earlier versions wrote model files, for tests only.
 
 The manifest goes through the stdlib's indented encoder and the blob is
 built in memory before it is written. `spikeopt.graph.io.save_model` must
-write the same bytes to both files.
+write the same blob and a manifest of the same JSON value, and must re-save
+a file of this writer in its own compact form.
 """
 
 import json

@@ -15,13 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikeopt
-from conftest import CONFIGS, MODELS, build_layernorm_block, build_mlp
+from conftest import CONFIGS, MODELS, build_layernorm_block, build_mlp, chain_edges, dense_node
 from reference_oracle import reference_oracle_check, reference_setup
 from spikeopt import cli
 from spikeopt.cli import main
 from spikeopt.codec import make_rng
 from spikeopt.engine import ann_forward
-from spikeopt.graph import calibrate, convert, save_labels, save_model, save_tensor
+from spikeopt.graph import (
+    Graph,
+    Node,
+    calibrate,
+    convert,
+    save_labels,
+    save_model,
+    save_tensor,
+)
 from spikeopt.schedules import parse_schedule
 
 
@@ -726,6 +734,72 @@ def test_stored_calibration_records_are_never_read(model_files, intact_outputs,
     (tmp / "m.json").write_text(json.dumps(manifest))
     shutil.copy(snn.with_suffix(".bin"), tmp / "m.bin")
     assert run_outputs(tmp / "m.json", dataset, tmp) == intact_outputs(config)
+
+
+@pytest.fixture(scope="module")
+def move_files(tmp_path_factory):
+    """A (2, 3) input moved by transpose `t`, reshape `r` and gather `g` into
+    a 6-4-2 ReLU MLP: the saved ANN file, its converted SNN file (which keeps
+    the three moves) and a two-item dataset, as (ann, snn, data) paths."""
+    root = tmp_path_factory.mktemp("moves")
+    rng = make_rng(5)
+    nodes = [Node("in", "input", {"shape": [2, 3]}), Node("t", "transpose", {"perm": [1, 0]}),
+             Node("r", "reshape", {"shape": [6]}),
+             Node("g", "gather", {"indices": [5, 4, 3, 2, 1, 0]}),
+             dense_node(rng, "fc0", 6, 4), Node("act", "relu", {}),
+             dense_node(rng, "fc1", 4, 2), Node("out", "output", {})]
+    save_model(Graph(nodes, chain_edges([n.id for n in nodes])), root / "ann")
+    assert main(["convert", str(root / "ann.json"), "--family", "signgd",
+                 "--out", str(root / "snn")]) == 0
+    save_tensor(make_rng(3).normal(0, 1, (2, 2, 3)), root / "data.sten")
+    return root / "ann.json", root / "snn.json", root / "data.sten"
+
+
+# node -> the fields its manifest entry gets, for a move that does not fit
+# its input (a 2x3 frame, then 6 values) or indices that are not integers
+MISFITS = {
+    "gather-99": ("g", {"params": {"indices": [99, 4, 3, 2, 1, 0]}}),
+    "gather-negative": ("g", {"params": {"indices": [5, 4, 3, 2, 1, -1]}}),
+    "gather-float": ("g", {"params": {"indices": [1.5, 4, 3, 2, 1, 0]}}),
+    "gather-true": ("g", {"params": {"indices": [True, 4, 3, 2, 1, 0]}}),
+    "reshape-size": ("r", {"params": {"shape": [5]}}),
+    "transpose-repeated": ("t", {"params": {"perm": [0, 0]}}),
+    "transpose-rank": ("t", {"params": {"perm": [0]}}),
+    "transpose-axis": ("t", {"params": {"perm": [1, 2]}}),
+    "maxpool-not-chw": ("t", {"kind": "maxpool2d", "params": {"kernel": [1, 1]}}),
+    "avgpool-not-chw": ("t", {"kind": "avgpool2d", "params": {"kernel": [1, 1]}}),
+}
+# a converted file cannot hold pooling, so those cases only reach `convert`
+MISFIT_RUNS = [(case, command) for case in MISFITS
+               for command in ("convert", "infer", "energy", "probe")
+               if command == "convert" or "pool" not in case]
+
+
+@pytest.mark.parametrize("case,command", MISFIT_RUNS)
+def test_a_move_that_does_not_fit_its_input_exits_2(move_files, tmp_path, capsys, case,
+                                                    command):
+    """A gather, reshape, transpose or pooling whose parameters do not fit its
+    input, and a gather index that is not an integer, end `convert` (ANN
+    file) and `infer`, `energy` and `probe` (SNN file) with exit status 2 and
+    one stderr line naming the node, not a numpy traceback."""
+    ann, snn, dataset = move_files
+    src = ann if command == "convert" else snn
+    manifest = json.loads(src.read_text())
+    node_id, fields = MISFITS[case]
+    next(n for n in manifest["nodes"] if n["id"] == node_id).update(fields)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(src.with_suffix(".bin"), tmp_path / "m.bin")
+    out = tmp_path / "out.csv"
+    flags = {"convert": ["--family", "signgd", "--out", str(tmp_path / "snn")],
+             "infer": ["--data", str(dataset), "--report", str(out)],
+             "energy": ["--data", str(dataset), "--out", str(out)],
+             "probe": ["--data", str(dataset), "--out", str(out)]}[command]
+    capsys.readouterr()
+    rc = main([command, str(tmp_path / "m.json"), *flags])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and err.count("\n") == 1, err
+    assert err.startswith(f"spikeopt {command}: error: ") and repr(node_id) in err
+    assert not out.exists() and not (tmp_path / "snn.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])
