@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -49,12 +50,7 @@ from .oracles import (
     lif_transform,
     reference_nonlinearity,
 )
-from .schedules import (
-    SubgradCoefficients,
-    parse_schedule,
-    solve_signgd_coefficients,
-    solve_subgrad_coefficients,
-)
+from .schedules import parse_schedule, solve_signgd_coefficients, solve_subgrad_coefficients
 
 DEVIATION_LIMIT = 1e-9
 # `infer` and `energy` step up to CHUNK items in lockstep, fewer where the
@@ -91,7 +87,7 @@ def _schedule(args, family=None):
         s = parse_schedule(text)
         with np.errstate(all="ignore"):  # a check on overflowing values fails quietly
             if family == "signgd":
-                check_signgd_coefficients(solve_signgd_coefficients(s, args.parameterization), s)
+                check_signgd_coefficients(solve_signgd_coefficients(s, args.parameterization))
             elif family == "subgrad":
                 check_subgrad_coefficients(solve_subgrad_coefficients(s))
         return s
@@ -190,9 +186,8 @@ def _oracle_pair(args, schedule, rng):
         coeffs = solve_subgrad_coefficients(schedule)
         if args.corrupt_alpha != 1.0:
             base = coeffs.alpha
-            coeffs = SubgradCoefficients(
-                alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha,
-                beta=coeffs.beta, gamma=coeffs.gamma, schedule=schedule,
+            coeffs = dataclasses.replace(
+                coeffs, alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha
             )
         neuron = SubgradNeuron(coeffs, n=1, validate=False)
         oracle = SubgradOracle(schedule, n=1)
@@ -203,8 +198,8 @@ def _oracle_pair(args, schedule, rng):
         coeffs = solve_signgd_coefficients(schedule, args.parameterization)
         if args.corrupt_beta1 != 1.0:
             base = coeffs.beta1
-            coeffs = coeffs.replace(
-                beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
+            coeffs = dataclasses.replace(
+                coeffs, beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
         with np.errstate(over="ignore"):  # an overflow is rejected below
             W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
@@ -214,7 +209,7 @@ def _oracle_pair(args, schedule, rng):
         if not finite:
             raise RangeError(f"--schedule {schedule}: its step sizes over {steps} steps "
                              f"overflow the check's inputs or their squares")
-        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
+        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1, validate=False)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
         decoded = lambda t: neuron.decoded
     else:
@@ -290,7 +285,7 @@ def cmd_neuron_sweep(args):
     ops = _sweep_operands(mech.kind, grid, args.seed)
     n = grid.size
     coeffs = solve_signgd_coefficients(schedule, args.parameterization)
-    neuron = SignGdNeuron(mech, coeffs, schedule, W=np.ones((mech.arity, n)),
+    neuron = SignGdNeuron(mech, coeffs, W=np.ones((mech.arity, n)),
                           b=np.zeros((mech.arity, n)), n=n, validate=False)
     encs = [signed_encoder(args.encoder, ops[k], schedule, args.c, args.seed + k)
             for k in range(mech.arity)]

@@ -4,8 +4,8 @@ An SnnInstance compiles its network once into a step plan (`graph.plan`),
 whose one forced step on stand-in layers gives the calibration
 (`graph.transforms.calibration`) before each neuron layer takes its place;
 so a re-loaded network runs as the in-memory one, and no stored `cal_*`
-record is read. One StepTable of the per-step schedule and coefficient
-scalars serves every neuron layer and the readout. It steps B items in
+record is read. One coefficient set, with its memo of each step's scalars,
+serves every neuron layer and the readout. It steps B items in
 lockstep, K steps at a time: the items' next K input frames go through the
 plan as one block (linear ops map all K B frames at once, each neuron layer
 forms the state-free part of its K steps at once and runs only its state
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -53,13 +52,7 @@ from .neurons import (
     check_subgrad_coefficients,
     parse_mechanism,
 )
-from .schedules import (
-    StepTable,
-    signgd_step_factors,
-    solve_signgd_coefficients,
-    solve_subgrad_coefficients,
-    subgrad_step_factors,
-)
+from .schedules import solve_signgd_coefficients, solve_subgrad_coefficients
 
 __all__ = [
     "ann_forward",
@@ -87,19 +80,16 @@ class SnnInstance:
 
     def __init__(self, snn: SnnGraph):
         self.snn = snn
-        # one family per network: one coefficient set, checked once, and one
-        # StepTable shared by every layer and, in the sign family, the
-        # readout's eta(t)
-        s = snn.schedule
+        # one family per network: one coefficient set, checked once, whose
+        # step rows serve every layer and, in the sign family, the readout's
+        # eta(t)
         signgd = snn.family == "signgd"
         if signgd:
-            c = solve_signgd_coefficients(s, snn.parameterization)
-            check_signgd_coefficients(c, s)
-            self.table = StepTable(partial(signgd_step_factors, c, s))
+            self.coeffs = c = solve_signgd_coefficients(snn.schedule, snn.parameterization)
+            check_signgd_coefficients(c)
         else:
-            c = solve_subgrad_coefficients(s)
+            self.coeffs = c = solve_subgrad_coefficients(snn.schedule)
             check_subgrad_coefficients(c)
-            self.table = StepTable(partial(subgrad_step_factors, c))
         # one plan: its forced step on stand-in layers gives each layer's and
         # the readout's W and b, and then each layer takes its stand-in's place
         self.plan = Plan(snn.graph, Forced)
@@ -109,9 +99,8 @@ class SnnInstance:
             node = snn.graph.nodes[nid]
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
-                parse_mechanism(node.params["mech"]), c, s, W=W, b=b, n=n, validate=False,
-                table=self.table,
-            ) if signgd else SubgradNeuron(c, n=n, validate=False, table=self.table)
+                parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n, validate=False,
+            ) if signgd else SubgradNeuron(c, n=n, validate=False)
         self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.reset()
 
@@ -146,7 +135,7 @@ class SnnInstance:
             np.subtract(I, self.readout_b, x)
             np.multiply(x, 2.0, y)
             np.subtract(y, self.readout_w, x)
-            np.multiply(x, np.array([self.table[t][0] for t in ts])[:, None, None], y)
+            np.multiply(x, np.array([self.coeffs.row(t)[0] for t in ts])[:, None, None], y)
             for k in range(K):
                 np.subtract(r, y[k], readouts[k])
                 r = readouts[k]

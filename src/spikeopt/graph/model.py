@@ -113,6 +113,20 @@ def _required(kind: str) -> tuple:
     }.get(kind, ())
 
 
+# the geometry params of each kind, each two ints of at least the bound given
+_GEOMETRY = {
+    "maxpool2d": {"kernel": 1, "stride": 1}, "avgpool2d": {"kernel": 1, "stride": 1},
+    "conv2d": {"stride": 1, "padding": 0},
+}
+
+
+def _int_pair(value, least: int) -> bool:
+    """Whether `value` is two integers >= `least` (a bool is not one)."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+        for v in value)
+
+
 def leaky_slope(node: Node) -> float:
     """The negative slope of a leaky_relu node: its `delta` param, or the
     default of `FiringMechanism`, the neuron that replaces it."""
@@ -181,6 +195,10 @@ class Graph:
             for key in _required(node.kind):
                 if node.params.get(key) is None:
                     raise GraphError(f"node {nid!r} ({node.kind}) lacks its {key!r} param")
+            for key, least in _GEOMETRY.get(node.kind, {}).items():
+                if key in node.params and not _int_pair(node.params[key], least):
+                    raise GraphError(f"node {nid!r} ({node.kind}) has {key} "
+                                     f"{node.params[key]!r}, not two integers >= {least}")
             got = sorted(ports[nid])
             if not got and node.kind != "input":
                 raise GraphError(f"node {nid!r} ({node.kind}) has no inputs")

@@ -43,18 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .codec import EmaDecoder, RateDecoder, heaviside
 from .schedules import (
-    Schedule,
     SignGdCoefficients,
-    StepTable,
     SubgradCoefficients,
-    signgd_step_factors,
-    subgrad_step_factors,
     validate_signgd_coefficients,
     validate_subgrad_coefficients,
 )
@@ -154,9 +149,9 @@ def check_subgrad_coefficients(coeffs: SubgradCoefficients) -> None:
         raise ValueError("subgradient coefficients violate their constraint equations")
 
 
-def check_signgd_coefficients(coeffs: SignGdCoefficients, schedule: Schedule) -> None:
+def check_signgd_coefficients(coeffs: SignGdCoefficients) -> None:
     """Raise ValueError unless the coefficients meet their constraints to t = 64."""
-    if not validate_signgd_coefficients(coeffs, schedule, t_max=64, tol=1e-9):
+    if not validate_signgd_coefficients(coeffs, coeffs.schedule, t_max=64, tol=1e-9):
         raise ValueError("sign-dynamics coefficients violate their constraint equations")
 
 
@@ -190,9 +185,8 @@ class SubgradNeuron(_SpikeTally):
         u(t)     = u_pre(t) - beta(t) s(t)
 
     The schedule decode of the emitted spikes tracks the subgradient method on
-    the clipped-ReLU objective; `decoded` maintains that decode. `table`
-    shares the `subgrad_step_factors` rows between the layers of one network;
-    a layer given none builds its own StepTable.
+    the clipped-ReLU objective; `decoded` maintains that decode. A step reads
+    its scalars as the coefficient set's row of its t (`coeffs.row(t)`).
     `reset(batch)` gives the state a leading axis of `batch` items.
 
     `step(I)` takes one step's currents, shaped like u, and returns its
@@ -207,13 +201,10 @@ class SubgradNeuron(_SpikeTally):
     adds the block's spikes when the block ends.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True,
-                 table: StepTable | None = None):
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True):
         if validate:
             check_subgrad_coefficients(coeffs)
         self.c = coeffs
-        # `is None`: a table no step has read yet is empty, and so falsy
-        self.table = StepTable(partial(subgrad_step_factors, coeffs)) if table is None else table
         self.n = n
         self.reset()
 
@@ -231,8 +222,8 @@ class SubgradNeuron(_SpikeTally):
         u, y, x = self.u.reshape(B, -1), self.y.reshape(B, -1), self._x.reshape(B, -1)
         spikes = np.empty((K * B, self.n)) if out is None else out
         s_k = spikes.reshape(K, B, -1)
-        t0 = self.t
-        rows = [self.table[t] for t in range(t0 + 1, t0 + K + 1)]
+        t0, row = self.t, self.c.row
+        rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # gamma(t) I(t), the state-free part, for the whole block
         gI = np.multiply(I.reshape(K, B, -1), np.array([r[1] for r in rows])[:, None, None],
                          None if scratch is None else scratch.reshape(K, B, -1))
@@ -421,34 +412,29 @@ class SignGdNeuron(_SpikeTally):
     t, `degeneracies` and `decoded` are then those after step k, while
     `spike_count` adds the block's spikes when the block ends.
 
-    A step reads its scalars as the `signgd_step_factors` row of its t;
-    `table` shares those rows between the layers of one network, and a layer
-    given none builds its own StepTable.
+    A step reads its scalars as the coefficient set's row of its t
+    (`coeffs.row(t)`), which the set evaluates once for every layer it serves.
     `degeneracies` counts misr evaluations with a non-positive denominator.
     """
 
-    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients,
-                 schedule: Schedule, W, b, n: int = 1, validate: bool = True,
-                 table: StepTable | None = None):
+    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b,
+                 n: int = 1, validate: bool = True):
         W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
         b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
         if validate:
-            check_signgd_coefficients(coeffs, schedule)
+            check_signgd_coefficients(coeffs)
         self.mech = mech
         self.c = coeffs
-        self.schedule = schedule
         self.W = W
         self.b = b
         self.n = n
-        self.table = (StepTable(partial(signgd_step_factors, coeffs, schedule))
-                      if table is None else table)
         self.reset()
 
     def reset(self, batch: int | None = None):
         B, arity = batch or 1, self.mech.arity
         # the state item by item: u (B, n), v (B, arity, n) like a block row
         self._u = np.zeros((B, self.n))
-        scale = float(self.c.alpha2(0)) / float(self.schedule(0))
+        scale = float(self.c.alpha2(0)) / float(self.c.schedule(0))
         self._v = np.broadcast_to(scale * self.b, (B, arity, self.n)).copy()
         self.u = self._u[0] if batch is None else self._u
         self.v = self._v[0] if batch is None else self._v.transpose(1, 0, 2)
@@ -470,8 +456,8 @@ class SignGdNeuron(_SpikeTally):
             I = I.reshape(arity, B, n).transpose(1, 0, 2)
         spikes = np.empty((K * B, n)) if out is None else out
         s_k = spikes.reshape(K, B, n)
-        t0 = self.t
-        rows = [self.table[t] for t in range(t0 + 1, t0 + K + 1)]
+        t0, row = self.t, self.c.row
+        rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
         d = np.subtract(I.reshape(K, B, arity, n), self.b,
                         None if scratch is None else scratch.reshape(K, B, arity, n))
@@ -514,11 +500,11 @@ class SignGdNeuron(_SpikeTally):
         if self.t == 0:
             return np.zeros_like(self.u)
         # eta(t)/beta2(t): the u scale of the next step
-        return self.table[self.t + 1][3] * self.u
+        return self.c.row(self.t + 1)[3] * self.u
 
     @property
     def decoded_input(self) -> np.ndarray:
         """Reconstruction of the decoded input activations, shaped like v:
         (arity, n), or (arity, batch, n)."""
-        scale = float(self.schedule(self.t)) / float(self.c.alpha2(self.t))
+        scale = float(self.c.schedule(self.t)) / float(self.c.alpha2(self.t))
         return scale * self.v

@@ -21,14 +21,16 @@ Both constraint systems define families; we pin two named solutions
 ("canonical" and "unit-current") and expose replay validators so any custom
 coefficient set can be checked numerically.
 
-Everything here but `StepTable` (a per-instance memo) is pure, stateless
-evaluation: safe to share across threads.
+A coefficient set carries the schedule it was solved for, and memoizes the
+scalars of each step it is asked for (`row(t)`) in a plain dict of float
+tuples, which refers to nothing that refers back to the set. Everything else
+here is pure, stateless evaluation: safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -46,7 +48,6 @@ __all__ = [
     "validate_subgrad_coefficients",
     "signgd_step_factors",
     "subgrad_step_factors",
-    "StepTable",
 ]
 
 
@@ -151,22 +152,27 @@ def parse_schedule(text: str) -> Schedule:
 
 @dataclass(frozen=True)
 class SignGdCoefficients:
-    """Coefficient set (alpha1, alpha2, beta1, beta2) for sign-based dynamics.
+    """Coefficient set (alpha1, alpha2, beta1, beta2) for sign-based dynamics
+    under `schedule`.
 
-    Each field is a callable of t (int or ndarray) returning positive values.
-    `parameterization` records which named solution produced it ("canonical",
-    "unit-current", or "custom").
+    Each coefficient is a callable of t (int or ndarray) returning positive
+    values. `row(t)` is the `signgd_step_factors` row of step t, evaluated on
+    first use.
     """
 
     alpha1: Callable
     alpha2: Callable
     beta1: Callable
     beta2: Callable
-    parameterization: str = "custom"
+    schedule: Schedule = field(repr=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def replace(self, **kwargs) -> "SignGdCoefficients":
-        """Return a copy with some callables swapped (used by debug corruption)."""
-        return replace(self, **{"parameterization": "custom", **kwargs})
+    def row(self, t: int) -> tuple:
+        try:
+            return self._rows[t]
+        except KeyError:
+            self._rows[t] = row = signgd_step_factors(self, t)
+            return row
 
 
 def solve_signgd_coefficients(s: Schedule, parameterization: str = "canonical") -> SignGdCoefficients:
@@ -177,10 +183,8 @@ def solve_signgd_coefficients(s: Schedule, parameterization: str = "canonical") 
                    alpha2 = beta2 = eta(1) (constant increments, decaying scale).
     """
     if parameterization == "canonical":
-        return SignGdCoefficients(
-            alpha1=_const(1.0), alpha2=s, beta1=_const(1.0), beta2=s,
-            parameterization="canonical",
-        )
+        return SignGdCoefficients(alpha1=_const(1.0), alpha2=s, beta1=_const(1.0), beta2=s,
+                                  schedule=s)
     if parameterization == "unit-current":
         if s.kind != "exponential":
             raise ScheduleError(
@@ -190,8 +194,7 @@ def solve_signgd_coefficients(s: Schedule, parameterization: str = "canonical") 
         eta1 = a * g
         return SignGdCoefficients(
             alpha1=_const(1.0 / g), alpha2=_const(eta1),
-            beta1=_const(g), beta2=_const(eta1),
-            parameterization="unit-current",
+            beta1=_const(g), beta2=_const(eta1), schedule=s,
         )
     raise ScheduleError(f"unknown parameterization {parameterization!r}")
 
@@ -216,12 +219,22 @@ def validate_signgd_coefficients(
 
 @dataclass(frozen=True)
 class SubgradCoefficients:
-    """Coefficient set (alpha, beta, gamma) for subgradient-based dynamics."""
+    """Coefficient set (alpha, beta, gamma) for subgradient-based dynamics
+    under `schedule`. `row(t)` is the `subgrad_step_factors` row of step t,
+    evaluated on first use."""
 
     alpha: Callable
     beta: Callable
     gamma: Callable
-    schedule: Schedule = field(repr=False, default=None)
+    schedule: Schedule = field(repr=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def row(self, t: int) -> tuple:
+        try:
+            return self._rows[t]
+        except KeyError:
+            self._rows[t] = row = subgrad_step_factors(self, t)
+            return row
 
 
 def solve_subgrad_coefficients(s: Schedule) -> SubgradCoefficients:
@@ -235,7 +248,7 @@ def solve_subgrad_coefficients(s: Schedule) -> SubgradCoefficients:
             f"subgradient coefficients need eta(t) < 1; schedule {s} has eta(1) = {s(1):g}"
         )
     return SubgradCoefficients(
-        alpha=lambda t: 1.0 - np.asarray(s(np.asarray(t) + 1)),
+        alpha=lambda t: 1.0 - s(t + 1),
         beta=s,
         gamma=s,
         schedule=s,
@@ -289,9 +302,10 @@ def _below_diagonal(n: int) -> np.ndarray:
     return mask
 
 
-def signgd_step_factors(c: SignGdCoefficients, s: Schedule, t: int) -> tuple:
+def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
     """Scalars of sign-dynamics step t as floats: (eta(t), alpha1(t-1),
     alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t))."""
+    s = c.schedule
     eta, a2, b2_prev = float(s(t)), float(c.alpha2(t)), float(c.beta2(t - 1))
     return (eta, float(c.alpha1(t - 1)), a2, float(s(t - 1)) / b2_prev, eta / a2,
             float(c.beta1(t)), float(c.beta2(t)))
@@ -302,16 +316,3 @@ def subgrad_step_factors(c: SubgradCoefficients, t: int) -> tuple:
     return (float(c.alpha(t - 1)), float(c.gamma(t)), float(c.beta(t)),
             float(c.schedule(t)))
 
-
-class StepTable(dict):
-    """t -> row(t), each row evaluated on first use. The layers and readout
-    of one network instance share a table instead of re-evaluating the
-    schedule and coefficient callables in every layer."""
-
-    def __init__(self, row: Callable[[int], tuple]):
-        super().__init__()
-        self.row = row
-
-    def __missing__(self, t: int) -> tuple:
-        self[t] = row = self.row(t)
-        return row

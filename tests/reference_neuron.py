@@ -60,7 +60,7 @@ class ReferenceSignGdNeuron:
         self.degeneracies = 0  # misr evaluations with a scaled v2 <= 0
 
     def _factors(self):
-        return signgd_step_factors(self.c, self.schedule, self.t + 1)
+        return signgd_step_factors(self.c, self.t + 1)
 
     def step(self, I):
         _, a1, a2, u_scale, v_scale, b1, b2 = self._factors()

@@ -10,6 +10,8 @@ for every configuration whose deviation is finite, and `SignGdOracle` must
 reproduce this step bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 
 from spikeopt.cli import DEVIATION_LIMIT, _signgd_check_inputs
@@ -84,11 +86,11 @@ def reference_setup(args, schedule, rng):
         coeffs = solve_signgd_coefficients(schedule, args.parameterization)
         if args.corrupt_beta1 != 1.0:
             base = coeffs.beta1
-            coeffs = coeffs.replace(
-                beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
+            coeffs = dataclasses.replace(
+                coeffs, beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
         W, b = _signgd_check_inputs(schedule, args.steps, mech.arity, rng)
-        neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=1, validate=False)
+        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1, validate=False)
         oracle = ReferenceSignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule,
                                        W=W, b=b, n=1)
         draw = lambda: b + W * rng.integers(0, 2, (mech.arity, 1))

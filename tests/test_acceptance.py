@@ -224,7 +224,7 @@ class TestCriterion6:
         for kind in ("relu", "leaky", "gelu"):
             mech = FiringMechanism(kind, 0.1)
             neuron = SignGdNeuron(
-                mech, solve_signgd_coefficients(s), s,
+                mech, solve_signgd_coefficients(s),
                 W=np.ones((1, 121)), b=np.zeros((1, 121)), n=121,
             )
             enc = DeterministicEncoder(x, s)
@@ -242,7 +242,7 @@ class TestCriterion7:
     def run_binary(self, kind, operands, schedule, T):
         n = operands.shape[1]
         neuron = SignGdNeuron(
-            FiringMechanism(kind), solve_signgd_coefficients(schedule), schedule,
+            FiringMechanism(kind), solve_signgd_coefficients(schedule),
             W=np.ones((2, n)), b=np.zeros((2, n)), n=n,
         )
         encs = [FloatEncoder(operands[k], schedule) for k in range(2)]
@@ -266,7 +266,7 @@ class TestCriterion7:
         sq_ops = np.stack([xs, np.ones_like(xs)])
         n = xs.size
         neuron = SignGdNeuron(
-            FiringMechanism("square"), solve_signgd_coefficients(s4), s4,
+            FiringMechanism("square"), solve_signgd_coefficients(s4),
             W=np.ones((1, n)), b=np.zeros((1, n)), n=n,
         )
         enc = FloatEncoder(xs, s4)

@@ -24,8 +24,10 @@ from spikeopt.engine import ann_forward
 from spikeopt.graph import (
     Graph,
     Node,
+    SnnGraph,
     calibrate,
     convert,
+    run_forward,
     save_labels,
     save_model,
     save_tensor,
@@ -276,6 +278,24 @@ class TestConvertInferProbeEnergy:
         assert rows[0] == ["neurons", "spikes", "fr", "n_sop", "energy_pj"]
         spikes = int(rows[1][1])
         assert float(rows[1][4]) == pytest.approx(spikes * 1.8, rel=1e-6)
+
+    def test_normalization_on_seeded_draws(self, pipeline):
+        """--normalize-relu without --calib-data normalizes on Gaussian draws
+        from --seed: one seed gives byte-identical files, another seed other
+        files, and the loaded network's reference forward stays within the
+        1e-6 transform bound of the source ANN."""
+        tmp, g = pipeline
+        for name, seed in (("a", "4"), ("b", "4"), ("c", "5")):
+            assert main(["convert", str(tmp / "ann.json"), "--family", "subgrad",
+                         "--schedule", "inv:1", "--normalize-relu", "10", "--seed", seed,
+                         "--out", str(tmp / name)]) == 0
+        files = {name: [(tmp / f"{name}{ext}").read_bytes() for ext in (".json", ".bin")]
+                 for name in "abc"}
+        assert files["a"] == files["b"] and files["a"] != files["c"]
+        snn = SnnGraph.load(tmp / "a")
+        for x in make_rng(5).normal(0, 1, (20, 8)):
+            err = np.abs(run_forward(snn.graph, x)["out"] - run_forward(g, x)["out"]).max()
+            assert err <= 1e-6, err
 
     def test_subgrad_with_normalization(self, pipeline, capsys):
         tmp, _ = pipeline
@@ -800,6 +820,45 @@ def test_a_move_that_does_not_fit_its_input_exits_2(move_files, tmp_path, capsys
     assert rc == 2 and stdout == "" and err.count("\n") == 1, err
     assert err.startswith(f"spikeopt {command}: error: ") and repr(node_id) in err
     assert not out.exists() and not (tmp_path / "snn.json").exists()
+
+
+# node of the conftest CNN -> the params its manifest entry gets: pooling
+# kernels and strides and conv2d strides must be two ints >= 1, and conv2d
+# paddings two ints >= 0
+BAD_GEOMETRY = {
+    "pool-kernel-short": ("pool", {"kernel": [2]}),
+    "pool-kernel-float": ("pool", {"kernel": [1.5, 2]}),
+    "pool-kernel-true": ("pool", {"kernel": [True, 2]}),
+    "pool-stride-zero": ("pool", {"kernel": [2, 2], "stride": [0, 2]}),
+    "avgpool-stride-long": ("pool", {"kernel": [2, 2], "stride": [2, 2, 2]}),
+    "conv-stride-zero": ("conv", {"stride": [0, 1], "padding": [0, 0]}),
+    "conv-padding-float": ("conv", {"stride": [1, 1], "padding": [1.5, 0]}),
+    "conv-padding-negative": ("conv", {"stride": [1, 1], "padding": [-1, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GEOMETRY)
+def test_malformed_geometry_exits_2_naming_the_node(model_files, tmp_path, capsys, case):
+    """`convert` of an ANN file with a malformed kernel, stride or padding
+    exits 2 with one stderr line naming the node and the key, not a numpy or
+    arithmetic traceback and not an error about a node further on."""
+    ann = model_files["cnn", "signgd"][0]
+    manifest = json.loads(ann.read_text())
+    node_id, params = BAD_GEOMETRY[case]
+    node = next(n for n in manifest["nodes"] if n["id"] == node_id)
+    node["params"] = params
+    if case.startswith("avgpool"):
+        node["kind"] = "avgpool2d"
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(ann.with_suffix(".bin"), tmp_path / "m.bin")
+    capsys.readouterr()
+    rc = main(["convert", str(tmp_path / "m.json"), "--family", "signgd",
+               "--out", str(tmp_path / "snn")])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and err.count("\n") == 1, err
+    key = case.split("-")[1]
+    assert err.startswith(f"spikeopt convert: error: node {node_id!r} ") and key in err, err
+    assert not (tmp_path / "snn.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])

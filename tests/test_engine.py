@@ -10,7 +10,7 @@ from conftest import (
     chain_edges,
     dense_node,
 )
-from spikeopt import engine, neurons
+from spikeopt import engine, neurons, schedules
 from spikeopt.codec import DeterministicEncoder, make_rng
 from spikeopt.engine import (
     EnergyModel,
@@ -130,7 +130,7 @@ class TestInstance:
         enc_engine = DeterministicEncoder(np.array([0.83]), s)
         # standalone neuron fed the same encoder emissions
         unit = SignGdNeuron(
-            FiringMechanism("relu"), solve_signgd_coefficients(s), s, W=1.0, b=0.0, n=1
+            FiringMechanism("relu"), solve_signgd_coefficients(s), W=1.0, b=0.0, n=1
         )
         enc_unit = DeterministicEncoder(np.array([0.83]), s)
         for _ in range(500):
@@ -277,14 +277,16 @@ class TestProbe:
 
 
 @pytest.mark.parametrize("model,family", CONFIGS)
-def test_layers_and_readout_read_one_step_table(model, family):
-    """Every neuron layer of an instance reads the instance's StepTable, which
-    is empty, and so falsy, when the layers are built; over a run each row is
-    evaluated once, for the layers and the readout alike."""
+def test_layers_and_readout_read_one_step_table(model, family, monkeypatch):
+    """Every neuron layer of an instance reads the instance's one coefficient
+    set, whose rows no step has read when the layers are built; over a run
+    each row is evaluated once, for the layers and the readout alike."""
     inst = SnnInstance(snn_of(MODELS[model](), family))
-    assert inst.layers and all(layer.table is inst.table for layer in inst.layers.values())
-    evaluated, row = [], inst.table.row
-    inst.table.row = lambda t: evaluated.append(t) or row(t)
+    assert inst.layers and all(layer.c is inst.coeffs for layer in inst.layers.values())
+    assert not inst.coeffs._rows
+    name = f"{'signgd' if family == 'signgd' else 'subgrad'}_step_factors"
+    evaluated, factors = [], getattr(schedules, name)
+    monkeypatch.setattr(schedules, name, lambda c, t: evaluated.append(t) or factors(c, t))
     shape = inst.snn.graph.nodes[inst.snn.graph.input_id].params["shape"]
     run(inst.snn, make_rng(3).normal(0, 1, shape), 20, instance=inst)
     assert evaluated == list(range(1, 21))

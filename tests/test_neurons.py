@@ -1,4 +1,4 @@
-from functools import partial
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,12 +25,9 @@ from spikeopt.oracles import (
 )
 from spikeopt.schedules import (
     Schedule,
-    StepTable,
     parse_schedule,
-    signgd_step_factors,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
-    subgrad_step_factors,
 )
 
 
@@ -303,13 +300,13 @@ def test_spike_rules_equal_the_heaviside_forms(mech, rows):
 def misr_layer(mech):
     """Two-neuron misr layer with W = b = 0 under inv:1 (scaled v(1) = -I)."""
     s = Schedule.inverse(1.0)
-    return SignGdNeuron(mech, solve_signgd_coefficients(s), s, W=0.0, b=0.0, n=2)
+    return SignGdNeuron(mech, solve_signgd_coefficients(s), W=0.0, b=0.0, n=2)
 
 
 def make_neuron_oracle_pair(kind, schedule, parameterization, n, W, b, delta=0.1):
     mech = FiringMechanism(kind, delta)
     coeffs = solve_signgd_coefficients(schedule, parameterization)
-    neuron = SignGdNeuron(mech, coeffs, schedule, W=W, b=b, n=n)
+    neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=n)
     oracle = SignGdOracle(SqErrObjective(kind, delta), schedule, W=W, b=b, n=n)
     return neuron, oracle
 
@@ -388,7 +385,7 @@ class TestSignGdNeuronUnits:
         # return are the caller's to keep
         s = Schedule.inverse(1.0)
         arity = FiringMechanism(kind).arity
-        neuron = SignGdNeuron(FiringMechanism(kind), solve_signgd_coefficients(s), s,
+        neuron = SignGdNeuron(FiringMechanism(kind), solve_signgd_coefficients(s),
                               W=1.0, b=np.linspace(-1.0, 1.0, 4), n=4)
         neuron.reset(batch)
         shape = (arity, 4) if batch is None else (arity, batch, 4)
@@ -401,18 +398,18 @@ class TestSignGdNeuronUnits:
 
     def test_corrupted_coefficients_rejected(self):
         s = Schedule.inverse(1.0)
-        c = solve_signgd_coefficients(s).replace(beta1=lambda t: 1.001)
+        c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: 1.001)
         with pytest.raises(ValueError):
-            SignGdNeuron(FiringMechanism("relu"), c, s, W=1.0, b=0.0)
+            SignGdNeuron(FiringMechanism("relu"), c, W=1.0, b=0.0)
 
     def test_arity_mismatch_rejected(self):
         s = Schedule.inverse(1.0)
         coeffs = solve_signgd_coefficients(s)
         with pytest.raises(ValueError):
             # two-operand calibration cannot attach to a one-operand mechanism
-            SignGdNeuron(FiringMechanism("relu"), coeffs, s,
+            SignGdNeuron(FiringMechanism("relu"), coeffs,
                          W=np.ones((2, 3)), b=np.zeros((2, 3)), n=3)
-        neuron = SignGdNeuron(FiringMechanism("max2"), coeffs, s,
+        neuron = SignGdNeuron(FiringMechanism("max2"), coeffs,
                               W=np.ones((2, 3)), b=np.zeros((2, 3)), n=3)
         with pytest.raises(ValueError):
             neuron.step(np.ones((1, 3)))  # missing the second operand current
@@ -496,7 +493,7 @@ class TestUnaryApproximation:
         x = np.linspace(-3, 3, 121)
         mech = FiringMechanism(kind, 0.1)
         coeffs = solve_signgd_coefficients(s)
-        neuron = SignGdNeuron(mech, coeffs, s, W=np.ones((1, 121)), b=np.zeros((1, 121)), n=121)
+        neuron = SignGdNeuron(mech, coeffs, W=np.ones((1, 121)), b=np.zeros((1, 121)), n=121)
         from spikeopt.codec import DeterministicEncoder
 
         enc = DeterministicEncoder(x, s)
@@ -511,8 +508,10 @@ class TestUnaryApproximation:
 # Block calls against the reference neurons
 # ---------------------------------------------------------------------------
 
+# (kind, leaky slope), or for subgrad the solved set (None) or beta = 0.5 eta
 BLOCK_MECHS = [("relu", 0.1), ("gelu", 0.1), ("square", 0.1), ("max2", 0.1), ("misr", 0.1),
-               *(("leaky", d) for d in (0.1, 0.0, 1.0, 2.5, -0.3)), ("subgrad", None)]
+               *(("leaky", d) for d in (0.1, 0.0, 1.0, 2.5, -0.3)), ("subgrad", None),
+               ("subgrad", 0.5)]
 # exp:0.5:0.5 keeps every factor a power of two, so small integer currents
 # give dyadic u and v and exact ties u == target
 BLOCK_SCHEDULES = [("inv:1", "canonical"), ("exp:0.5:0.99", "canonical"),
@@ -520,22 +519,23 @@ BLOCK_SCHEDULES = [("inv:1", "canonical"), ("exp:0.5:0.99", "canonical"),
                    ("exp:0.5:0.5", "unit-current")]
 
 
-def block_layer(kind, delta, schedule, parameterization, n, rng, scale, table):
+def block_layer(kind, delta, schedule, parameterization, n, rng, scale):
     """A layer under test, one reference neuron factory per item, and the
-    operand count; W, b and currents are integers times `scale`."""
+    operand count; W, b and currents are integers times `scale`. A subgrad
+    `delta` sets beta = delta eta, so y's eta s is not the reset's beta s."""
     s = parse_schedule(schedule)
     if kind == "subgrad":
         c = solve_subgrad_coefficients(s)
-        tab = StepTable(partial(subgrad_step_factors, c)) if table else None
-        return (SubgradNeuron(c, n=n, validate=False, table=tab),
+        if delta is not None:
+            c = dataclasses.replace(c, beta=lambda t: delta * s(t))
+        return (SubgradNeuron(c, n=n, validate=False),
                 lambda: ReferenceSubgradNeuron(c, n), 1, None, None)
     mech = FiringMechanism(kind, delta)
     c = solve_signgd_coefficients(s, parameterization)
     # misr's idle denominators may be <= 0, so some evaluations fall back
     W = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
     b = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
-    tab = StepTable(partial(signgd_step_factors, c, s)) if table else None
-    return (SignGdNeuron(mech, c, s, W=W, b=b, n=n, validate=False, table=tab),
+    return (SignGdNeuron(mech, c, W=W, b=b, n=n, validate=False),
             lambda: ReferenceSignGdNeuron(mech, c, s, W, b, n), mech.arity, W, b)
 
 
@@ -561,9 +561,9 @@ def layer_state(layer, names):
 @given(sched=st.sampled_from(BLOCK_SCHEDULES),
        B=st.integers(1, 16), T=st.integers(1, 40), K=st.integers(1, 40),
        scale=st.sampled_from([1.0, 0.5, 1000.0]), scratch=st.sampled_from(["none", "own", "I"]),
-       table=st.booleans(), one_step=st.booleans(), seed=st.integers(0, 2**16))
-def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratch, table,
-                                              one_step, seed):
+       one_step=st.booleans(), seed=st.integers(0, 2**16))
+def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratch, one_step,
+                                              seed):
     """Blocks of K steps of B items, K from 1 to T and not always dividing T,
     give every step what the reference neurons give, bit for bit: spikes, u,
     v or y, t, `decoded` and misr degeneracies after each step (read by the
@@ -575,7 +575,7 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
     rng = make_rng(seed)
     n = 3
     layer, make_ref, arity, W, b = block_layer(kind, delta, schedule, parameterization, n,
-                                               rng, scale, table)
+                                               rng, scale)
     batched = B > 1 or seed % 2  # one item also as the unbatched layer
     layer.reset(B if batched else None)
     refs = [make_ref() for _ in range(B)]
@@ -624,7 +624,7 @@ def test_block_step_where_twice_b2_overflows():
     s = parse_schedule("const:1.7e308")
     c = solve_signgd_coefficients(s)
     mech, W, b = FiringMechanism("relu"), np.ones((1, 4)), np.array([[0.0, 1.0, -1.0, 2.0]])
-    layer = SignGdNeuron(mech, c, s, W=W, b=b, n=4)
+    layer = SignGdNeuron(mech, c, W=W, b=b, n=4)
     ref = ReferenceSignGdNeuron(mech, c, s, W, b, 4)
     pattern = (np.arange(8)[:, None] + np.arange(4)) % 2
     currents = (b + W * pattern[:, None]).astype(float)  # (8, 1, 4)

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ class TestSignGdCoefficients:
 
     def test_perturbed_beta1_fails(self):
         s = Schedule.inverse(1.0)
-        c = solve_signgd_coefficients(s).replace(beta1=lambda t: 1.0 + 1e-3)
+        c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: 1.0 + 1e-3)
         assert not validate_signgd_coefficients(c, s, t_max=100, tol=1e-12)
 
     def test_validator_long_horizon(self):
@@ -152,6 +154,13 @@ class TestSubgradCoefficients:
         )
         assert not validate_subgrad_coefficients(bad, s, t_max=50)
 
+    def test_alpha_is_the_schedules_own_scalar(self):
+        """alpha(t) = 1 - eta(t + 1) through the schedule's scalar path, the
+        Python power its gamma, beta and eta use, bit for bit."""
+        s = parse_schedule("exp:0.5:0.99")
+        c = solve_subgrad_coefficients(s)
+        assert all(c.alpha(t) == 1.0 - s(t + 1) for t in range(3001))
+
 
 # schedules with eta(1) < 1, as the subgradient coefficients need
 subgrad_schedules = st.one_of(
@@ -177,6 +186,36 @@ def test_subgrad_check_matches_its_reference(s, t_max, field, factor, tol):
         want = reference_validate_subgrad_coefficients(c, s, t_max, tol)
         got = validate_subgrad_coefficients(c, s, t_max, tol)
     assert got is want
+
+
+@pytest.mark.parametrize("family", ["signgd", "subgrad"])
+def test_a_set_whose_rows_were_read_is_freed_without_the_collector(family):
+    """A set's row memo refers to nothing that refers back to the set, so
+    reference counting alone frees it."""
+    s = Schedule.exponential(0.5, 0.99)
+    c = solve_signgd_coefficients(s) if family == "signgd" else solve_subgrad_coefficients(s)
+    assert [c.row(t) for t in (1, 2, 1)][0] is c.row(1)
+    ref = weakref.ref(c)
+    gc.disable()
+    try:
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("t_max", [8, 16, 32])
+def test_subgrad_check_reads_the_pairs_i_up_to_t(t_max):
+    """Under inv:1, gamma scaled by 1 - 0.9 tol and alpha by 1 + tol/20 put
+    the log deviation of pair [i, t] at -0.9 tol + (t - i) tol/20: inside tol
+    for every i <= t, the pairs the condition holds for, and past it for the
+    pairs i > t that the check skips. Both checks accept the set."""
+    s, tol = Schedule.inverse(1.0), 1e-10
+    c = solve_subgrad_coefficients(s)
+    c = dataclasses.replace(c, gamma=lambda t: s(t) * (1 - 0.9 * tol),
+                            alpha=lambda t, a=c.alpha: a(t) * (1 + tol / 20))
+    assert reference_validate_subgrad_coefficients(c, s, t_max, tol)
+    assert validate_subgrad_coefficients(c, s, t_max, tol)
 
 
 class TestReachableRange:
