@@ -124,26 +124,28 @@ def load_model(path) -> tuple[Graph, dict]:
     if not isinstance(manifest, dict) or manifest.get("format") != "SGM1":
         raise ModelFormatError(f"manifest {jpath} lacks the SGM1 format tag")
 
-    def read_tensor(name):  # reads from `blob`, opened below
-        try:
-            entry = manifest["tensors"][name]
-        except KeyError:
-            raise ModelFormatError(f"{jpath}: tensor entry {name!r} missing") from None
+    def read_tensor(nid, key, name):  # reads from `blob`, opened below
+        entry = manifest["tensors"].get(name) if isinstance(name, str) else None
+        if entry is None:
+            raise ModelFormatError(f"{jpath}: node {nid!r} names {name!r} as its {key}, "
+                                   f"which is no tensor entry")
+        tensor = f"tensor {name!r} of node {nid!r}"
         shape = entry["shape"]
-        if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
-            raise ModelFormatError(f"{jpath}: tensor {name!r} has invalid shape {shape!r}")
+        if not isinstance(shape, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+            raise ModelFormatError(f"{jpath}: {tensor} has invalid shape {shape!r}")
         size = math.prod(shape) * 4
         off = entry["offset"]
         if not isinstance(off, int) or off < 0:
-            raise ModelFormatError(f"{jpath}: tensor {name!r} has invalid offset {off!r}")
+            raise ModelFormatError(f"{jpath}: {tensor} has invalid offset {off!r}")
         arr = _read_f32(blob, 4 + off, shape) if off + size <= size_data else None
         if arr is None:
             raise TruncatedBlobError(
-                f"{bpath}: tensor {name!r} needs bytes [{off}, {off + size}) "
+                f"{bpath}: {tensor} needs bytes [{off}, {off + size}) "
                 f"but blob has {size_data}"
             )
         if not np.isfinite(arr).all():
-            raise ModelFormatError(f"{bpath}: tensor {name!r} holds NaN or inf values")
+            raise ModelFormatError(f"{bpath}: {tensor} holds NaN or inf values")
         return arr
 
     with open(bpath, "rb") as blob:
@@ -158,7 +160,7 @@ def load_model(path) -> tuple[Graph, dict]:
                     raise ModelFormatError(f"{jpath}: node entry {i} lacks {', '.join(missing)}")
                 params = dict(spec["params"])
                 for key, name in spec.get("tensors", {}).items():
-                    params[key] = read_tensor(name)
+                    params[key] = read_tensor(spec["id"], key, name)
                 nodes.append(Node(spec["id"], spec["kind"], params))
             edges = [(s, d, p) for s, d, p in manifest["edges"]]
             return Graph(nodes, edges), manifest.get("meta", {})

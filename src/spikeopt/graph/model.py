@@ -120,11 +120,17 @@ _GEOMETRY = {
 }
 
 
-def _int_pair(value, least: int) -> bool:
-    """Whether `value` is two integers >= `least` (a bool is not one)."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+def _ints(value, least: int) -> bool:
+    """Whether `value` is a list of integers >= `least` (a bool is not one)."""
+    return isinstance(value, (list, tuple)) and all(
         isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
         for v in value)
+
+
+def _number(value, least: float) -> bool:
+    """Whether `value` is a finite real >= `least` (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= least)
 
 
 def leaky_slope(node: Node) -> float:
@@ -196,9 +202,14 @@ class Graph:
                 if node.params.get(key) is None:
                     raise GraphError(f"node {nid!r} ({node.kind}) lacks its {key!r} param")
             for key, least in _GEOMETRY.get(node.kind, {}).items():
-                if key in node.params and not _int_pair(node.params[key], least):
+                value = node.params.get(key)
+                if key in node.params and not (_ints(value, least) and len(value) == 2):
                     raise GraphError(f"node {nid!r} ({node.kind}) has {key} "
-                                     f"{node.params[key]!r}, not two integers >= {least}")
+                                     f"{value!r}, not two integers >= {least}")
+            shape = node.params.get("shape")
+            if node.kind in ("input", "neuron") and not _ints(shape, 1):
+                raise GraphError(f"node {nid!r} ({node.kind}) has shape {shape!r}, "
+                                 f"not a list of integers >= 1")
             got = sorted(ports[nid])
             if not got and node.kind != "input":
                 raise GraphError(f"node {nid!r} ({node.kind}) has no inputs")
@@ -206,14 +217,21 @@ class Graph:
             if got != want:
                 raise GraphError(
                     f"node {nid!r} ({node.kind}) takes input ports {want}, got {got}")
-            count, shape = node.params.get("count"), node.params.get("shape")
-            if node.kind == "neuron" and not (
-                    isinstance(count, (int, np.integer)) and count == np.prod(shape)):
+            count = node.params.get("count")
+            if node.kind == "neuron" and not (_ints([count], 0) and count == math.prod(shape)):
                 raise GraphError(f"node {nid!r} (neuron) has count {count!r} but shape {shape!r}")
             delta = leaky_slope(node)
-            if node.kind == "leaky_relu" and not (
-                    isinstance(delta, numbers.Real) and math.isfinite(delta)):
+            if node.kind == "leaky_relu" and not _number(delta, -math.inf):
                 raise GraphError(f"node {nid!r} (leaky_relu) has slope {delta!r}, not a finite number")
+            if node.kind in ("batchnorm", "layernorm"):
+                eps = node.params["eps"]
+                if not _number(eps, 0.0):
+                    raise GraphError(f"node {nid!r} ({node.kind}) has eps {eps!r}, "
+                                     f"not a finite number >= 0")
+                shapes = {np.shape(node.params[k]) for k in _required(node.kind) if k != "eps"}
+                if len(shapes) != 1 or len(min(shapes)) != 1:
+                    raise GraphError(f"node {nid!r} ({node.kind}) has tensors of shapes "
+                                     f"{sorted(shapes)}, not all of one (n,) shape")
             if node.kind == "gather":  # converted once, so no reader converts the list again
                 node.params["indices"] = _flat_indices(node)
 
@@ -298,8 +316,10 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """Reference real-arithmetic semantics of one node.
 
     `inputs` are float64 arrays ordered by port. The step plan runs the
-    element moves on index arrays to compose its selections, and each of
-    its batched ops computes, item by item, what this rule computes.
+    element moves on index arrays to compose its selections; its dense,
+    affine and conv2d ops follow rules of their own (`plan.DenseRule`,
+    `plan.ConvRule`), within ~1e-13 of this one, and each of its other
+    batched ops computes, item by item, what this rule computes.
     """
     k = node.kind
     p = node.params
@@ -392,25 +412,21 @@ def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
-           padding=(0, 0), out=None) -> np.ndarray:
-    """Cross-correlate (B, C, H, W) inputs with (O, C, kh, kw) weights, plus bias,
-    into `out` (any array of B O Ho Wo doubles in C order) if given.
+           padding=(0, 0)) -> np.ndarray:
+    """Cross-correlate (B, C, H, W) inputs with (O, C, kh, kw) weights, plus bias.
 
     Taps accumulate in dy, dx order; each is, item by item, the matrix product
-    that np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes. One
-    product over all items' patches side by side is faster but not bitwise
-    equal: BLAS may sum over C in another order for a wider matrix.
+    that np.tensordot(w[:, :, dy, dx], patch, axes=(1, 0)) computes. This is
+    the ANN reference; spiking networks step through the plan's
+    `ConvRule`, one GEMM per frame over im2col patches, which is faster and
+    differs from it by ~1e-14.
     """
     (sh, sw), (ph, pw) = stride, padding
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     o, c, kh, kw = w.shape
     _, ho, wo = _pool_geometry(x.shape[1:], (kh, kw), (sh, sw))
-    if out is None:
-        out = np.zeros((len(x), o, ho * wo))
-    else:
-        out = out.reshape(len(x), o, ho * wo)
-        out[...] = 0.0
+    out = np.zeros((len(x), o, ho * wo))
     for item, acc in zip(x, out):
         for dy in range(kh):
             for dx in range(kw):
@@ -436,14 +452,18 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
     """The shape `node_forward` gives a dense, affine, conv2d, concat or add
     node fed frames of `shapes`, by shape arithmetic alone."""
     k, p = node.kind, node.params
-    if k in ("dense", "affine"):
+    if k in ("dense", "affine", "conv2d"):
         w, b = np.shape(p["weight"]), np.shape(p["bias"])
-        if len(w) != 2 or math.prod(shapes[0]) != w[1]:
+        if len(w) != (4 if k == "conv2d" else 2) or b != w[:1]:
+            raise ShapeMismatchError(f"{k} {node.id!r}: weight of shape {w} and bias of "
+                                     f"shape {b} do not make one layer")
+    if k in ("dense", "affine"):
+        if math.prod(shapes[0]) != w[1]:
             raise ShapeMismatchError(f"{k} {node.id!r}: weight of shape {w} expects "
                                      f"{w[-1]} inputs, got {math.prod(shapes[0])}")
-        shapes = [(w[0],), b]  # the product's and the bias's
+        return w[:1]
     elif k == "conv2d":
-        o, c, kh, kw = np.shape(p["weight"])
+        o, c, kh, kw = w
         (ph, pw), x = p.get("padding", (0, 0)), shapes[0]
         if len(x) != 3 or x[0] != c:
             raise ShapeMismatchError(f"conv2d {node.id!r}: expected ({c}, H, W) input, "

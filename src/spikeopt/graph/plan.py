@@ -13,8 +13,8 @@ arithmetic, and each weight is converted to float64 once.
 
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
-conv2d op runs once per block, row by row with the arithmetic `node_forward`
-uses for one frame (conv2d keeps its per-frame taps). Each neuron layer
+conv2d op runs once per block; moves, takes, adds and concats row by row
+with the arithmetic `node_forward` uses for one frame. Each neuron layer
 takes the block too, in one call of its `step`: after one take of its
 operands where it has one, it forms the state-free part of its dynamics for
 all K steps in its scratch slot, runs only its state recurrence step by
@@ -31,6 +31,12 @@ give every row the bits that row gets alone, whatever its position and
 neighbours (`tests/test_plan.py` checks it on every dense shape in use), so
 a product does not depend on the block it is computed in. It differs from
 the matrix-vector product of `node_forward`, the ANN reference, by ~1e-13.
+conv2d nodes have theirs, `ConvRule`: one take of a fixed im2col index table
+gathers each frame's patches, and one np.matmul makes one GEMM of the same
+shape per frame, so a frame's product does not depend on its block either.
+It differs from the per-tap accumulation of `model.conv2d`, the ANN
+reference, by ~1e-14. Its patch stack is a slot of the plan, counted in
+BLOCK_BYTES, whose store later slots reuse once the product has read it.
 
 The slot buffers of one plan share stores where slot lifetimes do not
 overlap, and a plan that is resized or gone leaves its stores to the next
@@ -47,9 +53,9 @@ from functools import partial
 
 import numpy as np
 
-from .model import Graph, GraphError, Node, conv2d, linear_shape, node_forward
+from .model import Graph, GraphError, Node, linear_shape, node_forward
 
-__all__ = ["Plan", "DenseRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
+__all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
@@ -138,6 +144,60 @@ class DenseRule:
         prod = self._prod[: tiles * R]
         np.matmul(x.reshape(tiles, R, fan_in), self.wt, out=prod.reshape(tiles, R, width))
         return np.add(prod[:n, : self.n_out], self.b, out=out)
+
+
+class ConvRule:
+    """The product of one conv2d node fed (C, H, W) frames: the (O, Ho, Wo)
+    cross-correlation plus bias, for (N, C H W) rows x, as (N, O P) rows
+    with P = Ho Wo. One take of the flat (F, P) index `table`, F = C kh kw,
+    gathers each frame's patches into an (N, F, P) stack, the stride folded
+    into the table and each padding entry zeroed after the take through
+    the `pad` mask (None without padding). Then one np.matmul of the
+    C-contiguous (O, F) float64 weight against the stack makes one BLAS
+    call of the same shape per frame, and the bias, repeated over the P
+    positions once, is added in place (an (O, 1) bias broadcast over P made
+    numpy allocate a buffer on every call): a frame's bits do not depend on
+    its neighbours or on its position in the block."""
+
+    def __init__(self, w, b, in_shape, stride=(1, 1), padding=(0, 0)):
+        o, c, kh, kw = np.shape(w)
+        _, h, wd = in_shape
+        (sh, sw), (ph, pw) = stride, padding
+        ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+        self.shape = (o, ho, wo)
+        # row and column in the frame of patch entry (c, dy, dx; y, x)
+        rows = np.arange(kh)[:, None, None, None] + sh * np.arange(ho)[:, None] - ph
+        cols = np.arange(kw)[:, None, None] + sw * np.arange(wo) - pw
+        inside = (0 <= rows) & (rows < h) & (0 <= cols) & (cols < wd)
+        table = np.arange(c)[:, None, None, None, None] * (h * wd) + np.where(
+            inside, rows * wd + cols, 0)
+        self.table = table.reshape(-1)
+        self.pad = np.broadcast_to(~inside, table.shape).reshape(-1) if ph or pw else None
+        self.w = np.ascontiguousarray(np.reshape(w, (o, -1)), dtype=np.float64)
+        self.b = np.repeat(np.asarray(b, dtype=np.float64), ho * wo)
+
+    @classmethod
+    def of(cls, node: Node, in_shape) -> "ConvRule":
+        p = node.params
+        return cls(p["weight"], node.tensor("bias"), in_shape, p.get("stride", (1, 1)),
+                   p.get("padding", (0, 0)))
+
+    def patches(self, x, out=None) -> np.ndarray:
+        """The (N, F, P) patch stack of the (N, C H W) rows x, in `out`, an
+        (N, F P) buffer, if given."""
+        out = np.take(x, self.table, axis=1, out=out, mode="clip")
+        if self.pad is not None:
+            np.copyto(out, 0.0, where=self.pad)
+        return out.reshape(len(x), self.w.shape[1], -1)
+
+    def __call__(self, x, patches=None, out=None) -> np.ndarray:
+        """The (N, O P) product of the (N, C H W) rows x, into `out` if
+        given; `patches`, if given, is the (N, F P) buffer of the stack."""
+        stack = self.patches(x, patches)
+        if out is None:
+            out = np.empty((len(x), math.prod(self.shape)))
+        np.matmul(self.w, stack, out=out.reshape(len(x), self.w.shape[0], -1))
+        return np.add(out, self.b, out=out)
 
 
 class _Value:
@@ -281,19 +341,21 @@ class Plan:
         srcs = [(self._flat(v), v.shape) for v in ins]
         shape = linear_shape(node, [sh for _, sh in srcs])
         out = self._slot(math.prod(shape))
-        (a, in_shape), p = srcs[0], node.params
+        a, in_shape = srcs[0]
         if node.kind in ("dense", "affine"):
             rule = DenseRule.of(node)
 
             def op(s, B, observe):
                 rule(s[a], s[out])
         elif node.kind == "conv2d":
-            w, b = node.tensor("weight"), node.tensor("bias")
-            stride, padding = p.get("stride", (1, 1)), p.get("padding", (0, 0))
+            rule = ConvRule.of(node, in_shape)
+            patches = self._slot(rule.table.size)  # its store is free once read
 
             def op(s, B, observe):
-                x = s[a]
-                conv2d(x.reshape(len(x), *in_shape), w, b, stride, padding, out=s[out])
+                rule(s[a], s[patches], s[out])
+
+            self._op(node.id, node.kind, op, [a, patches], patches, out)
+            return _Value(out, None, shape, node.id)
         elif node.kind == "concat":
             def op(s, B, observe):
                 np.concatenate([s[i] for i, _ in srcs], axis=1, out=s[out])

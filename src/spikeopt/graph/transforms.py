@@ -58,6 +58,9 @@ def fold_batchnorm(g: Graph) -> Graph:
             )
         scale = bn.tensor("gamma") / np.sqrt(bn.tensor("var") + bn.params["eps"])
         w, b = prev.tensor("weight"), prev.tensor("bias")
+        if scale.shape != w.shape[:1]:
+            raise ConversionError(f"batchnorm {bn.id!r} has {scale.size} channels but its "
+                                  f"producer {prev.id!r} has {w.shape[0]}")
         if prev.kind == "dense":
             w = w * scale[:, None]
         else:

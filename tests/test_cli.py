@@ -667,21 +667,53 @@ def model_files(tmp_path_factory):
     return files
 
 
-@settings(max_examples=200, deadline=None)
+def replacements(value) -> list:
+    """What a model file's value is replaced with: a wrong type (a string,
+    or a list for a string, and an object), zero, a negative number, NaN, a
+    JSON true and, for a list, the list one short and one long."""
+    out = [["x"] if isinstance(value, str) else "x", {}, 0, -1, -2.5, math.nan, True]
+    if isinstance(value, list) and value:
+        out += [value[:-1], value + value[-1:]]
+    return out
+
+
+def downstream(manifest, node_id) -> set:
+    """The ids of node `node_id` and of every node its output reaches."""
+    reached, todo = set(), [node_id]
+    while todo:
+        nid = todo.pop()
+        if nid not in reached:
+            reached.add(nid)
+            todo += [d for s, d, _ in manifest["edges"] if s == nid]
+    return reached
+
+
+@settings(max_examples=400, deadline=None)
 @given(config=st.sampled_from(CONFIGS), snn_file=st.booleans(), data=st.data())
-def test_a_model_lacking_any_key_exits_cleanly(model_files, tmp_path_factory,
-                                               config, snn_file, data):
+def test_a_model_with_one_value_dropped_or_replaced_exits_cleanly(
+        model_files, tmp_path_factory, config, snn_file, data):
     """Drop any one key from any node's params or tensors of a saved ANN or SNN
-    file: `convert` (ANN) or `infer` (SNN) exits 0, or exits 2 with one
-    stderr line; a missing parameter is never a traceback."""
+    file, or replace its value, or the shape of one of its tensors, with a
+    value of `replacements`: `convert` (ANN) or `infer` (SNN) exits 0, or
+    exits 2 with one stderr line naming the node or a node its output
+    reaches; a missing or malformed value is never a traceback."""
     ann, snn, dataset = model_files[config]
     src = snn if snn_file else ann
     manifest = json.loads(src.read_text())
-    keys = [(i, section, key) for i, node in enumerate(manifest["nodes"])
-            for section in ("params", "tensors") for key in node[section]]
-    i, section, key = data.draw(st.sampled_from(keys))
-    del manifest["nodes"][i][section][key]
-    tmp = tmp_path_factory.mktemp("dropped")
+    places = [(node, section, key) for node in manifest["nodes"]
+              for section in ("params", "tensors", "shape")
+              for key in node["tensors" if section == "shape" else section]]
+    node, section, key = data.draw(st.sampled_from(places))
+    if section == "shape":  # the shape of the tensor entry the node names
+        entry = manifest["tensors"][node["tensors"][key]]
+        entry["shape"] = data.draw(st.sampled_from(replacements(entry["shape"])))
+    else:
+        value = data.draw(st.sampled_from(["drop", *replacements(node[section][key])]))
+        if value == "drop":
+            del node[section][key]
+        else:
+            node[section][key] = value
+    tmp = tmp_path_factory.mktemp("edited")
     (tmp / "m.json").write_text(json.dumps(manifest))
     shutil.copy(src.with_suffix(".bin"), tmp / "m.bin")
     argv = (["infer", str(tmp / "m.json"), "--data", str(dataset), "--T", "4",
@@ -694,6 +726,7 @@ def test_a_model_lacking_any_key_exits_cleanly(model_files, tmp_path_factory,
     assert rc in (0, 2), err
     if rc == 2:
         assert err.count("\n") == 1 and err.startswith(f"spikeopt {argv[0]}: error: ")
+        assert any(repr(nid) in err for nid in downstream(manifest, node["id"])), err
     else:
         assert err == ""
 
@@ -859,6 +892,20 @@ def test_malformed_geometry_exits_2_naming_the_node(model_files, tmp_path, capsy
     key = case.split("-")[1]
     assert err.startswith(f"spikeopt convert: error: node {node_id!r} ") and key in err, err
     assert not (tmp_path / "snn.json").exists()
+
+
+def test_a_batchnorm_of_another_width_exits_2_naming_it(tmp_path, capsys):
+    """A batch norm whose tensors hold another number of channels than its
+    producer has outputs ends `convert` with exit status 2 and one stderr
+    line naming it, not a numpy traceback from the fold."""
+    g = MODELS["bn_mlp"]()
+    g.nodes["bn"].params.update({k: np.ones(13) for k in ("gamma", "beta", "mean", "var")})
+    save_model(g, tmp_path / "m")
+    capsys.readouterr()
+    assert main(["convert", str(tmp_path / "m.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("spikeopt convert: error: batchnorm 'bn' ")
 
 
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])
