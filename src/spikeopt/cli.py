@@ -36,8 +36,6 @@ from .neurons import (
     LifNeuron,
     SignGdNeuron,
     SubgradNeuron,
-    check_signgd_coefficients,
-    check_subgrad_coefficients,
     parse_mechanism,
 )
 from .oracles import (
@@ -50,7 +48,12 @@ from .oracles import (
     lif_transform,
     reference_nonlinearity,
 )
-from .schedules import parse_schedule, solve_signgd_coefficients, solve_subgrad_coefficients
+from .schedules import (
+    check_coefficients,
+    parse_schedule,
+    solve_signgd_coefficients,
+    solve_subgrad_coefficients,
+)
 
 DEVIATION_LIMIT = 1e-9
 # `infer` and `energy` step up to CHUNK items in lockstep, fewer where the
@@ -80,17 +83,17 @@ def _parsed(flag, parse, text):
 
 
 def _schedule(args, family=None):
-    """--schedule, with the coefficient set of `family` (signgd or subgrad)
-    solved under --parameterization and checked; a schedule either step
-    rejects is a RangeError naming --schedule."""
+    """(--schedule, the coefficient set of `family` (signgd or subgrad) solved
+    under --parameterization and checked, or None); a schedule the parser,
+    the solve or the check rejects is a RangeError naming --schedule."""
     def parse(text):
         s = parse_schedule(text)
-        with np.errstate(all="ignore"):  # a check on overflowing values fails quietly
-            if family == "signgd":
-                check_signgd_coefficients(solve_signgd_coefficients(s, args.parameterization))
-            elif family == "subgrad":
-                check_subgrad_coefficients(solve_subgrad_coefficients(s))
-        return s
+        if family is None:
+            return s, None
+        c = (solve_signgd_coefficients(s, args.parameterization) if family == "signgd"
+             else solve_subgrad_coefficients(s))
+        check_coefficients(c)
+        return s, c
 
     return _parsed("--schedule", parse, args.schedule)
 
@@ -138,7 +141,7 @@ def cmd_encode(args):
     _at_least_one("--T", args.T)
     _finite("--x", args.x)
     _check_c(args)
-    schedule = _schedule(args)
+    schedule, _ = _schedule(args)
     if args.encoder == "poisson":
         enc = PoissonEncoder(args.x, seed=args.seed)
     else:
@@ -163,11 +166,12 @@ def _signgd_check_inputs(schedule, steps, arity, rng):
     return W, b
 
 
-def _oracle_pair(args, schedule, rng):
+def _oracle_pair(args, coeffs, rng):
     """The neuron under check, its oracle, all `args.steps` inputs drawn in
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
     rows are the per-step draws) and decoded(t), the neuron's decode after
-    step t in oracle coordinates. The subgradient and sign neurons step the
+    step t in oracle coordinates. The subgradient and sign neurons step
+    `coeffs`, the set `_schedule` checked, with --corrupt-* applied, over the
     whole trace as one block, as a network's layers step theirs."""
     name, steps = args.neuron, args.steps
     if name == "if":
@@ -183,19 +187,19 @@ def _oracle_pair(args, schedule, rng):
         decoded = lambda t: lif_transform(
             neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
     elif name == "subgrad":
-        coeffs = solve_subgrad_coefficients(schedule)
+        schedule = coeffs.schedule
         if args.corrupt_alpha != 1.0:
             base = coeffs.alpha
             coeffs = dataclasses.replace(
                 coeffs, alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha
             )
-        neuron = SubgradNeuron(coeffs, n=1, validate=False)
+        neuron = SubgradNeuron(coeffs, n=1)
         oracle = SubgradOracle(schedule, n=1)
         inputs = rng.uniform(0.0, 1.0, (steps, 1))
         decoded = lambda t: neuron.decoded
     elif name.startswith("signgd"):
         mech = _parsed("--neuron", parse_mechanism, name)
-        coeffs = solve_signgd_coefficients(schedule, args.parameterization)
+        schedule = coeffs.schedule
         if args.corrupt_beta1 != 1.0:
             base = coeffs.beta1
             coeffs = dataclasses.replace(
@@ -209,7 +213,7 @@ def _oracle_pair(args, schedule, rng):
         if not finite:
             raise RangeError(f"--schedule {schedule}: its step sizes over {steps} steps "
                              f"overflow the check's inputs or their squares")
-        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1, validate=False)
+        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
         decoded = lambda t: neuron.decoded
     else:
@@ -222,8 +226,8 @@ def cmd_oracle_check(args):
     _at_least_one("--steps", args.steps)
     family = ("subgrad" if args.neuron == "subgrad"
               else "signgd" if args.neuron.startswith("signgd") else None)
-    schedule = _schedule(args, family)
-    neuron, oracle, inputs, decoded = _oracle_pair(args, schedule, make_rng(args.seed))
+    schedule, coeffs = _schedule(args, family)
+    neuron, oracle, inputs, decoded = _oracle_pair(args, coeffs, make_rng(args.seed))
 
     # per step: the neuron's and the oracle's spikes, then decoded(t) and the
     # oracle's iterate f(t); the deviation is one max over the whole trace,
@@ -271,7 +275,7 @@ def _sweep_operands(kind, grid, seed):
 
 
 def cmd_neuron_sweep(args):
-    schedule = _schedule(args, "signgd")
+    schedule, coeffs = _schedule(args, "signgd")
     mech = _parsed("--mech", parse_mechanism, args.mech)
     _at_least_one("--points", args.points)
     _at_least_one("--T", args.T)
@@ -284,9 +288,8 @@ def cmd_neuron_sweep(args):
                          f"grid; got --xmin {args.xmin:g} --xmax {args.xmax:g}")
     ops = _sweep_operands(mech.kind, grid, args.seed)
     n = grid.size
-    coeffs = solve_signgd_coefficients(schedule, args.parameterization)
     neuron = SignGdNeuron(mech, coeffs, W=np.ones((mech.arity, n)),
-                          b=np.zeros((mech.arity, n)), n=n, validate=False)
+                          b=np.zeros((mech.arity, n)), n=n)
     encs = [signed_encoder(args.encoder, ops[k], schedule, args.c, args.seed + k)
             for k in range(mech.arity)]
     target = reference_nonlinearity(mech.kind, ops if mech.arity == 2 else ops[0], mech.delta)
@@ -320,7 +323,7 @@ def cmd_neuron_sweep(args):
 
 
 def cmd_convert(args):
-    schedule = _schedule(args, args.family)
+    schedule, _ = _schedule(args, args.family)
     g, _ = load_model(args.model)
     if args.normalize_relu:
         if args.calib_data:

@@ -44,15 +44,14 @@ from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, si
 from .graph.model import Graph, ShapeMismatchError, run_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
-from .graph.transforms import Forced, SnnGraph, calibration
-from .neurons import (
-    SignGdNeuron,
-    SubgradNeuron,
-    check_signgd_coefficients,
-    check_subgrad_coefficients,
-    parse_mechanism,
+from .graph.transforms import ConversionError, Forced, SnnGraph, calibration
+from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
+from .schedules import (
+    ScheduleError,
+    check_coefficients,
+    solve_signgd_coefficients,
+    solve_subgrad_coefficients,
 )
-from .schedules import solve_signgd_coefficients, solve_subgrad_coefficients
 
 __all__ = [
     "ann_forward",
@@ -76,7 +75,9 @@ def ann_forward(g: Graph, x) -> dict[str, np.ndarray]:
 
 class SnnInstance:
     """Executable state for one converted network: a batch of items stepped in
-    lockstep (one item until `reset` says otherwise)."""
+    lockstep (one item until `reset` says otherwise). It solves and checks its
+    coefficient set once; a family, schedule and parameterization that give no
+    set, or one that fails the check, are a ConversionError naming all three."""
 
     def __init__(self, snn: SnnGraph):
         self.snn = snn
@@ -84,12 +85,13 @@ class SnnInstance:
         # step rows serve every layer and, in the sign family, the readout's
         # eta(t)
         signgd = snn.family == "signgd"
-        if signgd:
-            self.coeffs = c = solve_signgd_coefficients(snn.schedule, snn.parameterization)
-            check_signgd_coefficients(c)
-        else:
-            self.coeffs = c = solve_subgrad_coefficients(snn.schedule)
-            check_subgrad_coefficients(c)
+        try:
+            self.coeffs = c = (solve_signgd_coefficients(snn.schedule, snn.parameterization)
+                               if signgd else solve_subgrad_coefficients(snn.schedule))
+            check_coefficients(c)
+        except ScheduleError as exc:
+            raise ConversionError(f"{snn.family} network under schedule {snn.schedule}, "
+                                  f"parameterization {snn.parameterization!r}: {exc}") from None
         # one plan: its forced step on stand-in layers gives each layer's and
         # the readout's W and b, and then each layer takes its stand-in's place
         self.plan = Plan(snn.graph, Forced)
@@ -99,8 +101,8 @@ class SnnInstance:
             node = snn.graph.nodes[nid]
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
-                parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n, validate=False,
-            ) if signgd else SubgradNeuron(c, n=n, validate=False)
+                parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n,
+            ) if signgd else SubgradNeuron(c, n=n)
         self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
         self.reset()
 

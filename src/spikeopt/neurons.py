@@ -6,6 +6,10 @@ All neuron classes hold vectorized state: `n` independent neurons that share
 parameters and schedule advance in lockstep. Per-step order is
 integrate(I(t)) -> fire(s(t)) -> reset(u(t+1)).
 
+The subgradient and sign-based neurons step the coefficient set they are
+given: its one check, `schedules.check_coefficients`, is made where it is
+solved.
+
 IF and LIF neurons take one step per `step()` call. The subgradient and
 sign-based neurons take one step per `step(I)` call, or a block of K steps
 per `step(I, steps=K, ...)` call, the form a network's layers and the
@@ -47,20 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import EmaDecoder, RateDecoder, heaviside
-from .schedules import (
-    SignGdCoefficients,
-    SubgradCoefficients,
-    validate_signgd_coefficients,
-    validate_subgrad_coefficients,
-)
+from .schedules import SignGdCoefficients, SubgradCoefficients
 
 __all__ = [
     "IfLifParams",
     "IfNeuron",
     "LifNeuron",
     "SubgradNeuron",
-    "check_subgrad_coefficients",
-    "check_signgd_coefficients",
     "FiringMechanism",
     "parse_mechanism",
     "SignGdNeuron",
@@ -143,18 +140,6 @@ class LifNeuron(IfNeuron):
         return s
 
 
-def check_subgrad_coefficients(coeffs: SubgradCoefficients) -> None:
-    """Raise ValueError unless the coefficients meet their constraints to t = 32."""
-    if not validate_subgrad_coefficients(coeffs, coeffs.schedule, t_max=32):
-        raise ValueError("subgradient coefficients violate their constraint equations")
-
-
-def check_signgd_coefficients(coeffs: SignGdCoefficients) -> None:
-    """Raise ValueError unless the coefficients meet their constraints to t = 64."""
-    if not validate_signgd_coefficients(coeffs, coeffs.schedule, t_max=64, tol=1e-9):
-        raise ValueError("sign-dynamics coefficients violate their constraint equations")
-
-
 class _SpikeTally:
     """Each neuron's spikes since reset, kept as a float tally `_fired` that a
     block call adds its spikes to once (float counts are exact to 2**53)."""
@@ -201,9 +186,7 @@ class SubgradNeuron(_SpikeTally):
     adds the block's spikes when the block ends.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, validate: bool = True):
-        if validate:
-            check_subgrad_coefficients(coeffs)
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1):
         self.c = coeffs
         self.n = n
         self.reset()
@@ -417,16 +400,11 @@ class SignGdNeuron(_SpikeTally):
     `degeneracies` counts misr evaluations with a non-positive denominator.
     """
 
-    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b,
-                 n: int = 1, validate: bool = True):
-        W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
-        b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
-        if validate:
-            check_signgd_coefficients(coeffs)
+    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b, n: int = 1):
         self.mech = mech
         self.c = coeffs
-        self.W = W
-        self.b = b
+        self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
+        self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
         self.n = n
         self.reset()
 

@@ -46,6 +46,7 @@ __all__ = [
     "validate_signgd_coefficients",
     "solve_subgrad_coefficients",
     "validate_subgrad_coefficients",
+    "check_coefficients",
     "signgd_step_factors",
     "subgrad_step_factors",
 ]
@@ -292,6 +293,20 @@ def validate_subgrad_coefficients(
         + (cum_la[:-1] - cum_la[:-1, None])
     )
     return bool(((np.abs(lhs_log - rhs_log) <= tol) | _below_diagonal(t_max)).all())
+
+
+def check_coefficients(c: SignGdCoefficients | SubgradCoefficients) -> None:
+    """Raise ScheduleError unless `c` meets its family's constraint equations
+    under its own schedule: a sign set to t = 64 within 1e-9, a subgradient
+    set to t = 32. A check on overflowing values fails quietly."""
+    with np.errstate(all="ignore"):
+        if isinstance(c, SignGdCoefficients):
+            family, ok = "sign-dynamics", validate_signgd_coefficients(
+                c, c.schedule, t_max=64, tol=1e-9)
+        else:
+            family, ok = "subgradient", validate_subgrad_coefficients(c, c.schedule, t_max=32)
+    if not ok:
+        raise ScheduleError(f"{family} coefficients violate their constraint equations")
 
 
 @lru_cache(maxsize=None)

@@ -77,7 +77,7 @@ def reference_setup(args, schedule, rng):
                 alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha,
                 beta=coeffs.beta, gamma=coeffs.gamma, schedule=schedule,
             )
-        neuron = SubgradNeuron(coeffs, n=1, validate=False)
+        neuron = SubgradNeuron(coeffs, n=1)
         oracle = SubgradOracle(schedule, n=1)
         draw = lambda: rng.uniform(0.0, 1.0, 1)
         decoded = lambda t: neuron.decoded
@@ -90,7 +90,7 @@ def reference_setup(args, schedule, rng):
                 coeffs, beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
             )
         W, b = _signgd_check_inputs(schedule, args.steps, mech.arity, rng)
-        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1, validate=False)
+        neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1)
         oracle = ReferenceSignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule,
                                        W=W, b=b, n=1)
         draw = lambda: b + W * rng.integers(0, 2, (mech.arity, 1))

@@ -32,7 +32,11 @@ from spikeopt.graph import (
     save_model,
     save_tensor,
 )
-from spikeopt.schedules import parse_schedule
+from spikeopt.schedules import (
+    parse_schedule,
+    solve_signgd_coefficients,
+    solve_subgrad_coefficients,
+)
 
 
 def read_csv(path):
@@ -156,10 +160,36 @@ def test_one_call_draws_are_the_per_step_draws(neuron, schedule, steps, seed):
     args = cli.build_parser().parse_args(
         ["oracle-check", "--neuron", neuron, "--steps", str(steps), "--seed", str(seed)])
     sched = parse_schedule(schedule)
-    _, _, inputs, _ = cli._oracle_pair(args, sched, make_rng(args.seed))
+    coeffs = (solve_subgrad_coefficients(sched) if neuron == "subgrad" else
+              solve_signgd_coefficients(sched) if neuron.startswith("signgd") else None)
+    _, _, inputs, _ = cli._oracle_pair(args, coeffs, make_rng(args.seed))
     _, _, draw, _ = reference_setup(args, sched, make_rng(args.seed))
     assert inputs.shape[0] == steps
     np.testing.assert_array_equal(inputs, np.stack([draw() for _ in range(steps)]))
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["oracle-check", "--neuron", "subgrad", "--steps", "20"], 0),
+    (["oracle-check", "--neuron", "subgrad", "--steps", "500", "--corrupt-alpha", "1.01"], 1),
+    (["oracle-check", "--neuron", "signgd:relu", "--steps", "20"], 0),
+    (["oracle-check", "--neuron", "signgd:max2", "--steps", "20", "--schedule", "exp:1:0.999",
+      "--parameterization", "unit-current"], 0),
+    (["oracle-check", "--neuron", "signgd:relu", "--steps", "500", "--corrupt-beta1", "1.001"], 1),
+    (["neuron-sweep", "--mech", "signgd:relu", "--points", "5", "--T", "8", "--out", "OUT"], 0),
+], ids=["subgrad", "subgrad-corrupt", "signgd", "signgd-unit-current", "signgd-corrupt",
+        "sweep"])
+def test_a_command_steps_the_one_set_it_solved_and_checked(tmp_path, capsys, monkeypatch,
+                                                         argv, rc):
+    """oracle-check and neuron-sweep solve their coefficient set once, where
+    --schedule is checked, and step that set (--corrupt-* after the check)."""
+    solves = []
+    for name in ("solve_signgd_coefficients", "solve_subgrad_coefficients"):
+        def counted(*args, _solve=getattr(cli, name), **kwargs):
+            solves.append(args)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main([str(tmp_path / "out.csv") if x == "OUT" else x for x in argv]) == rc
+    assert len(solves) == 1
 
 
 class TestNeuronSweep:
@@ -729,6 +759,76 @@ def test_a_model_with_one_value_dropped_or_replaced_exits_cleanly(
         assert any(repr(nid) in err for nid in downstream(manifest, node["id"])), err
     else:
         assert err == ""
+
+
+def edited_meta(snn, tmp, key, value):
+    """A copy of the SNN file `snn` in `tmp` with its meta `key` dropped
+    (value "drop") or set to `value`; returns the copy's manifest path."""
+    manifest = json.loads(snn.read_text())
+    if value == "drop":
+        del manifest["meta"][key]
+    else:
+        manifest["meta"][key] = value
+    (tmp / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(snn.with_suffix(".bin"), tmp / "m.bin")
+    return tmp / "m.json"
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=st.sampled_from(CONFIGS),
+       key=st.sampled_from(["family", "schedule", "parameterization", "kind"]), data=st.data())
+def test_an_snn_file_with_one_meta_value_dropped_or_replaced_exits_cleanly(
+        model_files, tmp_path_factory, config, key, data):
+    """Drop the SNN file's meta `family`, `schedule`, `parameterization` or
+    `kind`, or replace it with a value of `replacements`, a schedule that
+    needs eta(1) >= 1 in the subgrad family (inv:2) or a parameterization the
+    file's inv:1 cannot take (unit-current): `infer` exits 0, or exits 2 with
+    one stderr line; bad meta is never a traceback."""
+    _, snn, dataset = model_files[config]
+    value = json.loads(snn.read_text())["meta"][key]
+    extra = {"schedule": ["inv:2"], "parameterization": ["unit-current"]}.get(key, [])
+    value = data.draw(st.sampled_from(["drop", *replacements(value), *extra]))
+    tmp = tmp_path_factory.mktemp("meta")
+    argv = ["infer", str(edited_meta(snn, tmp, key, value)), "--data", str(dataset),
+            "--T", "4", "--report", str(tmp / "acc.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert err.count("\n") == 1 and err.startswith("spikeopt infer: error: "), err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("command", ["infer", "energy", "probe"])
+@pytest.mark.parametrize("family,key,value,reason", [
+    ("subgrad", "schedule", "inv:2", "subgradient coefficients need eta(t) < 1"),
+    ("subgrad", "schedule", "const:1", "subgradient coefficients need eta(t) < 1"),
+    ("signgd", "parameterization", "unit-current",
+     "unit-current parameterization requires an exponential schedule"),
+    ("signgd", "parameterization", "bogus", "unknown parameterization 'bogus'"),
+    ("signgd", "parameterization", 3, "unknown parameterization 3"),
+])
+def test_meta_whose_coefficient_set_cannot_be_solved_exits_2(
+        model_files, tmp_path, capsys, command, family, key, value, reason):
+    """A converted file whose meta names a coefficient set the network's
+    family cannot solve ends the command before it writes anything, with
+    exit status 2 and one stderr line naming the family, schedule and
+    parameterization."""
+    _, snn, dataset = model_files["mlp", family]
+    path = edited_meta(snn, tmp_path, key, value)
+    meta = json.loads(path.read_text())["meta"]
+    out = tmp_path / "out.csv"
+    rc = main([command, str(path), "--data", str(dataset), "--T", "4",
+               "--report" if command == "infer" else "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"spikeopt {command}: error: {family} network under schedule "
+                          f"{meta['schedule']}, parameterization {meta['parameterization']!r}: "
+                          f"{reason}")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def run_outputs(snn, dataset, tmp):

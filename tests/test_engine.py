@@ -10,7 +10,7 @@ from conftest import (
     chain_edges,
     dense_node,
 )
-from spikeopt import engine, neurons, schedules
+from spikeopt import engine, schedules
 from spikeopt.codec import DeterministicEncoder, make_rng
 from spikeopt.engine import (
     EnergyModel,
@@ -23,7 +23,15 @@ from spikeopt.engine import (
     run,
     run_batch,
 )
-from spikeopt.graph import Graph, Node, ShapeMismatchError, SnnGraph, calibrate, convert
+from spikeopt.graph import (
+    ConversionError,
+    Graph,
+    Node,
+    ShapeMismatchError,
+    SnnGraph,
+    calibrate,
+    convert,
+)
 from spikeopt.graph.plan import Plan
 from spikeopt.neurons import FiringMechanism, SignGdNeuron
 from spikeopt.schedules import Schedule, parse_schedule, solve_signgd_coefficients
@@ -189,17 +197,18 @@ class TestInstance:
         """One coefficient set per network, checked once, not once per layer."""
         snn = snn_of(build_mlp(seed=3, dims=(8, 16, 16, 4)), family)
         assert len(snn.neuron_nodes()) == 2
-        calls, check = [], getattr(neurons, validator)
+        calls, check = [], getattr(schedules, validator)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(neurons, validator, counted)
+        monkeypatch.setattr(schedules, validator, counted)
         SnnInstance(snn)
         assert len(calls) == 1
-        monkeypatch.setattr(neurons, validator, lambda *args, **kwargs: False)
-        with pytest.raises(ValueError, match=f"{message} violate their constraint equations"):
+        monkeypatch.setattr(schedules, validator, lambda *args, **kwargs: False)
+        with pytest.raises(ConversionError,
+                           match=f"{message} violate their constraint equations"):
             SnnInstance(snn)
 
 

@@ -25,6 +25,8 @@ from spikeopt.oracles import (
 )
 from spikeopt.schedules import (
     Schedule,
+    ScheduleError,
+    check_coefficients,
     parse_schedule,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
@@ -396,11 +398,24 @@ class TestSignGdNeuronUnits:
         for spikes, copy in kept:
             np.testing.assert_array_equal(spikes, copy)
 
-    def test_corrupted_coefficients_rejected(self):
+    @pytest.mark.parametrize("family,name", [("signgd", "sign-dynamics"),
+                                             ("subgrad", "subgradient")])
+    def test_corrupted_coefficients_rejected(self, family, name):
+        """A neuron steps the set it is given; `check_coefficients`, made where
+        a set is solved, is what rejects a corrupted one, naming its family."""
         s = Schedule.inverse(1.0)
-        c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: 1.001)
-        with pytest.raises(ValueError):
-            SignGdNeuron(FiringMechanism("relu"), c, W=1.0, b=0.0)
+        if family == "signgd":
+            c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: 1.001)
+            neuron = SignGdNeuron(FiringMechanism("relu"), c, W=1.0, b=0.0)
+        else:
+            base = solve_subgrad_coefficients(s)
+            c = dataclasses.replace(base, alpha=lambda t: 1.01 * base.alpha(t))
+            neuron = SubgradNeuron(c)
+        neuron.step(np.ones(1))
+        assert neuron.t == 1
+        with pytest.raises(ScheduleError,
+                           match=f"^{name} coefficients violate their constraint equations$"):
+            check_coefficients(c)
 
     def test_arity_mismatch_rejected(self):
         s = Schedule.inverse(1.0)
@@ -528,14 +543,14 @@ def block_layer(kind, delta, schedule, parameterization, n, rng, scale):
         c = solve_subgrad_coefficients(s)
         if delta is not None:
             c = dataclasses.replace(c, beta=lambda t: delta * s(t))
-        return (SubgradNeuron(c, n=n, validate=False),
+        return (SubgradNeuron(c, n=n),
                 lambda: ReferenceSubgradNeuron(c, n), 1, None, None)
     mech = FiringMechanism(kind, delta)
     c = solve_signgd_coefficients(s, parameterization)
     # misr's idle denominators may be <= 0, so some evaluations fall back
     W = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
     b = scale * rng.integers(-2, 3, (mech.arity, n)).astype(float)
-    return (SignGdNeuron(mech, c, W=W, b=b, n=n, validate=False),
+    return (SignGdNeuron(mech, c, W=W, b=b, n=n),
             lambda: ReferenceSignGdNeuron(mech, c, s, W, b, n), mech.arity, W, b)
 
 
