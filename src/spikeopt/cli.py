@@ -90,8 +90,8 @@ def _schedule(args, family=None):
         s = parse_schedule(text)
         if family is None:
             return s, None
-        c = (solve_signgd_coefficients(s, args.parameterization) if family == "signgd"
-             else solve_subgrad_coefficients(s))
+        solve = solve_signgd_coefficients if family == "signgd" else solve_subgrad_coefficients
+        c = solve(s, args.parameterization)
         check_coefficients(c)
         return s, c
 

@@ -35,10 +35,6 @@ __all__ = [
     "RateDeterministicEncoder",
     "EmaDeterministicEncoder",
     "signed_encoder",
-    "encode_float",
-    "encode_deterministic",
-    "encode_stochastic",
-    "encode_poisson",
     "make_rng",
 ]
 
@@ -230,7 +226,7 @@ def signed_encoder(kind: str, x, schedule: Schedule, c: float = 0.5, seed: int =
 class ConstantEncoder:
     """Float encoding for rate and EMA coding: I(t) = x for every t."""
 
-    def __init__(self, x, schedule=None):
+    def __init__(self, x):
         self.x = np.asarray(x, dtype=np.float64)
         self.t = 0
 
@@ -261,7 +257,7 @@ class RateDeterministicEncoder:
     deterministic O(1/t) input regime.
     """
 
-    def __init__(self, x, schedule=None):
+    def __init__(self, x):
         self.x = np.asarray(x, dtype=np.float64)
         self.count = np.zeros_like(self.x)
         self.t = 0
@@ -292,30 +288,3 @@ class EmaDeterministicEncoder:
         s = heaviside(self.x - rho * self.xt)
         self.xt = rho * self.xt + s / self.tau
         return s
-
-
-# ---------------------------------------------------------------------------
-# Whole-train convenience wrappers.
-# ---------------------------------------------------------------------------
-
-
-def _drive(encoder, T: int) -> np.ndarray:
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    return np.array([encoder.step() for _ in range(T)])
-
-
-def encode_float(x: float, schedule: Schedule, T: int) -> np.ndarray:
-    return _drive(FloatEncoder(x, schedule), T)
-
-
-def encode_deterministic(x: float, schedule: Schedule, T: int) -> np.ndarray:
-    return _drive(DeterministicEncoder(x, schedule), T)
-
-
-def encode_stochastic(x: float, schedule: Schedule, T: int, c: float, seed: int) -> np.ndarray:
-    return _drive(StochasticEncoder(x, schedule, c, seed), T)
-
-
-def encode_poisson(x: float, T: int, seed: int) -> np.ndarray:
-    return _drive(PoissonEncoder(x, seed), T)

@@ -1,10 +1,10 @@
 """Time-stepped execution of converted networks.
 
 An SnnInstance compiles its network once into a step plan (`graph.plan`),
-whose one forced step on stand-in layers gives the calibration
-(`graph.transforms.calibration`) before each neuron layer takes its place;
-so a re-loaded network runs as the in-memory one, and no stored `cal_*`
-record is read. One coefficient set, with its memo of each step's scalars,
+whose one forced step on its own stand-in layers gives the calibration
+(`Plan.calibration`) before each neuron layer takes its place; so a
+re-loaded network runs as the in-memory one, and no stored `cal_*` record
+is read. One coefficient set, with its memo of each step's scalars,
 serves every neuron layer and the readout. It steps B items in
 lockstep, K steps at a time: the items' next K input frames go through the
 plan as one block (linear ops map all K B frames at once, each neuron layer
@@ -44,7 +44,7 @@ from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, si
 from .graph.model import Graph, ShapeMismatchError, run_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
-from .graph.transforms import ConversionError, Forced, SnnGraph, calibration
+from .graph.transforms import ConversionError, SnnGraph
 from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
 from .schedules import (
     ScheduleError,
@@ -77,7 +77,9 @@ class SnnInstance:
     """Executable state for one converted network: a batch of items stepped in
     lockstep (one item until `reset` says otherwise). It solves and checks its
     coefficient set once; a family, schedule and parameterization that give no
-    set, or one that fails the check, are a ConversionError naming all three."""
+    set, or one that fails the check, are a ConversionError naming all three.
+    Its plan calibrates the network (`Plan.calibration`), and then each
+    layer takes its stand-in's place in `plan.layers`."""
 
     def __init__(self, snn: SnnGraph):
         self.snn = snn
@@ -86,16 +88,16 @@ class SnnInstance:
         # eta(t)
         signgd = snn.family == "signgd"
         try:
-            self.coeffs = c = (solve_signgd_coefficients(snn.schedule, snn.parameterization)
-                               if signgd else solve_subgrad_coefficients(snn.schedule))
+            solve = solve_signgd_coefficients if signgd else solve_subgrad_coefficients
+            self.coeffs = c = solve(snn.schedule, snn.parameterization)
             check_coefficients(c)
         except ScheduleError as exc:
             raise ConversionError(f"{snn.family} network under schedule {snn.schedule}, "
                                   f"parameterization {snn.parameterization!r}: {exc}") from None
         # one plan: its forced step on stand-in layers gives each layer's and
         # the readout's W and b, and then each layer takes its stand-in's place
-        self.plan = Plan(snn.graph, Forced)
-        cal, (self.readout_w, self.readout_b) = calibration(self.plan)
+        self.plan = Plan(snn.graph)
+        cal, (self.readout_w, self.readout_b) = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
         for nid, (W, b) in cal.items():
             node = snn.graph.nodes[nid]
@@ -320,8 +322,3 @@ def estimate_energy(spikes: int, timesteps: int, neurons: int, neuron_kind: str,
         neurons=neurons, timesteps=timesteps, spikes=spikes,
         firing_rate=fr, n_sop=spikes, energy_joules=e,
     )
-
-
-def classify(history: np.ndarray) -> int:
-    """Classification decision from a readout history: argmax of r(T)."""
-    return int(np.argmax(history[-1]))

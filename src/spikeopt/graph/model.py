@@ -66,7 +66,7 @@ KINDS = {
 }
 
 # model parameters are float32 storage; the spike-to-sign calibration is
-# computed from them in float64 by every instance (`transforms.calibration`),
+# computed from them in float64 by every instance (`Plan.calibration`),
 # and the cal_w/cal_b records files carry are not read
 _TENSOR_PARAMS = {"weight", "bias", "gamma", "beta", "mean", "var"}
 

@@ -23,6 +23,10 @@ network a layer's state at step t depends only on its inputs up to t, so a
 block gives every step what stepping it alone gives, bit for bit. K comes
 from one rule, `block_steps`, which the plans and `neuron-sweep` share.
 
+Each neuron layer compiles as a `Forced` stand-in, which reads its currents
+in the plan's row layout; `Plan.calibration`, the stimulate/depress step, is
+one plan step on them. A network then puts its layers in their places.
+
 Dense and affine nodes have their own rule, `DenseRule`: row j of x W^T + b
 is row j of one GEMM over a tile of exactly R = 16 rows, against the
 transposed weight with its output rows zero-padded to a multiple of 8, plus
@@ -213,11 +217,26 @@ class _Value:
         return flat.reshape(self.shape)
 
 
+class Forced:
+    """Calibration stand-in for neuron node `node`: records its currents;
+    item 0 emits 1 and item 1 emits 0."""
+
+    def __init__(self, node: Node):
+        self.n = node.params["count"]
+
+    def step(self, currents, steps, out, scratch=None, observer=None):
+        """A block of one step of the two items: keeps the (arity, 2, n)
+        currents (the plan reuses its buffers) and writes the spikes."""
+        self.currents = currents.reshape(2, -1, self.n).transpose(1, 0, 2).copy()
+        out[0], out[1] = 1.0, 0.0
+        return out
+
+
 class Plan:
-    """The ops of one graph of `STEPPABLE` kinds. `layer(node)` builds the
-    object that steps neuron node `node`, and `layers` maps each neuron node
-    id to it; a neuron op steps the object `layers` holds when it runs, so
-    another put in its place steps from then on. Its
+    """The ops of one graph of `STEPPABLE` kinds. `layers` maps each neuron
+    node id to the object that steps it, at first a `Forced` stand-in; a
+    neuron op steps the object `layers` holds when it runs, so another put
+    in its place steps from then on. Its
     `step(I, steps=K, out=, scratch=, observer=)` takes the
     K B rows of arity n influx currents of a block, row k B + b holding step
     k of item b operand by operand, writes the K B rows of n spikes into
@@ -232,7 +251,7 @@ class Plan:
     `observer(node id, kind, k)` after step k of each neuron layer and
     `observer(node id, kind, None)` after every other op."""
 
-    def __init__(self, graph: Graph, layer):
+    def __init__(self, graph: Graph):
         self.input_size = math.prod(graph.nodes[graph.input_id].params["shape"])
         self.ops: list = []
         self.layers: dict = {}
@@ -248,7 +267,7 @@ class Plan:
             if node.kind == "input":
                 return _Value(0, None, node.params["shape"], node.id)
             if node.kind == "neuron":
-                return self._neuron(node, ins, layer)
+                return self._neuron(node, ins)
             if node.kind in _MOVES and len({v.slot for v in ins}) == 1:
                 # run the move on the inputs' source indices: one composed selection
                 sel = node_forward(node, [v.indices() for v in ins])
@@ -260,6 +279,18 @@ class Plan:
         # doubles per row of the slots the budget counts
         self.block_width = sum(w for w, counted in zip(self.widths, self._budgeted) if counted)
         self._share()
+
+    def calibration(self) -> tuple[dict, tuple]:
+        """Stimulate/depress on the `Forced` stand-ins: one step of two items,
+        the input and every layer emitting all-ones in item 0 (the stimulated
+        currents I+) and all-zeros in item 1 (the idle currents I-). Returns
+        ({neuron node id: (W, b)}, (W_out, b_out)) in float64, W = I+ - I-
+        and b = I- per neuron operand, (arity, n), and for the output node."""
+        self.reset(2)
+        out_hi, out_lo = self.step(np.repeat([[1.0], [0.0]], self.input_size, axis=1))
+        layers = {nid: (layer.currents[:, 0] - layer.currents[:, 1], layer.currents[:, 1].copy())
+                  for nid, layer in self.layers.items()}
+        return layers, (out_hi - out_lo, out_lo.copy())
 
     def block_steps(self, batch: int, T: int) -> int:
         """Steps per block for `batch` items over T steps (`block_steps`)."""
@@ -372,13 +403,13 @@ class Plan:
         self._op(node.id, node.kind, op, [i for i, _ in srcs], out)
         return _Value(out, None, shape, node.id)
 
-    def _neuron(self, node, ins: list[_Value], layer) -> _Value:
+    def _neuron(self, node, ins: list[_Value]) -> _Value:
         n = node.params["count"]
         sizes = [math.prod(v.shape) for v in ins]
         if any(size not in (n, 1) for size in sizes):
             raise GraphError(f"node {node.id!r} (neuron) has count {n} but operands "
                              f"of sizes {sizes}")
-        self.layers[node.id] = layer(node)
+        self.layers[node.id] = Forced(node)
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)

@@ -1,7 +1,8 @@
 """Conversion transforms: batch-norm folding, ReLU range normalization,
-max-pool tree decomposition, layer-norm decomposition, neuron substitution,
-and the stimulate/depress calibration, which every `SnnInstance` computes
-from the weights (`calibration`); `calibrate` only writes the records files carry.
+max-pool tree decomposition, layer-norm decomposition and neuron
+substitution. The stimulate/depress calibration is a step of the network's
+own plan (`Plan.calibration`), which every `SnnInstance` runs; `calibrate`
+only writes it into the records files carry.
 
 Every transform preserves the graph's real-arithmetic forward semantics; the
 decompositions rewrite one nonlinear tensor operator into linear plumbing plus
@@ -29,7 +30,6 @@ __all__ = [
     "decompose_maxpool",
     "decompose_layernorm",
     "convert",
-    "calibration",
     "calibrate",
 ]
 
@@ -372,40 +372,12 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
     return SnnGraph(snn_graph, neuron_family, schedule, parameterization)
 
 
-class Forced:
-    """Calibration stand-in for neuron node `node` (a `Plan` layer): records
-    its currents; item 0 emits 1 and item 1 emits 0."""
-
-    def __init__(self, node: Node):
-        self.n = node.params["count"]
-
-    def step(self, currents, steps, out, scratch=None, observer=None):
-        """A block of one step of the two items: keeps the (arity, 2, n)
-        currents (the plan reuses its buffers) and writes the spikes."""
-        self.currents = currents.reshape(2, -1, self.n).transpose(1, 0, 2).copy()
-        out[0], out[1] = 1.0, 0.0
-        return out
-
-
-def calibration(plan: Plan) -> tuple[dict, tuple]:
-    """Stimulate/depress on `plan`, compiled with `Forced` layers: one step of
-    two items, the input and every layer emitting all-ones in item 0 (the
-    stimulated currents I+) and all-zeros in item 1 (the idle currents I-).
-    Returns ({neuron node id: (W, b)}, (W_out, b_out)) in float64, W = I+ - I-
-    and b = I- per neuron operand, (arity, n), and for the output node."""
-    plan.reset(2)
-    out_hi, out_lo = plan.step(np.repeat([[1.0], [0.0]], plan.input_size, axis=1))
-    layers = {nid: (layer.currents[:, 0] - layer.currents[:, 1], layer.currents[:, 1].copy())
-              for nid, layer in plan.layers.items()}
-    return layers, (out_hi - out_lo, out_lo.copy())
-
-
 def calibrate(snn: SnnGraph) -> SnnGraph:
-    """Write the network's `calibration` into the `cal_w`/`cal_b` records of
-    its neuron nodes and output node, which model files carry. Nothing reads
-    the records: every `SnnInstance` computes its own calibration."""
+    """Write the network's `Plan.calibration` into the `cal_w`/`cal_b`
+    records of its neuron nodes and output node, which model files carry.
+    Nothing reads the records: every `SnnInstance` computes its own."""
     g = snn.graph
-    layers, (w_out, b_out) = calibration(Plan(g, Forced))
+    layers, (w_out, b_out) = Plan(g).calibration()
     for nid, (w, b) in layers.items():
         g.nodes[nid].params.update(cal_w=w, cal_b=b)
     g.nodes[g.output_id].params.update(cal_w=w_out, cal_b=b_out)

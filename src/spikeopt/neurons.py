@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import EmaDecoder, RateDecoder, heaviside
-from .schedules import SignGdCoefficients, SubgradCoefficients
+from .schedules import SignGdCoefficients, SubgradCoefficients, float_text
 
 __all__ = [
     "IfLifParams",
@@ -354,7 +354,7 @@ class FiringMechanism:
     @property
     def name(self) -> str:
         if self.kind == "leaky":
-            return f"signgd:leaky:{self.delta:g}"
+            return f"signgd:leaky:{float_text(self.delta)}"
         return f"signgd:{self.kind}"
 
 

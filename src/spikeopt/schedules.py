@@ -42,6 +42,7 @@ __all__ = [
     "SubgradCoefficients",
     "ScheduleError",
     "parse_schedule",
+    "float_text",
     "solve_signgd_coefficients",
     "validate_signgd_coefficients",
     "solve_subgrad_coefficients",
@@ -127,11 +128,15 @@ class Schedule:
         return float(np.sum(self(np.arange(1, T + 1))))
 
     def __str__(self) -> str:
-        if self.kind == "inverse":
-            return f"inv:{self.params[0]:g}"
-        if self.kind == "exponential":
-            return f"exp:{self.params[0]:g}:{self.params[1]:g}"
-        return f"const:{self.params[0]:g}"
+        prefix = {"inverse": "inv", "exponential": "exp", "constant": "const"}[self.kind]
+        return ":".join([prefix, *map(float_text, self.params)])
+
+
+def float_text(x: float) -> str:
+    """x as its `:g` text where that reads back as x, else as the shortest
+    text that does: how schedules and mechanism names write their numbers."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -238,12 +243,17 @@ class SubgradCoefficients:
             return row
 
 
-def solve_subgrad_coefficients(s: Schedule) -> SubgradCoefficients:
-    """Canonical solution alpha(t) = 1 - eta(t+1), beta(t) = gamma(t) = eta(t).
+def solve_subgrad_coefficients(s: Schedule,
+                               parameterization: str = "canonical") -> SubgradCoefficients:
+    """Canonical solution alpha(t) = 1 - eta(t+1), beta(t) = gamma(t) = eta(t),
+    the only named one.
 
     Requires eta(t) < 1 over the evaluated range so 1 - eta(t) stays positive;
     all supported kinds are non-increasing for t >= 1, so eta(1) < 1 suffices.
     """
+    if parameterization != "canonical":
+        raise ScheduleError(f"subgradient coefficients have only the canonical "
+                            f"parameterization, not {parameterization!r}")
     if s(1) >= 1.0:
         raise ScheduleError(
             f"subgradient coefficients need eta(t) < 1; schedule {s} has eta(1) = {s(1):g}"

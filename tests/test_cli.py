@@ -680,6 +680,32 @@ def test_schedule_the_coefficients_cannot_use_exits_2(tmp_path, capfd, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--neuron", "subgrad", "--steps", "20"],
+    ["convert", "ANN", "--family", "subgrad", "--out", "OUT"],
+], ids=["oracle-check", "convert"])
+def test_subgrad_takes_only_the_canonical_parameterization(ann_file, tmp_path, capsys, argv):
+    """The subgradient family has one named coefficient set: unit-current
+    ends the command with exit status 2 and one stderr line naming
+    --schedule, as the sign family's unit-current on inv:1 does."""
+    argv = [{"ANN": str(ann_file), "OUT": str(tmp_path / "out")}.get(x, x) for x in argv]
+    assert main([*argv, "--parameterization", "unit-current"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and not list(tmp_path.iterdir())
+    assert err.startswith(f"spikeopt {argv[0]}: error: --schedule: subgradient coefficients "
+                          f"have only the canonical parameterization, not 'unit-current'")
+
+
+def test_a_converted_network_reloads_under_its_schedule(ann_file, tmp_path, capsys):
+    """A converted file holds the schedule of --schedule to the last bit: at
+    six significant digits the decay 0.9999999 would read back as 1, a
+    constant schedule."""
+    flag = "exp:0.9:0.9999999"
+    assert main(["convert", str(ann_file), "--family", "signgd", "--schedule", flag,
+                 "--out", str(tmp_path / "snn")]) == 0
+    assert SnnGraph.load(tmp_path / "snn.json").schedule == parse_schedule(flag)
+
+
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory):
     """Per (model, family) of CONFIGS: the saved ANN file, the saved converted
@@ -810,6 +836,9 @@ def test_an_snn_file_with_one_meta_value_dropped_or_replaced_exits_cleanly(
      "unit-current parameterization requires an exponential schedule"),
     ("signgd", "parameterization", "bogus", "unknown parameterization 'bogus'"),
     ("signgd", "parameterization", 3, "unknown parameterization 3"),
+    *(("subgrad", "parameterization", value, "subgradient coefficients have only the "
+       f"canonical parameterization, not {value!r}")
+      for value in ("unit-current", "bogus", 3, {})),
 ])
 def test_meta_whose_coefficient_set_cannot_be_solved_exits_2(
         model_files, tmp_path, capsys, command, family, key, value, reason):

@@ -12,15 +12,16 @@ from spikeopt.codec import (
     RateDeterministicEncoder,
     SignedDecoder,
     StochasticEncoder,
-    encode_deterministic,
-    encode_float,
-    encode_poisson,
-    encode_stochastic,
     _ItemGenerators,
     heaviside,
     make_rng,
 )
 from spikeopt.schedules import Schedule
+
+
+def emitted(encoder, T):
+    """The first T emissions of `encoder`, as an array."""
+    return np.array([encoder.step() for _ in range(T)])
 
 
 def drive(decoder, spikes):
@@ -65,11 +66,11 @@ class TestDecoders:
 
 class TestFloatEncoder:
     def test_zero_input_first_emission(self):
-        assert encode_float(0.0, Schedule.inverse(1.0), 1)[0] == 0.5
+        assert emitted(FloatEncoder(0.0, Schedule.inverse(1.0)), 1)[0] == 0.5
 
     def test_traced_example(self):
         # x = 2, constant eta = 1: grad -2 then 0
-        train = encode_float(2.0, Schedule.constant(1.0), 2)
+        train = emitted(FloatEncoder(2.0, Schedule.constant(1.0)), 2)
         np.testing.assert_allclose(train, [-0.5, 0.5])
 
     def test_replay_identity(self):
@@ -86,7 +87,7 @@ class TestFloatEncoder:
 class TestDeterministicEncoder:
     def test_spec_trace(self):
         # x = 0.3, inverse(1): H(0)=1 fires first, then chase
-        train = encode_deterministic(0.3, Schedule.inverse(1.0), 3)
+        train = emitted(DeterministicEncoder(0.3, Schedule.inverse(1.0)), 3)
         np.testing.assert_array_equal(train, [0, 1, 0])
         dec = SignedDecoder(Schedule.inverse(1.0))
         y = drive(dec, train)
@@ -105,7 +106,7 @@ class TestDeterministicEncoder:
 
     def test_saturation_far_outside_range(self):
         s = Schedule.exponential(0.15, 0.965)
-        train = encode_deterministic(100.0, s, 64)
+        train = emitted(DeterministicEncoder(100.0, s), 64)
         np.testing.assert_array_equal(train, np.zeros(64))
         dec = SignedDecoder(s)
         assert drive(dec, train) == pytest.approx(s.cumulative(64))
@@ -137,12 +138,12 @@ class TestDeterministicEncoder:
 
 class TestStochasticEncoder:
     def test_c_zero_is_fair_coin(self):
-        train = encode_stochastic(0.5, Schedule.inverse(1.0), 4000, c=0.0, seed=7)
+        train = emitted(StochasticEncoder(0.5, Schedule.inverse(1.0), c=0.0, seed=7), 4000)
         assert abs(train.mean() - 0.5) < 0.03
 
     def test_seed_determinism(self):
-        a = encode_stochastic(0.2, Schedule.inverse(1.0), 256, c=1.0, seed=99)
-        b = encode_stochastic(0.2, Schedule.inverse(1.0), 256, c=1.0, seed=99)
+        a = emitted(StochasticEncoder(0.2, Schedule.inverse(1.0), c=1.0, seed=99), 256)
+        b = emitted(StochasticEncoder(0.2, Schedule.inverse(1.0), c=1.0, seed=99), 256)
         np.testing.assert_array_equal(a, b)
 
     def test_replay_identity(self):
@@ -160,17 +161,17 @@ class TestStochasticEncoder:
 
 class TestPoissonEncoder:
     def test_zero_gives_silence(self):
-        np.testing.assert_array_equal(encode_poisson(0.0, 32, seed=1), np.zeros(32))
+        np.testing.assert_array_equal(emitted(PoissonEncoder(0.0, seed=1), 32), np.zeros(32))
 
     def test_above_one_saturates(self):
-        np.testing.assert_array_equal(encode_poisson(1.5, 32, seed=1), np.ones(32))
+        np.testing.assert_array_equal(emitted(PoissonEncoder(1.5, seed=1), 32), np.ones(32))
 
     def test_rate_statistics(self):
-        train = encode_poisson(0.5, 10_000, seed=42)
+        train = emitted(PoissonEncoder(0.5, seed=42), 10_000)
         assert abs(train.mean() - 0.5) < 0.02
 
     def test_rate_decode_matches_mean(self):
-        train = encode_poisson(0.3, 500, seed=5)
+        train = emitted(PoissonEncoder(0.3, seed=5), 500)
         assert drive(RateDecoder(), train) == pytest.approx(train.mean())
 
 

@@ -16,7 +16,6 @@ from spikeopt.engine import (
     EnergyModel,
     SnnInstance,
     ann_forward,
-    classify,
     estimate_energy,
     make_input_encoder,
     probe,
@@ -184,10 +183,6 @@ class TestInstance:
             residual = enc.f - x  # encoder's remaining input error
             if t in (1, 10, 100):
                 np.testing.assert_allclose(r - ref, m @ residual, atol=1e-9)
-
-    def test_classify(self):
-        hist = np.array([[0.1, 0.9], [0.8, 0.2]])
-        assert classify(hist) == 0
 
     @pytest.mark.parametrize("family,validator,message", [
         ("signgd", "validate_signgd_coefficients", "sign-dynamics coefficients"),
@@ -436,12 +431,13 @@ class TestCnnPath:
 
 
 @pytest.mark.parametrize("model,family", CONFIGS)
-@pytest.mark.parametrize("schedule", ["inv:1", "exp:0.5:0.99"])
+@pytest.mark.parametrize("schedule", ["inv:1", "exp:0.5:0.99", "inv:1.2345678"])
 def test_a_saved_and_reloaded_network_runs_as_the_in_memory_one(tmp_path, model, family,
                                                                  schedule):
     """Model files store float32 records; a re-loaded network still computes
-    the float64 calibration of the in-memory one, so its readouts and spike
-    counts are the same, bit for bit, under every encoder."""
+    the float64 calibration of the in-memory one, and its file holds every
+    bit of its schedule, so its readouts and spike counts are the same, bit
+    for bit, under every encoder."""
     snn = calibrate(convert(MODELS[model](), family, parse_schedule(schedule)))
     snn.save(tmp_path / "net")
     back = SnnGraph.load(tmp_path / "net")

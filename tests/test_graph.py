@@ -458,6 +458,21 @@ def test_a_leaky_relu_without_a_slope_takes_the_default():
     assert snn.graph.nodes["act0"].params["mech"] == f"signgd:leaky:{FiringMechanism.delta:g}"
 
 
+def test_a_converted_leaky_layer_keeps_its_slope(tmp_path):
+    """The mechanism name is the only place a converted graph keeps a leaky
+    slope, and it keeps every bit of it: at slope 1/3 the converted graph's
+    forward, in memory and re-loaded, is the source's, bit for bit."""
+    g = build_mlp(seed=5, dims=(4, 6, 2), act="leaky_relu", act_params={"delta": 1 / 3})
+    snn = calibrate(convert(g, "signgd", Schedule.inverse(1.0)))
+    snn.save(tmp_path / "snn")
+    X = make_rng(2).normal(0, 10, (8, 4))
+    assert min(run_forward(g, x)["fc0"].min() for x in X) < -10
+    for net in (snn, SnnGraph.load(tmp_path / "snn")):
+        for x in X:
+            np.testing.assert_array_equal(run_forward(net.graph, x)["out"],
+                                          run_forward(g, x)["out"])
+
+
 @pytest.mark.parametrize("family", ["signgd", "subgrad"])
 @pytest.mark.parametrize("node,key", [("act0", "cal_w"), ("act0", "cal_b"),
                                       ("out", "cal_w"), ("out", "cal_b")])
@@ -818,7 +833,7 @@ def test_every_kind_is_steppable_or_rejected(kind):
         with pytest.raises(GraphError, match=rf"'x' \({kind}\)"):
             SnnGraph(g, "signgd", Schedule.inverse(1.0))
         with pytest.raises(GraphError, match=rf"'x' \({kind}\) has no step rule"):
-            Plan(g, None)
+            Plan(g)
         return
     from spikeopt.engine import run
 

@@ -175,6 +175,13 @@ class TestMechanisms:
         with pytest.raises(ValueError):
             parse_mechanism("signgd:relu:0.3")
 
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_leaky_name_reads_back_as_its_slope(self, d):
+        """A leaky mechanism's name keeps every bit of its slope: the name is
+        where a converted graph keeps it."""
+        assert parse_mechanism(FiringMechanism("leaky", d).name) == FiringMechanism("leaky", d)
+
     def test_relu_sign_logic(self):
         m = FiringMechanism("relu")
         assert m.spike(np.array([0.5]), np.array([[2.0]]))[0] == 0.0

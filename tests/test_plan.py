@@ -348,7 +348,7 @@ def test_batched_add_is_the_per_item_add(shapes):
     add = Node("add", "add", {})
     g = Graph(nodes + [add, Node("out", "output", {})], edges + [("add", "out", 0)])
     X = make_rng(3).normal(0, 1, (4, int(starts[-1])))
-    plan = Plan(g, None)
+    plan = Plan(g)
     plan.reset(len(X))
     got = plan.step(X)
     for x, row in zip(X, got):
@@ -560,7 +560,6 @@ BENCH_NETS = {
 def test_block_steps(net, width, batch, T, steps):
     """K is the most steps whose block slot rows fit 1 MiB, rounded down to
     whole R-row tiles where the budget allows, and at most T."""
-    plan = Plan(calibrate(convert(BENCH_NETS[net](), "signgd", parse_schedule("inv:1"))).graph,
-                lambda node: None)
+    plan = Plan(calibrate(convert(BENCH_NETS[net](), "signgd", parse_schedule("inv:1"))).graph)
     assert plan.block_width == width
     assert plan.block_steps(batch, T) == steps

@@ -46,6 +46,10 @@ class TestEval:
             Schedule.exponential(0.1, 1.5)
 
 
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+DECAY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
 class TestParse:
     @pytest.mark.parametrize(
         "text,kind,params",
@@ -58,6 +62,15 @@ class TestParse:
     def test_roundtrip(self, text, kind, params):
         s = parse_schedule(text)
         assert s.kind == kind and s.params == params
+        assert str(s) == text and parse_schedule(str(s)) == s
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.one_of(st.builds(Schedule.inverse, POSITIVE),
+                       st.builds(Schedule.exponential, POSITIVE, DECAY),
+                       st.builds(Schedule.constant, POSITIVE)))
+    def test_text_reads_back_as_the_same_schedule(self, s):
+        """A schedule's text keeps every bit of its parameters: it is what a
+        saved network's file holds."""
         assert parse_schedule(str(s)) == s
 
     def test_bad_syntax(self):
