@@ -77,7 +77,8 @@ class SnnInstance:
     """Executable state for one converted network: a batch of items stepped in
     lockstep (one item until `reset` says otherwise). It solves and checks its
     coefficient set once; a family, schedule and parameterization that give no
-    set, or one that fails the check, are a ConversionError naming all three.
+    set, or one that fails the check, are a ConversionError naming all three
+    and the file the network was loaded from.
     Its plan calibrates the network (`Plan.calibration`), and then each
     layer takes its stand-in's place in `plan.layers`."""
 
@@ -92,7 +93,8 @@ class SnnInstance:
             self.coeffs = c = solve(snn.schedule, snn.parameterization)
             check_coefficients(c)
         except ScheduleError as exc:
-            raise ConversionError(f"{snn.family} network under schedule {snn.schedule}, "
+            where = f"{snn.path}: " if snn.path else ""
+            raise ConversionError(f"{where}{snn.family} network under schedule {snn.schedule}, "
                                   f"parameterization {snn.parameterization!r}: {exc}") from None
         # one plan: its forced step on stand-in layers gives each layer's and
         # the readout's W and b, and then each layer takes its stand-in's place

@@ -39,6 +39,8 @@ __all__ = [
     "leaky_slope",
     "linear_shape",
     "run_forward",
+    "shape_witness",
+    "window_indices",
 ]
 
 
@@ -480,11 +482,13 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
                                  f"{[tuple(sh) for sh in shapes]}") from None
 
 
-def infer_shapes(g: Graph) -> dict[str, tuple]:
-    """Every node's output shape: the shapes of `run_forward` on a ones input,
-    those of the `linear_shape` kinds and of pooling by shape arithmetic
-    (values are not read, so numeric warnings are silenced)."""
-    def visit(node, inputs):
+def shape_witness(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
+    """An array of the shape `node_forward` gives `node` fed arrays of the
+    shapes of `inputs`: a ones frame for an input node, ones of the shape
+    arithmetic of the `linear_shape` kinds and of pooling, and the node's
+    own rule for every other kind. Misfits raise as `node_forward` would.
+    Values are not read, so numeric warnings are silenced."""
+    with np.errstate(all="ignore"):
         if node.kind == "input":
             return np.ones(tuple(node.params["shape"]))
         if node.kind in ("dense", "affine", "conv2d"):
@@ -493,9 +497,27 @@ def infer_shapes(g: Graph) -> dict[str, tuple]:
             return np.ones(_pool_shape(node, inputs[0].shape))
         return node_forward(node, inputs)
 
-    with np.errstate(all="ignore"):
-        acts = g.walk(visit)
-    return {nid: a.shape for nid, a in acts.items()}
+
+def infer_shapes(g: Graph) -> dict[str, tuple]:
+    """Every node's output shape, from the walk of `shape_witness`."""
+    return {nid: a.shape for nid, a in g.walk(shape_witness).items()}
+
+
+def window_indices(shape, kernel, stride, padding=(0, 0)) -> tuple:
+    """The windows of `kernel` slid by `stride` over a (C, H, W) frame of
+    `shape` padded by `padding`: the (C, kh, kw, Ho, Wo) flat index into the
+    frame of every window element (c, dy, dx) of window (y, x), and the
+    (kh, kw, Ho, Wo) mask of the elements inside the frame (an element in
+    the padding has index 0)."""
+    c, h, w = shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    rows = np.arange(kh)[:, None, None, None] + sh * np.arange(ho)[:, None] - ph
+    cols = np.arange(kw)[:, None, None] + sw * np.arange(wo) - pw
+    inside = (0 <= rows) & (rows < h) & (0 <= cols) & (cols < w)
+    table = np.arange(c)[:, None, None, None, None] * (h * w) + np.where(
+        inside, rows * w + cols, 0)
+    return table, inside
 
 
 def run_forward(g: Graph, x: np.ndarray) -> dict[str, np.ndarray]:

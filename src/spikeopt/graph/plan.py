@@ -6,10 +6,11 @@ concat within one slot) compose into one index selection; dense/affine,
 conv2d, add and concat across slots fill a new slot; a neuron layer reads
 one whole slot, or takes its operands from one slot with one (arity, n)
 index table (operands in several slots are joined by the concat rule first).
-The compiler is a visit of `Graph.walk`, the walk `run_forward` and
-`infer_shapes` make: it maps each node, given its inputs' compiled values,
-to its own. Inputs resolve to integer slots, output shapes come from shape
-arithmetic, and each weight is converted to float64 once.
+The compiler is a visit of `Graph.walk`, the walk `run_forward`,
+`infer_shapes` and the conversion transforms make: it maps each node, given
+its inputs' compiled values, to its own. Inputs resolve to integer slots,
+output shapes come from shape arithmetic, and each weight is converted to
+float64 once.
 
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
@@ -57,7 +58,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Graph, GraphError, Node, linear_shape, node_forward
+from .model import Graph, GraphError, Node, linear_shape, node_forward, window_indices
 
 __all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
 
@@ -154,31 +155,24 @@ class ConvRule:
     """The product of one conv2d node fed (C, H, W) frames: the (O, Ho, Wo)
     cross-correlation plus bias, for (N, C H W) rows x, as (N, O P) rows
     with P = Ho Wo. One take of the flat (F, P) index `table`, F = C kh kw,
-    gathers each frame's patches into an (N, F, P) stack, the stride folded
-    into the table and each padding entry zeroed after the take through
-    the `pad` mask (None without padding). Then one np.matmul of the
-    C-contiguous (O, F) float64 weight against the stack makes one BLAS
-    call of the same shape per frame, and the bias, repeated over the P
-    positions once, is added in place (an (O, 1) bias broadcast over P made
-    numpy allocate a buffer on every call): a frame's bits do not depend on
-    its neighbours or on its position in the block."""
+    the windows of `model.window_indices`, gathers each frame's patches
+    into an (N, F, P) stack, the stride folded into the table and each
+    padding entry zeroed after the take through the `pad` mask (None
+    without padding). Then one np.matmul of the C-contiguous (O, F)
+    float64 weight against the stack makes one BLAS call of the same shape
+    per frame, and the bias, repeated over the P positions once, is added
+    in place (an (O, 1) bias broadcast over P made numpy allocate a buffer
+    on every call): a frame's bits do not depend on its neighbours or on
+    its position in the block."""
 
     def __init__(self, w, b, in_shape, stride=(1, 1), padding=(0, 0)):
-        o, c, kh, kw = np.shape(w)
-        _, h, wd = in_shape
-        (sh, sw), (ph, pw) = stride, padding
-        ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
-        self.shape = (o, ho, wo)
-        # row and column in the frame of patch entry (c, dy, dx; y, x)
-        rows = np.arange(kh)[:, None, None, None] + sh * np.arange(ho)[:, None] - ph
-        cols = np.arange(kw)[:, None, None] + sw * np.arange(wo) - pw
-        inside = (0 <= rows) & (rows < h) & (0 <= cols) & (cols < wd)
-        table = np.arange(c)[:, None, None, None, None] * (h * wd) + np.where(
-            inside, rows * wd + cols, 0)
+        o = len(w)
+        table, inside = window_indices(in_shape, np.shape(w)[2:], stride, padding)
+        self.shape = (o, *table.shape[3:])
         self.table = table.reshape(-1)
-        self.pad = np.broadcast_to(~inside, table.shape).reshape(-1) if ph or pw else None
+        self.pad = np.broadcast_to(~inside, table.shape).reshape(-1) if any(padding) else None
         self.w = np.ascontiguousarray(np.reshape(w, (o, -1)), dtype=np.float64)
-        self.b = np.repeat(np.asarray(b, dtype=np.float64), ho * wo)
+        self.b = np.repeat(np.asarray(b, dtype=np.float64), math.prod(self.shape[1:]))
 
     @classmethod
     def of(cls, node: Node, in_shape) -> "ConvRule":

@@ -6,7 +6,12 @@ only writes it into the records files carry.
 
 Every transform preserves the graph's real-arithmetic forward semantics; the
 decompositions rewrite one nonlinear tensor operator into linear plumbing plus
-binary-input nonlinearities that spiking neurons can evaluate.
+binary-input nonlinearities that spiking neurons can evaluate. Every transform
+but `normalize_relu`, which reads data, is a set of rewrite rules applied in
+one visit of `Graph.walk` (`_rewrite`): a rule replaces a node by the nodes it
+emits, which go through the rules in turn, so one walk of `convert` turns a
+max pool into max2 stages and each max2 into a neuron layer. Shapes travel
+with the walk as `model.shape_witness` arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 from ..neurons import MECHANISMS, FiringMechanism
 from ..schedules import Schedule, ScheduleError, parse_schedule
 from . import io as gio
-from .model import Graph, GraphError, Node, infer_shapes, leaky_slope, run_forward
+from .model import (Graph, GraphError, Node, leaky_slope, run_forward, shape_witness,
+                    window_indices)
 from .plan import STEPPABLE, Plan
 
 __all__ = [
@@ -38,16 +44,37 @@ class ConversionError(GraphError):
     """A node cannot be converted or transformed as requested."""
 
 
+def _rewrite(g: Graph, rules: dict) -> Graph:
+    """`g` rewritten in one walk: each node goes to the rule for its kind,
+    `rule(node, ins, emit, nodes)`, or is copied. A value of the walk is
+    (node id, shape witness), from `model.shape_witness`. `emit(node, ins)`
+    adds `node` fed by the values `ins` in port order, through the rules
+    first, and returns its value; `nodes` maps the ids emitted so far to
+    their nodes. A rule returns the value its node's consumers read."""
+    nodes: dict[str, Node] = {}
+    edges: list = []
+
+    def emit(node, ins):
+        if node.kind in rules:
+            return rules[node.kind](node, ins, emit, nodes)
+        if node.id in nodes:
+            raise GraphError("duplicate node ids")
+        nodes[node.id] = node
+        edges.extend((src, node.id, port) for port, (src, _) in enumerate(ins))
+        return node.id, shape_witness(node, [x for _, x in ins])
+
+    try:
+        g.walk(lambda node, ins: emit(Node(node.id, node.kind, dict(node.params)), ins))
+    finally:
+        del emit  # it holds itself: unbound, the new graph is freed by reference counting
+    return Graph(list(nodes.values()), edges)
+
+
 def fold_batchnorm(g: Graph) -> Graph:
-    """Absorb inference-time batch norm into the preceding dense/conv node."""
-    g = g.copy()
-    nodes = [g.nodes[i] for i in g.topo_order]
-    edges = list(g.edges)
-    for bn in [n for n in nodes if n.kind == "batchnorm"]:
-        preds = g.inputs_of(bn.id)
-        if len(preds) != 1:
-            raise ConversionError(f"batchnorm {bn.id!r} needs a single producer")
-        prev = g.nodes[preds[0]]
+    """Absorb inference-time batch norm into the preceding dense/conv node;
+    the producer and its consumers are those of `g`."""
+    def fold(bn, ins, emit, nodes):
+        prev = g.nodes[g.inputs_of(bn.id)[0]]
         if prev.kind not in ("dense", "conv2d"):
             raise ConversionError(
                 f"batchnorm {bn.id!r} follows {prev.kind!r}; only dense/conv2d can fold"
@@ -56,25 +83,19 @@ def fold_batchnorm(g: Graph) -> Graph:
             raise ConversionError(
                 f"cannot fold batchnorm {bn.id!r}: producer {prev.id!r} feeds other nodes"
             )
+        out = nodes[ins[0][0]]
         scale = bn.tensor("gamma") / np.sqrt(bn.tensor("var") + bn.params["eps"])
-        w, b = prev.tensor("weight"), prev.tensor("bias")
+        w, b = out.tensor("weight"), out.tensor("bias")
         if scale.shape != w.shape[:1]:
             raise ConversionError(f"batchnorm {bn.id!r} has {scale.size} channels but its "
                                   f"producer {prev.id!r} has {w.shape[0]}")
-        if prev.kind == "dense":
-            w = w * scale[:, None]
-        else:
-            w = w * scale[:, None, None, None]
+        w = w * scale.reshape(-1, *[1] * (w.ndim - 1))  # per output channel
         b = (b - bn.tensor("mean")) * scale + bn.tensor("beta")
-        prev.params["weight"] = w.astype(np.float32)
-        prev.params["bias"] = b.astype(np.float32)
-        # splice the bn node out
-        nodes = [n for n in nodes if n.id != bn.id]
-        edges = [(s, d, p) for s, d, p in edges if d != bn.id]
-        edges = [
-            (prev.id, d, p) if s == bn.id else (s, d, p) for s, d, p in edges
-        ]
-    return Graph(nodes, edges)
+        out.params["weight"] = w.astype(np.float32)
+        out.params["bias"] = b.astype(np.float32)
+        return ins[0]  # consumers read the producer
+
+    return _rewrite(g, {"batchnorm": fold})
 
 
 def normalize_relu(g: Graph, calib_inputs) -> Graph:
@@ -121,17 +142,39 @@ def normalize_relu(g: Graph, calib_inputs) -> Graph:
     return g
 
 
-def _tournament_rounds(count: int) -> list[tuple[list[int], list[int], list[int]]]:
-    """Pairings (a_idx, b_idx, bye_idx) per round reducing `count` slots to 1."""
-    rounds = []
-    slots = list(range(count))
-    while len(slots) > 1:
-        a = slots[0::2][: len(slots) // 2]
-        b = slots[1::2]
-        bye = slots[len(b) * 2 :]
-        rounds.append((a, b, bye))
-        slots = list(range(len(b) + len(bye)))
-    return rounds
+def _maxpool(mp, ins, emit, nodes):
+    """The binary-max tournament of a max pooling (`decompose_maxpool`)."""
+    c, ho, wo = shape_witness(mp, [ins[0][1]]).shape  # a misfit is named first
+    kh, kw = kernel = mp.params["kernel"]
+    table, _ = window_indices(ins[0][1].shape, kernel, mp.params.get("stride", kernel))
+    # pos[window, k, l] = flat index into the current stage tensor of the
+    # window element being reduced along l; windows in (C, Ho, Wo) order,
+    # and k = dx while the rows (l = dy) reduce in lockstep over dx
+    pos = table.transpose(0, 3, 4, 2, 1).reshape(-1, kw, kh)
+    value, stage = ins[0], 0
+    for _ in ("rows", "columns"):
+        while pos.shape[2] > 1:
+            # pair slots 2i and 2i + 1; an odd count's last slot is a bye
+            m = pos.shape[2] // 2
+            a, b, bye = pos[:, :, 0 : 2 * m : 2], pos[:, :, 1 : 2 * m : 2], pos[:, :, 2 * m :]
+            base, stage_in = f"{mp.id}.s{stage}", [value]
+
+            def select(suffix, part):
+                return emit(Node(f"{base}.{suffix}", "gather", {"indices": part.reshape(-1)}),
+                            stage_in)
+
+            ga, gb = select("a", a), select("b", b)
+            value = emit(Node(f"{base}.max", "max2", {}), [ga, gb])
+            if bye.size:
+                value = emit(Node(f"{base}.cat", "concat", {}), [value, select("bye", bye)])
+            # positions in the stage output: every pair, then every bye
+            pos = np.concatenate([np.arange(a.size).reshape(a.shape),
+                                  a.size + np.arange(bye.size).reshape(bye.shape)], axis=2)
+            stage += 1
+        pos = pos.transpose(0, 2, 1)  # each window now holds one row of kw
+    # reorder the surviving elements into (C, Ho, Wo) and keep the id
+    order = emit(Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)}), [value])
+    return emit(Node(mp.id, "reshape", {"shape": [c, ho, wo]}), [order])
 
 
 def decompose_maxpool(g: Graph) -> Graph:
@@ -140,69 +183,28 @@ def decompose_maxpool(g: Graph) -> Graph:
     Rows of each window are reduced K_r -> 1, then columns K_c -> 1, giving
     K_r*K_c - 1 binary-max evaluations per window at tree depth
     ceil(log2 K_r) + ceil(log2 K_c); odd counts pass an element through as a
-    bye. Stage inputs are flat `gather` selections, so overlapping windows
-    are supported. The final stage keeps the pooling node's id.
+    bye. Stage inputs are flat `gather` selections of the window elements
+    `model.window_indices` lists, so overlapping windows are supported. The
+    final stage keeps the pooling node's id.
     """
-    g = g.copy()
-    shapes = infer_shapes(g)
-    nodes = [g.nodes[i] for i in g.topo_order]
-    edges = list(g.edges)
-    for mp in [n for n in nodes if n.kind == "maxpool2d"]:
-        src = g.inputs_of(mp.id)[0]
-        c, h, w = shapes[src]
-        kh, kw = mp.params["kernel"]
-        sh, sw = mp.params.get("stride", mp.params["kernel"])
-        ho = (h - kh) // sh + 1
-        wo = (w - kw) // sw + 1
-        # pos[window, k, l] = flat index into the current stage tensor of the
-        # window element being reduced along l; windows in (C, Ho, Wo) order,
-        # and k = dx while the rows (l = dy) reduce in lockstep over dx
-        ci, i, j, dy, dx = np.ix_(range(c), range(ho), range(wo), range(kh), range(kw))
-        pos = (ci * h * w + (i * sh + dy) * w + (j * sw + dx)).reshape(-1, kh, kw)
-        pos = pos.transpose(0, 2, 1)
-        new_nodes: list[Node] = []
-        new_edges: list = []
-        prev_id = src
-        stage = 0
-        for _ in ("rows", "columns"):
-            for a, b, bye in _tournament_rounds(pos.shape[2]):
-                base, stage_in = f"{mp.id}.s{stage}", prev_id
+    return _rewrite(g, {"maxpool2d": _maxpool})
 
-                def select(suffix, cols):
-                    sel = Node(f"{base}.{suffix}", "gather",
-                               {"indices": pos[:, :, cols].reshape(-1)})
-                    new_nodes.append(sel)
-                    new_edges.append((stage_in, sel.id, 0))
-                    return sel.id
 
-                ga, gb = select("a", a), select("b", b)
-                mx = Node(f"{base}.max", "max2", {})
-                new_nodes.append(mx)
-                new_edges.extend([(ga, mx.id, 0), (gb, mx.id, 1)])
-                prev_id = mx.id
-                if bye:
-                    gc = select("bye", bye)
-                    cat = Node(f"{base}.cat", "concat", {})
-                    new_nodes.append(cat)
-                    new_edges.extend([(mx.id, cat.id, 0), (gc, cat.id, 1)])
-                    prev_id = cat.id
-                # positions in the stage output: every pair, then every bye
-                n_win, k = pos.shape[:2]
-                pairs = np.arange(n_win * k * len(a)).reshape(n_win, k, len(a))
-                byes = pairs.size + np.arange(n_win * k * len(bye)).reshape(n_win, k, len(bye))
-                pos = np.concatenate([pairs, byes], axis=2)
-                stage += 1
-            pos = pos.transpose(0, 2, 1)  # each window now holds one row of kw
-        # reorder the surviving elements into (C, Ho, Wo) and keep the id
-        order = Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)})
-        final = Node(mp.id, "reshape", {"shape": [c, ho, wo]})
-        new_nodes.extend([order, final])
-        new_edges.extend([(prev_id, order.id, 0), (order.id, final.id, 0)])
-
-        nodes = [n for n in nodes if n.id != mp.id] + new_nodes
-        edges = [(s, d, p) for s, d, p in edges if d != mp.id and s != mp.id] + new_edges
-        edges += [(final.id, d, p) for s, d, p in g.edges if s == mp.id]
-    return Graph(nodes, edges)
+def _layernorm(ln, ins, emit, nodes):
+    """The five stages of a layer norm (`decompose_layernorm`)."""
+    shape = ins[0][1].shape
+    if len(shape) != 1:
+        raise ConversionError(f"layernorm {ln.id!r}: only flat (n,) inputs are supported, "
+                              f"got {shape}")
+    n = shape[0]
+    gamma, beta, eps = ln.tensor("gamma"), ln.tensor("beta"), ln.params["eps"]
+    center = emit(Node(f"{ln.id}.center", "affine", {
+        "weight": np.eye(n) - np.full((n, n), 1.0 / n), "bias": np.zeros(n)}), ins)
+    sq = emit(Node(f"{ln.id}.sq", "square", {}), [center])
+    var = emit(Node(f"{ln.id}.var", "affine", {
+        "weight": np.full((1, n), 1.0 / n), "bias": np.array([eps])}), [sq])
+    norm = emit(Node(f"{ln.id}.norm", "mul_inv_sqrt", {}), [center, var])
+    return emit(Node(ln.id, "affine", {"weight": np.diag(gamma), "bias": beta}), [norm])
 
 
 def decompose_layernorm(g: Graph) -> Graph:
@@ -213,41 +215,19 @@ def decompose_layernorm(g: Graph) -> Graph:
     (gamma scale, beta shift, keeping the original node id). Variance uses
     the population divisor n.
     """
-    g = g.copy()
-    shapes = infer_shapes(g)
-    nodes = [g.nodes[i] for i in g.topo_order]
-    edges = list(g.edges)
-    for ln in [n for n in nodes if n.kind == "layernorm"]:
-        src = g.inputs_of(ln.id)[0]
-        shape = shapes[src]
-        if len(shape) != 1:
-            raise ConversionError(
-                f"layernorm {ln.id!r}: only flat (n,) inputs are supported, got {shape}"
-            )
-        n = shape[0]
-        gamma, beta, eps = ln.tensor("gamma"), ln.tensor("beta"), ln.params["eps"]
-        center = Node(
-            f"{ln.id}.center", "affine",
-            {"weight": np.eye(n) - np.full((n, n), 1.0 / n), "bias": np.zeros(n)},
-        )
-        sq = Node(f"{ln.id}.sq", "square", {})
-        var = Node(
-            f"{ln.id}.var", "affine",
-            {"weight": np.full((1, n), 1.0 / n), "bias": np.array([eps])},
-        )
-        norm = Node(f"{ln.id}.norm", "mul_inv_sqrt", {})
-        out = Node(ln.id, "affine", {"weight": np.diag(gamma), "bias": beta})
-        new_edges = [
-            (src, center.id, 0),
-            (center.id, sq.id, 0),
-            (sq.id, var.id, 0),
-            (center.id, norm.id, 0),
-            (var.id, norm.id, 1),
-            (norm.id, out.id, 0),
-        ]
-        nodes = [x for x in nodes if x.id != ln.id] + [center, sq, var, norm, out]
-        edges = [(s, d, p) for s, d, p in edges if d != ln.id] + new_edges
-    return Graph(nodes, edges)
+    return _rewrite(g, {"layernorm": _layernorm})
+
+
+def _avgpool(node, ins, emit, nodes):
+    """An average pooling as a conv2d of fixed weights."""
+    c = shape_witness(node, [ins[0][1]]).shape[0]  # a misfit is named first
+    kh, kw = node.params["kernel"]
+    w = np.zeros((c, c, kh, kw), dtype=np.float32)
+    w[np.arange(c), np.arange(c)] = 1.0 / (kh * kw)
+    return emit(Node(node.id, "conv2d", {
+        "weight": w, "bias": np.zeros(c, dtype=np.float32),
+        "stride": list(node.params.get("stride", node.params["kernel"])), "padding": [0, 0],
+    }), ins)
 
 
 # ANN operator kind -> the firing mechanism that replaces it
@@ -259,13 +239,15 @@ class SnnGraph:
     """Converted network: operator DAG with neuron layers, one shared schedule.
 
     Every node is of a kind the step plan can step (`plan.STEPPABLE`): linear
-    plumbing between neuron layers, never an ANN nonlinearity."""
+    plumbing between neuron layers, never an ANN nonlinearity. `path` names
+    the file a loaded network came from, for errors found after loading."""
 
     graph: Graph
     family: str
     schedule: Schedule
     parameterization: str = "canonical"
     meta: dict = field(default_factory=dict)
+    path: str | None = None
 
     def __post_init__(self):
         if self.family not in ("subgrad", "signgd"):
@@ -316,60 +298,41 @@ class SnnGraph:
             raise gio.ModelFormatError(f"{path}: bad meta schedule: {exc}") from None
         parameterization = meta.pop("parameterization", "canonical")
         meta.pop("kind", None)
-        return cls(graph, family, schedule, parameterization, meta)
+        return cls(graph, family, schedule, parameterization, meta, str(path))
 
 
 def convert(g: Graph, neuron_family: str, schedule: Schedule,
             parameterization: str = "canonical") -> SnnGraph:
     """Convert an operator graph into a spiking network.
 
-    Applies batch-norm folding and the max-pool / layer-norm decompositions,
-    rewrites average pooling as fixed convolution weights, then substitutes
-    each nonlinearity with its neuron layer. The subgradient family supports
-    ReLU-only graphs; the sign family covers every decomposed nonlinearity.
+    Folds batch norms in a walk of its own, where the graph has one. Then one
+    walk applies the max-pool / layer-norm decompositions, rewrites average
+    pooling as fixed convolution weights and substitutes each nonlinearity,
+    decomposed ones included, with its neuron layer. The subgradient family
+    supports ReLU-only graphs; the sign family covers every decomposed
+    nonlinearity.
     """
     if any(n.kind == "batchnorm" for n in g.nodes.values()):
         g = fold_batchnorm(g)
-    for kind, decompose in (("maxpool2d", decompose_maxpool), ("layernorm", decompose_layernorm)):
+    for kind in ("maxpool2d", "layernorm"):
         node = next((n for n in g.nodes.values() if n.kind == kind), None)
-        if node is None:
-            continue
-        if neuron_family == "subgrad":
+        if node is not None and neuron_family == "subgrad":
             raise ConversionError(
                 f"node {node.id!r} ({kind}) is not supported by the subgrad family")
-        g = decompose(g)
-    g = g.copy()
-    shapes = infer_shapes(g)
 
-    for nid in g.topo_order:
-        node = g.nodes[nid]
-        if node.kind == "avgpool2d":
-            src = g.inputs_of(nid)[0]
-            c = shapes[src][0]
-            kh, kw = node.params["kernel"]
-            sh, sw = node.params.get("stride", node.params["kernel"])
-            w = np.zeros((c, c, kh, kw), dtype=np.float32)
-            for ci in range(c):
-                w[ci, ci] = 1.0 / (kh * kw)
-            node.kind = "conv2d"
-            node.params = {
-                "weight": w, "bias": np.zeros(c, dtype=np.float32),
-                "stride": [sh, sw], "padding": [0, 0],
-            }
-            continue
-        if node.kind in _MECHANISM_OF:
-            mech = FiringMechanism(_MECHANISM_OF[node.kind], leaky_slope(node)).name
-            if neuron_family == "subgrad" and node.kind == "relu":
-                mech = "subgrad"  # SnnGraph rejects any other kind in this family
-            in_shape = shapes[g.predecessors(nid)[0][0]]
-            m_f = node.params.get("m_f")
-            node.kind = "neuron"
-            node.params = {"mech": mech, "count": int(np.prod(in_shape)), "shape": list(in_shape)}
-            if m_f is not None:
-                node.params["m_f"] = m_f
+    def neuron(node, ins, emit, nodes):
+        mech = FiringMechanism(_MECHANISM_OF[node.kind], leaky_slope(node)).name
+        if neuron_family == "subgrad" and node.kind == "relu":
+            mech = "subgrad"  # SnnGraph rejects any other kind in this family
+        shape = ins[0][1].shape
+        params = {"mech": mech, "count": int(np.prod(shape)), "shape": list(shape)}
+        if node.params.get("m_f") is not None:
+            params["m_f"] = node.params["m_f"]
+        return emit(Node(node.id, "neuron", params), ins)
 
-    snn_graph = Graph([g.nodes[i] for i in g.topo_order], list(g.edges))
-    return SnnGraph(snn_graph, neuron_family, schedule, parameterization)
+    rules = {"maxpool2d": _maxpool, "layernorm": _layernorm, "avgpool2d": _avgpool,
+             **dict.fromkeys(_MECHANISM_OF, neuron)}
+    return SnnGraph(_rewrite(g, rules), neuron_family, schedule, parameterization)
 
 
 def calibrate(snn: SnnGraph) -> SnnGraph:

@@ -844,7 +844,7 @@ def test_meta_whose_coefficient_set_cannot_be_solved_exits_2(
         model_files, tmp_path, capsys, command, family, key, value, reason):
     """A converted file whose meta names a coefficient set the network's
     family cannot solve ends the command before it writes anything, with
-    exit status 2 and one stderr line naming the family, schedule and
+    exit status 2 and one stderr line naming the file, family, schedule and
     parameterization."""
     _, snn, dataset = model_files["mlp", family]
     path = edited_meta(snn, tmp_path, key, value)
@@ -854,7 +854,7 @@ def test_meta_whose_coefficient_set_cannot_be_solved_exits_2(
                "--report" if command == "infer" else "--out", str(out)])
     stdout, err = capsys.readouterr()
     assert (rc, stdout) == (2, "")
-    assert err.startswith(f"spikeopt {command}: error: {family} network under schedule "
+    assert err.startswith(f"spikeopt {command}: error: {path}: {family} network under schedule "
                           f"{meta['schedule']}, parameterization {meta['parameterization']!r}: "
                           f"{reason}")
     assert err.count("\n") == 1 and not out.exists()

@@ -1,10 +1,12 @@
+import gc
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spikeopt.graph.io as gio
@@ -596,6 +598,27 @@ class TestFoldBatchnorm:
         with pytest.raises(ConversionError):
             fold_batchnorm(g)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_batchnorm_after_a_batchnorm_is_named(self, rng, shared):
+        """The producer a batch norm folds into is the one of the source
+        graph: `fc -> bn1 -> bn2` names bn2's producer bn1, and so does a
+        bn1 that feeds bn2 and another node."""
+        def bn(nid):
+            return Node(nid, "batchnorm", {"gamma": np.ones(3), "beta": np.zeros(3),
+                                           "mean": np.zeros(3), "var": np.ones(3), "eps": 0.0})
+
+        nodes = [Node("in", "input", {"shape": [3]}), dense_node(rng, "fc", 3, 3), bn("bn1"),
+                 bn("bn2"), Node("out", "output", {})]
+        edges = chain_edges(["in", "fc", "bn1", "bn2"])
+        if shared:
+            nodes += [Node("act", "relu", {}), Node("sum", "add", {})]
+            edges += [("bn1", "act", 0), ("bn2", "sum", 0), ("act", "sum", 1), ("sum", "out", 0)]
+        else:
+            edges += [("bn2", "out", 0)]
+        with pytest.raises(ConversionError, match="^batchnorm 'bn2' follows 'batchnorm'; "
+                                                  "only dense/conv2d can fold$"):
+            fold_batchnorm(Graph(nodes, edges))
+
 
 class TestNormalizeRelu:
     def test_m_f_recorded_and_forward_unchanged(self, rng):
@@ -692,6 +715,34 @@ class TestDecomposeMaxpool:
             x = rng.normal(0, 1, (1, 8, 8))
             np.testing.assert_allclose(forward_out(d, x), forward_out(g, x), atol=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+           kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           stride=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=st.integers(0, 2**16))
+    def test_the_tournament_is_the_max_pool_bit_for_bit(self, c, h, w, kernel, stride, seed):
+        """A max is exact, so the decomposed forward equals the pooling's."""
+        assume(kernel[0] <= h and kernel[1] <= w)
+        nodes = [
+            Node("in", "input", {"shape": [c, h, w]}),
+            Node("pool", "maxpool2d", {"kernel": list(kernel), "stride": list(stride)}),
+            Node("out", "output", {}),
+        ]
+        g = Graph(nodes, chain_edges(["in", "pool", "out"]))
+        x = make_rng(seed).normal(0, 1, (c, h, w))
+        np.testing.assert_array_equal(forward_out(decompose_maxpool(g), x), forward_out(g, x))
+
+    @pytest.mark.parametrize("transform", [
+        decompose_maxpool, lambda g: convert(g, "signgd", Schedule.inverse(1.0))])
+    def test_a_node_named_like_a_generated_one_is_a_duplicate_id(self, transform):
+        """The tournament of `pool` emits `pool.order`; a source node of
+        that name is a duplicate, not an edge into the tournament."""
+        g = build_cnn(seed=6)
+        name = {"flat": "pool.order"}
+        nodes = [Node(name.get(n.id, n.id), n.kind, n.params) for n in g.nodes.values()]
+        edges = [(name.get(s, s), name.get(d, d), p) for s, d, p in g.edges]
+        with pytest.raises(GraphError, match="^duplicate node ids$"):
+            transform(Graph(nodes, edges))
+
 
 class TestDecomposeLayernorm:
     def test_zero_variance_gives_beta(self):
@@ -779,6 +830,27 @@ class TestConvert:
         np.testing.assert_allclose(
             node.params["cal_w"], snn.graph.nodes["act0"].params["cal_w"], rtol=1e-6
         )
+
+
+@pytest.mark.parametrize("model,transform,node", [
+    ("cnn", lambda g: convert(g, "signgd", Schedule.inverse(1.0)).graph, "pool.s0.a"),
+    ("layernorm", lambda g: convert(g, "signgd", Schedule.inverse(1.0)).graph, "ln.sq"),
+    ("bn_mlp", lambda g: convert(g, "signgd", Schedule.inverse(1.0)).graph, "fc0"),
+    ("cnn", decompose_maxpool, "pool.s0.a"),
+    ("layernorm", decompose_layernorm, "ln.center"),
+    ("bn_mlp", fold_batchnorm, "fc0"),
+])
+def test_a_rewritten_graph_is_freed_without_the_collector(model, transform, node):
+    """Nothing a transform leaves behind refers back to the graph it
+    returns, so reference counting alone frees it and its nodes."""
+    g = transform(MODELS[model]())
+    ref = weakref.ref(g.nodes[node])
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def saved_snn(tmp_path, family):
