@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, signed_encoder
-from .graph.model import Graph, ShapeMismatchError, run_forward
+from .graph.model import ShapeMismatchError, run_forward as ann_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
@@ -65,12 +65,6 @@ __all__ = [
     "EnergyReport",
     "estimate_energy",
 ]
-
-
-def ann_forward(g: Graph, x) -> dict[str, np.ndarray]:
-    """Reference activations of every node (neuron layers evaluate their
-    target nonlinearity)."""
-    return run_forward(g, np.asarray(x, dtype=np.float64))
 
 
 class SnnInstance:

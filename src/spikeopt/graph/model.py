@@ -279,10 +279,6 @@ class Graph:
     def inputs_of(self, node_id: str) -> list[str]:
         return [s for s, _ in self.predecessors(node_id)]
 
-    def copy(self) -> "Graph":
-        nodes = [Node(n.id, n.kind, dict(n.params)) for n in (self.nodes[i] for i in self._topo)]
-        return Graph(nodes, list(self.edges))
-
     def census(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for n in self.nodes.values():

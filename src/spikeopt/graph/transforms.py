@@ -7,17 +7,18 @@ only writes it into the records files carry.
 Every transform preserves the graph's real-arithmetic forward semantics; the
 decompositions rewrite one nonlinear tensor operator into linear plumbing plus
 binary-input nonlinearities that spiking neurons can evaluate. Every transform
-but `normalize_relu`, which reads data, is a set of rewrite rules applied in
-one visit of `Graph.walk` (`_rewrite`): a rule replaces a node by the nodes it
-emits, which go through the rules in turn, so one walk of `convert` turns a
-max pool into max2 stages and each max2 into a neuron layer. Shapes travel
-with the walk as `model.shape_witness` arrays.
+is a set of rewrite rules applied in one visit of `Graph.walk` (`_rewrite`): a
+rule keeps its node or replaces it by the nodes it emits, which go through the
+rules in turn, so one walk of `convert` folds each batch norm, turns a max
+pool into max2 stages and each max2 into a neuron layer. Shapes travel with
+the walk as `model.shape_witness` arrays.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,13 +51,14 @@ def _rewrite(g: Graph, rules: dict) -> Graph:
     (node id, shape witness), from `model.shape_witness`. `emit(node, ins)`
     adds `node` fed by the values `ins` in port order, through the rules
     first, and returns its value; `nodes` maps the ids emitted so far to
-    their nodes. A rule returns the value its node's consumers read."""
+    their nodes. A rule returns the value its node's consumers read, or None
+    to keep its node with the params the rule left on it."""
     nodes: dict[str, Node] = {}
     edges: list = []
 
     def emit(node, ins):
-        if node.kind in rules:
-            return rules[node.kind](node, ins, emit, nodes)
+        if node.kind in rules and (value := rules[node.kind](node, ins, emit, nodes)) is not None:
+            return value
         if node.id in nodes:
             raise GraphError("duplicate node ids")
         nodes[node.id] = node
@@ -70,42 +72,44 @@ def _rewrite(g: Graph, rules: dict) -> Graph:
     return Graph(list(nodes.values()), edges)
 
 
-def fold_batchnorm(g: Graph) -> Graph:
-    """Absorb inference-time batch norm into the preceding dense/conv node;
-    the producer and its consumers are those of `g`."""
-    def fold(bn, ins, emit, nodes):
-        prev = g.nodes[g.inputs_of(bn.id)[0]]
-        if prev.kind not in ("dense", "conv2d"):
-            raise ConversionError(
-                f"batchnorm {bn.id!r} follows {prev.kind!r}; only dense/conv2d can fold"
-            )
-        if len(set(g.successors(prev.id))) != 1:
-            raise ConversionError(
-                f"cannot fold batchnorm {bn.id!r}: producer {prev.id!r} feeds other nodes"
-            )
-        out = nodes[ins[0][0]]
-        scale = bn.tensor("gamma") / np.sqrt(bn.tensor("var") + bn.params["eps"])
-        w, b = out.tensor("weight"), out.tensor("bias")
-        if scale.shape != w.shape[:1]:
-            raise ConversionError(f"batchnorm {bn.id!r} has {scale.size} channels but its "
-                                  f"producer {prev.id!r} has {w.shape[0]}")
-        w = w * scale.reshape(-1, *[1] * (w.ndim - 1))  # per output channel
-        b = (b - bn.tensor("mean")) * scale + bn.tensor("beta")
-        out.params["weight"] = w.astype(np.float32)
-        out.params["bias"] = b.astype(np.float32)
-        return ins[0]  # consumers read the producer
+def _fold(g, bn, ins, emit, nodes):
+    """A batch norm folded into its emitted producer (`fold_batchnorm`); the
+    producer and its consumers are those of the source graph `g`."""
+    prev = g.nodes[g.inputs_of(bn.id)[0]]
+    if prev.kind not in ("dense", "conv2d"):
+        raise ConversionError(f"batchnorm {bn.id!r} follows {prev.kind!r}; "
+                              "only dense/conv2d can fold")
+    if len(set(g.successors(prev.id))) != 1:
+        raise ConversionError(f"cannot fold batchnorm {bn.id!r}: producer {prev.id!r} "
+                              "feeds other nodes")
+    out = nodes[ins[0][0]]
+    scale = bn.tensor("gamma") / np.sqrt(bn.tensor("var") + bn.params["eps"])
+    w, b = out.tensor("weight"), out.tensor("bias")
+    if scale.shape != w.shape[:1]:
+        raise ConversionError(f"batchnorm {bn.id!r} has {scale.size} channels but its "
+                              f"producer {prev.id!r} has {w.shape[0]}")
+    w = w * scale.reshape(-1, *[1] * (w.ndim - 1))  # per output channel
+    b = (b - bn.tensor("mean")) * scale + bn.tensor("beta")
+    out.params["weight"] = w.astype(np.float32)
+    out.params["bias"] = b.astype(np.float32)
+    return ins[0]  # consumers read the producer
 
-    return _rewrite(g, {"batchnorm": fold})
+
+def fold_batchnorm(g: Graph) -> Graph:
+    """Absorb inference-time batch norm into the preceding dense/conv node."""
+    return _rewrite(g, {"batchnorm": partial(_fold, g)})
 
 
 def normalize_relu(g: Graph, calib_inputs) -> Graph:
     """Scale each ReLU's neighborhood by its maximum observed activation.
 
-    Records M_f on the node (params['m_f']) and folds M_f into the adjacent
-    affine parameters using ReLU's positive homogeneity, so the forward
-    output is unchanged. Dead ReLUs (M_f <= 0) are skipped with a warning.
+    Batch norms are folded first. Records M_f on the node (params['m_f']) and,
+    by ReLU's positive homogeneity, divides the affine producer, which must
+    feed only the ReLU, and multiplies each affine consumer by M_f, so the
+    forward output is unchanged. Dead ReLUs (M_f <= 0) are skipped with a warning.
     """
-    g = g.copy()
+    if any(n.kind == "batchnorm" for n in g.nodes.values()):
+        g = fold_batchnorm(g)
     relus = [n.id for n in g.nodes.values() if n.kind == "relu"]
     if not relus:
         raise ConversionError("graph has no ReLU nodes to normalize")
@@ -117,61 +121,62 @@ def normalize_relu(g: Graph, calib_inputs) -> Graph:
         acts = run_forward(g, x)
         for rid in relus:
             peaks[rid] = max(peaks[rid], float(np.max(acts[rid])))
-    for rid in relus:
-        m = peaks[rid]
-        relu_node = g.nodes[rid]
+    scaled: dict[str, float] = {}  # the M_f of each ReLU scaled here, not a stale m_f
+    affine = ("dense", "conv2d", "affine")
+
+    def relu(node, ins, emit, nodes):
+        rid, m = node.id, peaks[node.id]
         if m <= 0.0:
             warnings.warn(f"ReLU {rid!r} never activates on calibration data; skipped")
-            continue
-        preds = g.inputs_of(rid)
-        succs = list(set(g.successors(rid)))
-        if len(preds) != 1 or g.nodes[preds[0]].kind not in ("dense", "conv2d", "affine"):
+            return None
+        prev = nodes[ins[0][0]]
+        if prev.kind not in affine:
             raise ConversionError(f"ReLU {rid!r} lacks an affine producer to scale")
-        for sid in succs:
-            if g.nodes[sid].kind not in ("dense", "conv2d", "affine"):
-                raise ConversionError(
-                    f"ReLU {rid!r} feeds {g.nodes[sid].kind!r} node {sid!r}; cannot fold its scale"
-                )
-        prev = g.nodes[preds[0]]
+        if g.successors(prev.id) != [rid]:
+            raise ConversionError(
+                f"ReLU {rid!r}: producer {prev.id!r} feeds other nodes; cannot scale it")
+        for sid in set(g.successors(rid)):
+            if g.nodes[sid].kind not in affine:
+                raise ConversionError(f"ReLU {rid!r} feeds {g.nodes[sid].kind!r} node "
+                                      f"{sid!r}; cannot fold its scale")
         prev.params["weight"] = (prev.tensor("weight") / m).astype(np.float32)
         prev.params["bias"] = (prev.tensor("bias") / m).astype(np.float32)
-        for sid in succs:
-            nxt = g.nodes[sid]
-            nxt.params["weight"] = (nxt.tensor("weight") * m).astype(np.float32)
-        relu_node.params["m_f"] = m
-    return g
+        node.params["m_f"] = scaled[rid] = m
+
+    def consumer(node, ins, emit, nodes):
+        if ins[0][0] in scaled:
+            node.params["weight"] = (node.tensor("weight") * scaled[ins[0][0]]).astype(np.float32)
+
+    return _rewrite(g, {"relu": relu, **dict.fromkeys(affine, consumer)})
 
 
 def _maxpool(mp, ins, emit, nodes):
     """The binary-max tournament of a max pooling (`decompose_maxpool`)."""
     c, ho, wo = shape_witness(mp, [ins[0][1]]).shape  # a misfit is named first
-    kh, kw = kernel = mp.params["kernel"]
+    kernel = mp.params["kernel"]
     table, _ = window_indices(ins[0][1].shape, kernel, mp.params.get("stride", kernel))
-    # pos[window, k, l] = flat index into the current stage tensor of the
-    # window element being reduced along l; windows in (C, Ho, Wo) order,
-    # and k = dx while the rows (l = dy) reduce in lockstep over dx
-    pos = table.transpose(0, 3, 4, 2, 1).reshape(-1, kw, kh)
+    # pos[window, l] = flat index into the current stage tensor of window
+    # element l; windows in (C, Ho, Wo) order, elements in (dx, dy) order
+    pos = table.transpose(0, 3, 4, 2, 1).reshape(c * ho * wo, -1)
     value, stage = ins[0], 0
-    for _ in ("rows", "columns"):
-        while pos.shape[2] > 1:
-            # pair slots 2i and 2i + 1; an odd count's last slot is a bye
-            m = pos.shape[2] // 2
-            a, b, bye = pos[:, :, 0 : 2 * m : 2], pos[:, :, 1 : 2 * m : 2], pos[:, :, 2 * m :]
-            base, stage_in = f"{mp.id}.s{stage}", [value]
+    while pos.shape[1] > 1:
+        # pair slots 2i and 2i + 1; an odd count's last slot is a bye
+        m = pos.shape[1] // 2
+        a, b, bye = pos[:, 0 : 2 * m : 2], pos[:, 1 : 2 * m : 2], pos[:, 2 * m :]
+        base, stage_in = f"{mp.id}.s{stage}", [value]
 
-            def select(suffix, part):
-                return emit(Node(f"{base}.{suffix}", "gather", {"indices": part.reshape(-1)}),
-                            stage_in)
+        def select(suffix, part):
+            return emit(Node(f"{base}.{suffix}", "gather", {"indices": part.reshape(-1)}),
+                        stage_in)
 
-            ga, gb = select("a", a), select("b", b)
-            value = emit(Node(f"{base}.max", "max2", {}), [ga, gb])
-            if bye.size:
-                value = emit(Node(f"{base}.cat", "concat", {}), [value, select("bye", bye)])
-            # positions in the stage output: every pair, then every bye
-            pos = np.concatenate([np.arange(a.size).reshape(a.shape),
-                                  a.size + np.arange(bye.size).reshape(bye.shape)], axis=2)
-            stage += 1
-        pos = pos.transpose(0, 2, 1)  # each window now holds one row of kw
+        ga, gb = select("a", a), select("b", b)
+        value = emit(Node(f"{base}.max", "max2", {}), [ga, gb])
+        if bye.size:
+            value = emit(Node(f"{base}.cat", "concat", {}), [value, select("bye", bye)])
+        # positions in the stage output: every pair, then every bye
+        pos = np.concatenate([np.arange(a.size).reshape(a.shape),
+                              a.size + np.arange(bye.size).reshape(bye.shape)], axis=1)
+        stage += 1
     # reorder the surviving elements into (C, Ho, Wo) and keep the id
     order = emit(Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)}), [value])
     return emit(Node(mp.id, "reshape", {"shape": [c, ho, wo]}), [order])
@@ -180,9 +185,9 @@ def _maxpool(mp, ins, emit, nodes):
 def decompose_maxpool(g: Graph) -> Graph:
     """Replace each max pooling with a tournament of binary max stages.
 
-    Rows of each window are reduced K_r -> 1, then columns K_c -> 1, giving
+    The K_r*K_c elements of each window are paired in one tournament, giving
     K_r*K_c - 1 binary-max evaluations per window at tree depth
-    ceil(log2 K_r) + ceil(log2 K_c); odd counts pass an element through as a
+    ceil(log2(K_r*K_c)); an odd count passes its last element through as a
     bye. Stage inputs are flat `gather` selections of the window elements
     `model.window_indices` lists, so overlapping windows are supported. The
     final stage keeps the pooling node's id.
@@ -305,15 +310,12 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
             parameterization: str = "canonical") -> SnnGraph:
     """Convert an operator graph into a spiking network.
 
-    Folds batch norms in a walk of its own, where the graph has one. Then one
-    walk applies the max-pool / layer-norm decompositions, rewrites average
-    pooling as fixed convolution weights and substitutes each nonlinearity,
-    decomposed ones included, with its neuron layer. The subgradient family
-    supports ReLU-only graphs; the sign family covers every decomposed
-    nonlinearity.
+    One walk folds batch norms, applies the max-pool / layer-norm
+    decompositions, rewrites average pooling as fixed convolution weights and
+    substitutes each nonlinearity, decomposed ones included, with its neuron
+    layer. The subgradient family supports ReLU-only graphs; the sign family
+    covers every decomposed nonlinearity.
     """
-    if any(n.kind == "batchnorm" for n in g.nodes.values()):
-        g = fold_batchnorm(g)
     for kind in ("maxpool2d", "layernorm"):
         node = next((n for n in g.nodes.values() if n.kind == kind), None)
         if node is not None and neuron_family == "subgrad":
@@ -330,8 +332,8 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
             params["m_f"] = node.params["m_f"]
         return emit(Node(node.id, "neuron", params), ins)
 
-    rules = {"maxpool2d": _maxpool, "layernorm": _layernorm, "avgpool2d": _avgpool,
-             **dict.fromkeys(_MECHANISM_OF, neuron)}
+    rules = {"batchnorm": partial(_fold, g), "maxpool2d": _maxpool, "layernorm": _layernorm,
+             "avgpool2d": _avgpool, **dict.fromkeys(_MECHANISM_OF, neuron)}
     return SnnGraph(_rewrite(g, rules), neuron_family, schedule, parameterization)
 
 

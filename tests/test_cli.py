@@ -1037,6 +1037,35 @@ def test_a_batchnorm_of_another_width_exits_2_naming_it(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("spikeopt convert: error: batchnorm 'bn' ")
 
 
+def test_normalize_relu_names_a_batchnorm_of_another_width(tmp_path, capsys):
+    """`--normalize-relu` folds batch norms before it runs the ANN, so a
+    batch norm of another width exits 2 naming it, as plain `convert` does."""
+    g = MODELS["bn_mlp"]()
+    bn = g.nodes["bn"].params
+    bn.update({k: bn[k][:5] for k in ("gamma", "beta", "mean", "var")})
+    save_model(g, tmp_path / "m")
+    capsys.readouterr()
+    assert main(["convert", str(tmp_path / "m.json"), "--family", "signgd",
+                 "--normalize-relu", "4", "--out", str(tmp_path / "snn")]) == 2
+    assert capsys.readouterr().err == ("spikeopt convert: error: batchnorm 'bn' has 5 channels "
+                                       "but its producer 'fc0' has 12\n")
+
+
+def test_normalize_relu_converts_a_batch_normed_net(tmp_path):
+    """A ReLU behind a batch norm is normalized on the folded net, and the
+    loaded network's reference forward stays within the 1e-6 transform
+    bound of the source ANN."""
+    g = MODELS["bn_mlp"]()
+    save_model(g, tmp_path / "m")
+    assert main(["convert", str(tmp_path / "m.json"), "--family", "signgd",
+                 "--normalize-relu", "4", "--out", str(tmp_path / "snn")]) == 0
+    snn = SnnGraph.load(tmp_path / "snn")
+    assert snn.graph.nodes["act"].params["m_f"] > 0
+    for x in make_rng(5).normal(0, 1, (20, 8)):
+        err = np.abs(run_forward(snn.graph, x)["out"] - run_forward(g, x)["out"]).max()
+        assert err <= 1e-6, err
+
+
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])
 def test_sweep_points_and_steps_must_be_at_least_one(tmp_path, capsys, flag, value):
     out = tmp_path / "s.csv"

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -661,6 +662,25 @@ class TestNormalizeRelu:
             normed = normalize_relu(g, [np.array([1.0, 2.0])])
         assert "m_f" not in normed.nodes["act"].params
 
+    @pytest.mark.parametrize("fanout", ["add", "relu"])
+    def test_a_producer_that_feeds_other_nodes_is_not_scaled(self, fanout):
+        """Dividing a ReLU's producer by M_f changes what its other consumers
+        read: `fc0 -> sum` beside `fc0 -> act0 -> fc1 -> sum` is refused, and
+        so is a producer of two ReLUs, which would be divided twice."""
+        rng = make_rng(0)
+        nodes = [Node("in", "input", {"shape": [4]}), dense_node(rng, "fc0", 4, 4),
+                 Node("act0", "relu", {}), dense_node(rng, "fc1", 4, 4),
+                 Node("sum", "add", {}), Node("out", "output", {})]
+        edges = chain_edges(["in", "fc0", "act0", "fc1", "sum", "out"])
+        if fanout == "add":
+            edges.append(("fc0", "sum", 1))
+        else:
+            nodes += [Node("act1", "relu", {}), dense_node(rng, "fc2", 4, 4)]
+            edges += [("fc0", "act1", 0), ("act1", "fc2", 0), ("fc2", "sum", 1)]
+        with pytest.raises(ConversionError, match=r"^ReLU 'act\d': producer 'fc0' feeds other "
+                                                  r"nodes; cannot scale it$"):
+            normalize_relu(Graph(nodes, edges), list(rng.normal(0, 1, (4, 4))))
+
 
 class TestDecomposeMaxpool:
     @pytest.mark.parametrize("k,neurons,depth", [(2, 3, 2), (3, 8, 4), (4, 15, 4)])
@@ -677,6 +697,20 @@ class TestDecomposeMaxpool:
         shapes = infer_shapes(d)
         total = sum(int(np.prod(shapes[n.id])) for n in stages)
         assert total == neurons  # one window here, so per-window count
+
+    @pytest.mark.parametrize("kernel", [(2, 2), (2, 3), (3, 3), (3, 5), (5, 3), (5, 5)])
+    def test_a_window_is_one_tournament(self, kernel):
+        """All K_r*K_c elements of a window meet in one tournament of depth
+        ceil(log2(K_r*K_c)): a 5x5 window takes 5 max2 stages, not 3 for its
+        rows and 3 more for its columns."""
+        nodes = [
+            Node("in", "input", {"shape": [1, *kernel]}),
+            Node("pool", "maxpool2d", {"kernel": list(kernel), "stride": list(kernel)}),
+            Node("out", "output", {}),
+        ]
+        d = decompose_maxpool(Graph(nodes, chain_edges(["in", "pool", "out"])))
+        stages = sum(n.kind == "max2" for n in d.nodes.values())
+        assert stages == math.ceil(math.log2(kernel[0] * kernel[1]))
 
     def test_small_patch_value(self):
         nodes = [
@@ -787,6 +821,13 @@ class TestConvert:
             snn.graph.nodes["fc0"].params["weight"], g.nodes["fc0"].params["weight"]
         )
 
+    def test_a_batch_norm_folds_in_the_one_walk(self, monkeypatch):
+        walks = []
+        walk = Graph.walk
+        monkeypatch.setattr(Graph, "walk", lambda g, visit: walks.append(g) or walk(g, visit))
+        snn = convert(MODELS["bn_mlp"](), "signgd", Schedule.inverse(1.0))
+        assert "bn" not in snn.graph.nodes and len(walks) == 1
+
     def test_subgrad_rejects_gelu(self):
         g = build_mlp(seed=19, dims=(8, 16, 4), act="gelu")
         with pytest.raises(ConversionError, match="act0"):
@@ -839,6 +880,7 @@ class TestConvert:
     ("cnn", decompose_maxpool, "pool.s0.a"),
     ("layernorm", decompose_layernorm, "ln.center"),
     ("bn_mlp", fold_batchnorm, "fc0"),
+    ("mlp", lambda g: normalize_relu(g, make_rng(0).normal(0, 1, (4, 8))), "fc0"),
 ])
 def test_a_rewritten_graph_is_freed_without_the_collector(model, transform, node):
     """Nothing a transform leaves behind refers back to the graph it
@@ -851,6 +893,36 @@ def test_a_rewritten_graph_is_freed_without_the_collector(model, transform, node
         assert ref() is None
     finally:
         gc.enable()
+
+
+PUBLIC_TRANSFORMS = {
+    "fold_batchnorm": lambda g, family: fold_batchnorm(g),
+    "normalize_relu": lambda g, family: normalize_relu(
+        g, make_rng(0).normal(0, 1, (4, *g.nodes[g.input_id].params["shape"]))),
+    "decompose_maxpool": lambda g, family: decompose_maxpool(g),
+    "decompose_layernorm": lambda g, family: decompose_layernorm(g),
+    "convert": lambda g, family: convert(g, family, Schedule.inverse(1.0)),
+}
+
+
+@pytest.mark.parametrize("transform", sorted(PUBLIC_TRANSFORMS))
+@pytest.mark.parametrize("model,family", CONFIGS)
+def test_a_transform_leaves_its_input_graph_unchanged(model, family, transform):
+    """Every node's params and the edge list read the same after a public
+    transform, whether it accepts the graph or refuses it."""
+    def snapshot(g):
+        return ({n.id: (n.kind, {k: np.asarray(v).tolist() for k, v in n.params.items()})
+                 for n in g.nodes.values()}, list(g.edges))
+
+    g = MODELS[model]()
+    before = snapshot(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a dead ReLU's warning
+        try:
+            PUBLIC_TRANSFORMS[transform](g, family)
+        except ConversionError:
+            pass
+    assert snapshot(g) == before
 
 
 def saved_snn(tmp_path, family):
