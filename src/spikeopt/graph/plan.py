@@ -40,13 +40,15 @@ conv2d nodes have theirs, `ConvRule`: one take of a fixed im2col index table
 gathers each frame's patches, and one np.matmul makes one GEMM of the same
 shape per frame, so a frame's product does not depend on its block either.
 It differs from the per-tap accumulation of `model.conv2d`, the ANN
-reference, by ~1e-14. Its patch stack is a slot of the plan, counted in
-BLOCK_BYTES, whose store later slots reuse once the product has read it.
+reference, by ~1e-14. Its patch stack is a slot of the plan, whose store
+later slots reuse once the product has read it.
 
 The slot buffers of one plan share stores where slot lifetimes do not
-overlap, and a plan that is resized or gone leaves its stores to the next
-plan of the process: freed, they would let the allocator hand the heap's top
-back to the system, and the next network would fault its pages in again.
+overlap, and K counts BLOCK_BYTES on these stores, each neuron layer's
+scratch slot and each conv2d node's patch stack included. A plan that is
+resized or gone leaves its stores to the next plan of the process: freed,
+they would let the allocator hand the heap's top back to the system, and
+the next network would fault its pages in again.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ _MOVES = _VIEWS | {"gather", "transpose", "concat"}
 STEPPABLE = frozenset(_MOVES | {"input", "dense", "affine", "conv2d", "add", "neuron"})
 
 R = 16  # rows of every dense product: one GEMM tile
-BLOCK_BYTES = 1 << 20  # budget for the slot rows of one block
+BLOCK_BYTES = 1 << 21  # budget for the shared stores of one block
 
 
 # stores left by plans that are resized or gone, newest last, for the next
@@ -97,9 +99,9 @@ def _give_stores(stores: list):
 
 def block_steps(width: int, batch: int, T: int) -> int:
     """Steps per block for `batch` items over T steps, each item's step
-    holding `width` doubles: the most steps whose rows fit in BLOCK_BYTES,
-    rounded down to make whole R-row tiles where the budget allows, and at
-    most T."""
+    holding `width` doubles of the plan's stores: the most steps whose
+    rows fit in BLOCK_BYTES, rounded down to make whole R-row tiles where
+    the budget allows, and at most T."""
     k = max(1, BLOCK_BYTES // (8 * batch * width))
     whole = R // math.gcd(batch, R)  # steps per whole number of tiles
     if k >= whole:
@@ -250,7 +252,6 @@ class Plan:
         self.ops: list = []
         self.layers: dict = {}
         self.widths = [self.input_size]  # slot 0 holds the input frames
-        self._budgeted = [True]  # whether each slot counts in BLOCK_BYTES
         self._io: list = []  # per op: the slots it reads, the slots it writes
         self.batch = self.rows = 0  # set by reset
         self._release = None
@@ -270,9 +271,8 @@ class Plan:
             return self._linear(node, ins)
 
         self.out_slot = self._flat(graph.walk(visit)[graph.output_id])
-        # doubles per row of the slots the budget counts
-        self.block_width = sum(w for w, counted in zip(self.widths, self._budgeted) if counted)
         self._share()
+        self.block_width = sum(self._caps)  # doubles per row of the stores
 
     def calibration(self) -> tuple[dict, tuple]:
         """Stimulate/depress on the `Forced` stand-ins: one step of two items,
@@ -344,10 +344,9 @@ class Plan:
         self.ops.append((node, kind, op))
         self._io.append((tuple(reads), writes))
 
-    def _slot(self, width: int, budgeted: bool = True) -> int:
-        """A new slot of `width` doubles per row, counted in BLOCK_BYTES or not."""
+    def _slot(self, width: int) -> int:
+        """A new slot of `width` doubles per row."""
         self.widths.append(int(width))
-        self._budgeted.append(budgeted)
         return len(self.widths) - 1
 
     def _flat(self, v: _Value) -> int:
@@ -414,8 +413,8 @@ class Plan:
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
             sel = sel.reshape(-1)
         # the layer's scratch: its taken currents, then the state-free part
-        # of its steps; outside the budget, as the layer's own buffers are
-        scratch = self._slot(len(ins) * n, budgeted=False)
+        # of its steps
+        scratch = self._slot(len(ins) * n)
         out = self._slot(n)
 
         def op(s, B, observe):

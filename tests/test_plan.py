@@ -13,6 +13,7 @@ subgradient layer), and the calibration records. A batch of items stepped
 in lockstep must give each item what running it alone gives, bit for bit.
 """
 
+import gc
 import math
 from functools import lru_cache
 from unittest import mock
@@ -551,15 +552,59 @@ BENCH_NETS = {
 
 
 @pytest.mark.parametrize("net,width,batch,T,steps", [
-    ("mlp-wide", 1818, 8, 64, 8),    # infer and energy: 64 rows, four tiles
-    ("mlp-wide", 1818, 1, 64, 64),   # probe
-    ("cnn-pool", 23102, 2, 64, 2),   # no whole tile fits the budget
-    ("ln_block", 86, 16, 64, 64),    # K = T
-    ("ln_block", 86, 16, 8, 8),      # capped at T
+    ("mlp-wide", 1296, 8, 64, 24),   # infer and energy: 192 rows, twelve tiles
+    ("mlp-wide", 1296, 1, 64, 64),   # probe
+    ("cnn-pool", 16900, 2, 64, 7),   # infer and energy: no whole tile fits the budget
+    ("cnn-pool", 16900, 1, 64, 15),  # probe
+    ("ln_block", 41, 16, 64, 64),    # K = T
+    ("ln_block", 41, 16, 8, 8),      # capped at T
 ])
 def test_block_steps(net, width, batch, T, steps):
-    """K is the most steps whose block slot rows fit 1 MiB, rounded down to
-    whole R-row tiles where the budget allows, and at most T."""
+    """K is the most steps whose rows of the plan's stores, layer scratch
+    included, fit BLOCK_BYTES (2 MiB), rounded down to whole R-row tiles
+    where the budget allows, and at most T."""
     plan = Plan(calibrate(convert(BENCH_NETS[net](), "signgd", parse_schedule("inv:1"))).graph)
     assert plan.block_width == width
     assert plan.block_steps(batch, T) == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=configs, batch=st.integers(1, 16), T=st.integers(1, 80),
+       seed=st.integers(0, 2**16))
+def test_block_budget_counts_the_stores(config, batch, T, seed):
+    """The budget counts what a block allocates: after run_batch's reset the
+    plan's stores hold B K block_width doubles, within BLOCK_BYTES unless a
+    single step exceeds it."""
+    snn = converted(*config)
+    inst = SnnInstance(snn)
+    run_batch(snn, input_for(snn, seed, batch), T, instance=inst)
+    plan = inst.plan
+    K = plan.rows // batch
+    assert (plan.batch, K) == (batch, plan.block_steps(batch, T))
+    # the doubles of the distinct stores behind the slot buffers
+    stored = sum({id(buf.base): buf.base.size for buf in plan._buffers}.values())
+    assert stored == batch * K * plan.block_width
+    if K > 1:
+        assert stored <= plan_module.BLOCK_BYTES // 8
+
+
+def test_spare_stores_stay_within_their_bound():
+    """Plans of the benchmark's nets, built, sized at the CLI's batches and
+    dropped, leave at most _SPARE_COUNT stores and 2 BLOCK_BYTES in the
+    spare pool; cnn-pool at 16 items, one step per block, makes the byte
+    bound bind. A plan sized again takes its stores from the pool."""
+    graphs = {net: calibrate(convert(build(), "signgd", parse_schedule("inv:1"))).graph
+              for net, build in BENCH_NETS.items()}
+    for net, batch in [("ln_block", 16), ("ln_block", 1), ("mlp-wide", 8), ("mlp-wide", 1),
+                       ("cnn-pool", 2), ("cnn-pool", 1), ("cnn-pool", 16)]:
+        plan = Plan(graphs[net])
+        plan.reset(batch, plan.block_steps(batch, 64))
+        del plan
+        gc.collect()
+        spares = plan_module._spares
+        assert 0 < len(spares) <= plan_module._SPARE_COUNT
+        assert sum(store.nbytes for store in spares) <= 2 * plan_module.BLOCK_BYTES
+    pooled = {id(store) for store in spares}
+    plan = Plan(graphs["cnn-pool"])
+    plan.reset(16, plan.block_steps(16, 64))
+    assert {id(buf.base) for buf in plan._buffers} <= pooled
