@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..neurons import MECHANISMS, FiringMechanism, parse_mechanism
-from ..oracles import gelu_sigmoid
+from ..oracles import reference_nonlinearity
 
 __all__ = [
     "Node",
@@ -37,7 +37,7 @@ __all__ = [
     "conv2d",
     "infer_shapes",
     "leaky_slope",
-    "linear_shape",
+    "output_shape",
     "run_forward",
     "shape_witness",
     "window_indices",
@@ -66,6 +66,11 @@ KINDS = {
     "flatten", "transpose", "reshape", "affine", "gather", "concat",
     "max2", "square", "mul_inv_sqrt", "neuron",
 }
+
+# ANN operator kind -> the firing mechanism whose target it computes
+MECHANISM_OF = {kind: mech for mech, (_, kind) in MECHANISMS.items()}
+# the kinds whose output shape is arithmetic on their input shapes (`output_shape`)
+_SHAPED = {"dense", "affine", "conv2d", "concat", "add", "max2", "mul_inv_sqrt", "neuron"}
 
 # model parameters are float32 storage; the spike-to-sign calibration is
 # computed from them in float64 by every instance (`Plan.calibration`),
@@ -97,10 +102,10 @@ def _n_ports(node: Node, n_edges: int) -> int:
         return 0
     if node.kind in ("add", "concat"):
         return n_edges
-    if node.kind in ("max2", "mul_inv_sqrt"):
-        return 2
+    if node.kind in MECHANISM_OF:
+        return MECHANISMS[MECHANISM_OF[node.kind]][0]
     if node.kind == "neuron":
-        return _mechanism(node)[0]
+        return _n_ports(_mechanism(node), n_edges)
     return 1
 
 
@@ -141,9 +146,9 @@ def leaky_slope(node: Node) -> float:
     return node.params.get("delta", FiringMechanism.delta)
 
 
-def _mechanism(node: Node) -> tuple[int, Node]:
-    """A neuron node's operand count and the source node whose forward rule is
-    its ANN semantics, both from its `mech` (a subgrad layer computes ReLU)."""
+def _mechanism(node: Node) -> Node:
+    """The source node of a neuron node, whose forward rule and operand
+    count are its own, from its `mech` (a subgrad layer computes ReLU)."""
     mech = node.params.get("mech")
     try:
         m = parse_mechanism("relu" if mech == "subgrad" else mech)
@@ -151,8 +156,7 @@ def _mechanism(node: Node) -> tuple[int, Node]:
         raise UnknownOperatorError(f"node {node.id!r} has unknown mechanism {mech!r}") from None
     except ValueError as exc:
         raise UnknownOperatorError(f"node {node.id!r} has mechanism {mech!r}: {exc}") from None
-    arity, kind = MECHANISMS[m.kind]
-    return arity, Node(node.id, kind, {"delta": m.delta})
+    return Node(node.id, MECHANISMS[m.kind][1], {"delta": m.delta})
 
 
 def _flat_indices(node: Node) -> np.ndarray:
@@ -313,35 +317,26 @@ def _pool_shape(node: Node, shape) -> tuple:
 def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """Reference real-arithmetic semantics of one node.
 
-    `inputs` are float64 arrays ordered by port. The step plan runs the
-    element moves on index arrays to compose its selections; its dense,
-    affine and conv2d ops follow rules of their own (`plan.DenseRule`,
-    `plan.ConvRule`), within ~1e-13 of this one, and each of its other
-    batched ops computes, item by item, what this rule computes.
+    `inputs` are float64 arrays ordered by port; `output_shape` checks them
+    for its kinds. Nonlinearities compute their neurons' targets
+    (`oracles.reference_nonlinearity`), but mul_inv_sqrt shares one
+    denominator, which may be <= 0 (eps = 0), by its own rule. The step
+    plan runs the element moves on index arrays to compose its selections;
+    its dense, affine and conv2d ops follow rules of their own
+    (`plan.DenseRule`, `plan.ConvRule`), within ~1e-13 of this one, and each
+    of its other batched ops computes, item by item, what this rule computes.
     """
     k = node.kind
     p = node.params
+    if k in _SHAPED:
+        output_shape(node, [x.shape for x in inputs])
     if k in ("input", "output"):
         return inputs[0] if inputs else None
-    if k == "dense":
-        w, b = node.tensor("weight"), node.tensor("bias")
-        x = inputs[0].reshape(-1)
-        if x.shape[0] != w.shape[1]:
-            raise ShapeMismatchError(
-                f"dense {node.id!r}: weight expects {w.shape[1]} inputs, got {x.shape[0]}"
-            )
-        return w @ x + b
-    if k == "affine":
-        w, b = node.tensor("weight"), node.tensor("bias")
-        return w @ inputs[0].reshape(-1) + b
+    if k in ("dense", "affine"):
+        return node.tensor("weight") @ inputs[0].reshape(-1) + node.tensor("bias")
     if k == "conv2d":
-        w, x = node.tensor("weight"), inputs[0]
-        if x.ndim != 3 or x.shape[0] != w.shape[1]:
-            raise ShapeMismatchError(
-                f"conv2d {node.id!r}: expected ({w.shape[1]}, H, W) input, got {x.shape}"
-            )
-        return conv2d(x[None], w, node.tensor("bias"), p.get("stride", (1, 1)),
-                      p.get("padding", (0, 0)))[0]
+        return conv2d(inputs[0][None], node.tensor("weight"), node.tensor("bias"),
+                      p.get("stride", (1, 1)), p.get("padding", (0, 0)))[0]
     if k == "avgpool2d":
         return _pool(node, inputs[0], np.mean)
     if k == "maxpool2d":
@@ -360,13 +355,6 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         xhat = (x - mu) / np.sqrt(var + p["eps"])
         return xhat * node.tensor("gamma") + node.tensor("beta")
-    if k == "relu":
-        return np.maximum(inputs[0], 0.0)
-    if k == "leaky_relu":
-        x = inputs[0]
-        return np.where(x >= 0, x, leaky_slope(node) * x)
-    if k == "gelu":
-        return gelu_sigmoid(inputs[0])
     if k == "add":
         out = inputs[0]
         for x in inputs[1:]:
@@ -390,23 +378,17 @@ def node_forward(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
         return x[idx]
     if k == "concat":
         return np.concatenate([x.reshape(-1) for x in inputs])
-    if k == "max2":
-        return np.maximum(inputs[0], inputs[1])
-    if k == "square":
-        return inputs[0] ** 2
     if k == "mul_inv_sqrt":
         x1 = inputs[0].reshape(-1)
         x2 = np.broadcast_to(inputs[1].reshape(-1), x1.shape)
         return x1 / np.sqrt(x2)
-    if k == "neuron":
-        return _neuron_reference(node, inputs)
+    if k in MECHANISM_OF:
+        return reference_nonlinearity(MECHANISM_OF[k], inputs[0] if len(inputs) == 1 else inputs,
+                                      leaky_slope(node))
+    if k == "neuron":  # its source's target, an operand of one value feeding every neuron
+        operands = [np.broadcast_to(x.reshape(-1), (p["count"],)) for x in inputs]
+        return node_forward(_mechanism(node), operands).reshape(p["shape"])
     raise UnknownOperatorError(f"no forward rule for kind {k!r}")
-
-
-def _neuron_reference(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
-    """ANN semantics of a converted neuron layer (its target nonlinearity)."""
-    source = _mechanism(node)[1]
-    return node_forward(source, [x.reshape(-1) for x in inputs]).reshape(node.params["shape"])
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride=(1, 1),
@@ -446,9 +428,12 @@ def _pool(node: Node, x: np.ndarray, reducer) -> np.ndarray:
     return out
 
 
-def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
-    """The shape `node_forward` gives a dense, affine, conv2d, concat or add
-    node fed frames of `shapes`, by shape arithmetic alone."""
+def output_shape(node: Node, shapes: list[tuple]) -> tuple:
+    """The shape `node_forward` gives a dense, affine, conv2d, concat, add,
+    max2, mul_inv_sqrt or neuron node fed frames of `shapes`, by shape
+    arithmetic alone: the one shape rule of these kinds, which
+    `node_forward`, `shape_witness`, the conversion walk and the step plan
+    all apply. A misfit raises a `ShapeMismatchError` naming the node."""
     k, p = node.kind, node.params
     if k in ("dense", "affine", "conv2d"):
         w, b = np.shape(p["weight"]), np.shape(p["bias"])
@@ -471,8 +456,23 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
         return (o, ho, wo)
     elif k == "concat":
         return (sum(math.prod(sh) for sh in shapes),)
-    try:  # numpy broadcasts the terms of a sum
-        return np.broadcast_shapes(*shapes)
+    elif k == "mul_inv_sqrt":  # one denominator, or one per numerator
+        n, d = math.prod(shapes[0]), math.prod(shapes[1])
+        if d not in (1, n):
+            raise ShapeMismatchError(f"mul_inv_sqrt {node.id!r}: denominator of {d} values "
+                                     f"does not fit a numerator of {n}")
+        return (n,)
+    elif k == "neuron":  # an operand of one value feeds every neuron
+        n, sizes = p["count"], [math.prod(sh) for sh in shapes]
+        if any(size not in (n, 1) for size in sizes):
+            raise ShapeMismatchError(f"node {node.id!r} (neuron) has count {n} but operands "
+                                     f"of sizes {sizes}")
+        return tuple(p["shape"])
+    try:  # add and max2 broadcast their operands; a max2 neuron takes each whole or one value
+        shape = np.broadcast_shapes(*shapes)
+        if k == "max2" and any(math.prod(sh) not in (1, math.prod(shape)) for sh in shapes):
+            raise ValueError
+        return shape
     except ValueError:
         raise ShapeMismatchError(f"{k} {node.id!r} cannot take shapes "
                                  f"{[tuple(sh) for sh in shapes]}") from None
@@ -481,14 +481,14 @@ def linear_shape(node: Node, shapes: list[tuple]) -> tuple:
 def shape_witness(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
     """An array of the shape `node_forward` gives `node` fed arrays of the
     shapes of `inputs`: a ones frame for an input node, ones of the shape
-    arithmetic of the `linear_shape` kinds and of pooling, and the node's
-    own rule for every other kind. Misfits raise as `node_forward` would.
-    Values are not read, so numeric warnings are silenced."""
+    `output_shape` gives its kinds and of the pooling geometry, and the
+    node's own rule for every other kind. Misfits raise as `node_forward`
+    would. Values are not read, so numeric warnings are silenced."""
     with np.errstate(all="ignore"):
         if node.kind == "input":
             return np.ones(tuple(node.params["shape"]))
-        if node.kind in ("dense", "affine", "conv2d"):
-            return np.ones(linear_shape(node, [x.shape for x in inputs]))
+        if node.kind in _SHAPED:
+            return np.ones(output_shape(node, [x.shape for x in inputs]))
         if node.kind in ("maxpool2d", "avgpool2d"):
             return np.ones(_pool_shape(node, inputs[0].shape))
         return node_forward(node, inputs)

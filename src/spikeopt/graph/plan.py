@@ -9,8 +9,8 @@ index table (operands in several slots are joined by the concat rule first).
 The compiler is a visit of `Graph.walk`, the walk `run_forward`,
 `infer_shapes` and the conversion transforms make: it maps each node, given
 its inputs' compiled values, to its own. Inputs resolve to integer slots,
-output shapes come from shape arithmetic, and each weight is converted to
-float64 once.
+output shapes come from the one shape rule, `model.output_shape`, and each
+weight is converted to float64 once.
 
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
@@ -60,7 +60,7 @@ from functools import partial
 
 import numpy as np
 
-from .model import Graph, GraphError, Node, linear_shape, node_forward, window_indices
+from .model import Graph, GraphError, Node, node_forward, output_shape, window_indices
 
 __all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
 
@@ -363,7 +363,7 @@ class Plan:
 
     def _linear(self, node, ins: list[_Value]) -> _Value:
         srcs = [(self._flat(v), v.shape) for v in ins]
-        shape = linear_shape(node, [sh for _, sh in srcs])
+        shape = output_shape(node, [sh for _, sh in srcs])
         out = self._slot(math.prod(shape))
         a, in_shape = srcs[0]
         if node.kind in ("dense", "affine"):
@@ -397,11 +397,8 @@ class Plan:
         return _Value(out, None, shape, node.id)
 
     def _neuron(self, node, ins: list[_Value]) -> _Value:
-        n = node.params["count"]
+        n, shape = node.params["count"], output_shape(node, [v.shape for v in ins])
         sizes = [math.prod(v.shape) for v in ins]
-        if any(size not in (n, 1) for size in sizes):
-            raise GraphError(f"node {node.id!r} (neuron) has count {n} but operands "
-                             f"of sizes {sizes}")
         self.layers[node.id] = Forced(node)
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
@@ -425,4 +422,4 @@ class Plan:
                              observer=None if observe is None else partial(observe, nid, "neuron"))
 
         self._op(nid, "neuron", op, [src, scratch], scratch, out)
-        return _Value(out, None, node.params["shape"], nid)
+        return _Value(out, None, shape, nid)

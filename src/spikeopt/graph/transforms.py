@@ -22,11 +22,11 @@ from functools import partial
 
 import numpy as np
 
-from ..neurons import MECHANISMS, FiringMechanism
+from ..neurons import FiringMechanism
 from ..schedules import Schedule, ScheduleError, parse_schedule
 from . import io as gio
-from .model import (Graph, GraphError, Node, leaky_slope, run_forward, shape_witness,
-                    window_indices)
+from .model import (MECHANISM_OF, Graph, GraphError, Node, leaky_slope, run_forward,
+                    shape_witness, window_indices)
 from .plan import STEPPABLE, Plan
 
 __all__ = [
@@ -235,10 +235,6 @@ def _avgpool(node, ins, emit, nodes):
     }), ins)
 
 
-# ANN operator kind -> the firing mechanism that replaces it
-_MECHANISM_OF = {kind: mech for mech, (_, kind) in MECHANISMS.items()}
-
-
 @dataclass
 class SnnGraph:
     """Converted network: operator DAG with neuron layers, one shared schedule.
@@ -323,17 +319,17 @@ def convert(g: Graph, neuron_family: str, schedule: Schedule,
                 f"node {node.id!r} ({kind}) is not supported by the subgrad family")
 
     def neuron(node, ins, emit, nodes):
-        mech = FiringMechanism(_MECHANISM_OF[node.kind], leaky_slope(node)).name
+        mech = FiringMechanism(MECHANISM_OF[node.kind], leaky_slope(node)).name
         if neuron_family == "subgrad" and node.kind == "relu":
             mech = "subgrad"  # SnnGraph rejects any other kind in this family
-        shape = ins[0][1].shape
+        shape = shape_witness(node, [x for _, x in ins]).shape
         params = {"mech": mech, "count": int(np.prod(shape)), "shape": list(shape)}
         if node.params.get("m_f") is not None:
             params["m_f"] = node.params["m_f"]
         return emit(Node(node.id, "neuron", params), ins)
 
     rules = {"batchnorm": partial(_fold, g), "maxpool2d": _maxpool, "layernorm": _layernorm,
-             "avgpool2d": _avgpool, **dict.fromkeys(_MECHANISM_OF, neuron)}
+             "avgpool2d": _avgpool, **dict.fromkeys(MECHANISM_OF, neuron)}
     return SnnGraph(_rewrite(g, rules), neuron_family, schedule, parameterization)
 
 

@@ -240,7 +240,7 @@ class SubgradNeuron(_SpikeTally):
 # Sign-based neuron.
 # ---------------------------------------------------------------------------
 
-# firing mechanism -> (operand count, the ANN operator kind it replaces)
+# firing mechanism -> (operand count, the ANN operator kind it replaces), read by every module
 MECHANISMS = {
     "relu": (1, "relu"), "leaky": (1, "leaky_relu"), "gelu": (1, "gelu"),
     "square": (1, "square"), "max2": (2, "max2"), "misr": (2, "mul_inv_sqrt"),

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import heaviside, sigmoid
+from .neurons import MECHANISMS
 from .schedules import Schedule
 
 __all__ = [
@@ -60,16 +61,17 @@ def gelu_sigmoid(x):
 
 
 def reference_nonlinearity(kind: str, x, delta: float = 0.1):
-    """Exact real-arithmetic target values for each firing mechanism.
+    """Exact real-arithmetic target values for each firing mechanism (and
+    relu1), the ANN reference's too (`model.node_forward`) but for misr's.
 
-    Two-operand kinds take x with a leading axis of length 2 (or a pair).
+    Two-operand kinds (`neurons.MECHANISMS`) take x as a pair (or an array
+    with a leading axis of length 2), whose operands broadcast.
     """
-    if kind in ("max2", "misr"):
-        x = np.asarray(x, dtype=np.float64)
-        x1, x2 = x[0], x[1]
+    if MECHANISMS.get(kind, (1,))[0] == 2:
+        x1, x2 = np.asarray(x[0], dtype=np.float64), np.asarray(x[1], dtype=np.float64)
         if kind == "max2":
             return np.maximum(x1, x2)
-        if np.any(np.asarray(x2) <= 0):
+        if np.any(x2 <= 0):
             raise ValueError("mul-inverse-sqrt needs a positive second operand")
         return x1 / np.sqrt(x2)
     x = np.asarray(x, dtype=np.float64)
@@ -394,7 +396,7 @@ class SignGdOracle:
     """
 
     def __init__(self, obj: SqErrObjective, schedule: Schedule, W, b, n: int = 1):
-        arity = 2 if obj.kind in ("max2", "misr") else 1
+        arity = MECHANISMS[obj.kind][0]
         self.obj = obj
         self.schedule = schedule
         self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (arity, n)).copy()

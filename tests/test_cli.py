@@ -1066,6 +1066,98 @@ def test_normalize_relu_converts_a_batch_normed_net(tmp_path):
         assert err <= 1e-6, err
 
 
+def two_operand_net(kind, a, b):
+    """in(4) -> dense fa (a outputs) and dense fb (b outputs) -> node "x" of
+    `kind`, fa on port 0 and fb on port 1 -> output."""
+    rng = make_rng(12)
+    nodes = [Node("in", "input", {"shape": [4]}), dense_node(rng, "fa", 4, a),
+             dense_node(rng, "fb", 4, b), Node("x", kind, {}), Node("out", "output", {})]
+    return Graph(nodes, [("in", "fa", 0), ("in", "fb", 0), ("fa", "x", 0), ("fb", "x", 1),
+                         ("x", "out", 0)])
+
+
+def layer_misfit_net(kind, weight, bias):
+    """in(4) -> node "x" of `kind` with `weight` and `bias` -> relu -> dense -> output."""
+    rng = make_rng(13)
+    nodes = [Node("in", "input", {"shape": [4]}),
+             Node("x", kind, {"weight": weight, "bias": bias}), Node("act", "relu", {}),
+             dense_node(rng, "fc", 3, 2), Node("out", "output", {})]
+    return Graph(nodes, chain_edges([n.id for n in nodes]))
+
+
+# an ANN whose operands do not fit a node -> the flags `convert` takes
+OPERAND_MISFITS = {
+    "add": (lambda: two_operand_net("add", 3, 5), []),
+    "max2": (lambda: two_operand_net("max2", 3, 5), []),
+    "mul_inv_sqrt": (lambda: two_operand_net("mul_inv_sqrt", 3, 2), []),
+    "dense-bias": (lambda: layer_misfit_net("dense", np.ones((3, 4)), np.zeros(2)),
+                   ["--normalize-relu", "1"]),
+    "affine-fan-in": (lambda: layer_misfit_net("affine", np.ones((3, 5)), np.zeros(3)),
+                      ["--normalize-relu", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", OPERAND_MISFITS)
+def test_operands_that_do_not_fit_their_node_exit_2_naming_it(tmp_path, capsys, case):
+    """An add, max2 or mul_inv_sqrt whose operands do not broadcast, and a
+    dense or affine node whose bias or input does not fit its weight (found
+    by the ANN run of `--normalize-relu`), end `convert` with exit status 2
+    and one stderr line naming the node, not a numpy traceback."""
+    build, flags = OPERAND_MISFITS[case]
+    save_model(build(), tmp_path / "m")
+    capsys.readouterr()
+    rc = main(["convert", str(tmp_path / "m.json"), "--family", "signgd", *flags,
+               "--out", str(tmp_path / "snn")])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and err.count("\n") == 1, err
+    assert err.startswith("spikeopt convert: error: ") and "'x'" in err, err
+    assert not (tmp_path / "snn.json").exists()
+
+
+def test_probe_of_a_neuron_count_its_operands_do_not_fit_exits_2(tmp_path, capsys):
+    """A converted conftest mlp whose act0 says count 5 (and shape [5]) for
+    its 16 currents ends `probe` as it ends `infer`: exit status 2 and one
+    stderr line naming the node and the sizes."""
+    save_model(MODELS["mlp"](), tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 0
+    manifest = json.loads((tmp_path / "snn.json").read_text())
+    next(n for n in manifest["nodes"] if n["id"] == "act0")["params"].update(
+        count=5, shape=[5])
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(tmp_path / "snn.bin", tmp_path / "m.bin")
+    save_tensor(make_rng(4).normal(0, 1, (2, 8)), tmp_path / "data.sten")
+    out = tmp_path / "out.csv"
+    for command, flag in (("infer", "--report"), ("probe", "--out")):
+        capsys.readouterr()
+        rc = main([command, str(tmp_path / "m.json"), "--data", str(tmp_path / "data.sten"),
+                   flag, str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == 2 and stdout == "" and err == (
+            f"spikeopt {command}: error: node 'act0' (neuron) has count 5 but operands "
+            f"of sizes [16]\n"), err
+        assert not out.exists()
+
+
+def test_a_max2_whose_first_operand_broadcasts_converts(tmp_path, capsys):
+    """A max2 of one value against three is a numpy broadcast: it converts
+    to a 3-neuron layer, the network runs, and its reference forward stays
+    within the 1e-6 transform bound of the source's."""
+    g = two_operand_net("max2", 1, 3)
+    save_model(g, tmp_path / "m")
+    assert main(["convert", str(tmp_path / "m.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 0
+    snn = SnnGraph.load(tmp_path / "snn")
+    assert snn.graph.nodes["x"].params["count"] == 3
+    data = make_rng(6).normal(0, 1, (3, 4))
+    save_tensor(data, tmp_path / "data.sten")
+    assert main(["infer", str(tmp_path / "snn.json"), "--data", str(tmp_path / "data.sten"),
+                 "--T", "8", "--report", str(tmp_path / "acc.csv")]) == 0
+    for x in data:
+        err = np.abs(run_forward(snn.graph, x)["out"] - run_forward(g, x)["out"]).max()
+        assert err <= 1e-6, err
+
+
 @pytest.mark.parametrize("flag,value", [("--points", "0"), ("--points", "-2"), ("--T", "0")])
 def test_sweep_points_and_steps_must_be_at_least_one(tmp_path, capsys, flag, value):
     out = tmp_path / "s.csv"

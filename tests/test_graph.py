@@ -29,6 +29,7 @@ from spikeopt.graph import (
     GraphError,
     ModelFormatError,
     Node,
+    ShapeMismatchError,
     SnnGraph,
     TruncatedBlobError,
     UnknownOperatorError,
@@ -45,7 +46,7 @@ from spikeopt.graph import (
     save_model,
     save_tensor,
 )
-from spikeopt.graph.model import KINDS
+from spikeopt.graph.model import KINDS, node_forward, shape_witness
 from spikeopt.graph.plan import STEPPABLE, Plan
 from spikeopt.neurons import FiringMechanism
 from spikeopt.schedules import Schedule
@@ -1161,3 +1162,58 @@ def test_calibration_linearity_property(seed, depth):
     cal = snn.graph.nodes["act"].params
     np.testing.assert_allclose(cal["cal_w"][0], w_total.sum(axis=1), rtol=1e-4, atol=1e-5)
     np.testing.assert_allclose(cal["cal_b"][0], b_total, rtol=1e-4, atol=1e-5)
+
+
+def operand_graph(kind, params, shapes):
+    """in -> per operand i a gather of the input's first values and a reshape
+    to shapes[i] -> node "x" of `kind` with `params`, operand i on port i ->
+    output."""
+    size = max(math.prod(sh) for sh in shapes)
+    nodes = [Node("in", "input", {"shape": [size]}), Node("x", kind, params),
+             Node("out", "output", {})]
+    edges = [("x", "out", 0)]
+    for i, sh in enumerate(shapes):
+        nodes += [Node(f"g{i}", "gather", {"indices": list(range(math.prod(sh)))}),
+                  Node(f"r{i}", "reshape", {"shape": list(sh)})]
+        edges += [("in", f"g{i}", 0), (f"g{i}", f"r{i}", 0), (f"r{i}", "x", i)]
+    return Graph(nodes, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_shape_rule_for_multi_operand_kinds(data):
+    """shape_witness, node_forward on random values and the step plan (of
+    the converted graph, for the ANN-only max2 and mul_inv_sqrt) agree on
+    an add, max2, mul_inv_sqrt, concat or neuron node: the same output shape
+    (the plan's output width being its size), or each raises a
+    ShapeMismatchError naming the node."""
+    kind = data.draw(st.sampled_from(["add", "max2", "mul_inv_sqrt", "concat", "neuron"]))
+    params, arity = {}, 2
+    if kind == "neuron":
+        mech = data.draw(st.sampled_from(["signgd:relu", "signgd:max2", "signgd:misr"]))
+        arity = 1 if mech == "signgd:relu" else 2
+    elif kind in ("add", "concat"):
+        arity = data.draw(st.integers(1 if kind == "concat" else 2, 3))
+    shapes = [tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+              for _ in range(arity)]
+    if kind == "neuron":
+        count = data.draw(st.sampled_from(sorted({1, 5, *map(math.prod, shapes)})))
+        params = {"mech": mech, "count": count, "shape": [count]}
+    g = operand_graph(kind, params, shapes)
+    node, xs = g.nodes["x"], [make_rng(0).uniform(0.5, 2.0, sh) for sh in shapes]
+
+    def outcome(f):
+        try:
+            return f()
+        except ShapeMismatchError as exc:
+            assert "'x'" in str(exc), exc
+            return "misfit"
+
+    def plan_width():
+        steppable = g if kind in STEPPABLE else convert(g, "signgd", Schedule.inverse(1.0)).graph
+        plan = Plan(steppable)
+        return plan.widths[plan.out_slot]
+
+    witness = outcome(lambda: shape_witness(node, xs).shape)
+    assert outcome(lambda: node_forward(node, xs).shape) == witness
+    assert outcome(plan_width) == (witness if witness == "misfit" else math.prod(witness))
