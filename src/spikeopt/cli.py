@@ -147,8 +147,9 @@ def cmd_encode(args):
         enc = PoissonEncoder(args.x, seed=args.seed)
     else:
         enc = signed_encoder(args.encoder, args.x, schedule, args.c, args.seed)
-    rows = [(t, enc.step()) for t in range(1, args.T + 1)]
-    _write_csv(args.out, ["t", "s"], rows)
+    frames = np.empty(args.T)
+    enc.fill(frames)
+    _write_csv(args.out, ["t", "s"], enumerate(frames.tolist(), 1))
     print(f"wrote {args.T} steps to {args.out}")
     return 0
 
@@ -307,9 +308,8 @@ def cmd_neuron_sweep(args):
     frames = np.empty((K, *ops.shape))
     for t0 in range(0, args.T, K):
         block = frames[: min(K, args.T - t0)]
-        for frame in block:
-            for operand, enc in zip(frame, encs):
-                operand[...] = enc.step()
+        for j, enc in enumerate(encs):
+            enc.fill(block[:, j])
         neuron.step(block, steps=len(block), observer=record)
     _write_csv(args.out, ["x", "t", "err"], rows)
     final = np.abs(neuron.decoded - target)
@@ -588,6 +588,10 @@ def main(argv=None) -> int:
     if extra:
         args = build_parser().parse_args(argv)
     try:
+        # every command takes --seed, and seeds PCG64 with it (and with
+        # seed + k and seed + 1000 i), which takes no negative integer
+        if args.seed < 0:
+            raise RangeError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (GraphError, RangeError) as exc:
         print(f"spikeopt {args.command}: error: {exc}", file=sys.stderr)

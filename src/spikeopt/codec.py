@@ -7,12 +7,21 @@ Decoding schemes (y(0) = 0 everywhere):
   ema:     y(t) = y(t-1) * (tau-1)/tau + s(t) / tau
   signed:  y(t) = y(t-1) - eta(t) * (2 s(t) - 1)
 
-Encoders emit, step by step, the train whose decode chases the target x. They
-never clamp x: a target outside the reachable range R(eta, T) = sum eta(t)
-saturates silently. The tie convention is fixed repo-wide as H(0) = 1.
+Encoders emit the train whose decode chases the target x. They never clamp
+x: a target outside the reachable range R(eta, T) = sum eta(t) saturates
+silently. The tie convention is fixed repo-wide as H(0) = 1. An encoder
+writes a block of K frames at a time into a buffer it is given
+(`fill(frames)`, as a network's run loop, `neuron-sweep` and `encode` call
+it); `step()` is a fill of one frame. The parts that read no state (the
+Poisson and constant frames, the stochastic encoder's uniform draws) are
+formed for the whole block; the recurrences on f, the spike count and the
+EMA decode run frame by frame in place, with the operations of their
+expressions in order, so a block gives every frame the bits that stepping
+it alone gives.
 
 Stochastic encoders take explicit seeds and use numpy's PCG64 generator, so
-trains are reproducible across platforms.
+trains are reproducible across platforms. A block draws exactly its frames'
+uniforms, in stream order, so it draws what one frame per step would.
 """
 
 from __future__ import annotations
@@ -46,11 +55,20 @@ def heaviside(x):
     return out if out.ndim else float(out)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None, tmp=None, hit=None):
+    """1 / (1 + exp(-x)), as 1 / (1 + e) where x >= 0 and e / (1 + e)
+    below, with e = exp(-|x|), which never overflows. Written into `out`
+    through `tmp`, float buffers shaped like x, and `hit`, a bool one, if
+    given; a new array, or a float for a scalar x, otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))  # exp(-x) where x >= 0 and exp(x) below; never overflows
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.ndim else float(out)
+    e = np.empty(x.shape) if out is None else out
+    q = np.empty(x.shape) if tmp is None else tmp
+    np.exp(np.negative(np.abs(x, e), e), e)
+    np.add(e, 1.0, q)
+    np.divide(e, q, e)
+    np.divide(1.0, q, q)
+    np.copyto(e, q, where=np.greater_equal(x, 0.0, hit))
+    return e if e.ndim else float(e)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -59,33 +77,21 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class _ItemGenerators:
-    """One generator per item of a batch: `random((B, ...))` gives each
-    item's own draws, so row i is what item i alone would draw.
-
-    A PCG64 generator emits its doubles in sequence, so `g.random((k, *shape))`
-    is k calls of `g.random(shape)`, bit for bit. Each item therefore draws k
-    frames at a time, as many as fit in BLOCK doubles, and a call returns the
-    next frame of every item: a view into the block, which the draw k calls
-    later overwrites. Every call must ask for the same shape.
-    """
-
-    BLOCK = 4096
+    """One generator per item of a batch: `random((K, B, ...))` gives K
+    frames of the B items, row i of each drawn by item i's own generator,
+    so frame k's row i is what item i alone draws at its k-th draw. A PCG64
+    generator emits its doubles in order, so one draw of K frames is K
+    draws of one frame, bit for bit, and each item draws exactly the
+    block's frames."""
 
     def __init__(self, seeds):
         self.rngs = [make_rng(s) for s in seeds]
-        self.block = None
-        self.next = 0
 
     def random(self, shape):
-        if self.block is None or self.next == self.block.shape[1]:
-            k = max(1, self.BLOCK // max(1, int(np.prod(shape[1:]))))
-            if self.block is None:
-                self.block = np.empty((len(self.rngs), k, *shape[1:]))
-            for g, rows in zip(self.rngs, self.block):
-                g.random(out=rows)
-            self.next = 0
-        self.next += 1
-        return self.block[:, self.next - 1]
+        draws = np.empty((shape[1], shape[0], *shape[2:]))
+        for g, rows in zip(self.rngs, draws):
+            g.random(out=rows)
+        return draws.swapaxes(0, 1)
 
 
 def _generator(seed):
@@ -142,45 +148,80 @@ class SignedDecoder:
 
 
 # ---------------------------------------------------------------------------
-# Encoders for signed schedule coding. Each keeps the internal estimate f that
-# a signed-schedule decoder of the emitted train reproduces exactly.
+# Encoders. `fill(frames)` writes the next K = len(frames) frames, (K,
+# *shape), and `step()` is a fill of one frame, so each encoder's arithmetic
+# has one copy; each recurrence's expression is in its comment.
 # ---------------------------------------------------------------------------
 
 
-class FloatEncoder:
+class _Encoder:
+    """Frames shaped like `shape`: `step()` returns the next one, a float for
+    a scalar target and a new array otherwise. Every encoder class holds
+    `step` in its own namespace, so that wrapping one class's `step` (as
+    `bench/tracing.py` does) wraps that class only."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.step = _Encoder.step
+
+    def step(self):
+        frame = np.empty((1, *self.shape))
+        self.fill(frame)
+        return frame[0] if self.shape else float(frame[0])
+
+
+class _SignedEncoder(_Encoder):
+    """The state of a signed-schedule encoder: the target x, the estimate f
+    a signed-schedule decoder of the train reproduces, and buffers of one
+    frame."""
+
+    def __init__(self, x, schedule: Schedule):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.shape = self.x.shape
+        self.schedule = schedule
+        self.f = np.zeros(self.shape)
+        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
+        self.t = 0
+
+    def _move(self, s):
+        """f <- f - eta(t) (2 s - 1)."""
+        tmp = self._tmp
+        np.multiply(s, 2.0, tmp)
+        np.subtract(tmp, 1.0, tmp)
+        np.multiply(tmp, self.schedule(self.t), tmp)
+        np.subtract(self.f, tmp, self.f)
+
+
+class FloatEncoder(_SignedEncoder):
     """Relaxed current encoder: emits 0.5 * (1 + (f - x)) each step."""
 
-    def __init__(self, x, schedule: Schedule):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.schedule = schedule
-        self.f = np.zeros_like(self.x)
-        self.t = 0
-
-    def step(self):
-        self.t += 1
-        grad = self.f - self.x
-        current = 0.5 * (1.0 + grad)
-        self.f = self.f - self.schedule(self.t) * grad
-        return current
+    def fill(self, frames):
+        f, x, grad = self.f, self.x, self._tmp
+        for k in range(len(frames)):
+            self.t += 1
+            # grad = f - x; current = 0.5 (1 + grad); f <- f - eta(t) grad
+            np.subtract(f, x, grad)
+            current = np.add(grad, 1.0, frames[k, ...])
+            np.multiply(current, 0.5, current)
+            np.multiply(grad, self.schedule(self.t), grad)
+            np.subtract(f, grad, f)
 
 
-class DeterministicEncoder:
+class DeterministicEncoder(_SignedEncoder):
     """Binary encoder: emits H(f - x), then moves f one signed step."""
 
-    def __init__(self, x, schedule: Schedule):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.schedule = schedule
-        self.f = np.zeros_like(self.x)
-        self.t = 0
-
-    def step(self):
-        self.t += 1
-        s = heaviside(self.f - self.x)
-        self.f = self.f - self.schedule(self.t) * (2.0 * s - 1.0)
-        return s
+    def fill(self, frames):
+        hit = self._hit
+        for k in range(len(frames)):
+            self.t += 1
+            # s = H(f - x)
+            np.greater_equal(np.subtract(self.f, self.x, self._tmp), 0.0, hit)
+            s = frames[k, ...]
+            np.copyto(s, hit)
+            self._move(s)
 
 
-class StochasticEncoder:
+class StochasticEncoder(_SignedEncoder):
     """Sigmoidal stochastic encoder: s ~ Bernoulli(sigmoid(c * (f - x))).
 
     With a sequence of seeds, x is a batch (one row per seed) and each row
@@ -190,21 +231,23 @@ class StochasticEncoder:
     def __init__(self, x, schedule: Schedule, c: float, seed: int):
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"stochasticity c must lie in [0, 1], got {c}")
-        self.x = np.asarray(x, dtype=np.float64)
-        self.schedule = schedule
+        super().__init__(x, schedule)
         self.c = float(c)
         self.rng = _generator(seed)
-        self.f = np.zeros_like(self.x)
-        self.t = 0
+        self._e, self._q = np.empty(self.shape), np.empty(self.shape)
 
-    def step(self):
-        self.t += 1
-        p = sigmoid(self.c * (self.f - self.x))
-        s = (self.rng.random(np.shape(self.x)) < p).astype(np.float64)
-        if np.ndim(self.x) == 0:
-            s = float(s)
-        self.f = self.f - self.schedule(self.t) * (2.0 * np.asarray(s) - 1.0)
-        return s
+    def fill(self, frames):
+        draws = self.rng.random(frames.shape)  # the block's uniforms, in stream order
+        z, e, q, hit = self._tmp, self._e, self._q, self._hit
+        for k in range(len(frames)):
+            self.t += 1
+            # p = sigmoid(c (f - x))
+            np.multiply(np.subtract(self.f, self.x, z), self.c, z)
+            sigmoid(z, e, q, hit)
+            # s = (uniform < p)
+            s = frames[k, ...]
+            np.copyto(s, np.less(draws[k], e, hit))
+            self._move(s)
 
 
 def signed_encoder(kind: str, x, schedule: Schedule, c: float = 0.5, seed: int = 0):
@@ -223,34 +266,35 @@ def signed_encoder(kind: str, x, schedule: Schedule, c: float = 0.5, seed: int =
 # ---------------------------------------------------------------------------
 
 
-class ConstantEncoder:
+class ConstantEncoder(_Encoder):
     """Float encoding for rate and EMA coding: I(t) = x for every t."""
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=np.float64)
+        self.shape = self.x.shape
         self.t = 0
 
-    def step(self):
-        self.t += 1
-        return self.x.copy() if self.x.ndim else float(self.x)
+    def fill(self, frames):
+        self.t += len(frames)
+        frames[...] = self.x
 
 
-class PoissonEncoder:
+class PoissonEncoder(_Encoder):
     """i.i.d. Bernoulli(ReLU1(x)) spikes; rate-decodes toward ReLU1(x).
     A sequence of seeds draws each row of a batch x from its own generator."""
 
     def __init__(self, x, seed: int):
         self.p = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+        self.shape = self.p.shape
         self.rng = _generator(seed)
         self.t = 0
 
-    def step(self):
-        self.t += 1
-        s = (self.rng.random(self.p.shape) < self.p).astype(np.float64)
-        return s if self.p.ndim else float(s)
+    def fill(self, frames):
+        self.t += len(frames)
+        np.copyto(frames, np.less(self.rng.random(frames.shape), self.p))
 
 
-class RateDeterministicEncoder:
+class RateDeterministicEncoder(_Encoder):
     """Greedy rate encoder: keeps the running spike count within 1 of t*x.
 
     The rate decode then satisfies |y(t) - clip(x, 0, 1)| <= 1/t, the
@@ -259,17 +303,25 @@ class RateDeterministicEncoder:
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=np.float64)
-        self.count = np.zeros_like(self.x)
+        self.shape = self.x.shape
+        self.count = np.zeros(self.shape)
+        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
         self.t = 0
 
-    def step(self):
-        self.t += 1
-        s = heaviside(self.t * self.x - self.count - 0.5)
-        self.count = self.count + s
-        return s
+    def fill(self, frames):
+        tmp, hit = self._tmp, self._hit
+        for k in range(len(frames)):
+            self.t += 1
+            # s = H(t x - count - 0.5); count <- count + s
+            np.multiply(self.x, self.t, tmp)
+            np.subtract(tmp, self.count, tmp)
+            np.greater_equal(np.subtract(tmp, 0.5, tmp), 0.0, hit)
+            s = frames[k, ...]
+            np.copyto(s, hit)
+            np.add(self.count, s, self.count)
 
 
-class EmaDeterministicEncoder:
+class EmaDeterministicEncoder(_Encoder):
     """Deterministic spike encoder for EMA coding with base tau.
 
     Emits I(t) = H(x - (tau-1)/tau * xt(t-1)) where xt is the EMA decode of
@@ -278,13 +330,20 @@ class EmaDeterministicEncoder:
 
     def __init__(self, x, tau: float):
         self.x = np.asarray(x, dtype=np.float64)
+        self.shape = self.x.shape
         self.tau = float(tau)
-        self.xt = np.zeros_like(self.x)
+        self.xt = np.zeros(self.shape)
+        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
         self.t = 0
 
-    def step(self):
-        self.t += 1
+    def fill(self, frames):
+        xt, tmp, hit = self.xt, self._tmp, self._hit
         rho = (self.tau - 1.0) / self.tau
-        s = heaviside(self.x - rho * self.xt)
-        self.xt = rho * self.xt + s / self.tau
-        return s
+        for k in range(len(frames)):
+            self.t += 1
+            # s = H(x - rho xt); xt <- rho xt + s / tau
+            np.multiply(xt, rho, xt)
+            np.greater_equal(np.subtract(self.x, xt, tmp), 0.0, hit)
+            s = frames[k, ...]
+            np.copyto(s, hit)
+            np.add(xt, np.divide(s, self.tau, tmp), xt)

@@ -6,10 +6,11 @@ whose one forced step on its own stand-in layers gives the calibration
 re-loaded network runs as the in-memory one, and no stored `cal_*` record
 is read. One coefficient set, with its memo of each step's scalars,
 serves every neuron layer and the readout. It steps B items in
-lockstep, K steps at a time: the items' next K input frames go through the
-plan as one block (linear ops map all K B frames at once, each neuron layer
-forms the state-free part of its K steps at once and runs only its state
-recurrence step by step), and the K output currents fold into the readouts,
+lockstep, K steps at a time: the input encoder writes the items' next K
+frames into the plan's input buffer in one `fill` call, the block goes
+through the plan (linear ops map all K B frames at once, each neuron layer
+forms the state-free part of its K steps at once and runs only what reads
+its state step by step), and the K output currents fold into the readouts,
 the terms without r once per block and r's recurrence one step at a time:
 
   sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
@@ -227,8 +228,7 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
     for t in range(0, T, K):
         # the encoder's next frames, written into the plan's input buffer
         frames = inst.plan.frames[: min(K, T - t)]
-        for row in frames:
-            row[...] = enc.step()
+        enc.fill(frames)
         history[t : t + len(frames)] = inst.step(frames, steps=len(frames), observer=observer)
     return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
 

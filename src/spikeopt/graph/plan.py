@@ -18,11 +18,15 @@ conv2d op runs once per block; moves, takes, adds and concats row by row
 with the arithmetic `node_forward` uses for one frame. Each neuron layer
 takes the block too, in one call of its `step`: after one take of its
 operands where it has one, it forms the state-free part of its dynamics for
-all K steps in its scratch slot, runs only its state recurrence step by
-step, and writes its K B spike rows into its output slot. In a feed-forward
-network a layer's state at step t depends only on its inputs up to t, so a
-block gives every step what stepping it alone gives, bit for bit. K comes
-from one rule, `block_steps`, which the plans and `neuron-sweep` share.
+all K steps in its scratch slot, runs only what reads its state step by
+step, and writes its K B spike rows into its output slot. A sign layer of
+at most `neurons.SMALL_OPERANDS` operand values per step also runs v's
+recurrence through the scratch slot, which then holds v after each step,
+and forms its firing targets for all K steps in its output slot before the
+per-step comparisons overwrite them with spikes. In a feed-forward network
+a layer's state at step t depends only on its inputs up to t, so a block
+gives every step what stepping it alone gives, bit for bit. K comes from
+one rule, `block_steps`, which the plans and `neuron-sweep` share.
 
 Each neuron layer compiles as a `Forced` stand-in, which reads its currents
 in the plan's row layout; `Plan.calibration`, the stimulate/depress step, is

@@ -13,13 +13,19 @@ solved.
 IF and LIF neurons take one step per `step()` call. The subgradient and
 sign-based neurons take one step per `step(I)` call, or a block of K steps
 per `step(I, steps=K, ...)` call, the form a network's layers and the
-oracle check use. A block call splits the dynamics in two. The part that
-never reads the state (the sign neuron's a2(t) (2 (I(t) - b) - W), the
-subgradient neuron's gamma(t) I(t)) is formed once for the whole block.
-The part that does (v's and u's recurrences, the firing comparison, the
-decode y) then runs step by step in preallocated buffers, each expression
-with the operations of the one-step form in the same order. A one-step call
-is a block of one step, so there is one copy of the arithmetic, and a block
+oracle check use. A block call forms the part of the dynamics that never
+reads the state (the sign neuron's a2(t) (2 (I(t) - b) - W), the
+subgradient neuron's gamma(t) I(t)) once for the whole block. The
+subgradient neuron then runs the rest (u's recurrence, the firing
+comparison, the decode y) step by step. The sign neuron's v never reads u
+or the spikes, so a layer whose step is small (B arity n up to
+SMALL_OPERANDS values, where a numpy call costs more than its arithmetic)
+runs v's recurrence row by row first and forms its firing rule's target
+for all K steps at once; only the comparison with u and u's reset then run
+per step. A larger layer forms v and its target step by step, in buffers
+of one step's size. Every expression runs in preallocated buffers with the
+operations of the one-step form in the same order. A one-step call is a
+block of one step, so there is one copy of the arithmetic, and a block
 gives every step the bits that stepping it alone gives. An observer passed
 to a block call is called after each of its steps and sees the state after
 that step; the spike tally is added when the block ends.
@@ -62,9 +68,13 @@ __all__ = [
     "parse_mechanism",
     "SignGdNeuron",
     "MECHANISMS",
+    "SMALL_OPERANDS",
 ]
 
 _HALF_MAX = np.finfo(np.float64).max / 2  # the largest x whose 2 x is finite
+# operand values per step (batch x arity x n) up to which a sign layer forms
+# its firing targets once per block (see SignGdNeuron)
+SMALL_OPERANDS = 1024
 
 
 @dataclass(frozen=True)
@@ -255,6 +265,11 @@ class FiringMechanism:
     m(v) of its nonlinearity, or (1 + exp(-1.702 v0)) u >= v0 for gelu,
     which at u = 0 is v0 <= 0. A tie fires, as H(0) = 1 does. The leaky
     slope `delta` must be finite.
+
+    A rule is evaluated in two parts: `target`, which reads only v, and
+    `compare`, which reads u. A layer forms the targets of one step, or of
+    a whole block of steps at once, and compares each step's u with its
+    step's rows; both ways run the same two functions.
     """
 
     kind: str
@@ -284,72 +299,112 @@ class FiringMechanism:
         target that overflows (v0 ** 2 for |v0| > 1.3e154, exp(-1.702 v0) for
         v0 < -417) becomes inf, and the comparison gives the spike the
         difference would. At u = 0 gelu's rule is H(-v0); the overflowed
-        inf * 0 is NaN, so gelu fires there on (u == 0) & (v0 <= 0), which
-        repeats its comparison wherever exp is finite.
+        inf * 0 is NaN, so where a gain overflowed gelu fires on (u == 0) &
+        (v0 <= 0), which repeats its comparison wherever exp is finite.
         """
         u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
         shape = np.broadcast_shapes(u.shape, v.shape[1:])
-        out = np.empty(shape)
-        self.fire(u, v, out, self.scratch(shape))
-        return out
+        target, flags, tmp = self.scratch(shape)
+        self.compare(u, v, target, flags, self.target(v, target, flags), target, tmp)
+        return target
 
     @staticmethod
     def scratch(shape) -> tuple:
-        """The buffers `fire` needs for spikes of `shape`: two float, four bool."""
-        return ((np.empty(shape), np.empty(shape)),
-                tuple(np.empty(shape, dtype=bool) for _ in range(4)))
+        """Buffers for spikes of `shape`: a target and the two `flags` of
+        `target`, and the float and three bools `compare` works in."""
+        return (np.empty(shape), np.empty((2, *shape), dtype=bool),
+                (np.empty(shape), *(np.empty(shape, dtype=bool) for _ in range(3))))
 
-    def fire(self, u, v, out, tmp) -> int:
-        """Write the spikes of `spike(u, v)` into `out` through the `scratch`
-        buffers `tmp`, and return how many evaluations fell back (misr with
-        v2 <= 0; 0 for every other rule). Each rule reaches its spikes as
-        booleans, which one copy turns into `out`'s 0.0/1.0. The rules whose
-        targets can overflow silence overflow and invalid-value warnings."""
-        (f0, f1), (b0, b1, b2, b3) = tmp
-        k, fallbacks = self.kind, 0
+    def target(self, v, out, flags) -> int:
+        """The part of the rule that reads only the operands v, (arity,
+        *shape), into `out`, shaped like one operand: the target m(v) of
+        relu, leaky, square and max2, gelu's gain 1 + exp(-1.702 v0), or
+        misr's v1 ** 2, with v1 >= 0 and v2 > 0 in the bools `flags[0]` and
+        `flags[1]`. Returns how many evaluations fall back: gelu's gains
+        that overflowed, where `compare` adds the u == 0 case, and misr's
+        v2 <= 0, where it drives the output toward zero (its layer counts
+        these degeneracies); 0 for every other rule. The rules whose targets
+        can overflow silence overflow warnings."""
+        k = self.kind
         if k == "relu":
-            np.greater_equal(u, np.maximum(v[0], 0.0, out=f0), b0)
+            np.maximum(v[0], 0.0, out=out)
         elif k == "max2":
-            np.greater_equal(u, np.maximum(v[0], v[1], out=f0), b0)
+            np.maximum(v[0], v[1], out=out)
         elif k == "leaky":
-            # target where(v0 >= 0, v0, delta v0)
+            # where(v0 >= 0, v0, delta v0)
             v0 = v[0]
-            np.multiply(v0, self.delta, f0)
-            np.copyto(f0, v0, where=np.greater_equal(v0, 0.0, b0))
-            np.greater_equal(u, f0, b0)
+            np.multiply(v0, self.delta, out)
+            np.copyto(out, v0, where=np.greater_equal(v0, 0.0, flags[0]))
         elif k == "square":
             with np.errstate(over="ignore"):
-                np.greater_equal(u, np.square(v[0], f0), b0)
+                np.square(v[0], out)
         elif k == "gelu":
-            v0 = v[0]
-            # (1 + exp(-1.702 v0)) u >= v0, or u == 0 and v0 <= 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(v0, -1.702, f0)
-                np.exp(f0, f0)
-                np.add(f0, 1.0, f0)
-                np.multiply(f0, u, f0)
-                np.greater_equal(f0, v0, b0)
-            np.logical_and(np.equal(u, 0.0, b1), np.less_equal(v0, 0.0, b2), b1)
-            np.logical_or(b0, b1, b0)
+            with np.errstate(over="ignore"):
+                np.multiply(v[0], -1.702, out)
+                np.exp(out, out)
+                np.add(out, 1.0, out)
+            return np.count_nonzero(np.isinf(out, flags[0]))
         else:
-            # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise drive
-            # the output toward zero (SignGdNeuron counts these degeneracies).
-            # With u and v1 of one sign the rule is H(+-lead), lead = v2 u^2 - v1^2;
-            # with mixed signs it is H(u) H(-v1), which is H(u) then.
             v1, v2 = v[0], v[1]
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.multiply(v2, u, f0)
-                np.multiply(f0, u, f0)
-                np.subtract(f0, np.multiply(v1, v1, f1), f0)  # lead
+            with np.errstate(over="ignore"):
+                np.multiply(v1, v1, out)
+            np.greater_equal(v1, 0.0, flags[0])
+            ok = np.greater(v2, 0.0, flags[1])
+            return ok.size - np.count_nonzero(ok)
+        return 0
+
+    def overflows(self, v, target, fallbacks, umax) -> bool:
+        """Whether `compare` of these targets may, for some |u| <= umax, form
+        a product that overflows or is inf * 0: gelu's gain u and misr's
+        v2 u u can, and the rules allow for it. The bound is checked in
+        floats with a factor of 2 to spare; a NaN anywhere says it may."""
+        if self.kind == "gelu":
+            return not (fallbacks == 0 and float(target.max()) * umax <= _HALF_MAX)
+        if self.kind == "misr":
+            return not (float(np.abs(v[1]).max()) * umax * umax <= _HALF_MAX
+                        and float(target.max()) <= _HALF_MAX)
+        return False
+
+    def compare(self, u, v, target, flags, fallbacks, out, tmp, quiet=True):
+        """Write into `out` the spikes of u against the `target` of the
+        operands v, with its `flags` and its count of `fallbacks`, through
+        the buffers `tmp`; `out` may be `target`. Each rule reaches its
+        spikes as booleans, which one copy turns into 0.0/1.0. With `quiet`,
+        gelu and misr run in np.errstate, silencing the overflow and
+        inf * 0 warnings of their products of u; a caller that has shown
+        that none occurs (`overflows`) passes False and saves its cost."""
+        k = self.kind
+        if quiet and k in ("gelu", "misr"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.compare(u, v, target, flags, fallbacks, out, tmp, quiet=False)
+        f0, b0, b1, b2 = tmp
+        if k == "gelu":
+            # (1 + exp(-1.702 v0)) u >= v0, or u == 0 and v0 <= 0 where the
+            # gain overflowed
+            v0 = v[0]
+            np.multiply(target, u, f0)
+            np.greater_equal(f0, v0, b0)
+            if fallbacks:
+                np.logical_and(np.equal(u, 0.0, b1), np.less_equal(v0, 0.0, b2), b1)
+                np.logical_or(b0, b1, b0)
+        elif k == "misr":
+            # mul-inverse-sqrt: target v1/sqrt(v2) needs v2 > 0; otherwise
+            # H(u). With u and v1 of one sign the rule is H(+-lead),
+            # lead = v2 u^2 - v1^2; with mixed signs it is H(u) H(-v1), which
+            # is H(u) then.
+            np.multiply(v[1], u, f0)
+            np.multiply(f0, u, f0)
+            np.subtract(f0, target, f0)  # lead
             pu = np.greater_equal(u, 0.0, b0)
             hit = np.less_equal(f0, 0.0, b1)  # H(-lead), and H(lead) where u >= 0
             np.copyto(hit, np.greater_equal(f0, 0.0, b2), where=pu)
-            same = np.equal(pu, np.greater_equal(v1, 0.0, b2), b2)
-            ok = np.greater(v2, 0.0, b3)
-            np.copyto(pu, hit, where=np.logical_and(same, ok, same))
-            fallbacks = ok.size - np.count_nonzero(ok)
+            same = np.equal(pu, flags[0], b2)
+            if fallbacks:
+                np.logical_and(same, flags[1], same)
+            np.copyto(pu, hit, where=same)
+        else:
+            np.greater_equal(u, target, b0)
         np.copyto(out, b0)
-        return fallbacks
 
     @property
     def name(self) -> str:
@@ -384,15 +439,30 @@ class SignGdNeuron(_SpikeTally):
     shaped like u, as a new array. `step(I, steps=K, out=, scratch=,
     observer=)` steps a block: I holds K B rows of arity n currents (row
     k B + b is step k of item b, operand by operand), and the K B spike rows
-    go to `out`. The part that does not read the state,
-    a2(t) (2 (I(t) - b) - W), is formed once for the whole block, into
-    `scratch` if given (it may be I itself). Only v's recurrence, the firing
-    comparison and u's reset run per step, in place, each expression in its
-    comment with the same operations in the same order, so u and v keep
-    every bit the expression gives them; a factor of 1.0 (a1, b1 and both
-    scales in the canonical parameterization) is skipped, as x 1.0 and
-    x / 1.0 are x. `observer(k)`, if given, is called after step k: u, v,
-    t, `degeneracies` and `decoded` are then those after step k, while
+    go to `out`. v's input term, a2(t) (2 (I(t) - b) - W), reads no state
+    and is formed once for the whole block, into `scratch` if given (it may
+    be I itself). The rest takes one of two paths, by the size B arity n of
+    a step's operands:
+
+    - up to SMALL_OPERANDS values, the fixed cost of a numpy call outweighs
+      its arithmetic. v's recurrence runs row by row through the scratch
+      rows, which then hold v after each step, and the firing rule's target
+      (`FiringMechanism.target`) is formed for all K steps at once, one call
+      per operation, in the spike rows. Only the comparison with u and u's
+      reset run per step; gelu's and misr's comparisons skip np.errstate
+      where b1 = u_scale = 1 bounds |u| by |u| + sum |b2| over the block
+      and that bound shows their products of u finite
+      (`FiringMechanism.overflows`).
+    - above it, each step forms v, its target, the comparison and u's reset
+      in turn, in buffers of one step's size, which stay in cache; rows of
+      a whole block are colder and made max2 on 2 x 1,352 values slower.
+
+    Both paths run the same expressions, each in its comment with the same
+    operations in the same order, so u, v and the spikes keep every bit the
+    expression gives them; a factor of 1.0 (a1, b1 and both scales in the
+    canonical parameterization) is skipped, as x 1.0 and x / 1.0 are x.
+    `observer(k)`, if given, is called after step k: u, v, t,
+    `degeneracies` and `decoded` are then those after step k, while
     `spike_count` adds the block's spikes when the block ends.
 
     A step reads its scalars as the coefficient set's row of its t
@@ -416,19 +486,18 @@ class SignGdNeuron(_SpikeTally):
         self._v = np.broadcast_to(scale * self.b, (B, arity, self.n)).copy()
         self.u = self._u[0] if batch is None else self._u
         self.v = self._v[0] if batch is None else self._v.transpose(1, 0, 2)
-        # v and v_scale v with their operands first, as `fire` reads them;
+        # v and v_scale v with their operands first, as the rule reads them;
         # u_scale u; +-b2; the firing rule's buffers
         self._vs = np.empty_like(self._v)
         self._v_ops, self._vs_ops = self._v.transpose(1, 0, 2), self._vs.transpose(1, 0, 2)
         self._us, self._pm = np.empty_like(self._u), np.empty_like(self._u)
-        self._tmp = self.mech.scratch(self._u.shape)
+        self._target, self._flags, self._tmp = self.mech.scratch(self._u.shape)
         self._fired = np.zeros(self.u.shape)
         self.t = 0
         self.degeneracies = 0
 
     def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
-        u, v, pm = self._u, self._v, self._pm
-        B, arity, n = v.shape
+        B, arity, n = self._v.shape
         K, I = _currents(I, steps, self.v.shape)
         if steps is None:  # one step's (arity, [B,] n) currents, item by item
             I = I.reshape(arity, B, n).transpose(1, 0, 2)
@@ -442,7 +511,18 @@ class SignGdNeuron(_SpikeTally):
         np.multiply(d, 2.0, d)
         np.subtract(d, self.W, d)
         np.multiply(d, np.array([r[2] for r in rows])[:, None, None, None], d)
-        fire, tmp = self.mech.fire, self._tmp
+        if B * arity * n <= SMALL_OPERANDS:
+            self._block_targets(d, rows, s_k, observer)
+        else:
+            self._step_targets(d, rows, s_k, observer)
+        self._tally(s_k)
+        return spikes if steps is not None else spikes.reshape(self.u.shape)
+
+    def _step_targets(self, d, rows, s_k, observer):
+        """The block, each step forming v and its target in turn."""
+        u, v, t0 = self._u, self._v, self.t
+        mech, target, flags, tmp = self.mech, self._target, self._flags, self._tmp
+        misr = mech.kind == "misr"
         for k, (_, a1, _, u_scale, v_scale, b1, b2) in enumerate(rows):
             s = s_k[k]
             # v <- a1 v - a2 (2 (I - b) - W)
@@ -456,21 +536,68 @@ class SignGdNeuron(_SpikeTally):
             if v_scale != 1.0:
                 np.multiply(v, v_scale, self._vs)
                 vs = self._vs_ops
-            self.degeneracies += fire(us, vs, s, tmp)
-            # u <- u / b1 - b2 (2 s - 1); b2 (2 s - 1) is +-b2, formed as
-            # 2 b2 s - b2 where 2 b2 is finite
-            if abs(b2) <= _HALF_MAX:
-                np.subtract(np.multiply(s, 2.0 * b2, pm), b2, pm)
-            else:
-                np.multiply(np.subtract(np.multiply(s, 2.0, pm), 1.0, pm), b2, pm)
-            if b1 != 1.0:
-                np.divide(u, b1, u)
-            np.subtract(u, pm, u)
+            fallbacks = mech.target(vs, target, flags)
+            mech.compare(us, vs, target, flags, fallbacks, s, tmp)
+            if misr:
+                self.degeneracies += fallbacks
+            self._reset_u(s, b1, b2)
             self.t = t0 + k + 1
             if observer is not None:
                 observer(k)
-        self._tally(s_k)
-        return spikes if steps is not None else spikes.reshape(self.u.shape)
+
+    def _block_targets(self, d, rows, s_k, observer):
+        """The block, with v and the targets formed for all its steps first."""
+        u, v, t0, K = self._u, self._v, self.t, len(rows)
+        mech, tmp = self.mech, self._tmp
+        # v <- a1 v - a2 (2 (I - b) - W), row k of d becoming v after step k
+        last = v
+        for k, r in enumerate(rows):
+            if r[1] != 1.0:
+                last = np.multiply(last, r[1], self._vs)
+            last = np.subtract(last, d[k], d[k])
+        # v_scale v, step by step with its operands first, and the targets of
+        # all K steps in the spike rows
+        scales = np.array([r[4] for r in rows])
+        vs = d if (scales == 1.0).all() else np.multiply(d, scales[:, None, None, None])
+        vs = vs.transpose(0, 2, 1, 3)
+        flags = np.empty((K, 2, *s_k.shape[1:]), dtype=bool)
+        vs_ops = vs.transpose(1, 0, 2, 3)
+        fallbacks = mech.target(vs_ops, s_k, flags.transpose(1, 0, 2, 3))
+        # with b1 = u_scale = 1, |u| stays within |u| + sum |b2| over the
+        # block, which may show that the comparisons need no np.errstate
+        quiet = not all(r[3] == r[5] == 1.0 for r in rows) or mech.overflows(
+            vs_ops, s_k, fallbacks, float(np.abs(u).max()) + sum(abs(r[6]) for r in rows))
+        if mech.kind == "misr" and observer is not None:
+            # the degeneracies after each step
+            ok = np.count_nonzero(flags[:, 1].reshape(K, -1), axis=1)
+            seen = self.degeneracies + np.cumsum(s_k[0].size - ok)
+        for k, (row, s, v_k, flags_k) in enumerate(zip(rows, s_k, vs, flags)):
+            _, _, _, u_scale, _, b1, b2 = row
+            # s = spike(u_scale u, v_scale v)
+            us = u if u_scale == 1.0 else np.multiply(u, u_scale, self._us)
+            mech.compare(us, v_k, s, flags_k, fallbacks, s, tmp, quiet)
+            self._reset_u(s, b1, b2)
+            self.t = t0 + k + 1
+            if observer is not None:
+                np.copyto(v, d[k])
+                if mech.kind == "misr":
+                    self.degeneracies = int(seen[k])
+                observer(k)
+        np.copyto(v, d[K - 1])
+        if mech.kind == "misr" and observer is None:
+            self.degeneracies += fallbacks
+
+    def _reset_u(self, s, b1, b2):
+        """u <- u / b1 - b2 (2 s - 1); b2 (2 s - 1) is +-b2, formed as
+        2 b2 s - b2 where 2 b2 is finite."""
+        u, pm = self._u, self._pm
+        if abs(b2) <= _HALF_MAX:
+            np.subtract(np.multiply(s, 2.0 * b2, pm), b2, pm)
+        else:
+            np.multiply(np.subtract(np.multiply(s, 2.0, pm), 1.0, pm), b2, pm)
+        if b1 != 1.0:
+            np.divide(u, b1, u)
+        np.subtract(u, pm, u)
 
     @property
     def decoded(self) -> np.ndarray:

@@ -13,9 +13,17 @@ converted under `inv:1` canonical and, in the sign family, under
 the `convert` stdout, the `.json` and `.bin` files, an order-free digest of
 the converted graph (nodes sorted by id, edges sorted), and the order of its
 node ids; then, under the float, det and stoch encoders, the stdout and CSVs
-of `infer` (with `--run-trace`), `energy` and dense `probe`. Every command
-runs in one scratch directory on relative paths, so the digests do not
-depend on where it is.
+of `infer` (with `--run-trace`), `energy` and dense `probe`. It also hashes
+the stdout of `oracle-check` on the bench's oracle-replay configurations
+and on each sign mechanism near the float range, each also with its
+`--corrupt-*` controls; the stdout and CSV of
+`neuron-sweep` for every mechanism under both parameterizations and the
+float, det and stoch encoders, at a width below and one above
+`neurons.SMALL_OPERANDS`; and the stdout and CSV of `encode` for every
+encoder. Every command runs in one scratch directory on relative paths, so
+the digests do not depend on where it is. The warnings a command raises
+are hashed with its output as their category and message: the source file
+and line they name differ between checkouts.
 
 The second form lists the entries that differ between two such files, and
 exits 1 if there are any.
@@ -30,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 SETTINGS = {"signgd": [("inv:1", "canonical"), ("exp:1:0.995", "unit-current")],
@@ -41,6 +50,20 @@ COMMANDS = {  # command -> the flags of its output files
     "probe": ["--dense-trace", "--out", "probe.csv"],
 }
 T = 8
+ORACLE_STEPS = 300
+# per sign and subgrad check, the controls that must fail
+CORRUPT = {"signgd": [["--corrupt-beta1", "1.001"], ["--corrupt-beta1", "-1"],
+                      ["--corrupt-beta1", "0"]],
+           "subgrad": [["--corrupt-alpha", "1.01"], ["--corrupt-alpha", "1e308"]]}
+SWEEP_MECHS = ("relu", "leaky:0.1", "gelu", "square", "max2", "misr")
+# sign checks near the float range, where gelu's and misr's products of u
+# may overflow
+FLOAT_RANGE = [(f"signgd:{m}", f"const:{c}", "canonical") for m in SWEEP_MECHS
+               for c in ("1e150", "1e152", "5e152")]
+SWEEP_POINTS = (21, 601)  # 21 and 42 operand values per step, and 601 and 1202
+SWEEP_T = 200
+ENCODE = [("float", "0.3"), ("det", "-0.7"), ("stoch", "0.45"), ("poisson", "0.6"),
+          ("det", "40")]
 
 
 def sha(data: bytes) -> str:
@@ -80,10 +103,16 @@ def _inside(directory):
 
 
 def cli(main, argv) -> tuple[int, bytes]:
+    """Run a command: its exit status, then its stdout, stderr and warnings.
+    A warning is kept as its category and message, without the source file
+    and line it names, and each distinct one once, in sorted order."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         rc = main(argv)
-    return rc, f"exit {rc}\n{out.getvalue()}{err.getvalue()}".encode()
+    warned = sorted({f"{w.category.__name__}: {w.message}\n" for w in caught})
+    return rc, f"exit {rc}\n{out.getvalue()}{err.getvalue()}{''.join(warned)}".encode()
 
 
 def graph_digests(manifest: dict) -> dict:
@@ -126,6 +155,45 @@ def digest(checkout: Path) -> dict:
                             entries[f"{key}/{encoder}/{f}"] = (
                                 sha(Path(f).read_bytes()) if Path(f).exists() else "missing")
                             Path(f).unlink(missing_ok=True)
+    from spikeopt.cli import main
+    from workloads import WORKLOADS
+
+    entries.update(command_digests(main, WORKLOADS["oracle-replay"].oracle_checks))
+    return entries
+
+
+def command_digests(main, oracle_checks) -> dict:
+    """The oracle-check, neuron-sweep and encode digests."""
+    entries = {}
+    with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
+        for k, (neuron, schedule, param) in enumerate([*oracle_checks, *FLOAT_RANGE]):
+            family = neuron.split(":")[0]
+            for extra in [[], *CORRUPT.get(family, [])]:
+                argv = ["oracle-check", "--neuron", neuron, "--schedule", schedule,
+                        "--parameterization", param, "--steps", str(ORACLE_STEPS),
+                        "--seed", str(k), *extra]
+                entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
+        for mech in SWEEP_MECHS:
+            grid = ["--xmin", "0.1", "--xmax", "3"] if mech == "misr" else []
+            for schedule, param in SETTINGS["signgd"]:
+                for encoder in ENCODERS:
+                    for points in SWEEP_POINTS:
+                        argv = ["neuron-sweep", "--mech", f"signgd:{mech}", "--schedule", schedule,
+                                "--parameterization", param, "--encoder", encoder,
+                                "--points", str(points), "--T", str(SWEEP_T), *grid,
+                                "--out", "sweep.csv"]
+                        key = "neuron-sweep/" + " ".join(argv[1:-2])
+                        entries[f"{key}.stdout"] = sha(cli(main, argv)[1])
+                        entries[f"{key}.csv"] = sha(Path("sweep.csv").read_bytes())
+                        Path("sweep.csv").unlink()
+        for encoder, x in ENCODE:
+            for schedule in ("inv:1", "exp:1:0.995"):
+                argv = ["encode", "--x", x, "--schedule", schedule, "--T", "100",
+                        "--encoder", encoder, "--seed", "4", "--out", "train.csv"]
+                key = "encode/" + " ".join(argv[1:-2])
+                entries[f"{key}.stdout"] = sha(cli(main, argv)[1])
+                entries[f"{key}.csv"] = sha(Path("train.csv").read_bytes())
+                Path("train.csv").unlink()
     return entries
 
 

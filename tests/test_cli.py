@@ -484,11 +484,20 @@ RANGE_ERRORS = {
                                   "--schedule"),
     "oracle-schedule-overflows-nan": (["oracle-check", "--schedule", "const:1e308",
                                        "--steps", "20"], "--schedule"),
+    # a negative seed, which PCG64 rejects, also where the command draws nothing
+    "encode-seed": (["encode", "--encoder", "poisson", "--seed", "-1"], "--seed"),
+    "oracle-check-seed": (["oracle-check", "--seed", "-1"], "--seed"),
+    "neuron-sweep-seed": (["neuron-sweep", "--encoder", "stoch", "--seed", "-2"], "--seed"),
+    "convert-seed": (["convert", "ANN", "--family", "signgd", "--normalize-relu", "2",
+                      "--seed", "-1"], "--seed"),
+    "infer-seed": (["infer", "--encoder", "stoch", "--seed", "-1"], "--seed"),
+    "energy-seed": (["energy", "--seed", "-1000"], "--seed"),
+    "probe-seed": (["probe", "--encoder", "stoch", "--seed", "-1"], "--seed"),
 }
 # the arguments a command of RANGE_ERRORS needs besides the flag under test
 # (the others read the converted network and the dataset)
 RANGE_INPUTS = {"encode": ["--x", "0.3"], "neuron-sweep": ["--mech", "signgd:relu"],
-                "oracle-check": ["--neuron", "signgd:relu"]}
+                "oracle-check": ["--neuron", "signgd:relu"], "convert": []}
 
 
 @pytest.mark.parametrize("case", list(RANGE_ERRORS))
@@ -500,8 +509,8 @@ def test_flag_out_of_range_exits_2(pipeline, capsys, case):
                  "--out", str(tmp / "snn")]) == 0
     save_labels([0, 1, 2], tmp / "short.slbl")  # the dataset holds 6 items
     (command, *flags), flag = RANGE_ERRORS[case]
-    flags = [{"TRACE": str(tmp / "trace.csv"), "SHORT": str(tmp / "short.slbl")}.get(f, f)
-             for f in flags]
+    flags = [{"TRACE": str(tmp / "trace.csv"), "SHORT": str(tmp / "short.slbl"),
+              "ANN": str(tmp / "ann.json")}.get(f, f) for f in flags]
     inputs = RANGE_INPUTS.get(command, [str(tmp / "snn.json"), "--data", str(tmp / "data.sten")])
     out = ([] if command == "oracle-check" else
            ["--report" if command == "infer" else "--out", str(tmp / "out.csv")])

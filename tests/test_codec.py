@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikeopt.codec import (
+    ConstantEncoder,
     DeterministicEncoder,
+    EmaDeterministicEncoder,
     EmaDecoder,
     FloatEncoder,
     PoissonEncoder,
@@ -12,9 +14,9 @@ from spikeopt.codec import (
     RateDeterministicEncoder,
     SignedDecoder,
     StochasticEncoder,
-    _ItemGenerators,
     heaviside,
     make_rng,
+    signed_encoder,
 )
 from spikeopt.schedules import Schedule
 
@@ -205,15 +207,15 @@ def test_encoder_replay_property(x, kind, c):
 @given(
     items=st.integers(1, 4),
     shape=st.lists(st.integers(3, 12), min_size=1, max_size=3).map(tuple),
-    blocks=st.floats(0.0, 3.5),
+    T=st.integers(1, 40),
+    K=st.integers(1, 40),
     seed=st.integers(0, 2**16),
     kind=st.sampled_from(["poisson", "stoch"]),
 )
-def test_block_draws_are_the_per_step_stream(items, shape, blocks, seed, kind):
-    """A batch draws each item's randoms several frames at a time. Over T
-    steps crossing several block boundaries, its frames are each item run
-    alone, whose generator draws one frame per step."""
-    T = max(1, int(blocks * (_ItemGenerators.BLOCK // int(np.prod(shape)))))
+def test_block_draws_are_the_per_step_stream(items, shape, T, K, seed, kind):
+    """A batch draws each item's randoms a block of K frames at a time. Over
+    T steps, K not always dividing T, its frames are each item run alone,
+    whose generator draws one frame per step."""
     X = make_rng(seed).uniform(-0.5, 1.5, (items, *shape))
     seeds = [seed + 1000 * i for i in range(items)]
 
@@ -223,8 +225,9 @@ def test_block_draws_are_the_per_step_stream(items, shape, blocks, seed, kind):
         return StochasticEncoder(x, Schedule.inverse(1.0), c=0.7, seed=seed)
 
     batch = encoder(X, seeds)
-    got = np.stack([batch.step() for _ in range(T)])
-    assert got.shape == (T, items, *shape)
+    got = np.empty((T, items, *shape))
+    for t in range(0, T, K):
+        batch.fill(got[t : t + K])
     for i, s in enumerate(seeds):
         alone = encoder(X[i], s)
         np.testing.assert_array_equal(got[:, i], [alone.step() for _ in range(T)])
@@ -232,3 +235,49 @@ def test_block_draws_are_the_per_step_stream(items, shape, blocks, seed, kind):
             g, p = make_rng(s), np.clip(X[i], 0.0, 1.0)
             stream = [(g.random(shape) < p).astype(np.float64) for _ in range(T)]
             np.testing.assert_array_equal(got[:, i], stream)
+
+
+ENCODERS = ["float", "det", "stoch", "poisson", "constant", "rate-det", "ema-det"]
+STATE = {"float": "f", "det": "f", "stoch": "f", "rate-det": "count", "ema-det": "xt"}
+
+
+def make_encoder(kind, x, seed, schedule=Schedule.exponential(0.5, 0.9)):
+    if kind in ("float", "det", "stoch"):
+        return signed_encoder(kind, x, schedule, c=0.6, seed=seed)
+    return {"poisson": lambda: PoissonEncoder(x, seed=seed),
+            "constant": lambda: ConstantEncoder(x),
+            "rate-det": lambda: RateDeterministicEncoder(x),
+            "ema-det": lambda: EmaDeterministicEncoder(x, 3.0)}[kind]()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(ENCODERS),
+    items=st.sampled_from(["scalar", "one", "batch"]),
+    size=st.integers(1, 6),
+    T=st.integers(1, 30),
+    K=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    per_item=st.booleans(),
+)
+def test_fill_is_the_one_frame_steps(kind, items, size, T, K, seed, per_item):
+    """`fill` over T steps in blocks of K, K not always dividing T, gives
+    the frames and the end state (t, and f, count or xt) that T calls of
+    `step()` give, bit for bit: for a scalar x, one item and a batch, whose
+    items draw from one generator or each from its own seed."""
+    rng = make_rng(seed)
+    shape = {"scalar": (), "one": (size,), "batch": (3, size)}[items]
+    x = rng.uniform(-1.5, 1.5, shape)
+    x = float(x) if items == "scalar" else x
+    seeds = [seed + 1000 * i for i in range(3)] if items == "batch" and per_item else seed
+    stepped, filled = make_encoder(kind, x, seeds), make_encoder(kind, x, seeds)
+    want = [stepped.step() for _ in range(T)]
+    got = np.empty((T, *shape))
+    for t in range(0, T, K):
+        filled.fill(got[t : t + K])
+    np.testing.assert_array_equal(got, np.array(want))
+    assert filled.t == stepped.t == T
+    if kind in STATE:
+        np.testing.assert_array_equal(getattr(filled, STATE[kind]), getattr(stepped, STATE[kind]))
+    if items == "scalar":
+        assert all(type(s) is float for s in want)

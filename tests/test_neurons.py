@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron, reference_spike
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
+    SMALL_OPERANDS,
     FiringMechanism,
     IfLifParams,
     IfNeuron,
@@ -578,24 +579,37 @@ def layer_state(layer, names):
     return {name: np.copy(getattr(layer, name)) for name in names}
 
 
+def layer_width(side, B, arity):
+    """n for a sign layer of B items on one `side` of SMALL_OPERANDS: 3
+    ("small"), the widest whose B arity n operands take the block-target
+    path ("edge"), or one more, which takes the per-step path ("large")."""
+    if side == "small":
+        return 3
+    edge = SMALL_OPERANDS // (B * arity)
+    return edge if side == "edge" else edge + 1
+
+
 @pytest.mark.parametrize("mech", BLOCK_MECHS, ids=lambda m: ":".join(map(str, m)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(sched=st.sampled_from(BLOCK_SCHEDULES),
        B=st.integers(1, 16), T=st.integers(1, 40), K=st.integers(1, 40),
        scale=st.sampled_from([1.0, 0.5, 1000.0]), scratch=st.sampled_from(["none", "own", "I"]),
-       one_step=st.booleans(), seed=st.integers(0, 2**16))
+       one_step=st.booleans(), seed=st.integers(0, 2**16),
+       side=st.sampled_from(["small", "edge", "large"]))
 def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratch, one_step,
-                                              seed):
+                                              seed, side):
     """Blocks of K steps of B items, K from 1 to T and not always dividing T,
     give every step what the reference neurons give, bit for bit: spikes, u,
     v or y, t, `decoded` and misr degeneracies after each step (read by the
     observer), and `spike_count` after each block. Ties (dyadic currents
     under exp:0.5:0.5), misr's fallback (idle denominators <= 0) and gelu
     targets with exp overflowing (currents of 1000s) all occur. With
-    `one_step`, one `step(I)` call per step, without `steps`."""
+    `one_step`, one `step(I)` call per step, without `steps`. A sign layer
+    takes both paths of `SignGdNeuron.step`: `side` puts its B arity n at,
+    or just past, SMALL_OPERANDS, or far below it."""
     (kind, delta), (schedule, parameterization) = mech, sched
     rng = make_rng(seed)
-    n = 3
+    n = layer_width(side, B, 2 if kind in ("max2", "misr") else 1)
     layer, make_ref, arity, W, b = block_layer(kind, delta, schedule, parameterization, n,
                                                rng, scale)
     batched = B > 1 or seed % 2  # one item also as the unbatched layer
@@ -639,20 +653,48 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
                                       else refs[0].spike_count)
 
 
-def test_block_step_where_twice_b2_overflows():
+@pytest.mark.parametrize("n", [4, SMALL_OPERANDS + 4], ids=["block-targets", "step-targets"])
+def test_block_step_where_twice_b2_overflows(n):
     """const:1.7e308 is a valid schedule whose b2 = 1.7e308 has 2 b2 = inf:
-    the reset still subtracts exactly +-b2, as the reference does. Inputs
-    that alternate keep v and u finite."""
+    the reset still subtracts exactly +-b2, as the reference does, on both
+    sides of SMALL_OPERANDS. Inputs that alternate keep v and u finite."""
     s = parse_schedule("const:1.7e308")
     c = solve_signgd_coefficients(s)
-    mech, W, b = FiringMechanism("relu"), np.ones((1, 4)), np.array([[0.0, 1.0, -1.0, 2.0]])
-    layer = SignGdNeuron(mech, c, W=W, b=b, n=4)
-    ref = ReferenceSignGdNeuron(mech, c, s, W, b, 4)
-    pattern = (np.arange(8)[:, None] + np.arange(4)) % 2
-    currents = (b + W * pattern[:, None]).astype(float)  # (8, 1, 4)
-    got = layer.step(currents.reshape(8, 4), steps=8)
+    mech, W = FiringMechanism("relu"), np.ones((1, n))
+    b = np.resize([0.0, 1.0, -1.0, 2.0], (1, n))
+    layer = SignGdNeuron(mech, c, W=W, b=b, n=n)
+    ref = ReferenceSignGdNeuron(mech, c, s, W, b, n)
+    pattern = (np.arange(8)[:, None] + np.arange(n)) % 2
+    currents = (b + W * pattern[:, None]).astype(float)  # (8, 1, n)
+    got = layer.step(currents.reshape(8, n), steps=8)
     want = np.stack([ref.step(I) for I in currents])
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(layer.u, ref.u)
     np.testing.assert_array_equal(layer.v, ref.v)
     assert np.isfinite(ref.u).all() and np.isfinite(ref.v).all() and 0 < want.sum() < want.size
+
+
+@pytest.mark.parametrize("kind,v0", [("gelu", [-410.0]), ("misr", [1.0, 1e300])])
+def test_block_targets_whose_products_of_u_overflow(kind, v0):
+    """A block-target layer whose comparisons overflow, gelu's finite gain
+    1 + exp(1.702 410) ~ 5e302 times |u| ~ 1e6 or misr's v2 u u with
+    v2 = 1e300, still steps as the reference does and warns of nothing:
+    the bound on |u| sends it through np.errstate. The currents hold v
+    where it starts, and const:1e6 moves u by 1e6 a step."""
+    s = parse_schedule("const:1e6")
+    c = solve_signgd_coefficients(s)
+    mech, n = FiringMechanism(kind), 2
+    b = np.repeat(np.array(v0)[:, None], n, axis=1)
+    W = np.ones_like(b)
+    layer = SignGdNeuron(mech, c, W=W, b=b, n=n)
+    ref = ReferenceSignGdNeuron(mech, c, s, W, b, n)
+    currents = np.broadcast_to(b + W / 2, (8, *b.shape))
+    got = layer.step(currents.reshape(8, -1), steps=8)
+    want, peak = [], 0.0
+    for I in currents:
+        peak = max(peak, np.abs(ref.u).max())  # the |u| this step compares
+        want.append(ref.step(I))
+    np.testing.assert_array_equal(got, np.stack(want))
+    np.testing.assert_array_equal(layer.u, ref.u)
+    np.testing.assert_array_equal(layer.v, ref.v)
+    assert peak >= 1e6
