@@ -32,14 +32,20 @@ Each neuron layer compiles as a `Forced` stand-in, which reads its currents
 in the plan's row layout; `Plan.calibration`, the stimulate/depress step, is
 one plan step on them. A network then puts its layers in their places.
 
-Dense and affine nodes have their own rule, `DenseRule`: row j of x W^T + b
-is row j of one GEMM over a tile of exactly R = 16 rows, against the
-transposed weight with its output rows zero-padded to a multiple of 8, plus
-the bias. With OpenBLAS, calls of one fixed row count against such a weight
-give every row the bits that row gets alone, whatever its position and
-neighbours (`tests/test_plan.py` checks it on every dense shape in use), so
-a product does not depend on the block it is computed in. It differs from
-the matrix-vector product of `node_forward`, the ANN reference, by ~1e-13.
+Dense and affine nodes have their own rule, `DenseRule`: x's rows,
+zero-padded to whole tiles of R = 16 rows, against the transposed weight
+with its output rows zero-padded to a multiple of 8, plus the bias. A
+weight whose one tile is above BLAS's small-matrix bound (R fan_in width >
+GEMM_SMALL = 100**3) and at least GEMM_WIDTH = 32 wide takes all of a
+block's tiles in one GEMM, which spares BLAS packing the whole weight
+again for every tile; every other weight makes one GEMM per tile. With
+OpenBLAS both give every row the bits that row gets alone, whatever its
+position, neighbours and block length (`tests/test_plan.py` checks it on
+every dense shape in use), so a product does not depend on the block it
+is computed in. One GEMM over a block of a weight below the bound, or of
+a narrower one once BLAS runs more than one thread, would change a row's
+bits with the block's row count. The product differs from the
+matrix-vector product of `node_forward`, the ANN reference, by ~1e-13.
 conv2d nodes have theirs, `ConvRule`: one take of a fixed im2col index table
 gathers each frame's patches, and one np.matmul makes one GEMM of the same
 shape per frame, so a frame's product does not depend on its block either.
@@ -66,7 +72,8 @@ import numpy as np
 
 from .model import Graph, GraphError, Node, node_forward, output_shape, window_indices
 
-__all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "BLOCK_BYTES", "block_steps"]
+__all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "GEMM_SMALL", "GEMM_WIDTH",
+           "BLOCK_BYTES", "block_steps"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
@@ -74,7 +81,13 @@ _MOVES = _VIEWS | {"gather", "transpose", "concat"}
 # every kind a spiking network can hold
 STEPPABLE = frozenset(_MOVES | {"input", "dense", "affine", "conv2d", "add", "neuron"})
 
-R = 16  # rows of every dense product: one GEMM tile
+R = 16  # rows of a dense product's tile: a block's rows are padded to whole tiles
+# a dense weight takes all of a block's tiles in one GEMM when one tile's
+# M N K is above BLAS's small-matrix bound and its padded width is at least
+# GEMM_WIDTH; narrower ones change row bits with the row count once BLAS
+# runs more than one thread (see DenseRule)
+GEMM_SMALL = 100**3
+GEMM_WIDTH = 32
 BLOCK_BYTES = 1 << 21  # budget for the shared stores of one block
 
 
@@ -115,12 +128,15 @@ def block_steps(width: int, batch: int, T: int) -> int:
 
 class DenseRule:
     """The product of one dense or affine node: x W^T + b for (N, fan_in)
-    rows x. Row j is row j of np.matmul(tile, wt), the bias added after:
-    `tile` is R rows of x, zero-padded at the end, and `wt` the float64
-    weight with its output rows zero-padded to a multiple of 8, transposed
-    once (a view of the padded weight). Full tiles are read in place; the
-    padded tile and the product of a padded width go to buffers kept for
-    the next call."""
+    rows x. x, zero-padded at the end to whole R-row tiles, goes through
+    one np.matmul against `wt`, the float64 weight with its output rows
+    zero-padded to a multiple of 8, transposed once (a view of the padded
+    weight), and row j of the product, the bias added after, is row j of
+    x W^T + b. With `one_gemm`, set where one tile's R fan_in width is above
+    GEMM_SMALL and the padded width at least GEMM_WIDTH, np.matmul takes
+    all tiles as one GEMM, a stack of one; otherwise it makes one GEMM per
+    tile, a stack of tiles. Whole tiles are read in place; padded rows and
+    the product of a padded width go to buffers kept for the next call."""
 
     def __init__(self, w, b):
         self.n_out, fan_in = np.shape(w)
@@ -129,6 +145,7 @@ class DenseRule:
         padded[self.n_out :] = 0.0
         self.wt = padded.T
         self.b = np.asarray(b, dtype=np.float64)
+        self.one_gemm = R * fan_in * len(padded) > GEMM_SMALL and len(padded) >= GEMM_WIDTH
         self._tile = self._prod = None
 
     @classmethod
@@ -146,14 +163,14 @@ class DenseRule:
             tile[:n] = x
             tile[n:] = 0.0
             x = tile
-        width = self.wt.shape[1]
+        width, stack = self.wt.shape[1], 1 if self.one_gemm else tiles
         if out is not None and n % R == 0 and width == self.n_out and out.flags.c_contiguous:
-            np.matmul(x.reshape(tiles, R, fan_in), self.wt, out=out.reshape(tiles, R, width))
+            np.matmul(x.reshape(stack, -1, fan_in), self.wt, out=out.reshape(stack, -1, width))
             return np.add(out, self.b, out=out)
         if self._prod is None or len(self._prod) < tiles * R:
             self._prod = np.empty((tiles * R, width))
         prod = self._prod[: tiles * R]
-        np.matmul(x.reshape(tiles, R, fan_in), self.wt, out=prod.reshape(tiles, R, width))
+        np.matmul(x.reshape(stack, -1, fan_in), self.wt, out=prod.reshape(stack, -1, width))
         return np.add(prod[:n, : self.n_out], self.b, out=out)
 
 

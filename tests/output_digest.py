@@ -13,7 +13,10 @@ converted under `inv:1` canonical and, in the sign family, under
 the `convert` stdout, the `.json` and `.bin` files, an order-free digest of
 the converted graph (nodes sorted by id, edges sorted), and the order of its
 node ids; then, under the float, det and stoch encoders, the stdout and CSVs
-of `infer` (with `--run-trace`), `energy` and dense `probe`. It also hashes
+of `infer` (with `--run-trace`), `energy` and dense `probe` on two items at
+T = 8. The bench's mlp-wide net also runs `infer` and `energy` as the bench
+runs them: all its 8 items under the float encoder at T = 64, whose blocks
+hold 192 and 128 rows (`inv:1` canonical only). It also hashes
 the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
 `--corrupt-*` controls; the stdout and CSV of
@@ -50,6 +53,9 @@ COMMANDS = {  # command -> the flags of its output files
     "probe": ["--dense-trace", "--out", "probe.csv"],
 }
 T = 8
+# nets that also run `infer` and `energy` on all their items at a T of
+# their own, under one encoder
+LONG_RUNS = {"bench_mlp": (64, "float")}
 ORACLE_STEPS = 300
 # per sign and subgrad check, the controls that must fail
 CORRUPT = {"signgd": [["--corrupt-beta1", "1.001"], ["--corrupt-beta1", "-1"],
@@ -71,7 +77,8 @@ def sha(data: bytes) -> str:
 
 
 def nets(checkout: Path):
-    """(name, graph, family, data, normalize-relu batches) per net."""
+    """(name, graph, family, items, normalize-relu batches) per net: two
+    items, or all of a bench workload's."""
     for sub in ("bench", "tests", "src"):
         sys.path.insert(0, str(checkout / sub))
     import numpy as np
@@ -88,7 +95,7 @@ def nets(checkout: Path):
         for net in wl.nets:
             g = net.build(rng, False)
             x = net.inputs(rng, wl.items, tuple(g.nodes[g.input_id].params["shape"]))
-            yield f"bench_{net.name}", g, net.family, x[:2], net.normalize_relu
+            yield f"bench_{net.name}", g, net.family, x, net.normalize_relu
 
 
 @contextlib.contextmanager
@@ -125,7 +132,7 @@ def graph_digests(manifest: dict) -> dict:
 
 def digest(checkout: Path) -> dict:
     entries = {}
-    for name, g, family, data, batches in nets(checkout):
+    for name, g, family, items, batches in nets(checkout):
         from spikeopt.cli import main
         from spikeopt.graph import save_model, save_tensor
 
@@ -133,7 +140,7 @@ def digest(checkout: Path) -> dict:
             key = f"{name}/{schedule}/{param}"
             with tempfile.TemporaryDirectory() as tmp, _inside(tmp):
                 save_model(g, "ann")
-                save_tensor(data, "data.sten")
+                save_tensor(items[:2], "data.sten")
                 argv = ["convert", "ann.json", "--family", family, "--schedule", schedule,
                         "--parameterization", param, "--out", "snn"]
                 if batches:
@@ -147,18 +154,31 @@ def digest(checkout: Path) -> dict:
                 for k, v in graph_digests(json.loads(Path("snn.json").read_text())).items():
                     entries[f"{key}/{k}"] = v
                 for encoder in ENCODERS:
-                    for command, flags in COMMANDS.items():
-                        _, text = cli(main, [command, "snn.json", "--data", "data.sten",
-                                             "--T", str(T), "--encoder", encoder, *flags])
-                        entries[f"{key}/{encoder}/{command}.stdout"] = sha(text)
-                        for f in (f for f in flags if f.endswith(".csv")):
-                            entries[f"{key}/{encoder}/{f}"] = (
-                                sha(Path(f).read_bytes()) if Path(f).exists() else "missing")
-                            Path(f).unlink(missing_ok=True)
+                    entries.update(run_digests(main, key, "data.sten", T, encoder, COMMANDS))
+                if name in LONG_RUNS and (schedule, param) == SETTINGS[family][0]:
+                    save_tensor(items, "items.sten")
+                    long_t, encoder = LONG_RUNS[name]
+                    commands = {c: COMMANDS[c] for c in ("infer", "energy")}
+                    entries.update(run_digests(main, f"{key}/T{long_t}", "items.sten", long_t,
+                                               encoder, commands))
     from spikeopt.cli import main
     from workloads import WORKLOADS
 
     entries.update(command_digests(main, WORKLOADS["oracle-replay"].oracle_checks))
+    return entries
+
+
+def run_digests(main, key, data, T, encoder, commands) -> dict:
+    """The stdout and CSVs of each of `commands` on snn.json over `data`."""
+    entries = {}
+    for command, flags in commands.items():
+        _, text = cli(main, [command, "snn.json", "--data", data, "--T", str(T),
+                             "--encoder", encoder, *flags])
+        entries[f"{key}/{encoder}/{command}.stdout"] = sha(text)
+        for f in (f for f in flags if f.endswith(".csv")):
+            entries[f"{key}/{encoder}/{f}"] = (
+                sha(Path(f).read_bytes()) if Path(f).exists() else "missing")
+            Path(f).unlink(missing_ok=True)
     return entries
 
 

@@ -698,3 +698,44 @@ def test_block_targets_whose_products_of_u_overflow(kind, v0):
     np.testing.assert_array_equal(layer.u, ref.u)
     np.testing.assert_array_equal(layer.v, ref.v)
     assert peak >= 1e6
+
+
+@pytest.mark.parametrize("c", [0.125, 0.0625])
+@pytest.mark.parametrize("n", [8, SMALL_OPERANDS // 2 + 8], ids=["block-targets", "step-targets"])
+def test_block_step_where_gelu_gain_times_u_is_v0(c, n):
+    """Under const:c (c a power of two, so v moves exactly) step 1 leaves
+    u = -c where a neuron fired and +c where it did not, and step 2 puts v0
+    on the float fixed point of v0 = (1 + exp(-1.702 v0)) u: gain u lands
+    exactly on v0, a tie, which fires. Two items on both sides of
+    SMALL_OPERANDS step as the reference does; a gain one ulp high misses
+    the ties at u = -c, one ulp low those at u = +c."""
+    s = parse_schedule(f"const:{c}")
+    coeffs = solve_signgd_coefficients(s)
+    mech, B, eps = FiringMechanism("gelu"), 2, 2.0**-40
+    tie = {}
+    for u in (-c, c):
+        v0 = np.zeros(1)
+        for _ in range(100):
+            v0 = (1.0 + np.exp(-1.702 * v0)) * u
+        tie[u] = float(v0[0])
+    # v moves by -2 c I: item b's neuron j goes to v0 = 0 at step 1 (fires,
+    # as u = 0) where j + b is even and to v0 = eps (silent) where it is odd
+    fired = (np.arange(n) + np.arange(B)[:, None]) % 2 == 0
+    first = np.where(fired, 0.0, -eps / (2 * c))
+    second = np.where(fired, -tie[-c] / (2 * c), (eps - tie[c]) / (2 * c))
+    currents = np.stack([first, second])[:, :, None, :]  # (2, B, 1, n)
+    refs = [ReferenceSignGdNeuron(mech, coeffs, s, 0.0, 0.0, n) for _ in range(B)]
+    want = [np.stack([r.step(I) for r, I in zip(refs, currents[0])])]
+    u = np.stack([r.u for r in refs])
+    np.testing.assert_array_equal(u, np.where(fired, -c, c))
+    want.append(np.stack([r.step(I) for r, I in zip(refs, currents[1])]))
+    v0 = np.stack([r.v[0] for r in refs])
+    np.testing.assert_array_equal(v0, np.where(fired, tie[-c], tie[c]))
+    np.testing.assert_array_equal((1.0 + np.exp(-1.702 * v0)) * u, v0)  # the ties
+    assert (want[1] == 1.0).all()
+    layer = SignGdNeuron(mech, coeffs, W=0.0, b=0.0, n=n)
+    layer.reset(B)
+    got = layer.step(currents.reshape(2 * B, n), steps=2)
+    np.testing.assert_array_equal(got.reshape(2, B, n), np.stack(want))
+    np.testing.assert_array_equal(layer.u, np.stack([r.u for r in refs]))
+    np.testing.assert_array_equal(layer.v, np.stack([r.v for r in refs], axis=1))

@@ -358,11 +358,14 @@ def test_batched_add_is_the_per_item_add(shapes):
 
 
 # (fan_in, n_out) of every dense and affine node in the benchmark's networks
-# at full and smoke sizes, beyond MODELS, and two widths above 192 that are
-# not multiples of 8
+# at full and smoke sizes, beyond MODELS; two widths above 192 that are not
+# multiples of 8; the fan-ins on either side of GEMM_SMALL at GEMM_WIDTH;
+# and the first fan-ins above GEMM_SMALL at widths 24 and 16, below it
 BENCH_DENSE = [(784, 256), (256, 256), (256, 10), (1352, 10), (32, 16), (16, 16), (16, 10),
                (18, 10), (8, 16), (16, 4), (10, 10), (10, 1), (10, 4)]
-WIDE = [(64, 193), (37, 300)]
+WIDE = [(64, 193), (37, 300), (1953, 32), (1954, 32), (2605, 24), (3907, 16)]
+# the shapes that make one GEMM per block
+ONE_GEMM = {(784, 256), (256, 256), (1954, 32)}
 
 
 def dense_shapes():
@@ -374,13 +377,27 @@ def dense_shapes():
     return sorted(shapes)
 
 
+def lone_dense_plan(fan_in, n_out):
+    """The plan of a network that is one dense node of this shape."""
+    nodes = [Node("in", "input", {"shape": [fan_in]}),
+             Node("fc", "dense", {"weight": np.zeros((n_out, fan_in)), "bias": np.zeros(n_out)}),
+             Node("out", "output", {})]
+    return Plan(Graph(nodes, [("in", "fc", 0), ("fc", "out", 0)]))
+
+
 @pytest.mark.parametrize("fan_in,n_out", dense_shapes())
-@pytest.mark.parametrize("rows", [64, 37])
+@pytest.mark.parametrize("rows", [1, 37, 64, 192, "block"])
 @pytest.mark.parametrize("spikes", [False, True], ids=["random", "spikes"])
 def test_dense_row_is_the_row_alone(fan_in, n_out, rows, spikes):
     """Each row of a block's product, at every position of its tile and next
     to random or 0/1 rows, has the bits of that row computed alone: the
-    rule that lets the plan, calibration and the walker agree exactly."""
+    rule that lets the plan, calibration and the walker agree exactly. It
+    holds for the R-row tiles of every weight and for the one GEMM over a
+    whole block of a weight with `one_gemm`, up to the largest block
+    `block_steps` gives a network of this one node at B = 1 (at most 4,096
+    rows, the block of T = 4,096)."""
+    if rows == "block":
+        rows = lone_dense_plan(fan_in, n_out).block_steps(1, 4096)
     rng = make_rng(fan_in * 1000 + n_out)
     rule = DenseRule(rng.normal(0, 1, (n_out, fan_in)).astype(np.float32),
                      rng.normal(0, 1, n_out))
@@ -391,6 +408,25 @@ def test_dense_row_is_the_row_alone(fan_in, n_out, rows, spikes):
         np.testing.assert_array_equal(block[j], rule(x[j : j + 1])[0])
     out = np.empty((rows, n_out))
     np.testing.assert_array_equal(rule(x, out), block)
+
+
+@pytest.mark.parametrize("fan_in,n_out", BENCH_DENSE + WIDE)
+@pytest.mark.parametrize("rows", [1, 37, 192])
+def test_dense_rule_makes_one_gemm_above_the_small_matrix_bound(fan_in, n_out, rows):
+    """A weight whose one R-row tile is above GEMM_SMALL (R fan_in width,
+    width rounded up to 8) and at least GEMM_WIDTH wide takes a block's
+    rows, zero-padded to whole tiles, in one GEMM: mlp-wide's 784->256 and
+    256->256. Every other weight makes one GEMM per R-row tile: 256->10,
+    cnn-pool's 1352->10 and every small net's, whose rows would change bits
+    in one GEMM of a block, and 2605->24 and 3907->16, whose rows change
+    bits there when BLAS runs more than one thread."""
+    rule = DenseRule(np.zeros((n_out, fan_in)), np.zeros(n_out))
+    tiles = -(-rows // plan_module.R)
+    with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+        rule(np.zeros((rows, fan_in)))
+    (x, _), _ = matmul.call_args
+    stack = (1, tiles * plan_module.R) if (fan_in, n_out) in ONE_GEMM else (tiles, plan_module.R)
+    assert x.shape == (*stack, fan_in)
 
 
 @settings(max_examples=80, deadline=None)
@@ -552,7 +588,7 @@ BENCH_NETS = {
 
 
 @pytest.mark.parametrize("net,width,batch,T,steps", [
-    ("mlp-wide", 1296, 8, 64, 24),   # infer and energy: 192 rows, twelve tiles
+    ("mlp-wide", 1296, 8, 64, 24),   # infer and energy: 192 rows, whole tiles
     ("mlp-wide", 1296, 1, 64, 64),   # probe
     ("cnn-pool", 16900, 2, 64, 7),   # infer and energy: no whole tile fits the budget
     ("cnn-pool", 16900, 1, 64, 15),  # probe
