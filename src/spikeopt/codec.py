@@ -1,23 +1,26 @@
 """Neural coding: encode real activations into spike/current trains and decode
 trains back into running activation estimates.
 
-Decoding schemes (y(0) = 0 everywhere):
+Decoding schemes (y(0) = 0 but where given):
 
   rate:    y(t) = y(t-1) * (t-1)/t + s(t) / t
   ema:     y(t) = y(t-1) * (tau-1)/tau + s(t) / tau
-  signed:  y(t) = y(t-1) - eta(t) * (2 s(t) - 1)
+  signed:  y(t) = y(t-1) - eta(t) * (2 (s(t) - b) - W),  y(0) = b
+
+A spike train decodes with W = 1 and b = 0, and a network's readout with
+its output's calibrated W and b.
 
 Encoders emit the train whose decode chases the target x. They never clamp
 x: a target outside the reachable range R(eta, T) = sum eta(t) saturates
 silently. The tie convention is fixed repo-wide as H(0) = 1. An encoder
-writes a block of K frames at a time into a buffer it is given
-(`fill(frames)`, as a network's run loop, `neuron-sweep` and `encode` call
-it); `step()` is a fill of one frame. The parts that read no state (the
-Poisson and constant frames, the stochastic encoder's uniform draws) are
-formed for the whole block; the recurrences on f, the spike count and the
-EMA decode run frame by frame in place, with the operations of their
-expressions in order, so a block gives every frame the bits that stepping
-it alone gives.
+writes a block of K frames into a buffer it is given (`fill(frames)`), and
+a decoder folds a block of K frames into the estimate after each
+(`fold(s)`); `step` is a block of one frame, so each rule has one copy. The
+parts that read no state (the Poisson and constant frames, the stochastic
+encoder's uniform draws, the decoders' terms without y) are formed for the
+whole block; the recurrences on f, the spike count and the decodes run
+frame by frame in place, with the operations of their expressions in
+order, so a block gives every frame the bits that stepping it alone gives.
 
 Stochastic encoders take explicit seeds and use numpy's PCG64 generator, so
 trains are reproducible across platforms. A block draws exactly its frames'
@@ -100,51 +103,75 @@ def _generator(seed):
 
 
 # ---------------------------------------------------------------------------
-# Decoders. Value objects: one writer per instance, no shared state.
+# Decoders. Value objects: one writer per instance, no shared state. `fold(s)`
+# returns the estimates after the K frames s, (K, *shape), as a new array.
 # ---------------------------------------------------------------------------
 
 
-class RateDecoder:
-    """Running spike rate, y(t) = (1/t) sum_{i<=t} s(i)."""
-
-    def __init__(self, n=None):
-        self.y = 0.0 if n is None else np.zeros(n)
+class _Decoder:
+    def __init__(self, n=None, y0=0.0):
+        self.y = np.full(() if n is None else n, y0)
         self.t = 0
 
     def step(self, s):
-        self.t += 1
-        self.y = self.y * (self.t - 1) / self.t + np.asarray(s) / self.t
-        return self.y
+        return self.fold(np.asarray(s, dtype=np.float64)[None])[0]
 
 
-class EmaDecoder:
-    """Exponential moving average with base tau > 1."""
+class RateDecoder(_Decoder):
+    """Running spike rate, y(t) = (1/t) sum_{i<=t} s(i)."""
+
+    def _bases(self, K):
+        return np.arange(self.t + 1, self.t + K + 1, dtype=np.float64)
+
+    def fold(self, s):
+        a = self._bases(len(s))
+        self.t += len(s)
+        ys = np.divide(s, a.reshape(a.shape + (1,) * (np.ndim(s) - 1)))
+        y = self.y
+        for k, a_k in enumerate(a.tolist()):
+            # y <- y (a - 1) / a + s / a
+            y = np.add(np.divide(np.multiply(y, a_k - 1), a_k), ys[k, ...], ys[k, ...])
+        self.y = y
+        return ys
+
+
+class EmaDecoder(RateDecoder):
+    """Exponential moving average with base tau > 1: the rate rule, tau for t."""
 
     def __init__(self, tau: float, n=None):
         if tau <= 1:
             raise ValueError(f"EMA base must exceed 1, got {tau}")
         self.tau = float(tau)
-        self.y = 0.0 if n is None else np.zeros(n)
-        self.t = 0
+        super().__init__(n)
 
-    def step(self, s):
-        self.t += 1
-        self.y = self.y * (self.tau - 1.0) / self.tau + np.asarray(s) / self.tau
-        return self.y
+    def _bases(self, K):
+        return np.array([self.tau] * K)
 
 
-class SignedDecoder:
-    """Signed schedule decoding: each spike contributes -eta(t) * (2 s - 1)."""
+class SignedDecoder(_Decoder):
+    """Signed schedule decoding around the idle value b with swing W:
+    y(t) = y(t-1) - eta(t) (2 (s(t) - b) - W), y(0) = b, where eta(t) =
+    schedule(t), any callable of an int t. The defaults W = 1, b = 0 decode
+    a spike train, each spike contributing -eta(t) (2 s - 1); a network's
+    readout decodes its output currents with their calibrated W and b."""
 
-    def __init__(self, schedule: Schedule, n=None):
-        self.schedule = schedule
-        self.y = 0.0 if n is None else np.zeros(n)
-        self.t = 0
+    def __init__(self, schedule, n=None, W=1.0, b=0.0):
+        super().__init__(n, b)
+        self.schedule, self.W, self.b = schedule, W, b
 
-    def step(self, s):
-        self.t += 1
-        self.y = self.y - self.schedule(self.t) * (2.0 * np.asarray(s) - 1.0)
-        return self.y
+    def fold(self, s):
+        eta = np.array([self.schedule(t) for t in range(self.t + 1, self.t + len(s) + 1)])
+        self.t += len(s)
+        d = np.subtract(s, self.b)
+        np.multiply(d, 2.0, d)
+        np.subtract(d, self.W, d)
+        np.multiply(d, eta.reshape(eta.shape + (1,) * (np.ndim(s) - 1)), d)
+        y = self.y
+        for k in range(len(d)):
+            # y <- y - eta(t) (2 (s - b) - W)
+            y = np.subtract(y, d[k, ...], d[k, ...])
+        self.y = y
+        return d
 
 
 # ---------------------------------------------------------------------------

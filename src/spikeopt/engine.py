@@ -1,21 +1,18 @@
 """Time-stepped execution of converted networks.
 
 An SnnInstance compiles its network once into a step plan (`graph.plan`),
-whose one forced step on its own stand-in layers gives the calibration
+whose one forced step on its stand-ins gives the calibration
 (`Plan.calibration`) before each neuron layer takes its place; so a
 re-loaded network runs as the in-memory one, and no stored `cal_*` record
 is read. One coefficient set, with its memo of each step's scalars,
-serves every neuron layer and the readout. It steps B items in
-lockstep, K steps at a time: the input encoder writes the items' next K
-frames into the plan's input buffer in one `fill` call, the block goes
-through the plan (linear ops map all K B frames at once, each neuron layer
-forms the state-free part of its K steps at once and runs only what reads
-its state step by step), and the K output currents fold into the readouts,
-the terms without r once per block and r's recurrence one step at a time:
+serves every neuron layer and the readout. It steps B items in lockstep,
+K steps at a time, and the whole step is the plan's: its first op has the
+installed encoder fill the items' next K input frames, and its last op
+folds the K output currents into the installed readout, a codec decoder:
 
-  sign family      readout r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out),
-                   r(0) = b_out (the calibrated output bias image)
-  subgradient/rate readout r(t) = running mean of output currents
+  sign family      `SignedDecoder` with the calibrated W_out and b_out,
+                   r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out), r(0) = b_out
+  subgradient      `RateDecoder`, r(t) = running mean of the output currents
 
 Every op works row by row with the arithmetic of a one-item step, and a
 dense product does not depend on the rows computed with it (see
@@ -38,10 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .codec import ConstantEncoder, PoissonEncoder, RateDeterministicEncoder, signed_encoder
+from .codec import (ConstantEncoder, PoissonEncoder, RateDecoder, RateDeterministicEncoder,
+                    SignedDecoder, signed_encoder)
 from .graph.model import ShapeMismatchError, run_forward as ann_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
@@ -91,8 +90,8 @@ class SnnInstance:
             where = f"{snn.path}: " if snn.path else ""
             raise ConversionError(f"{where}{snn.family} network under schedule {snn.schedule}, "
                                   f"parameterization {snn.parameterization!r}: {exc}") from None
-        # one plan: its forced step on stand-in layers gives each layer's and
-        # the readout's W and b, and then each layer takes its stand-in's place
+        # one plan: its forced step on stand-ins gives each layer's and the
+        # readout's W and b, and then each layer takes its stand-in's place
         self.plan = Plan(snn.graph)
         cal, (self.readout_w, self.readout_b) = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
@@ -102,54 +101,23 @@ class SnnInstance:
             self.layers[nid] = SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n,
             ) if signgd else SubgradNeuron(c, n=n)
-        self._r0 = self.readout_b if signgd else np.zeros_like(self.readout_b)
+        self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
+                                b=self.readout_b) if signgd else RateDecoder
         self.reset()
 
     def reset(self, batch: int = 1, steps: int = 1):
         """Clear the state for a batch of `batch` items, stepped up to `steps`
-        steps per call."""
+        steps per call: a new readout, and no encoder until one is installed."""
         self.plan.reset(batch, steps)
         for layer in self.layers.values():
             layer.reset(batch)
-        self.t = 0
-        self.r = np.tile(self._r0, (batch, 1))
-        self._rx, self._ry = np.empty((2, steps, *self.r.shape))
+        self.plan.codecs.update(encoder=None, readout=self._readout((batch, self.readout_b.size)))
 
-    def step(self, frames, steps: int | None = None, observer=None) -> np.ndarray:
-        """Propagate one spike/current frame per item, shape (B, ...) (one
-        item's frame may drop the B axis), and return the readouts, (B, n_out),
-        as a new array. With `steps`, propagate a block of that many steps,
-        frames (steps, B, ...), and return the readout after each, (steps, B,
-        n_out); `observer` sees the plan's ops (`Plan.step`)."""
-        out_current = self.plan.step(frames, observer)
-        r, B = self.r, len(self.r)
-        K = len(out_current) // B
-        I = out_current.reshape(K, B, -1)
-        x, y = self._rx[:K], self._ry[:K]
-        readouts = np.empty_like(I)
-        ts = range(self.t + 1, self.t + K + 1)
-        self.t += K
-        # the readout expression in each comment, operation for operation,
-        # through two scratch buffers; the terms without r for the whole block
-        if self.snn.family == "signgd":
-            # r <- r - eta(t) (2 (I_out - b_out) - W_out)
-            np.subtract(I, self.readout_b, x)
-            np.multiply(x, 2.0, y)
-            np.subtract(y, self.readout_w, x)
-            np.multiply(x, np.array([self.coeffs.row(t)[0] for t in ts])[:, None, None], y)
-            for k in range(K):
-                np.subtract(r, y[k], readouts[k])
-                r = readouts[k]
-        else:
-            # r <- r (t - 1) / t + I_out / t
-            np.divide(I, np.array(ts, dtype=np.float64)[:, None, None], y)
-            for k, t in enumerate(ts):
-                np.multiply(r, t - 1, x[k])
-                np.divide(x[k], t, x[k])
-                np.add(x[k], y[k], readouts[k])
-                r = readouts[k]
-        self.r[...] = r
-        return readouts if steps is not None else readouts[0]
+    def step(self, steps: int, observer=None) -> np.ndarray:
+        """Propagate a block of `steps` steps from the encoder installed in
+        `plan.codecs` and return the readout after each, (steps, B, n_out), as
+        a new array; `observer` sees the plan's ops (`Plan.step`)."""
+        return self.plan.step(steps, observer)
 
     @property
     def spike_counts(self) -> dict[str, np.ndarray]:
@@ -223,13 +191,9 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
     B = len(X)
     K = inst.plan.block_steps(B, T)
     inst.reset(B, K)
-    enc = make_input_encoder(snn, X, encoder, stoch_c, [seed + 1000 * i for i in range(B)])
-    history = np.empty((T, B, inst.readout_b.size))
-    for t in range(0, T, K):
-        # the encoder's next frames, written into the plan's input buffer
-        frames = inst.plan.frames[: min(K, T - t)]
-        enc.fill(frames)
-        history[t : t + len(frames)] = inst.step(frames, steps=len(frames), observer=observer)
+    inst.plan.codecs["encoder"] = make_input_encoder(snn, X, encoder, stoch_c,
+                                                     [seed + 1000 * i for i in range(B)])
+    history = np.concatenate([inst.step(min(K, T - t), observer) for t in range(0, T, K)])
     return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
 
 

@@ -119,8 +119,8 @@ def load_model(path) -> tuple[Graph, dict]:
     jpath, bpath = _paths(path)
     try:
         manifest = json.loads(jpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"manifest {jpath} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"manifest {jpath} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "SGM1":
         raise ModelFormatError(f"manifest {jpath} lacks the SGM1 format tag")
 

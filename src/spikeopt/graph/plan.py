@@ -28,9 +28,11 @@ a layer's state at step t depends only on its inputs up to t, so a block
 gives every step what stepping it alone gives, bit for bit. K comes from
 one rule, `block_steps`, which the plans and `neuron-sweep` share.
 
-Each neuron layer compiles as a `Forced` stand-in, which reads its currents
-in the plan's row layout; `Plan.calibration`, the stimulate/depress step, is
-one plan step on them. A network then puts its layers in their places.
+A block's first op has the input's encoder fill slot 0 with its frames,
+and its last folds the output currents into the readout, so an observer
+sees the whole step. The encoder, the readout and each neuron layer compile
+as `Forced` stand-ins; `Plan.calibration`, the stimulate/depress step, is
+one plan step on them. A network then puts its own in their places.
 
 Dense and affine nodes have their own rule, `DenseRule`: x's rows,
 zero-padded to whole tiles of R = 16 rows, against the transposed weight
@@ -235,52 +237,60 @@ class _Value:
 
 
 class Forced:
-    """Calibration stand-in for neuron node `node`: records its currents;
-    item 0 emits 1 and item 1 emits 0."""
-
-    def __init__(self, node: Node):
-        self.n = node.params["count"]
+    """Calibration stand-in, stepped one step of two items: as a layer it
+    records its (arity, 2, n) currents, as a layer or the encoder it emits 1
+    in item 0 and 0 in item 1, and as the readout it gives the currents back."""
 
     def step(self, currents, steps, out, scratch=None, observer=None):
-        """A block of one step of the two items: keeps the (arity, 2, n)
-        currents (the plan reuses its buffers) and writes the spikes."""
-        self.currents = currents.reshape(2, -1, self.n).transpose(1, 0, 2).copy()
-        out[0], out[1] = 1.0, 0.0
-        return out
+        self.currents = currents.reshape(2, -1, out.shape[1]).transpose(1, 0, 2).copy()
+        self.fill(out)
+
+    def fill(self, frames):
+        frames.reshape(2, -1)[:] = [[1.0], [0.0]]
+
+    def fold(self, currents):
+        return currents
 
 
 class Plan:
     """The ops of one graph of `STEPPABLE` kinds. `layers` maps each neuron
-    node id to the object that steps it, at first a `Forced` stand-in; a
-    neuron op steps the object `layers` holds when it runs, so another put
-    in its place steps from then on. Its
-    `step(I, steps=K, out=, scratch=, observer=)` takes the
-    K B rows of arity n influx currents of a block, row k B + b holding step
-    k of item b operand by operand, writes the K B rows of n spikes into
-    `out` and calls `observer(k)`, if given, after step k; `scratch` is a
-    slot shaped like I, which I may be, for the layer to overwrite.
+    node id to the object that steps it, and `codecs` maps "encoder" and
+    "readout" to the objects that fill the input and decode the output, all
+    at first `Forced` stand-ins; an op steps the object held there when it
+    runs, so another put in its place steps from then on. A layer's
+    `step(I, steps=K, out=, scratch=, observer=)` takes the K B rows of
+    arity n influx currents of a block, row k B + b holding step k of item
+    b operand by operand, writes the K B rows of n spikes into `out` and
+    calls `observer(k)`, if given, after step k; `scratch` is a slot shaped
+    like I, which I may be, for the layer to overwrite. The encoder's
+    `fill` writes the block's (K, B, input size) frames, and the readout's
+    `fold` takes its (K, B, n_out) output currents and returns what `step`
+    returns.
 
     `reset(batch, steps)` sizes the slot buffers for blocks of up to `steps`
-    steps of `batch` items; `step(x)` takes a block's input frames, k B rows
-    for k <= steps, and returns the output node's (k B, n_out) influx
-    currents, a view that the next block overwrites. `ops` holds one
-    (node id, kind, op) per op; with an observer, `step` calls
+    steps of `batch` items, and `step(k)` runs a block of k of them. `ops`
+    holds one (node id, kind, op) per op, the input's encoder first and the
+    output's readout last; with an observer, `step` calls
     `observer(node id, kind, k)` after step k of each neuron layer and
     `observer(node id, kind, None)` after every other op."""
 
     def __init__(self, graph: Graph):
-        self.input_size = math.prod(graph.nodes[graph.input_id].params["shape"])
         self.ops: list = []
         self.layers: dict = {}
-        self.widths = [self.input_size]  # slot 0 holds the input frames
+        self.codecs = codecs = {"encoder": Forced(), "readout": Forced()}
+        self.widths = [math.prod(graph.nodes[graph.input_id].params["shape"])]
         self._io: list = []  # per op: the slots it reads, the slots it writes
         self.batch = self.rows = 0  # set by reset
         self._release = None
+
+        def encode(s, B, observe):  # the input frames, in slot 0
+            codecs["encoder"].fill(s[0].reshape(len(s[0]) // B, B, -1))
 
         def visit(node, ins: list[_Value]) -> _Value:
             if node.kind not in STEPPABLE:
                 raise GraphError(f"node {node.id!r} ({node.kind}) has no step rule")
             if node.kind == "input":
+                self._op(node.id, "encoder", encode, (), 0)
                 return _Value(0, None, node.params["shape"], node.id)
             if node.kind == "neuron":
                 return self._neuron(node, ins)
@@ -291,7 +301,12 @@ class Plan:
                 return _Value(ins[0].slot, None if view else sel.reshape(-1), sel.shape, node.id)
             return self._linear(node, ins)
 
-        self.out_slot = self._flat(graph.walk(visit)[graph.output_id])
+        out = self.out_slot = self._flat(graph.walk(visit)[graph.output_id])
+
+        def readout(s, B, observe):
+            return codecs["readout"].fold(s[out].reshape(len(s[out]) // B, B, -1))
+
+        self._op(graph.output_id, "readout", readout, [out])
         self._share()
         self.block_width = sum(self._caps)  # doubles per row of the stores
 
@@ -302,7 +317,7 @@ class Plan:
         ({neuron node id: (W, b)}, (W_out, b_out)) in float64, W = I+ - I-
         and b = I- per neuron operand, (arity, n), and for the output node."""
         self.reset(2)
-        out_hi, out_lo = self.step(np.repeat([[1.0], [0.0]], self.input_size, axis=1))
+        (out_hi, out_lo), = self.step(1)
         layers = {nid: (layer.currents[:, 0] - layer.currents[:, 1], layer.currents[:, 1].copy())
                   for nid, layer in self.layers.items()}
         return layers, (out_hi - out_lo, out_lo.copy())
@@ -313,8 +328,7 @@ class Plan:
 
     def reset(self, batch: int, steps: int = 1):
         """Size the slot buffers for blocks of up to `steps` steps of `batch`
-        items; the buffers of the last (batch, steps) are kept. `frames`, the
-        (steps, batch, input size) buffer of slot 0, may hold a block's input."""
+        items; the buffers of the last (batch, steps) are kept."""
         rows = batch * steps
         if (batch, rows) != (self.batch, self.rows):
             self.batch, self.rows = batch, rows
@@ -324,35 +338,30 @@ class Plan:
             self._release = weakref.finalize(self, _give_stores, store)
             self._buffers = [store[b][: rows * w].reshape(rows, w)
                              for w, b in zip(self.widths, self._store_of)]
-            self.frames = self._buffers[0].reshape(steps, batch, -1)
 
-    def step(self, x, observer=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).reshape(-1, self.input_size)
-        n = len(x)
-        if not 0 < n <= self.rows or n % self.batch:
-            raise ValueError(f"{n} input rows are not whole steps of the {self.batch} "
-                             f"items and at most {self.rows} rows that reset sized")
-        s, B = [x] + [buf[:n] for buf in self._buffers[1:]], self.batch
+    def step(self, steps: int, observer=None):
+        n, B = steps * self.batch, self.batch
+        if not 0 < n <= self.rows:
+            raise ValueError(f"{steps} steps are not 1 to the {self.rows // B} that reset sized")
+        s = [buf[:n] for buf in self._buffers]
         if observer is None:
             for _, _, op in self.ops:
-                op(s, B, None)
+                out = op(s, B, None)
         else:
             for nid, kind, op in self.ops:
-                op(s, B, observer)
+                out = op(s, B, observer)
                 if kind != "neuron":
                     observer(nid, kind, None)
-        return s[self.out_slot]
+        return out
 
     def _share(self):
         """Give each slot a store: the store of a slot whose last reader has
         run, grown to fit, or a new one. `_caps` holds each store's doubles
         per row and `_store_of` each slot's store."""
-        last = {self.out_slot: len(self._io)}
-        for i, (reads, _) in enumerate(self._io):
-            last.update(dict.fromkeys(reads, i))
+        last = {slot: i for i, (reads, _) in enumerate(self._io) for slot in reads}
         self._caps, self._store_of, holder = [], [None] * len(self.widths), []
         writes = [(i, slot) for i, (_, slots) in enumerate(self._io) for slot in slots]
-        for i, slot in [(-1, 0)] + writes:
+        for i, slot in writes:
             free = [b for b, h in enumerate(holder) if last.get(h, -2) < i]
             b = max(free, key=self._caps.__getitem__) if free else len(holder)
             if b == len(holder):
@@ -420,7 +429,7 @@ class Plan:
     def _neuron(self, node, ins: list[_Value]) -> _Value:
         n, shape = node.params["count"], output_shape(node, [v.shape for v in ins])
         sizes = [math.prod(v.shape) for v in ins]
-        self.layers[node.id] = Forced(node)
+        self.layers[node.id] = Forced()
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)

@@ -119,7 +119,7 @@ class IfNeuron:
         s = heaviside(u_pre - self.p.theta_th)
         self.u = u_pre - self.p.theta_th * s
         self.decoder.step(s)
-        self.spike_count += int(np.sum(s))
+        self.spike_count += np.count_nonzero(s)
         return s
 
     @property
@@ -146,7 +146,7 @@ class LifNeuron(IfNeuron):
         s = heaviside(u_pre - p.theta_th)
         self.u = u_pre - p.theta_th * s
         self.decoder.step(s)
-        self.spike_count += int(np.sum(s))
+        self.spike_count += np.count_nonzero(s)
         return s
 
 

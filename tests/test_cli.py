@@ -1123,6 +1123,26 @@ def test_operands_that_do_not_fit_their_node_exit_2_naming_it(tmp_path, capsys, 
     assert not (tmp_path / "snn.json").exists()
 
 
+def test_a_manifest_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """A converted manifest with the byte 0xff at offset 10, which no UTF-8
+    text holds, ends `infer` with exit status 2 and one stderr line naming
+    the manifest, not a UnicodeDecodeError traceback."""
+    save_model(MODELS["mlp"](), tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 0
+    manifest = bytearray((tmp_path / "snn.json").read_bytes())
+    manifest[10] = 0xFF
+    (tmp_path / "snn.json").write_bytes(manifest)
+    save_tensor(make_rng(4).normal(0, 1, (2, 8)), tmp_path / "data.sten")
+    capsys.readouterr()
+    rc = main(["infer", str(tmp_path / "snn.json"), "--data", str(tmp_path / "data.sten"),
+               "--report", str(tmp_path / "acc.csv")])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and err.count("\n") == 1, err
+    assert err.startswith("spikeopt infer: error: ") and str(tmp_path / "snn.json") in err, err
+    assert not (tmp_path / "acc.csv").exists()
+
+
 def test_probe_of_a_neuron_count_its_operands_do_not_fit_exits_2(tmp_path, capsys):
     """A converted conftest mlp whose act0 says count 5 (and shape [5]) for
     its 16 currents ends `probe` as it ends `infer`: exit status 2 and one

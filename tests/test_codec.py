@@ -66,6 +66,79 @@ class TestDecoders:
             assert 0.0 <= dec.y <= 1.0
 
 
+SIGNED_SCHEDULES = [Schedule.inverse(1.0), Schedule.exponential(0.5, 0.99),
+                    Schedule.constant(0.1)]
+
+
+def decoder_of(kind, schedule, n, W=1.0, b=0.0):
+    if kind == "rate":
+        return RateDecoder(n)
+    if kind == "ema":
+        return EmaDecoder(3.5, n)
+    return SignedDecoder(schedule, n, W, b)
+
+
+def by_rule(kind, schedule, frames, W=1.0, b=0.0):
+    """The decode rule of `kind`, written out step by step."""
+    y, want = (np.full(frames.shape[1:], b) if kind == "signed" else 0.0), []
+    for t, s in enumerate(frames, 1):
+        if kind == "signed":
+            y = y - schedule(t) * (2.0 * (s - b) - W)
+        else:
+            a = t if kind == "rate" else 3.5
+            y = y * (a - 1) / a + s / a
+        want.append(y)
+    return np.array(want)
+
+
+def in_blocks(decoder, frames, blocks):
+    """`fold` over the frames in blocks of the lengths `blocks`, cycled."""
+    got, t = [], 0
+    while t < len(frames):
+        k = blocks[len(got) % len(blocks)]
+        got.append(decoder.fold(frames[t : t + k]))
+        t += k
+    return np.concatenate(got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["rate", "ema", "signed"]), schedule=st.sampled_from(SIGNED_SCHEDULES),
+       shape=st.sampled_from([(), (1,), (5,), (3, 4)]), T=st.integers(1, 60),
+       blocks=st.lists(st.integers(1, 20), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_a_decoders_blocks_are_its_steps_on_spike_trains(kind, schedule, shape, T, blocks, seed):
+    """Each decoder at its defaults (the signed one with W = 1, b = 0) gives
+    a spike train, folded in blocks of any length, the estimates of one step
+    per call, bit for bit, and both are its decode rule's."""
+    train = (make_rng(seed).random((T, *shape)) < 0.5).astype(np.float64)
+    stepper = decoder_of(kind, schedule, shape or None)
+    stepped = np.array([stepper.step(s) for s in train])
+    got = in_blocks(decoder_of(kind, schedule, shape or None), train, blocks)
+    np.testing.assert_array_equal(got, stepped)
+    np.testing.assert_array_equal(stepped, by_rule(kind, schedule, train))
+    np.testing.assert_array_equal(stepper.y, stepped[-1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["rate", "signed"]), schedule=st.sampled_from(SIGNED_SCHEDULES),
+       items=st.integers(1, 4), n=st.integers(1, 6), T=st.integers(1, 60),
+       blocks=st.lists(st.integers(1, 20), min_size=1, max_size=6), seed=st.integers(0, 2**16))
+def test_a_decoders_blocks_are_its_steps_on_currents(kind, schedule, items, n, T, blocks, seed):
+    """A readout's decoders, the signed one with a calibrated swing W and
+    idle value b, give (K, B, n) output currents, folded in blocks of any
+    length, the estimates of one step per call, bit for bit, and both are
+    the readout rule's; the signed one starts from y(0) = b."""
+    rng = make_rng(seed)
+    W, b = rng.normal(1, 0.5, n), rng.normal(0, 0.5, n)
+    currents = rng.normal(0, 2, (T, items, n))
+    stepper = decoder_of(kind, schedule, (items, n), W, b)
+    if kind == "signed":
+        np.testing.assert_array_equal(stepper.y, np.tile(b, (items, 1)))
+    stepped = np.array([stepper.step(I) for I in currents])
+    got = in_blocks(decoder_of(kind, schedule, (items, n), W, b), currents, blocks)
+    np.testing.assert_array_equal(got, stepped)
+    np.testing.assert_array_equal(stepped, by_rule(kind, schedule, currents, W, b))
+
+
 class TestFloatEncoder:
     def test_zero_input_first_emission(self):
         assert emitted(FloatEncoder(0.0, Schedule.inverse(1.0)), 1)[0] == 0.5

@@ -93,6 +93,19 @@ class TestInstance:
         assert compiled == [inst.plan]
         assert all(isinstance(layer, SignGdNeuron) for layer in inst.plan.layers.values())
 
+    def test_reset_drops_the_encoder(self, rng):
+        """`reset` leaves no encoder installed, neither the last batch's nor
+        the calibration stand-in, so a block stepped before another is
+        installed fails instead of reading stale or forced frames."""
+        snn = snn_of(build_mlp(seed=2, dims=(4, 4, 2)))
+        inst = SnnInstance(snn)
+        with pytest.raises(AttributeError):
+            inst.step(1)
+        run_batch(snn, rng.normal(0, 1, (2, 4)), 4, instance=inst)
+        inst.reset(2)
+        with pytest.raises(AttributeError):
+            inst.step(1)
+
     def test_zero_weight_network_holds_bias(self, rng):
         nodes = [
             Node("in", "input", {"shape": [3]}),
@@ -112,10 +125,11 @@ class TestInstance:
         inst = SnnInstance(snn)
         from spikeopt.engine import make_input_encoder
 
-        enc = make_input_encoder(snn, rng.normal(0, 1, 4), "det")
+        inst.plan.codecs["encoder"] = make_input_encoder(snn, rng.normal(0, 1, (1, 4)), "det",
+                                                         seed=[0])  # a batch of one item
         for step in range(1, 51):
             before = inst.total_spikes
-            inst.step(enc.step())
+            inst.step(1)
             fired = inst.total_spikes - before
             assert 0 <= fired <= 8  # at most one spike per neuron per step
         # engine counters agree with the layers' own accounting
@@ -134,14 +148,14 @@ class TestInstance:
         s = Schedule.inverse(1.0)
         snn = snn_of(g, schedule=s)
         inst = SnnInstance(snn)
-        enc_engine = DeterministicEncoder(np.array([0.83]), s)
+        inst.plan.codecs["encoder"] = DeterministicEncoder(np.array([[0.83]]), s)  # one item
         # standalone neuron fed the same encoder emissions
         unit = SignGdNeuron(
             FiringMechanism("relu"), solve_signgd_coefficients(s), W=1.0, b=0.0, n=1
         )
         enc_unit = DeterministicEncoder(np.array([0.83]), s)
         for _ in range(500):
-            inst.step(enc_engine.step())
+            inst.step(1)
             unit.step(enc_unit.step()[None, :])
             # the instance steps a batch of one item: its state has a leading item axis
             np.testing.assert_array_equal(inst.layers["act"].decoded[0], unit.decoded)
@@ -172,15 +186,15 @@ class TestInstance:
         inst = SnnInstance(snn)
         from spikeopt.codec import FloatEncoder
 
-        enc = FloatEncoder(x, s)
+        inst.plan.codecs["encoder"] = enc = FloatEncoder(x[None], s)  # a batch of one item
         ref = ann_forward(snn.graph, x)["out"]
         m = (
             w2.astype(np.float32).astype(np.float64)
             @ w1.astype(np.float32).astype(np.float64)
         )
         for t in range(1, 101):
-            r = inst.step(enc.step())[0]  # readouts of a batch of one item
-            residual = enc.f - x  # encoder's remaining input error
+            r = inst.step(1)[0, 0]  # the readouts of a block of one step of one item
+            residual = enc.f[0] - x  # encoder's remaining input error
             if t in (1, 10, 100):
                 np.testing.assert_allclose(r - ref, m @ residual, atol=1e-9)
 

@@ -15,6 +15,7 @@ in lockstep must give each item what running it alone gives, bit for bit.
 
 import gc
 import math
+import weakref
 from functools import lru_cache
 from unittest import mock
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, MODELS, build_cnn, build_layernorm_block, build_mlp
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
-from spikeopt.codec import make_rng
+from spikeopt.codec import ConstantEncoder, make_rng
 from spikeopt.engine import SnnInstance, ann_forward, make_input_encoder, probe, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d, infer_shapes
@@ -173,28 +174,33 @@ def test_plan_matches_reference_walk(config, encoder, T, seed):
     schedule=st.sampled_from(SCHEDULES),
     items=st.integers(1, 4),
     T=st.integers(1, 40),
+    blocks=st.lists(st.integers(1, 8), min_size=1, max_size=8),
     seed=st.integers(0, 2**16),
 )
-def test_readout_is_the_allocating_formula(family, schedule, items, T, seed):
-    """The readout update, fed arbitrary output currents, equals its formula
-    bit for bit, and each step returns an array later steps leave alone."""
+def test_readout_is_the_allocating_formula(family, schedule, items, T, blocks, seed):
+    """The installed readout, fed arbitrary output currents in blocks of any
+    length, equals its formula bit for bit, and each block returns an array
+    later blocks leave alone."""
     snn = converted("mlp", family, schedule, "canonical")
     inst = SnnInstance(snn)
-    inst.reset(items)
+    inst.reset(items, T)
+    readout = inst.plan.codecs["readout"]
     w_out, b_out = inst.readout_w, inst.readout_b
     currents = make_rng(seed).normal(0, 2, (T, items, b_out.size))
-    frames = iter(currents)
-    inst.plan.step = lambda x, observer: next(frames)  # the output currents of each step
     r = np.tile(b_out if family == "signgd" else np.zeros_like(b_out), (items, 1))
-    kept = []
-    for t in range(1, T + 1):
-        got = inst.step(None)
-        if family == "signgd":
-            r = r - float(snn.schedule(t)) * (2.0 * (currents[t - 1] - b_out) - w_out)
-        else:
-            r = r * (t - 1) / t + currents[t - 1] / t
-        np.testing.assert_array_equal(got, r)
-        kept.append((got, r))
+    kept, t = [], 0
+    while t < T:
+        k = min(blocks[len(kept) % len(blocks)], T - t)
+        got = readout.fold(currents[t : t + k])
+        want = []
+        for t in range(t + 1, t + k + 1):
+            if family == "signgd":
+                r = r - float(snn.schedule(t)) * (2.0 * (currents[t - 1] - b_out) - w_out)
+            else:
+                r = r * (t - 1) / t + currents[t - 1] / t
+            want.append(r)
+        np.testing.assert_array_equal(got, want)
+        kept.append((got, np.stack(want)))
     for got, want in kept:
         np.testing.assert_array_equal(got, want)
 
@@ -351,7 +357,8 @@ def test_batched_add_is_the_per_item_add(shapes):
     X = make_rng(3).normal(0, 1, (4, int(starts[-1])))
     plan = Plan(g)
     plan.reset(len(X))
-    got = plan.step(X)
+    plan.codecs["encoder"] = ConstantEncoder(X)
+    (got,) = plan.step(1)  # the readout's stand-in gives back the output currents
     for x, row in zip(X, got):
         operands = [x[a:b].reshape(sh) for a, b, sh in zip(starts, starts[1:], shapes)]
         np.testing.assert_array_equal(row, node_forward(add, operands).reshape(-1))
@@ -498,8 +505,9 @@ def one_step_run(snn, X, T, encoder, seed):
     """run_batch one SnnInstance.step per step: history, spikes, states."""
     inst = SnnInstance(snn)
     inst.reset(len(X))
-    enc = make_input_encoder(snn, X, encoder, seed=[seed + 1000 * i for i in range(len(X))])
-    history = np.stack([inst.step(enc.step()) for _ in range(T)])
+    inst.plan.codecs["encoder"] = make_input_encoder(
+        snn, X, encoder, seed=[seed + 1000 * i for i in range(len(X))])
+    history = np.concatenate([inst.step(1) for _ in range(T)])
     return history, inst
 
 
@@ -532,11 +540,11 @@ def test_blocks_match_single_steps(config, encoder, items, T, block, seed):
     K = min(block, T)
     inst = SnnInstance(snn)
     inst.reset(items, K)
-    enc = make_input_encoder(snn, X, encoder, seed=[seed + 1000 * i for i in range(items)])
+    inst.plan.codecs["encoder"] = make_input_encoder(
+        snn, X, encoder, seed=[seed + 1000 * i for i in range(items)])
     got = []
     for t in range(0, T, K):
-        frames = np.stack([enc.step() for _ in range(min(K, T - t))])
-        got.extend(inst.step(frames, steps=len(frames)))
+        got.extend(inst.step(min(K, T - t)))
     np.testing.assert_array_equal(np.stack(got), want)
     assert_same_state(inst, alone)
     # run_batch with a budget that makes K = block, often not dividing T
@@ -552,11 +560,11 @@ def step_by_step_probe(snn, x, T, encoder, seed):
     """The errors `probe` reports, read after each one-step call."""
     acts = ann_forward(snn.graph, x)
     inst = SnnInstance(snn)
-    enc = make_input_encoder(snn, x, encoder, seed=seed)
+    inst.plan.codecs["encoder"] = make_input_encoder(snn, x[None], encoder, seed=[seed])
     errors = {nid: np.empty(T) for nid in inst.layers}
     readout = np.empty(T)
     for t in range(T):
-        r = inst.step(enc.step())[0]
+        r = inst.step(1)[0, 0]
         for nid, layer in inst.layers.items():
             errors[nid][t] = np.max(np.abs(layer.decoded[0] - acts[nid].reshape(-1)))
         readout[t] = np.max(np.abs(r - acts[snn.graph.output_id].reshape(-1)))
@@ -577,6 +585,48 @@ def test_probe_observer_is_the_step_by_step_probe(config, encoder, T, seed):
     for nid, want in errors.items():
         np.testing.assert_array_equal(rec.errors[nid], want)
     np.testing.assert_array_equal(rec.readout_error, readout)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=configs, encoder=st.sampled_from(["float", "det", "stoch"]),
+       items=st.integers(1, 4), T=st.integers(1, 40), block=st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_every_block_is_seen_from_the_encoder_to_the_readout(config, encoder, items, T, block,
+                                                             seed):
+    """In every block of run_batch, the observer sees the input's encoder
+    first, each op in plan order (a neuron layer after each of its steps),
+    and the output's readout last: the whole step is the plan's."""
+    snn = converted(*config)
+    inst = SnnInstance(snn)
+    g, seen = snn.graph, []
+    with mock.patch.object(plan_module, "BLOCK_BYTES", block * 8 * items * inst.plan.block_width):
+        K = inst.plan.block_steps(items, T)
+        run_batch(snn, input_for(snn, seed, items), T, encoder=encoder, seed=seed, instance=inst,
+                  observer=lambda nid, kind, k: seen.append((nid, kind, k)))
+    ops = [(nid, kind) for nid, kind, _ in inst.plan.ops]
+    assert ops[0] == (g.input_id, "encoder") and ops[-1] == (g.output_id, "readout")
+    want = [(nid, kind, k) for t in range(0, T, K)
+            for nid, kind in ops
+            for k in (range(min(K, T - t)) if kind == "neuron" else [None])]
+    assert seen == want
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+def test_a_spent_instance_is_freed_without_the_collector(model, family):
+    """Nothing an instance or its plan holds refers back to them, the ops,
+    the installed encoder and readout included, so after a run_batch
+    reference counting alone frees both, and the plan leaves its stores
+    to the spare pool at once."""
+    snn = converted(model, family, "inv:1", "canonical")
+    inst = SnnInstance(snn)
+    run_batch(snn, input_for(snn, 0, 3), 20, encoder="stoch", instance=inst)
+    refs = [weakref.ref(inst), weakref.ref(inst.plan)]
+    gc.disable()
+    try:
+        del inst
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # the benchmark's networks: mlp-wide, cnn-pool and small-nets' layer-norm block
