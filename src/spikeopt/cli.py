@@ -116,6 +116,19 @@ def _check_index(index, items):
         raise RangeError(f"--index {index} is out of range for {items} items")
 
 
+def _items(flag, path):
+    """The STEN tensor `path`, given as `flag`, with its items on the first
+    axis, a rank-0 or rank-1 tensor as one item; one of no items is a
+    RangeError naming the file. The run, or the calibration, then checks
+    each item's size (`engine.input_rows`)."""
+    data = load_tensor(path)
+    if data.ndim < 2:
+        data = data.reshape(1, data.size)
+    if not len(data):
+        raise RangeError(f"{flag} {path} holds no items")
+    return data
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -173,8 +186,7 @@ def _oracle_pair(args, coeffs, rng):
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
     rows are the per-step draws) and decoded(t), the neuron's decode after
     step t in oracle coordinates. The subgradient and sign neurons step
-    `coeffs`, the set `_schedule` checked, with --corrupt-* applied, over the
-    whole trace as one block, as a network's layers step theirs."""
+    `coeffs`, the set `_schedule` checked, with --corrupt-* applied."""
     name, steps = args.neuron, args.steps
     if name == "if":
         neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
@@ -232,20 +244,15 @@ def cmd_oracle_check(args):
     neuron, oracle, inputs, decoded = _oracle_pair(args, coeffs, make_rng(args.seed))
 
     # per step: the neuron's and the oracle's spikes, then decoded(t) and the
-    # oracle's iterate f(t); the deviation is one max over the whole trace,
-    # and a NaN anywhere makes it NaN, which fails
+    # oracle's iterate f(t); the neuron steps the whole trace as one block,
+    # as a network's layers step theirs. The deviation is one max over the
+    # whole trace, and a NaN anywhere makes it NaN, which fails
     trace = np.empty((args.steps, 4, 1))
-    if isinstance(neuron, (SignGdNeuron, SubgradNeuron)):
-        # the whole trace as one block, decoded(t) read after each step
-        def record(k):
-            trace[k, 2] = decoded(k + 1)
 
-        trace[:, 0] = neuron.step(inputs.reshape(args.steps, -1), steps=args.steps,
-                                  observer=record)
-    else:
-        for t, (I, row) in enumerate(zip(inputs, trace), 1):
-            row[0] = neuron.step(I)
-            row[2] = decoded(t)
+    def record(k):  # decoded(t) after step t = k + 1
+        trace[k, 2] = decoded(k + 1)
+
+    trace[:, 0] = neuron.step(inputs.reshape(args.steps, -1), steps=args.steps, observer=record)
     for I, row in zip(inputs, trace):
         row[1] = oracle.step(I)
         row[3] = oracle.f
@@ -324,14 +331,16 @@ def cmd_neuron_sweep(args):
 
 
 def cmd_convert(args):
+    if args.normalize_relu < 0:
+        raise RangeError(f"--normalize-relu must be >= 0, got {args.normalize_relu}")
     schedule, _ = _schedule(args, args.family)
     g, _ = load_model(args.model)
     if args.normalize_relu:
+        in_shape = tuple(g.nodes[g.input_id].params["shape"])
         if args.calib_data:
-            batch = load_tensor(args.calib_data)
-            batches = [batch[i] for i in range(min(args.normalize_relu, batch.shape[0]))]
+            items = _items("--calib-data", args.calib_data)[: args.normalize_relu]
+            batches = list(engine.input_rows(g, items, len(items)).reshape(len(items), *in_shape))
         else:
-            in_shape = tuple(g.nodes[g.input_id].params["shape"])
             rng = make_rng(args.seed)
             batches = [rng.normal(0, 1, in_shape) for _ in range(args.normalize_relu)]
         g = normalize_relu(g, batches)
@@ -350,13 +359,6 @@ def cmd_convert(args):
 # ---------------------------------------------------------------------------
 # infer / probe / energy
 # ---------------------------------------------------------------------------
-
-
-def _dataset(args):
-    data = load_tensor(args.data)
-    if data.ndim == 1:
-        data = data[None, :]
-    return data
 
 
 def _run_items(snn, data, args):
@@ -380,7 +382,7 @@ def cmd_infer(args):
         if not 1 <= m <= args.T:
             raise RangeError(f"--checkpoints {m} is outside 1..{args.T}, the steps --T runs")
     snn = SnnGraph.load(args.snn)
-    data = _dataset(args)
+    data = _items("--data", args.data)
     labels = load_labels(args.labels) if args.labels else None
     if labels is not None and labels.shape[0] != data.shape[0]:
         raise RangeError(f"--labels {args.labels} holds {labels.shape[0]} labels but "
@@ -411,7 +413,7 @@ def cmd_probe(args):
     _at_least_one("--T", args.T)
     _check_c(args)
     snn = SnnGraph.load(args.snn)
-    data = _dataset(args)
+    data = _items("--data", args.data)
     _check_index(args.index, data.shape[0])
     x = data[args.index]
     rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed)
@@ -429,7 +431,7 @@ def cmd_energy(args):
     _at_least_one("--T", args.T)
     _check_c(args)
     snn = SnnGraph.load(args.snn)
-    data = _dataset(args)
+    data = _items("--data", args.data)
     spikes = sum(n for _, n in _run_items(snn, data, args))
     neurons = sum(node.params["count"] for node in snn.neuron_nodes())
     rep = engine.estimate_energy(spikes, args.T * data.shape[0], neurons, snn.family)

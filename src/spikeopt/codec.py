@@ -182,10 +182,18 @@ class SignedDecoder(_Decoder):
 
 
 class _Encoder:
-    """Frames shaped like `shape`: `step()` returns the next one, a float for
-    a scalar target and a new array otherwise. Every encoder class holds
-    `step` in its own namespace, so that wrapping one class's `step` (as
+    """Frames shaped like the target x: `step()` returns the next one, a
+    float for a scalar target and a new array otherwise. Every encoder holds
+    x as float64, its `shape`, its step count t and two buffers of one
+    frame, a float and a bool one. Every encoder class holds `step` in its
+    own namespace, so that wrapping one class's `step` (as
     `bench/tracing.py` does) wraps that class only."""
+
+    def __init__(self, x):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.shape = self.x.shape
+        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
+        self.t = 0
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -198,17 +206,13 @@ class _Encoder:
 
 
 class _SignedEncoder(_Encoder):
-    """The state of a signed-schedule encoder: the target x, the estimate f
-    a signed-schedule decoder of the train reproduces, and buffers of one
-    frame."""
+    """The state of a signed-schedule encoder: the estimate f a
+    signed-schedule decoder of the train reproduces."""
 
     def __init__(self, x, schedule: Schedule):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.shape = self.x.shape
+        super().__init__(x)
         self.schedule = schedule
         self.f = np.zeros(self.shape)
-        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
-        self.t = 0
 
     def _move(self, s):
         """f <- f - eta(t) (2 s - 1)."""
@@ -296,11 +300,6 @@ def signed_encoder(kind: str, x, schedule: Schedule, c: float = 0.5, seed: int =
 class ConstantEncoder(_Encoder):
     """Float encoding for rate and EMA coding: I(t) = x for every t."""
 
-    def __init__(self, x):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.shape = self.x.shape
-        self.t = 0
-
     def fill(self, frames):
         self.t += len(frames)
         frames[...] = self.x
@@ -311,10 +310,9 @@ class PoissonEncoder(_Encoder):
     A sequence of seeds draws each row of a batch x from its own generator."""
 
     def __init__(self, x, seed: int):
-        self.p = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-        self.shape = self.p.shape
+        super().__init__(x)
+        self.p = np.clip(self.x, 0.0, 1.0)
         self.rng = _generator(seed)
-        self.t = 0
 
     def fill(self, frames):
         self.t += len(frames)
@@ -329,11 +327,8 @@ class RateDeterministicEncoder(_Encoder):
     """
 
     def __init__(self, x):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.shape = self.x.shape
+        super().__init__(x)
         self.count = np.zeros(self.shape)
-        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
-        self.t = 0
 
     def fill(self, frames):
         tmp, hit = self._tmp, self._hit
@@ -356,12 +351,9 @@ class EmaDeterministicEncoder(_Encoder):
     """
 
     def __init__(self, x, tau: float):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.shape = self.x.shape
+        super().__init__(x)
         self.tau = float(tau)
         self.xt = np.zeros(self.shape)
-        self._tmp, self._hit = np.empty(self.shape), np.empty(self.shape, dtype=bool)
-        self.t = 0
 
     def fill(self, frames):
         xt, tmp, hit = self.xt, self._tmp, self._hit

@@ -56,6 +56,7 @@ from .schedules import (
 __all__ = [
     "ann_forward",
     "SnnInstance",
+    "input_rows",
     "make_input_encoder",
     "run",
     "run_batch",
@@ -138,13 +139,13 @@ class SnnInstance:
         return {nid: np.asarray(layer.decoded).copy() for nid, layer in self.layers.items()}
 
 
-def _input_rows(snn: SnnGraph, x, items: int | None = None) -> np.ndarray:
+def input_rows(graph, x, items: int | None = None) -> np.ndarray:
     """x as float64 values of one item, flat, or with `items`, as (items,
     size) rows; an item may have any shape that holds as many values as the
-    network's input, and only finite values."""
+    input of `graph` (an ANN or a network), and only finite values."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1) if items is None else x.reshape(items, -1)
-    size = math.prod(snn.graph.nodes[snn.graph.input_id].params["shape"])
+    size = math.prod(graph.nodes[graph.input_id].params["shape"])
     if flat.shape[-1] != size:
         raise ShapeMismatchError(f"an input item holds {flat.shape[-1]} values, but the "
                                  f"network's input takes {size}")
@@ -166,7 +167,7 @@ def make_input_encoder(snn: SnnGraph, x, encoder: str = "float",
     An item may have any shape that holds as many values as the network's
     input.
     """
-    flat = _input_rows(snn, x, None if np.ndim(seed) == 0 else len(seed))
+    flat = input_rows(snn.graph, x, None if np.ndim(seed) == 0 else len(seed))
     if snn.family == "signgd":
         return signed_encoder(encoder, flat, snn.schedule, stoch_c, seed)
     if encoder == "float":
@@ -227,7 +228,7 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     `run_batch` on the one item, each layer read after each of its steps
     through the plan's observer."""
     g = snn.graph
-    acts = ann_forward(g, _input_rows(snn, x).reshape(g.nodes[g.input_id].params["shape"]))
+    acts = ann_forward(g, input_rows(g, x).reshape(g.nodes[g.input_id].params["shape"]))
     inst = SnnInstance(snn)
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}
     errors = {nid: np.empty(T) for nid in inst.layers}

@@ -10,25 +10,14 @@ The subgradient and sign-based neurons step the coefficient set they are
 given: its one check, `schedules.check_coefficients`, is made where it is
 solved.
 
-IF and LIF neurons take one step per `step()` call. The subgradient and
-sign-based neurons take one step per `step(I)` call, or a block of K steps
-per `step(I, steps=K, ...)` call, the form a network's layers and the
-oracle check use. A block call forms the part of the dynamics that never
-reads the state (the sign neuron's a2(t) (2 (I(t) - b) - W), the
-subgradient neuron's gamma(t) I(t)) once for the whole block. The
-subgradient neuron then runs the rest (u's recurrence, the firing
-comparison, the decode y) step by step. The sign neuron's v never reads u
-or the spikes, so a layer whose step is small (B arity n up to
-SMALL_OPERANDS values, where a numpy call costs more than its arithmetic)
-runs v's recurrence row by row first and forms its firing rule's target
-for all K steps at once; only the comparison with u and u's reset then run
-per step. A larger layer forms v and its target step by step, in buffers
-of one step's size. Every expression runs in preallocated buffers with the
-operations of the one-step form in the same order. A one-step call is a
-block of one step, so there is one copy of the arithmetic, and a block
-gives every step the bits that stepping it alone gives. An observer passed
-to a block call is called after each of its steps and sees the state after
-that step; the spike tally is added when the block ends.
+Every neuron class steps through one protocol, `_Layer.step`: one step
+per `step(I)` call, or a block of K steps per `step(I, steps=K, ...)` call,
+the form a network's layers and the oracle check use. A block forms the
+part of the dynamics that never reads the state once for the whole block
+and runs the rest step by step; a small sign layer also forms its firing
+rule's targets for all K steps at once (see SignGdNeuron). A one-step call
+is a block of one step, so there is one copy of the arithmetic, and a
+block gives every step the bits that stepping it alone gives.
 
 Sign-based dynamics (internal variables u and v, coefficients a1, a2, b1, b2
 with step sizes eta):
@@ -94,33 +83,93 @@ class IfLifParams:
             raise ValueError(f"membrane resistance must be positive, got {self.R}")
 
 
-class IfNeuron:
+class _Layer:
+    """n neurons of one class that share parameters and step in lockstep;
+    `reset(batch)` gives the state a leading axis of `batch` items.
+
+    `step(I)` takes one step's currents, shaped like u (the sign neuron's
+    like v), and returns its spikes, shaped like u, as a new array.
+    `step(I, steps=K, out=, scratch=, observer=)` steps a block: I holds
+    K B rows of one item's currents (row k B + b is step k of item b), and
+    the K B spike rows go to `out`. The part of the dynamics that reads no
+    state is formed once for the whole block, into `scratch` if given (it
+    may be I itself); the rest runs step by step, with the operations of
+    the one-step form in the same order. `observer(k)`, if given, is called
+    after step k: the state, t and `decoded` are then those after step k,
+    while `spike_count` adds the block's spikes when the block ends.
+
+    A class steps a block's rows I into its (K, B, n) spike rows `s_k` in
+    `_block(I, s_k, scratch, observer)`, and holds `step` in its own
+    namespace, so that wrapping one class's `step` (as `bench/tracing.py`
+    does) wraps that class only.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.step = _Layer.step
+
+    def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
+        I = np.asarray(I, dtype=np.float64)
+        K, B = 1 if steps is None else steps, self.u.size // self.n
+        if steps is None:
+            I = self._one_step(I)
+        spikes = np.empty((K * B, self.n)) if out is None else out
+        s_k = spikes.reshape(K, B, self.n)
+        self._block(I, s_k, scratch, observer)
+        # each neuron's spikes since reset (float counts are exact to 2**53)
+        fired = self._fired.reshape(B, self.n)
+        np.add(fired, s_k.sum(0), fired)
+        return spikes if steps is not None else spikes.reshape(self.u.shape)
+
+    def _one_step(self, I):
+        """One step's currents as the rows of a block of one."""
+        return I.reshape(self.u.shape)
+
+    @property
+    def spike_count(self):
+        """Spikes fired since reset: an int, or (batch,) ints."""
+        return self._fired.sum(-1).astype(np.int64)
+
+
+class IfNeuron(_Layer):
     """IF dynamics with reset-by-subtraction: u_pre = u + R*I, spike on
-    u_pre >= theta, then u <- u_pre - theta*s. Output decoded by rate."""
+    u_pre >= theta, then u <- u_pre - theta*s. Output decoded by rate. A
+    block forms the drive R I once, in the arrays each expression allocates."""
 
     def __init__(self, params: IfLifParams, n: int = 1):
         self.p = params
         self.n = n
-        self.u = np.full(n, float(params.u0))
         self.reset()
 
-    def _decoder(self):
-        return RateDecoder(self.n)
-
-    def reset(self):
-        self.u[:] = self.p.u0
+    def reset(self, batch: int | None = None):
+        shape = (self.n,) if batch is None else (batch, self.n)
+        self.u = np.full(shape, float(self.p.u0))
+        self.decoder = self._decoder(shape)
+        self._fired = np.zeros(shape)
         self.t = 0
-        self.decoder = self._decoder()
-        self.spike_count = 0
 
-    def step(self, I) -> np.ndarray:
-        self.t += 1
-        u_pre = self.u + self.p.R * np.asarray(I, dtype=np.float64)
-        s = heaviside(u_pre - self.p.theta_th)
-        self.u = u_pre - self.p.theta_th * s
-        self.decoder.step(s)
-        self.spike_count += np.count_nonzero(s)
-        return s
+    def _decoder(self, shape):
+        return RateDecoder(shape)
+
+    def _drive(self, I, out):
+        return np.multiply(self.p.R, I, out)
+
+    def _integrate(self, u, drive):
+        """u_pre = u + R I."""
+        return u + drive
+
+    def _block(self, I, s_k, scratch, observer):
+        shape = (len(s_k), *self.u.shape)
+        drive = self._drive(I.reshape(shape), None if scratch is None else scratch.reshape(shape))
+        theta, t0 = self.p.theta_th, self.t
+        for k, (RI, s) in enumerate(zip(drive, s_k.reshape(shape))):
+            u_pre = self._integrate(self.u, RI)
+            s[...] = heaviside(u_pre - theta)
+            self.u = u_pre - theta * s
+            self.decoder.step(s)
+            self.t = t0 + k + 1
+            if observer is not None:
+                observer(k)
 
     @property
     def decoded(self):
@@ -136,43 +185,18 @@ class LifNeuron(IfNeuron):
             raise ValueError(f"LIF needs tau_m > 1, got {params.tau_m}")
         super().__init__(params, n)
 
-    def _decoder(self):
-        return EmaDecoder(self.p.tau_m, self.n)
+    def _decoder(self, shape):
+        return EmaDecoder(self.p.tau_m, shape)
 
-    def step(self, I) -> np.ndarray:
-        p = self.p
-        self.t += 1
-        u_pre = self.u - (self.u - p.u_rest) / p.tau_m + (p.R / p.tau_m) * np.asarray(I, dtype=np.float64)
-        s = heaviside(u_pre - p.theta_th)
-        self.u = u_pre - p.theta_th * s
-        self.decoder.step(s)
-        self.spike_count += np.count_nonzero(s)
-        return s
+    def _drive(self, I, out):
+        return np.multiply(self.p.R / self.p.tau_m, I, out)
+
+    def _integrate(self, u, drive):
+        """u_pre = u - (u - u_rest)/tau + (R/tau) I."""
+        return u - (u - self.p.u_rest) / self.p.tau_m + drive
 
 
-class _SpikeTally:
-    """Each neuron's spikes since reset, kept as a float tally `_fired` that a
-    block call adds its spikes to once (float counts are exact to 2**53)."""
-
-    @property
-    def spike_count(self):
-        """Spikes fired since reset: an int, or (batch,) ints."""
-        return self._fired.sum(-1).astype(np.int64)
-
-    def _tally(self, spikes):
-        """Add a block's (K, B, n) spikes to the tally."""
-        fired = self._fired.reshape(spikes.shape[1:])
-        np.add(fired, spikes.sum(0), fired)
-
-
-def _currents(I, steps, shape):
-    """(K, currents) of a step call: one step's currents in `shape`, or the
-    K B rows of a block of K = `steps` steps."""
-    I = np.asarray(I, dtype=np.float64)
-    return (1, I.reshape(shape)) if steps is None else (steps, I)
-
-
-class SubgradNeuron(_SpikeTally):
+class SubgradNeuron(_Layer):
     """Generalized subgradient-based neuron.
 
         u_pre(t) = alpha(t-1) u(t-1) + gamma(t) I(t),   u(0) = 0
@@ -182,18 +206,9 @@ class SubgradNeuron(_SpikeTally):
     The schedule decode of the emitted spikes tracks the subgradient method on
     the clipped-ReLU objective; `decoded` maintains that decode. A step reads
     its scalars as the coefficient set's row of its t (`coeffs.row(t)`).
-    `reset(batch)` gives the state a leading axis of `batch` items.
-
-    `step(I)` takes one step's currents, shaped like u, and returns its
-    spikes as a new array. `step(I, steps=K, out=, scratch=, observer=)`
-    steps a block: I holds K B rows of n currents (row k B + b is step k of
-    item b), and the K B spike rows go to `out`. gamma(t) I(t) is formed
-    once for the whole block, into `scratch` if given (it may be I itself);
-    only the recurrence on u, the firing comparison and the decode y run per
-    step, in place, each expression in its comment with the same operations
-    in the same order. `observer(k)`, if given, is called after step k:
-    u, y, t and `decoded` are then those after step k, while `spike_count`
-    adds the block's spikes when the block ends.
+    A block forms gamma(t) I(t) once; only the recurrence on u, the firing
+    comparison and the decode y run per step, in place, each expression in
+    its comment.
     """
 
     def __init__(self, coeffs: SubgradCoefficients, n: int = 1):
@@ -208,13 +223,9 @@ class SubgradNeuron(_SpikeTally):
         self._fired = np.zeros(shape)
         self.t = 0
 
-    def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
-        shape = self.u.shape
-        K, I = _currents(I, steps, shape)
-        B = self.u.size // self.n
+    def _block(self, I, s_k, scratch, observer):
+        K, B = s_k.shape[:2]
         u, y, x = self.u.reshape(B, -1), self.y.reshape(B, -1), self._x.reshape(B, -1)
-        spikes = np.empty((K * B, self.n)) if out is None else out
-        s_k = spikes.reshape(K, B, -1)
         t0, row = self.t, self.c.row
         rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # gamma(t) I(t), the state-free part, for the whole block
@@ -238,8 +249,6 @@ class SubgradNeuron(_SpikeTally):
             self.t = t0 + k + 1
             if observer is not None:
                 observer(k)
-        self._tally(s_k)
-        return spikes if steps is not None else spikes.reshape(shape)
 
     @property
     def decoded(self):
@@ -427,7 +436,7 @@ def parse_mechanism(text: str) -> FiringMechanism:
     return FiringMechanism(parts[0])
 
 
-class SignGdNeuron(_SpikeTally):
+class SignGdNeuron(_Layer):
     """Sign-based neuron layer: n neurons of one mechanism sharing a schedule.
 
     W and b are the calibrated per-operand weight sums and idle currents,
@@ -435,14 +444,11 @@ class SignGdNeuron(_SpikeTally):
     u is (n,), or (batch, n), and v, like the currents of one step, is
     (arity, n), or (arity, batch, n).
 
-    `step(I)` takes one step's raw influx currents and returns its spikes,
-    shaped like u, as a new array. `step(I, steps=K, out=, scratch=,
-    observer=)` steps a block: I holds K B rows of arity n currents (row
-    k B + b is step k of item b, operand by operand), and the K B spike rows
-    go to `out`. v's input term, a2(t) (2 (I(t) - b) - W), reads no state
-    and is formed once for the whole block, into `scratch` if given (it may
-    be I itself). The rest takes one of two paths, by the size B arity n of
-    a step's operands:
+    A step takes raw influx currents: one step's are shaped like v, and a
+    block's rows hold arity n currents each, operand by operand. v's input
+    term, a2(t) (2 (I(t) - b) - W), reads no state and is formed once for
+    the whole block. The rest takes one of two paths, by the size B arity n
+    of a step's operands:
 
     - up to SMALL_OPERANDS values, the fixed cost of a numpy call outweighs
       its arithmetic. v's recurrence runs row by row through the scratch
@@ -461,9 +467,7 @@ class SignGdNeuron(_SpikeTally):
     operations in the same order, so u, v and the spikes keep every bit the
     expression gives them; a factor of 1.0 (a1, b1 and both scales in the
     canonical parameterization) is skipped, as x 1.0 and x / 1.0 are x.
-    `observer(k)`, if given, is called after step k: u, v, t,
-    `degeneracies` and `decoded` are then those after step k, while
-    `spike_count` adds the block's spikes when the block ends.
+    An observer sees v and `degeneracies` after its step too.
 
     A step reads its scalars as the coefficient set's row of its t
     (`coeffs.row(t)`), which the set evaluates once for every layer it serves.
@@ -496,14 +500,14 @@ class SignGdNeuron(_SpikeTally):
         self.t = 0
         self.degeneracies = 0
 
-    def step(self, I, steps=None, out=None, scratch=None, observer=None) -> np.ndarray:
+    def _one_step(self, I):
+        """One step's (arity, [B,] n) currents, item by item."""
         B, arity, n = self._v.shape
-        K, I = _currents(I, steps, self.v.shape)
-        if steps is None:  # one step's (arity, [B,] n) currents, item by item
-            I = I.reshape(arity, B, n).transpose(1, 0, 2)
-        spikes = np.empty((K * B, n)) if out is None else out
-        s_k = spikes.reshape(K, B, n)
-        t0, row = self.t, self.c.row
+        return I.reshape(arity, B, n).transpose(1, 0, 2)
+
+    def _block(self, I, s_k, scratch, observer):
+        B, arity, n = self._v.shape
+        K, t0, row = len(s_k), self.t, self.c.row
         rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
         d = np.subtract(I.reshape(K, B, arity, n), self.b,
@@ -515,8 +519,6 @@ class SignGdNeuron(_SpikeTally):
             self._block_targets(d, rows, s_k, observer)
         else:
             self._step_targets(d, rows, s_k, observer)
-        self._tally(s_k)
-        return spikes if steps is not None else spikes.reshape(self.u.shape)
 
     def _step_targets(self, d, rows, s_k, observer):
         """The block, each step forming v and its target in turn."""

@@ -1,5 +1,5 @@
-"""The sign-based and subgradient neurons written as the paper writes them,
-for tests only.
+"""The IF, LIF, sign-based and subgradient neurons written as the paper
+writes them, for tests only.
 
 Each spike rule is the Heaviside of a difference, and each stage of a step
 is one expression that allocates its result. `spikeopt.neurons` computes the
@@ -9,7 +9,7 @@ tests require it to reproduce this reference bit for bit.
 
 import numpy as np
 
-from spikeopt.codec import heaviside
+from spikeopt.codec import EmaDecoder, RateDecoder, heaviside
 from spikeopt.schedules import signgd_step_factors
 
 
@@ -106,3 +106,49 @@ class ReferenceSubgradNeuron:
     @property
     def decoded(self):
         return self.y
+
+
+class ReferenceIfNeuron:
+    """n IF neurons, one item, one step per call: the arithmetic `IfNeuron`
+    must reproduce."""
+
+    def __init__(self, params, n):
+        self.p = params
+        self.u = np.full(n, float(params.u0))
+        self.t = 0
+        self.decoder = self._decoder(n)
+        self.spike_count = 0
+
+    def _decoder(self, n):
+        return RateDecoder(n)
+
+    def step(self, I):
+        self.t += 1
+        u_pre = self.u + self.p.R * np.asarray(I, dtype=np.float64)
+        s = heaviside(u_pre - self.p.theta_th)
+        self.u = u_pre - self.p.theta_th * s
+        self.decoder.step(s)
+        self.spike_count += np.count_nonzero(s)
+        return s
+
+    @property
+    def decoded(self):
+        return self.decoder.y
+
+
+class ReferenceLifNeuron(ReferenceIfNeuron):
+    """n LIF neurons, one item, one step per call: the arithmetic
+    `LifNeuron` must reproduce."""
+
+    def _decoder(self, n):
+        return EmaDecoder(self.p.tau_m, n)
+
+    def step(self, I):
+        p = self.p
+        self.t += 1
+        u_pre = self.u - (self.u - p.u_rest) / p.tau_m + (p.R / p.tau_m) * np.asarray(I, dtype=np.float64)
+        s = heaviside(u_pre - p.theta_th)
+        self.u = u_pre - p.theta_th * s
+        self.decoder.step(s)
+        self.spike_count += np.count_nonzero(s)
+        return s

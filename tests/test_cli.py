@@ -493,6 +493,8 @@ RANGE_ERRORS = {
     "infer-seed": (["infer", "--encoder", "stoch", "--seed", "-1"], "--seed"),
     "energy-seed": (["energy", "--seed", "-1000"], "--seed"),
     "probe-seed": (["probe", "--encoder", "stoch", "--seed", "-1"], "--seed"),
+    "convert-normalize-relu": (["convert", "ANN", "--family", "signgd", "--normalize-relu", "-1"],
+                               "--normalize-relu"),
 }
 # the arguments a command of RANGE_ERRORS needs besides the flag under test
 # (the others read the converted network and the dataset)
@@ -549,24 +551,29 @@ def test_a_sign_check_near_the_float_range_is_ok_or_rejected(capfd, mech, value,
         assert rc == 2 and out == "" and err.count("\n") == 1 and "--schedule" in err
 
 
-@pytest.mark.parametrize("command", ["infer", "energy", "probe"])
+@pytest.mark.parametrize("command", ["infer", "energy", "probe", "convert"])
 def test_data_of_another_width_exits_2(pipeline, capsys, command):
-    """Items that hold more or fewer values than the network's input end the
-    command with exit status 2 and one stderr line naming both sizes."""
+    """`--data` items, or `convert --calib-data` items, that hold more or
+    fewer values than the network's input end the command with exit status
+    2 and one stderr line naming both sizes."""
     tmp, _ = pipeline
     assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
                  "--out", str(tmp / "snn")]) == 0
     save_tensor(np.ones((3, 5), dtype=np.float32), tmp / "wide.sten")
     capsys.readouterr()
-    out_flag = "--report" if command == "infer" else "--out"
-    rc = main([command, str(tmp / "snn.json"), "--data", str(tmp / "wide.sten"),
-               out_flag, str(tmp / "out.csv")])
+    if command == "convert":
+        argv = ["convert", str(tmp / "ann.json"), "--family", "signgd", "--normalize-relu", "2",
+                "--calib-data", str(tmp / "wide.sten"), "--out", str(tmp / "out")]
+    else:
+        argv = [command, str(tmp / "snn.json"), "--data", str(tmp / "wide.sten"),
+                "--report" if command == "infer" else "--out", str(tmp / "out.csv")]
+    rc = main(argv)
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and err.count("\n") == 1
     assert err.startswith(f"spikeopt {command}: error: ")
     assert "holds 5 values" in err or "(5,)" in err
     assert "takes 8" in err or "(8,)" in err
-    assert not (tmp / "out.csv").exists()
+    assert not list(tmp.glob("out*"))
 
 
 @pytest.mark.parametrize("command", ["infer", "energy", "probe"])
@@ -584,6 +591,66 @@ def test_items_of_any_shape_that_holds_the_input_run(tmp_path, command):
         assert main([command, str(tmp_path / "snn.json"), "--data", str(tmp_path / f"{name}.sten"),
                      "--T", "16", out_flag, str(tmp_path / f"{name}.csv")]) == 0
     assert (tmp_path / "square.csv").read_bytes() == (tmp_path / "flat.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["infer", "energy", "probe", "convert"])
+def test_a_rank_0_or_rank_1_tensor_is_one_item(tmp_path, command):
+    """A rank-0 or rank-1 `--data` or `--calib-data` tensor is one item: it
+    gives the outputs of the same values saved as one (1, size) item.
+    Calibration items of any shape that holds the input's values, (3, 2, 2)
+    for 4 inputs, convert as their (3, 4) rows do."""
+    cases = [((), 1), ((4,), 4)] + ([((3, 2, 2), 4)] if command == "convert" else [])
+    for shape, size in cases:
+        tmp = tmp_path / f"in{size}_{len(shape)}"
+        tmp.mkdir()
+        save_model(build_mlp(seed=3, dims=(size, 6, 2)), tmp / "ann")
+        assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                     "--out", str(tmp / "snn")]) == 0
+        data = make_rng(4).uniform(0.5, 2.0, shape).astype(np.float32)
+        save_tensor(data, tmp / "given.sten")
+        save_tensor(data.reshape(-1, size), tmp / "rows.sten")
+        outputs = []
+        for name in ("given", "rows"):
+            data, out = str(tmp / f"{name}.sten"), str(tmp / f"out_{name}")
+            if command == "convert":
+                argv = ["convert", str(tmp / "ann.json"), "--family", "signgd",
+                        "--normalize-relu", "5", "--calib-data", data, "--out", out]
+            else:
+                argv = [command, str(tmp / "snn.json"), "--T", "16", "--data", data,
+                        "--report" if command == "infer" else "--out", out]
+            assert main(argv) == 0
+            outputs.append(sorted((p.suffix, p.read_bytes()) for p in tmp.glob(f"out_{name}*")))
+        assert outputs[0] == outputs[1] and outputs[0], shape
+
+
+EMPTY_DATA = {
+    "infer": ["infer", "SNN", "--data", "EMPTY", "--labels", "NONE", "--report", "OUT"],
+    "energy": ["energy", "SNN", "--data", "EMPTY", "--out", "OUT"],
+    "probe": ["probe", "SNN", "--data", "EMPTY", "--out", "OUT"],
+    "convert": ["convert", "ANN", "--family", "signgd", "--normalize-relu", "2",
+                "--calib-data", "EMPTY", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_DATA))
+def test_a_dataset_with_no_items_exits_2(pipeline, capsys, case):
+    """A `--data` or `--calib-data` tensor of no items (with as many labels)
+    ends the command with exit status 2 and one stderr line naming the
+    flag and the file."""
+    tmp, _ = pipeline
+    assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp / "snn")]) == 0
+    save_tensor(np.zeros((0, 8)), tmp / "empty.sten")
+    save_labels([], tmp / "none.slbl")
+    files = {"SNN": tmp / "snn.json", "ANN": tmp / "ann.json", "EMPTY": tmp / "empty.sten",
+             "NONE": tmp / "none.slbl", "OUT": tmp / "out"}
+    capsys.readouterr()
+    rc = main([str(files.get(a, a)) for a in EMPTY_DATA[case]])
+    out, err = capsys.readouterr()
+    flag = "--calib-data" if case == "convert" else "--data"
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"spikeopt {case}: error: {flag} ") and "empty.sten" in err
+    assert not list(tmp.glob("out*"))
 
 
 # a name or literal a command does not know: the command, its arguments and

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron, reference_spike
+from reference_neuron import (
+    ReferenceIfNeuron,
+    ReferenceLifNeuron,
+    ReferenceSignGdNeuron,
+    ReferenceSubgradNeuron,
+    reference_spike,
+)
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
     SMALL_OPERANDS,
@@ -531,10 +537,11 @@ class TestUnaryApproximation:
 # Block calls against the reference neurons
 # ---------------------------------------------------------------------------
 
-# (kind, leaky slope), or for subgrad the solved set (None) or beta = 0.5 eta
+# (kind, leaky slope), or for subgrad the solved set (None) or beta = 0.5 eta,
+# or for IF and LIF the threshold over `scale`
 BLOCK_MECHS = [("relu", 0.1), ("gelu", 0.1), ("square", 0.1), ("max2", 0.1), ("misr", 0.1),
                *(("leaky", d) for d in (0.1, 0.0, 1.0, 2.5, -0.3)), ("subgrad", None),
-               ("subgrad", 0.5)]
+               ("subgrad", 0.5), ("if", 1.0), ("if", 0.5), ("lif", 1.0), ("lif", 0.25)]
 # exp:0.5:0.5 keeps every factor a power of two, so small integer currents
 # give dyadic u and v and exact ties u == target
 BLOCK_SCHEDULES = [("inv:1", "canonical"), ("exp:0.5:0.99", "canonical"),
@@ -545,7 +552,15 @@ BLOCK_SCHEDULES = [("inv:1", "canonical"), ("exp:0.5:0.99", "canonical"),
 def block_layer(kind, delta, schedule, parameterization, n, rng, scale):
     """A layer under test, one reference neuron factory per item, and the
     operand count; W, b and currents are integers times `scale`. A subgrad
-    `delta` sets beta = delta eta, so y's eta s is not the reset's beta s."""
+    `delta` sets beta = delta eta, so y's eta s is not the reset's beta s.
+    IF and LIF (which take no schedule) have the threshold `delta` `scale`
+    and dyadic R, tau, u_rest and u0."""
+    if kind in ("if", "lif"):
+        p = IfLifParams(theta_th=delta * scale, R=0.5, tau_m=4.0, u_rest=0.5 * scale,
+                        u0=0.25 * scale)
+        layer, ref = {"if": (IfNeuron, ReferenceIfNeuron),
+                      "lif": (LifNeuron, ReferenceLifNeuron)}[kind]
+        return layer(p, n=n), lambda: ref(p, n), 1, None, None
     s = parse_schedule(schedule)
     if kind == "subgrad":
         c = solve_subgrad_coefficients(s)
@@ -570,7 +585,7 @@ def reference_state(refs, batched):
     if hasattr(refs[0], "v"):
         state["v"] = np.stack([r.v for r in refs], axis=1) if batched else refs[0].v
         state["degeneracies"] = sum(r.degeneracies for r in refs)
-    else:
+    elif hasattr(refs[0], "y"):
         state["y"] = pick([r.y for r in refs])
     return state
 
@@ -602,8 +617,9 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
     give every step what the reference neurons give, bit for bit: spikes, u,
     v or y, t, `decoded` and misr degeneracies after each step (read by the
     observer), and `spike_count` after each block. Ties (dyadic currents
-    under exp:0.5:0.5), misr's fallback (idle denominators <= 0) and gelu
-    targets with exp overflowing (currents of 1000s) all occur. With
+    under exp:0.5:0.5, and IF's and LIF's u_pre == theta with dyadic
+    parameters and currents), misr's fallback (idle denominators <= 0) and
+    gelu targets with exp overflowing (currents of 1000s) all occur. With
     `one_step`, one `step(I)` call per step, without `steps`. A sign layer
     takes both paths of `SignGdNeuron.step`: `side` puts its B arity n at,
     or just past, SMALL_OPERANDS, or far below it."""
@@ -615,18 +631,23 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
     batched = B > 1 or seed % 2  # one item also as the unbatched layer
     layer.reset(B if batched else None)
     refs = [make_ref() for _ in range(B)]
-    if W is None:
+    if kind in ("if", "lif"):  # multiples of scale / 4, R I of scale / 8
+        currents = scale * rng.integers(-2, 7, (T, B, arity, n)) / 4
+    elif W is None:
         currents = rng.uniform(-0.5, 1.5, (T, B, arity, n))
     else:  # the idle current plus spikes on the weights, and a little noise
         currents = (b + W * rng.integers(0, 2, (T, B, arity, n))
                     + scale * rng.integers(-1, 2, (T, B, arity, n)))
-    names = ["u", "decoded", "t"] + (["v", "degeneracies"] if W is not None else ["y"])
+    names = ["u", "decoded", "t"] + (["v", "degeneracies"] if W is not None
+                                     else ["y"] if kind == "subgrad" else [])
     K = min(K, T)
     for t0 in range(0, T, K):
         k = min(K, T - t0)
         want_spikes, want_states = [], []
         for I in currents[t0 : t0 + k]:
-            want_spikes.append(np.stack([r.step(I[i]) for i, r in enumerate(refs)]))
+            # one item's (arity, n) currents, or (n,) for a one-operand neuron
+            want_spikes.append(np.stack([r.step(I[i] if W is not None else I[i, 0])
+                                         for i, r in enumerate(refs)]))
             want_states.append(reference_state(refs, batched))
         if one_step:
             got_states = []
