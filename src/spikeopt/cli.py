@@ -4,7 +4,9 @@ Subcommands: encode, oracle-check, neuron-sweep, convert, infer, probe,
 energy. Every subcommand is deterministic under fixed flags and seeds; CSVs
 are UTF-8 with LF line endings and a header row. `infer` and `energy` step
 the dataset's items in lockstep chunks (see CHUNK); their outputs are
-byte-identical to running the items one at a time.
+byte-identical to running the items one at a time. Every CSV report goes
+through `_write_csv`, which overwrites an existing report in place instead
+of truncating it on open; `probe` scores only the steps it writes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -130,10 +135,29 @@ def _items(flag, path):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write the report `path`, header and rows, formed in memory, over the
+    file from byte 0, and then cut a regular file at the bytes written, also
+    when the write fails: where a truncating open would leave it. Opening an
+    existing report with O_TRUNC frees its blocks first, 0.2-0.6 ms on ext4
+    mounted with `discard`, against microseconds for the overwrite. A
+    process killed inside the write can leave the old report's tail after
+    the new bytes. A FIFO, a pipe or /dev/null is written and cut at nothing."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    data = memoryview(text.getvalue().encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def _checkpoints(T, extra=()):
@@ -390,18 +414,19 @@ def cmd_infer(args):
     if args.run_trace:
         _check_index(args.index, data.shape[0])
     marks = _checkpoints(args.T, args.checkpoints or ())
-    hists = [hist for hist, _ in _run_items(snn, data, args)]
-    preds = np.asarray([[int(np.argmax(h[m - 1])) for m in marks] for h in hists])
+    # each item's readouts at the marks, (items, marks, n_out), and their
+    # argmax in one call
+    mark_rows = np.subtract(marks, 1)
+    at_marks = np.stack([hist[mark_rows] for hist, _ in _run_items(snn, data, args)])
+    preds = np.argmax(at_marks, axis=2)
     rows = [(m, float(np.mean(preds[:, j] == labels)) if labels is not None else float("nan"))
             for j, m in enumerate(marks)]
     _write_csv(args.report, ["T", "acc"], rows)
     if args.run_trace:
-        h = hists[args.index]
-        n_out = h.shape[1]
-        trace_rows = [
-            (m, int(np.argmax(h[m - 1])), *(f"{v:.8g}" for v in h[m - 1]))
-            for m in marks
-        ]
+        logits = at_marks[args.index]
+        n_out = logits.shape[1]
+        trace_rows = [(m, int(c), *(f"{v:.8g}" for v in r))
+                      for m, c, r in zip(marks, preds[args.index], logits)]
         _write_csv(args.run_trace, ["t", "class"] + [f"logit{k}" for k in range(n_out)],
                    trace_rows)
     for m, acc in rows:
@@ -416,10 +441,9 @@ def cmd_probe(args):
     data = _items("--data", args.data)
     _check_index(args.index, data.shape[0])
     x = data[args.index]
-    rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed)
-    marks = set(range(1, args.T + 1)) if args.dense_trace else set(_checkpoints(args.T))
-    rows = [(layer, t, err) for layer, t, err in rec.rows() if t in marks]
-    _write_csv(args.out, ["layer", "t", "err"], rows)
+    rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed,
+                       times=None if args.dense_trace else _checkpoints(args.T))
+    _write_csv(args.out, ["layer", "t", "err"], rec.rows())
     last = {layer: rec.errors[layer][-1] for layer in rec.layer_ids}
     last["readout"] = rec.readout_error[-1]
     for layer, err in last.items():

@@ -21,7 +21,8 @@ to running it alone, one step at a time. K is `Plan.block_steps`.
 
 `run_batch` is the one run loop: `run` is `run_batch` on one item, and
 `probe` is `run_batch` on one item with an observer that reads each layer
-after each of its steps, plus the ANN reference to compare it with.
+after each of its steps that it scores, plus the ANN reference to compare
+it with.
 
 Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes; an item may have
@@ -206,12 +207,13 @@ def run(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
 
 @dataclass
 class TraceRecord:
-    """Per-layer decode-vs-reference errors (max abs) for one run."""
+    """Per-layer decode-vs-reference errors (max abs) for one run, at the
+    scored steps `times`."""
 
     layer_ids: list[str]
-    times: np.ndarray
-    errors: dict[str, np.ndarray]          # layer id -> (T,) max abs errors
-    readout_error: np.ndarray              # (T,)
+    times: np.ndarray                      # the scored steps, ascending
+    errors: dict[str, np.ndarray]          # layer id -> max abs errors at `times`
+    readout_error: np.ndarray              # at `times`
 
     def rows(self):
         """CSV rows (layer, t, err), readout listed as layer 'readout'."""
@@ -223,28 +225,39 @@ class TraceRecord:
 
 
 def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5,
-          seed: int = 0) -> TraceRecord:
+          seed: int = 0, times=None) -> TraceRecord:
     """Compare per-layer decoded activations against the reference forward:
-    `run_batch` on the one item, each layer read after each of its steps
-    through the plan's observer."""
+    `run_batch` on the one item, each layer read through the plan's observer
+    after each of its steps in `times` (every step of 1..T by default; the
+    steps are scored in ascending order, each once). A step outside 1..T is
+    a ValueError. The network is built and checked before the item is."""
+    # sorted in Python: np.unique pages in over 1 MiB of numpy's sort code
+    steps = range(1, T + 1) if times is None else sorted({int(t) for t in times})
+    if steps and not 1 <= steps[0] <= steps[-1] <= T:
+        raise ValueError(f"probe times must lie in 1..{T}, got {steps[0]}..{steps[-1]}")
+    inst = SnnInstance(snn)
     g = snn.graph
     acts = ann_forward(g, input_rows(g, x).reshape(g.nodes[g.input_id].params["shape"]))
-    inst = SnnInstance(snn)
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}
-    errors = {nid: np.empty(T) for nid in inst.layers}
-    # max |decoded - reference| of each layer, through one buffer per layer
+    errors = {nid: np.empty(len(steps)) for nid in inst.layers}
+    # max |decoded - reference| of each layer after a scored step t, at
+    # slot[t] of the record, through one buffer per layer
+    slot = {t: i for i, t in enumerate(steps)}
     diffs = {nid: np.empty_like(r) for nid, r in ref.items()}
 
     def observe(nid, kind, k):
         if kind == "neuron":
             layer = inst.layers[nid]
-            d = np.subtract(layer.decoded[0], ref[nid], diffs[nid])
-            errors[nid][layer.t - 1] = np.abs(d, d).max()
+            i = slot.get(layer.t)
+            if i is not None:
+                d = np.subtract(layer.decoded[0], ref[nid], diffs[nid])
+                errors[nid][i] = np.abs(d, d).max()
 
     history = run_batch(snn, np.asarray(x)[None], T, encoder, stoch_c, seed, inst,
                         observer=observe)[0][:, 0]
-    readout_error = np.abs(history - acts[g.output_id].reshape(-1)).max(axis=1)
-    return TraceRecord(layer_ids=list(inst.layers), times=np.arange(1, T + 1), errors=errors,
+    times = np.asarray(steps, dtype=np.int64)
+    readout_error = np.abs(history[times - 1] - acts[g.output_id].reshape(-1)).max(axis=1)
+    return TraceRecord(layer_ids=list(inst.layers), times=times, errors=errors,
                        readout_error=readout_error)
 
 

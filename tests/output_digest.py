@@ -13,10 +13,11 @@ converted under `inv:1` canonical and, in the sign family, under
 the `convert` stdout, the `.json` and `.bin` files, an order-free digest of
 the converted graph (nodes sorted by id, edges sorted), and the order of its
 node ids; then, under the float, det and stoch encoders, the stdout and CSVs
-of `infer` (with `--run-trace`), `energy` and dense `probe` on two items at
-T = 8. The bench's mlp-wide net also runs `infer` and `energy` as the bench
-runs them: all its 8 items under the float encoder at T = 64, whose blocks
-hold 192 and 128 rows (`inv:1` canonical only). It also hashes
+of `infer` (with `--run-trace`), `energy`, dense `probe` and checkpoint
+`probe` on two items at T = 8. The bench's mlp-wide net also runs `infer`
+and `energy` as the bench runs them: all its 8 items under the float
+encoder at T = 64, whose blocks hold 192 and 128 rows (`inv:1` canonical
+only). It also hashes
 the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
 `--corrupt-*` controls; the stdout and CSV of
@@ -47,10 +48,11 @@ from pathlib import Path
 SETTINGS = {"signgd": [("inv:1", "canonical"), ("exp:1:0.995", "unit-current")],
             "subgrad": [("inv:1", "canonical")]}
 ENCODERS = ("float", "det", "stoch")
-COMMANDS = {  # command -> the flags of its output files
-    "infer": ["--report", "acc.csv", "--run-trace", "trace.csv"],
-    "energy": ["--out", "energy.csv"],
-    "probe": ["--dense-trace", "--out", "probe.csv"],
+COMMANDS = {  # output name -> the command and the flags of its output files
+    "infer": ["infer", "--report", "acc.csv", "--run-trace", "trace.csv"],
+    "energy": ["energy", "--out", "energy.csv"],
+    "probe": ["probe", "--dense-trace", "--out", "probe.csv"],
+    "probe-checkpoints": ["probe", "--out", "checkpoints.csv"],
 }
 T = 8
 # nets that also run `infer` and `energy` on all their items at a T of
@@ -171,10 +173,10 @@ def digest(checkout: Path) -> dict:
 def run_digests(main, key, data, T, encoder, commands) -> dict:
     """The stdout and CSVs of each of `commands` on snn.json over `data`."""
     entries = {}
-    for command, flags in commands.items():
+    for name, (command, *flags) in commands.items():
         _, text = cli(main, [command, "snn.json", "--data", data, "--T", str(T),
                              "--encoder", encoder, *flags])
-        entries[f"{key}/{encoder}/{command}.stdout"] = sha(text)
+        entries[f"{key}/{encoder}/{name}.stdout"] = sha(text)
         for f in (f for f in flags if f.endswith(".csv")):
             entries[f"{key}/{encoder}/{f}"] = (
                 sha(Path(f).read_bytes()) if Path(f).exists() else "missing")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -1233,6 +1235,165 @@ def test_probe_of_a_neuron_count_its_operands_do_not_fit_exits_2(tmp_path, capsy
             f"spikeopt {command}: error: node 'act0' (neuron) has count 5 but operands "
             f"of sizes [16]\n"), err
         assert not out.exists()
+
+
+def test_an_input_shape_the_first_layer_cannot_take_is_named_by_every_run(tmp_path, capsys):
+    """A converted conftest mlp whose input shape is edited to [] (one value)
+    ends `infer`, `energy` and `probe` alike: exit status 2 and one stderr
+    line naming fc0, the first node that cannot take it. `probe` builds and
+    checks the network before it reads the item."""
+    save_model(MODELS["mlp"](), tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "snn")]) == 0
+    manifest = json.loads((tmp_path / "snn.json").read_text())
+    next(n for n in manifest["nodes"] if n["id"] == "in")["params"]["shape"] = []
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    shutil.copy(tmp_path / "snn.bin", tmp_path / "m.bin")
+    save_tensor(make_rng(4).normal(0, 1, (2, 8)), tmp_path / "data.sten")
+    out = tmp_path / "out.csv"
+    for command, flag in (("infer", "--report"), ("energy", "--out"), ("probe", "--out")):
+        capsys.readouterr()
+        rc = main([command, str(tmp_path / "m.json"), "--data", str(tmp_path / "data.sten"),
+                   flag, str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == 2 and stdout == "" and err == (
+            f"spikeopt {command}: error: dense 'fc0': weight of shape (16, 8) expects 8 "
+            f"inputs, got 1\n"), err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def report_files(tmp_path_factory):
+    """A converted conftest mlp, two items and their ANN labels."""
+    tmp = tmp_path_factory.mktemp("reports")
+    g = MODELS["mlp"]()
+    save_model(g, tmp / "ann")
+    assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp / "snn")]) == 0
+    data = make_rng(5).normal(0, 1, (2, 8))
+    save_tensor(data, tmp / "data.sten")
+    save_labels([int(np.argmax(ann_forward(g, x)["out"])) for x in data], tmp / "labels.slbl")
+    return tmp
+
+
+def report_argv(files, command, out, trace=None):
+    """A command of each kind that writes the report `out` (and `infer` the
+    run trace `trace`, or `out` again)."""
+    net = [str(files / "snn.json"), "--data", str(files / "data.sten")]
+    return {
+        "infer": ["infer", *net, "--labels", str(files / "labels.slbl"), "--T", "16",
+                  "--report", str(out), "--run-trace", str(trace or out)],
+        "energy": ["energy", *net, "--T", "8", "--out", str(out)],
+        "probe": ["probe", *net, "--T", "16", "--out", str(out)],
+        "probe-dense": ["probe", *net, "--T", "16", "--dense-trace", "--out", str(out)],
+        "encode": ["encode", "--x", "0.3", "--T", "8", "--out", str(out)],
+        "neuron-sweep": ["neuron-sweep", "--mech", "signgd:relu", "--points", "5", "--T", "8",
+                         "--out", str(out)],
+    }[command]
+
+
+REPORT_COMMANDS = ["infer", "energy", "probe", "probe-dense", "encode", "neuron-sweep"]
+STALE = b"stale,report,row\n" * 4000
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_a_report_written_over_a_longer_file_holds_only_its_own_bytes(report_files, tmp_path,
+                                                                      command):
+    """Reports are written over an existing file from byte 0 and the file is
+    then cut: what is left is what a fresh file gets, byte for byte."""
+    assert main(report_argv(report_files, command, tmp_path / "a.csv",
+                            tmp_path / "a_trace.csv")) == 0
+    for name in ("b.csv", "b_trace.csv"):
+        (tmp_path / name).write_bytes(STALE)
+    assert main(report_argv(report_files, command, tmp_path / "b.csv",
+                            tmp_path / "b_trace.csv")) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    if command == "infer":
+        assert (tmp_path / "b_trace.csv").read_bytes() == (
+            tmp_path / "a_trace.csv").read_bytes()
+
+
+def test_a_checkpoint_probe_over_a_dense_one_holds_only_its_own_rows(report_files, tmp_path):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(report_argv(report_files, "probe", fresh)) == 0
+    assert main(report_argv(report_files, "probe-dense", reused)) == 0
+    assert reused.stat().st_size > fresh.stat().st_size
+    assert main(report_argv(report_files, "probe", reused)) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert [int(r[1]) for r in read_csv(reused)[1:] if r[0] == "act0"] == [1, 2, 4, 8, 16]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_a_report_to_a_file_that_is_not_regular_is_written(report_files, command):
+    assert main(report_argv(report_files, command, os.devnull)) == 0
+
+
+def test_a_report_to_a_fifo_is_written_whole(report_files, tmp_path):
+    """A FIFO cannot be cut; its reader gets the report as a regular file
+    holds it."""
+    assert main(report_argv(report_files, "probe-dense", tmp_path / "file.csv")) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(report_argv(report_files, "probe-dense", fifo)) == 0
+    reader.join(timeout=60)
+    assert got == [(tmp_path / "file.csv").read_bytes()]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_a_report_in_a_missing_directory_exits_2_naming_it(report_files, tmp_path, capsys,
+                                                         command):
+    out = tmp_path / "missing" / "out.csv"
+    argv = report_argv(report_files, command, out)
+    capsys.readouterr()
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"spikeopt {argv[0]}: error: no such file: {out}\n", err
+
+
+def test_a_failed_report_write_leaves_the_file_cut_at_what_was_written(report_files, tmp_path,
+                                                                       monkeypatch):
+    """A write that fails after 10 bytes leaves those 10 bytes, as a
+    truncating open would, not the old report's tail behind them."""
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    assert main(report_argv(report_files, "probe-dense", fresh)) == 0
+    out.write_bytes(STALE)
+    target, write, calls = out.stat().st_ino, os.write, []
+
+    def failing_write(fd, data):  # the report's first write takes 10 bytes, the next fails
+        if os.fstat(fd).st_ino != target:
+            return write(fd, data)
+        calls.append(len(data))
+        if len(calls) == 1:
+            return write(fd, data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left"):
+        main(report_argv(report_files, "probe-dense", out))
+    monkeypatch.undo()
+    assert out.read_bytes() == fresh.read_bytes()[:10]
+
+
+def test_convert_truncates_the_model_files_it_writes_over(tmp_path):
+    """Model files are inputs: a re-convert to a smaller net leaves exactly
+    the files a fresh convert writes, with no tail of the larger one."""
+    for name, model in (("cnn", "cnn"), ("mlp", "mlp")):
+        save_model(MODELS[model](), tmp_path / name)
+    for d in ("reused", "fresh"):
+        (tmp_path / d).mkdir()
+    assert main(["convert", str(tmp_path / "cnn.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "reused" / "snn")]) == 0
+    big = {ext: (tmp_path / "reused" / f"snn{ext}").stat().st_size for ext in (".json", ".bin")}
+    for d in ("reused", "fresh"):
+        assert main(["convert", str(tmp_path / "mlp.json"), "--family", "signgd",
+                     "--out", str(tmp_path / d / "snn")]) == 0
+    for ext in (".json", ".bin"):
+        reused = (tmp_path / "reused" / f"snn{ext}").read_bytes()
+        assert reused == (tmp_path / "fresh" / f"snn{ext}").read_bytes()
+        assert len(reused) < big[ext]
 
 
 def test_a_max2_whose_first_operand_broadcasts_converts(tmp_path, capsys):

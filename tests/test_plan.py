@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIGS, MODELS, build_cnn, build_layernorm_block, build_mlp
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
+from spikeopt.cli import _checkpoints
 from spikeopt.codec import ConstantEncoder, make_rng
 from spikeopt.engine import SnnInstance, ann_forward, make_input_encoder, probe, run, run_batch
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
@@ -585,6 +586,36 @@ def test_probe_observer_is_the_step_by_step_probe(config, encoder, T, seed):
     for nid, want in errors.items():
         np.testing.assert_array_equal(rec.errors[nid], want)
     np.testing.assert_array_equal(rec.readout_error, readout)
+
+
+@pytest.mark.parametrize("model,family", CONFIGS)
+@pytest.mark.parametrize("encoder", ["float", "stoch"])
+def test_probe_scores_only_the_steps_it_is_given(model, family, encoder):
+    """probe(times=S) is the every-step record at the steps of S, bit for
+    bit: S the checkpoints `probe` writes, and a random subset given
+    unsorted and with a repeat, which the record holds sorted, each step
+    once."""
+    snn = converted(model, family, "inv:1", "canonical")
+    T, seed = 40, 7
+    x = input_for(snn, seed)
+    full = probe(snn, x, T, encoder=encoder, seed=seed)
+    picked = make_rng(3).choice(np.arange(1, T + 1), 9, replace=False)
+    for times in (_checkpoints(T), [*picked, picked[0]]):
+        rec = probe(snn, x, T, encoder=encoder, seed=seed, times=times)
+        want = np.unique(times)
+        np.testing.assert_array_equal(rec.times, want)
+        assert rec.layer_ids == full.layer_ids
+        for nid in full.layer_ids:
+            np.testing.assert_array_equal(rec.errors[nid], full.errors[nid][want - 1])
+        np.testing.assert_array_equal(rec.readout_error, full.readout_error[want - 1])
+        assert list(rec.rows()) == [r for r in full.rows() if r[1] in set(want.tolist())]
+
+
+@pytest.mark.parametrize("times", [[0], [1, 11], [-3, 4], [2, 5, 12]])
+def test_probe_times_outside_the_run_are_a_value_error(times):
+    snn = converted("mlp", "signgd", "inv:1", "canonical")
+    with pytest.raises(ValueError, match=r"1\.\.10"):
+        probe(snn, input_for(snn, 0), 10, times=times)
 
 
 @settings(max_examples=30, deadline=None)
