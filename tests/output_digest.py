@@ -11,8 +11,10 @@ converted under `inv:1` canonical and, in the sign family, under
 `exp:1:0.995` unit-current; a bench net that the bench converts with
 `--normalize-relu` is converted with it here too. Per conversion it hashes
 the `convert` stdout, the `.json` and `.bin` files, an order-free digest of
-the converted graph (nodes sorted by id, edges sorted), and the order of its
-node ids; then, under the float, det and stoch encoders, the stdout and CSVs
+the converted graph as `load_model` returns it (nodes sorted by id, edges
+sorted, index tables as int lists and tensors by value, so a change of how
+the files store the graph shows only in the file entries), and the order of
+its node ids; then, under the float, det and stoch encoders, the stdout and CSVs
 of `infer` (with `--run-trace`), `energy`, dense `probe` and checkpoint
 `probe` on two items at T = 8. The bench's mlp-wide net also runs `infer`
 and `energy` as the bench runs them: all its 8 items under the float
@@ -124,12 +126,17 @@ def cli(main, argv) -> tuple[int, bytes]:
     return rc, f"exit {rc}\n{out.getvalue()}{err.getvalue()}{''.join(warned)}".encode()
 
 
-def graph_digests(manifest: dict) -> dict:
-    """The order-free digest of a converted graph, and its node order."""
-    nodes = sorted(manifest["nodes"], key=lambda n: n["id"])
-    free = dict(manifest, nodes=nodes, edges=sorted(manifest["edges"]))
-    return {"graph": sha(json.dumps(free, sort_keys=True).encode()),
-            "node_order": sha(json.dumps([n["id"] for n in manifest["nodes"]]).encode())}
+def graph_digests(path) -> dict:
+    """The order-free digest of the converted graph `load_model` reads from
+    `path`, arrays as nested lists of their values, and its node order."""
+    from spikeopt.graph import load_model
+
+    g, meta = load_model(path)
+    nodes = [{"id": n.id, "kind": n.kind, "params": n.params}
+             for n in sorted(g.nodes.values(), key=lambda n: n.id)]
+    free = {"nodes": nodes, "edges": sorted(g.edges), "meta": meta}
+    return {"graph": sha(json.dumps(free, sort_keys=True, default=lambda a: a.tolist()).encode()),
+            "node_order": sha(json.dumps(list(g.nodes)).encode())}
 
 
 def digest(checkout: Path) -> dict:
@@ -153,7 +160,7 @@ def digest(checkout: Path) -> dict:
                     continue
                 for f in ("snn.json", "snn.bin"):
                     entries[f"{key}/{f}"] = sha(Path(f).read_bytes())
-                for k, v in graph_digests(json.loads(Path("snn.json").read_text())).items():
+                for k, v in graph_digests("snn.json").items():
                     entries[f"{key}/{k}"] = v
                 for encoder in ENCODERS:
                     entries.update(run_digests(main, key, "data.sten", T, encoder, COMMANDS))

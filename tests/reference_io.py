@@ -1,12 +1,17 @@
-"""`save_model` as earlier versions wrote model files, for tests only.
+"""Model files as earlier versions wrote them, for tests only.
 
-The manifest goes through the stdlib's indented encoder and the blob is
-built in memory before it is written. `spikeopt.graph.io.save_model` must
-write the same blob and a manifest of the same JSON value, and must re-save
-a file of this writer in its own compact form.
+`reference_save_model` is `save_model` as earlier versions wrote it: the
+manifest goes through the stdlib's indented encoder, a gather's indices are
+a JSON list in its `params`, and the blob, float32 tensors only, is built
+in memory before it is written. `json_list_form` turns a file of today's
+`spikeopt.graph.io.save_model` into that form. Today's writer must write
+what that form turns into the reference's file, and must re-save a file of
+the reference in its own form.
 """
 
+import copy
 import json
+import math
 
 import numpy as np
 
@@ -51,3 +56,26 @@ def reference_save_model(g: Graph, path, meta: dict | None = None) -> None:
     }
     jpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     bpath.write_bytes(bytes(blob))
+
+
+def json_list_form(manifest: dict, blob: bytes) -> tuple[dict, bytes]:
+    """The manifest and blob of a model file with each int64 index table
+    moved back into its node's `params` as a JSON list, and the float32
+    tensors packed again in name order: the file as earlier versions wrote
+    it, given the same manifest text encoder."""
+    manifest = copy.deepcopy(manifest)
+    entries = manifest["tensors"]
+    for node in manifest["nodes"]:
+        for key, name in list(node["tensors"].items()):
+            entry = entries[name]
+            if entry.get("dtype") == "<i8":
+                count = math.prod(entry["shape"])
+                node["params"][key] = np.frombuffer(
+                    blob, "<i8", count, 4 + entry["offset"]).tolist()
+                del node["tensors"][key], entries[name]
+    packed, offset = bytearray(MODEL_MAGIC), 0
+    for name in sorted(entries):
+        entry, size = entries[name], 4 * math.prod(entries[name]["shape"])
+        packed += blob[4 + entry["offset"] : 4 + entry["offset"] + size]
+        entry["offset"], offset = offset, offset + size
+    return manifest, bytes(packed)

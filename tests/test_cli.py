@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import spikeopt
 from conftest import CONFIGS, MODELS, build_layernorm_block, build_mlp, chain_edges, dense_node
+from reference_io import json_list_form
 from reference_oracle import reference_oracle_check, reference_setup
 from spikeopt import cli
 from spikeopt.cli import main
@@ -1016,12 +1017,16 @@ def move_files(tmp_path_factory):
 
 
 # node -> the fields its manifest entry gets, for a move that does not fit
-# its input (a 2x3 frame, then 6 values) or indices that are not integers
+# its input (a 2x3 frame, then 6 values) or indices that are not integers;
+# gather indices in params are the JSON-list form earlier versions wrote,
+# and a "table" is written over the int64 table of today's files
 MISFITS = {
     "gather-99": ("g", {"params": {"indices": [99, 4, 3, 2, 1, 0]}}),
     "gather-negative": ("g", {"params": {"indices": [5, 4, 3, 2, 1, -1]}}),
     "gather-float": ("g", {"params": {"indices": [1.5, 4, 3, 2, 1, 0]}}),
     "gather-true": ("g", {"params": {"indices": [True, 4, 3, 2, 1, 0]}}),
+    "gather-table-99": ("g", {"table": [99, 4, 3, 2, 1, 0]}),
+    "gather-table-negative": ("g", {"table": [5, 4, 3, 2, 1, -1]}),
     "reshape-size": ("r", {"params": {"shape": [5]}}),
     "transpose-repeated": ("t", {"params": {"perm": [0, 0]}}),
     "transpose-rank": ("t", {"params": {"perm": [0]}}),
@@ -1044,11 +1049,19 @@ def test_a_move_that_does_not_fit_its_input_exits_2(move_files, tmp_path, capsys
     one stderr line naming the node, not a numpy traceback."""
     ann, snn, dataset = move_files
     src = ann if command == "convert" else snn
-    manifest = json.loads(src.read_text())
+    manifest, blob = json.loads(src.read_text()), bytearray(src.with_suffix(".bin").read_bytes())
     node_id, fields = MISFITS[case]
-    next(n for n in manifest["nodes"] if n["id"] == node_id).update(fields)
+    node = next(n for n in manifest["nodes"] if n["id"] == node_id)
+    if "table" in fields:
+        start = 4 + manifest["tensors"][node["tensors"]["indices"]]["offset"]
+        table = np.asarray(fields["table"], dtype="<i8").tobytes()
+        blob[start : start + len(table)] = table
+    else:
+        node.update(fields)
+        if node["kind"] == "gather":  # indices in params, no table
+            del node["tensors"]["indices"]
     (tmp_path / "m.json").write_text(json.dumps(manifest))
-    shutil.copy(src.with_suffix(".bin"), tmp_path / "m.bin")
+    (tmp_path / "m.bin").write_bytes(blob)
     out = tmp_path / "out.csv"
     flags = {"convert": ["--family", "signgd", "--out", str(tmp_path / "snn")],
              "infer": ["--data", str(dataset), "--report", str(out)],
@@ -1394,6 +1407,40 @@ def test_convert_truncates_the_model_files_it_writes_over(tmp_path):
         reused = (tmp_path / "reused" / f"snn{ext}").read_bytes()
         assert reused == (tmp_path / "fresh" / f"snn{ext}").read_bytes()
         assert len(reused) < big[ext]
+
+
+@pytest.mark.parametrize("model", [m for m, build in MODELS.items() if any(
+    n.kind == "maxpool2d" for n in build().nodes.values())])
+def test_a_max_pool_net_in_the_json_list_form_runs_as_today(tmp_path, capsys, model):
+    """A converted max-pool net as earlier versions wrote it, its gather
+    indices JSON lists in params, gives every stdout and CSV byte of
+    `infer`, `energy` and `probe` that today's file gives."""
+    g = MODELS[model]()
+    save_model(g, tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp_path / "new")]) == 0
+    manifest, blob = json_list_form(json.loads((tmp_path / "new.json").read_text()),
+                                    (tmp_path / "new.bin").read_bytes())
+    assert any(n["kind"] == "gather" and "indices" in n["params"] for n in manifest["nodes"])
+    (tmp_path / "old.json").write_text(json.dumps(manifest, sort_keys=True) + "\n")
+    (tmp_path / "old.bin").write_bytes(blob)
+    shape = g.nodes[g.input_id].params["shape"]
+    save_tensor(make_rng(3).normal(0, 1, (2, *shape)), tmp_path / "data.sten")
+    outputs = {}
+    for form in ("new", "old"):
+        (tmp_path / form).mkdir()
+        outputs[form] = []
+        for command, *flags in (["infer", "--report", "r.csv", "--run-trace", "t.csv"],
+                                ["energy", "--out", "e.csv"], ["probe", "--out", "p.csv"],
+                                ["probe", "--dense-trace", "--out", "d.csv"]):
+            flags = [str(tmp_path / form / f) if f.endswith(".csv") else f for f in flags]
+            capsys.readouterr()
+            assert main([command, str(tmp_path / f"{form}.json"), "--data",
+                         str(tmp_path / "data.sten"), "--T", "8", *flags]) == 0
+            outputs[form].append(capsys.readouterr())
+        outputs[form] += [(f.name, f.read_bytes()) for f in sorted((tmp_path / form).iterdir())]
+    assert len(outputs["new"]) == 9
+    assert outputs["new"] == outputs["old"]
 
 
 def test_a_max2_whose_first_operand_broadcasts_converts(tmp_path, capsys):

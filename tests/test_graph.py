@@ -1,6 +1,8 @@
+import errno
 import gc
 import json
 import math
+import os
 import struct
 import warnings
 import weakref
@@ -20,7 +22,7 @@ from conftest import (
     chain_edges,
     dense_node,
 )
-from reference_io import reference_save_model
+from reference_io import json_list_form, reference_save_model
 from spikeopt.codec import make_rng
 from spikeopt.graph import (
     ConversionError,
@@ -127,6 +129,36 @@ STEN_FAULTS = {
                   r"x.sten: payload shorter than \(2, 3\)"),
     "no-magic": (lambda raw: raw.__setitem__(slice(0, 4), b"SGM1"), ModelFormatError,
                  "x.sten: missing STEN magic"),
+}
+
+
+def gather_net():
+    """input (4) -> gather "g" (3, 0, 1, 2) -> dense "fc" (4 -> 2) -> output;
+    its blob holds fc.bias (2 values), fc.weight (8) and the g.indices
+    table (4 int64 values, bytes [40, 72) after the magic)."""
+    nodes = [Node("in", "input", {"shape": [4]}), Node("g", "gather", {"indices": [3, 0, 1, 2]}),
+             dense_node(make_rng(4), "fc", 4, 2), Node("out", "output", {})]
+    return Graph(nodes, chain_edges([n.id for n in nodes]))
+
+
+# faults of the files of gather_net(): (mutation of the manifest, error
+# load_model raises, what its message names)
+TABLE_FAULTS = {
+    "dtype-unknown": (_set(["tensors", "g.indices", "dtype"], "<f8"), ModelFormatError,
+                      r"m.json: tensor 'g.indices' of node 'g' has dtype '<f8', "
+                      r"but gather 'indices' takes <i8"),
+    "weight-int64": (_set(["tensors", "fc.weight", "dtype"], "<i8"), ModelFormatError,
+                     r"m.json: tensor 'fc.weight' of node 'fc' has dtype '<i8', "
+                     r"but dense 'weight' takes <f4"),
+    "indices-float32": (lambda m: m["tensors"]["g.indices"].pop("dtype"), ModelFormatError,
+                        r"m.json: tensor 'g.indices' of node 'g' has dtype '<f4'"),
+    "float32-shape": (lambda m: m["nodes"][0]["tensors"].update(shape="fc.bias"),
+                      ModelFormatError, r"tensor 'fc.bias' of node 'in' .* 'shape' is no tensor"),
+    "table-2d": (_set(["tensors", "g.indices", "shape"], [2, 2]), GraphError,
+                 r"'g' \(gather\) has indices that are not a flat list of integers"),
+    "table-past-end": (_set(["tensors", "g.indices", "offset"], 48), TruncatedBlobError,
+                       r"m.bin: tensor 'g.indices' of node 'g' needs bytes \[48, 80\) "
+                       r"but blob has 72"),
 }
 
 
@@ -253,6 +285,103 @@ class TestModelIo:
         save_labels([3, 1, 2], tmp_path / "y.slbl")
         np.testing.assert_array_equal(load_labels(tmp_path / "y.slbl"), [3, 1, 2])
 
+    @pytest.mark.parametrize("model,family", CONFIGS)
+    def test_converted_roundtrip_keeps_index_tables(self, tmp_path, model, family):
+        """A gather's indices load as the flat intp array they were saved
+        from, and save(load(x)) is byte-identical."""
+        snn = calibrate(convert(MODELS[model](), family, Schedule.inverse(1.0)))
+        snn.save(tmp_path / "a")
+        loaded = SnnGraph.load(tmp_path / "a")
+        for nid, node in snn.graph.nodes.items():
+            if node.kind == "gather":
+                got = loaded.graph.nodes[nid].params["indices"]
+                assert got.dtype == np.intp and got.ndim == 1
+                np.testing.assert_array_equal(got, node.params["indices"])
+        loaded.save(tmp_path / "b")
+        for suffix in (".json", ".bin"):
+            assert ((tmp_path / "a").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "b").with_suffix(suffix).read_bytes()), suffix
+
+    def test_index_table_is_int64_in_the_blob(self, tmp_path):
+        save_model(gather_net(), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["tensors"]["g.indices"] == {"dtype": "<i8", "offset": 40, "shape": [4]}
+        assert manifest["nodes"][1]["params"] == {}
+        assert (tmp_path / "m.bin").read_bytes()[44:] == np.array(
+            [3, 0, 1, 2], dtype="<i8").tobytes()
+        assert all("dtype" not in e for k, e in manifest["tensors"].items() if k != "g.indices")
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS.values(), ids=list(TABLE_FAULTS))
+    def test_bad_tensor_dtype_rejected(self, tmp_path, fault):
+        """An entry is read by its dtype: int64 only as a gather's indices,
+        float32 only under the tensor keys; any other dtype or pairing, and
+        a table of another shape or past the blob's end, names the tensor
+        or the node."""
+        mutate, error, match = fault
+        save_model(gather_net(), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        mutate(manifest)
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(error, match=match):
+            load_model(tmp_path / "m")
+
+
+def write_at_most(monkeypatch, path, budget):
+    """Make os.write to the file now at `path` take `budget` bytes in all and
+    then fail with ENOSPC; writes to other files go through."""
+    target, write, left = os.stat(path).st_ino, os.write, [budget]
+
+    def failing_write(fd, data):
+        if os.fstat(fd).st_ino != target:
+            return write(fd, data)
+        if not left[0]:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        n = write(fd, bytes(data)[: left[0]])
+        left[0] -= n
+        return n
+
+    monkeypatch.setattr(gio.os, "write", failing_write)
+
+
+STALE = b"stale file bytes\n" * 4000
+
+
+class TestFileWriter:
+    """Model, tensor and label files are written over an existing file from
+    byte 0 after cutting it to its first byte, never to zero: what is left
+    is the new bytes, or a prefix of them if a write fails."""
+
+    def save(self, kind, path):
+        if kind == "tensor":
+            save_tensor(make_rng(2).normal(0, 1, (3, 5)), path)
+        elif kind == "labels":
+            gio.save_labels(np.arange(40) % 7, path)
+        else:
+            save_model(gather_net(), path.with_suffix(""))
+
+    @pytest.mark.parametrize("name", ["m.json", "m.bin", "x.sten", "y.slbl"])
+    def test_a_longer_file_is_rewritten_to_exactly_its_new_bytes(self, tmp_path, name):
+        kind = {".sten": "tensor", ".slbl": "labels"}.get(os.path.splitext(name)[1], "model")
+        (tmp_path / "fresh").mkdir()
+        self.save(kind, tmp_path / "fresh" / name)
+        (tmp_path / name).write_bytes(STALE)
+        self.save(kind, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["m.json", "m.bin", "x.sten"])
+    def test_a_failed_write_leaves_the_new_bytes_written(self, tmp_path, monkeypatch, name):
+        """A write that fails after 10 bytes leaves exactly those 10 new
+        bytes, not the old file's tail behind them."""
+        kind = "tensor" if name.endswith(".sten") else "model"
+        (tmp_path / "fresh").mkdir()
+        self.save(kind, tmp_path / "fresh" / name)
+        (tmp_path / name).write_bytes(STALE)
+        with monkeypatch.context() as patch:
+            write_at_most(patch, tmp_path / name, 10)
+            with pytest.raises(OSError, match="No space left"):
+                self.save(kind, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()[:10]
+
 
 class TestManifestWriter:
     """The manifest is json.dumps(manifest, sort_keys=True) plus a newline;
@@ -270,8 +399,14 @@ class TestManifestWriter:
             snn.save(tmp_path / "old")
         new, old = (tmp_path / "new.json").read_text(), (tmp_path / "old.json").read_text()
         assert new == json.dumps(json.loads(new), sort_keys=True) + "\n"
-        assert json.loads(new) == json.loads(old)
-        assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
+        # the one difference: a gather's indices are an int64 entry, not a list in params
+        gathers = [n for n in json.loads(new)["nodes"] if n["kind"] == "gather"]
+        assert bool(gathers) == (model in ("cnn", "bye_cnn"))
+        for node in gathers:
+            assert "indices" not in node["params"]
+            assert json.loads(new)["tensors"][node["tensors"]["indices"]]["dtype"] == "<i8"
+        assert json_list_form(json.loads(new), (tmp_path / "new.bin").read_bytes()) == (
+            json.loads(old), (tmp_path / "old.bin").read_bytes())
         older = SnnGraph.load(tmp_path / "old")
         shape = snn.graph.nodes[snn.graph.input_id].params["shape"]
         X = make_rng(3).normal(0, 1, (2, *shape))
