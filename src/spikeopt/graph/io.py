@@ -16,10 +16,6 @@ file straight into its own writable array.
 
 Dataset tensors: magic `STEN`, u32 rank, u32 dims..., float32 payload.
 Labels: magic `SLBL`, u32 sequence to end of file. All integers little-endian.
-
-Every file is written by `_write_file`, over the file from byte 0 after
-cutting it to its first byte, never to zero: ext4 flushes a file on close
-only if it was truncated to zero.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import stat
 import struct
 from pathlib import Path
 
@@ -77,35 +72,6 @@ def _dtype_of(kind, key: str) -> str | None:
     return "<f4" if key in _TENSOR_KEYS else None
 
 
-def _write_file(path, chunks) -> None:
-    """Write the bytes-like `chunks`, in order, as the whole file `path`.
-
-    The file is opened without O_TRUNC; a regular file longer than one byte
-    is cut to its first byte, never to zero, and then written from byte 0.
-    A failed write or a killed process leaves a prefix of the new bytes, or
-    the old first byte, which every loader rejects as a short file. ext4
-    (`auto_da_alloc`) flushes a file on close only if it was truncated to
-    zero: rewritten 10 ms apart on ext4 (2 shared CPUs, median of 40), a
-    1 MB file took 0.58-0.76 ms that way against 0.19 ms, and a 56 KB file
-    0.54 against 0.06 ms. The one trade-off: ext4 no longer starts
-    writeback at close, so after a power loss a rewritten file can come
-    back as its one-byte cut.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode) and info.st_size > 1:
-            os.ftruncate(fd, 1)
-        for chunk in map(memoryview, chunks):
-            if not chunk.nbytes:  # an empty array's view cannot be cast to bytes
-                continue
-            data = chunk.cast("B")
-            while data:
-                data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def save_model(g: Graph, path, meta: dict | None = None) -> None:
     """Write `<path>.json` + `<path>.bin` (path may carry either suffix)."""
     jpath, bpath = _paths(path)
@@ -143,8 +109,11 @@ def save_model(g: Graph, path, meta: dict | None = None) -> None:
         "tensors": entries,
         "meta": meta or {},
     }
-    _write_file(jpath, [(json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8")])
-    _write_file(bpath, [MODEL_MAGIC, *(tensors[name] for name in sorted(tensors))])
+    jpath.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    with open(bpath, "wb") as fh:
+        fh.write(MODEL_MAGIC)
+        for name in sorted(tensors):
+            fh.write(tensors[name])
 
 
 def _read(fh, start: int, shape, dtype: str) -> np.ndarray | None:
@@ -223,8 +192,12 @@ def load_model(path) -> tuple[Graph, dict]:
 
 
 def save_tensor(arr, path) -> None:
-    arr = np.asarray(arr, dtype="<f4", order="C")
-    _write_file(path, [TENSOR_MAGIC + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr])
+    arr = np.asarray(arr, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(TENSOR_MAGIC)
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -248,7 +221,10 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_labels(labels, path) -> None:
-    _write_file(path, [LABEL_MAGIC, np.asarray(labels, dtype="<u4", order="C")])
+    labels = np.asarray(labels, dtype="<u4")
+    with open(path, "wb") as fh:
+        fh.write(LABEL_MAGIC)
+        fh.write(labels.tobytes())
 
 
 def load_labels(path) -> np.ndarray:

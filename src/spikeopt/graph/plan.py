@@ -6,8 +6,6 @@ concat within one slot) compose into one index selection; dense/affine,
 conv2d, add and concat across slots fill a new slot; a neuron layer reads
 one whole slot, or takes its operands from one slot with one (arity, n)
 index table (operands in several slots are joined by the concat rule first).
-A selection or table that takes every value of its slot in order is no op:
-its reader reads the slot.
 The compiler is a visit of `Graph.walk`, the walk `run_forward`,
 `infer_shapes` and the conversion transforms make: it maps each node, given
 its inputs' compiled values, to its own. Inputs resolve to integer slots,
@@ -381,16 +379,8 @@ class Plan:
         self.widths.append(int(width))
         return len(self.widths) - 1
 
-    def _whole(self, idx: np.ndarray, slot: int) -> bool:
-        """Whether the flat selection `idx` takes every value of `slot` in
-        order, so that taking it would only copy the slot."""
-        return idx.size == self.widths[slot] and bool((idx == np.arange(idx.size)).all())
-
     def _flat(self, v: _Value) -> int:
-        """Slot holding v's frame, adding its selection op on first use; a
-        selection of its whole source slot in order is that slot."""
-        if v.idx is not None and self._whole(v.idx, v.slot):
-            v.idx = None
+        """Slot holding v's frame, adding its selection op on first use."""
         if v.idx is not None:
             src, idx, out = v.slot, v.idx, self._slot(v.idx.size)
 
@@ -449,8 +439,6 @@ class Plan:
             # one take of the (arity, n) index table per block
             sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
             sel = sel.reshape(-1)
-            if self._whole(sel, src):  # the operands are the slot as it is
-                sel = None
         # the layer's scratch: its taken currents, then the state-free part
         # of its steps
         scratch = self._slot(len(ins) * n)

@@ -177,9 +177,11 @@ def _maxpool(mp, ins, emit, nodes):
         pos = np.concatenate([np.arange(a.size).reshape(a.shape),
                               a.size + np.arange(bye.size).reshape(bye.shape)], axis=1)
         stage += 1
-    # reorder the surviving elements into (C, Ho, Wo) and keep the id
-    order = emit(Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)}), [value])
-    return emit(Node(mp.id, "reshape", {"shape": [c, ho, wo]}), [order])
+    # a last stage leaves the survivors in (C, Ho, Wo) order; with no stage
+    # (a 1x1 window) they are selected first. The reshape keeps the id.
+    if not stage:
+        value = emit(Node(f"{mp.id}.order", "gather", {"indices": pos.reshape(-1)}), [value])
+    return emit(Node(mp.id, "reshape", {"shape": [c, ho, wo]}), [value])
 
 
 def decompose_maxpool(g: Graph) -> Graph:
@@ -190,7 +192,8 @@ def decompose_maxpool(g: Graph) -> Graph:
     ceil(log2(K_r*K_c)); an odd count passes its last element through as a
     bye. Stage inputs are flat `gather` selections of the window elements
     `model.window_indices` lists, so overlapping windows are supported. The
-    final stage keeps the pooling node's id.
+    last stage holds the pooled values in (C, Ho, Wo) order; the pooling
+    node's id goes to a reshape of it.
     """
     return _rewrite(g, {"maxpool2d": _maxpool})
 

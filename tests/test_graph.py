@@ -1,4 +1,3 @@
-import errno
 import gc
 import json
 import math
@@ -326,30 +325,12 @@ class TestModelIo:
             load_model(tmp_path / "m")
 
 
-def write_at_most(monkeypatch, path, budget):
-    """Make os.write to the file now at `path` take `budget` bytes in all and
-    then fail with ENOSPC; writes to other files go through."""
-    target, write, left = os.stat(path).st_ino, os.write, [budget]
-
-    def failing_write(fd, data):
-        if os.fstat(fd).st_ino != target:
-            return write(fd, data)
-        if not left[0]:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        n = write(fd, bytes(data)[: left[0]])
-        left[0] -= n
-        return n
-
-    monkeypatch.setattr(gio.os, "write", failing_write)
-
-
 STALE = b"stale file bytes\n" * 4000
 
 
 class TestFileWriter:
-    """Model, tensor and label files are written over an existing file from
-    byte 0 after cutting it to its first byte, never to zero: what is left
-    is the new bytes, or a prefix of them if a write fails."""
+    """Model, tensor and label files written over a longer file hold only
+    their new bytes."""
 
     def save(self, kind, path):
         if kind == "tensor":
@@ -367,20 +348,6 @@ class TestFileWriter:
         (tmp_path / name).write_bytes(STALE)
         self.save(kind, tmp_path / name)
         assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-
-    @pytest.mark.parametrize("name", ["m.json", "m.bin", "x.sten"])
-    def test_a_failed_write_leaves_the_new_bytes_written(self, tmp_path, monkeypatch, name):
-        """A write that fails after 10 bytes leaves exactly those 10 new
-        bytes, not the old file's tail behind them."""
-        kind = "tensor" if name.endswith(".sten") else "model"
-        (tmp_path / "fresh").mkdir()
-        self.save(kind, tmp_path / "fresh" / name)
-        (tmp_path / name).write_bytes(STALE)
-        with monkeypatch.context() as patch:
-            write_at_most(patch, tmp_path / name, 10)
-            with pytest.raises(OSError, match="No space left"):
-                self.save(kind, tmp_path / name)
-        assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()[:10]
 
 
 class TestManifestWriter:
@@ -848,6 +815,24 @@ class TestDecomposeMaxpool:
         stages = sum(n.kind == "max2" for n in d.nodes.values())
         assert stages == math.ceil(math.log2(kernel[0] * kernel[1]))
 
+    @pytest.mark.parametrize("kernel,stride,gathers", [
+        ((2, 2), (2, 2), False), ((3, 3), (1, 2), False), ((1, 1), (1, 1), True),
+        ((1, 1), (2, 1), True)])
+    def test_only_a_pool_without_a_stage_gathers_its_survivors(self, kernel, stride, gathers):
+        """A last stage leaves the pooled values in (C, Ho, Wo) order, so no
+        `pool.order` gather follows it; a 1x1 window makes no stage, and its
+        selection is gathered."""
+        nodes = [
+            Node("in", "input", {"shape": [2, 5, 4]}),
+            Node("pool", "maxpool2d", {"kernel": list(kernel), "stride": list(stride)}),
+            Node("out", "output", {}),
+        ]
+        g = Graph(nodes, chain_edges(["in", "pool", "out"]))
+        d = decompose_maxpool(g)
+        assert ("pool.order" in d.nodes) == gathers
+        x = make_rng(3).normal(0, 1, (2, 5, 4))
+        np.testing.assert_array_equal(forward_out(d, x), forward_out(g, x))
+
     def test_small_patch_value(self):
         nodes = [
             Node("in", "input", {"shape": [1, 2, 2]}),
@@ -904,10 +889,10 @@ class TestDecomposeMaxpool:
     @pytest.mark.parametrize("transform", [
         decompose_maxpool, lambda g: convert(g, "signgd", Schedule.inverse(1.0))])
     def test_a_node_named_like_a_generated_one_is_a_duplicate_id(self, transform):
-        """The tournament of `pool` emits `pool.order`; a source node of
+        """The tournament of `pool` emits `pool.s0.max`; a source node of
         that name is a duplicate, not an edge into the tournament."""
         g = build_cnn(seed=6)
-        name = {"flat": "pool.order"}
+        name = {"flat": "pool.s0.max"}
         nodes = [Node(name.get(n.id, n.id), n.kind, n.params) for n in g.nodes.values()]
         edges = [(name.get(s, s), name.get(d, d), p) for s, d, p in g.edges]
         with pytest.raises(GraphError, match="^duplicate node ids$"):

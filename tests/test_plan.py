@@ -728,41 +728,9 @@ def test_spare_stores_stay_within_their_bound():
 
 
 def test_the_bench_cnn_takes_no_copy_of_a_whole_slot():
-    """The max-pool tournament's last gather puts the pooled values in the
-    order they already hold, so `flat` reads the last max2 layer's slot."""
+    """The max-pool tournament's last stage holds the pooled values in
+    (C, Ho, Wo) order, so `flat` reads the last max2 layer's slot."""
     plan = Plan(convert(BENCH_NETS["cnn-pool"](), "signgd", parse_schedule("inv:1")).graph)
     assert [kind for _, kind, _ in plan.ops] == [
         "encoder", "conv2d", "neuron", "neuron", "neuron", "dense", "readout"]
 
-
-def moved_net(indices, neuron):
-    """input (4) -> gather "g" of `indices` [-> ReLU neuron "n"] -> output."""
-    nodes = [Node("in", "input", {"shape": [4]}), Node("g", "gather", {"indices": indices})]
-    if neuron:
-        n = len(indices)
-        nodes.append(Node("n", "neuron", {"mech": "signgd:relu", "count": n, "shape": [n]}))
-    nodes.append(Node("out", "output", {}))
-    return Graph(nodes, [(a.id, b.id, 0) for a, b in zip(nodes, nodes[1:])])
-
-
-@pytest.mark.parametrize("neuron", [False, True])
-@pytest.mark.parametrize("indices,takes", [([0, 1, 2, 3], 0), ([3, 0, 1, 2], 1),
-                                           ([0, 1, 2], 1)])
-def test_an_identity_gather_compiles_to_no_op(neuron, indices, takes):
-    """A selection of a whole slot in order adds no take op, and a neuron's
-    operand table of that kind takes nothing; a permutation or a part of
-    the slot is still taken, and what is taken is the selected frame."""
-    plan = Plan(moved_net(indices, neuron))
-    kinds = [kind for _, kind, _ in plan.ops]
-    assert kinds == ["encoder", *["take"] * (takes and not neuron), *["neuron"] * neuron,
-                     "readout"]
-    plan.reset(2)
-    frames = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    plan.codecs["encoder"].fill = lambda out: np.copyto(out, frames.reshape(out.shape))
-    with mock.patch.object(plan_module.np, "take", wraps=np.take) as take:
-        out = plan.step(1)
-    assert take.call_count == takes
-    if neuron:
-        np.testing.assert_array_equal(plan.layers["n"].currents[0], frames[:, indices])
-    else:
-        np.testing.assert_array_equal(out.reshape(2, -1), frames[:, indices])
