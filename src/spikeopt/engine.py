@@ -102,6 +102,7 @@ class SnnInstance:
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n,
+                spike_fed=nid in self.plan.spike_fed,
             ) if signgd else SubgradNeuron(c, n=n)
         self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
                                 b=self.readout_b) if signgd else RateDecoder

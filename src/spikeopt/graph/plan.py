@@ -28,6 +28,14 @@ a layer's state at step t depends only on its inputs up to t, so a block
 gives every step what stepping it alone gives, bit for bit. K comes from
 one rule, `block_steps`, which the plans and `neuron-sweep` share.
 
+The plan knows which slots hold 0/1 spike rows: a neuron layer's output,
+the take of a slot that holds them, and a concat across slots whose every
+input holds them (a move within one slot keeps its slot). Slot 0 never
+does, as a float encoder's frames are not 0/1. `Plan.spike_fed` names the
+neuron layers whose every operand slot holds spikes, taken before their
+operands are joined: the max-pool tournament's stages, which calibrate to
+W = 1 and b = 0 and so form their drive in two passes (`SignGdNeuron`).
+
 A block's first op has the input's encoder fill slot 0 with its frames,
 and its last folds the output currents into the readout, so an observer
 sees the whole step. The encoder, the readout and each neuron layer compile
@@ -267,6 +275,9 @@ class Plan:
     `fold` takes its (K, B, n_out) output currents and returns what `step`
     returns.
 
+    `spike_fed` holds the ids of the neuron layers whose every operand slot
+    holds 0/1 spike rows.
+
     `reset(batch, steps)` sizes the slot buffers for blocks of up to `steps`
     steps of `batch` items, and `step(k)` runs a block of k of them. `ops`
     holds one (node id, kind, op) per op, the input's encoder first and the
@@ -280,6 +291,8 @@ class Plan:
         self.codecs = codecs = {"encoder": Forced(), "readout": Forced()}
         self.widths = [math.prod(graph.nodes[graph.input_id].params["shape"])]
         self._io: list = []  # per op: the slots it reads, the slots it writes
+        self._spikes: set = set()  # slots that hold 0/1 spike rows
+        self.spike_fed: set = set()  # neuron ids whose operands are all spikes
         self.batch = self.rows = 0  # set by reset
         self._release = None
 
@@ -388,6 +401,8 @@ class Plan:
                 np.take(s[src], idx, axis=1, out=s[out], mode="clip")
 
             self._op(v.node, "take", take, [src], out)
+            if src in self._spikes:
+                self._spikes.add(out)
             v.slot, v.idx = out, None
         return v.slot
 
@@ -411,6 +426,9 @@ class Plan:
             self._op(node.id, node.kind, op, [a, patches], patches, out)
             return _Value(out, None, shape, node.id)
         elif node.kind == "concat":
+            if all(i in self._spikes for i, _ in srcs):
+                self._spikes.add(out)
+
             def op(s, B, observe):
                 np.concatenate([s[i] for i, _ in srcs], axis=1, out=s[out])
         else:  # add, in port order; each operand's rank padded as numpy pads it
@@ -430,6 +448,8 @@ class Plan:
         n, shape = node.params["count"], output_shape(node, [v.shape for v in ins])
         sizes = [math.prod(v.shape) for v in ins]
         self.layers[node.id] = Forced()
+        if all(v.slot in self._spikes for v in ins):
+            self.spike_fed.add(node.id)
         if len({v.slot for v in ins}) > 1:  # join the operands into one slot
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)
@@ -443,6 +463,7 @@ class Plan:
         # of its steps
         scratch = self._slot(len(ins) * n)
         out = self._slot(n)
+        self._spikes.add(out)
 
         def op(s, B, observe):
             I = s[src]

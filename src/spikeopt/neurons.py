@@ -35,7 +35,10 @@ b2(t) eta(t-1) / (eta(t) b2(t-1)) = 1/b1(t). The canonical parameterization
 
 Raw influx currents carry the layer bias at every step, so integration
 subtracts the calibrated idle current b before the spike-to-sign translation
-and folds b once into v's initial condition.
+and folds b once into v's initial condition. A layer fed only by spikes
+reads 0/1 rows and calibrates to W = 1 and b = 0, so its input term
+a2 (2 (I - b) - W) is exactly +-a2: it forms it in two passes, (2 a2) I - a2,
+with the same bits (see SignGdNeuron).
 """
 
 from __future__ import annotations
@@ -469,16 +472,31 @@ class SignGdNeuron(_Layer):
     canonical parameterization) is skipped, as x 1.0 and x / 1.0 are x.
     An observer sees v and `degeneracies` after its step too.
 
+    A `spike_fed` layer, whose plan says that its operands are all 0/1
+    spike rows (`Plan.spike_fed`), must be built with W = 1 and b = 0
+    exactly (a ValueError otherwise). Its input term is then exactly +-a2:
+    2 (I - b) - W is -1 or 1, and a2 times either is exact. Where every a2
+    of a block is nonzero and at most _HALF_MAX, it forms the term in two
+    passes over the block, (2 a2) I - a2, which gives the same bits, as
+    doubling a2 is exact: 2 a2 0 - a2 is -a2 and 2 a2 - a2 is a2. Any other
+    block keeps the four passes: at a2 = 0 the forms differ in the sign of
+    zero (-0 where I = 0 in four passes, +0 in two), and where |a2| is above
+    _HALF_MAX, 2 a2 is inf.
+
     A step reads its scalars as the coefficient set's row of its t
     (`coeffs.row(t)`), which the set evaluates once for every layer it serves.
     `degeneracies` counts misr evaluations with a non-positive denominator.
     """
 
-    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b, n: int = 1):
+    def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b, n: int = 1,
+                 spike_fed: bool = False):
         self.mech = mech
         self.c = coeffs
         self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
         self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
+        if spike_fed and not ((self.W == 1.0).all() and (self.b == 0.0).all()):
+            raise ValueError("a spike-fed sign layer needs W = 1 and b = 0 exactly")
+        self.spike_fed = spike_fed
         self.n = n
         self.reset()
 
@@ -510,11 +528,17 @@ class SignGdNeuron(_Layer):
         K, t0, row = len(s_k), self.t, self.c.row
         rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
-        d = np.subtract(I.reshape(K, B, arity, n), self.b,
-                        None if scratch is None else scratch.reshape(K, B, arity, n))
-        np.multiply(d, 2.0, d)
-        np.subtract(d, self.W, d)
-        np.multiply(d, np.array([r[2] for r in rows])[:, None, None, None], d)
+        I, a2 = I.reshape(K, B, arity, n), np.array([r[2] for r in rows])[:, None, None, None]
+        d = None if scratch is None else scratch.reshape(K, B, arity, n)
+        if self.spike_fed and all(0.0 < abs(r[2]) <= _HALF_MAX for r in rows):
+            # (2 a2) I - a2: on 0/1 rows with W = 1 and b = 0, both forms are +-a2
+            d = np.multiply(I, 2.0 * a2, d)
+            np.subtract(d, a2, d)
+        else:
+            d = np.subtract(I, self.b, d)
+            np.multiply(d, 2.0, d)
+            np.subtract(d, self.W, d)
+            np.multiply(d, a2, d)
         if B * arity * n <= SMALL_OPERANDS:
             self._block_targets(d, rows, s_k, observer)
         else:

@@ -16,10 +16,11 @@ sorted, index tables as int lists and tensors by value, so a change of how
 the files store the graph shows only in the file entries), and the order of
 its node ids; then, under the float, det and stoch encoders, the stdout and CSVs
 of `infer` (with `--run-trace`), `energy`, dense `probe` and checkpoint
-`probe` on two items at T = 8. The bench's mlp-wide net also runs `infer`
-and `energy` as the bench runs them: all its 8 items under the float
-encoder at T = 64, whose blocks hold 192 and 128 rows (`inv:1` canonical
-only). It also hashes
+`probe` on two items at T = 8. The bench's mlp-wide and cnn-pool nets also
+run `infer` and `energy` as the bench runs them: all their items (8 and 4)
+under the float encoder at T = 64 (`inv:1` canonical only), whose blocks
+hold 192 and 128 rows on mlp-wide and 7 steps of 2 items on cnn-pool, where
+the max-pool stages form their firing targets step by step. It also hashes
 the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
 `--corrupt-*` controls; the stdout and CSV of
@@ -59,7 +60,7 @@ COMMANDS = {  # output name -> the command and the flags of its output files
 T = 8
 # nets that also run `infer` and `energy` on all their items at a T of
 # their own, under one encoder
-LONG_RUNS = {"bench_mlp": (64, "float")}
+LONG_RUNS = {"bench_mlp": (64, "float"), "bench_cnn": (64, "float")}
 ORACLE_STEPS = 300
 # per sign and subgrad check, the controls that must fail
 CORRUPT = {"signgd": [["--corrupt-beta1", "1.001"], ["--corrupt-beta1", "-1"],

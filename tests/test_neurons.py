@@ -14,6 +14,7 @@ from reference_neuron import (
 )
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
+    MECHANISMS,
     SMALL_OPERANDS,
     FiringMechanism,
     IfLifParams,
@@ -638,24 +639,42 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
     else:  # the idle current plus spikes on the weights, and a little noise
         currents = (b + W * rng.integers(0, 2, (T, B, arity, n))
                     + scale * rng.integers(-1, 2, (T, B, arity, n)))
-    names = ["u", "decoded", "t"] + (["v", "degeneracies"] if W is not None
-                                     else ["y"] if kind == "subgrad" else [])
-    K = min(K, T)
+    assert_blocks_are_the_reference_steps(layer, refs, currents, min(K, T), batched, scratch,
+                                          one_step, sign=W is not None)
+
+
+def assert_bits_equal(got, want, err_msg=""):
+    """got == want, signs of zero included: assert_array_equal takes -0.0
+    for 0.0, so the sign bits are compared too."""
+    np.testing.assert_array_equal(got, want, err_msg=err_msg)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=err_msg)
+
+
+def assert_blocks_are_the_reference_steps(layer, refs, currents, K, batched, scratch, one_step,
+                                          sign):
+    """Step `layer` through the (T, B, arity, n) `currents` in blocks of K
+    steps (or one `step(I)` call per step), and require the bits that the
+    references give: spikes, the state after each step (read by the
+    observer) and `spike_count` after each block. `sign` says whether the
+    layer is a sign layer."""
+    T, B, arity, n = currents.shape
+    names = ["u", "decoded", "t"] + (["v", "degeneracies"] if sign
+                                     else ["y"] if hasattr(layer, "y") else [])
     for t0 in range(0, T, K):
         k = min(K, T - t0)
         want_spikes, want_states = [], []
         for I in currents[t0 : t0 + k]:
             # one item's (arity, n) currents, or (n,) for a one-operand neuron
-            want_spikes.append(np.stack([r.step(I[i] if W is not None else I[i, 0])
+            want_spikes.append(np.stack([r.step(I[i] if sign else I[i, 0])
                                          for i, r in enumerate(refs)]))
             want_states.append(reference_state(refs, batched))
         if one_step:
             got_states = []
             for I, want in zip(currents[t0 : t0 + k], want_spikes):
                 # one step's currents, shaped like v (sign) or like u (subgrad)
-                I = I.transpose(1, 0, 2) if W is not None else I[:, 0]
-                spikes = layer.step(I.reshape(layer.v.shape if W is not None else layer.u.shape))
-                np.testing.assert_array_equal(spikes, want.reshape(layer.u.shape))
+                I = I.transpose(1, 0, 2) if sign else I[:, 0]
+                spikes = layer.step(I.reshape(layer.v.shape if sign else layer.u.shape))
+                assert_bits_equal(spikes, want.reshape(layer.u.shape))
                 got_states.append(layer_state(layer, names))
         else:
             rows = currents[t0 : t0 + k].reshape(k * B, arity * n).copy()
@@ -665,13 +684,119 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
             spikes = layer.step(rows, steps=k, out=out, scratch=buf,
                                 observer=lambda j: got_states.append(layer_state(layer, names)))
             assert spikes is out and len(got_states) == k
-            np.testing.assert_array_equal(out.reshape(k, B, n), np.stack(want_spikes))
+            assert_bits_equal(out.reshape(k, B, n), np.stack(want_spikes))
         for got, want in zip(got_states, want_states):
             for name in names:
-                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+                assert_bits_equal(got[name], want[name], err_msg=name)
         np.testing.assert_array_equal(layer.spike_count,
                                       np.array([r.spike_count for r in refs]) if batched
                                       else refs[0].spike_count)
+
+
+SIGN_MECHS = [m for m in BLOCK_MECHS if m[0] in MECHANISMS]
+
+
+@pytest.mark.parametrize("mech", SIGN_MECHS, ids=lambda m: ":".join(map(str, m)))
+@settings(max_examples=40, deadline=None)
+@given(sched=st.sampled_from(BLOCK_SCHEDULES),
+       B=st.integers(1, 16), T=st.integers(1, 40), K=st.integers(1, 40),
+       scratch=st.sampled_from(["none", "own", "I"]), one_step=st.booleans(),
+       seed=st.integers(0, 2**16), side=st.sampled_from(["small", "edge", "large"]),
+       b=st.sampled_from([0.0, -0.0]), rate=st.sampled_from([0.1, 0.5, 0.9]))
+def test_spike_fed_steps_are_the_reference_steps(mech, sched, B, T, K, scratch, one_step, seed,
+                                                 side, b, rate):
+    """A spike-fed sign layer (W = 1, b = 0 of either sign, 0/1 currents
+    firing at `rate`) forms its drive as (2 a2) I - a2 and gives every step
+    the bits the four-pass reference a2 (2 (I - b) - W) gives: spikes, u,
+    v, `decoded` and misr degeneracies after each step, signs of zero
+    included, in blocks and one step at a time, on both sides of
+    SMALL_OPERANDS."""
+    (kind, delta), (schedule, parameterization) = mech, sched
+    rng = make_rng(seed)
+    m = FiringMechanism(kind, delta)
+    n = layer_width(side, B, m.arity)
+    s = parse_schedule(schedule)
+    c = solve_signgd_coefficients(s, parameterization)
+    layer = SignGdNeuron(m, c, W=1.0, b=b, n=n, spike_fed=True)
+    batched = B > 1 or seed % 2  # one item also as the unbatched layer
+    layer.reset(B if batched else None)
+    refs = [ReferenceSignGdNeuron(m, c, s, 1.0, b, n) for _ in range(B)]
+    currents = (rng.uniform(0.0, 1.0, (T, B, m.arity, n)) < rate).astype(float)
+    assert_blocks_are_the_reference_steps(layer, refs, currents, min(K, T), batched, scratch,
+                                          one_step, sign=True)
+
+
+@pytest.mark.parametrize("n", [4, SMALL_OPERANDS + 4], ids=["block-targets", "step-targets"])
+def test_spike_fed_drive_where_twice_a2_overflows(n):
+    """Under const:1.7e308, a2 = 1.7e308 has 2 a2 = inf: a spike-fed layer
+    then forms its drive in four passes, ±a2 as the reference does, on both
+    sides of SMALL_OPERANDS. Spikes that alternate keep v and u finite, and
+    after an odd number of steps |v| = a2."""
+    s = parse_schedule("const:1.7e308")
+    c = solve_signgd_coefficients(s)
+    mech = FiringMechanism("relu")
+    layer = SignGdNeuron(mech, c, W=1.0, b=0.0, n=n, spike_fed=True)
+    ref = ReferenceSignGdNeuron(mech, c, s, 1.0, 0.0, n)
+    currents = ((np.arange(7)[:, None] + np.arange(n)) % 2).astype(float)[:, None]  # (7, 1, n)
+    got = layer.step(currents.reshape(7, n), steps=7)
+    want = np.stack([ref.step(I) for I in currents])
+    assert_bits_equal(got, want)
+    assert_bits_equal(layer.u, ref.u)
+    assert_bits_equal(layer.v, ref.v)
+    assert np.isfinite(ref.v).all() and np.abs(ref.v).max() > 1e308
+
+
+def zero_a2_at(c, t):
+    """The sign set c with a2 = 0 at step t. Its memo holds step t's row,
+    with v_scale 1, since eta(t) / a2(t) has no value there."""
+    z = dataclasses.replace(c, alpha2=lambda k: 0.0 if k == t else c.alpha2(k))
+    eta, a1, _, u_scale, _, b1, b2 = c.row(t)
+    z._rows[t] = (eta, a1, 0.0, u_scale, 1.0, b1, b2)
+    return z
+
+
+@pytest.mark.parametrize("n", [4, SMALL_OPERANDS + 4], ids=["block-targets", "step-targets"])
+def test_spike_fed_drive_where_a2_is_zero(n):
+    """At a2 = 0 the two drive forms differ in the sign of zero: a2 (2 I - 1)
+    is -0 where I = 0, and (2 a2) I - a2 is +0. With b = -0, v starts at -0,
+    so after a step with a2 = 0 it is +0 where I = 0 and -0 where I = 1, as
+    the reference has it: a spike-fed layer forms that step in four passes.
+    A block of the steps after it takes the two-pass drive."""
+    s = parse_schedule("inv:1")
+    c = zero_a2_at(solve_signgd_coefficients(s), 1)
+    mech = FiringMechanism("max2")
+    layer = SignGdNeuron(mech, c, W=1.0, b=-0.0, n=n, spike_fed=True)
+    ref = ReferenceSignGdNeuron(mech, c, s, 1.0, -0.0, n)
+    ref._factors = lambda: c.row(ref.t + 1)
+    currents = make_rng(5).integers(0, 2, (4, 2, n)).astype(float)
+    seen = []
+    # the step with a2 = 0 alone, then a block of three whose a2 are not 0
+    got = np.concatenate([layer.step(block.reshape(len(block), 2 * n), steps=len(block),
+                                     observer=lambda j: seen.append(layer.v.copy()))
+                          for block in (currents[:1], currents[1:])])
+    want, want_v = [], []
+    for I in currents:
+        want.append(ref.step(I))
+        want_v.append(ref.v.copy())
+    assert_bits_equal(got, np.stack(want))
+    assert_bits_equal(np.stack(seen), np.stack(want_v))
+    assert_bits_equal(layer.u, ref.u)
+    # after step 1 v is +0 where I = 0 and -0 where I = 1, exactly
+    assert_bits_equal(np.signbit(want_v[0]), currents[0] == 1.0)
+    assert (want_v[0] == 0.0).all()
+
+
+@pytest.mark.parametrize("W,b", [(0.5, 0.0), (1.0, 0.25), ([[1.0, 2.0]], 0.0),
+                                 (1.0, [[0.0, 1e-300]])])
+def test_spike_fed_layer_needs_unit_weights_and_zero_idle_currents(W, b):
+    """A spike-fed layer's drive holds only where W = 1 and b = 0 exactly,
+    so any other calibration is refused when the layer is built."""
+    c = solve_signgd_coefficients(parse_schedule("inv:1"))
+    mech = FiringMechanism("relu")
+    with pytest.raises(ValueError, match="spike-fed"):
+        SignGdNeuron(mech, c, W=W, b=b, n=2, spike_fed=True)
+    SignGdNeuron(mech, c, W=W, b=b, n=2)
+    SignGdNeuron(mech, c, W=1.0, b=-0.0, n=2, spike_fed=True)
 
 
 @pytest.mark.parametrize("n", [4, SMALL_OPERANDS + 4], ids=["block-targets", "step-targets"])

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, MODELS, build_cnn, build_layernorm_block, build_mlp
+from conftest import (CONFIGS, MODELS, build_cnn, build_layernorm_block, build_mlp,
+                      chain_edges, dense_node)
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
 from spikeopt.cli import _checkpoints
 from spikeopt.codec import ConstantEncoder, make_rng
@@ -734,3 +735,53 @@ def test_the_bench_cnn_takes_no_copy_of_a_whole_slot():
     assert [kind for _, kind, _ in plan.ops] == [
         "encoder", "conv2d", "neuron", "neuron", "neuron", "dense", "readout"]
 
+
+# the neuron layers whose operands all hold 0/1 spike rows: the max-pool
+# tournament's stages, which bye_cnn's 3x3 windows feed through a take and a
+# concat across slots from stage 1 on
+SPIKE_FED = {"cnn": {"pool.s0.max", "pool.s1.max"},
+             "bye_cnn": {"pool.s0.max", "pool.s1.max", "pool.s2.max", "pool.s3.max"},
+             "cnn-pool": {"pool.s0.max", "pool.s1.max"}}
+# the bench's nets by the shapes and families it runs them at
+BENCH_FAMILIES = [("mlp-wide", "signgd"), ("cnn-pool", "signgd"), ("ln_block", "signgd"),
+                  ("mlp_subgrad", "subgrad")]
+
+
+def spike_fed_net(net):
+    if net == "mlp_subgrad":
+        return build_mlp(seed=1, dims=(8, 16, 16, 4))
+    return (MODELS.get(net) or BENCH_NETS[net])()
+
+
+@pytest.mark.parametrize("net,family", CONFIGS + BENCH_FAMILIES)
+def test_spike_fed_layers(net, family):
+    """`Plan.spike_fed` holds exactly the layers whose every operand slot
+    holds spikes, and each of them, and no other layer, takes the
+    spike-fed drive once the network runs."""
+    inst = SnnInstance(convert(spike_fed_net(net), family, parse_schedule("inv:1")))
+    want = SPIKE_FED.get(net, set())
+    assert inst.plan.spike_fed == want
+    assert {nid for nid, layer in inst.layers.items() if getattr(layer, "spike_fed", False)} == want
+
+
+def test_an_encoder_fed_layer_is_not_spike_fed():
+    """in -> relu -> dense -> out: the relu layer calibrates to W = 1 and
+    b = 0, as a spike-fed layer does, but slot 0 holds the encoder's frames,
+    which under the float encoder are not 0/1. The plan leaves the layer
+    out, and its v after T steps is the four-pass reference's, bit for bit."""
+    rng = make_rng(3)
+    g = Graph([Node("in", "input", {"shape": [16]}), Node("act", "relu", {}),
+               dense_node(rng, "fc", 16, 4), Node("out", "output", {})],
+              chain_edges(["in", "act", "fc", "out"]))
+    snn = calibrate(convert(g, "signgd", parse_schedule("inv:1")))
+    plan = Plan(snn.graph)
+    W, b = plan.calibration()[0]["act"]
+    assert (W == 1.0).all() and (b == 0.0).all()
+    assert plan.spike_fed == set()
+    x, T = rng.normal(0, 1, 16), 64
+    want = reference_run(snn, x, T, "float", 0)[3]["act"]["v"]
+    inst = SnnInstance(snn)
+    run(snn, x, T, encoder="float", instance=inst)
+    got = inst.layers["act"].v[:, 0]  # (arity, n) of the one item
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
