@@ -54,6 +54,7 @@ from .oracles import (
     reference_nonlinearity,
 )
 from .schedules import (
+    ScheduleError,
     check_coefficients,
     parse_schedule,
     solve_signgd_coefficients,
@@ -161,13 +162,8 @@ def _write_csv(path, header, rows):
 
 
 def _checkpoints(T, extra=()):
-    pts = set(int(x) for x in extra)
-    p = 1
-    while p <= T:
-        pts.add(p)
-        p *= 2
-    pts.add(T)
-    return sorted(pts)
+    """The powers of 2 up to T, T and `extra`, ascending."""
+    return sorted({*map(int, extra), *(2**k for k in range(T.bit_length())), T})
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +201,13 @@ def _signgd_check_inputs(schedule, steps, arity, rng):
     return W, b
 
 
+def _scaled(coeffs, name, factor):
+    """`coeffs` with its coefficient `name` scaled by `factor`, a --corrupt-* flag."""
+    base = getattr(coeffs, name)
+    return coeffs if factor == 1.0 else dataclasses.replace(
+        coeffs, **{name: lambda t: np.asarray(base(t)) * factor})
+
+
 def _oracle_pair(args, coeffs, rng):
     """The neuron under check, its oracle, all `args.steps` inputs drawn in
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
@@ -225,24 +228,13 @@ def _oracle_pair(args, coeffs, rng):
         decoded = lambda t: lif_transform(
             neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
     elif name == "subgrad":
-        schedule = coeffs.schedule
-        if args.corrupt_alpha != 1.0:
-            base = coeffs.alpha
-            coeffs = dataclasses.replace(
-                coeffs, alpha=lambda t: np.asarray(base(t)) * args.corrupt_alpha
-            )
-        neuron = SubgradNeuron(coeffs, n=1)
-        oracle = SubgradOracle(schedule, n=1)
+        neuron = SubgradNeuron(_scaled(coeffs, "alpha", args.corrupt_alpha), n=1)
+        oracle = SubgradOracle(coeffs.schedule, n=1)
         inputs = rng.uniform(0.0, 1.0, (steps, 1))
         decoded = lambda t: neuron.decoded
     elif name.startswith("signgd"):
         mech = _parsed("--neuron", parse_mechanism, name)
-        schedule = coeffs.schedule
-        if args.corrupt_beta1 != 1.0:
-            base = coeffs.beta1
-            coeffs = dataclasses.replace(
-                coeffs, beta1=lambda t: np.asarray(base(t)) * args.corrupt_beta1
-            )
+        schedule, coeffs = coeffs.schedule, _scaled(coeffs, "beta1", args.corrupt_beta1)
         with np.errstate(over="ignore"):  # an overflow is rejected below
             W, b = _signgd_check_inputs(schedule, steps, mech.arity, rng)
             inputs = b + W * rng.integers(0, 2, (steps, mech.arity, 1))
@@ -371,11 +363,10 @@ def cmd_convert(args):
     snn = calibrate(convert(g, args.family, schedule, parameterization=args.parameterization))
     snn.save(args.out)
     census = snn.graph.census()
-    neuron_kinds = {k: v for k, v in census.items() if k.startswith("neuron:")}
     print(f"converted {args.model} -> {args.out} [{args.family}, {schedule}]")
     for k, v in sorted(census.items()):
         print(f"  {k}: {v}")
-    if not neuron_kinds:
+    if not any(k.startswith("neuron:") for k in census):
         print("  (no neuron layers)")
     return 0
 
@@ -603,8 +594,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad model or graph, a missing file and a flag
-    out of range end it with one line on stderr and exit status 2."""
+    """Run one subcommand; a bad model or graph, a path that cannot be read
+    or written, a flag out of range and a step its schedule cannot take end
+    it with one line on stderr and exit status 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named command's parser; help, a missing or unknown command
     # and leftover arguments go to the full parser, whose usage line lists
@@ -619,10 +611,13 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise RangeError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (GraphError, RangeError) as exc:
+    except (GraphError, RangeError, ScheduleError) as exc:
         print(f"spikeopt {args.command}: error: {exc}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        print(f"spikeopt {args.command}: error: no such file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # one on a path: no such file, is a directory, ...
+        if exc.filename is None:
+            raise
+        why = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror.lower()
+        print(f"spikeopt {args.command}: error: {why}: {exc.filename}", file=sys.stderr)
     return 2
 
 

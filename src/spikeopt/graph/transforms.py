@@ -277,14 +277,9 @@ class SnnGraph:
                 if self.graph.nodes[i].kind == "neuron"]
 
     def save(self, path) -> None:
-        meta = dict(self.meta)
-        meta.update(
-            family=self.family,
-            schedule=str(self.schedule),
-            parameterization=self.parameterization,
-            kind="snn",
-        )
-        gio.save_model(self.graph, path, meta=meta)
+        gio.save_model(self.graph, path, meta={
+            **self.meta, "family": self.family, "schedule": str(self.schedule),
+            "parameterization": self.parameterization, "kind": "snn"})
 
     @classmethod
     def load(cls, path) -> "SnnGraph":

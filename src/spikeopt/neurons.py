@@ -35,10 +35,8 @@ b2(t) eta(t-1) / (eta(t) b2(t-1)) = 1/b1(t). The canonical parameterization
 
 Raw influx currents carry the layer bias at every step, so integration
 subtracts the calibrated idle current b before the spike-to-sign translation
-and folds b once into v's initial condition. A layer fed only by spikes
-reads 0/1 rows and calibrates to W = 1 and b = 0, so its input term
-a2 (2 (I - b) - W) is exactly +-a2: it forms it in two passes, (2 a2) I - a2,
-with the same bits (see SignGdNeuron).
+and folds b once into v's initial condition; a layer fed only by 0/1 spike
+rows forms that input term in two passes, not four (see SignGdNeuron).
 """
 
 from __future__ import annotations
@@ -476,12 +474,11 @@ class SignGdNeuron(_Layer):
     spike rows (`Plan.spike_fed`), must be built with W = 1 and b = 0
     exactly (a ValueError otherwise). Its input term is then exactly +-a2:
     2 (I - b) - W is -1 or 1, and a2 times either is exact. Where every a2
-    of a block is nonzero and at most _HALF_MAX, it forms the term in two
-    passes over the block, (2 a2) I - a2, which gives the same bits, as
-    doubling a2 is exact: 2 a2 0 - a2 is -a2 and 2 a2 - a2 is a2. Any other
-    block keeps the four passes: at a2 = 0 the forms differ in the sign of
-    zero (-0 where I = 0 in four passes, +0 in two), and where |a2| is above
-    _HALF_MAX, 2 a2 is inf.
+    of a block is at most _HALF_MAX, it forms the term in two passes over
+    the block, (2 a2) I - a2, which gives the same bits, as doubling a2 is
+    exact: 2 a2 0 - a2 is -a2 and 2 a2 - a2 is a2. Any other block keeps
+    the four passes, since 2 a2 is inf there. No row has a2 = 0, where the
+    two forms would differ in the sign of zero: its maker refuses it.
 
     A step reads its scalars as the coefficient set's row of its t
     (`coeffs.row(t)`), which the set evaluates once for every layer it serves.
@@ -530,7 +527,7 @@ class SignGdNeuron(_Layer):
         # a2(t) (2 (I(t) - b) - W), the state-free part, for the whole block
         I, a2 = I.reshape(K, B, arity, n), np.array([r[2] for r in rows])[:, None, None, None]
         d = None if scratch is None else scratch.reshape(K, B, arity, n)
-        if self.spike_fed and all(0.0 < abs(r[2]) <= _HALF_MAX for r in rows):
+        if self.spike_fed and all(abs(r[2]) <= _HALF_MAX for r in rows):
             # (2 a2) I - a2: on 0/1 rows with W = 1 and b = 0, both forms are +-a2
             d = np.multiply(I, 2.0 * a2, d)
             np.subtract(d, a2, d)

@@ -23,8 +23,10 @@ coefficient set can be checked numerically.
 
 A coefficient set carries the schedule it was solved for, and memoizes the
 scalars of each step it is asked for (`row(t)`) in a plain dict of float
-tuples, which refers to nothing that refers back to the set. Everything else
-here is pure, stateless evaluation: safe to share across threads.
+tuples, which refers to nothing that refers back to the set; a sign step
+whose alpha2(t) or beta2(t-1) is 0 has no row (`signgd_step_factors`).
+Everything else here is pure, stateless evaluation: safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -157,13 +159,27 @@ def parse_schedule(text: str) -> Schedule:
 
 
 @dataclass(frozen=True)
-class SignGdCoefficients:
+class _StepRows:
+    """A coefficient set's memo: `row(t)` is its family's step factors of
+    step t (`_factors(t)`), evaluated on first use."""
+
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def row(self, t: int) -> tuple:
+        try:
+            return self._rows[t]
+        except KeyError:
+            self._rows[t] = row = self._factors(t)
+            return row
+
+
+@dataclass(frozen=True)
+class SignGdCoefficients(_StepRows):
     """Coefficient set (alpha1, alpha2, beta1, beta2) for sign-based dynamics
     under `schedule`.
 
     Each coefficient is a callable of t (int or ndarray) returning positive
-    values. `row(t)` is the `signgd_step_factors` row of step t, evaluated on
-    first use.
+    values. `row(t)` is the `signgd_step_factors` row of step t.
     """
 
     alpha1: Callable
@@ -171,14 +187,9 @@ class SignGdCoefficients:
     beta1: Callable
     beta2: Callable
     schedule: Schedule = field(repr=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def row(self, t: int) -> tuple:
-        try:
-            return self._rows[t]
-        except KeyError:
-            self._rows[t] = row = signgd_step_factors(self, t)
-            return row
+    def _factors(self, t):
+        return signgd_step_factors(self, t)
 
 
 def solve_signgd_coefficients(s: Schedule, parameterization: str = "canonical") -> SignGdCoefficients:
@@ -224,23 +235,17 @@ def validate_signgd_coefficients(
 
 
 @dataclass(frozen=True)
-class SubgradCoefficients:
+class SubgradCoefficients(_StepRows):
     """Coefficient set (alpha, beta, gamma) for subgradient-based dynamics
-    under `schedule`. `row(t)` is the `subgrad_step_factors` row of step t,
-    evaluated on first use."""
+    under `schedule`. `row(t)` is the `subgrad_step_factors` row of step t."""
 
     alpha: Callable
     beta: Callable
     gamma: Callable
     schedule: Schedule = field(repr=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def row(self, t: int) -> tuple:
-        try:
-            return self._rows[t]
-        except KeyError:
-            self._rows[t] = row = subgrad_step_factors(self, t)
-            return row
+    def _factors(self, t):
+        return subgrad_step_factors(self, t)
 
 
 def solve_subgrad_coefficients(s: Schedule,
@@ -329,9 +334,16 @@ def _below_diagonal(n: int) -> np.ndarray:
 
 def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
     """Scalars of sign-dynamics step t as floats: (eta(t), alpha1(t-1),
-    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t))."""
+    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t)); a
+    ScheduleError where alpha2(t) or beta2(t-1) is 0 (under exp:0.5:0.5 from
+    t = 1074), a step whose u scale the decode after step t - 1 reads too."""
     s = c.schedule
     eta, a2, b2_prev = float(s(t)), float(c.alpha2(t)), float(c.beta2(t - 1))
+    for name, k, value in (("alpha2", t, a2), ("beta2", t - 1, b2_prev)):
+        if value == 0.0:
+            raise ScheduleError(f"sign-dynamics step {t} under {s}: {name}({k}) is 0 (its step "
+                                f"size underflows to 0); the decode after step {t - 1} reads "
+                                f"this step's u scale too")
     return (eta, float(c.alpha1(t - 1)), a2, float(s(t - 1)) / b2_prev, eta / a2,
             float(c.beta1(t)), float(c.beta2(t)))
 

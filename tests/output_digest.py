@@ -20,8 +20,11 @@ of `infer` (with `--run-trace`), `energy`, dense `probe` and checkpoint
 run `infer` and `energy` as the bench runs them: all their items (8 and 4)
 under the float encoder at T = 64 (`inv:1` canonical only), whose blocks
 hold 192 and 128 rows on mlp-wide and 7 steps of 2 items on cnn-pool, where
-the max-pool stages form their firing targets step by step. It also hashes
-the stdout of `oracle-check` on the bench's oracle-replay configurations
+the max-pool stages form their firing targets step by step. Beside every
+`infer` entry it hashes the raw bytes of the readout history and spike
+counts of the same runs, stepped in process as `infer` steps them, so a
+change in a readout's last bits shows (the CSVs print 8 digits). It also
+hashes the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
 `--corrupt-*` controls; the stdout and CSV of
 `neuron-sweep` for every mechanism under both parameterizations and the
@@ -178,9 +181,32 @@ def digest(checkout: Path) -> dict:
     return entries
 
 
+def batch_digest(data, T, encoder) -> str:
+    """The digest of the raw bytes of the readout history and spike counts
+    of the `engine.run_batch` calls `infer` makes on snn.json over `data`:
+    its chunks, seeds, encoder and default --c; or of the error it raises."""
+    import argparse
+
+    import numpy as np
+    from spikeopt import cli
+    from spikeopt.graph import SnnGraph
+
+    args = argparse.Namespace(T=T, encoder=encoder, c=0.5, seed=0)
+    try:
+        runs = list(cli._run_items(SnnGraph.load("snn.json"), cli._items("--data", data), args))
+    except Exception as exc:  # hashed as the outcome, as a command's error line is
+        return sha(f"{type(exc).__name__}: {exc}".encode())
+    history = np.stack([hist for hist, _ in runs])  # (items, T, n_out) float64
+    spikes = np.array([n for _, n in runs], dtype=np.int64)
+    return sha(history.tobytes() + spikes.tobytes())
+
+
 def run_digests(main, key, data, T, encoder, commands) -> dict:
-    """The stdout and CSVs of each of `commands` on snn.json over `data`."""
+    """The stdout and CSVs of each of `commands` on snn.json over `data`,
+    and with `infer`, the raw bytes of its runs (`batch_digest`)."""
     entries = {}
+    if "infer" in commands:
+        entries[f"{key}/{encoder}/run_batch"] = batch_digest(data, T, encoder)
     for name, (command, *flags) in commands.items():
         _, text = cli(main, [command, "snn.json", "--data", data, "--T", str(T),
                              "--encoder", encoder, *flags])

@@ -1390,6 +1390,123 @@ def test_a_failed_report_write_leaves_the_file_cut_at_what_was_written(report_fi
     assert out.read_bytes() == fresh.read_bytes()[:10]
 
 
+# every path flag of every command: (command, flag, whether it names a
+# model, whose files are <path>.json and <path>.bin)
+PATH_FLAGS = [("encode", "--out", False), ("neuron-sweep", "--out", False),
+              ("convert", "model", True), ("convert", "--calib-data", False),
+              ("convert", "--out", True), ("infer", "snn", True), ("infer", "--data", False),
+              ("infer", "--labels", False), ("infer", "--report", False),
+              ("infer", "--run-trace", False), ("probe", "snn", True), ("probe", "--data", False),
+              ("probe", "--out", False), ("energy", "snn", True), ("energy", "--data", False),
+              ("energy", "--out", False)]
+
+
+def path_argv(files, tmp, command, flag=None, path=None):
+    """`command` run on the report files, writing into `tmp`, with `path`
+    as `flag` if given."""
+    paths = {"snn": files / "snn.json", "model": files / "ann.json",
+             "--data": files / "data.sten", "--calib-data": files / "data.sten",
+             "--labels": files / "labels.slbl", "--report": tmp / "acc.csv",
+             "--run-trace": tmp / "trace.csv", "--out": tmp / "out.csv"}
+    if command == "convert":
+        paths["--out"] = tmp / "snn"
+    if flag:
+        paths[flag] = path
+    net = [str(paths["snn"]), "--data", str(paths["--data"]), "--T", "4"]
+    return {
+        "encode": ["encode", "--x", "0.3", "--T", "4", "--out", str(paths["--out"])],
+        "neuron-sweep": ["neuron-sweep", "--mech", "signgd:relu", "--points", "3", "--T", "4",
+                         "--out", str(paths["--out"])],
+        "convert": ["convert", str(paths["model"]), "--family", "signgd", "--normalize-relu",
+                    "1", "--calib-data", str(paths["--calib-data"]), "--out",
+                    str(paths["--out"])],
+        "infer": ["infer", *net, "--labels", str(paths["--labels"]), "--report",
+                  str(paths["--report"]), "--run-trace", str(paths["--run-trace"])],
+        "probe": ["probe", *net, "--out", str(paths["--out"])],
+        "energy": ["energy", *net, "--out", str(paths["--out"])],
+    }[command]
+
+
+@pytest.mark.parametrize("command,flag,model", PATH_FLAGS,
+                         ids=[f"{c}-{f}" for c, f, _ in PATH_FLAGS])
+@pytest.mark.parametrize("bad", ["directory", "under-a-file"])
+def test_a_path_that_cannot_be_opened_exits_2_naming_it(report_files, tmp_path, capsys,
+                                                        command, flag, model, bad):
+    """A directory, or a path under a regular file, given to any input or
+    output flag ends the command with one stderr line that names the path,
+    and exit status 2 (a model's path names its `.json`, which is opened
+    first)."""
+    assert main(path_argv(report_files, tmp_path, command)) == 0
+    (tmp_path / "file").write_bytes(b"")
+    path = tmp_path / "d" if bad == "directory" else tmp_path / "file" / "x"
+    path = path.with_suffix(".json") if model else path
+    if bad == "directory":
+        path.mkdir()
+    capsys.readouterr()
+    assert main(path_argv(report_files, tmp_path, command, flag, path)) == 2
+    why = "is a directory" if bad == "directory" else "not a directory"
+    assert capsys.readouterr() == ("", f"spikeopt {command}: error: {why}: {path}\n")
+
+
+@pytest.fixture(scope="module")
+def underflow_files(tmp_path_factory):
+    """The conftest mlp converted in both families under exp:0.5:0.5, whose
+    step size 0.5 * 0.5**t underflows to 0 at t = 1074, and two items."""
+    tmp = tmp_path_factory.mktemp("underflow")
+    save_model(MODELS["mlp"](), tmp / "ann")
+    for family in ("signgd", "subgrad"):
+        assert main(["convert", str(tmp / "ann.json"), "--family", family, "--schedule",
+                     "exp:0.5:0.5", "--out", str(tmp / family)]) == 0
+    save_tensor(make_rng(5).normal(0, 1, (2, 8)), tmp / "data.sten")
+    return tmp
+
+
+def underflow_argv(files, command, steps, family="signgd"):
+    """`command` run for `steps` steps under exp:0.5:0.5."""
+    net = [str(files / f"{family}.json"), "--data", str(files / "data.sten"), "--T", str(steps)]
+    sched = ["--schedule", "exp:0.5:0.5"]
+    return {
+        "infer": ["infer", *net, "--report", str(files / "acc.csv")],
+        "energy": ["energy", *net, "--out", str(files / "energy.csv")],
+        "probe": ["probe", *net, "--out", str(files / "probe.csv")],
+        "oracle-check": ["oracle-check", "--neuron", "signgd:relu", *sched, "--steps",
+                         str(steps)],
+        "neuron-sweep": ["neuron-sweep", "--mech", "signgd:relu", *sched, "--points", "5",
+                         "--T", str(steps), "--out", str(files / "sweep.csv")],
+    }[command]
+
+
+UNDERFLOW_ERROR = ("error: sign-dynamics step 1074 under exp:0.5:0.5: alpha2(1074) is 0 (its "
+                   "step size underflows to 0); the decode after step 1073 reads this step's "
+                   "u scale too\n")
+
+
+@pytest.mark.parametrize("command,steps", [
+    *((c, 1200) for c in ("infer", "energy", "probe", "oracle-check", "neuron-sweep")),
+    ("probe", 1073), ("oracle-check", 1073)])
+def test_a_sign_run_past_an_underflowed_step_size_exits_2_naming_the_step(
+        underflow_files, capsys, command, steps):
+    """A sign run that reaches step 1074 under exp:0.5:0.5, where alpha2 is
+    0, ends with one stderr line naming the step, the schedule and the
+    coefficient, and exit status 2; so does one that reads the decode after
+    step 1073, which takes its u scale from step 1074's row."""
+    capsys.readouterr()
+    assert main(underflow_argv(underflow_files, command, steps)) == 2
+    assert capsys.readouterr() == ("", f"spikeopt {command}: {UNDERFLOW_ERROR}")
+
+
+@pytest.mark.parametrize("command", ["probe", "oracle-check"])
+def test_a_sign_run_that_decodes_before_the_underflow_runs(underflow_files, capsys, command):
+    assert main(underflow_argv(underflow_files, command, 1072)) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "energy", "probe"])
+def test_a_subgrad_run_past_an_underflowed_step_size_runs(underflow_files, command):
+    """The subgradient family divides by no step size, so it runs on."""
+    assert main(underflow_argv(underflow_files, command, 1200, "subgrad")) == 0
+
+
 def test_convert_truncates_the_model_files_it_writes_over(tmp_path):
     """Model files are inputs: a re-convert to a smaller net leaves exactly
     the files a fresh convert writes, with no tail of the larger one."""

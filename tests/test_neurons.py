@@ -746,46 +746,6 @@ def test_spike_fed_drive_where_twice_a2_overflows(n):
     assert np.isfinite(ref.v).all() and np.abs(ref.v).max() > 1e308
 
 
-def zero_a2_at(c, t):
-    """The sign set c with a2 = 0 at step t. Its memo holds step t's row,
-    with v_scale 1, since eta(t) / a2(t) has no value there."""
-    z = dataclasses.replace(c, alpha2=lambda k: 0.0 if k == t else c.alpha2(k))
-    eta, a1, _, u_scale, _, b1, b2 = c.row(t)
-    z._rows[t] = (eta, a1, 0.0, u_scale, 1.0, b1, b2)
-    return z
-
-
-@pytest.mark.parametrize("n", [4, SMALL_OPERANDS + 4], ids=["block-targets", "step-targets"])
-def test_spike_fed_drive_where_a2_is_zero(n):
-    """At a2 = 0 the two drive forms differ in the sign of zero: a2 (2 I - 1)
-    is -0 where I = 0, and (2 a2) I - a2 is +0. With b = -0, v starts at -0,
-    so after a step with a2 = 0 it is +0 where I = 0 and -0 where I = 1, as
-    the reference has it: a spike-fed layer forms that step in four passes.
-    A block of the steps after it takes the two-pass drive."""
-    s = parse_schedule("inv:1")
-    c = zero_a2_at(solve_signgd_coefficients(s), 1)
-    mech = FiringMechanism("max2")
-    layer = SignGdNeuron(mech, c, W=1.0, b=-0.0, n=n, spike_fed=True)
-    ref = ReferenceSignGdNeuron(mech, c, s, 1.0, -0.0, n)
-    ref._factors = lambda: c.row(ref.t + 1)
-    currents = make_rng(5).integers(0, 2, (4, 2, n)).astype(float)
-    seen = []
-    # the step with a2 = 0 alone, then a block of three whose a2 are not 0
-    got = np.concatenate([layer.step(block.reshape(len(block), 2 * n), steps=len(block),
-                                     observer=lambda j: seen.append(layer.v.copy()))
-                          for block in (currents[:1], currents[1:])])
-    want, want_v = [], []
-    for I in currents:
-        want.append(ref.step(I))
-        want_v.append(ref.v.copy())
-    assert_bits_equal(got, np.stack(want))
-    assert_bits_equal(np.stack(seen), np.stack(want_v))
-    assert_bits_equal(layer.u, ref.u)
-    # after step 1 v is +0 where I = 0 and -0 where I = 1, exactly
-    assert_bits_equal(np.signbit(want_v[0]), currents[0] == 1.0)
-    assert (want_v[0] == 0.0).all()
-
-
 @pytest.mark.parametrize("W,b", [(0.5, 0.0), (1.0, 0.25), ([[1.0, 2.0]], 0.0),
                                  (1.0, [[0.0, 1e-300]])])
 def test_spike_fed_layer_needs_unit_weights_and_zero_idle_currents(W, b):

@@ -217,6 +217,48 @@ def test_a_set_whose_rows_were_read_is_freed_without_the_collector(family):
         gc.enable()
 
 
+def test_a_sign_step_whose_step_size_underflows_has_no_row():
+    """Under exp:0.5:0.5, eta(1074) = 0.5 * 0.5**1074 underflows to 0, so
+    alpha2(1074) is 0 in the canonical set: step 1073 has a row, and step
+    1074 is refused, naming the schedule, the step and the coefficient, on
+    every read (a refused step leaves no row in the memo)."""
+    c = solve_signgd_coefficients(parse_schedule("exp:0.5:0.5"))
+    assert c.row(1073)[2] > 0.0
+    for _ in range(2):
+        with pytest.raises(ScheduleError) as exc:
+            c.row(1074)
+        assert str(exc.value).startswith(
+            "sign-dynamics step 1074 under exp:0.5:0.5: alpha2(1074) is 0 (its step size "
+            "underflows to 0); the decode after step 1073 reads")
+    assert 1074 not in c._rows
+
+
+@pytest.mark.parametrize("name,zero_at,refused", [("alpha2", 3, 3), ("beta2", 3, 4)])
+def test_a_sign_step_with_a_zero_alpha2_or_previous_beta2_has_no_row(name, zero_at, refused):
+    """A set whose alpha2(t) or beta2(t - 1) is 0 has no row of step t: its
+    v scale eta(t)/alpha2(t) or its u scale eta(t-1)/beta2(t-1) has no
+    value. The steps around it keep theirs."""
+    c = solve_signgd_coefficients(parse_schedule("inv:1"))
+    base = getattr(c, name)
+    z = dataclasses.replace(c, **{name: lambda t: 0.0 if t == zero_at else base(t)})
+    with pytest.raises(ScheduleError, match=rf"step {refused} under inv:1: {name}\({zero_at}\) "
+                                            rf"is 0"):
+        z.row(refused)
+    for t in {1, 2, 3, 4, 5} - {zero_at, refused}:
+        assert z.row(t) == c.row(t)
+
+
+def test_sets_that_divide_by_no_underflowed_step_size_run_past_it():
+    """The unit-current set's alpha2 = beta2 = eta(1) is never 0, and the
+    subgradient family divides by nothing: both have a row of step 1200
+    under exp:0.5:0.5, whose eta(1200) is 0."""
+    s = parse_schedule("exp:0.5:0.5")
+    assert s(1200) == 0.0
+    row = solve_signgd_coefficients(s, "unit-current").row(1200)
+    assert row[2] == 0.25 and row[0] == 0.0
+    assert solve_subgrad_coefficients(s).row(1200) == (1.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("t_max", [8, 16, 32])
 def test_subgrad_check_reads_the_pairs_i_up_to_t(t_max):
     """Under inv:1, gamma scaled by 1 - 0.9 tol and alpha by 1 + tol/20 put
