@@ -376,18 +376,21 @@ def cmd_convert(args):
 # ---------------------------------------------------------------------------
 
 
-def _run_items(snn, data, args):
-    """(readout history, total spikes) per item, in item order. Items run in
+def _run_items(snn, data, args, reads=engine.READS):
+    """(readout history, total spikes) per item, in item order, each None
+    where `reads` leaves it out (`engine.SnnInstance`). Items run in
     lockstep chunks through engine.run_batch on one reused SnnInstance,
     item i seeded args.seed + 1000 i, so each item's outputs are those of
     running it alone."""
-    inst = engine.SnnInstance(snn)
+    inst = engine.SnnInstance(snn, reads=reads)
     chunk = max(1, min(CHUNK, CHUNK_NEURONS // max(inst.total_neurons, 1)))
     for k in range(0, data.shape[0], chunk):
         hist, spikes = engine.run_batch(snn, data[k : k + chunk], args.T, encoder=args.encoder,
                                         stoch_c=args.c, seed=args.seed + 1000 * k,
                                         instance=inst)
-        yield from zip(hist.transpose(1, 0, 2), spikes.tolist())
+        n = len(data[k : k + chunk])
+        yield from zip([None] * n if hist is None else hist.transpose(1, 0, 2),
+                       [None] * n if spikes is None else spikes.tolist())
 
 
 def cmd_infer(args):
@@ -408,7 +411,7 @@ def cmd_infer(args):
     # each item's readouts at the marks, (items, marks, n_out), and their
     # argmax in one call
     mark_rows = np.subtract(marks, 1)
-    at_marks = np.stack([hist[mark_rows] for hist, _ in _run_items(snn, data, args)])
+    at_marks = np.stack([hist[mark_rows] for hist, _ in _run_items(snn, data, args, {"readout"})])
     preds = np.argmax(at_marks, axis=2)
     rows = [(m, float(np.mean(preds[:, j] == labels)) if labels is not None else float("nan"))
             for j, m in enumerate(marks)]
@@ -447,7 +450,7 @@ def cmd_energy(args):
     _check_c(args)
     snn = SnnGraph.load(args.snn)
     data = _items("--data", args.data)
-    spikes = sum(n for _, n in _run_items(snn, data, args))
+    spikes = sum(n for _, n in _run_items(snn, data, args, {"spikes"}))
     neurons = sum(node.params["count"] for node in snn.neuron_nodes())
     rep = engine.estimate_energy(spikes, args.T * data.shape[0], neurons, snn.family)
     _write_csv(

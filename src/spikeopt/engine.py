@@ -24,6 +24,13 @@ to running it alone, one step at a time. K is `Plan.block_steps`.
 after each of its steps that it scores, plus the ANN reference to compare
 it with.
 
+A run computes, beyond the layers' spikes, only what its instance reads
+(`SnnInstance(snn, reads=)`, all of READS by default): the readout, the
+spike counts and the subgradient layers' decodes each run only where
+read, and what runs has the bits it has when everything does. `probe`
+reads the readout and the decodes; the CLI's `infer` reads only the
+readout and its `energy` only the spike counts.
+
 Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes; an item may have
 any shape that holds as many values as the network's input. Classification
@@ -46,6 +53,7 @@ from .graph.model import ShapeMismatchError, run_forward as ann_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
+from .neurons import READS as LAYER_READS
 from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
 from .schedules import (
     ScheduleError,
@@ -56,6 +64,7 @@ from .schedules import (
 
 __all__ = [
     "ann_forward",
+    "READS",
     "SnnInstance",
     "input_rows",
     "make_input_encoder",
@@ -69,6 +78,11 @@ __all__ = [
 ]
 
 
+# what a run can compute beyond the layers' spikes: the readout, each
+# layer's spike counts, and each layer's decode
+READS = frozenset({"readout"}) | LAYER_READS
+
+
 class SnnInstance:
     """Executable state for one converted network: a batch of items stepped in
     lockstep (one item until `reset` says otherwise). It solves and checks its
@@ -76,9 +90,21 @@ class SnnInstance:
     set, or one that fails the check, are a ConversionError naming all three
     and the file the network was loaded from.
     Its plan calibrates the network (`Plan.calibration`), and then each
-    layer takes its stand-in's place in `plan.layers`."""
+    layer takes its stand-in's place in `plan.layers`.
 
-    def __init__(self, snn: SnnGraph):
+    `reads`, a subset of READS (all of it by default), names what its runs
+    compute beyond the spikes: without "readout" the plan drops the readout
+    and the ops that only feed it (`Plan.drop_readout`) and `step` returns
+    None; without "spikes" the layers count no spikes and `spike_counts`
+    raises; without "decoded" subgradient layers keep no decode and
+    `layer_decoded` raises. Calibration steps the whole plan either way,
+    and what is computed has the bits of a run that computes everything."""
+
+    def __init__(self, snn: SnnGraph, reads=READS):
+        self.reads = reads = frozenset(reads)
+        if not reads <= READS:
+            raise ValueError(f"unknown reads {sorted(reads - READS)}; expected a subset of "
+                             f"{sorted(READS)}")
         self.snn = snn
         # one family per network: one coefficient set, checked once, whose
         # step rows serve every layer and, in the sign family, the readout's
@@ -97,13 +123,16 @@ class SnnInstance:
         self.plan = Plan(snn.graph)
         cal, (self.readout_w, self.readout_b) = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
+        layer_reads = reads & LAYER_READS
         for nid, (W, b) in cal.items():
             node = snn.graph.nodes[nid]
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n,
-                spike_fed=nid in self.plan.spike_fed,
-            ) if signgd else SubgradNeuron(c, n=n)
+                spike_fed=nid in self.plan.spike_fed, reads=layer_reads,
+            ) if signgd else SubgradNeuron(c, n=n, reads=layer_reads)
+        if "readout" not in reads:
+            self.plan.drop_readout()
         self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
                                 b=self.readout_b) if signgd else RateDecoder
         self.reset()
@@ -114,17 +143,20 @@ class SnnInstance:
         self.plan.reset(batch, steps)
         for layer in self.layers.values():
             layer.reset(batch)
-        self.plan.codecs.update(encoder=None, readout=self._readout((batch, self.readout_b.size)))
+        readout = self._readout((batch, self.readout_b.size)) if "readout" in self.reads else None
+        self.plan.codecs.update(encoder=None, readout=readout)
 
-    def step(self, steps: int, observer=None) -> np.ndarray:
+    def step(self, steps: int, observer=None) -> np.ndarray | None:
         """Propagate a block of `steps` steps from the encoder installed in
         `plan.codecs` and return the readout after each, (steps, B, n_out), as
-        a new array; `observer` sees the plan's ops (`Plan.step`)."""
+        a new array (None without "readout"); `observer` sees the plan's ops
+        (`Plan.step`)."""
         return self.plan.step(steps, observer)
 
     @property
     def spike_counts(self) -> dict[str, np.ndarray]:
         """Spikes each layer has fired since reset, per item: (B,) ints."""
+        self._check_reads("spikes")
         return {nid: layer.spike_count for nid, layer in self.layers.items()}
 
     @property
@@ -138,7 +170,13 @@ class SnnInstance:
 
     def layer_decoded(self) -> dict[str, np.ndarray]:
         """Each layer's decoded activations, per item: (B, n)."""
+        self._check_reads("decoded")
         return {nid: np.asarray(layer.decoded).copy() for nid, layer in self.layers.items()}
+
+    def _check_reads(self, what: str):
+        if what not in self.reads:
+            raise RuntimeError(f"this instance does not compute {what!r}: its reads are "
+                               f"{sorted(self.reads)}")
 
 
 def input_rows(graph, x, items: int | None = None) -> np.ndarray:
@@ -186,8 +224,9 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
     """Drive the items X[0..B-1] in lockstep for T steps, item i seeded
     seed + 1000 i. Returns the readout history, (T, B, n_out), and each
     item's total spikes, (B,) ints; both are what running each item alone
-    gives, bit for bit. `observer`, if given, sees the plan's ops in every
-    block (`Plan.step`)."""
+    gives, bit for bit, and each is None where `instance` does not compute
+    it (`SnnInstance(snn, reads=)`; a new instance computes both).
+    `observer`, if given, sees the plan's ops in every block (`Plan.step`)."""
     if T < 1:
         raise ValueError("T must be >= 1")
     inst = instance or SnnInstance(snn)
@@ -196,7 +235,10 @@ def run_batch(snn: SnnGraph, X, T: int, encoder: str = "float", stoch_c: float =
     inst.reset(B, K)
     inst.plan.codecs["encoder"] = make_input_encoder(snn, X, encoder, stoch_c,
                                                      [seed + 1000 * i for i in range(B)])
-    history = np.concatenate([inst.step(min(K, T - t), observer) for t in range(0, T, K)])
+    history = [inst.step(min(K, T - t), observer) for t in range(0, T, K)]
+    history = np.concatenate(history) if "readout" in inst.reads else None
+    if "spikes" not in inst.reads:
+        return history, None
     return history, sum(inst.spike_counts.values(), np.zeros(B, dtype=np.int64))
 
 
@@ -236,7 +278,7 @@ def probe(snn: SnnGraph, x, T: int, encoder: str = "float", stoch_c: float = 0.5
     steps = range(1, T + 1) if times is None else sorted({int(t) for t in times})
     if steps and not 1 <= steps[0] <= steps[-1] <= T:
         raise ValueError(f"probe times must lie in 1..{T}, got {steps[0]}..{steps[-1]}")
-    inst = SnnInstance(snn)
+    inst = SnnInstance(snn, reads={"readout", "decoded"})
     g = snn.graph
     acts = ann_forward(g, input_rows(g, x).reshape(g.nodes[g.input_id].params["shape"]))
     ref = {nid: acts[nid].reshape(-1) for nid in inst.layers}

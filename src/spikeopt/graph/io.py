@@ -20,6 +20,7 @@ Labels: magic `SLBL`, u32 sequence to end of file. All integers little-endian.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -58,7 +59,12 @@ class TruncatedBlobError(ModelFormatError):
 
 
 def _paths(path) -> tuple[Path, Path]:
+    """The manifest and blob paths of the model `path`; a path that names a
+    directory by its form (`.`, `/`, `..`), which has no name to give the
+    suffixes, is an IsADirectoryError naming it."""
     p = Path(path)
+    if p.name in ("", ".."):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if p.suffix == ".json":
         p = p.with_suffix("")
     return p.with_suffix(".json"), p.with_suffix(".bin")

@@ -510,10 +510,13 @@ def window_indices(shape, kernel, stride, padding=(0, 0)) -> tuple:
     ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
     rows = np.arange(kh)[:, None, None, None] + sh * np.arange(ho)[:, None] - ph
     cols = np.arange(kw)[:, None, None] + sw * np.arange(wo) - pw
-    inside = (0 <= rows) & (rows < h) & (0 <= cols) & (cols < w)
-    table = np.arange(c)[:, None, None, None, None] * (h * w) + np.where(
-        inside, rows * w + cols, 0)
-    return table, inside
+    flat = rows * w + cols
+    if ph or pw:
+        inside = (0 <= rows) & (rows < h) & (0 <= cols) & (cols < w)
+        flat = np.where(inside, flat, 0)
+    else:  # every element is inside
+        inside = np.ones(flat.shape, dtype=bool)
+    return np.arange(c)[:, None, None, None, None] * (h * w) + flat, inside
 
 
 def run_forward(g: Graph, x: np.ndarray) -> dict[str, np.ndarray]:

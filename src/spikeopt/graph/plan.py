@@ -12,6 +12,14 @@ its inputs' compiled values, to its own. Inputs resolve to integer slots,
 output shapes come from the one shape rule, `model.output_shape`, and each
 weight is converted to float64 once.
 
+A selection, a take of a slot's columns by a flat index table (a move's
+take, a neuron layer's operand table, a conv2d node's im2col patches),
+compiles to one of two copies with the same bits. A table with an affine
+form (`affine_form`: an offset, a shape and strides, found by a greedy
+search over the table, or for an unpadded conv2d built from its kernel,
+stride and input shape) is one np.copyto from a strided view of the
+source rows; any other table, and a padded conv2d's, is one np.take.
+
 A plan steps a block of K steps of B items: every slot holds (K B, width)
 rows, row k B + b being step k of item b. Each move, take, add, concat and
 conv2d op runs once per block; moves, takes, adds and concats row by row
@@ -40,7 +48,9 @@ A block's first op has the input's encoder fill slot 0 with its frames,
 and its last folds the output currents into the readout, so an observer
 sees the whole step. The encoder, the readout and each neuron layer compile
 as `Forced` stand-ins; `Plan.calibration`, the stimulate/depress step, is
-one plan step on them. A network then puts its own in their places.
+one plan step on them. A network then puts its own in their places, and a
+run that reads no readout drops it and the ops that only feed it
+(`Plan.drop_readout`).
 
 Dense and affine nodes have their own rule, `DenseRule`: x's rows,
 zero-padded to whole tiles of R = 16 rows, against the transposed weight
@@ -56,9 +66,10 @@ is computed in. One GEMM over a block of a weight below the bound, or of
 a narrower one once BLAS runs more than one thread, would change a row's
 bits with the block's row count. The product differs from the
 matrix-vector product of `node_forward`, the ANN reference, by ~1e-13.
-conv2d nodes have theirs, `ConvRule`: one take of a fixed im2col index table
-gathers each frame's patches, and one np.matmul makes one GEMM of the same
-shape per frame, so a frame's product does not depend on its block either.
+conv2d nodes have theirs, `ConvRule`: one selection of a fixed im2col
+index table gathers each frame's patches, and one np.matmul makes one GEMM
+of the same shape per frame, so a frame's product does not depend on its
+block either.
 It differs from the per-tap accumulation of `model.conv2d`, the ANN
 reference, by ~1e-14. Its patch stack is a slot of the plan, whose store
 later slots reuse once the product has read it.
@@ -82,8 +93,8 @@ import numpy as np
 
 from .model import Graph, GraphError, Node, node_forward, output_shape, window_indices
 
-__all__ = ["Plan", "DenseRule", "ConvRule", "STEPPABLE", "R", "GEMM_SMALL", "GEMM_WIDTH",
-           "BLOCK_BYTES", "block_steps"]
+__all__ = ["Plan", "DenseRule", "ConvRule", "affine_form", "STEPPABLE", "R", "GEMM_SMALL",
+           "GEMM_WIDTH", "BLOCK_BYTES", "block_steps"]
 
 # kinds that only move elements; the first three keep a frame's flat order
 _VIEWS = {"output", "reshape", "flatten"}
@@ -134,6 +145,56 @@ def block_steps(width: int, batch: int, T: int) -> int:
     if k >= whole:
         k -= k % whole
     return min(k, T)
+
+
+def affine_form(table) -> tuple | None:
+    """(offset, shape, strides) of the flat index `table` if it has an
+    affine form: entry i, at the C-order index (i_0, .., i_m) of `shape`,
+    is offset + i_0 strides_0 + .. + i_m strides_m (a stride may be 0 or
+    negative); None if it has none, or no entries. Level by level from the
+    innermost, a greedy pass takes the longest arithmetic run from the
+    start of the table of the level's first entries. That is complete for
+    affine tables: a run that outlasts a level's length d (stride s) has
+    next-level stride d s, so the two levels merge into one."""
+    t = np.asarray(table).reshape(-1)
+    n = t.size
+    if not n:
+        return None
+    shape, strides = [], []
+    while n > 2:
+        d = t[1:] - t[:-1]
+        off = d != d[0]
+        i = int(off.argmax())
+        run = i + 1 if off[i] else n
+        # rows of `run` entries stepping by d[0]: each step off d[0] ends a row
+        if n % run or np.count_nonzero(off) != np.count_nonzero(off[run - 1 :: run]):
+            return None
+        shape.insert(0, run)
+        strides.insert(0, int(d[0]))
+        t, n = t[::run], n // run
+    if n == 2:
+        shape.insert(0, 2)
+        strides.insert(0, int(t[1] - t[0]))
+    return int(t[0]), tuple(shape), tuple(strides)
+
+
+def _selection(table, form):
+    """select(x, out): columns `table` of the C-contiguous (N, width) rows x
+    into the (N, table.size) rows `out`. With the table's affine `form`,
+    one np.copyto from a strided view of x's rows; with None, one np.take."""
+    if form is None:
+        return lambda x, out: np.take(x, table, axis=1, out=out, mode="clip")
+    offset, shape, strides = form
+    offset, strides = 8 * offset, tuple(8 * s for s in strides)
+
+    def select(x, out):
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        n = len(x)
+        np.copyto(out.reshape(n, *shape),
+                  np.ndarray((n, *shape), np.float64, x, offset, (x.strides[0], *strides)))
+        return out
+
+    return select
 
 
 class DenseRule:
@@ -187,13 +248,14 @@ class DenseRule:
 class ConvRule:
     """The product of one conv2d node fed (C, H, W) frames: the (O, Ho, Wo)
     cross-correlation plus bias, for (N, C H W) rows x, as (N, O P) rows
-    with P = Ho Wo. One take of the flat (F, P) index `table`, F = C kh kw,
-    the windows of `model.window_indices`, gathers each frame's patches
-    into an (N, F, P) stack, the stride folded into the table and each
-    padding entry zeroed after the take through the `pad` mask (None
-    without padding). Then one np.matmul of the C-contiguous (O, F)
-    float64 weight against the stack makes one BLAS call of the same shape
-    per frame, and the bias, repeated over the P positions once, is added
+    with P = Ho Wo. One selection of the flat (F, P) index `table`, F = C
+    kh kw, the windows of `model.window_indices`, gathers each frame's
+    patches into an (N, F, P) stack, the stride folded into the table:
+    without padding a strided copy through the form its geometry gives,
+    with padding a take, each padding entry zeroed after it through the
+    `pad` mask (None without padding). Then one np.matmul of the
+    C-contiguous (O, F) float64 weight against the stack makes one BLAS
+    call of the same shape per frame, and the bias, repeated over the P positions once, is added
     in place (an (O, 1) bias broadcast over P made numpy allocate a buffer
     on every call): a frame's bits do not depend on its neighbours or on
     its position in the block."""
@@ -204,6 +266,12 @@ class ConvRule:
         self.shape = (o, *table.shape[3:])
         self.table = table.reshape(-1)
         self.pad = np.broadcast_to(~inside, table.shape).reshape(-1) if any(padding) else None
+        # without padding, window element (c, dy, dx) of window (y, x) is
+        # frame index c H W + (dy + sh y) W + dx + sw x
+        _, h, w_in = in_shape
+        form = None if any(padding) else (
+            0, table.shape, (h * w_in, w_in, 1, stride[0] * w_in, stride[1]))
+        self._select = _selection(self.table, form)
         self.w = np.ascontiguousarray(np.reshape(w, (o, -1)), dtype=np.float64)
         self.b = np.repeat(np.asarray(b, dtype=np.float64), math.prod(self.shape[1:]))
 
@@ -216,7 +284,9 @@ class ConvRule:
     def patches(self, x, out=None) -> np.ndarray:
         """The (N, F, P) patch stack of the (N, C H W) rows x, in `out`, an
         (N, F P) buffer, if given."""
-        out = np.take(x, self.table, axis=1, out=out, mode="clip")
+        if out is None:
+            out = np.empty((len(x), self.table.size))
+        self._select(x, out)
         if self.pad is not None:
             np.copyto(out, 0.0, where=self.pad)
         return out.reshape(len(x), self.w.shape[1], -1)
@@ -279,9 +349,11 @@ class Plan:
     holds 0/1 spike rows.
 
     `reset(batch, steps)` sizes the slot buffers for blocks of up to `steps`
-    steps of `batch` items, and `step(k)` runs a block of k of them. `ops`
-    holds one (node id, kind, op) per op, the input's encoder first and the
-    output's readout last; with an observer, `step` calls
+    steps of `batch` items, and `step(k)` runs a block of k of them and
+    returns the readout's result. `ops` holds one (node id, kind, op) per
+    op, the input's encoder first and the output's readout last, until
+    `drop_readout` leaves out the readout and what only feeds it (`step`
+    then returns None); with an observer, `step` calls
     `observer(node id, kind, k)` after step k of each neuron layer and
     `observer(node id, kind, None)` after every other op."""
 
@@ -356,7 +428,7 @@ class Plan:
         n, B = steps * self.batch, self.batch
         if not 0 < n <= self.rows:
             raise ValueError(f"{steps} steps are not 1 to the {self.rows // B} that reset sized")
-        s = [buf[:n] for buf in self._buffers]
+        s, out = [buf[:n] for buf in self._buffers], None
         if observer is None:
             for _, _, op in self.ops:
                 out = op(s, B, None)
@@ -366,6 +438,19 @@ class Plan:
                 if kind != "neuron":
                     observer(nid, kind, None)
         return out
+
+    def drop_readout(self):
+        """Run neither the readout nor the ops whose output only it reads,
+        from then on (a network's last linear nodes, the output's take); a
+        step then returns None. Every neuron layer's op stays, with every
+        op it reads from, and the stores stay as they are."""
+        kept, read = [], set()
+        for op, (reads, writes) in zip(self.ops[::-1], self._io[::-1]):
+            if op[1] == "neuron" or read.intersection(writes):
+                kept.append((op, (reads, writes)))
+                read.update(reads)
+        self.ops = [op for op, _ in kept[::-1]]
+        self._io = [io for _, io in kept[::-1]]
 
     def _share(self):
         """Give each slot a store: the store of a slot whose last reader has
@@ -395,10 +480,11 @@ class Plan:
     def _flat(self, v: _Value) -> int:
         """Slot holding v's frame, adding its selection op on first use."""
         if v.idx is not None:
-            src, idx, out = v.slot, v.idx, self._slot(v.idx.size)
+            src, out = v.slot, self._slot(v.idx.size)
+            select = _selection(v.idx, affine_form(v.idx))
 
             def take(s, B, observe):
-                np.take(s[src], idx, axis=1, out=s[out], mode="clip")
+                select(s[src], s[out])
 
             self._op(v.node, "take", take, [src], out)
             if src in self._spikes:
@@ -457,8 +543,9 @@ class Plan:
         nid, src, sel, layers = node.id, ins[0].slot, None, self.layers
         if len(ins) > 1 or ins[0].idx is not None or sizes[0] != n:
             # one take of the (arity, n) index table per block
-            sel = np.stack([np.broadcast_to(v.indices().reshape(-1), (n,)) for v in ins])
-            sel = sel.reshape(-1)
+            sel = np.concatenate([idx if idx.size == n else np.broadcast_to(idx, (n,))
+                                  for idx in (v.indices().reshape(-1) for v in ins)])
+            sel = _selection(sel, affine_form(sel))
         # the layer's scratch: its taken currents, then the state-free part
         # of its steps
         scratch = self._slot(len(ins) * n)
@@ -468,7 +555,7 @@ class Plan:
         def op(s, B, observe):
             I = s[src]
             if sel is not None:
-                I = np.take(I, sel, axis=1, out=s[scratch], mode="clip")
+                I = sel(I, s[scratch])
             layers[nid].step(I, steps=len(I) // B, out=s[out], scratch=s[scratch],
                              observer=None if observe is None else partial(observe, nid, "neuron"))
 

@@ -17,7 +17,11 @@ part of the dynamics that never reads the state once for the whole block
 and runs the rest step by step; a small sign layer also forms its firing
 rule's targets for all K steps at once (see SignGdNeuron). A one-step call
 is a block of one step, so there is one copy of the arithmetic, and a
-block gives every step the bits that stepping it alone gives.
+block gives every step the bits that stepping it alone gives. Each layer
+counts its spikes, and a subgradient layer keeps its decode y, only where
+its `reads` name them (all of READS by default); a network's instance
+leaves out what its command never reads, and reading what was left out
+raises.
 
 Sign-based dynamics (internal variables u and v, coefficients a1, a2, b1, b2
 with step sizes eta):
@@ -59,12 +63,16 @@ __all__ = [
     "SignGdNeuron",
     "MECHANISMS",
     "SMALL_OPERANDS",
+    "READS",
 ]
 
 _HALF_MAX = np.finfo(np.float64).max / 2  # the largest x whose 2 x is finite
 # operand values per step (batch x arity x n) up to which a sign layer forms
 # its firing targets once per block (see SignGdNeuron)
 SMALL_OPERANDS = 1024
+# what a layer computes beyond its spikes, each only where read: each
+# neuron's spike count since reset, and the subgradient layer's decode y
+READS = frozenset({"spikes", "decoded"})
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,19 @@ class _Layer:
     after step k: the state, t and `decoded` are then those after step k,
     while `spike_count` adds the block's spikes when the block ends.
 
+    `reads` (READS by default) names what the layer computes beyond its
+    spikes: without "spikes" a block skips the count of its spikes, and
+    `spike_count` raises; without "decoded" a subgradient layer skips its
+    decode y, and `decoded` raises (IF, LIF and sign layers form theirs
+    anyway). A network's instance leaves out what its command never reads.
+
     A class steps a block's rows I into its (K, B, n) spike rows `s_k` in
     `_block(I, s_k, scratch, observer)`, and holds `step` in its own
     namespace, so that wrapping one class's `step` (as `bench/tracing.py`
     does) wraps that class only.
     """
+
+    reads = READS
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -117,18 +133,26 @@ class _Layer:
         spikes = np.empty((K * B, self.n)) if out is None else out
         s_k = spikes.reshape(K, B, self.n)
         self._block(I, s_k, scratch, observer)
-        # each neuron's spikes since reset (float counts are exact to 2**53)
-        fired = self._fired.reshape(B, self.n)
-        np.add(fired, s_k.sum(0), fired)
+        if self._fired is not None:
+            # each neuron's spikes since reset (float counts are exact to 2**53)
+            fired = self._fired.reshape(B, self.n)
+            np.add(fired, s_k.sum(0), fired)
         return spikes if steps is not None else spikes.reshape(self.u.shape)
 
     def _one_step(self, I):
         """One step's currents as the rows of a block of one."""
         return I.reshape(self.u.shape)
 
+    def _counts(self, shape):
+        """The spike counts' buffer of a reset, or None without "spikes"."""
+        return np.zeros(shape) if "spikes" in self.reads else None
+
     @property
     def spike_count(self):
         """Spikes fired since reset: an int, or (batch,) ints."""
+        if self._fired is None:
+            raise RuntimeError("this layer does not count its spikes: its reads leave out "
+                               "'spikes'")
         return self._fired.sum(-1).astype(np.int64)
 
 
@@ -146,7 +170,7 @@ class IfNeuron(_Layer):
         shape = (self.n,) if batch is None else (batch, self.n)
         self.u = np.full(shape, float(self.p.u0))
         self.decoder = self._decoder(shape)
-        self._fired = np.zeros(shape)
+        self._fired = self._counts(shape)
         self.t = 0
 
     def _decoder(self, shape):
@@ -208,26 +232,27 @@ class SubgradNeuron(_Layer):
     the clipped-ReLU objective; `decoded` maintains that decode. A step reads
     its scalars as the coefficient set's row of its t (`coeffs.row(t)`).
     A block forms gamma(t) I(t) once; only the recurrence on u, the firing
-    comparison and the decode y run per step, in place, each expression in
-    its comment.
+    comparison and, where "decoded" is in `reads`, the decode y run per
+    step, in place, each expression in its comment.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1):
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, reads=READS):
         self.c = coeffs
         self.n = n
+        self.reads = frozenset(reads)
         self.reset()
 
     def reset(self, batch: int | None = None):
         shape = (self.n,) if batch is None else (batch, self.n)
         self.u, self.y = np.zeros(shape), np.zeros(shape)
         self._x = np.empty(shape)
-        self._fired = np.zeros(shape)
+        self._fired = self._counts(shape)
         self.t = 0
 
     def _block(self, I, s_k, scratch, observer):
         K, B = s_k.shape[:2]
         u, y, x = self.u.reshape(B, -1), self.y.reshape(B, -1), self._x.reshape(B, -1)
-        t0, row = self.t, self.c.row
+        t0, row, decodes = self.t, self.c.row, "decoded" in self.reads
         rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # gamma(t) I(t), the state-free part, for the whole block
         gI = np.multiply(I.reshape(K, B, -1), np.array([r[1] for r in rows])[:, None, None],
@@ -242,17 +267,20 @@ class SubgradNeuron(_Layer):
             # u <- u_pre - beta s
             np.multiply(s, beta, x)
             np.subtract(u, x, u)
-            # y <- (1 - eta) y + eta s; eta s is beta s when eta == beta
-            np.multiply(y, 1.0 - eta_t, y)
-            if eta_t != beta:
-                np.multiply(s, eta_t, x)
-            np.add(y, x, y)
+            if decodes:
+                # y <- (1 - eta) y + eta s; eta s is beta s when eta == beta
+                np.multiply(y, 1.0 - eta_t, y)
+                if eta_t != beta:
+                    np.multiply(s, eta_t, x)
+                np.add(y, x, y)
             self.t = t0 + k + 1
             if observer is not None:
                 observer(k)
 
     @property
     def decoded(self):
+        if "decoded" not in self.reads:
+            raise RuntimeError("this layer does not decode: its reads leave out 'decoded'")
         return self.y
 
 
@@ -486,7 +514,7 @@ class SignGdNeuron(_Layer):
     """
 
     def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b, n: int = 1,
-                 spike_fed: bool = False):
+                 spike_fed: bool = False, reads=READS):
         self.mech = mech
         self.c = coeffs
         self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
@@ -495,6 +523,7 @@ class SignGdNeuron(_Layer):
             raise ValueError("a spike-fed sign layer needs W = 1 and b = 0 exactly")
         self.spike_fed = spike_fed
         self.n = n
+        self.reads = frozenset(reads)
         self.reset()
 
     def reset(self, batch: int | None = None):
@@ -511,7 +540,7 @@ class SignGdNeuron(_Layer):
         self._v_ops, self._vs_ops = self._v.transpose(1, 0, 2), self._vs.transpose(1, 0, 2)
         self._us, self._pm = np.empty_like(self._u), np.empty_like(self._u)
         self._target, self._flags, self._tmp = self.mech.scratch(self._u.shape)
-        self._fired = np.zeros(self.u.shape)
+        self._fired = self._counts(self.u.shape)
         self.t = 0
         self.degeneracies = 0
 

@@ -24,7 +24,7 @@ coefficient set can be checked numerically.
 A coefficient set carries the schedule it was solved for, and memoizes the
 scalars of each step it is asked for (`row(t)`) in a plain dict of float
 tuples, which refers to nothing that refers back to the set; a sign step
-whose alpha2(t) or beta2(t-1) is 0 has no row (`signgd_step_factors`).
+that floats cannot take has no row (`signgd_step_factors`).
 Everything else here is pure, stateless evaluation: safe to share across
 threads.
 """
@@ -53,6 +53,10 @@ __all__ = [
     "signgd_step_factors",
     "subgrad_step_factors",
 ]
+
+
+# the largest scale whose reciprocal overflows
+_NO_RECIPROCAL = 2.0**-1024
 
 
 class ScheduleError(ValueError):
@@ -334,9 +338,19 @@ def _below_diagonal(n: int) -> np.ndarray:
 
 def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
     """Scalars of sign-dynamics step t as floats: (eta(t), alpha1(t-1),
-    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t)); a
-    ScheduleError where alpha2(t) or beta2(t-1) is 0 (under exp:0.5:0.5 from
-    t = 1074), a step whose u scale the decode after step t - 1 reads too."""
+    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t)).
+
+    A ScheduleError refuses a step that cannot be taken in floats, a step
+    whose u scale the decode after step t - 1 reads too:
+    - alpha2(t) or beta2(t-1) is 0 (under exp:0.5:0.5 from t = 1074);
+    - its u scale eta(t-1)/beta2(t-1) or v scale eta(t)/alpha2(t) is at
+      most 2**-1024 in magnitude, whose reciprocal overflows, so that u and
+      v, the decoded values over their scales, leave the float range even
+      for a decoded value of 1. The unit-current set of exp:a:g has scales
+      g**(t-2) and g**(t-1) while u and v grow by 1/g per step: under
+      exp:0.5:0.5 v reaches 1.1e308 at step 1024 on neuron-sweep's grid and
+      inf at step 1025, the first step refused (v scale 2**-1024). A
+      canonical set's scales are 1."""
     s = c.schedule
     eta, a2, b2_prev = float(s(t)), float(c.alpha2(t)), float(c.beta2(t - 1))
     for name, k, value in (("alpha2", t, a2), ("beta2", t - 1, b2_prev)):
@@ -344,8 +358,15 @@ def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
             raise ScheduleError(f"sign-dynamics step {t} under {s}: {name}({k}) is 0 (its step "
                                 f"size underflows to 0); the decode after step {t - 1} reads "
                                 f"this step's u scale too")
-    return (eta, float(c.alpha1(t - 1)), a2, float(s(t - 1)) / b2_prev, eta / a2,
-            float(c.beta1(t)), float(c.beta2(t)))
+    u_scale, v_scale = float(s(t - 1)) / b2_prev, eta / a2
+    if abs(u_scale) <= _NO_RECIPROCAL or abs(v_scale) <= _NO_RECIPROCAL:
+        name, value = ("u", u_scale) if abs(u_scale) <= _NO_RECIPROCAL else ("v", v_scale)
+        raise ScheduleError(f"sign-dynamics step {t} under {s}: its {name} scale {value:.3g} is "
+                            f"at most 2**-1024, so {name}, the decoded value over it, leaves the "
+                            f"float range (the decode after step {t - 1} reads this step's u "
+                            f"scale too)")
+    return (eta, float(c.alpha1(t - 1)), a2, u_scale, v_scale, float(c.beta1(t)),
+            float(c.beta2(t)))
 
 
 def subgrad_step_factors(c: SubgradCoefficients, t: int) -> tuple:

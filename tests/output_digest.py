@@ -22,8 +22,8 @@ under the float encoder at T = 64 (`inv:1` canonical only), whose blocks
 hold 192 and 128 rows on mlp-wide and 7 steps of 2 items on cnn-pool, where
 the max-pool stages form their firing targets step by step. Beside every
 `infer` entry it hashes the raw bytes of the readout history and spike
-counts of the same runs, stepped in process as `infer` steps them, so a
-change in a readout's last bits shows (the CSVs print 8 digits). It also
+counts of the same runs, stepped in process as `infer` and `energy` step
+them, so a change in a readout's last bits shows (the CSVs print 8 digits). It also
 hashes the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
 `--corrupt-*` controls; the stdout and CSV of
@@ -183,8 +183,12 @@ def digest(checkout: Path) -> dict:
 
 def batch_digest(data, T, encoder) -> str:
     """The digest of the raw bytes of the readout history and spike counts
-    of the `engine.run_batch` calls `infer` makes on snn.json over `data`:
-    its chunks, seeds, encoder and default --c; or of the error it raises."""
+    of the `engine.run_batch` calls `infer` and `energy` make on snn.json
+    over `data`: their chunks, seeds, encoder and default --c; or of the
+    error they raise. Where the checkout's `cli._run_items` takes what to
+    compute, the history comes from a run that computes only the readout,
+    as `infer`'s does, and the counts from one that counts only spikes, as
+    `energy`'s does; otherwise both come from one run."""
     import argparse
 
     import numpy as np
@@ -193,7 +197,14 @@ def batch_digest(data, T, encoder) -> str:
 
     args = argparse.Namespace(T=T, encoder=encoder, c=0.5, seed=0)
     try:
-        runs = list(cli._run_items(SnnGraph.load("snn.json"), cli._items("--data", data), args))
+        snn, items = SnnGraph.load("snn.json"), cli._items("--data", data)
+        try:  # calling a generator function only binds its arguments
+            split = (cli._run_items(snn, items, args, {"readout"}),
+                     cli._run_items(snn, items, args, {"spikes"}))
+        except TypeError:  # a `_run_items` of (snn, data, args) only
+            split = None
+        runs = (list(cli._run_items(snn, items, args)) if split is None
+                else [(h, n) for (h, _), (_, n) in zip(*split)])
     except Exception as exc:  # hashed as the outcome, as a command's error line is
         return sha(f"{type(exc).__name__}: {exc}".encode())
     history = np.stack([hist for hist, _ in runs])  # (items, T, n_out) float64

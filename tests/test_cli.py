@@ -9,7 +9,9 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from reference_oracle import reference_oracle_check, reference_setup
 from spikeopt import cli
 from spikeopt.cli import main
 from spikeopt.codec import make_rng
-from spikeopt.engine import ann_forward
+from spikeopt.engine import ann_forward, run_batch
 from spikeopt.graph import (
     Graph,
     Node,
@@ -1448,6 +1450,42 @@ def test_a_path_that_cannot_be_opened_exits_2_naming_it(report_files, tmp_path, 
     assert capsys.readouterr() == ("", f"spikeopt {command}: error: {why}: {path}\n")
 
 
+MODEL_FLAGS = [(command, flag) for command, flag, model in PATH_FLAGS if model]
+
+
+@pytest.mark.parametrize("command,flag", MODEL_FLAGS, ids=[f"{c}-{f}" for c, f in MODEL_FLAGS])
+@pytest.mark.parametrize("path", [".", "/", ".."])
+def test_a_model_path_with_no_file_name_exits_2_naming_it(report_files, tmp_path, capsys,
+                                                          command, flag, path):
+    """A model path that names a directory by its form, with no file name
+    to give the .json and .bin suffixes, ends every command that reads or
+    writes a model with one stderr line that names it, and exit status 2."""
+    capsys.readouterr()
+    assert main(path_argv(report_files, tmp_path, command, flag, path)) == 2
+    assert capsys.readouterr() == ("", f"spikeopt {command}: error: is a directory: {path}\n")
+
+
+@pytest.mark.parametrize("model,family", CONFIGS, ids=[f"{m}-{f}" for m, f in CONFIGS])
+def test_energy_counts_the_spikes_a_full_run_counts(tmp_path, capsys, model, family):
+    """`energy` computes only the spike counts, and they are the counts of a
+    run that computes everything, item for item, over 5 items in chunks of
+    2 (T = 11, not a multiple of the block)."""
+    g = MODELS[model]()
+    save_model(g, tmp_path / "ann")
+    assert main(["convert", str(tmp_path / "ann.json"), "--family", family,
+                 "--out", str(tmp_path / "snn")]) == 0
+    data = make_rng(8).normal(0, 1, (5, *g.nodes[g.input_id].params["shape"]))
+    save_tensor(data, tmp_path / "data.sten")
+    with mock.patch.object(cli, "CHUNK", 2):
+        assert main(["energy", str(tmp_path / "snn.json"), "--data", str(tmp_path / "data.sten"),
+                     "--T", "11", "--out", str(tmp_path / "e.csv")]) == 0
+    snn = SnnGraph.load(tmp_path / "snn.json")
+    data = data.astype(np.float32)
+    want = sum(int(run_batch(snn, data[k : k + 2], 11, seed=1000 * k)[1].sum())
+               for k in range(0, 5, 2))
+    assert int(read_csv(tmp_path / "e.csv")[1][1]) == want
+
+
 @pytest.fixture(scope="module")
 def underflow_files(tmp_path_factory):
     """The conftest mlp converted in both families under exp:0.5:0.5, whose
@@ -1505,6 +1543,38 @@ def test_a_sign_run_that_decodes_before_the_underflow_runs(underflow_files, caps
 def test_a_subgrad_run_past_an_underflowed_step_size_runs(underflow_files, command):
     """The subgradient family divides by no step size, so it runs on."""
     assert main(underflow_argv(underflow_files, command, 1200, "subgrad")) == 0
+
+
+def sweep_argv(tmp, steps):
+    return ["neuron-sweep", "--mech", "signgd:relu", "--schedule", "exp:0.5:0.5",
+            "--parameterization", "unit-current", "--points", "5", "--T", str(steps),
+            "--out", str(tmp / "sweep.csv")]
+
+
+def test_a_unit_current_sweep_whose_state_stays_in_range_runs_finite(tmp_path, capsys):
+    """Under exp:0.5:0.5 unit-current, u and v grow by 1/0.5 per step while
+    their scales fall: T = 1023 is the last sweep whose decodes read only
+    steps whose state stays within the float range. It runs to finite
+    errors, with no warning, and exit status 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(sweep_argv(tmp_path, 1023)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("mech=signgd:relu T=1023 max|err|=")
+    assert all(math.isfinite(float(r[2])) for r in read_csv(tmp_path / "sweep.csv")[1:])
+
+
+def test_a_unit_current_sweep_past_the_float_range_exits_2_naming_the_step(tmp_path, capsys):
+    """T = 1024 reads the decode after step 1024, whose u scale is step
+    1025's, where the v scale is 2**-1024, whose reciprocal overflows, and v
+    overflowed before (max|err| read inf by T = 1030 and nan by T = 1080):
+    one stderr line names the step, and the exit status is 2."""
+    capsys.readouterr()
+    assert main(sweep_argv(tmp_path, 1024)) == 2
+    assert capsys.readouterr() == (
+        "", "spikeopt neuron-sweep: error: sign-dynamics step 1025 under exp:0.5:0.5: its v "
+            "scale 5.56e-309 is at most 2**-1024, so v, the decoded value over it, leaves the "
+            "float range (the decode after step 1024 reads this step's u scale too)\n")
 
 
 def test_convert_truncates_the_model_files_it_writes_over(tmp_path):

@@ -14,6 +14,7 @@ in lockstep must give each item what running it alone gives, bit for bit.
 """
 
 import gc
+import itertools
 import math
 import weakref
 from functools import lru_cache
@@ -29,7 +30,8 @@ from conftest import (CONFIGS, MODELS, build_cnn, build_layernorm_block, build_m
 from reference_neuron import ReferenceSignGdNeuron, ReferenceSubgradNeuron
 from spikeopt.cli import _checkpoints
 from spikeopt.codec import ConstantEncoder, make_rng
-from spikeopt.engine import SnnInstance, ann_forward, make_input_encoder, probe, run, run_batch
+from spikeopt.engine import (READS, SnnInstance, ann_forward, make_input_encoder, probe, run,
+                             run_batch)
 from spikeopt.graph import Graph, Node, calibrate, convert, node_forward, run_forward
 from spikeopt.graph.model import conv2d, infer_shapes
 from spikeopt.graph import plan as plan_module
@@ -785,3 +787,247 @@ def test_an_encoder_fed_layer_is_not_spike_fed():
     got = inst.layers["act"].v[:, 0]  # (arity, n) of the one item
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
+# Selections: a strided copy where a table has an affine form, else a take
+# ---------------------------------------------------------------------------
+
+
+def expand(form):
+    """The flat table of an (offset, shape, strides) form."""
+    offset, shape, strides = form
+    table = np.full(shape, offset, dtype=np.int64)
+    for axis, (n, s) in enumerate(zip(shape, strides)):
+        table += (np.arange(n) * s).reshape((n,) + (1,) * (len(shape) - axis - 1))
+    return table.reshape(-1)
+
+
+def factorizations(n):
+    """Every ordered tuple of factors >= 2 whose product is n."""
+    if n == 1:
+        yield ()
+    for d in range(2, n + 1):
+        if n % d == 0:
+            for rest in factorizations(n // d):
+                yield (d, *rest)
+
+
+def has_affine_form(table):
+    """Whether some shape and strides give `table`, by trying every shape."""
+    t = np.asarray(table).reshape(-1)
+    for shape in factorizations(t.size):
+        inner = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+        strides = [int(t[i] - t[0]) if i < t.size else 0 for i in inner]
+        if np.array_equal(expand((int(t[0]), shape, strides)), t):
+            return True
+    return False
+
+
+affine_specs = st.lists(st.tuples(st.integers(1, 6), st.integers(-9, 9)), min_size=1,
+                        max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=affine_specs, offset=st.integers(-20, 20))
+def test_every_affine_table_round_trips(spec, offset):
+    """Every affine table, with strides of 0 and negative ones, has a form,
+    and the form gives the table back."""
+    shape, strides = zip(*spec)
+    table = expand((offset, shape, strides))
+    form = plan_module.affine_form(table)
+    assert form is not None
+    np.testing.assert_array_equal(expand(form), table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 48), kind=st.sampled_from(["permutation", "wrong"]))
+def test_a_table_has_a_form_only_if_some_shape_gives_it(data, n, kind):
+    """Permutations, and affine tables with one entry made wrong: the helper
+    finds a form exactly when trying every shape finds one, and then the
+    form is the table; a wrong entry inside a form with no level of 2 or
+    fewer entries leaves no form at all."""
+    if kind == "permutation":
+        table = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
+    else:
+        shape = data.draw(st.sampled_from(list(factorizations(n))))
+        strides = data.draw(st.lists(st.integers(-9, 9).filter(bool), min_size=len(shape),
+                                     max_size=len(shape)))
+        table = expand((data.draw(st.integers(0, 9)), shape, strides))
+        table[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(-5, 5).filter(bool))
+    form = plan_module.affine_form(table)
+    assert (form is not None) == has_affine_form(table)
+    if form is not None:
+        np.testing.assert_array_equal(expand(form), table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=affine_specs, rows=st.integers(1, 6), pad=st.integers(0, 5),
+       seed=st.integers(0, 2**16))
+def test_the_strided_copy_is_the_take(spec, rows, pad, seed):
+    """A selection through its affine form copies, from random rows, the
+    bits np.take gives, strides of 0 and negative ones included."""
+    shape, strides = zip(*spec)
+    table = expand((0, shape, strides))
+    table -= table.min()
+    width = int(table.max()) + 1 + pad
+    x = make_rng(seed).normal(0, 1, (rows, width))
+    select = plan_module._selection(table, plan_module.affine_form(table))
+    out = np.full((rows, table.size), np.nan)
+    np.testing.assert_array_equal(select(x, out), np.take(x, table, axis=1))
+
+
+def compiled_selections(graph):
+    """(table, form, select) of every selection the plan of `graph` compiles,
+    in plan order."""
+    made = []
+    real = plan_module._selection
+
+    def record(table, form):
+        select = real(table, form)
+        made.append((np.array(table), form, select))
+        return select
+
+    with mock.patch.object(plan_module, "_selection", record):
+        Plan(graph)
+    return made
+
+
+# the selections that keep np.take, per net: layernorm's misr operands (20
+# entries), bye_cnn's padded conv2d and its first stage's operands (16)
+TAKES = {"layernorm": [20], "bye_cnn": [144, 16]}
+
+
+@pytest.mark.parametrize("net", [*MODELS, "cnn-pool"])
+def test_every_selection_is_its_take(net):
+    """Each selection the plan compiles, a move's take, a neuron layer's
+    operand table and a conv2d node's patch table, copies what np.take of
+    its table gives on random rows; the tables without an affine form, and
+    a padded conv2d's, keep np.take. An unpadded conv2d's form comes from
+    its geometry; a padded one keeps its table and pad mask."""
+    g = MODELS[net]() if net in MODELS else BENCH_NETS[net]()
+    made = compiled_selections(convert(g, "signgd", parse_schedule("inv:1")).graph)
+    assert [table.size for table, form, _ in made if form is None] == TAKES.get(net, [])
+    rng = make_rng(5)
+    for table, form, select in made:
+        x = rng.normal(0, 1, (3, int(table.max()) + 1))
+        out = np.full((3, table.size), np.nan)
+        np.testing.assert_array_equal(select(x, out), np.take(x, table, axis=1))
+        if form is not None:
+            np.testing.assert_array_equal(expand(form), table)
+
+
+def test_the_bench_cnn_copies_every_selection():
+    """On the bench cnn the conv2d patches and both max-pool stages' operand
+    tables take strided copies, with the forms these shapes give."""
+    g = convert(BENCH_NETS["cnn-pool"](), "signgd", parse_schedule("inv:1")).graph
+    made = compiled_selections(g)
+    assert [form for _, form, _ in made] == [
+        (0, (1, 3, 3, 26, 26), (784, 28, 1, 28, 1)),
+        (0, (2, 104, 26), (26, 52, 1)),
+        (0, (2, 1352), (1, 2)),
+    ]
+
+
+def test_a_padded_conv_keeps_its_take():
+    """bye_cnn's padded, strided conv2d takes its table and zeroes the
+    padding through its mask: its patches are np.take of the table with
+    every padding entry 0."""
+    rule = ConvRule.of(MODELS["bye_cnn"]().nodes["conv"], (1, 7, 7))
+    assert rule.pad is not None and rule.pad.any()
+    x = make_rng(2).normal(0, 1, (4, 49))
+    want = np.where(rule.pad, 0.0, np.take(x, rule.table, axis=1))
+    np.testing.assert_array_equal(rule.patches(x).reshape(4, -1), want)
+
+
+# ---------------------------------------------------------------------------
+# What a run computes: each read on and off
+# ---------------------------------------------------------------------------
+
+
+READ_SETS = [frozenset(r) for k in range(4) for r in itertools.combinations(sorted(READS), k)]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[f"{m}-{f}" for m, f in CONFIGS])
+@pytest.mark.parametrize("encoder", ["float", "stoch"])
+def test_what_is_computed_does_not_depend_on_what_else_is(config, encoder):
+    """Every subset of READS gives the readouts, spike counts and decodes
+    that computing everything gives, bit for bit, in blocks of 4 steps over
+    T = 13; what it leaves out is None, or raises when read."""
+    snn = converted(*config, "inv:1", "canonical")
+    X, T = input_for(snn, 3, 3), 13
+    full = SnnInstance(snn)
+    budget = 4 * 8 * len(X) * full.plan.block_width
+    with mock.patch.object(plan_module, "BLOCK_BYTES", budget):
+        assert full.plan.block_steps(len(X), T) == 4
+        want_hist, want_spikes = run_batch(snn, X, T, encoder=encoder, seed=2, instance=full)
+        for reads in READ_SETS:
+            inst = SnnInstance(snn, reads=reads)
+            hist, spikes = run_batch(snn, X, T, encoder=encoder, seed=2, instance=inst)
+            if "readout" in reads:
+                np.testing.assert_array_equal(hist, want_hist)
+            else:
+                assert hist is None
+            if "spikes" in reads:
+                np.testing.assert_array_equal(spikes, want_spikes)
+                for nid, count in full.spike_counts.items():
+                    np.testing.assert_array_equal(inst.spike_counts[nid], count)
+            else:
+                assert spikes is None
+                with pytest.raises(RuntimeError, match="spikes"):
+                    inst.spike_counts
+            if "decoded" in reads:
+                for nid, dec in full.layer_decoded().items():
+                    np.testing.assert_array_equal(inst.layer_decoded()[nid], dec)
+            else:
+                with pytest.raises(RuntimeError, match="decoded"):
+                    inst.layer_decoded()
+
+
+@pytest.mark.parametrize("model,family", [("mlp", "subgrad"), ("add_concat", "subgrad")])
+def test_a_subgrad_layer_that_does_not_decode_keeps_no_y(model, family):
+    """Without "decoded" a subgradient layer leaves y as reset left it, and
+    reading its decode raises instead of giving that stale y."""
+    snn = converted(model, family, "inv:1", "canonical")
+    inst = SnnInstance(snn, reads={"readout", "spikes"})
+    run_batch(snn, input_for(snn, 1, 2), 9, instance=inst)
+    for layer in inst.layers.values():
+        assert not layer.y.any()
+        with pytest.raises(RuntimeError, match="decoded"):
+            layer.decoded
+
+
+@pytest.mark.parametrize("model", ["mlp", "cnn", "layernorm", "add_concat"])
+def test_without_the_readout_no_op_that_only_feeds_it_runs(model):
+    """Without "readout" the plan runs every neuron layer and what feeds
+    them, and neither the readout nor the linear ops only the readout reads
+    (the last dense of each net, and add_concat's concat before it)."""
+    snn = converted(model, "signgd", "inv:1", "canonical")
+    full = [(nid, kind) for nid, kind, _ in SnnInstance(snn).plan.ops]
+    kept = [(nid, kind) for nid, kind, _ in SnnInstance(snn, reads={"spikes"}).plan.ops]
+    g = snn.graph
+    last = {"mlp": ["fc1"], "cnn": ["fc"], "layernorm": ["fc1"], "add_concat": ["cat", "head"]}[model]
+    assert kept == [op for op in full if op[0] not in [*last, g.output_id]]
+
+
+def test_a_network_with_no_neuron_layer_runs_with_any_reads():
+    """in -> dense -> out converts to a network with no neuron layer: with
+    or without the readout it runs, with no spikes to count."""
+    rng = make_rng(4)
+    g = Graph([Node("in", "input", {"shape": [5]}), dense_node(rng, "fc", 5, 3),
+               Node("out", "output", {})], chain_edges(["in", "fc", "out"]))
+    snn = convert(g, "signgd", parse_schedule("inv:1"))
+    X = input_for(snn, 0, 2)
+    want, _ = run_batch(snn, X, 6)
+    for reads in READ_SETS:
+        inst = SnnInstance(snn, reads=reads)
+        hist, spikes = run_batch(snn, X, 6, instance=inst)
+        if "readout" in reads:
+            np.testing.assert_array_equal(hist, want)
+        if "spikes" in reads:
+            np.testing.assert_array_equal(spikes, [0, 0])
+
+
+def test_unknown_reads_are_a_value_error():
+    with pytest.raises(ValueError, match="unknown reads"):
+        SnnInstance(converted("mlp", "signgd", "inv:1", "canonical"), reads={"spike"})

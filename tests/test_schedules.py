@@ -249,14 +249,47 @@ def test_a_sign_step_with_a_zero_alpha2_or_previous_beta2_has_no_row(name, zero_
 
 
 def test_sets_that_divide_by_no_underflowed_step_size_run_past_it():
-    """The unit-current set's alpha2 = beta2 = eta(1) is never 0, and the
-    subgradient family divides by nothing: both have a row of step 1200
-    under exp:0.5:0.5, whose eta(1200) is 0."""
+    """The unit-current set's alpha2 = beta2 = eta(1) is never 0, so no step
+    is refused for it: under exp:0.5:0.5 the set has a row of step 1024,
+    whose eta is subnormal, and from step 1025 on it is refused for its
+    scales instead (its v scale is 0 at step 1200, whose eta(1200) is 0).
+    The subgradient family divides by nothing: it has a row of step 1200."""
     s = parse_schedule("exp:0.5:0.5")
     assert s(1200) == 0.0
-    row = solve_signgd_coefficients(s, "unit-current").row(1200)
-    assert row[2] == 0.25 and row[0] == 0.0
+    c = solve_signgd_coefficients(s, "unit-current")
+    row = c.row(1024)
+    assert row[2] == 0.25 and 0.0 < row[0] < 1e-300
+    for t in (1025, 1200):
+        with pytest.raises(ScheduleError, match=rf"step {t} under exp:0.5:0.5: its [uv] scale"):
+            c.row(t)
     assert solve_subgrad_coefficients(s).row(1200) == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_a_step_whose_scaled_state_leaves_the_float_range_has_no_row():
+    """The unit-current set of exp:a:g has u scale g**(t-2) and v scale
+    g**(t-1), and u and v grow by 1/g per step. A step whose u or v scale is
+    at most 2**-1024, whose reciprocal overflows, is refused, naming the
+    step and the scale:
+    under exp:0.5:0.5 step 1024 (scales 2**-1022 and 2**-1023) has a row and
+    step 1025 (v scale 2**-1024) has none. The bench's exp:1:0.999 reaches
+    that bound near step 709,430. Canonical scales are 1 at every step."""
+    c = solve_signgd_coefficients(parse_schedule("exp:0.5:0.5"), "unit-current")
+    assert c.row(1024)[3:5] == (2.0**-1022, 2.0**-1023)
+    with pytest.raises(ScheduleError) as exc:
+        c.row(1025)
+    assert str(exc.value) == (
+        "sign-dynamics step 1025 under exp:0.5:0.5: its v scale 5.56e-309 is at most "
+        "2**-1024, so v, the decoded value over it, leaves the float range (the decode after "
+        "step 1024 reads this step's u scale too)")
+    assert 1025 not in c._rows
+    bench = solve_signgd_coefficients(parse_schedule("exp:1:0.999"), "unit-current")
+    assert bench.row(709_000)[4] > 0.0
+    with pytest.raises(ScheduleError, match="step 710000 .* its [uv] scale"):
+        bench.row(710_000)
+    for text in ("inv:1", "exp:0.5:0.5", "exp:1:0.999", "const:5e152"):
+        canonical = solve_signgd_coefficients(parse_schedule(text))
+        for t in (1, 2, 1025, 1073):
+            assert canonical.row(t)[3:5] == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("t_max", [8, 16, 32])
