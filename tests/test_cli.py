@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -1706,6 +1707,42 @@ class TestParser:
                             lambda command=None: built.append(command) or build(command))
         assert main(["encode", "--x", "0.3", "--T", "4", "--out", str(tmp_path / "t.csv")]) == 0
         assert built == ["encode"]
+
+    @pytest.mark.parametrize("command", list(VALID_ARGS))
+    def test_main_builds_one_parser_and_reads_the_width_once(self, command, monkeypatch,
+                                                             tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)  # encode and neuron-sweep write their CSVs here
+        parsers, widths = [], []
+        init, size = argparse.ArgumentParser.__init__, shutil.get_terminal_size
+
+        def counted_init(self, *args, **kwargs):
+            parsers.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *a: widths.append(a) or size(*a))
+        main([command, *VALID_ARGS[command]])
+        assert parsers == [f"spikeopt {command}"]
+        assert len(widths) == 1
+
+    @pytest.mark.parametrize("command", list(VALID_ARGS))
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    def test_subcommand_help_matches_the_full_parser_at_any_width(self, command, columns,
+                                                                  monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = _exit(lambda a: cli.build_parser().parse_args(a), [command, "--help"], capsys)
+        assert _exit(main, [command, "--help"], capsys) == full
+
+    @pytest.mark.parametrize("value", ["1,x", ""])
+    def test_checkpoints_that_are_not_step_numbers(self, value, capsys):
+        argv = ["infer", *VALID_ARGS["infer"], "--checkpoints", value]
+        full = _exit(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert _exit(main, argv, capsys) == full
+        assert full[0] == 2
+        assert full[2].endswith(
+            "spikeopt infer: error: argument --checkpoints: expected comma-separated "
+            f"step numbers, got {value!r}\n")
 
     def test_module_entry_point_reads_sys_argv(self, tmp_path):
         src = str(Path(spikeopt.__file__).resolve().parent.parent)
