@@ -1,11 +1,18 @@
 """Time-stepped execution of converted networks.
 
-An SnnInstance compiles its network once into a step plan (`graph.plan`),
-whose one forced step on its stand-ins gives the calibration
-(`Plan.calibration`) before each neuron layer takes its place; so a
-re-loaded network runs as the in-memory one, and no stored `cal_*` record
-is read. One coefficient set, with its memo of each step's scalars,
-serves every neuron layer and the readout. It steps B items in lockstep,
+An SnnInstance compiles its network once into a step plan (`graph.plan`).
+In the sign family the plan's one forced step on its stand-ins gives the
+calibration (`Plan.calibration`) before each neuron layer takes its place;
+so a re-loaded network runs as the in-memory one, and no stored `cal_*`
+record is read. The subgradient family's layers and readout read no
+calibration, so its instance calibrates only when `readout_w` or
+`readout_b` is read. One coefficient set, with its memos of each t's
+coefficient values and each step's scalars, serves every neuron layer and
+the readout. A new instance is sized for one item, and a reset sizes it
+again only for another item count (another row count, for the plan's
+stores), clearing the buffers it holds otherwise: a command sizes each
+layer, and a subgradient network's plan stores, once when it builds its
+instance and once for its run. It steps B items in lockstep,
 K steps at a time, and the whole step is the plan's: its first op has the
 installed encoder fill the items' next K input frames, and its last op
 folds the K output currents into the installed readout, a codec decoder:
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,8 +96,18 @@ class SnnInstance:
     coefficient set once; a family, schedule and parameterization that give no
     set, or one that fails the check, are a ConversionError naming all three
     and the file the network was loaded from.
-    Its plan calibrates the network (`Plan.calibration`), and then each
-    layer takes its stand-in's place in `plan.layers`.
+    In the sign family its plan calibrates the network (`Plan.calibration`)
+    for the layers' and the readout's W and b; then each layer takes its
+    stand-in's place in `plan.layers`. A subgradient instance computes
+    `readout_w` and `readout_b`, which nothing it runs reads, when first
+    read, on a plan of its own.
+
+    A new instance is ready for one item, one step per block: its layers
+    are sized for one item, and its plan's stores for one row (a sign
+    instance's sized them for calibration's two rows first).
+    `reset(batch, steps)` sizes them again only for another item count, or
+    another row count batch steps, and otherwise clears the state in what
+    they hold.
 
     `reads`, a subset of READS (all of it by default), names what its runs
     compute beyond the spikes: without "readout" the plan drops the readout
@@ -118,24 +135,44 @@ class SnnInstance:
             where = f"{snn.path}: " if snn.path else ""
             raise ConversionError(f"{where}{snn.family} network under schedule {snn.schedule}, "
                                   f"parameterization {snn.parameterization!r}: {exc}") from None
-        # one plan: its forced step on stand-ins gives each layer's and the
-        # readout's W and b, and then each layer takes its stand-in's place
+        # one plan: in the sign family its forced step on stand-ins gives
+        # each layer's and the readout's W and b; then each layer takes its
+        # stand-in's place
         self.plan = Plan(snn.graph)
-        cal, (self.readout_w, self.readout_b) = self.plan.calibration()
+        if signgd:
+            cal, self._readout_cal = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
         layer_reads = reads & LAYER_READS
-        for nid, (W, b) in cal.items():
+        for nid in self.layers:
             node = snn.graph.nodes[nid]
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
-                parse_mechanism(node.params["mech"]), c, W=W, b=b, n=n,
+                parse_mechanism(node.params["mech"]), c, *cal[nid], n=n,
                 spike_fed=nid in self.plan.spike_fed, reads=layer_reads,
             ) if signgd else SubgradNeuron(c, n=n, reads=layer_reads)
         if "readout" not in reads:
             self.plan.drop_readout()
         self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
                                 b=self.readout_b) if signgd else RateDecoder
+        self._n_out = self.plan.widths[self.plan.out_slot]
         self.reset()
+
+    @cached_property
+    def _readout_cal(self) -> tuple:
+        """(W_out, b_out) of the calibration. A sign instance sets it from its
+        plan's when built; a subgradient instance, whose layers and readout
+        read no W or b, computes it when first read, on a plan of its own."""
+        return Plan(self.snn.graph).calibration()[1]
+
+    @property
+    def readout_w(self) -> np.ndarray:
+        """The calibrated W_out of the output node (`Plan.calibration`)."""
+        return self._readout_cal[0]
+
+    @property
+    def readout_b(self) -> np.ndarray:
+        """The calibrated b_out of the output node (`Plan.calibration`)."""
+        return self._readout_cal[1]
 
     def reset(self, batch: int = 1, steps: int = 1):
         """Clear the state for a batch of `batch` items, stepped up to `steps`
@@ -143,7 +180,7 @@ class SnnInstance:
         self.plan.reset(batch, steps)
         for layer in self.layers.values():
             layer.reset(batch)
-        readout = self._readout((batch, self.readout_b.size)) if "readout" in self.reads else None
+        readout = self._readout((batch, self._n_out)) if "readout" in self.reads else None
         self.plan.codecs.update(encoder=None, readout=readout)
 
     def step(self, steps: int, observer=None) -> np.ndarray | None:

@@ -83,6 +83,8 @@ class Node:
     id: str
     kind: str
     params: dict = field(default_factory=dict)
+    # param key -> (the param, its float64 widening), for `tensor`
+    _wide: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -92,8 +94,19 @@ class Node:
                 self.params[key] = np.asarray(self.params[key], dtype=np.float32)
 
     def tensor(self, key: str) -> np.ndarray:
-        """Parameter as float64 for arithmetic."""
-        return np.asarray(self.params[key], dtype=np.float64)
+        """Parameter as float64 for arithmetic: one read-only widening per
+        parameter, made on first use and again once the parameter is
+        reassigned (the transforms reassign parameters; nothing writes one
+        in place), so every reader of a node shares it."""
+        value = self.params[key]
+        held = self._wide.get(key)
+        if held is None or held[0] is not value:
+            wide = np.asarray(value, dtype=np.float64)
+            if wide is value:
+                wide = wide.view()
+            wide.flags.writeable = False
+            self._wide[key] = held = (value, wide)
+        return held[1]
 
 
 def _n_ports(node: Node, n_edges: int) -> int:

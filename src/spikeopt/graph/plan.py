@@ -10,7 +10,9 @@ The compiler is a visit of `Graph.walk`, the walk `run_forward`,
 `infer_shapes` and the conversion transforms make: it maps each node, given
 its inputs' compiled values, to its own. Inputs resolve to integer slots,
 output shapes come from the one shape rule, `model.output_shape`, and each
-weight is converted to float64 once.
+weight is converted to float64 once: a conv2d weight, and a dense one that
+needs no padding, is the node's own widening (`Node.tensor`), which the
+ANN reference reads too.
 
 A selection, a take of a slot's columns by a flat index table (a move's
 take, a neuron layer's operand table, a conv2d node's im2col patches),
@@ -48,9 +50,12 @@ A block's first op has the input's encoder fill slot 0 with its frames,
 and its last folds the output currents into the readout, so an observer
 sees the whole step. The encoder, the readout and each neuron layer compile
 as `Forced` stand-ins; `Plan.calibration`, the stimulate/depress step, is
-one plan step on them. A network then puts its own in their places, and a
-run that reads no readout drops it and the ops that only feed it
-(`Plan.drop_readout`).
+one plan step on them, of two rows. A network then puts its own in their
+places: a sign network after its calibration, whose W and b its layers
+and readout read, and a subgradient network at once, as its layers and
+readout read none (its instance calibrates a plan of its own only where
+`readout_w` or `readout_b` is read). A run that reads no readout drops it
+and the ops that only feed it (`Plan.drop_readout`).
 
 Dense and affine nodes have their own rule, `DenseRule`: x's rows,
 zero-padded to whole tiles of R = 16 rows, against the transposed weight
@@ -76,10 +81,11 @@ later slots reuse once the product has read it.
 
 The slot buffers of one plan share stores where slot lifetimes do not
 overlap, and K counts BLOCK_BYTES on these stores, each neuron layer's
-scratch slot and each conv2d node's patch stack included. A plan that is
-resized or gone leaves its stores to the next plan of the process: freed,
-they would let the allocator hand the heap's top back to the system, and
-the next network would fault its pages in again.
+scratch slot and each conv2d node's patch stack included. A plan keeps its
+stores while its row count, batch steps, stays the same; a plan sized for
+another row count, or gone, leaves its stores to the next plan of the
+process: freed, they would let the allocator hand the heap's top back to
+the system, and the next network would fault its pages in again.
 """
 
 from __future__ import annotations
@@ -201,19 +207,23 @@ class DenseRule:
     """The product of one dense or affine node: x W^T + b for (N, fan_in)
     rows x. x, zero-padded at the end to whole R-row tiles, goes through
     one np.matmul against `wt`, the float64 weight with its output rows
-    zero-padded to a multiple of 8, transposed once (a view of the padded
-    weight), and row j of the product, the bias added after, is row j of
-    x W^T + b. With `one_gemm`, set where one tile's R fan_in width is above
-    GEMM_SMALL and the padded width at least GEMM_WIDTH, np.matmul takes
-    all tiles as one GEMM, a stack of one; otherwise it makes one GEMM per
-    tile, a stack of tiles. Whole tiles are read in place; padded rows and
-    the product of a padded width go to buffers kept for the next call."""
+    zero-padded to a multiple of 8 (one of whole 8-row groups is used as it
+    is), transposed once (a view of the padded weight), and row j of the
+    product, the bias added after, is row j of x W^T + b. With `one_gemm`,
+    set where one tile's R fan_in width is above GEMM_SMALL and the padded
+    width at least GEMM_WIDTH, np.matmul takes all tiles as one GEMM, a
+    stack of one; otherwise it makes one GEMM per tile, a stack of tiles.
+    Whole tiles are read in place; padded rows and the product of a padded
+    width go to buffers kept for the next call."""
 
     def __init__(self, w, b):
         self.n_out, fan_in = np.shape(w)
-        padded = np.empty((-(-self.n_out // 8) * 8, fan_in))
-        padded[: self.n_out] = w  # float32 storage widens exactly
-        padded[self.n_out :] = 0.0
+        if self.n_out % 8:
+            padded = np.empty((-(-self.n_out // 8) * 8, fan_in))
+            padded[: self.n_out] = w  # float32 storage widens exactly
+            padded[self.n_out :] = 0.0
+        else:
+            padded = np.ascontiguousarray(w, dtype=np.float64)
         self.wt = padded.T
         self.b = np.asarray(b, dtype=np.float64)
         self.one_gemm = R * fan_in * len(padded) > GEMM_SMALL and len(padded) >= GEMM_WIDTH
@@ -221,7 +231,10 @@ class DenseRule:
 
     @classmethod
     def of(cls, node: Node) -> "DenseRule":
-        return cls(node.params["weight"], node.tensor("bias"))
+        """The rule of `node`: a weight that needs no padding is the node's
+        own widening (`Node.tensor`), which the ANN reference reads too."""
+        w = node.params["weight"]
+        return cls(w if len(w) % 8 else node.tensor("weight"), node.tensor("bias"))
 
     def __call__(self, x, out=None):
         """The (N, n_out) product of the (N, fan_in) rows x, into `out` if given."""
@@ -278,7 +291,7 @@ class ConvRule:
     @classmethod
     def of(cls, node: Node, in_shape) -> "ConvRule":
         p = node.params
-        return cls(p["weight"], node.tensor("bias"), in_shape, p.get("stride", (1, 1)),
+        return cls(node.tensor("weight"), node.tensor("bias"), in_shape, p.get("stride", (1, 1)),
                    p.get("padding", (0, 0)))
 
     def patches(self, x, out=None) -> np.ndarray:
@@ -413,16 +426,22 @@ class Plan:
 
     def reset(self, batch: int, steps: int = 1):
         """Size the slot buffers for blocks of up to `steps` steps of `batch`
-        items; the buffers of the last (batch, steps) are kept."""
+        items, batch steps rows; the stores of the last row count are kept
+        (`_size` takes new ones for another)."""
         rows = batch * steps
         if (batch, rows) != (self.batch, self.rows):
+            if rows != self.rows:
+                self._size(rows)
             self.batch, self.rows = batch, rows
-            if self._release is not None:
-                self._release()
-            store = [_take_store(rows * cap) for cap in self._caps]
-            self._release = weakref.finalize(self, _give_stores, store)
-            self._buffers = [store[b][: rows * w].reshape(rows, w)
+            self._buffers = [self._stores[b][: rows * w].reshape(rows, w)
                              for w, b in zip(self.widths, self._store_of)]
+
+    def _size(self, rows: int):
+        """Stores of `rows` rows, the last ones left to the pool."""
+        if self._release is not None:
+            self._release()
+        self._stores = [_take_store(rows * cap) for cap in self._caps]
+        self._release = weakref.finalize(self, _give_stores, self._stores)
 
     def step(self, steps: int, observer=None):
         n, B = steps * self.batch, self.batch

@@ -94,7 +94,11 @@ class IfLifParams:
 
 class _Layer:
     """n neurons of one class that share parameters and step in lockstep;
-    `reset(batch)` gives the state a leading axis of `batch` items.
+    `reset(batch)` gives the state a leading axis of `batch` items. A
+    subgradient or sign layer clears its state in the buffers it holds
+    where they hold as many items (one for None), and sizes new ones only
+    for another count, so a network sized for one item and then run on B
+    sizes its layers twice.
 
     `step(I)` takes one step's currents, shaped like u (the sign neuron's
     like v), and returns its spikes, shaped like u, as a new array.
@@ -146,6 +150,15 @@ class _Layer:
     def _counts(self, shape):
         """The spike counts' buffer of a reset, or None without "spikes"."""
         return np.zeros(shape) if "spikes" in self.reads else None
+
+    def _cleared_counts(self, batch):
+        """The counts held in `_count_rows`, (items, n), zeroed, shaped for
+        `batch` (one item without its axis for None); None without them."""
+        rows = self._count_rows
+        if rows is None:
+            return None
+        rows.fill(0.0)
+        return rows[0] if batch is None else rows
 
     @property
     def spike_count(self):
@@ -240,14 +253,22 @@ class SubgradNeuron(_Layer):
         self.c = coeffs
         self.n = n
         self.reads = frozenset(reads)
+        self._state = None
         self.reset()
 
     def reset(self, batch: int | None = None):
-        shape = (self.n,) if batch is None else (batch, self.n)
-        self.u, self.y = np.zeros(shape), np.zeros(shape)
-        self._x = np.empty(shape)
-        self._fired = self._counts(shape)
+        if self._state is None or self._state.shape[1] != (batch or 1):
+            self._size(batch or 1)
+        self._state.fill(0.0)
+        self.u, self.y, self._x = self._state if batch is not None else self._state[:, 0]
+        self._fired = self._cleared_counts(batch)
         self.t = 0
+
+    def _size(self, B: int):
+        """The buffers of B items: u, y and the scratch x, item by item, and
+        the spike counts."""
+        self._state = np.empty((3, B, self.n))
+        self._count_rows = self._counts((B, self.n))
 
     def _block(self, I, s_k, scratch, observer):
         K, B = s_k.shape[:2]
@@ -465,6 +486,12 @@ def parse_mechanism(text: str) -> FiringMechanism:
     return FiringMechanism(parts[0])
 
 
+def _per_operand(x, shape) -> np.ndarray:
+    """x as a new float64 array of `shape`, (arity, n), broadcast to it."""
+    x = np.asarray(x, dtype=np.float64)
+    return x.copy() if x.shape == shape else np.broadcast_to(x, shape).copy()
+
+
 class SignGdNeuron(_Layer):
     """Sign-based neuron layer: n neurons of one mechanism sharing a schedule.
 
@@ -517,32 +544,39 @@ class SignGdNeuron(_Layer):
                  spike_fed: bool = False, reads=READS):
         self.mech = mech
         self.c = coeffs
-        self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (mech.arity, n)).copy()
-        self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (mech.arity, n)).copy()
+        self.W, self.b = (_per_operand(x, (mech.arity, n)) for x in (W, b))
         if spike_fed and not ((self.W == 1.0).all() and (self.b == 0.0).all()):
             raise ValueError("a spike-fed sign layer needs W = 1 and b = 0 exactly")
         self.spike_fed = spike_fed
         self.n = n
         self.reads = frozenset(reads)
+        self._u = None
         self.reset()
 
     def reset(self, batch: int | None = None):
-        B, arity = batch or 1, self.mech.arity
-        # the state item by item: u (B, n), v (B, arity, n) like a block row
-        self._u = np.zeros((B, self.n))
-        scale = float(self.c.alpha2(0)) / float(self.c.schedule(0))
-        self._v = np.broadcast_to(scale * self.b, (B, arity, self.n)).copy()
+        if self._u is None or len(self._u) != (batch or 1):
+            self._size(batch or 1)
+        # u(0) = 0, and v(0) = alpha2(0)/eta(0) b, whose decode is b
+        eta0, _, a2_0, _, _ = self.c.at(0)
+        self._u.fill(0.0)
+        np.multiply(self.b, a2_0 / eta0, self._v)
         self.u = self._u[0] if batch is None else self._u
-        self.v = self._v[0] if batch is None else self._v.transpose(1, 0, 2)
-        # v and v_scale v with their operands first, as the rule reads them;
-        # u_scale u; +-b2; the firing rule's buffers
-        self._vs = np.empty_like(self._v)
+        self.v = self._v[0] if batch is None else self._v_ops
+        self._fired = self._cleared_counts(batch)
+        self.t = 0
+        self.degeneracies = 0
+
+    def _size(self, B: int):
+        """The buffers of B items: the state item by item, u (B, n) and v
+        (B, arity, n) like a block row; v and v_scale v with their operands
+        first, as the rule reads them; u_scale u; +-b2; the firing rule's
+        buffers; the spike counts."""
+        shape = (B, self.mech.arity, self.n)
+        self._u, self._v, self._vs = np.empty((B, self.n)), np.empty(shape), np.empty(shape)
         self._v_ops, self._vs_ops = self._v.transpose(1, 0, 2), self._vs.transpose(1, 0, 2)
         self._us, self._pm = np.empty_like(self._u), np.empty_like(self._u)
         self._target, self._flags, self._tmp = self.mech.scratch(self._u.shape)
-        self._fired = self._counts(self.u.shape)
-        self.t = 0
-        self.degeneracies = 0
+        self._count_rows = self._counts(self._u.shape)
 
     def _one_step(self, I):
         """One step's (arity, [B,] n) currents, item by item."""
@@ -663,5 +697,5 @@ class SignGdNeuron(_Layer):
     def decoded_input(self) -> np.ndarray:
         """Reconstruction of the decoded input activations, shaped like v:
         (arity, n), or (arity, batch, n)."""
-        scale = float(self.c.schedule(self.t)) / float(self.c.alpha2(self.t))
-        return scale * self.v
+        eta, _, a2, _, _ = self.c.at(self.t)
+        return eta / a2 * self.v

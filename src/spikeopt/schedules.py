@@ -21,9 +21,11 @@ Both constraint systems define families; we pin two named solutions
 ("canonical" and "unit-current") and expose replay validators so any custom
 coefficient set can be checked numerically.
 
-A coefficient set carries the schedule it was solved for, and memoizes the
-scalars of each step it is asked for (`row(t)`) in a plain dict of float
-tuples, which refers to nothing that refers back to the set; a sign step
+A coefficient set carries the schedule it was solved for, and memoizes, in
+plain dicts of float tuples that refer to nothing that refers back to the
+set, its coefficients' values at each t it is asked for (`at(t)`, the
+schedule evaluated once for every coefficient that is it) and the scalars
+of each step (`row(t)`, made from the values at t and t - 1); a sign step
 that floats cannot take has no row (`signgd_step_factors`).
 Everything else here is pure, stateless evaluation: safe to share across
 threads.
@@ -164,17 +166,24 @@ def parse_schedule(text: str) -> Schedule:
 
 @dataclass(frozen=True)
 class _StepRows:
-    """A coefficient set's memo: `row(t)` is its family's step factors of
-    step t (`_factors(t)`), evaluated on first use."""
+    """A coefficient set's memos: `at(t)` is the floats of its coefficients
+    at t (`_values_at(t)`), and `row(t)` its family's step factors of step
+    t (`_factors(t)`), each evaluated on first use."""
 
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def at(self, t: int) -> tuple:
+        values = self._values.get(t)
+        if values is None:
+            self._values[t] = values = self._values_at(t)
+        return values
 
     def row(self, t: int) -> tuple:
-        try:
-            return self._rows[t]
-        except KeyError:
+        row = self._rows.get(t)
+        if row is None:
             self._rows[t] = row = self._factors(t)
-            return row
+        return row
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,9 @@ class SignGdCoefficients(_StepRows):
     under `schedule`.
 
     Each coefficient is a callable of t (int or ndarray) returning positive
-    values. `row(t)` is the `signgd_step_factors` row of step t.
+    values. `at(t)` holds (eta(t), alpha1(t), alpha2(t), beta1(t),
+    beta2(t)), a coefficient that is the schedule read from its one
+    evaluation, and `row(t)` is the `signgd_step_factors` row of step t.
     """
 
     alpha1: Callable
@@ -191,6 +202,12 @@ class SignGdCoefficients(_StepRows):
     beta1: Callable
     beta2: Callable
     schedule: Schedule = field(repr=False)
+
+    def _values_at(self, t):
+        s = self.schedule
+        eta = float(s(t))
+        return (eta, float(self.alpha1(t)), eta if self.alpha2 is s else float(self.alpha2(t)),
+                float(self.beta1(t)), eta if self.beta2 is s else float(self.beta2(t)))
 
     def _factors(self, t):
         return signgd_step_factors(self, t)
@@ -241,12 +258,20 @@ def validate_signgd_coefficients(
 @dataclass(frozen=True)
 class SubgradCoefficients(_StepRows):
     """Coefficient set (alpha, beta, gamma) for subgradient-based dynamics
-    under `schedule`. `row(t)` is the `subgrad_step_factors` row of step t."""
+    under `schedule`. `at(t)` holds (alpha(t), gamma(t), beta(t), eta(t)),
+    a coefficient that is the schedule read from its one evaluation, and
+    `row(t)` is the `subgrad_step_factors` row of step t."""
 
     alpha: Callable
     beta: Callable
     gamma: Callable
     schedule: Schedule = field(repr=False)
+
+    def _values_at(self, t):
+        s = self.schedule
+        eta = float(s(t))
+        return (float(self.alpha(t)), eta if self.gamma is s else float(self.gamma(t)),
+                eta if self.beta is s else float(self.beta(t)), eta)
 
     def _factors(self, t):
         return subgrad_step_factors(self, t)
@@ -338,7 +363,8 @@ def _below_diagonal(n: int) -> np.ndarray:
 
 def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
     """Scalars of sign-dynamics step t as floats: (eta(t), alpha1(t-1),
-    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t)).
+    alpha2(t), eta(t-1)/beta2(t-1), eta(t)/alpha2(t), beta1(t), beta2(t)),
+    from the set's values at t and t - 1 (`at`).
 
     A ScheduleError refuses a step that cannot be taken in floats, a step
     whose u scale the decode after step t - 1 reads too:
@@ -351,26 +377,26 @@ def signgd_step_factors(c: SignGdCoefficients, t: int) -> tuple:
       exp:0.5:0.5 v reaches 1.1e308 at step 1024 on neuron-sweep's grid and
       inf at step 1025, the first step refused (v scale 2**-1024). A
       canonical set's scales are 1."""
-    s = c.schedule
-    eta, a2, b2_prev = float(s(t)), float(c.alpha2(t)), float(c.beta2(t - 1))
-    for name, k, value in (("alpha2", t, a2), ("beta2", t - 1, b2_prev)):
-        if value == 0.0:
-            raise ScheduleError(f"sign-dynamics step {t} under {s}: {name}({k}) is 0 (its step "
-                                f"size underflows to 0); the decode after step {t - 1} reads "
-                                f"this step's u scale too")
-    u_scale, v_scale = float(s(t - 1)) / b2_prev, eta / a2
+    eta, _, a2, b1, b2 = c.at(t)
+    eta_prev, a1_prev, _, _, b2_prev = c.at(t - 1)
+    if a2 == 0.0 or b2_prev == 0.0:
+        name, k = ("alpha2", t) if a2 == 0.0 else ("beta2", t - 1)
+        raise ScheduleError(f"sign-dynamics step {t} under {c.schedule}: {name}({k}) is 0 (its "
+                            f"step size underflows to 0); the decode after step {t - 1} reads "
+                            f"this step's u scale too")
+    u_scale, v_scale = eta_prev / b2_prev, eta / a2
     if abs(u_scale) <= _NO_RECIPROCAL or abs(v_scale) <= _NO_RECIPROCAL:
         name, value = ("u", u_scale) if abs(u_scale) <= _NO_RECIPROCAL else ("v", v_scale)
-        raise ScheduleError(f"sign-dynamics step {t} under {s}: its {name} scale {value:.3g} is "
-                            f"at most 2**-1024, so {name}, the decoded value over it, leaves the "
-                            f"float range (the decode after step {t - 1} reads this step's u "
-                            f"scale too)")
-    return (eta, float(c.alpha1(t - 1)), a2, u_scale, v_scale, float(c.beta1(t)),
-            float(c.beta2(t)))
+        raise ScheduleError(f"sign-dynamics step {t} under {c.schedule}: its {name} scale "
+                            f"{value:.3g} is at most 2**-1024, so {name}, the decoded value over "
+                            f"it, leaves the float range (the decode after step {t - 1} reads "
+                            f"this step's u scale too)")
+    return eta, a1_prev, a2, u_scale, v_scale, b1, b2
 
 
 def subgrad_step_factors(c: SubgradCoefficients, t: int) -> tuple:
-    """Scalars of subgradient step t: (alpha(t-1), gamma(t), beta(t), eta(t))."""
-    return (float(c.alpha(t - 1)), float(c.gamma(t)), float(c.beta(t)),
-            float(c.schedule(t)))
-
+    """Scalars of subgradient step t: (alpha(t-1), gamma(t), beta(t), eta(t)),
+    from the set's values at t - 1 and t (`at`)."""
+    alpha, _, _, _ = c.at(t - 1)
+    _, gamma, beta, eta = c.at(t)
+    return alpha, gamma, beta, eta

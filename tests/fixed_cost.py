@@ -1,6 +1,7 @@
 """Per-command fixed cost of the benchmark's CLI commands, in one process.
 
     python tests/fixed_cost.py CHECKOUT [--workload W] [--runs N]
+    python tests/fixed_cost.py A B [--workload W] [--runs N] [--passes P]
 
 Imports `spikeopt` from CHECKOUT's `src/` and the workloads from its
 `bench/workloads.py` (read only, as `tests/op_split.py` does), and writes
@@ -25,6 +26,12 @@ A phase's time is its own, less that of the phases it calls. The tool prints
 each phase's minimum over the N runs, and the minimum total: the phases'
 minimums need not sum to it. BLAS runs on one thread, as in the bench,
 unless the thread variables are set.
+
+The second form compares two checkouts over P passes (2 by default). A
+pass measures A and then B, or B and then A in every other pass, each as
+one process of the first form, so that a drift of the machine reaches both
+alike. It prints, per command, each phase's minimum over every run of every
+pass for A and for B, and B - A.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -45,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 T = 64
 SCHEDULE = "inv:1"
 PHASES = ("parse", "load", "instance", "encoder", "steps", "report", "other")
+COLUMNS = ("total", *PHASES)
 
 
 class Phases:
@@ -152,28 +162,78 @@ def commands(only: str | None, work: Path):
                 "--parameterization", param, "--steps", str(wl.oracle_steps), "--seed", str(k)]
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("checkout", type=Path)
-    p.add_argument("--workload", default=None)
-    p.add_argument("--runs", type=int, default=100)
-    args = p.parse_args(argv)
+def measure(checkout: Path, only: str | None, runs: int) -> list:
+    """(workload, net, command, {phase or "total": ms}) of each command, the
+    minimums over `runs` runs of `checkout`'s spikeopt, in this process."""
     for sub in ("bench", "src"):
-        sys.path.insert(0, str(args.checkout.resolve() / sub))
+        sys.path.insert(0, str(checkout.resolve() / sub))
     phases = Phases()
     run_main = instrument(phases)
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for wl, net, cmd in commands(only, Path(tmp)):
+            times = [phases.run(run_main, cmd) for _ in range(runs)]
+            best = {ph: min(r.get(ph, 0.0) for r in times) * 1e3 for ph in PHASES}
+            best["total"] = min(sum(r.values()) for r in times) * 1e3
+            rows.append((wl, net, cmd[0], best))
+    return rows
+
+
+
+def compare(a: Path, b: Path, args) -> None:
+    """Alternated passes of one process per checkout; the minimums per side."""
+    flags = ["--runs", str(args.runs), "--json"]
+    if args.workload:
+        flags += ["--workload", args.workload]
+    best: dict = {}
+    for i in range(args.passes):
+        for side in ("AB" if i % 2 == 0 else "BA"):
+            checkout = a if side == "A" else b
+            out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                                  str(checkout), *flags], capture_output=True, text=True)
+            if out.returncode:
+                raise SystemExit(f"pass {i + 1} in {checkout} exited {out.returncode}:\n"
+                                 f"{out.stderr}")
+            for wl, net, command, ms in json.loads(out.stdout):
+                mins = best.setdefault((wl, net, command), {}).setdefault(side, ms)
+                for ph in COLUMNS:
+                    mins[ph] = min(mins[ph], ms[ph])
+    print(f"A = {a.resolve()}, B = {b.resolve()}; min of {args.passes} alternated passes "
+          f"of {args.runs} runs, ms")
+    print(f"{'workload':<14} {'net':<28} {'command':<13} {'side':<4}"
+          + "".join(f" {ph:>8}" for ph in COLUMNS))
+    for (wl, net, command), sides in best.items():
+        delta = {ph: sides["B"][ph] - sides["A"][ph] for ph in COLUMNS}
+        for side, ms in (("A", sides["A"]), ("B", sides["B"]), ("B-A", delta)):
+            print(f"{wl:<14} {net:<28} {command:<13} {side:<4}"
+                  + "".join(f" {ms[ph]:8.3f}" for ph in COLUMNS))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT",
+                   help="one checkout, or two to compare (A, the baseline, then B)")
+    p.add_argument("--workload", default=None)
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--passes", type=int, default=2, help="alternated passes of two checkouts")
+    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if len(args.checkouts) > 2:
+        p.error("give one checkout, or two to compare")
+    if len(args.checkouts) == 2:
+        compare(*args.checkouts, args)
+        return 0
+    rows = measure(args.checkouts[0], args.workload, args.runs)
+    if args.json:
+        print(json.dumps(rows))
+        return 0
     from spikeopt import cli
 
     print(f"spikeopt from {Path(cli.__file__).parent}; min of {args.runs} runs, ms")
-    print(f"{'workload':<14} {'net':<28} {'command':<13} {'total':>8}"
-          + "".join(f" {ph:>8}" for ph in PHASES))
-    with tempfile.TemporaryDirectory() as tmp:
-        for wl, net, cmd in commands(args.workload, Path(tmp)):
-            runs = [phases.run(run_main, cmd) for _ in range(args.runs)]
-            best = {ph: min(r.get(ph, 0.0) for r in runs) * 1e3 for ph in PHASES}
-            total = min(sum(r.values()) for r in runs) * 1e3
-            print(f"{wl:<14} {net:<28} {cmd[0]:<13} {total:8.3f}"
-                  + "".join(f" {best[ph]:8.3f}" for ph in PHASES))
+    print(f"{'workload':<14} {'net':<28} {'command':<13}"
+          + "".join(f" {ph:>8}" for ph in COLUMNS))
+    for wl, net, command, ms in rows:
+        print(f"{wl:<14} {net:<28} {command:<13}" + "".join(f" {ms[ph]:8.3f}" for ph in COLUMNS))
     return 0
 
 

@@ -9,8 +9,8 @@ tests require it to reproduce this reference bit for bit.
 
 import numpy as np
 
+from reference_schedules import reference_signgd_step_factors
 from spikeopt.codec import EmaDecoder, RateDecoder, heaviside
-from spikeopt.schedules import signgd_step_factors
 
 
 def reference_spike(mech, u, v):
@@ -60,7 +60,7 @@ class ReferenceSignGdNeuron:
         self.degeneracies = 0  # misr evaluations with a scaled v2 <= 0
 
     def _factors(self):
-        return signgd_step_factors(self.c, self.t + 1)
+        return reference_signgd_step_factors(self.c, self.t + 1)
 
     def step(self, I):
         _, a1, a2, u_scale, v_scale, b1, b2 = self._factors()

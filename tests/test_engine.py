@@ -32,7 +32,7 @@ from spikeopt.graph import (
     convert,
 )
 from spikeopt.graph.plan import Plan
-from spikeopt.neurons import FiringMechanism, SignGdNeuron
+from spikeopt.neurons import FiringMechanism, SignGdNeuron, SubgradNeuron
 from spikeopt.schedules import Schedule, parse_schedule, solve_signgd_coefficients
 
 
@@ -92,6 +92,53 @@ class TestInstance:
         inst = SnnInstance(snn_of(build_mlp(seed=2, dims=(4, 4, 2))))
         assert compiled == [inst.plan]
         assert all(isinstance(layer, SignGdNeuron) for layer in inst.plan.layers.values())
+
+    @pytest.mark.parametrize("model,family", CONFIGS)
+    def test_only_a_read_calibration_runs(self, model, family, monkeypatch):
+        """A sign instance calibrates its plan once, when built, for its
+        layers' and readout's W and b. A subgradient instance, whose layers
+        and readout read none, calibrates only when `readout_w` or
+        `readout_b` is read, once, on a plan of its own, and gets the W_out
+        and b_out that `calibrate` writes, bit for bit."""
+        snn = snn_of(MODELS[model](), family)
+        calibrated = []
+        calibration = Plan.calibration
+        monkeypatch.setattr(Plan, "calibration",
+                            lambda plan: calibrated.append(plan) or calibration(plan))
+        inst = SnnInstance(snn)
+        shape = snn.graph.nodes[snn.graph.input_id].params["shape"]
+        run_batch(snn, make_rng(3).normal(0, 1, (2, *shape)), 8, instance=inst)
+        assert calibrated == ([inst.plan] if family == "signgd" else [])
+        out = snn.graph.nodes[snn.graph.output_id]
+        for _ in range(2):
+            np.testing.assert_array_equal(inst.readout_w, out.params["cal_w"])
+            np.testing.assert_array_equal(inst.readout_b, out.params["cal_b"])
+        assert len(calibrated) == 1 and (family == "signgd") == (calibrated[0] is inst.plan)
+
+    @pytest.mark.parametrize("model,family", CONFIGS)
+    def test_a_run_sizes_each_layer_and_the_plan_once_more(self, model, family, monkeypatch):
+        """`SnnInstance()` and one `run_batch` of B = 3 items in blocks of K
+        steps size each layer twice, for the one item a new instance is
+        ready for and for the run's B (a reset to as many items clears what
+        a layer holds), and the plan's stores for the one row of a new
+        instance and the run's B K rows, after the two rows of calibration
+        in the sign family alone."""
+        snn = snn_of(MODELS[model](), family)
+        sized = []
+        for owner in (SignGdNeuron, SubgradNeuron, Plan):
+            size = owner._size
+            monkeypatch.setattr(owner, "_size",
+                                lambda obj, n, size=size: sized.append((obj, n)) or size(obj, n))
+        inst = SnnInstance(snn)
+        shape = snn.graph.nodes[snn.graph.input_id].params["shape"]
+        T = 8
+        run_batch(snn, make_rng(3).normal(0, 1, (3, *shape)), T, instance=inst)
+        rows = 3 * inst.plan.block_steps(3, T)
+        plan = [n for obj, n in sized if obj is inst.plan]
+        assert plan == ([2] if family == "signgd" else []) + [1, rows]
+        for layer in inst.layers.values():
+            assert [n for obj, n in sized if obj is layer] == [1, 3]
+        assert len(sized) == len(plan) + 2 * len(inst.layers)
 
     def test_reset_drops_the_encoder(self, rng):
         """`reset` leaves no encoder installed, neither the last batch's nor

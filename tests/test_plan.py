@@ -421,6 +421,26 @@ def test_dense_row_is_the_row_alone(fan_in, n_out, rows, spikes):
     np.testing.assert_array_equal(rule(x, out), block)
 
 
+def test_a_weight_is_widened_once_per_graph():
+    """`Node.tensor` keeps one read-only float64 widening per parameter:
+    the weight of a dense rule of whole 8-row groups and of a conv2d rule,
+    and what the ANN reference reads, while a dense weight that needs
+    padding keeps its padded copy alone. Reassigning the parameter, as the
+    transforms do, makes a new widening."""
+    nodes = build_mlp(seed=2, dims=(4, 16, 3)).nodes
+    fc0, fc1 = nodes["fc0"], nodes["fc1"]
+    w = fc0.tensor("weight")
+    assert w is fc0.tensor("weight") and not w.flags.writeable
+    assert w.dtype == np.float64 and (w == fc0.params["weight"]).all()
+    assert DenseRule.of(fc0).wt.base is w
+    assert DenseRule.of(fc1).wt.base is not fc1.tensor("weight")
+    conv = build_cnn(seed=6).nodes["conv"]
+    assert ConvRule.of(conv, (1, 8, 8)).w.base is conv.tensor("weight")
+    fc0.params["weight"] = (w * 2).astype(np.float32)
+    assert fc0.tensor("weight") is not w
+    np.testing.assert_array_equal(fc0.tensor("weight"), 2 * w)
+
+
 @pytest.mark.parametrize("fan_in,n_out", BENCH_DENSE + WIDE)
 @pytest.mark.parametrize("rows", [1, 37, 192])
 def test_dense_rule_makes_one_gemm_above_the_small_matrix_bound(fan_in, n_out, rows):

@@ -7,14 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_schedules import reference_validate_subgrad_coefficients
+from reference_schedules import (
+    reference_signgd_step_factors,
+    reference_subgrad_step_factors,
+    reference_validate_subgrad_coefficients,
+)
+from spikeopt.cli import _scaled
 from spikeopt.codec import SignedDecoder
 from spikeopt.schedules import (
     Schedule,
     ScheduleError,
     parse_schedule,
+    signgd_step_factors,
     solve_signgd_coefficients,
     solve_subgrad_coefficients,
+    subgrad_step_factors,
     validate_signgd_coefficients,
     validate_subgrad_coefficients,
 )
@@ -321,3 +328,71 @@ class TestReachableRange:
         assert abs(dec.y) <= s.cumulative(T) + 1e-12
         # the all-constant trains actually attain the range
         assert abs(dec.y) == pytest.approx(s.cumulative(T))
+
+
+def _made(make, c, t):
+    """make(c, t) as the hex text of each scalar, or the text of the
+    ScheduleError it raises."""
+    try:
+        return tuple(float.hex(x) for x in make(c, t))
+    except ScheduleError as exc:
+        return f"refused: {exc}"
+
+
+def _zeroed(c, name, at):
+    """`c` with its coefficient `name` 0 at t = `at`."""
+    base = getattr(c, name)
+    return dataclasses.replace(c, **{name: lambda t: 0.0 if t == at else base(t)})
+
+
+any_schedules = st.one_of(st.builds(Schedule.inverse, POSITIVE),
+                          st.builds(Schedule.exponential, POSITIVE, DECAY),
+                          st.builds(Schedule.constant, POSITIVE))
+FACTORS = st.sampled_from([1.0, 1.01, 0.5, 1 + 1e-9, 0.0, 3e300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=any_schedules, unit_current=st.booleans(), factor=FACTORS,
+       zero=st.one_of(st.none(), st.tuples(st.sampled_from(["alpha2", "beta2"]),
+                                           st.integers(0, 300))),
+       descending=st.booleans())
+def test_sign_rows_are_the_reference_rows(s, unit_current, factor, zero, descending):
+    """Every sign row, made from the set's one evaluation of each
+    coefficient per t, is the row of the maker that evaluates each
+    coefficient where it reads it, bit for bit, and a refused step is
+    refused with the same message: canonical and unit-current sets, beta1
+    scaled as --corrupt-beta1 scales it, alpha2 or beta2 made 0 at one t,
+    rows asked for in either order."""
+    c = solve_signgd_coefficients(s, "unit-current" if unit_current and s.kind == "exponential"
+                                  else "canonical")
+    c = _scaled(c, "beta1", factor)
+    if zero is not None:
+        c = _zeroed(c, *zero)
+    steps = range(300, 0, -1) if descending else range(1, 301)
+    with np.errstate(all="ignore"):
+        for t in steps:
+            assert _made(signgd_step_factors, c, t) == _made(reference_signgd_step_factors, c, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=subgrad_schedules, factor=FACTORS, descending=st.booleans())
+def test_subgrad_rows_are_the_reference_rows(s, factor, descending):
+    """Every subgradient row is the reference maker's, bit for bit, on
+    solved sets and on sets with alpha scaled as --corrupt-alpha scales it."""
+    c = _scaled(solve_subgrad_coefficients(s), "alpha", factor)
+    with np.errstate(all="ignore"):
+        for t in (range(300, 0, -1) if descending else range(1, 301)):
+            assert _made(subgrad_step_factors, c, t) == _made(reference_subgrad_step_factors, c, t)
+
+
+@pytest.mark.parametrize("parameterization,refused", [("canonical", 1074),
+                                                      ("unit-current", 1025)])
+def test_the_first_refused_sign_step_is_the_references(parameterization, refused):
+    """Under exp:0.5:0.5 the canonical set is first refused at step 1074
+    (alpha2 underflows to 0) and the unit-current set at step 1025 (its v
+    scale): both makers agree on every step around it, rows and messages."""
+    c = solve_signgd_coefficients(parse_schedule("exp:0.5:0.5"), parameterization)
+    made = [_made(signgd_step_factors, c, t) for t in range(refused - 3, refused + 3)]
+    assert made == [_made(reference_signgd_step_factors, c, t)
+                    for t in range(refused - 3, refused + 3)]
+    assert [isinstance(m, str) for m in made] == [False] * 3 + [True] * 3
