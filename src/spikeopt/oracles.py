@@ -13,6 +13,15 @@ plus the output transforms that map decoded neuron output into the oracle's
 coordinate, and the convergence bound with its nondifferentiability and input
 error terms.
 
+Each trace oracle replays a whole trace through `run(I)`, which returns the
+spikes and the iterate f after every step. The IF, LIF and subgradient
+oracles step their one-step numpy form once per row. The sign-gradient
+oracle forms what does not depend on its iterate once per block: the decoded
+inputs x(t) as one left fold and every target f(x(t)) in one call. It steps
+only the iterate, neuron by neuron, on Python floats, whose -, * and >= are
+the IEEE double operations numpy applies, so its bits are those of a
+step-by-step replay; its `step` is a run of one step.
+
 Sign conventions mirror the neurons: H(0) = 1, hence sign(0) = +1.
 """
 
@@ -292,7 +301,20 @@ class BoundChecker:
 # ---------------------------------------------------------------------------
 
 
-class IfRateOracle:
+class _SteppedOracle:
+    """An oracle whose trace form steps its one-step form once per row."""
+
+    def run(self, I):
+        """Consume a trace whose K rows are the currents `step` takes;
+        return the spikes and the iterate f after each step, both (K, n)."""
+        spikes, f = np.empty((len(I), self.n)), np.empty((len(I), self.n))
+        for k, row in enumerate(I):
+            spikes[k] = self.step(row)
+            f[k] = self.f
+        return spikes, f
+
+
+class IfRateOracle(_SteppedOracle):
     """Subgradient iterate equivalent to a rate-coded IF neuron.
 
     State is kept in exact summed form: the iterate is
@@ -330,7 +352,7 @@ class IfRateOracle:
         return self.cur_sum / max(self.t, 1)
 
 
-class LifEmaOracle:
+class LifEmaOracle(_SteppedOracle):
     """Constant-step subgradient iterate equivalent to an EMA-coded LIF neuron."""
 
     def __init__(self, theta: float = 1.0, R: float = 1.0, tau: float = 10.0,
@@ -356,7 +378,7 @@ class LifEmaOracle:
         return s
 
 
-class SubgradOracle:
+class SubgradOracle(_SteppedOracle):
     """Schedule-coded subgradient iterate equivalent to the generalized
     subgradient-based neuron (clipped-ReLU objective, any schedule with
     eta(t) < 1).
@@ -392,35 +414,98 @@ class SignGdOracle:
 
     Decodes the raw influx currents with the signed-schedule recurrence
     (x(t) = x(t-1) - eta(t) (2 (I - b) - W), x(0) = b) and applies
-    f(t) = f(t-1) - eta(t) sign(grad L(f(t-1); x(t))).
+    f(t) = f(t-1) - eta(t) sign(grad L(f(t-1); x(t))), the gradient being
+    g = f - target(x) of |f - target(x)|^2 / 2 and sign(g) = 2 H(g) - 1
+    with sign(0) = +1. misr's sign falls back to that of f where its target
+    is undefined (x2 <= 0), as `gradient_sign`'s does.
+
+    `run` replays a whole trace in one call. Only f depends on the iterate
+    before it; x(t) and target(x(t)) do not, so the block forms them once:
+    x(t) as one left fold (`np.subtract.accumulate`) from x(t0) over the rows
+    eta(t) (2 (I - b) - W), each row's operations in a step's order, and
+    every target in one call (misr's quotient and its x2 > 0 mask
+    included). It then steps f neuron by neuron on Python floats: their -,
+    * and >= are the IEEE double operations numpy applies elementwise, and
+    `fj - y >= 0.0` gives H(0) = 1 and H(NaN) = 0 as `heaviside` does, so
+    each spike, f and x keeps the bits of a step-by-step replay. eta(t) is
+    evaluated one int t at a time, as a step does: on exp schedules the
+    schedule's array path differs in the last bit. `step` is a run of one
+    step. The oracle reads no coefficient row and takes none of the
+    neuron's form.
     """
 
     def __init__(self, obj: SqErrObjective, schedule: Schedule, W, b, n: int = 1):
         arity = MECHANISMS[obj.kind][0]
         self.obj = obj
         self.schedule = schedule
-        self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (arity, n)).copy()
-        self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (arity, n)).copy()
+        # (1, arity, n): a block's rows broadcast against them, a step's match them
+        self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (1, arity, n)).copy()
+        self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (1, arity, n)).copy()
         self.arity = arity
         self.n = n
-        self.f = np.zeros(n)
-        self.x_tilde = self.b.copy()
+        self._f = [0.0] * n  # the iterate, as the Python floats it is stepped on
+        self._x = self.b.copy()  # x(t), (1, arity, n)
         self.t = 0
 
-    def step(self, I) -> np.ndarray:
-        """Consume raw currents of shape (arity, n); return the spike vector."""
-        self.t += 1
-        eta_t = float(self.schedule(self.t))
-        I = np.asarray(I, dtype=np.float64).reshape(self.arity, self.n)
-        self.x_tilde = self.x_tilde - eta_t * (2.0 * (I - self.b) - self.W)
-        x = self.x_tilde if self.arity == 2 else self.x_tilde[0]
-        # s = H(g), g = f - target(x), the gradient of |f - target(x)|^2 / 2;
-        # f <- f - eta (2 s - 1), as sign(g) = 2 H(g) - 1 with sign(0) = +1.
-        # misr takes its sign from gradient_sign, which falls back to sign(f)
-        # where the target is undefined.
+    @property
+    def f(self):
+        """Current iterate f(t)."""
+        return np.array(self._f)
+
+    @property
+    def x_tilde(self):
+        """Current decoded input x(t), (arity, n)."""
+        return self._x[0]
+
+    def _targets(self, x):
+        """target(x(t)) of a (K, arity, n) block of decoded inputs, as
+        (K, n); misr's is 0 where x2 <= 0 or NaN, so that H(f - 0) = H(f)
+        there."""
         if self.obj.kind == "misr":
-            s = heaviside(gradient_sign(self.f, x, self.obj))
-        else:
-            s = heaviside(self.f - self.obj.target(x))
-        self.f = self.f - eta_t * (2.0 * s - 1.0)
-        return s
+            ok = x[:, 1] > 0
+            return np.where(ok, x[:, 0] / np.sqrt(np.where(ok, x[:, 1], 1.0)), 0.0)
+        return self.obj.target(x.swapaxes(0, 1) if self.arity == 2 else x[:, 0])
+
+    def _advance(self, I):
+        """Consume a (K, arity, n) trace of raw currents. Return the spikes
+        and the iterates f after each step as flat lists, neuron by neuron
+        (a neuron's K steps in turn), and K."""
+        I = np.asarray(I, dtype=np.float64).reshape(-1, self.arity, self.n)
+        t0, K = self.t, len(I)
+        etas = [float(self.schedule(t)) for t in range(t0 + 1, t0 + K + 1)]
+        # x(t) = x(t-1) - eta(t) (2 (I - b) - W): the rows eta(t) (2 (I - b) - W),
+        # then their left fold from x(t0). A step, the block of one row, scales
+        # by a float, which costs less than a broadcast, and folds by the
+        # subtraction alone, as numpy's in-place operations cost twice the
+        # others on one-element arrays
+        x = (etas[0] if K == 1 else np.array(etas).reshape(K, 1, 1)) * (
+            2.0 * (I - self.b) - self.W)
+        if K == 1:
+            x = self._x - x
+        elif K:
+            x[0] = self._x[0] - x[0]
+            np.subtract.accumulate(x, axis=0, out=x)
+        spikes, f = [], []
+        for fj, targets in zip(self._f, self._targets(x).T.tolist()):
+            for eta_t, y in zip(etas, targets):
+                s = 1.0 if fj - y >= 0.0 else 0.0  # H(g), g = f - target: H(0) = 1, H(NaN) = 0
+                fj = fj - eta_t * (2.0 * s - 1.0)
+                spikes.append(s)
+                f.append(fj)
+        self.t = t0 + K
+        if K:
+            self._x = x[-1:]
+            self._f = f[K - 1::K]
+        return spikes, f, K
+
+    def run(self, I):
+        """Consume a (K, arity, n) trace of raw currents; return the spikes
+        and the iterate f after each of its K steps, both (K, n)."""
+        spikes, f, K = self._advance(I)
+        spikes, f = np.array(spikes + f).reshape(2, self.n, K).transpose(0, 2, 1)
+        return spikes, f
+
+    def step(self, I) -> np.ndarray:
+        """Consume raw currents of shape (arity, n); return the spike vector,
+        the spikes of a run of one step."""
+        return np.array(self._advance(I)[0])

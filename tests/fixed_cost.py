@@ -18,6 +18,9 @@ command runs N times, and the wall time of each run is split into phases:
 - instance: `engine.SnnInstance()`;
 - encoder: the input encoder's set-up (`engine.make_input_encoder`);
 - steps: `engine.run_batch`, less the phases inside it;
+- neuron: `oracle-check`'s neuron block, its per-step decode included
+  (the `step` of the neuron `cli._oracle_pair` builds);
+- oracle: `oracle-check`'s oracle replay (that oracle's `step` and `run`);
 - report: `cli._write_csv`;
 - other: the rest (reading items and labels, the ANN reference of `probe`,
   converting, printing).
@@ -53,7 +56,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 T = 64
 SCHEDULE = "inv:1"
-PHASES = ("parse", "load", "instance", "encoder", "steps", "report", "other")
+PHASES = ("parse", "load", "instance", "encoder", "steps", "neuron", "oracle", "report",
+          "other")
 COLUMNS = ("total", *PHASES)
 
 
@@ -116,6 +120,17 @@ def instrument(phases: Phases):
     engine.make_input_encoder = phases.timed("encoder", engine.make_input_encoder)
     engine.run_batch = phases.timed("steps", engine.run_batch)
     cli._write_csv = phases.timed("report", cli._write_csv)
+    pair = cli._oracle_pair
+
+    def timed_pair(*args):
+        neuron, oracle, inputs, decoded = pair(*args)
+        neuron.step = phases.timed("neuron", neuron.step)
+        for name in ("step", "run"):  # an oracle of an older checkout has no `run`
+            if hasattr(oracle, name):
+                setattr(oracle, name, phases.timed("oracle", getattr(oracle, name)))
+        return neuron, oracle, inputs, decoded
+
+    cli._oracle_pair = timed_pair
     return cli.main
 
 

@@ -26,7 +26,9 @@ counts of the same runs, stepped in process as `infer` and `energy` step
 them, so a change in a readout's last bits shows (the CSVs print 8 digits). It also
 hashes the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
-`--corrupt-*` controls; the stdout and CSV of
+`--corrupt-*` controls, and at the long horizons whose checks print FAIL
+(`LONG_ORACLE`), so a change of the referee that moves a FAIL line shows;
+the stdout and CSV of
 `neuron-sweep` for every mechanism under both parameterizations and the
 float, det and stoch encoders, at a width below and one above
 `neurons.SMALL_OPERANDS`; and the stdout and CSV of `encode` for every
@@ -69,6 +71,10 @@ ORACLE_STEPS = 300
 CORRUPT = {"signgd": [["--corrupt-beta1", "1.001"], ["--corrupt-beta1", "-1"],
                       ["--corrupt-beta1", "0"]],
            "subgrad": [["--corrupt-alpha", "1.01"], ["--corrupt-alpha", "1e308"]]}
+# (neuron, schedule, steps) of checks that print FAIL where eta(t) has fallen
+# to ~1e-13 or below, at seed 1
+LONG_ORACLE = [("subgrad", "exp:0.5:0.99", 3000), ("subgrad", "exp:0.5:0.9", 1000),
+               ("signgd:misr", "exp:0.5:0.99", 4000)]
 SWEEP_MECHS = ("relu", "leaky:0.1", "gelu", "square", "max2", "misr")
 # sign checks near the float range, where gelu's and misr's products of u
 # may overflow
@@ -240,6 +246,10 @@ def command_digests(main, oracle_checks) -> dict:
                         "--parameterization", param, "--steps", str(ORACLE_STEPS),
                         "--seed", str(k), *extra]
                 entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
+        for neuron, schedule, steps in LONG_ORACLE:
+            argv = ["oracle-check", "--neuron", neuron, "--schedule", schedule,
+                    "--steps", str(steps), "--seed", "1"]
+            entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
         for mech in SWEEP_MECHS:
             grid = ["--xmin", "0.1", "--xmax", "3"] if mech == "misr" else []
             for schedule, param in SETTINGS["signgd"]:

@@ -4,10 +4,12 @@ before the check ran on whole traces, for tests only.
 `reference_oracle_check` draws each step's input in its own generator call,
 steps a neuron that evaluates its coefficient callables itself, and folds
 the deviation into a running Python `max` (which drops NaN).
-`ReferenceSignGdOracle.step` takes the gradient sign through
-`gradient_sign` and returns its Heaviside. The CLI must print the same line
-for every configuration whose deviation is finite, and `SignGdOracle` must
-reproduce this step bit for bit.
+`ReferenceSignGdOracle` is the sign-gradient oracle as it stepped before
+it replayed whole traces: one numpy expression per step, its gradient sign
+taken through `gradient_sign`, its spikes that sign's Heaviside. The CLI
+must print the same line for every configuration whose deviation is
+finite, and `SignGdOracle`, step by step or over a trace cut into any
+blocks, must reproduce this step bit for bit.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import numpy as np
 from spikeopt.cli import DEVIATION_LIMIT, _signgd_check_inputs
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
+    MECHANISMS,
     IfLifParams,
     IfNeuron,
     LifNeuron,
@@ -27,7 +30,6 @@ from spikeopt.neurons import (
 from spikeopt.oracles import (
     IfRateOracle,
     LifEmaOracle,
-    SignGdOracle,
     SqErrObjective,
     SubgradOracle,
     gradient_sign,
@@ -42,7 +44,19 @@ from spikeopt.schedules import (
 )
 
 
-class ReferenceSignGdOracle(SignGdOracle):
+class ReferenceSignGdOracle:
+    def __init__(self, obj, schedule, W, b, n=1):
+        arity = MECHANISMS[obj.kind][0]
+        self.obj = obj
+        self.schedule = schedule
+        self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (arity, n)).copy()
+        self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (arity, n)).copy()
+        self.arity = arity
+        self.n = n
+        self.f = np.zeros(n)
+        self.x_tilde = self.b.copy()
+        self.t = 0
+
     def step(self, I):
         self.t += 1
         eta_t = float(self.schedule(self.t))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_oracle import ReferenceSignGdOracle
@@ -103,6 +103,51 @@ def test_signgd_oracle_step_is_the_gradient_sign_form(mech, schedule, n, steps, 
         np.testing.assert_array_equal(got.step(I), want.step(I))
         np.testing.assert_array_equal(got.f, want.f)
         np.testing.assert_array_equal(got.x_tilde, want.x_tilde)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mech=st.sampled_from(["relu", "leaky:0.1", "gelu", "square", "max2", "misr"]),
+    schedule=st.sampled_from(["inv:1", "exp:1:0.999", "const:0.05", "exp:0.5:0.99"]),
+    n=st.integers(1, 5),
+    steps=st.integers(1, 3000),
+    cuts=st.lists(st.integers(1, 2999), max_size=5),
+    offset=st.sampled_from([0.0, -3.0]),
+    nan_at=st.none() | st.integers(1, 3000),
+    seed=st.integers(0, 2**16),
+)
+# the schedule's int and array paths differ in the last bit at 169 of these t
+@example(mech="misr", schedule="exp:0.5:0.99", n=3, steps=3000, cuts=[1000], offset=0.0,
+         nan_at=None, seed=5)
+@example(mech="relu", schedule="inv:1", n=2, steps=4, cuts=[1, 2], offset=-3.0, nan_at=None,
+         seed=0)
+def test_signgd_oracle_run_is_its_steps(mech, schedule, n, steps, cuts, offset, nan_at, seed):
+    """SignGdOracle.run, over a trace cut into blocks, gives the spikes, f
+    and x_tilde of the reference oracle stepped one step at a time, bit for
+    bit. A negative `offset` of b puts relu's target at 0 = f(0) at step 1,
+    a tie; misr's denominator crosses to values <= 0; and a NaN current from
+    step `nan_at` on makes x_tilde NaN in the last operand of neuron 0
+    (misr's denominator; H(NaN) = 0 elsewhere)."""
+    m = parse_mechanism(mech)
+    rng = make_rng(seed)
+    W = rng.uniform(0.5, 1.5, (m.arity, n)) * rng.choice([-1.0, 1.0], (m.arity, n))
+    b = rng.normal(offset, 1.0, (m.arity, n))
+    I = b + W * rng.normal(0.5, 2.0, (steps, m.arity, n))
+    if nan_at is not None and nan_at <= steps:
+        I[nan_at - 1, -1, 0] = np.nan
+    obj, sched = SqErrObjective(m.kind, m.delta), parse_schedule(schedule)
+    got, want = SignGdOracle(obj, sched, W, b, n), ReferenceSignGdOracle(obj, sched, W, b, n)
+    bits = lambda a: np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+    edges = [0, *sorted({c for c in cuts if c < steps}), steps]
+    for lo, hi in zip(edges, edges[1:]):
+        spikes, f = got.run(I[lo:hi])
+        assert spikes.shape == f.shape == (hi - lo, n)
+        for k in range(hi - lo):
+            np.testing.assert_array_equal(bits(spikes[k]), bits(want.step(I[lo + k])))
+            np.testing.assert_array_equal(bits(f[k]), bits(want.f))
+        np.testing.assert_array_equal(bits(got.x_tilde), bits(want.x_tilde))
+        np.testing.assert_array_equal(bits(got.f), bits(want.f))
+        assert got.t == want.t == hi
 
 
 class TestTransforms:

@@ -208,6 +208,29 @@ def test_subgrad_check_matches_its_reference(s, t_max, field, factor, tol):
     assert got is want
 
 
+@pytest.mark.parametrize("gamma_shift,beta_shift,ok", [(1.5, 0.6, True), (0.6, 1.5, False)])
+def test_subgrad_check_reads_the_triangle_i_le_t(gamma_shift, beta_shift, ok):
+    """Condition 2's deviation at [i, t] separates as A(i) - B(t). Scaling
+    gamma(t_max) by exp(-gamma_shift tol) and beta(t_max) by
+    exp(-beta_shift tol) shifts A(t_max) and B(t_max) by those multiples
+    of tol: the diagonal moves by 0.9 tol, row i = t_max (i > t, which the
+    check skips) by gamma_shift tol and column t = t_max (i < t) by
+    beta_shift tol. So the only violation lies below the diagonal in the
+    first case and above it in the second, and a check of the transposed
+    triangle gives the opposite verdicts. Under const:0.5, condition 1
+    allows beta a relative change of 2 tol."""
+    s, t_max, tol = parse_schedule("const:0.5"), 16, 1e-10
+    c = solve_subgrad_coefficients(s)
+
+    def at_t_max(base, shift):
+        return lambda t: np.where(t == t_max, np.asarray(base(t)) * np.exp(-shift * tol), base(t))
+
+    c = dataclasses.replace(c, gamma=at_t_max(c.gamma, gamma_shift),
+                            beta=at_t_max(c.beta, beta_shift))
+    assert validate_subgrad_coefficients(c, s, t_max, tol) is ok
+    assert reference_validate_subgrad_coefficients(c, s, t_max, tol) is ok
+
+
 @pytest.mark.parametrize("family", ["signgd", "subgrad"])
 def test_a_set_whose_rows_were_read_is_freed_without_the_collector(family):
     """A set's row memo refers to nothing that refers back to the set, so
