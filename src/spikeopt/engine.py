@@ -34,9 +34,10 @@ it with.
 A run computes, beyond the layers' spikes, only what its instance reads
 (`SnnInstance(snn, reads=)`, all of READS by default): the readout, the
 spike counts and the subgradient layers' decodes each run only where
-read, and what runs has the bits it has when everything does. `probe`
-reads the readout and the decodes; the CLI's `infer` reads only the
-readout and its `energy` only the spike counts.
+read, and what runs has the bits it has when everything does; the plan,
+not the layers, counts the spikes (`Plan.count_spikes`). `probe` reads
+the readout and the decodes; the CLI's `infer` reads only the readout and
+its `energy` only the spike counts.
 
 Inputs are encoded per element with the family's codec, so the first neuron
 layer sees encoder emissions exactly like upstream spikes; an item may have
@@ -60,7 +61,6 @@ from .graph.model import ShapeMismatchError, run_forward as ann_forward
 from .graph.model import node_forward  # noqa: F401  (bench/tracing.py wraps engine.node_forward)
 from .graph.plan import Plan
 from .graph.transforms import ConversionError, SnnGraph
-from .neurons import READS as LAYER_READS
 from .neurons import SignGdNeuron, SubgradNeuron, parse_mechanism
 from .schedules import (
     ScheduleError,
@@ -87,7 +87,7 @@ __all__ = [
 
 # what a run can compute beyond the layers' spikes: the readout, each
 # layer's spike counts, and each layer's decode
-READS = frozenset({"readout"}) | LAYER_READS
+READS = frozenset({"readout", "spikes", "decoded"})
 
 
 class SnnInstance:
@@ -112,8 +112,9 @@ class SnnInstance:
     `reads`, a subset of READS (all of it by default), names what its runs
     compute beyond the spikes: without "readout" the plan drops the readout
     and the ops that only feed it (`Plan.drop_readout`) and `step` returns
-    None; without "spikes" the layers count no spikes and `spike_counts`
-    raises; without "decoded" subgradient layers keep no decode and
+    None; with "spikes" the plan counts each layer's spikes
+    (`Plan.count_spikes`), and without it `spike_counts` raises; without
+    "decoded" subgradient layers keep no decode and
     `layer_decoded` raises. Calibration steps the whole plan either way,
     and what is computed has the bits of a run that computes everything."""
 
@@ -142,16 +143,17 @@ class SnnInstance:
         if signgd:
             cal, self._readout_cal = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
-        layer_reads = reads & LAYER_READS
         for nid in self.layers:
             node = snn.graph.nodes[nid]
             n = node.params["count"]
             self.layers[nid] = SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, *cal[nid], n=n,
-                spike_fed=nid in self.plan.spike_fed, reads=layer_reads,
-            ) if signgd else SubgradNeuron(c, n=n, reads=layer_reads)
+                spike_fed=nid in self.plan.spike_fed,
+            ) if signgd else SubgradNeuron(c, n=n, reads=reads)
         if "readout" not in reads:
             self.plan.drop_readout()
+        if "spikes" in reads:
+            self.plan.count_spikes()
         self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
                                 b=self.readout_b) if signgd else RateDecoder
         self._n_out = self.plan.widths[self.plan.out_slot]
@@ -194,7 +196,7 @@ class SnnInstance:
     def spike_counts(self) -> dict[str, np.ndarray]:
         """Spikes each layer has fired since reset, per item: (B,) ints."""
         self._check_reads("spikes")
-        return {nid: layer.spike_count for nid, layer in self.layers.items()}
+        return {nid: rows.sum(-1).astype(np.int64) for nid, rows in self.plan.counts.items()}
 
     @property
     def total_spikes(self) -> int:

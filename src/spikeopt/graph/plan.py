@@ -55,7 +55,9 @@ places: a sign network after its calibration, whose W and b its layers
 and readout read, and a subgradient network at once, as its layers and
 readout read none (its instance calibrates a plan of its own only where
 `readout_w` or `readout_b` is read). A run that reads no readout drops it
-and the ops that only feed it (`Plan.drop_readout`).
+and the ops that only feed it (`Plan.drop_readout`), and only a run that
+reads spike counts has each neuron op add its block's spike rows to its
+layer's counts (`Plan.count_spikes`): a layer only steps.
 
 Dense and affine nodes have their own rule, `DenseRule`: x's rows,
 zero-padded to whole tiles of R = 16 rows, against the transposed weight
@@ -366,7 +368,10 @@ class Plan:
     returns the readout's result. `ops` holds one (node id, kind, op) per
     op, the input's encoder first and the output's readout last, until
     `drop_readout` leaves out the readout and what only feeds it (`step`
-    then returns None); with an observer, `step` calls
+    then returns None). After `count_spikes`, `counts` maps each neuron
+    node id to its (batch, n) float spike counts since reset, which each
+    of its blocks adds to; until then it is empty and no op counts. With
+    an observer, `step` calls
     `observer(node id, kind, k)` after step k of each neuron layer and
     `observer(node id, kind, None)` after every other op."""
 
@@ -374,6 +379,7 @@ class Plan:
         self.ops: list = []
         self.layers: dict = {}
         self.codecs = codecs = {"encoder": Forced(), "readout": Forced()}
+        self.counts: dict = {}  # filled by count_spikes
         self.widths = [math.prod(graph.nodes[graph.input_id].params["shape"])]
         self._io: list = []  # per op: the slots it reads, the slots it writes
         self._spikes: set = set()  # slots that hold 0/1 spike rows
@@ -435,6 +441,11 @@ class Plan:
             self.batch, self.rows = batch, rows
             self._buffers = [self._stores[b][: rows * w].reshape(rows, w)
                              for w, b in zip(self.widths, self._store_of)]
+        for nid, rows in self.counts.items():
+            if len(rows) == batch:
+                rows.fill(0.0)
+            else:
+                self.counts[nid] = np.zeros((batch, rows.shape[1]))
 
     def _size(self, rows: int):
         """Stores of `rows` rows, the last ones left to the pool."""
@@ -470,6 +481,14 @@ class Plan:
                 read.update(reads)
         self.ops = [op for op, _ in kept[::-1]]
         self._io = [io for _, io in kept[::-1]]
+
+    def count_spikes(self):
+        """Count each neuron layer's spikes from then on, per item and
+        neuron, into `counts` (float counts are exact to 2**53); a reset
+        zeroes them."""
+        self.counts.update((nid, np.zeros((self.batch, self.widths[writes[-1]])))
+                           for (nid, kind, _), (_, writes) in zip(self.ops, self._io)
+                           if kind == "neuron")
 
     def _share(self):
         """Give each slot a store: the store of a slot whose last reader has
@@ -559,7 +578,7 @@ class Plan:
             joined = self._linear(Node(f"{node.id}.join", "concat"), ins).slot
             ins = [_Value(joined, start + np.arange(k), (k,), node.id)
                    for start, k in zip(np.cumsum([0, *sizes]), sizes)]
-        nid, src, sel, layers = node.id, ins[0].slot, None, self.layers
+        nid, src, sel, layers, counts = node.id, ins[0].slot, None, self.layers, self.counts
         if len(ins) > 1 or ins[0].idx is not None or sizes[0] != n:
             # one take of the (arity, n) index table per block
             sel = np.concatenate([idx if idx.size == n else np.broadcast_to(idx, (n,))
@@ -577,6 +596,9 @@ class Plan:
                 I = sel(I, s[scratch])
             layers[nid].step(I, steps=len(I) // B, out=s[out], scratch=s[scratch],
                              observer=None if observe is None else partial(observe, nid, "neuron"))
+            fired = counts.get(nid)
+            if fired is not None:
+                np.add(fired, s[out].reshape(-1, B, n).sum(0), fired)
 
         self._op(nid, "neuron", op, [src, scratch], scratch, out)
         return _Value(out, None, shape, nid)

@@ -17,11 +17,10 @@ part of the dynamics that never reads the state once for the whole block
 and runs the rest step by step; a small sign layer also forms its firing
 rule's targets for all K steps at once (see SignGdNeuron). A one-step call
 is a block of one step, so there is one copy of the arithmetic, and a
-block gives every step the bits that stepping it alone gives. Each layer
-counts its spikes, and a subgradient layer keeps its decode y, only where
-its `reads` name them (all of READS by default); a network's instance
-leaves out what its command never reads, and reading what was left out
-raises.
+block gives every step the bits that stepping it alone gives. A layer
+only steps: what a run records of its spikes, such as their counts, is the
+step plan's (`graph.plan`). A subgradient layer keeps its decode y only
+where its `reads` name "decoded"; reading it otherwise raises.
 
 Sign-based dynamics (internal variables u and v, coefficients a1, a2, b1, b2
 with step sizes eta):
@@ -63,16 +62,12 @@ __all__ = [
     "SignGdNeuron",
     "MECHANISMS",
     "SMALL_OPERANDS",
-    "READS",
 ]
 
 _HALF_MAX = np.finfo(np.float64).max / 2  # the largest x whose 2 x is finite
 # operand values per step (batch x arity x n) up to which a sign layer forms
 # its firing targets once per block (see SignGdNeuron)
 SMALL_OPERANDS = 1024
-# what a layer computes beyond its spikes, each only where read: each
-# neuron's spike count since reset, and the subgradient layer's decode y
-READS = frozenset({"spikes", "decoded"})
 
 
 @dataclass(frozen=True)
@@ -108,22 +103,15 @@ class _Layer:
     state is formed once for the whole block, into `scratch` if given (it
     may be I itself); the rest runs step by step, with the operations of
     the one-step form in the same order. `observer(k)`, if given, is called
-    after step k: the state, t and `decoded` are then those after step k,
-    while `spike_count` adds the block's spikes when the block ends.
-
-    `reads` (READS by default) names what the layer computes beyond its
-    spikes: without "spikes" a block skips the count of its spikes, and
-    `spike_count` raises; without "decoded" a subgradient layer skips its
-    decode y, and `decoded` raises (IF, LIF and sign layers form theirs
-    anyway). A network's instance leaves out what its command never reads.
+    after step k: the state, t and `decoded` are then those after step k.
+    A layer keeps no record of its spikes; a run's counts are its plan's
+    (`Plan.count_spikes`).
 
     A class steps a block's rows I into its (K, B, n) spike rows `s_k` in
     `_block(I, s_k, scratch, observer)`, and holds `step` in its own
     namespace, so that wrapping one class's `step` (as `bench/tracing.py`
     does) wraps that class only.
     """
-
-    reads = READS
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -137,36 +125,11 @@ class _Layer:
         spikes = np.empty((K * B, self.n)) if out is None else out
         s_k = spikes.reshape(K, B, self.n)
         self._block(I, s_k, scratch, observer)
-        if self._fired is not None:
-            # each neuron's spikes since reset (float counts are exact to 2**53)
-            fired = self._fired.reshape(B, self.n)
-            np.add(fired, s_k.sum(0), fired)
         return spikes if steps is not None else spikes.reshape(self.u.shape)
 
     def _one_step(self, I):
         """One step's currents as the rows of a block of one."""
         return I.reshape(self.u.shape)
-
-    def _counts(self, shape):
-        """The spike counts' buffer of a reset, or None without "spikes"."""
-        return np.zeros(shape) if "spikes" in self.reads else None
-
-    def _cleared_counts(self, batch):
-        """The counts held in `_count_rows`, (items, n), zeroed, shaped for
-        `batch` (one item without its axis for None); None without them."""
-        rows = self._count_rows
-        if rows is None:
-            return None
-        rows.fill(0.0)
-        return rows[0] if batch is None else rows
-
-    @property
-    def spike_count(self):
-        """Spikes fired since reset: an int, or (batch,) ints."""
-        if self._fired is None:
-            raise RuntimeError("this layer does not count its spikes: its reads leave out "
-                               "'spikes'")
-        return self._fired.sum(-1).astype(np.int64)
 
 
 class IfNeuron(_Layer):
@@ -183,7 +146,6 @@ class IfNeuron(_Layer):
         shape = (self.n,) if batch is None else (batch, self.n)
         self.u = np.full(shape, float(self.p.u0))
         self.decoder = self._decoder(shape)
-        self._fired = self._counts(shape)
         self.t = 0
 
     def _decoder(self, shape):
@@ -245,11 +207,11 @@ class SubgradNeuron(_Layer):
     the clipped-ReLU objective; `decoded` maintains that decode. A step reads
     its scalars as the coefficient set's row of its t (`coeffs.row(t)`).
     A block forms gamma(t) I(t) once; only the recurrence on u, the firing
-    comparison and, where "decoded" is in `reads`, the decode y run per
-    step, in place, each expression in its comment.
+    comparison and, where `reads` holds "decoded" (as by default), the
+    decode y run per step, in place, each expression in its comment.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, reads=READS):
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, reads=("decoded",)):
         self.c = coeffs
         self.n = n
         self.reads = frozenset(reads)
@@ -261,14 +223,11 @@ class SubgradNeuron(_Layer):
             self._size(batch or 1)
         self._state.fill(0.0)
         self.u, self.y, self._x = self._state if batch is not None else self._state[:, 0]
-        self._fired = self._cleared_counts(batch)
         self.t = 0
 
     def _size(self, B: int):
-        """The buffers of B items: u, y and the scratch x, item by item, and
-        the spike counts."""
+        """The buffers of B items: u, y and the scratch x, item by item."""
         self._state = np.empty((3, B, self.n))
-        self._count_rows = self._counts((B, self.n))
 
     def _block(self, I, s_k, scratch, observer):
         K, B = s_k.shape[:2]
@@ -413,16 +372,15 @@ class FiringMechanism:
         return 0
 
     def overflows(self, v, target, fallbacks, umax) -> bool:
-        """Whether `compare` of these targets may, for some |u| <= umax, form
-        a product that overflows or is inf * 0: gelu's gain u and misr's
-        v2 u u can, and the rules allow for it. The bound is checked in
-        floats with a factor of 2 to spare; a NaN anywhere says it may."""
+        """Whether gelu's or misr's `compare` of these targets may, for some
+        |u| <= umax, form a product that overflows or is inf * 0: gelu's
+        gain u and misr's v2 u u can, and the rules allow for it (no other
+        rule forms a product of u). The bound is checked in floats with a
+        factor of 2 to spare; a NaN anywhere says it may."""
         if self.kind == "gelu":
             return not (fallbacks == 0 and float(target.max()) * umax <= _HALF_MAX)
-        if self.kind == "misr":
-            return not (float(np.abs(v[1]).max()) * umax * umax <= _HALF_MAX
-                        and float(target.max()) <= _HALF_MAX)
-        return False
+        return not (float(np.abs(v[1]).max()) * umax * umax <= _HALF_MAX
+                    and float(target.max()) <= _HALF_MAX)
 
     def compare(self, u, v, target, flags, fallbacks, out, tmp, quiet=True):
         """Write into `out` the spikes of u against the `target` of the
@@ -541,7 +499,7 @@ class SignGdNeuron(_Layer):
     """
 
     def __init__(self, mech: FiringMechanism, coeffs: SignGdCoefficients, W, b, n: int = 1,
-                 spike_fed: bool = False, reads=READS):
+                 spike_fed: bool = False):
         self.mech = mech
         self.c = coeffs
         self.W, self.b = (_per_operand(x, (mech.arity, n)) for x in (W, b))
@@ -549,7 +507,6 @@ class SignGdNeuron(_Layer):
             raise ValueError("a spike-fed sign layer needs W = 1 and b = 0 exactly")
         self.spike_fed = spike_fed
         self.n = n
-        self.reads = frozenset(reads)
         self._u = None
         self.reset()
 
@@ -562,7 +519,6 @@ class SignGdNeuron(_Layer):
         np.multiply(self.b, a2_0 / eta0, self._v)
         self.u = self._u[0] if batch is None else self._u
         self.v = self._v[0] if batch is None else self._v_ops
-        self._fired = self._cleared_counts(batch)
         self.t = 0
         self.degeneracies = 0
 
@@ -570,13 +526,12 @@ class SignGdNeuron(_Layer):
         """The buffers of B items: the state item by item, u (B, n) and v
         (B, arity, n) like a block row; v and v_scale v with their operands
         first, as the rule reads them; u_scale u; +-b2; the firing rule's
-        buffers; the spike counts."""
+        buffers."""
         shape = (B, self.mech.arity, self.n)
         self._u, self._v, self._vs = np.empty((B, self.n)), np.empty(shape), np.empty(shape)
         self._v_ops, self._vs_ops = self._v.transpose(1, 0, 2), self._vs.transpose(1, 0, 2)
         self._us, self._pm = np.empty_like(self._u), np.empty_like(self._u)
         self._target, self._flags, self._tmp = self.mech.scratch(self._u.shape)
-        self._count_rows = self._counts(self._u.shape)
 
     def _one_step(self, I):
         """One step's (arity, [B,] n) currents, item by item."""
@@ -649,10 +604,12 @@ class SignGdNeuron(_Layer):
         flags = np.empty((K, 2, *s_k.shape[1:]), dtype=bool)
         vs_ops = vs.transpose(1, 0, 2, 3)
         fallbacks = mech.target(vs_ops, s_k, flags.transpose(1, 0, 2, 3))
-        # with b1 = u_scale = 1, |u| stays within |u| + sum |b2| over the
-        # block, which may show that the comparisons need no np.errstate
-        quiet = not all(r[3] == r[5] == 1.0 for r in rows) or mech.overflows(
-            vs_ops, s_k, fallbacks, float(np.abs(u).max()) + sum(abs(r[6]) for r in rows))
+        # only gelu and misr form products of u; with b1 = u_scale = 1, |u|
+        # stays within |u| + sum |b2| over the block, which may show that
+        # their comparisons need no np.errstate
+        quiet = mech.kind in ("gelu", "misr") and (
+            not all(r[3] == r[5] == 1.0 for r in rows) or mech.overflows(
+                vs_ops, s_k, fallbacks, float(np.abs(u).max()) + sum(abs(r[6]) for r in rows)))
         if mech.kind == "misr" and observer is not None:
             # the degeneracies after each step
             ok = np.count_nonzero(flags[:, 1].reshape(K, -1), axis=1)

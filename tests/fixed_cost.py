@@ -34,7 +34,9 @@ The second form compares two checkouts over P passes (2 by default). A
 pass measures A and then B, or B and then A in every other pass, each as
 one process of the first form, so that a drift of the machine reaches both
 alike. It prints, per command, each phase's minimum over every run of every
-pass for A and for B, and B - A.
+pass for A and for B, and below each its spread across passes (the largest
+less the smallest of the passes' minimums; a spread as large as B - A
+says that the passes disagree about it), and then B - A.
 """
 
 from __future__ import annotations
@@ -196,11 +198,12 @@ def measure(checkout: Path, only: str | None, runs: int) -> list:
 
 
 def compare(a: Path, b: Path, args) -> None:
-    """Alternated passes of one process per checkout; the minimums per side."""
+    """Alternated passes of one process per checkout; the minimums per side
+    and their spread across passes."""
     flags = ["--runs", str(args.runs), "--json"]
     if args.workload:
         flags += ["--workload", args.workload]
-    best: dict = {}
+    passes: dict = {}  # (workload, net, command) -> side -> each pass's minimums
     for i in range(args.passes):
         for side in ("AB" if i % 2 == 0 else "BA"):
             checkout = a if side == "A" else b
@@ -210,16 +213,19 @@ def compare(a: Path, b: Path, args) -> None:
                 raise SystemExit(f"pass {i + 1} in {checkout} exited {out.returncode}:\n"
                                  f"{out.stderr}")
             for wl, net, command, ms in json.loads(out.stdout):
-                mins = best.setdefault((wl, net, command), {}).setdefault(side, ms)
-                for ph in COLUMNS:
-                    mins[ph] = min(mins[ph], ms[ph])
+                passes.setdefault((wl, net, command), {}).setdefault(side, []).append(ms)
     print(f"A = {a.resolve()}, B = {b.resolve()}; min of {args.passes} alternated passes "
-          f"of {args.runs} runs, ms")
+          f"of {args.runs} runs, and spread (~) across passes, ms")
     print(f"{'workload':<14} {'net':<28} {'command':<13} {'side':<4}"
           + "".join(f" {ph:>8}" for ph in COLUMNS))
-    for (wl, net, command), sides in best.items():
-        delta = {ph: sides["B"][ph] - sides["A"][ph] for ph in COLUMNS}
-        for side, ms in (("A", sides["A"]), ("B", sides["B"]), ("B-A", delta)):
+    for (wl, net, command), sides in passes.items():
+        rows = {}
+        for side in "AB":
+            per_pass = {ph: [ms[ph] for ms in sides[side]] for ph in COLUMNS}
+            rows[side] = {ph: min(v) for ph, v in per_pass.items()}
+            rows[side + "~"] = {ph: max(v) - min(v) for ph, v in per_pass.items()}
+        rows["B-A"] = {ph: rows["B"][ph] - rows["A"][ph] for ph in COLUMNS}
+        for side, ms in rows.items():
             print(f"{wl:<14} {net:<28} {command:<13} {side:<4}"
                   + "".join(f" {ms[ph]:8.3f}" for ph in COLUMNS))
 

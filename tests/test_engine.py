@@ -167,21 +167,26 @@ class TestInstance:
         np.testing.assert_allclose(hist, np.tile([1.5, 0.5], (20, 1)))
 
     def test_spike_counters_count_fired(self, rng):
-        g = build_mlp(seed=3, dims=(4, 8, 2))
-        snn = snn_of(g)
-        inst = SnnInstance(snn)
-        from spikeopt.engine import make_input_encoder
+        from test_plan import reference_run
 
-        inst.plan.codecs["encoder"] = make_input_encoder(snn, rng.normal(0, 1, (1, 4)), "det",
-                                                         seed=[0])  # a batch of one item
-        for step in range(1, 51):
-            before = inst.total_spikes
-            inst.step(1)
-            fired = inst.total_spikes - before
-            assert 0 <= fired <= 8  # at most one spike per neuron per step
-        # engine counters agree with the layers' own accounting
-        assert inst.spike_counts["act0"] == inst.layers["act0"].spike_count
-        assert inst.total_spikes > 0
+        snn = snn_of(build_mlp(seed=3, dims=(4, 8, 2)))
+        inst = SnnInstance(snn)
+        # a batch, then resets to another batch size and to the same one
+        for B, T in ((3, 50), (2, 20), (2, 7)):
+            X = rng.normal(0, 1, (B, 4))
+            inst.reset(B)
+            inst.plan.codecs["encoder"] = make_input_encoder(snn, X, "det", seed=list(range(B)))
+            for _ in range(T):
+                before = inst.total_spikes
+                inst.step(1)
+                assert 0 <= inst.total_spikes - before <= 8 * B  # one spike per neuron per step
+            counts = inst.spike_counts
+            assert all(c.dtype == np.int64 and c.shape == (B,) for c in counts.values())
+            # each item's counts are the per-layer sums of a reference walk
+            for i, x in enumerate(X):
+                want = reference_run(snn, x, T, "det", i)[1]
+                assert {nid: int(c[i]) for nid, c in counts.items()} == want
+            assert inst.total_spikes > 0
 
     def test_single_neuron_engine_matches_unit_trace(self):
         # identity weights: the engine must add no semantics of its own

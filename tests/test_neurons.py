@@ -142,19 +142,22 @@ class TestSubgradNeuron:
     @pytest.mark.parametrize("batch", [None, 3])
     def test_buffers_keep_returned_spikes_and_counts(self, batch):
         # u and y are updated in place; the spikes a step returns are the
-        # caller's to keep, and spike_count sums them
-        neuron = SubgradNeuron(solve_subgrad_coefficients(Schedule.inverse(1.0)), n=4)
+        # caller's to keep, and they count what the reference neurons fire
+        coeffs = solve_subgrad_coefficients(Schedule.inverse(1.0))
+        neuron = SubgradNeuron(coeffs, n=4)
         neuron.reset(batch)
-        rng = make_rng(8)
+        refs = [ReferenceSubgradNeuron(coeffs, 4) for _ in range(batch or 1)]
         shape = (4,) if batch is None else (batch, 4)
-        kept = [(s, s.copy()) for s in (neuron.step(rng.uniform(0.0, 1.0, shape))
-                                        for _ in range(20))]
+        currents = make_rng(8).uniform(0.0, 1.0, (20, *shape))
+        kept = [(s, s.copy()) for s in map(neuron.step, currents)]
         assert len({s.tobytes() for _, s in kept}) > 1
         for spikes, copy in kept:
             np.testing.assert_array_equal(spikes, copy)
-        count = neuron.spike_count
-        assert count.dtype == np.int64 and count.shape == shape[:-1]
-        np.testing.assert_array_equal(count, sum(copy for _, copy in kept).sum(-1))
+        for I in currents:
+            for r, row in zip(refs, I.reshape(len(refs), 4)):
+                r.step(row)
+        np.testing.assert_array_equal(sum(copy for _, copy in kept).sum(-1),
+                                      np.reshape([r.spike_count for r in refs], shape[:-1]))
 
     def test_matches_if_neuron_spikes(self):
         # IF neuron started at u0 = theta is the exact specialization
@@ -472,13 +475,14 @@ def run_equivalence(kind, parameterization, schedule, spread, T, n=3, seed=0):
     rng = make_rng(seed)
     W, b = equivalence_inputs(kind, arity, n, rng, spread)
     neuron, oracle = make_neuron_oracle_pair(kind, schedule, parameterization, n, W, b)
-    spikes = rng.integers(0, 2, (T, arity, n)).astype(np.float64)
-    for t in range(T):
-        I = b + W * spikes[t]
-        s_n = neuron.step(I)
-        s_o = oracle.step(I)
-        if not np.array_equal(s_n, s_o):
-            raise AssertionError(f"{kind}/{parameterization}: spikes diverged at step {t + 1}")
+    currents = b + W * rng.integers(0, 2, (T, arity, n)).astype(np.float64)
+    # one neuron call per step; the oracle replays the whole trace at once
+    got = np.stack([neuron.step(I) for I in currents])
+    want, _ = oracle.run(currents)
+    diverged = (got != want).any(axis=1)
+    if diverged.any():
+        raise AssertionError(f"{kind}/{parameterization}: spikes diverged at step "
+                             f"{int(diverged.argmax()) + 1}")
     np.testing.assert_allclose(neuron.decoded, oracle.f, atol=1e-9)
     np.testing.assert_allclose(neuron.decoded_input, oracle.x_tilde, atol=1e-9)
 
@@ -617,9 +621,8 @@ def test_block_steps_are_the_reference_steps(mech, sched, B, T, K, scale, scratc
     """Blocks of K steps of B items, K from 1 to T and not always dividing T,
     give every step what the reference neurons give, bit for bit: spikes, u,
     v or y, t, `decoded` and misr degeneracies after each step (read by the
-    observer), and `spike_count` after each block. Ties (dyadic currents
-    under exp:0.5:0.5, and IF's and LIF's u_pre == theta with dyadic
-    parameters and currents), misr's fallback (idle denominators <= 0) and
+    observer). Ties (dyadic currents under exp:0.5:0.5, and IF's and LIF's
+    u_pre == theta with dyadic parameters and currents), misr's fallback (idle denominators <= 0) and
     gelu targets with exp overflowing (currents of 1000s) all occur. With
     `one_step`, one `step(I)` call per step, without `steps`. A sign layer
     takes both paths of `SignGdNeuron.step`: `side` puts its B arity n at,
@@ -654,9 +657,8 @@ def assert_blocks_are_the_reference_steps(layer, refs, currents, K, batched, scr
                                           sign):
     """Step `layer` through the (T, B, arity, n) `currents` in blocks of K
     steps (or one `step(I)` call per step), and require the bits that the
-    references give: spikes, the state after each step (read by the
-    observer) and `spike_count` after each block. `sign` says whether the
-    layer is a sign layer."""
+    references give: spikes and the state after each step (read by the
+    observer). `sign` says whether the layer is a sign layer."""
     T, B, arity, n = currents.shape
     names = ["u", "decoded", "t"] + (["v", "degeneracies"] if sign
                                      else ["y"] if hasattr(layer, "y") else [])
@@ -688,9 +690,6 @@ def assert_blocks_are_the_reference_steps(layer, refs, currents, K, batched, scr
         for got, want in zip(got_states, want_states):
             for name in names:
                 assert_bits_equal(got[name], want[name], err_msg=name)
-        np.testing.assert_array_equal(layer.spike_count,
-                                      np.array([r.spike_count for r in refs]) if batched
-                                      else refs[0].spike_count)
 
 
 SIGN_MECHS = [m for m in BLOCK_MECHS if m[0] in MECHANISMS]
