@@ -309,6 +309,9 @@ def cmd_neuron_sweep(args):
     _check_c(args)
     _finite("--xmin", args.xmin)
     _finite("--xmax", args.xmax)
+    if not math.isfinite(args.xmax - args.xmin):
+        raise RangeError("the grid's span --xmax - --xmin must be a finite number; got "
+                         f"--xmin {args.xmin:g} --xmax {args.xmax:g}")
     grid = np.linspace(args.xmin, args.xmax, args.points)
     if mech.kind == "misr" and np.any(grid <= 0):
         raise RangeError(f"misr sweeps its denominator, which must be > 0 on the whole "

@@ -5,17 +5,17 @@ In the sign family the plan's one forced step on its stand-ins gives the
 calibration (`Plan.calibration`) before each neuron layer takes its place;
 so a re-loaded network runs as the in-memory one, and no stored `cal_*`
 record is read. The subgradient family's layers and readout read no
-calibration, so its instance calibrates only when `readout_w` or
-`readout_b` is read. One coefficient set, with its memos of each t's
-coefficient values and each step's scalars, serves every neuron layer and
-the readout. A new instance is sized for one item, and a reset sizes it
-again only for another item count (another row count, for the plan's
-stores), clearing the buffers it holds otherwise: a command sizes each
-layer, and a subgradient network's plan stores, once when it builds its
-instance and once for its run. It steps B items in lockstep,
-K steps at a time, and the whole step is the plan's: its first op has the
-installed encoder fill the items' next K input frames, and its last op
-folds the K output currents into the installed readout, a codec decoder:
+calibration, so its instance never calibrates. One coefficient set, with
+its memos of each t's coefficient values and each step's scalars, serves
+every neuron layer and the readout. A new instance is sized for one item,
+and a reset sizes it again only for another item count (another row
+count, for the plan's stores), clearing the buffers it holds otherwise: a
+command sizes each layer, and a subgradient network's plan stores, once
+when it builds its instance and once for its run. It steps B items in
+lockstep, K steps at a time, and the whole step is the plan's: its first
+op has the installed encoder fill the items' next K input frames, and its
+last op folds the K output currents into the installed readout, a codec
+decoder:
 
   sign family      `SignedDecoder` with the calibrated W_out and b_out,
                    r(t) = r(t-1) - eta(t) (2 (I_out - b_out) - W_out), r(0) = b_out
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -97,10 +97,10 @@ class SnnInstance:
     set, or one that fails the check, are a ConversionError naming all three
     and the file the network was loaded from.
     In the sign family its plan calibrates the network (`Plan.calibration`)
-    for the layers' and the readout's W and b; then each layer takes its
-    stand-in's place in `plan.layers`. A subgradient instance computes
-    `readout_w` and `readout_b`, which nothing it runs reads, when first
-    read, on a plan of its own.
+    for the layers' and the readout's W and b, which they alone hold (the
+    installed readout, `plan.codecs["readout"]`, as `W` and `b`); then each
+    layer takes its stand-in's place in `plan.layers`. A subgradient
+    instance, whose layers and readout read no W or b, never calibrates.
 
     A new instance is ready for one item, one step per block: its layers
     are sized for one item, and its plan's stores for one row (a sign
@@ -141,7 +141,7 @@ class SnnInstance:
         # stand-in's place
         self.plan = Plan(snn.graph)
         if signgd:
-            cal, self._readout_cal = self.plan.calibration()
+            cal, (w_out, b_out) = self.plan.calibration()
         self.layers: dict[str, object] = self.plan.layers
         for nid in self.layers:
             node = snn.graph.nodes[nid]
@@ -149,32 +149,15 @@ class SnnInstance:
             self.layers[nid] = SignGdNeuron(
                 parse_mechanism(node.params["mech"]), c, *cal[nid], n=n,
                 spike_fed=nid in self.plan.spike_fed,
-            ) if signgd else SubgradNeuron(c, n=n, reads=reads)
+            ) if signgd else SubgradNeuron(c, n=n, decodes="decoded" in reads)
         if "readout" not in reads:
             self.plan.drop_readout()
         if "spikes" in reads:
             self.plan.count_spikes()
-        self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=self.readout_w,
-                                b=self.readout_b) if signgd else RateDecoder
+        self._readout = partial(SignedDecoder, lambda t: c.row(t)[0], W=w_out,
+                                b=b_out) if signgd else RateDecoder
         self._n_out = self.plan.widths[self.plan.out_slot]
         self.reset()
-
-    @cached_property
-    def _readout_cal(self) -> tuple:
-        """(W_out, b_out) of the calibration. A sign instance sets it from its
-        plan's when built; a subgradient instance, whose layers and readout
-        read no W or b, computes it when first read, on a plan of its own."""
-        return Plan(self.snn.graph).calibration()[1]
-
-    @property
-    def readout_w(self) -> np.ndarray:
-        """The calibrated W_out of the output node (`Plan.calibration`)."""
-        return self._readout_cal[0]
-
-    @property
-    def readout_b(self) -> np.ndarray:
-        """The calibrated b_out of the output node (`Plan.calibration`)."""
-        return self._readout_cal[1]
 
     def reset(self, batch: int = 1, steps: int = 1):
         """Clear the state for a batch of `batch` items, stepped up to `steps`

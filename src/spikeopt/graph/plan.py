@@ -53,11 +53,11 @@ as `Forced` stand-ins; `Plan.calibration`, the stimulate/depress step, is
 one plan step on them, of two rows. A network then puts its own in their
 places: a sign network after its calibration, whose W and b its layers
 and readout read, and a subgradient network at once, as its layers and
-readout read none (its instance calibrates a plan of its own only where
-`readout_w` or `readout_b` is read). A run that reads no readout drops it
-and the ops that only feed it (`Plan.drop_readout`), and only a run that
-reads spike counts has each neuron op add its block's spike rows to its
-layer's counts (`Plan.count_spikes`): a layer only steps.
+readout read none (its instance never calibrates). A run that reads no
+readout drops it and the ops that only feed it (`Plan.drop_readout`), and
+only a run that reads spike counts has each neuron op add its block's
+spike rows to its layer's counts (`Plan.count_spikes`): a layer only
+steps.
 
 Dense and affine nodes have their own rule, `DenseRule`: x's rows,
 zero-padded to whole tiles of R = 16 rows, against the transposed weight

@@ -20,7 +20,7 @@ is a block of one step, so there is one copy of the arithmetic, and a
 block gives every step the bits that stepping it alone gives. A layer
 only steps: what a run records of its spikes, such as their counts, is the
 step plan's (`graph.plan`). A subgradient layer keeps its decode y only
-where its `reads` name "decoded"; reading it otherwise raises.
+where it `decodes`; reading it otherwise raises.
 
 Sign-based dynamics (internal variables u and v, coefficients a1, a2, b1, b2
 with step sizes eta):
@@ -207,14 +207,14 @@ class SubgradNeuron(_Layer):
     the clipped-ReLU objective; `decoded` maintains that decode. A step reads
     its scalars as the coefficient set's row of its t (`coeffs.row(t)`).
     A block forms gamma(t) I(t) once; only the recurrence on u, the firing
-    comparison and, where `reads` holds "decoded" (as by default), the
-    decode y run per step, in place, each expression in its comment.
+    comparison and, where `decodes` (as by default), the decode y run per
+    step, in place, each expression in its comment.
     """
 
-    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, reads=("decoded",)):
+    def __init__(self, coeffs: SubgradCoefficients, n: int = 1, decodes: bool = True):
         self.c = coeffs
         self.n = n
-        self.reads = frozenset(reads)
+        self.decodes = decodes
         self._state = None
         self.reset()
 
@@ -232,7 +232,7 @@ class SubgradNeuron(_Layer):
     def _block(self, I, s_k, scratch, observer):
         K, B = s_k.shape[:2]
         u, y, x = self.u.reshape(B, -1), self.y.reshape(B, -1), self._x.reshape(B, -1)
-        t0, row, decodes = self.t, self.c.row, "decoded" in self.reads
+        t0, row, decodes = self.t, self.c.row, self.decodes
         rows = [row(t) for t in range(t0 + 1, t0 + K + 1)]
         # gamma(t) I(t), the state-free part, for the whole block
         gI = np.multiply(I.reshape(K, B, -1), np.array([r[1] for r in rows])[:, None, None],
@@ -259,8 +259,8 @@ class SubgradNeuron(_Layer):
 
     @property
     def decoded(self):
-        if "decoded" not in self.reads:
-            raise RuntimeError("this layer does not decode: its reads leave out 'decoded'")
+        if not self.decodes:
+            raise RuntimeError("this layer keeps no 'decoded': it was built with decodes=False")
         return self.y
 
 
@@ -315,10 +315,11 @@ class FiringMechanism:
         an overflow to +-inf keeps it too. The inputs are finite because the
         model and tensor loaders and the input encoder reject NaN and inf. A
         target that overflows (v0 ** 2 for |v0| > 1.3e154, exp(-1.702 v0) for
-        v0 < -417) becomes inf, and the comparison gives the spike the
-        difference would. At u = 0 gelu's rule is H(-v0); the overflowed
-        inf * 0 is NaN, so where a gain overflowed gelu fires on (u == 0) &
-        (v0 <= 0), which repeats its comparison wherever exp is finite.
+        v0 < -417, leaky's delta v0 past the float range) becomes +-inf, and
+        the comparison gives the spike the difference would. At u = 0 gelu's
+        rule is H(-v0); the overflowed inf * 0 is NaN, so where a gain
+        overflowed gelu fires on (u == 0) & (v0 <= 0), which repeats its
+        comparison wherever exp is finite.
         """
         u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
         shape = np.broadcast_shapes(u.shape, v.shape[1:])
@@ -351,7 +352,8 @@ class FiringMechanism:
         elif k == "leaky":
             # where(v0 >= 0, v0, delta v0)
             v0 = v[0]
-            np.multiply(v0, self.delta, out)
+            with np.errstate(over="ignore"):
+                np.multiply(v0, self.delta, out)
             np.copyto(out, v0, where=np.greater_equal(v0, 0.0, flags[0]))
         elif k == "square":
             with np.errstate(over="ignore"):

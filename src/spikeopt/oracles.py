@@ -89,7 +89,8 @@ def reference_nonlinearity(kind: str, x, delta: float = 0.1):
     if kind == "relu1":
         return relu1(x)
     if kind == "leaky":
-        return np.where(x >= 0, x, delta * x)
+        with np.errstate(over="ignore"):  # an overflowed target is inf, as the neuron's is
+            return np.where(x >= 0, x, delta * x)
     if kind == "gelu":
         return gelu_sigmoid(x)
     if kind == "square":

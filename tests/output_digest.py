@@ -26,12 +26,13 @@ counts of the same runs, stepped in process as `infer` and `energy` step
 them, so a change in a readout's last bits shows (the CSVs print 8 digits). It also
 hashes the stdout of `oracle-check` on the bench's oracle-replay configurations
 and on each sign mechanism near the float range, each also with its
-`--corrupt-*` controls, and at the long horizons whose checks print FAIL
-(`LONG_ORACLE`), so a change of the referee that moves a FAIL line shows;
-the stdout and CSV of
-`neuron-sweep` for every mechanism under both parameterizations and the
-float, det and stoch encoders, at a width below and one above
-`neurons.SMALL_OPERANDS`; and the stdout and CSV of `encode` for every
+`--corrupt-*` controls, at the long horizons whose checks print FAIL
+(`LONG_ORACLE`), so a change of the referee that moves a FAIL line shows,
+and on leaky slopes whose targets overflow (`LEAKY_OVERFLOW`); the stdout
+and CSV of `neuron-sweep` for every mechanism under both parameterizations
+and the float, det and stoch encoders, at a width below and one above
+`neurons.SMALL_OPERANDS`, and on a grid whose span overflows
+(`SPAN_OVERFLOW`); and the stdout and CSV of `encode` for every
 encoder. Every command runs in one scratch directory on relative paths, so
 the digests do not depend on where it is. The warnings a command raises
 are hashed with its output as their category and message: the source file
@@ -80,6 +81,11 @@ SWEEP_MECHS = ("relu", "leaky:0.1", "gelu", "square", "max2", "misr")
 # may overflow
 FLOAT_RANGE = [(f"signgd:{m}", f"const:{c}", "canonical") for m in SWEEP_MECHS
                for c in ("1e150", "1e152", "5e152")]
+# leaky checks whose targets delta v0 overflow to +-inf, at seed 0
+LEAKY_OVERFLOW = ["signgd:leaky:1e308", "signgd:leaky:-1e308"]
+# a sweep whose grid span --xmax - --xmin overflows
+SPAN_OVERFLOW = ["--mech", "signgd:relu", "--xmin=-9e307", "--xmax=9e307", "--points", "3",
+                 "--T", "4"]
 SWEEP_POINTS = (21, 601)  # 21 and 42 operand values per step, and 601 and 1202
 SWEEP_T = 200
 ENCODE = [("float", "0.3"), ("det", "-0.7"), ("stoch", "0.45"), ("poisson", "0.6"),
@@ -250,6 +256,15 @@ def command_digests(main, oracle_checks) -> dict:
             argv = ["oracle-check", "--neuron", neuron, "--schedule", schedule,
                     "--steps", str(steps), "--seed", "1"]
             entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
+        for neuron in LEAKY_OVERFLOW:
+            argv = ["oracle-check", "--neuron", neuron, "--steps", "30"]
+            entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
+        key = "neuron-sweep/" + " ".join(SPAN_OVERFLOW)
+        entries[f"{key}.stdout"] = sha(cli(main, ["neuron-sweep", *SPAN_OVERFLOW,
+                                                  "--out", "sweep.csv"])[1])
+        entries[f"{key}.csv"] = (sha(Path("sweep.csv").read_bytes())
+                                 if Path("sweep.csv").exists() else "missing")
+        Path("sweep.csv").unlink(missing_ok=True)
         for mech in SWEEP_MECHS:
             grid = ["--xmin", "0.1", "--xmax", "3"] if mech == "misr" else []
             for schedule, param in SETTINGS["signgd"]:

@@ -249,6 +249,18 @@ class TestNeuronSweep:
         assert err.count("\n") == 1 and err.startswith("spikeopt neuron-sweep: error: ")
         assert "--xmin" in err
 
+    @pytest.mark.parametrize("grid", [["--xmin=-9e307", "--xmax=9e307"],
+                                      ["--xmin=1.7e308", "--xmax=-1.7e308"]])
+    def test_a_grid_whose_span_overflows_exits_2_naming_both_flags(self, tmp_path, capsys,
+                                                                    grid):
+        out = tmp_path / "s.csv"
+        rc = main(["neuron-sweep", "--mech", "signgd:relu", *grid, "--points", "3", "--T", "4",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("spikeopt neuron-sweep: error: ")
+        assert "--xmin" in err and "--xmax" in err
+
     def test_misr_denominator_degradation(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         rc = main(["neuron-sweep", "--mech", "signgd:misr", "--schedule", "inv:1",
@@ -537,6 +549,15 @@ def test_oracle_check_of_a_finite_draw_near_the_float_range_runs(capsys):
     assert main(["oracle-check", "--neuron", "signgd:relu", "--schedule", "const:1e150",
                  "--steps", "20"]) == 0
     assert capsys.readouterr().out.endswith("max-deviation=0.000e+00 -> OK\n")
+
+
+@pytest.mark.parametrize("delta", ["1e308", "-1e308"])
+def test_a_leaky_check_whose_targets_overflow_warns_of_nothing(capfd, delta):
+    """A leaky slope whose products delta v0 overflow gives the infinite
+    targets H(u - delta v0) reads, silently, in the neuron and the oracle."""
+    assert main(["oracle-check", "--neuron", f"signgd:leaky:{delta}", "--steps", "30"]) == 0
+    out, err = capfd.readouterr()
+    assert out.endswith("max-deviation=0.000e+00 -> OK\n") and err == ""
 
 
 @pytest.mark.parametrize("steps", [20, 500])

@@ -94,26 +94,29 @@ class TestInstance:
         assert all(isinstance(layer, SignGdNeuron) for layer in inst.plan.layers.values())
 
     @pytest.mark.parametrize("model,family", CONFIGS)
-    def test_only_a_read_calibration_runs(self, model, family, monkeypatch):
-        """A sign instance calibrates its plan once, when built, for its
-        layers' and readout's W and b. A subgradient instance, whose layers
-        and readout read none, calibrates only when `readout_w` or
-        `readout_b` is read, once, on a plan of its own, and gets the W_out
-        and b_out that `calibrate` writes, bit for bit."""
+    def test_only_a_sign_instance_calibrates(self, model, family, monkeypatch):
+        """Over its build and a run, an instance compiles one plan, its own,
+        and a sign instance calibrates it once, for its layers' and its
+        readout's W and b, which its installed readout holds as `calibrate`
+        writes them, bit for bit. A subgradient instance, whose layers and
+        readout read none, never calibrates."""
         snn = snn_of(MODELS[model](), family)
-        calibrated = []
-        calibration = Plan.calibration
+        compiled, calibrated = [], []
+        init, calibration = Plan.__init__, Plan.calibration
+        monkeypatch.setattr(Plan, "__init__",
+                            lambda plan, *args: compiled.append(plan) or init(plan, *args))
         monkeypatch.setattr(Plan, "calibration",
                             lambda plan: calibrated.append(plan) or calibration(plan))
         inst = SnnInstance(snn)
         shape = snn.graph.nodes[snn.graph.input_id].params["shape"]
         run_batch(snn, make_rng(3).normal(0, 1, (2, *shape)), 8, instance=inst)
+        assert compiled == [inst.plan]
         assert calibrated == ([inst.plan] if family == "signgd" else [])
-        out = snn.graph.nodes[snn.graph.output_id]
-        for _ in range(2):
-            np.testing.assert_array_equal(inst.readout_w, out.params["cal_w"])
-            np.testing.assert_array_equal(inst.readout_b, out.params["cal_b"])
-        assert len(calibrated) == 1 and (family == "signgd") == (calibrated[0] is inst.plan)
+        assert not hasattr(inst, "readout_w") and not hasattr(inst, "readout_b")
+        if family == "signgd":
+            readout, out = inst.plan.codecs["readout"], snn.graph.nodes[snn.graph.output_id]
+            np.testing.assert_array_equal(readout.W, out.params["cal_w"])
+            np.testing.assert_array_equal(readout.b, out.params["cal_b"])
 
     @pytest.mark.parametrize("model,family", CONFIGS)
     def test_a_run_sizes_each_layer_and_the_plan_once_more(self, model, family, monkeypatch):

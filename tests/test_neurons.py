@@ -159,6 +159,18 @@ class TestSubgradNeuron:
         np.testing.assert_array_equal(sum(copy for _, copy in kept).sum(-1),
                                       np.reshape([r.spike_count for r in refs], shape[:-1]))
 
+    def test_a_layer_that_does_not_decode_fires_the_same_spikes(self):
+        # decodes=False drops only y; the option takes no read names
+        c = solve_subgrad_coefficients(Schedule.exponential(0.15, 0.995))
+        full, bare = SubgradNeuron(c, n=4), SubgradNeuron(c, n=4, decodes=False)
+        for I in make_rng(9).uniform(0, 1, (30, 4)):
+            np.testing.assert_array_equal(bare.step(I), full.step(I))
+        assert full.decoded.any() and not bare.y.any()
+        with pytest.raises(RuntimeError, match="decodes=False"):
+            bare.decoded
+        with pytest.raises(TypeError):
+            SubgradNeuron(c, n=4, reads=("decode",))
+
     def test_matches_if_neuron_spikes(self):
         # IF neuron started at u0 = theta is the exact specialization
         s = Schedule.inverse(1.0)
@@ -221,6 +233,18 @@ class TestMechanisms:
         m = FiringMechanism("square")
         s = m.spike(np.array([1e300, -1.0]), np.array([[1e200, -1e200]]))
         np.testing.assert_array_equal(s, [0.0, 0.0])
+
+    def test_leaky_overflowing_target_fires_as_the_heaviside_form(self):
+        # 1e308 * -3 overflows to -inf, below every finite u
+        m = FiringMechanism("leaky", 1e308)
+        u = np.array([-1e308, -1.0, 0.0, 1.0, -1.0, 2.0])
+        v = np.array([[-3.0, -3.0, -1e-300, -3.0, 3.0, 3.0]])
+        with np.errstate(over="ignore"):
+            want = heaviside(u - np.where(v[0] >= 0, v[0], 1e308 * v[0]))
+        np.testing.assert_array_equal(want, [1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m.spike(u, v), want)
+        np.testing.assert_array_equal(reference_nonlinearity("leaky", v[0], 1e308),
+                                      [-np.inf, -np.inf, -1e8, -np.inf, 3.0, 3.0])
 
     def test_max2_selector(self):
         m = FiringMechanism("max2")

@@ -189,7 +189,7 @@ def test_readout_is_the_allocating_formula(family, schedule, items, T, blocks, s
     inst = SnnInstance(snn)
     inst.reset(items, T)
     readout = inst.plan.codecs["readout"]
-    w_out, b_out = inst.readout_w, inst.readout_b
+    w_out, b_out = Plan(snn.graph).calibration()[1]
     currents = make_rng(seed).normal(0, 2, (T, items, b_out.size))
     r = np.tile(b_out if family == "signgd" else np.zeros_like(b_out), (items, 1))
     kept, t = [], 0
@@ -222,7 +222,8 @@ def test_batch_matches_items_run_alone(config, encoder, items, T, seed):
     X = input_for(snn, seed, items)
     batch = SnnInstance(snn)
     hist, spikes = run_batch(snn, X, T, encoder=encoder, seed=seed, instance=batch)
-    assert hist.shape == (T, items, batch.readout_b.size) and spikes.shape == (items,)
+    n_out = batch.plan.widths[batch.plan.out_slot]
+    assert hist.shape == (T, items, n_out) and spikes.shape == (items,)
     counts, decoded = batch.spike_counts, batch.layer_decoded()
     alone = SnnInstance(snn)
     for i in range(items):
@@ -326,18 +327,25 @@ def test_calibration_matches_reference_walk(model, family, schedule):
 @pytest.mark.parametrize("model,family", CONFIGS)
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_instance_calibration_is_calibrates_records(model, family, schedule):
-    """Each instance computes the W and b that `calibrate` writes, bit for
-    bit: every sign layer's and the readout's."""
+    """A plan's calibration is the W and b that `calibrate` writes, bit for
+    bit, every layer's and the readout's; a sign instance's layers and
+    installed readout hold them."""
     snn = converted(model, family, schedule, "canonical")
-    inst = SnnInstance(snn)
-    for node in snn.neuron_nodes():
-        layer = inst.layers[node.id]
-        if family == "signgd":
-            np.testing.assert_array_equal(layer.W, node.params["cal_w"])
-            np.testing.assert_array_equal(layer.b, node.params["cal_b"])
+    cal, (w_out, b_out) = Plan(snn.graph).calibration()
     out = snn.graph.nodes[snn.graph.output_id]
-    np.testing.assert_array_equal(inst.readout_w, out.params["cal_w"])
-    np.testing.assert_array_equal(inst.readout_b, out.params["cal_b"])
+    np.testing.assert_array_equal(w_out, out.params["cal_w"])
+    np.testing.assert_array_equal(b_out, out.params["cal_b"])
+    for node in snn.neuron_nodes():
+        np.testing.assert_array_equal(cal[node.id][0], node.params["cal_w"])
+        np.testing.assert_array_equal(cal[node.id][1], node.params["cal_b"])
+    if family == "signgd":
+        inst = SnnInstance(snn)
+        for node in snn.neuron_nodes():
+            np.testing.assert_array_equal(inst.layers[node.id].W, node.params["cal_w"])
+            np.testing.assert_array_equal(inst.layers[node.id].b, node.params["cal_b"])
+        readout = inst.plan.codecs["readout"]
+        np.testing.assert_array_equal(readout.W, out.params["cal_w"])
+        np.testing.assert_array_equal(readout.b, out.params["cal_b"])
 
 
 @pytest.mark.parametrize("shapes", [
