@@ -258,6 +258,10 @@ def cmd_oracle_check(args):
     _at_least_one("--steps", args.steps)
     family = ("subgrad" if args.neuron == "subgrad"
               else "signgd" if args.neuron.startswith("signgd") else None)
+    for flag, applies in (("--corrupt-beta1", "signgd"), ("--corrupt-alpha", "subgrad")):
+        if getattr(args, flag[2:].replace("-", "_")) != 1.0 and family != applies:
+            raise RangeError(f"{flag} applies to {applies} neurons only, "
+                             f"not to --neuron {args.neuron}")
     schedule, coeffs = _schedule(args, family)
     neuron, oracle, inputs, decoded = _oracle_pair(args, coeffs, make_rng(args.seed))
 
@@ -301,6 +305,11 @@ def _sweep_operands(kind, grid, seed):
     return grid[None, :]
 
 
+def _magnitude(v) -> str:
+    """`v` to 4 decimals, or in .4e from a magnitude of 1e6 up."""
+    return f"{v:.4e}" if abs(v) >= 1e6 else f"{v:.4f}"
+
+
 def cmd_neuron_sweep(args):
     schedule, coeffs = _schedule(args, "signgd")
     mech = _parsed("--mech", parse_mechanism, args.mech)
@@ -341,8 +350,8 @@ def cmd_neuron_sweep(args):
         neuron.step(block, steps=len(block), observer=record)
     _write_csv(args.out, ["x", "t", "err"], rows)
     final = np.abs(neuron.decoded - target)
-    print(f"mech={mech.name} T={args.T} max|err|={final.max():.4f} "
-          f"median|err|={np.median(final):.4f}")
+    print(f"mech={mech.name} T={args.T} max|err|={_magnitude(final.max())} "
+          f"median|err|={_magnitude(np.median(final))}")
     return 0
 
 
@@ -440,7 +449,8 @@ def cmd_probe(args):
     data = _items("--data", args.data)
     _check_index(args.index, data.shape[0])
     x = data[args.index]
-    rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c, seed=args.seed,
+    rec = engine.probe(snn, x, args.T, encoder=args.encoder, stoch_c=args.c,
+                       seed=args.seed + 1000 * args.index,  # item i's seed in `_run_items`
                        times=None if args.dense_trace else _checkpoints(args.T))
     _write_csv(args.out, ["layer", "t", "err"], rec.rows())
     last = {layer: rec.errors[layer][-1] for layer in rec.layer_ids}
@@ -499,7 +509,7 @@ def _oracle_check_args(q):
     q.add_argument("--parameterization", default="canonical",
                    choices=["canonical", "unit-current"])
     q.add_argument("--corrupt-beta1", type=float, default=1.0,
-                   help="debug: scale beta1 and bypass validation")
+                   help="debug: scale the signgd beta1 and bypass validation")
     q.add_argument("--corrupt-alpha", type=float, default=1.0,
                    help="debug: scale the subgrad alpha and bypass validation")
 

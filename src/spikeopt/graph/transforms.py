@@ -17,7 +17,7 @@ the walk as `model.shape_witness` arrays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -250,7 +250,6 @@ class SnnGraph:
     family: str
     schedule: Schedule
     parameterization: str = "canonical"
-    meta: dict = field(default_factory=dict)
     path: str | None = None
 
     def __post_init__(self):
@@ -278,7 +277,7 @@ class SnnGraph:
 
     def save(self, path) -> None:
         gio.save_model(self.graph, path, meta={
-            **self.meta, "family": self.family, "schedule": str(self.schedule),
+            "family": self.family, "schedule": str(self.schedule),
             "parameterization": self.parameterization, "kind": "snn"})
 
     @classmethod
@@ -289,15 +288,13 @@ class SnnGraph:
         if meta.get("kind") != "snn":
             raise ConversionError(f"{path} is not a converted SNN model")
         try:
-            family = meta.pop("family")
-            schedule = parse_schedule(meta.pop("schedule"))
+            family = meta["family"]
+            schedule = parse_schedule(meta["schedule"])
         except KeyError as exc:
             raise gio.ModelFormatError(f"{path}: meta lacks {exc}") from None
         except (AttributeError, ScheduleError) as exc:
             raise gio.ModelFormatError(f"{path}: bad meta schedule: {exc}") from None
-        parameterization = meta.pop("parameterization", "canonical")
-        meta.pop("kind", None)
-        return cls(graph, family, schedule, parameterization, meta, str(path))
+        return cls(graph, family, schedule, meta.get("parameterization", "canonical"), str(path))
 
 
 def convert(g: Graph, neuron_family: str, schedule: Schedule,

@@ -20,7 +20,7 @@ oracle forms what does not depend on its iterate once per block: the decoded
 inputs x(t) as one left fold and every target f(x(t)) in one call. It steps
 only the iterate, neuron by neuron, on Python floats, whose -, * and >= are
 the IEEE double operations numpy applies, so its bits are those of a
-step-by-step replay; its `step` is a run of one step.
+step-by-step replay; its `step` is a run of one step, a block of one row.
 
 Sign conventions mirror the neurons: H(0) = 1, hence sign(0) = +1.
 """
@@ -431,15 +431,15 @@ class SignGdOracle:
     each spike, f and x keeps the bits of a step-by-step replay. eta(t) is
     evaluated one int t at a time, as a step does: on exp schedules the
     schedule's array path differs in the last bit. `step` is a run of one
-    step. The oracle reads no coefficient row and takes none of the
-    neuron's form.
+    step, a block of one row. The oracle reads no coefficient row and takes
+    none of the neuron's form.
     """
 
     def __init__(self, obj: SqErrObjective, schedule: Schedule, W, b, n: int = 1):
         arity = MECHANISMS[obj.kind][0]
         self.obj = obj
         self.schedule = schedule
-        # (1, arity, n): a block's rows broadcast against them, a step's match them
+        # (1, arity, n): a block's rows broadcast against them
         self.W = np.broadcast_to(np.asarray(W, dtype=np.float64), (1, arity, n)).copy()
         self.b = np.broadcast_to(np.asarray(b, dtype=np.float64), (1, arity, n)).copy()
         self.arity = arity
@@ -467,25 +467,19 @@ class SignGdOracle:
             return np.where(ok, x[:, 0] / np.sqrt(np.where(ok, x[:, 1], 1.0)), 0.0)
         return self.obj.target(x.swapaxes(0, 1) if self.arity == 2 else x[:, 0])
 
-    def _advance(self, I):
-        """Consume a (K, arity, n) trace of raw currents. Return the spikes
-        and the iterates f after each step as flat lists, neuron by neuron
-        (a neuron's K steps in turn), and K."""
+    def run(self, I):
+        """Consume a (K, arity, n) trace of raw currents; return the spikes
+        and the iterate f after each of its K steps, both (K, n)."""
         I = np.asarray(I, dtype=np.float64).reshape(-1, self.arity, self.n)
         t0, K = self.t, len(I)
+        if not K:
+            return np.empty((0, self.n)), np.empty((0, self.n))
         etas = [float(self.schedule(t)) for t in range(t0 + 1, t0 + K + 1)]
         # x(t) = x(t-1) - eta(t) (2 (I - b) - W): the rows eta(t) (2 (I - b) - W),
-        # then their left fold from x(t0). A step, the block of one row, scales
-        # by a float, which costs less than a broadcast, and folds by the
-        # subtraction alone, as numpy's in-place operations cost twice the
-        # others on one-element arrays
-        x = (etas[0] if K == 1 else np.array(etas).reshape(K, 1, 1)) * (
-            2.0 * (I - self.b) - self.W)
-        if K == 1:
-            x = self._x - x
-        elif K:
-            x[0] = self._x[0] - x[0]
-            np.subtract.accumulate(x, axis=0, out=x)
+        # then their left fold from x(t0)
+        x = np.array(etas).reshape(K, 1, 1) * (2.0 * (I - self.b) - self.W)
+        x[0] = self._x[0] - x[0]
+        np.subtract.accumulate(x, axis=0, out=x)
         spikes, f = [], []
         for fj, targets in zip(self._f, self._targets(x).T.tolist()):
             for eta_t, y in zip(etas, targets):
@@ -493,20 +487,11 @@ class SignGdOracle:
                 fj = fj - eta_t * (2.0 * s - 1.0)
                 spikes.append(s)
                 f.append(fj)
-        self.t = t0 + K
-        if K:
-            self._x = x[-1:]
-            self._f = f[K - 1::K]
-        return spikes, f, K
-
-    def run(self, I):
-        """Consume a (K, arity, n) trace of raw currents; return the spikes
-        and the iterate f after each of its K steps, both (K, n)."""
-        spikes, f, K = self._advance(I)
+        self.t, self._x, self._f = t0 + K, x[-1:], f[K - 1::K]
         spikes, f = np.array(spikes + f).reshape(2, self.n, K).transpose(0, 2, 1)
         return spikes, f
 
     def step(self, I) -> np.ndarray:
         """Consume raw currents of shape (arity, n); return the spike vector,
         the spikes of a run of one step."""
-        return np.array(self._advance(I)[0])
+        return self.run(I)[0][0]

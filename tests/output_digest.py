@@ -14,25 +14,29 @@ the `convert` stdout, the `.json` and `.bin` files, an order-free digest of
 the converted graph as `load_model` returns it (nodes sorted by id, edges
 sorted, index tables as int lists and tensors by value, so a change of how
 the files store the graph shows only in the file entries), and the order of
-its node ids; then, under the float, det and stoch encoders, the stdout and CSVs
-of `infer` (with `--run-trace`), `energy`, dense `probe` and checkpoint
-`probe` on two items at T = 8. The bench's mlp-wide and cnn-pool nets also
-run `infer` and `energy` as the bench runs them: all their items (8 and 4)
-under the float encoder at T = 64 (`inv:1` canonical only), whose blocks
-hold 192 and 128 rows on mlp-wide and 7 steps of 2 items on cnn-pool, where
-the max-pool stages form their firing targets step by step. Beside every
-`infer` entry it hashes the raw bytes of the readout history and spike
-counts of the same runs, stepped in process as `infer` and `energy` step
-them, so a change in a readout's last bits shows (the CSVs print 8 digits). It also
-hashes the stdout of `oracle-check` on the bench's oracle-replay configurations
-and on each sign mechanism near the float range, each also with its
-`--corrupt-*` controls, at the long horizons whose checks print FAIL
-(`LONG_ORACLE`), so a change of the referee that moves a FAIL line shows,
-and on leaky slopes whose targets overflow (`LEAKY_OVERFLOW`); the stdout
-and CSV of `neuron-sweep` for every mechanism under both parameterizations
-and the float, det and stoch encoders, at a width below and one above
-`neurons.SMALL_OPERANDS`, and on a grid whose span overflows
-(`SPAN_OVERFLOW`); and the stdout and CSV of `encode` for every
+its node ids; then, under the float, det and stoch encoders, the stdout
+and CSVs of `infer` (with `--run-trace`), `energy`, dense `probe` and
+checkpoint `probe` on two items at T = 8, and under the stoch encoder a
+dense `probe --index 1`, which seeds item 1 as `infer` and `energy` do
+(`INDEXED`). The bench's mlp-wide and cnn-pool nets also run `infer` and
+`energy` as the bench runs them: all their items (8 and 4) under the float
+encoder at T = 64 (`inv:1` canonical only), whose blocks hold 192 and 128
+rows on mlp-wide and 7 steps of 2 items on cnn-pool, where the max-pool
+stages form their firing targets step by step. Beside every `infer` entry
+it hashes the raw bytes of the readout history and spike counts of the same
+runs, stepped in process as `infer` and `energy` step them, so a change in
+a readout's last bits shows (the CSVs print 8 digits). It also hashes the
+stdout of `oracle-check` on the bench's oracle-replay configurations and on
+each sign mechanism near the float range, each also with its `--corrupt-*`
+controls, at the long horizons whose checks print FAIL (`LONG_ORACLE`), so
+a change of the referee that moves a FAIL line shows, on leaky slopes whose
+targets overflow (`LEAKY_OVERFLOW`), and with a `--corrupt-*` flag on each
+neuron kind it does not apply to, which is refused (`MISMATCHED`); the
+stdout and CSV of `neuron-sweep` for every mechanism under both
+parameterizations and the float, det and stoch encoders, at a width below
+and one above `neurons.SMALL_OPERANDS`, on a grid whose span overflows
+(`SPAN_OVERFLOW`) and on one whose errors are near 1e300 (`HUGE_ERRORS`);
+and the stdout and CSV of `encode` for every
 encoder. Every command runs in one scratch directory on relative paths, so
 the digests do not depend on where it is. The warnings a command raises
 are hashed with its output as their category and message: the source file
@@ -63,6 +67,8 @@ COMMANDS = {  # output name -> the command and the flags of its output files
     "probe": ["probe", "--dense-trace", "--out", "probe.csv"],
     "probe-checkpoints": ["probe", "--out", "checkpoints.csv"],
 }
+# run under the stoch encoder only, where an item's seed shows
+INDEXED = {"probe-index1": ["probe", "--index", "1", "--dense-trace", "--out", "index1.csv"]}
 T = 8
 # nets that also run `infer` and `energy` on all their items at a T of
 # their own, under one encoder
@@ -81,11 +87,17 @@ SWEEP_MECHS = ("relu", "leaky:0.1", "gelu", "square", "max2", "misr")
 # may overflow
 FLOAT_RANGE = [(f"signgd:{m}", f"const:{c}", "canonical") for m in SWEEP_MECHS
                for c in ("1e150", "1e152", "5e152")]
+# a --corrupt-* flag on each neuron kind it does not apply to
+MISMATCHED = [("if", "--corrupt-alpha"), ("lif", "--corrupt-beta1"),
+              ("subgrad", "--corrupt-beta1"), ("signgd:relu", "--corrupt-alpha")]
 # leaky checks whose targets delta v0 overflow to +-inf, at seed 0
 LEAKY_OVERFLOW = ["signgd:leaky:1e308", "signgd:leaky:-1e308"]
 # a sweep whose grid span --xmax - --xmin overflows
 SPAN_OVERFLOW = ["--mech", "signgd:relu", "--xmin=-9e307", "--xmax=9e307", "--points", "3",
                  "--T", "4"]
+# a sweep whose errors are near 1e300
+HUGE_ERRORS = ["--mech", "signgd:gelu", "--xmin=1e200", "--xmax=1e300", "--points", "3",
+               "--T", "4"]
 SWEEP_POINTS = (21, 601)  # 21 and 42 operand values per step, and 601 and 1202
 SWEEP_T = 200
 ENCODE = [("float", "0.3"), ("det", "-0.7"), ("stoch", "0.45"), ("poisson", "0.6"),
@@ -180,6 +192,7 @@ def digest(checkout: Path) -> dict:
                     entries[f"{key}/{k}"] = v
                 for encoder in ENCODERS:
                     entries.update(run_digests(main, key, "data.sten", T, encoder, COMMANDS))
+                entries.update(run_digests(main, key, "data.sten", T, "stoch", INDEXED))
                 if name in LONG_RUNS and (schedule, param) == SETTINGS[family][0]:
                     save_tensor(items, "items.sten")
                     long_t, encoder = LONG_RUNS[name]
@@ -259,12 +272,16 @@ def command_digests(main, oracle_checks) -> dict:
         for neuron in LEAKY_OVERFLOW:
             argv = ["oracle-check", "--neuron", neuron, "--steps", "30"]
             entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
-        key = "neuron-sweep/" + " ".join(SPAN_OVERFLOW)
-        entries[f"{key}.stdout"] = sha(cli(main, ["neuron-sweep", *SPAN_OVERFLOW,
-                                                  "--out", "sweep.csv"])[1])
-        entries[f"{key}.csv"] = (sha(Path("sweep.csv").read_bytes())
-                                 if Path("sweep.csv").exists() else "missing")
-        Path("sweep.csv").unlink(missing_ok=True)
+        for neuron, flag in MISMATCHED:
+            argv = ["oracle-check", "--neuron", neuron, "--steps", "30", flag, "3"]
+            entries["oracle-check/" + " ".join(argv[1:])] = sha(cli(main, argv)[1])
+        for sweep in (SPAN_OVERFLOW, HUGE_ERRORS):
+            key = "neuron-sweep/" + " ".join(sweep)
+            entries[f"{key}.stdout"] = sha(cli(main, ["neuron-sweep", *sweep,
+                                                      "--out", "sweep.csv"])[1])
+            entries[f"{key}.csv"] = (sha(Path("sweep.csv").read_bytes())
+                                     if Path("sweep.csv").exists() else "missing")
+            Path("sweep.csv").unlink(missing_ok=True)
         for mech in SWEEP_MECHS:
             grid = ["--xmin", "0.1", "--xmax", "3"] if mech == "misr" else []
             for schedule, param in SETTINGS["signgd"]:

@@ -112,6 +112,27 @@ class TestOracleCheck:
                    "--corrupt-alpha", "1.01"])
         assert rc == 1
 
+    @pytest.mark.parametrize("neuron,flag,applies", [
+        ("if", "--corrupt-alpha", "subgrad"), ("lif", "--corrupt-beta1", "signgd"),
+        ("subgrad", "--corrupt-beta1", "signgd"), ("signgd:relu", "--corrupt-alpha", "subgrad"),
+    ])
+    def test_a_corrupt_flag_on_a_neuron_it_does_not_apply_to_exits_2(self, capsys, neuron,
+                                                                      flag, applies):
+        """A negative control that corrupts nothing would print OK: it is
+        refused, naming the flag and the neurons it applies to."""
+        rc = main(["oracle-check", "--neuron", neuron, "--steps", "200", flag, "3"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"spikeopt oracle-check: error: {flag} applies to {applies} neurons "
+                       f"only, not to --neuron {neuron}\n")
+
+    @pytest.mark.parametrize("neuron", ["if", "subgrad", "signgd:relu"])
+    def test_corrupt_flags_of_1_are_no_corruption(self, capsys, neuron):
+        assert main(["oracle-check", "--neuron", neuron, "--steps", "200",
+                     "--corrupt-alpha", "1", "--corrupt-beta1", "1.0"]) == 0
+        assert capsys.readouterr().out.endswith("-> OK\n")
+
     @pytest.mark.parametrize("neuron", ["signgd:relu", "signgd:misr"])
     def test_nan_deviation_fails(self, capsys, neuron):
         """--corrupt-beta1 0 divides u by zero, so the decode is NaN from
@@ -260,6 +281,20 @@ class TestNeuronSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("spikeopt neuron-sweep: error: ")
         assert "--xmin" in err and "--xmax" in err
+
+    def test_a_summary_of_huge_errors_prints_them_in_e_form(self, tmp_path, capsys):
+        """Magnitudes from 1e6 up print in .4e, not as 300-digit numbers."""
+        rc = main(["neuron-sweep", "--mech", "signgd:gelu", "--xmin=1e200", "--xmax=1e300",
+                   "--points", "3", "--T", "4", "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "mech=signgd:gelu T=4 max|err|=1.0000e+300 median|err|=5.0000e+299\n")
+
+    @pytest.mark.parametrize("value,text", [
+        (999_999.99994, "999999.9999"), (1e6, "1.0000e+06"), (-2e7, "-2.0000e+07"),
+        (0.5, "0.5000"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_summary_magnitudes(self, value, text):
+        assert cli._magnitude(value) == text
 
     def test_misr_denominator_degradation(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -477,6 +512,25 @@ class TestConvertInferProbeEnergy:
             want = (tmp / f"{stem}_alone.csv").read_bytes()
             for name in ("chunk", "budget"):
                 assert (tmp / f"{stem}_{name}.csv").read_bytes() == want, (stem, name)
+
+
+@pytest.mark.parametrize("family", ["signgd", "subgrad"])
+def test_probe_scores_the_run_infer_and_energy_make_of_its_item(pipeline, family):
+    """`probe --index i` of a stochastic run seeds item i as `infer` and
+    `energy` do, --seed + 1000 i: its readout errors are those of their run
+    of item i, bit for bit."""
+    tmp, g = pipeline
+    assert main(["convert", str(tmp / "ann.json"), "--family", family,
+                 "--out", str(tmp / "s")]) == 0
+    snn, data = SnnGraph.load(tmp / "s"), cli._items("--data", str(tmp / "data.sten"))
+    history = run_batch(snn, data, 16, encoder="stoch", seed=5)[0]  # as `_run_items` runs them
+    for i in (1, 4):
+        assert main(["probe", str(tmp / "s.json"), "--data", str(tmp / "data.sten"),
+                     "--T", "16", "--encoder", "stoch", "--seed", "5", "--index", str(i),
+                     "--dense-trace", "--out", str(tmp / "p.csv")]) == 0
+        got = [float(r[2]) for r in read_csv(tmp / "p.csv")[1:] if r[0] == "readout"]
+        ref = ann_forward(g, data[i])[g.output_id].reshape(-1)
+        assert got == np.abs(history[:, i] - ref).max(axis=1).tolist(), i
 
 
 # a flag out of range, the command it is given to and the flag the error names

@@ -1153,6 +1153,19 @@ class TestSnnLoad:
         with pytest.raises(ModelFormatError, match=f"net.*{match}"):
             SnnGraph.load(tmp_path / "net")
 
+    def test_meta_keys_save_does_not_write_are_ignored(self, tmp_path):
+        """A converted file whose meta holds a key besides the four `save`
+        writes loads as the file without it, and a re-save drops it."""
+        manifest = saved_snn(tmp_path, "signgd")
+        meta = dict(manifest["meta"])
+        assert sorted(meta) == ["family", "kind", "parameterization", "schedule"]
+        manifest["meta"]["note"] = "from another tool"
+        (tmp_path / "net.json").write_text(json.dumps(manifest))
+        snn = SnnGraph.load(tmp_path / "net")
+        snn.save(tmp_path / "again")
+        assert json.loads((tmp_path / "again.json").read_text())["meta"] == meta
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "net.bin").read_bytes()
+
     @pytest.mark.parametrize("family", ["signgd", "subgrad"])
     @pytest.mark.parametrize("mutate,match", [
         (edit_act0(count=15, shape=[15]), r"count 15 but operands of sizes \[16\]"),
