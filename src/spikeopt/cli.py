@@ -18,6 +18,7 @@ import functools
 import io
 import math
 import os
+import re
 import shutil
 import stat
 import sys
@@ -213,27 +214,30 @@ def _scaled(coeffs, name, factor):
 def _oracle_pair(args, coeffs, rng):
     """The neuron under check, its oracle, all `args.steps` inputs drawn in
     one call (step t reads row t - 1; PCG64 emits its stream in order, so the
-    rows are the per-step draws) and decoded(t), the neuron's decode after
-    step t in oracle coordinates. The subgradient and sign neurons step
-    `coeffs`, the set `_schedule` checked, with --corrupt-* applied."""
+    rows are the per-step draws), the neuron's attribute `read` after each
+    step, and decoded(rows), its decodes in oracle coordinates from the K
+    rows read. The subgradient and sign neurons step `coeffs`, the set
+    `_schedule` checked, with --corrupt-* applied."""
     name, steps = args.neuron, args.steps
+    read = "decoded"
     if name == "if":
         neuron = IfNeuron(IfLifParams(theta_th=1.0, R=1.0, u0=0.0), n=1)
         oracle = IfRateOracle(theta=1.0, R=1.0, u0=0.0, n=1)
         inputs = rng.uniform(0.0, 1.2, (steps, 1))
-        decoded = lambda t: if_transform(neuron.decoded, t, u0=0.0, theta=1.0)
+        decoded = lambda ys: np.array([if_transform(y, t, u0=0.0, theta=1.0)
+                                       for t, y in enumerate(ys, 1)])
     elif name == "lif":
         tau = 10.0
         neuron = LifNeuron(IfLifParams(theta_th=1.0, R=1.0, tau_m=tau, u_rest=0.0), n=1)
         oracle = LifEmaOracle(theta=1.0, R=1.0, tau=tau, u_rest=0.0, u0=0.0, n=1)
         inputs = rng.uniform(0.0, 12.0, (steps, 1))
-        decoded = lambda t: lif_transform(
-            neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
+        decoded = lambda ys: np.array([lif_transform(y, t, u0=0.0, u_rest=0.0, theta=1.0, tau=tau)
+                                       for t, y in enumerate(ys, 1)])
     elif name == "subgrad":
         neuron = SubgradNeuron(_scaled(coeffs, "alpha", args.corrupt_alpha), n=1)
         oracle = SubgradOracle(coeffs.schedule, n=1)
         inputs = rng.uniform(0.0, 1.0, (steps, 1))
-        decoded = lambda t: neuron.decoded
+        decoded = lambda ys: ys
     elif name.startswith("signgd"):
         mech = _parsed("--neuron", parse_mechanism, name)
         schedule, coeffs = coeffs.schedule, _scaled(coeffs, "beta1", args.corrupt_beta1)
@@ -247,11 +251,14 @@ def _oracle_pair(args, coeffs, rng):
                              f"overflow the check's inputs or their squares")
         neuron = SignGdNeuron(mech, coeffs, W=W, b=b, n=1)
         oracle = SignGdOracle(SqErrObjective(mech.kind, mech.delta), schedule, W=W, b=b, n=1)
-        decoded = lambda t: neuron.decoded
+        # decoded after step t is eta(t)/beta2(t) u, the u scale of step t + 1
+        # times u: one IEEE multiply a step, formed for all steps at once
+        read = "u"
+        decoded = lambda u: np.array([coeffs.row(t)[3] for t in range(2, len(u) + 2)])[:, None] * u
     else:
         raise RangeError(f"--neuron: unknown neuron kind {name!r}; "
                          f"expected if, lif, subgrad or signgd:<mechanism>")
-    return neuron, oracle, inputs, decoded
+    return neuron, oracle, inputs, read, decoded
 
 
 def cmd_oracle_check(args):
@@ -263,19 +270,20 @@ def cmd_oracle_check(args):
             raise RangeError(f"{flag} applies to {applies} neurons only, "
                              f"not to --neuron {args.neuron}")
     schedule, coeffs = _schedule(args, family)
-    neuron, oracle, inputs, decoded = _oracle_pair(args, coeffs, make_rng(args.seed))
+    neuron, oracle, inputs, read, decoded = _oracle_pair(args, coeffs, make_rng(args.seed))
 
     # per step: the neuron's and the oracle's spikes, then decoded(t) and the
     # oracle's iterate f(t); the neuron steps the whole trace as one block,
-    # as a network's layers step theirs, and the oracle replays it in one
-    # run. The deviation is one max over the whole trace, and a NaN
-    # anywhere makes it NaN, which fails
+    # as a network's layers step theirs, recording its `read` after each
+    # step, and the oracle replays it in one run. The deviation is one max
+    # over the whole trace, and a NaN anywhere makes it NaN, which fails
     trace = np.empty((args.steps, 4, 1))
 
-    def record(k):  # decoded(t) after step t = k + 1
-        trace[k, 2] = decoded(k + 1)
+    def record(k):  # after step t = k + 1
+        trace[k, 2] = getattr(neuron, read)
 
     trace[:, 0] = neuron.step(inputs.reshape(args.steps, -1), steps=args.steps, observer=record)
+    trace[:, 2] = decoded(trace[:, 2])
     del neuron, decoded, coeffs  # with their coefficient rows: the replay reads the trace alone
     trace[:, 1], trace[:, 3] = oracle.run(inputs)
     deviation = np.abs(trace[:, 0::2] - trace[:, 1::2]).max()
@@ -636,11 +644,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return p
 
 
+_NEGATIVE_WITH_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _values_joined(argv) -> list:
+    """argv with each `--flag -1e-3` written `--flag=-1e-3`: before Python
+    3.13, argparse takes a negative number with an exponent for a flag."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # from the end: a join shifts only tokens seen
+        if _NEGATIVE_WITH_EXPONENT.fullmatch(argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     """Run one subcommand; a bad model or graph, a path that cannot be read
     or written, a flag out of range and a step its schedule cannot take end
     it with one line on stderr and exit status 2."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _values_joined(sys.argv[1:] if argv is None else argv)
     # only the named command's parser; top-level help, a missing or unknown
     # command and leftover arguments go to the full parser, whose usage line
     # lists every command

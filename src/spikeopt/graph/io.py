@@ -92,11 +92,7 @@ def save_model(g: Graph, path, meta: dict | None = None) -> None:
                 name = f"{nid}.{key}"
                 tensors[name] = np.asarray(val, dtype=dtype, order="C")
                 names[key] = name
-            elif isinstance(val, np.ndarray):
-                plain[key] = val.tolist()
-            elif isinstance(val, tuple):
-                plain[key] = list(val)
-            else:
+            else:  # json writes a tuple as a list
                 plain[key] = val
         nodes_out.append({"id": nid, "kind": node.kind, "params": plain, "tensors": names})
 

@@ -15,7 +15,8 @@ per `step(I)` call, or a block of K steps per `step(I, steps=K, ...)` call,
 the form a network's layers and the oracle check use. A block forms the
 part of the dynamics that never reads the state once for the whole block
 and runs the rest step by step; a small sign layer also forms its firing
-rule's targets for all K steps at once (see SignGdNeuron). A one-step call
+rule's targets for all K steps at once, and one of a few values steps u on
+Python floats (see SignGdNeuron). A one-step call
 is a block of one step, so there is one copy of the arithmetic, and a
 block gives every step the bits that stepping it alone gives. A layer
 only steps: what a run records of its spikes, such as their counts, is the
@@ -62,12 +63,14 @@ __all__ = [
     "SignGdNeuron",
     "MECHANISMS",
     "SMALL_OPERANDS",
+    "FLOAT_OPERANDS",
 ]
 
 _HALF_MAX = np.finfo(np.float64).max / 2  # the largest x whose 2 x is finite
 # operand values per step (batch x arity x n) up to which a sign layer forms
-# its firing targets once per block (see SignGdNeuron)
-SMALL_OPERANDS = 1024
+# its firing targets once per block, and up to which it also compares and
+# resets u on Python floats (see SignGdNeuron)
+SMALL_OPERANDS, FLOAT_OPERANDS = 1024, 8
 
 
 @dataclass(frozen=True)
@@ -474,7 +477,13 @@ class SignGdNeuron(_Layer):
       reset run per step; gelu's and misr's comparisons skip np.errstate
       where b1 = u_scale = 1 bounds |u| by |u| + sum |b2| over the block
       and that bound shows their products of u finite
-      (`FiringMechanism.overflows`).
+      (`FiringMechanism.overflows`). Up to FLOAT_OPERANDS values (8: at 12
+      and 16, Python's loop over the values lost to numpy's calls on relu
+      and gelu) those two run on Python floats (`_float_steps`), whose
+      + - * / and >= are numpy's IEEE double operations, where no b1 is 0
+      and a bound on |u|, which monotone rounding makes hold for the
+      floats' u, stays within _HALF_MAX: Python raises on x / 0.0 and
+      never warns, and there numpy would warn of nothing either.
     - above it, each step forms v, its target, the comparison and u's reset
       in turn, in buffers of one step's size, which stay in cache; rows of
       a whole block are colder and made max2 on 2 x 1,352 values slower.
@@ -606,31 +615,81 @@ class SignGdNeuron(_Layer):
         flags = np.empty((K, 2, *s_k.shape[1:]), dtype=bool)
         vs_ops = vs.transpose(1, 0, 2, 3)
         fallbacks = mech.target(vs_ops, s_k, flags.transpose(1, 0, 2, 3))
-        # only gelu and misr form products of u; with b1 = u_scale = 1, |u|
-        # stays within |u| + sum |b2| over the block, which may show that
-        # their comparisons need no np.errstate
-        quiet = mech.kind in ("gelu", "misr") and (
-            not all(r[3] == r[5] == 1.0 for r in rows) or mech.overflows(
-                vs_ops, s_k, fallbacks, float(np.abs(u).max()) + sum(abs(r[6]) for r in rows)))
+        seen = None
         if mech.kind == "misr" and observer is not None:
             # the degeneracies after each step
             ok = np.count_nonzero(flags[:, 1].reshape(K, -1), axis=1)
             seen = self.degeneracies + np.cumsum(s_k[0].size - ok)
-        for k, (row, s, v_k, flags_k) in enumerate(zip(rows, s_k, vs, flags)):
-            _, _, _, u_scale, _, b1, b2 = row
-            # s = spike(u_scale u, v_scale v)
-            us = u if u_scale == 1.0 else np.multiply(u, u_scale, self._us)
-            mech.compare(us, v_k, s, flags_k, fallbacks, s, tmp, quiet)
-            self._reset_u(s, b1, b2)
-            self.t = t0 + k + 1
-            if observer is not None:
-                np.copyto(v, d[k])
-                if mech.kind == "misr":
-                    self.degeneracies = int(seen[k])
-                observer(k)
+        if s_k[0].size * mech.arity > FLOAT_OPERANDS or not self._float_steps(
+                d, rows, s_k, vs, flags, seen, observer):
+            # only gelu and misr form products of u; with b1 = u_scale = 1,
+            # |u| stays within |u| + sum |b2| over the block, which may show
+            # that their comparisons need no np.errstate
+            quiet = mech.kind in ("gelu", "misr") and (
+                not all(r[3] == r[5] == 1.0 for r in rows) or mech.overflows(
+                    vs_ops, s_k, fallbacks, float(np.abs(u).max()) + sum(abs(r[6]) for r in rows)))
+            for k, (row, s, v_k, flags_k) in enumerate(zip(rows, s_k, vs, flags)):
+                _, _, _, u_scale, _, b1, b2 = row
+                # s = spike(u_scale u, v_scale v)
+                us = u if u_scale == 1.0 else np.multiply(u, u_scale, self._us)
+                mech.compare(us, v_k, s, flags_k, fallbacks, s, tmp, quiet)
+                self._reset_u(s, b1, b2)
+                self.t = t0 + k + 1
+                if observer is not None:
+                    np.copyto(v, d[k])
+                    if seen is not None:
+                        self.degeneracies = int(seen[k])
+                    observer(k)
         np.copyto(v, d[K - 1])
         if mech.kind == "misr" and observer is None:
             self.degeneracies += fallbacks
+
+    def _float_steps(self, d, rows, s_k, vs, flags, seen, observer) -> bool:
+        """Step the block's comparisons and u's resets on Python floats, value
+        by value, with the operations of `compare` and `_reset_u` in their
+        order (x / 1.0 is x, so b1 = 1 divides too), where no b1 is 0 and
+        the bound |u| <= |u| / |b1| + |b2|, carried over the rows from the
+        sum of |u| (NaN if a u is), stays within _HALF_MAX, times each
+        |u_scale| too. Returns whether it stepped the block."""
+        u_flat = self._u.reshape(-1)
+        u = u_flat.tolist()
+        bound = sum(map(abs, u))
+        for _, _, _, u_scale, _, b1, b2 in rows:
+            if b1 == 0.0 or not abs(u_scale) * bound <= _HALF_MAX:
+                return False
+            bound = bound / abs(b1) + abs(b2)
+            if not bound <= _HALF_MAX:
+                return False
+        kind, t0, v, spikes = self.mech.kind, self.t, self._v, []
+        # per step, B n values each: the targets, and gelu's v0 or misr's v2
+        # and both flags; flat lists grouped step by step as they are read
+        extra = ([vs[:, 0]] if kind == "gelu" else
+                 [vs[:, 1], flags[:, 0], flags[:, 1]] if kind == "misr" else [])
+        cols = [zip(*[iter(x.reshape(-1).tolist())] * len(u)) for x in (s_k, *extra)]
+        for k, (row, *ops) in enumerate(zip(rows, *cols)):
+            _, _, _, u_scale, _, b1, b2 = row
+            us = u if u_scale == 1.0 else [x * u_scale for x in u]
+            if kind == "gelu":  # at u = 0, a finite gain's t u >= v0 is v0 <= 0 too
+                s = [t * x >= v0 or (x == 0.0 and v0 <= 0.0) for x, t, v0 in zip(us, *ops)]
+            elif kind == "misr":  # H(lead) where u >= 0, H(-lead) where not, lead = v2 u u - t
+                s = [(v2 * x * x - t) * (1.0 if x >= 0.0 else -1.0) >= 0.0
+                     if (x >= 0.0) == f0 and f1 else x >= 0.0
+                     for x, t, v2, f0, f1 in zip(us, *ops)]
+            else:
+                s = [x >= t for x, t in zip(us, ops[0])]
+            b2x2 = 2.0 * b2  # u <- u / b1 - (s (2 b2) - b2)
+            u = [x / b1 - (f * b2x2 - b2) for x, f in zip(u, s)]
+            spikes += s
+            self.t = t0 + k + 1
+            if observer is not None:
+                u_flat[:] = u
+                np.copyto(v, d[k])
+                if seen is not None:
+                    self.degeneracies = int(seen[k])
+                observer(k)
+        u_flat[:] = u
+        s_k.flat = spikes
+        return True
 
     def _reset_u(self, s, b1, b2):
         """u <- u / b1 - b2 (2 s - 1); b2 (2 s - 1) is +-b2, formed as

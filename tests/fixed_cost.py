@@ -18,17 +18,23 @@ command runs N times, and the wall time of each run is split into phases:
 - instance: `engine.SnnInstance()`;
 - encoder: the input encoder's set-up (`engine.make_input_encoder`);
 - steps: `engine.run_batch`, less the phases inside it;
-- neuron: `oracle-check`'s neuron block, its per-step decode included
+- rows: the coefficient sets' step rows, each evaluated once on first use
+  (the `_factors` of `SignGdCoefficients` and `SubgradCoefficients`);
+- neuron: `oracle-check`'s neuron block, with what it records each step
   (the `step` of the neuron `cli._oracle_pair` builds);
+- decode: `oracle-check`'s decode of what the neuron recorded (the
+  `decoded` callable `cli._oracle_pair` returns, called once per block or,
+  in an older checkout, once per step);
 - oracle: `oracle-check`'s oracle replay (that oracle's `step` and `run`);
 - report: `cli._write_csv`;
 - other: the rest (reading items and labels, the ANN reference of `probe`,
   converting, printing).
 
-A phase's time is its own, less that of the phases it calls. The tool prints
-each phase's minimum over the N runs, and the minimum total: the phases'
-minimums need not sum to it. BLAS runs on one thread, as in the bench,
-unless the thread variables are set.
+A phase's time is its own, less that of the phases it calls, and a phase
+that a checkout lacks (an oracle without `run`, a coefficient set without
+`_factors`) reads 0. The tool prints each phase's minimum over the N runs,
+and the minimum total: the phases' minimums need not sum to it. BLAS runs
+on one thread, as in the bench, unless the thread variables are set.
 
 The second form compares two checkouts over P passes (2 by default). A
 pass measures A and then B, or B and then A in every other pass, each as
@@ -58,8 +64,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 T = 64
 SCHEDULE = "inv:1"
-PHASES = ("parse", "load", "instance", "encoder", "steps", "neuron", "oracle", "report",
-          "other")
+PHASES = ("parse", "load", "instance", "encoder", "steps", "rows", "neuron", "decode", "oracle",
+          "report", "other")
 COLUMNS = ("total", *PHASES)
 
 
@@ -112,7 +118,7 @@ class Phases:
 
 def instrument(phases: Phases):
     """Wrap the checkout's functions so that `phases` sees each phase."""
-    from spikeopt import cli, engine
+    from spikeopt import cli, engine, schedules
     from spikeopt.graph import SnnGraph
 
     for name, (help_line, add_args, handler) in cli.COMMANDS.items():
@@ -122,15 +128,19 @@ def instrument(phases: Phases):
     engine.make_input_encoder = phases.timed("encoder", engine.make_input_encoder)
     engine.run_batch = phases.timed("steps", engine.run_batch)
     cli._write_csv = phases.timed("report", cli._write_csv)
+    for cls in (schedules.SignGdCoefficients, schedules.SubgradCoefficients):
+        if hasattr(cls, "_factors"):
+            cls._factors = phases.timed("rows", cls._factors)
     pair = cli._oracle_pair
 
     def timed_pair(*args):
-        neuron, oracle, inputs, decoded = pair(*args)
+        # (neuron, oracle, inputs, [read,] decoded): an older checkout has no `read`
+        neuron, oracle, *rest, decoded = pair(*args)
         neuron.step = phases.timed("neuron", neuron.step)
         for name in ("step", "run"):  # an oracle of an older checkout has no `run`
             if hasattr(oracle, name):
                 setattr(oracle, name, phases.timed("oracle", getattr(oracle, name)))
-        return neuron, oracle, inputs, decoded
+        return neuron, oracle, *rest, phases.timed("decode", decoded)
 
     cli._oracle_pair = timed_pair
     return cli.main

@@ -38,6 +38,7 @@ from spikeopt.graph import (
     save_model,
     save_tensor,
 )
+from spikeopt.oracles import if_transform, lif_transform
 from spikeopt.schedules import (
     parse_schedule,
     solve_signgd_coefficients,
@@ -189,10 +190,50 @@ def test_one_call_draws_are_the_per_step_draws(neuron, schedule, steps, seed):
     sched = parse_schedule(schedule)
     coeffs = (solve_subgrad_coefficients(sched) if neuron == "subgrad" else
               solve_signgd_coefficients(sched) if neuron.startswith("signgd") else None)
-    _, _, inputs, _ = cli._oracle_pair(args, coeffs, make_rng(args.seed))
+    inputs = cli._oracle_pair(args, coeffs, make_rng(args.seed))[2]
     _, _, draw, _ = reference_setup(args, sched, make_rng(args.seed))
     assert inputs.shape[0] == steps
     np.testing.assert_array_equal(inputs, np.stack([draw() for _ in range(steps)]))
+
+
+# each neuron's decode after step t as the check read it after every step,
+# before it decoded the rows its observer records once per trace
+STEP_DECODES = {
+    "if": lambda neuron, t: if_transform(neuron.decoded, t, u0=0.0, theta=1.0),
+    "lif": lambda neuron, t: lif_transform(neuron.decoded, t, u0=0.0, u_rest=0.0, theta=1.0,
+                                           tau=10.0),
+    "subgrad": lambda neuron, t: neuron.decoded,
+    "signgd": lambda neuron, t: neuron.decoded,
+}
+
+
+@pytest.mark.parametrize("neuron,schedule,parameterization,corrupt", [
+    (*case, corrupt)
+    for case in (*ORACLE_BENCH, ("signgd:misr", "exp:0.5:0.99", "canonical"))
+    for corrupt in ((1.0,) if case[0] in ("if", "lif") else (1.0, 1.001))])
+def test_the_decode_of_the_recorded_rows_is_each_steps_decode(neuron, schedule,
+                                                              parameterization, corrupt):
+    """oracle-check records the neuron's `read` after each step and decodes
+    the rows once per trace (a sign neuron's u, times the u scale of each
+    next step): the bits of the decode read after every step, also with a
+    corrupted coefficient set (--corrupt-beta1, --corrupt-alpha)."""
+    family = neuron.split(":")[0]
+    flag = {"signgd": ["--corrupt-beta1"], "subgrad": ["--corrupt-alpha"]}.get(family, [])
+    args = cli.build_parser().parse_args(
+        ["oracle-check", "--neuron", neuron, "--schedule", schedule, "--parameterization",
+         parameterization, "--steps", "400", *flag, *[str(corrupt)] * len(flag)])
+    _, coeffs = cli._schedule(args, family if flag else None)
+    layer, _, inputs, read, decoded = cli._oracle_pair(args, coeffs, make_rng(3))
+    rows, want = [], []
+
+    def record(k):
+        rows.append(np.copy(getattr(layer, read)))
+        want.append(np.copy(STEP_DECODES[family](layer, k + 1)))
+
+    layer.step(inputs.reshape(len(inputs), -1), steps=len(inputs), observer=record)
+    got = decoded(np.array(rows))
+    assert got.shape == (len(inputs), 1)
+    np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 @pytest.mark.parametrize("argv,rc", [
@@ -306,6 +347,16 @@ class TestNeuronSweep:
         errs = {float(r[0]): float(r[2]) for r in rows}
         xs = sorted(errs)
         assert errs[xs[0]] > errs[xs[-1]]  # small denominators converge worse
+
+
+@pytest.mark.parametrize("family", ["signgd", "subgrad"])
+def test_convert_of_a_net_without_a_nonlinearity_says_it_has_no_neuron_layers(tmp_path,
+                                                                                capsys, family):
+    save_model(build_mlp(seed=3, dims=(4, 2)), tmp_path / "linear")
+    assert main(["convert", str(tmp_path / "linear.json"), "--family", family,
+                 "--out", str(tmp_path / "snn")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["  dense: 1", "  input: 1", "  output: 1", "  (no neuron layers)"]
 
 
 @pytest.fixture
@@ -1746,6 +1797,49 @@ VALID_ARGS = {
     "probe": ["snn.json", "--data", "d.sten", "--out", "p.csv"],
     "energy": ["snn.json", "--data", "d.sten", "--out", "e.csv"],
 }
+
+
+# per command: a flag, a negative value of it with an exponent, and the other
+# arguments the command needs (ANN, SNN and DATA the pipeline's files)
+NEGATIVE_EXPONENTS = {
+    "encode": ("--x", "-1e-3", ["--T", "4", "--out", "OUT"]),
+    "oracle-check": ("--corrupt-beta1", "-1e0", ["--neuron", "signgd:relu", "--steps", "20"]),
+    "neuron-sweep": ("--xmin", "-2.5E0", ["--mech", "signgd:relu", "--points", "3", "--T", "4",
+                                          "--out", "OUT"]),
+    "convert": ("--normalize-relu", "-1e0", ["ANN", "--family", "signgd", "--out", "OUT"]),
+    "infer": ("--c", "-5e-1", ["SNN", "--data", "DATA", "--encoder", "stoch", "--report", "OUT"]),
+    "probe": ("--c", "-.5e0", ["SNN", "--data", "DATA", "--encoder", "stoch", "--out", "OUT"]),
+    "energy": ("--c", "-5.e-1", ["SNN", "--data", "DATA", "--encoder", "stoch", "--out", "OUT"]),
+}
+
+
+@pytest.mark.parametrize("command", list(NEGATIVE_EXPONENTS))
+def test_a_negative_value_with_an_exponent_reaches_its_flag(pipeline, capsys, command):
+    """`--flag -1e-3` runs as `--flag=-1e-3` does, in every command: argparse
+    before Python 3.13 took such a token for a flag, and the command exited
+    2 with "expected one argument"."""
+    tmp, _ = pipeline
+    assert main(["convert", str(tmp / "ann.json"), "--family", "signgd",
+                 "--out", str(tmp / "snn")]) == 0
+    flag, value, rest = NEGATIVE_EXPONENTS[command]
+    rest = [{"ANN": str(tmp / "ann.json"), "SNN": str(tmp / "snn.json"),
+             "DATA": str(tmp / "data.sten"), "OUT": str(tmp / "out")}.get(a, a) for a in rest]
+    results = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        capsys.readouterr()
+        try:
+            rc = main([command, *rest, *form])
+        except SystemExit as exc:  # a value argparse itself refuses
+            rc = exc.code
+        out, err = capsys.readouterr()
+        written = (tmp / "out").read_bytes() if (tmp / "out").exists() else None
+        results.append((rc, out, err, written))
+        (tmp / "out").unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert "expected one argument" not in results[0][2]
+    # the command ran (oracle-check's corrupted check fails), or named the value
+    rc, _, err, _ = results[0]
+    assert rc in (0, 1) or value in err or f"{float(value):g}" in err
 
 
 def _exit(parse, argv, capsys):

@@ -179,6 +179,17 @@ class TestModelIo:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_a_tuple_param_is_written_as_its_list(self, tmp_path):
+        """json writes a tuple as a list: an input shape given as a tuple
+        saves the bytes its list saves."""
+        g = build_mlp(seed=3, dims=(4, 2))
+        save_model(g, tmp_path / "list")
+        g.nodes["in"].params["shape"] = (4,)
+        save_model(g, tmp_path / "tuple")
+        for suffix in (".json", ".bin"):
+            assert ((tmp_path / f"list{suffix}").read_bytes()
+                    == (tmp_path / f"tuple{suffix}").read_bytes())
+
     def test_unknown_kind(self, tmp_path):
         g = build_mlp(seed=3, dims=(4, 2))
         save_model(g, tmp_path / "m")

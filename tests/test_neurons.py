@@ -1,4 +1,6 @@
 import dataclasses
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from reference_neuron import (
     ReferenceSubgradNeuron,
     reference_spike,
 )
+from spikeopt import neurons
 from spikeopt.codec import heaviside, make_rng
 from spikeopt.neurons import (
+    FLOAT_OPERANDS,
     MECHANISMS,
     SMALL_OPERANDS,
     FiringMechanism,
@@ -440,6 +444,16 @@ class TestSignGdNeuronUnits:
         for spikes, copy in kept:
             np.testing.assert_array_equal(spikes, copy)
 
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_decodes_zeros_before_its_first_step(self, batch):
+        """At t = 0 a sign layer decodes zeros shaped like u, where the u scale
+        of step 1 would read eta(0) and beta2(0)."""
+        c = solve_signgd_coefficients(parse_schedule("inv:1"))
+        layer = SignGdNeuron(FiringMechanism("relu"), c, W=1.0, b=0.5, n=3)
+        layer.reset(batch)
+        assert layer.t == 0
+        assert_bits_equal(layer.decoded, np.zeros_like(layer.u))
+
     @pytest.mark.parametrize("family,name", [("signgd", "sign-dynamics"),
                                              ("subgrad", "subgradient")])
     def test_corrupted_coefficients_rejected(self, family, name):
@@ -623,13 +637,14 @@ def layer_state(layer, names):
     return {name: np.copy(getattr(layer, name)) for name in names}
 
 
-def layer_width(side, B, arity):
-    """n for a sign layer of B items on one `side` of SMALL_OPERANDS: 3
-    ("small"), the widest whose B arity n operands take the block-target
-    path ("edge"), or one more, which takes the per-step path ("large")."""
+def layer_width(side, B, arity, bound=SMALL_OPERANDS):
+    """n for a sign layer of B items on one `side` of a bound on B arity n:
+    3 ("small"), the widest within the bound ("edge"), or one more, past it
+    ("large" or "above"). Below SMALL_OPERANDS a layer takes the
+    block-target path, and up to FLOAT_OPERANDS that path's float steps."""
     if side == "small":
         return 3
-    edge = SMALL_OPERANDS // (B * arity)
+    edge = bound // (B * arity)
     return edge if side == "edge" else edge + 1
 
 
@@ -868,3 +883,133 @@ def test_block_step_where_gelu_gain_times_u_is_v0(c, n):
     np.testing.assert_array_equal(got.reshape(2, B, n), np.stack(want))
     np.testing.assert_array_equal(layer.u, np.stack([r.u for r in refs]))
     np.testing.assert_array_equal(layer.v, np.stack([r.v for r in refs], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# The float steps of a sign layer of few values
+# ---------------------------------------------------------------------------
+
+
+def numpy_steps():
+    """A patch under which every block compares and resets u on numpy."""
+    return mock.patch.object(neurons, "FLOAT_OPERANDS", 0)
+
+
+def counted_float_steps(calls):
+    """A patch under which each block stepped on floats adds its t to `calls`."""
+    float_steps = SignGdNeuron._float_steps
+
+    def counted(self, *args):
+        t0, stepped = self.t, float_steps(self, *args)
+        if stepped:
+            calls.append(t0)
+        return stepped
+
+    return mock.patch.object(SignGdNeuron, "_float_steps", counted)
+
+
+SIGN_STATE = ["u", "v", "t", "decoded", "degeneracies"]
+
+
+def stepped_block(layer, rows, k, observe):
+    """The spikes of one block of k steps, the states an observer saw after
+    each step (None without an observer) and the state after the block."""
+    seen = [] if observe else None
+    observer = (lambda j: seen.append(layer_state(layer, SIGN_STATE))) if observe else None
+    return layer.step(rows, steps=k, observer=observer), seen, layer_state(layer, SIGN_STATE)
+
+
+def assert_states_equal(got, want):
+    for name in SIGN_STATE:
+        assert_bits_equal(got[name], want[name], err_msg=name)
+
+
+@pytest.mark.parametrize("mech", SIGN_MECHS, ids=lambda m: ":".join(map(str, m)))
+@settings(max_examples=40, deadline=None)
+@given(sched=st.sampled_from(BLOCK_SCHEDULES), B=st.integers(1, FLOAT_OPERANDS),
+       T=st.integers(1, 40), K=st.integers(1, 40), scale=st.sampled_from([1.0, 0.5, 1000.0]),
+       observe=st.booleans(), seed=st.integers(0, 2**16),
+       side=st.sampled_from(["edge", "above"]))
+def test_float_steps_are_the_numpy_and_reference_steps(mech, sched, B, T, K, scale, observe,
+                                                       seed, side):
+    """A sign layer whose step holds at most FLOAT_OPERANDS operand values
+    ("edge": B arity n at the bound) compares and resets u on Python floats;
+    one more neuron ("above") keeps numpy. Either way, blocks of K steps
+    give the bits of the numpy path and of the reference neurons: spikes,
+    and u, v, `decoded` and misr degeneracies after the block and, with an
+    observer, at each of its calls. Ties, misr's fallback and gelu's
+    overflowing gains occur as in test_block_steps_are_the_reference_steps."""
+    (kind, delta), (schedule, parameterization) = mech, sched
+    arity = MECHANISMS[kind][0]
+    B = min(B, FLOAT_OPERANDS // arity)
+    n = layer_width(side, B, arity, FLOAT_OPERANDS)
+    layer, make_ref, _, W, b = block_layer(kind, delta, schedule, parameterization, n,
+                                           make_rng(seed), scale)
+    twin = block_layer(kind, delta, schedule, parameterization, n, make_rng(seed), scale)[0]
+    layer.reset(B)
+    twin.reset(B)
+    refs = [make_ref() for _ in range(B)]
+    rng = make_rng(seed + 1)
+    currents = (b + W * rng.integers(0, 2, (T, B, arity, n))
+                + scale * rng.integers(-1, 2, (T, B, arity, n)))
+    calls = []
+    for t0 in range(0, T, K):
+        k = min(K, T - t0)
+        rows = currents[t0 : t0 + k].reshape(k * B, arity * n)
+        with counted_float_steps(calls):
+            got = stepped_block(layer, rows.copy(), k, observe)
+        with numpy_steps():
+            want = stepped_block(twin, rows.copy(), k, observe)
+        spikes, states = [], []
+        for I in currents[t0 : t0 + k]:
+            spikes.append(np.stack([r.step(I[i]) for i, r in enumerate(refs)]))
+            states.append(reference_state(refs, True))
+        assert_bits_equal(got[0], want[0])
+        assert_bits_equal(got[0].reshape(k, B, n), np.stack(spikes))
+        assert_states_equal(got[2], want[2])
+        assert_states_equal(got[2], states[-1])
+        if observe:
+            assert len(got[1]) == len(want[1]) == k
+            for g, w, r in zip(got[1], want[1], states):
+                assert_states_equal(g, w)
+                assert_states_equal(g, r)
+    assert calls == (list(range(0, T, K)) if side == "edge" else [])
+
+
+def warned_block(layer, currents):
+    """(spikes, u, v, the warnings' categories and messages) of one block."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spikes = layer.step(currents, steps=len(currents))
+    return spikes, layer.u.copy(), layer.v.copy(), [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("case", ["b1=0", "overflow"])
+def test_a_block_floats_would_step_otherwise_keeps_numpy_and_its_warnings(case):
+    """A layer of one value whose block Python floats would not step as numpy
+    does keeps numpy's path, and gives the spikes, state and warnings that
+    path gives with the float steps switched off (FLOAT_OPERANDS = 0):
+    b1 = 0 (oracle-check --corrupt-beta1 0), where x / 0.0 raises in Python
+    and numpy warns and gives NaN; and const:1.5e308 with v held at
+    1.7e308, where u climbs past the float range and numpy warns of the
+    overflow."""
+    mech = FiringMechanism("relu")
+    if case == "b1=0":
+        s = parse_schedule("inv:1")
+        c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: np.asarray(t) * 0.0)
+        W, b = 1.0, 0.0
+        currents = make_rng(3).integers(0, 2, (6, 1)).astype(float)
+    else:
+        s = parse_schedule("const:1.5e308")
+        c = solve_signgd_coefficients(s)
+        W, b = 0.0, 1.7e308
+        currents = np.full((6, 1), b)  # a2 (2 (I - b) - W) = 0: v stays b
+    calls = []
+    with counted_float_steps(calls):
+        got = warned_block(SignGdNeuron(mech, c, W=W, b=b, n=1), currents.copy())
+    with numpy_steps():
+        want = warned_block(SignGdNeuron(mech, c, W=W, b=b, n=1), currents.copy())
+    assert calls == []
+    for g, w in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(g, w)
+    assert got[3] == want[3] and want[3]

@@ -150,6 +150,21 @@ def test_signgd_oracle_run_is_its_steps(mech, schedule, n, steps, cuts, offset, 
         assert got.t == want.t == hi
 
 
+def test_signgd_oracle_run_of_no_steps_changes_nothing():
+    """A 0-step trace gives two (0, n) arrays and leaves t, f and x_tilde as
+    the steps before it left them."""
+    m, n = parse_mechanism("max2"), 3
+    W, b = np.ones((2, n)), np.arange(6.0).reshape(2, n)
+    oracle = SignGdOracle(SqErrObjective(m.kind, m.delta), parse_schedule("inv:1"), W, b, n)
+    oracle.run(b + W * make_rng(0).integers(0, 2, (4, 2, n)))
+    f, x = oracle.f, oracle.x_tilde.copy()
+    spikes, iterates = oracle.run(np.empty((0, 2, n)))
+    assert spikes.shape == iterates.shape == (0, n)
+    assert oracle.t == 4
+    np.testing.assert_array_equal(oracle.f, f)
+    np.testing.assert_array_equal(oracle.x_tilde, x)
+
+
 class TestTransforms:
     def test_if_anchor(self):
         assert if_transform(0.0, 0, u0=0.0, theta=1.0) == 1.0

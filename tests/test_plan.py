@@ -868,6 +868,10 @@ def test_every_affine_table_round_trips(spec, offset):
     np.testing.assert_array_equal(expand(form), table)
 
 
+def test_an_empty_table_has_no_affine_form():
+    assert plan_module.affine_form(np.array([], dtype=np.int64)) is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 48), kind=st.sampled_from(["permutation", "wrong"]))
 def test_a_table_has_a_form_only_if_some_shape_gives_it(data, n, kind):

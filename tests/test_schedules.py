@@ -117,6 +117,15 @@ class TestSignGdCoefficients:
         c = dataclasses.replace(solve_signgd_coefficients(s), beta1=lambda t: 1.0 + 1e-3)
         assert not validate_signgd_coefficients(c, s, t_max=100, tol=1e-12)
 
+    @pytest.mark.parametrize("name", ["alpha2", "beta2"])
+    def test_a_missed_t1_anchor_fails(self, name):
+        """alpha2(1) and beta2(1) must be eta(1): one of them off by 1e-6,
+        with every ratio condition still met, fails at the anchor."""
+        s = Schedule.inverse(1.0)
+        c = solve_signgd_coefficients(s)
+        c = dataclasses.replace(c, **{name: lambda t: np.asarray(s(t)) * (1.0 + 1e-6)})
+        assert not validate_signgd_coefficients(c, s, t_max=100, tol=1e-12)
+
     def test_validator_long_horizon(self):
         # both parameterizations replay cleanly up to t = 1e4
         for s, p in [
@@ -173,6 +182,19 @@ class TestSubgradCoefficients:
             beta=c.beta, gamma=c.gamma, schedule=s,
         )
         assert not validate_subgrad_coefficients(bad, s, t_max=50)
+
+    @pytest.mark.parametrize("case", ["alpha", "beta", "gamma", "eta"])
+    def test_a_non_positive_coefficient_or_eta_of_1_fails(self, case):
+        """A coefficient that is 0 at some t, or a schedule with eta(t) >= 1
+        (the set solved under inv:0.5, then checked under inv:1), fails
+        before the two conditions are replayed."""
+        s = Schedule.inverse(1.0)
+        c = solve_subgrad_coefficients(Schedule.inverse(0.5) if case == "eta" else s)
+        if case != "eta":
+            base = getattr(c, case)
+            c = dataclasses.replace(c, **{case: lambda t: np.where(np.asarray(t) == 7, 0.0,
+                                                                   base(t))})
+        assert not validate_subgrad_coefficients(c, s, t_max=50)
 
     def test_alpha_is_the_schedules_own_scalar(self):
         """alpha(t) = 1 - eta(t + 1) through the schedule's scalar path, the
